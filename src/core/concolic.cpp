@@ -99,12 +99,6 @@ ConcolicResult ConcolicDriver::run() {
       tel ? &tel->metrics().counter("concolic.seeds_generated") : nullptr;
   telemetry::Counter* stepsCtr = tel ? &tel->metrics().counter("concolic.steps") : nullptr;
   const uint64_t startUs = clk.nowMicros();
-  if (tel && tel->tracing()) {
-    tel->emit(telemetry::EventKind::Phase,
-              {{"name", "concolic"},
-               {"mark", "begin"},
-               {"generational", config_.generational ? 1 : 0}});
-  }
   ConcolicResult result;
   std::deque<std::vector<uint64_t>> queue;
   std::set<std::vector<uint64_t>> seen;
@@ -124,13 +118,6 @@ ConcolicResult ConcolicDriver::run() {
     if (runsCtr) {
       runsCtr->add();
       stepsCtr->add(steps);
-    }
-    if (tel && tel->tracing()) {
-      tel->emit(telemetry::EventKind::PathDone,
-                {{"status", pathStatusName(final.status)},
-                 {"final_pc", final.pc},
-                 {"steps", steps},
-                 {"branch_points", static_cast<uint64_t>(branches.size())}});
     }
 
     // Record the executed path (witness = the seed itself, padded to the
@@ -189,13 +176,6 @@ ConcolicResult ConcolicDriver::run() {
 
   if (seedsCtr) seedsCtr->add(result.seedsGenerated);
   result.wallSeconds = double(clk.nowMicros() - startUs) / 1e6;
-  if (tel && tel->tracing()) {
-    tel->emit(telemetry::EventKind::Phase,
-              {{"name", "concolic"},
-               {"mark", "end"},
-               {"runs", result.seedsExecuted},
-               {"seconds", result.wallSeconds}});
-  }
   return result;
 }
 

@@ -314,10 +314,6 @@ ConcreteResult ConcreteRunner::run(const std::vector<uint64_t>& inputs,
     ctx.lets.assign(d->insn->numLetSlots, 0);
     ctx.pcAssigned = false;
     ctx.stop = false;
-    if (tel_ && tel_->tracing()) {
-      tel_->emit(telemetry::EventKind::Step,
-                 {{"pc", ctx.pc}, {"insn", d->insn->name}});
-    }
     interp.execBlock(d->insn->semantics);
     ++ctx.result.steps;
     if (stepsCtr) stepsCtr->add();
@@ -327,17 +323,6 @@ ConcreteResult ConcreteRunner::run(const std::vector<uint64_t>& inputs,
                             : truncTo(ctx.insnAddr + d->lengthBytes, addrW);
   }
   ctx.result.finalPc = ctx.pc;
-  if (tel_ && tel_->tracing()) {
-    tel_->emit(telemetry::EventKind::PathDone,
-               {{"status", pathStatusName(ctx.result.status)},
-                {"final_pc", ctx.result.finalPc},
-                {"steps", ctx.result.steps}});
-    if (ctx.result.defect) {
-      tel_->emit(telemetry::EventKind::Defect,
-                 {{"kind", defectKindName(*ctx.result.defect)},
-                  {"pc", ctx.result.defectPc}});
-    }
-  }
   return ctx.result;
 }
 

@@ -170,19 +170,6 @@ PathResult Explorer::finishPath(MachineState&& st, uint64_t node,
   r.forks = st.forks;
   r.pathKey = std::move(pathKey);
   if (pathsCtr_) pathsCtr_->add();
-  if (tel_ && tel_->tracing()) {
-    tel_->emit(telemetry::EventKind::PathDone,
-               {{"status", pathStatusName(st.status)},
-                {"final_pc", st.pc},
-                {"steps", st.steps},
-                {"forks", st.forks}});
-    if (st.defect) {
-      tel_->emit(telemetry::EventKind::Defect,
-                 {{"kind", defectKindName(st.defect->kind)},
-                  {"pc", st.defect->pc},
-                  {"mnemonic", st.defect->mnemonic}});
-    }
-  }
   if (st.defect) {
     r.defect = std::move(st.defect);
     r.test = r.defect->witness;
@@ -240,14 +227,6 @@ ExploreSummary Explorer::run() {
   const smt::SmtSolver::Stats solverBase = svc_.solver.stats();
   const uint64_t cacheHitsBase = svc_.solver.cacheHits();
 
-  if (tel_ && tel_->tracing()) {
-    tel_->emit(telemetry::EventKind::Phase,
-               {{"name", "explore"},
-                {"mark", "begin"},
-                {"strategy", strategyName(config_.strategy)},
-                {"executor", exec_.name()}});
-  }
-
   std::vector<Frontier> frontier;
   uint64_t orderCounter = 0;
   size_t frontierBytes = 0;  // sum of Frontier::bytes (governor tally)
@@ -271,7 +250,7 @@ ExploreSummary Explorer::run() {
 
   // Superblock fusing (Executor::stepMany with fuel > 1) is offered only
   // when no machinery can observe intermediate instructions: no observer,
-  // no telemetry/tracing, no state merging (needs per-pc frontier hits),
+  // no telemetry, no state merging (needs per-pc frontier hits),
   // no governor budgets (their eviction points are step-granular), no
   // fault injection (fault sites must fire at their exact step), and DFS
   // order (the fused stretch is exactly the sequence DFS would pop).
@@ -362,29 +341,15 @@ ExploreSummary Explorer::run() {
     if (stepsCtr_) stepsCtr_->add(out.retired);
     const bool newPcHere = covered_.insert(cur.state.pc).second;
     for (const uint64_t fpc : out.fusedPcs) covered_.insert(fpc);
-    if (tel_ && tel_->tracing()) {
-      tel_->emit(telemetry::EventKind::Step,
-                 {{"pc", cur.state.pc},
-                  {"frontier", static_cast<uint64_t>(frontier.size())},
-                  {"succ", static_cast<uint64_t>(out.successors.size())}});
-    }
 
     if (out.successors.size() > 1) {
       const uint64_t forks = out.successors.size() - 1;
       summary.totalForks += forks;
       if (forksCtr_) forksCtr_->add(forks);
-      if (tel_ && tel_->tracing()) {
-        tel_->emit(telemetry::EventKind::Fork,
-                   {{"pc", cur.state.pc},
-                    {"succ", static_cast<uint64_t>(out.successors.size())}});
-      }
     }
     if (out.successors.empty()) {
       ++summary.statesDropped;
       if (dropsCtr_) dropsCtr_->add();
-      if (tel_ && tel_->tracing()) {
-        tel_->emit(telemetry::EventKind::Drop, {{"pc", cur.state.pc}});
-      }
       if (ob) ob->onDrop(cur.node, cur.state.pc);
     }
 
@@ -412,9 +377,6 @@ ExploreSummary Explorer::run() {
               merged = true;
               ++summary.statesMerged;
               if (mergesCtr_) mergesCtr_->add();
-              if (tel_ && tel_->tracing()) {
-                tel_->emit(telemetry::EventKind::Merge, {{"pc", succ.pc}});
-              }
               if (ob) ob->onMerge(f.node, childNode, succ.pc);
               break;
             }
@@ -520,14 +482,6 @@ ExploreSummary Explorer::run() {
   summary.coveredSet = covered_;
   summary.wallSeconds = double(clk.nowMicros() - startUs) / 1e6;
   svc_.solver.setWallDeadlineMicros(0);
-  if (tel_ && tel_->tracing()) {
-    tel_->emit(telemetry::EventKind::Phase,
-               {{"name", "explore"},
-                {"mark", "end"},
-                {"paths", static_cast<uint64_t>(summary.paths.size())},
-                {"steps", summary.totalSteps},
-                {"seconds", summary.wallSeconds}});
-  }
   return summary;
 }
 

@@ -10,11 +10,51 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/state.h"
 
 namespace adlsym::core {
+
+/// One path-forest node: a straight-line run of instructions between
+/// forks. obs::PathForestRecorder fills these live from the observer hooks
+/// (sequential engine); ParallelExplorer builds the same records from its
+/// canonical merged tree (ParallelResult::tree). Either way `id` is the
+/// node's index in a dense vector.
+struct PathTreeNode {
+  uint64_t id = 0;
+  std::optional<uint64_t> parent;  // unset for the root
+  uint64_t forkPc = 0;   // pc of the instruction that minted this node
+  uint64_t entryPc = 0;  // first pc this node executes
+  /// Branch condition(s) added at creation, rendered with smt::toString
+  /// and joined with " & " (empty for the root and unconstrained forks).
+  std::string cond;
+  /// "root"; "sat" when the creating step issued solver queries (eager
+  /// feasibility admitted the branch), "assumed" when it was enqueued
+  /// unchecked.
+  std::string verdict;
+  uint64_t solverQueries = 0;  // queries issued by the creating step
+  uint64_t solverMicros = 0;   // their total latency
+  /// Terminal state: a pathStatusName() value, "dropped" (every successor
+  /// infeasible), "merged" (veritesting), "forked" (interior node — the id
+  /// was retired by a fork), or "open" if the run ended with the node
+  /// still on the frontier.
+  std::string status = "open";
+  /// truncReasonName() when status == "truncated" (governor close-out),
+  /// empty otherwise.
+  std::string truncReason;
+  uint64_t finalPc = 0;
+  uint64_t steps = 0;
+  unsigned forks = 0;
+  std::optional<uint64_t> exitCode;
+  std::string defectKind;  // empty when the path had no defect
+  uint64_t defectPc = 0;
+  std::vector<TestCase::Value> testInputs;
+  std::optional<uint64_t> mergedInto;  // host node, when status == "merged"
+  std::vector<uint64_t> children;
+};
 
 class ExploreObserver {
  public:

@@ -368,9 +368,9 @@ struct Engine {
     cv.notify_all();
   }
 
-  // Mirror of Explorer::finishPath minus trace events (workers have no
-  // sink): resolve the terminal record, optionally solve the path
-  // condition for a witness, and file the result under the node's key.
+  // Mirror of Explorer::finishPath: resolve the terminal record,
+  // optionally solve the path condition for a witness, and file the
+  // result under the node's key.
   void finishPath(Worker& w, MachineState&& st, const PathKey& key) {
     PathResult r;
     r.status = st.status;

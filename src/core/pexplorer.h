@@ -27,7 +27,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,31 +45,6 @@ class QueryCache;
 }
 
 namespace adlsym::core {
-
-/// One node of the canonical merged path tree, preorder-indexed: node 0 is
-/// the root and children follow their parent with ascending fork indices.
-/// Mirrors the fields obs::PathForestRecorder tracks so the forest can be
-/// rebuilt from the tree after the run (obs::forestFromTree).
-struct PathTreeNode {
-  uint64_t id = 0;
-  std::optional<uint64_t> parent;      // empty on the root
-  uint64_t forkPc = 0;                 // pc of the fork that minted us
-  uint64_t entryPc = 0;                // first pc executed on this node
-  std::string cond;                    // constraints added by the fork
-  std::string verdict;                 // "root" | "sat" | "assumed"
-  uint64_t solverQueries = 0;          // queries during the minting step
-  uint64_t solverMicros = 0;
-  std::string status = "open";         // terminal status or "forked"/"dropped"
-  std::string truncReason;             // set when status == "truncated"
-  uint64_t finalPc = 0;
-  uint64_t steps = 0;
-  unsigned forks = 0;
-  std::optional<uint64_t> exitCode;
-  std::string defectKind;
-  uint64_t defectPc = 0;
-  std::vector<TestCase::Value> testInputs;
-  std::vector<uint64_t> children;
-};
 
 struct ParallelConfig {
   ExplorerConfig base;             // strategy, budgets, live observer
@@ -131,7 +105,10 @@ struct ParallelConfig {
 
 struct ParallelResult {
   ExploreSummary summary;           // paths in preorder (tree) order
-  std::vector<PathTreeNode> tree;   // dense preorder ids; [0] = root
+  /// Canonical merged path tree (core/observer.h): preorder-indexed, node
+  /// 0 is the root and children follow their parent with ascending fork
+  /// indices; obs::forestFromTree renders it.
+  std::vector<PathTreeNode> tree;
 };
 
 class ParallelExplorer {
@@ -144,8 +121,7 @@ class ParallelExplorer {
 
   /// `mainTel` is the coordinator's bundle: its clock stamps wallSeconds
   /// (read exactly twice) and worker metric registries are merged into it
-  /// at the barrier. Workers never emit trace events — with --jobs the
-  /// trace file is empty by design (docs/parallelism.md).
+  /// at the barrier.
   ParallelExplorer(const loader::Image& image, const EngineConfig& engineCfg,
                    ParallelConfig cfg, ExecutorFactory factory,
                    telemetry::Telemetry* mainTel = nullptr);

@@ -103,7 +103,7 @@ class Compiler {
     return nextSlot_++;
   }
 
-  size_t emit(OpCode code) {
+  size_t emitOp(OpCode code) {
     Op op;
     op.code = code;
     prog_.ops.push_back(op);
@@ -114,7 +114,7 @@ class Compiler {
 
   uint16_t unary(OpCode code, const Expr& e) {
     const uint16_t a = lowerExpr(*e.args[0]);
-    const size_t i = emit(code);
+    const size_t i = emitOp(code);
     at(i).width = e.width;
     at(i).a = a;
     at(i).dst = newSlot();
@@ -126,7 +126,7 @@ class Compiler {
   uint16_t binary(OpCode code, const Expr& e, uint8_t width) {
     const uint16_t a = lowerExpr(*e.args[0]);
     const uint16_t b = lowerExpr(*e.args[1]);
-    const size_t i = emit(code);
+    const size_t i = emitOp(code);
     at(i).width = width;
     at(i).a = a;
     at(i).b = b;
@@ -139,34 +139,34 @@ class Compiler {
   uint16_t lowerExpr(const Expr& e) {
     switch (e.op) {
       case ExprOp::Const: {
-        const size_t i = emit(OpCode::Const);
+        const size_t i = emitOp(OpCode::Const);
         at(i).width = e.width;
         at(i).imm = truncTo(e.aux, e.width);
         at(i).dst = newSlot();
         return at(i).dst;
       }
       case ExprOp::Field: {
-        const size_t i = emit(OpCode::Field);
+        const size_t i = emitOp(OpCode::Field);
         at(i).width = e.width;
         at(i).imm = e.aux;
         at(i).dst = newSlot();
         return at(i).dst;
       }
       case ExprOp::LetRef: {
-        const size_t i = emit(OpCode::CheckLet);
+        const size_t i = emitOp(OpCode::CheckLet);
         at(i).a = static_cast<uint16_t>(e.aux);
         return static_cast<uint16_t>(e.aux);
       }
       case ExprOp::RegRead: {
         const size_t i =
-            emit(e.aux == model_.pcIndex ? OpCode::PcRead : OpCode::RegRead);
+            emitOp(e.aux == model_.pcIndex ? OpCode::PcRead : OpCode::RegRead);
         at(i).width = e.width;
         at(i).imm = e.aux;
         at(i).dst = newSlot();
         return at(i).dst;
       }
       case ExprOp::RegFileRead: {
-        const size_t i = emit(OpCode::RegFileRead);
+        const size_t i = emitOp(OpCode::RegFileRead);
         at(i).width = e.width;
         at(i).idx = e.args[0].get();
         at(i).dst = newSlot();
@@ -174,7 +174,7 @@ class Compiler {
       }
       case ExprOp::Load: {
         const uint16_t a = lowerExpr(*e.args[0]);
-        const size_t i = emit(OpCode::Load);
+        const size_t i = emitOp(OpCode::Load);
         at(i).width = e.width;
         at(i).a = a;
         at(i).imm = e.aux;
@@ -182,7 +182,7 @@ class Compiler {
         return at(i).dst;
       }
       case ExprOp::Input: {
-        const size_t i = emit(OpCode::Input);
+        const size_t i = emitOp(OpCode::Input);
         at(i).width = e.width;
         at(i).dst = newSlot();
         return at(i).dst;
@@ -241,8 +241,8 @@ class Compiler {
     switch (s.op) {
       case StmtOp::AssignReg: {
         const uint16_t a = lowerExpr(*s.args[0]);
-        const size_t i = emit(s.aux == model_.pcIndex ? OpCode::AssignPc
-                                                      : OpCode::AssignReg);
+        const size_t i = emitOp(s.aux == model_.pcIndex ? OpCode::AssignPc
+                                                        : OpCode::AssignReg);
         at(i).a = a;
         at(i).imm = s.aux;
         break;
@@ -252,14 +252,14 @@ class Compiler {
         // specialize time (before the RHS runs) matches the walker, which
         // computes it first but validates it only after the RHS.
         const uint16_t a = lowerExpr(*s.args[1]);
-        const size_t i = emit(OpCode::AssignRegFile);
+        const size_t i = emitOp(OpCode::AssignRegFile);
         at(i).a = a;
         at(i).idx = s.args[0].get();
         break;
       }
       case StmtOp::Let: {
         const uint16_t a = lowerExpr(*s.args[0]);
-        const size_t i = emit(OpCode::Copy);
+        const size_t i = emitOp(OpCode::Copy);
         at(i).a = a;
         at(i).dst = static_cast<uint16_t>(s.aux);
         break;
@@ -267,7 +267,7 @@ class Compiler {
       case StmtOp::Store: {
         const uint16_t a = lowerExpr(*s.args[0]);
         const uint16_t b = lowerExpr(*s.args[1]);
-        const size_t i = emit(OpCode::Store);
+        const size_t i = emitOp(OpCode::Store);
         at(i).a = a;
         at(i).b = b;
         at(i).imm = s.aux;
@@ -275,14 +275,14 @@ class Compiler {
       }
       case StmtOp::Output: {
         const uint16_t a = lowerExpr(*s.args[0]);
-        const size_t i = emit(OpCode::Output);
+        const size_t i = emitOp(OpCode::Output);
         at(i).a = a;
         at(i).width = s.args[0]->width;
         break;
       }
       case StmtOp::Halt: {
         const uint16_t a = lowerExpr(*s.args[0]);
-        const size_t i = emit(OpCode::Halt);
+        const size_t i = emitOp(OpCode::Halt);
         at(i).a = a;
         at(i).width = s.args[0]->width;
         break;
@@ -290,24 +290,24 @@ class Compiler {
       case StmtOp::AssertEq: {
         const uint16_t a = lowerExpr(*s.args[0]);
         const uint16_t b = lowerExpr(*s.args[1]);
-        const size_t i = emit(OpCode::AssertEq);
+        const size_t i = emitOp(OpCode::AssertEq);
         at(i).a = a;
         at(i).b = b;
         break;
       }
       case StmtOp::Trap: {
-        const size_t i = emit(OpCode::Trap);
+        const size_t i = emitOp(OpCode::Trap);
         at(i).imm = s.aux;
         break;
       }
       case StmtOp::If: {
         // Layout: [cond ops, BrFalse ->else, then..., Jmp ->end, else...].
         const uint16_t a = lowerExpr(*s.args[0]);
-        const size_t br = emit(OpCode::BrFalse);
+        const size_t br = emitOp(OpCode::BrFalse);
         at(br).a = a;
         lowerStmtList(s.thenBody);
         if (!s.elseBody.empty()) {
-          const size_t j = emit(OpCode::Jmp);
+          const size_t j = emitOp(OpCode::Jmp);
           at(br).t = static_cast<uint32_t>(prog_.ops.size());
           lowerStmtList(s.elseBody);
           at(j).t = static_cast<uint32_t>(prog_.ops.size());

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -28,7 +29,6 @@
 #include "obs/progress.h"
 #include "obs/querylog.h"
 #include "obs/replay.h"
-#include "obs/sitestats.h"
 #include "smt/presolver.h"
 #include "smt/qcache.h"
 #include "support/atomicio.h"
@@ -49,33 +49,23 @@ CommandResult fail(std::string msg) {
   return CommandResult{2, std::move(msg) + "\n"};
 }
 
-/// Per-command telemetry plumbing for the --stats-json / --trace flags:
-/// owns the bundle, the trace file and its JSONL sink. `get()` is null
-/// when neither flag was given (and no manual clock was requested), so
-/// the engine stays on its zero-cost path.
+/// Per-command telemetry plumbing for --stats-json and --clock=manual:
+/// owns the bundle, the manual clock and the stats document. `get()` is
+/// null when neither was requested, so the engine stays on its zero-cost
+/// path.
 class CommandTelemetry {
  public:
-  /// Throws adlsym::InputError when the trace file cannot be opened.
   /// `manualClockStepUs` > 0 swaps the system clock for a ManualClock so
   /// every recorded duration is deterministic (byte-identical stats
   /// documents across runs).
-  CommandTelemetry(const std::string& statsJsonPath,
-                   const std::string& tracePath,
-                   uint64_t manualClockStepUs = 0)
+  explicit CommandTelemetry(const std::string& statsJsonPath,
+                            uint64_t manualClockStepUs = 0)
       : statsJsonPath_(statsJsonPath) {
     if (manualClockStepUs != 0) {
       clock_ = std::make_unique<telemetry::ManualClock>(manualClockStepUs);
       tel_ = std::make_unique<telemetry::Telemetry>(*clock_);
-    } else if (!statsJsonPath.empty() || !tracePath.empty()) {
+    } else if (!statsJsonPath.empty()) {
       tel_ = std::make_unique<telemetry::Telemetry>();
-    }
-    if (!tracePath.empty()) {
-      traceFile_.open(tracePath, std::ios::binary | std::ios::trunc);
-      if (!traceFile_) {
-        throw InputError("cannot open trace file '" + tracePath + "'");
-      }
-      sink_ = std::make_unique<telemetry::JsonlTraceSink>(traceFile_);
-      tel_->setSink(sink_.get());
     }
   }
 
@@ -108,16 +98,10 @@ class CommandTelemetry {
     out << '\n';
   }
 
-  void finish() {
-    if (sink_) sink_->flush();
-  }
-
  private:
   std::string statsJsonPath_;
   std::unique_ptr<telemetry::ManualClock> clock_;
   std::unique_ptr<telemetry::Telemetry> tel_;
-  std::ofstream traceFile_;
-  std::unique_ptr<telemetry::JsonlTraceSink> sink_;
 };
 
 loader::Image parseImageArg(const std::string& imageText) {
@@ -214,14 +198,22 @@ struct FlightRecorder {
     bus = std::make_unique<obs::EventBus>(*os, tel, bopt);
   }
 
-  void runBegin(const std::string& isaName, const ExploreOptions& opt) {
+  /// Emit run_begin. On --resume (`resumed` = the checkpoint's bus
+  /// section) the spliced stream prefix already carries it, so the bus
+  /// adopts the checkpoint's watermarks instead.
+  void runBegin(const std::string& isaName, const ExploreOptions& opt,
+                const json::Value* resumed = nullptr) {
     if (!bus) return;
     obs::EventBus::RunMeta rm;
     rm.command = opt.profileStdout ? "profile" : "explore";
     rm.isa = isaName;
     rm.strategy = opt.strategy;
     rm.program = opt.programLabel;
-    bus->runBegin(rm);
+    if (resumed != nullptr) {
+      bus->resumeRun(rm, *resumed);
+    } else {
+      bus->runBegin(rm);
+    }
   }
 
   /// Close the stream so the manifest hashes the final bytes.
@@ -258,7 +250,6 @@ void writeRunManifest(const std::string& isaName, const ExploreOptions& opt) {
   man.program = opt.programLabel;
   man.argv = opt.argvEcho;
   man.addArtifact("stats", opt.statsJsonPath);
-  man.addArtifact("trace", opt.tracePath);
   man.addArtifact("forest", opt.pathForestPath);
   man.addArtifact("forest_dot", opt.pathDotPath);
   man.addArtifact("profile", opt.profilePath);
@@ -402,7 +393,6 @@ std::string usage() {
       "observability (explore and run; docs/observability.md):\n"
       "  --stats-json=<file>   aggregated JSON stats document (summary,\n"
       "                        solver, metrics, opcode/branch-site tables)\n"
-      "  --trace=<file>        JSONL structured trace event stream\n"
       "  --path-forest=<file>  path-forest JSON record (explore only)\n"
       "  --path-dot=<file>     path forest as Graphviz DOT (explore only)\n"
       "  --query-log=<dir>     capture every solver query as SMT-LIB +\n"
@@ -490,7 +480,7 @@ CommandResult cmdModel(const std::string& isaName) {
 CommandResult cmdLint(const std::string& subject, const std::string& adlSource,
                       const LintOptions& opt) {
   DiagEngine diags(subject);
-  CommandTelemetry ct(opt.statsJsonPath, "");
+  CommandTelemetry ct(opt.statsJsonPath);
   auto model = adl::loadArchModel(adlSource, diags);
   analysis::LintReport report;
   if (!model) {
@@ -584,7 +574,7 @@ CommandResult cmdRun(const std::string& isaName, const std::string& imageText,
                      const RunOptions& ropt) {
   auto model = isa::loadIsa(isaName);
   const loader::Image image = parseImageArg(imageText);
-  CommandTelemetry ct(ropt.statsJsonPath, ropt.tracePath);
+  CommandTelemetry ct(ropt.statsJsonPath);
   core::ConcreteRunner runner(*model, image, ct.get());
   const auto r = runner.run(inputs);
   ct.writeStatsJson("run", isaName, [&](json::Writer& w) {
@@ -599,7 +589,6 @@ CommandResult cmdRun(const std::string& isaName, const std::string& imageText,
     w.endArray();
     w.endObject();
   });
-  ct.finish();
   std::ostringstream os;
   os << "status: " << core::pathStatusName(r.status);
   if (r.status == core::PathStatus::Exited) os << " (code " << r.exitCode << ")";
@@ -635,9 +624,6 @@ CommandResult cmdExplore(const std::string& isaName,
     if (opt.profileStdout || !opt.profilePath.empty() ||
         !opt.profileFoldedPath.empty()) {
       return fail("--checkpoint/--resume are not supported with profiling");
-    }
-    if (!opt.tracePath.empty()) {
-      return fail("--checkpoint/--resume are not supported with --trace");
     }
     if (opt.progressSeconds > 0.0) {
       return fail("--checkpoint/--resume are not supported with --progress");
@@ -679,98 +665,107 @@ CommandResult cmdExplore(const std::string& isaName,
   const bool profiling = opt.profileStdout || !opt.profilePath.empty() ||
                          !opt.profileFoldedPath.empty();
 
-  // ---- parallel engine (--jobs, docs/parallelism.md) ------------------
-  if (opt.jobs > 0) {
-    if (opt.mergeStates) {
-      return fail("--merge is not supported with --jobs");
-    }
-    if (!opt.queryLogDir.empty()) {
-      return fail("--query-log is not supported with --jobs");
-    }
+  // --jobs routes to the parallel engine (docs/parallelism.md), which
+  // alone supports checkpoint/resume; only the sequential engine has
+  // state merging and query capture.
+  const bool parallel = opt.jobs > 0;
+  if (parallel && opt.mergeStates) {
+    return fail("--merge is not supported with --jobs");
+  }
+  if (parallel && !opt.queryLogDir.empty()) {
+    return fail("--query-log is not supported with --jobs");
+  }
 
-    // ---- --resume: load + verify the checkpoint ----------------------
-    const std::string imageSha = hash::sha256Hex(imageText);
-    const bool resuming = !opt.resumePath.empty();
-    json::Value resumeDoc;
-    if (resuming) {
-      resumeDoc = core::ckpt::loadCheckpointFile(opt.resumePath);
-      const auto expect = [&](const char* name, const std::string& want) {
-        const std::string got = core::ckpt::fieldStr(resumeDoc, name);
-        if (got != want) {
-          throw InputError("checkpoint " + opt.resumePath + ": " + name +
-                           " mismatch (checkpoint has '" + got +
-                           "', this run is '" + want + "')");
-        }
-      };
-      expect("isa", isaName);
-      expect("strategy", opt.strategy);
-      expect("image_sha256", imageSha);
-      if (core::ckpt::fieldU64(resumeDoc, "rng_seed") !=
-          sopt.explorer.rngSeed) {
-        throw InputError("checkpoint " + opt.resumePath +
-                         ": rng_seed mismatch");
+  // ---- --resume: load + verify the checkpoint --------------------------
+  const std::string imageSha = parallel ? hash::sha256Hex(imageText) : "";
+  const bool resuming = !opt.resumePath.empty();
+  json::Value resumeDoc;
+  if (resuming) {
+    resumeDoc = core::ckpt::loadCheckpointFile(opt.resumePath);
+    const auto expect = [&](const char* name, const std::string& want) {
+      const std::string got = core::ckpt::fieldStr(resumeDoc, name);
+      if (got != want) {
+        throw InputError("checkpoint " + opt.resumePath + ": " + name +
+                         " mismatch (checkpoint has '" + got +
+                         "', this run is '" + want + "')");
       }
-      // The events stream is part of the checkpointed state: a resume
-      // must continue the same stream (or, like the original run, have
-      // none at all).
-      const bool ckptHasEvents = resumeDoc.find("events") != nullptr;
-      if (ckptHasEvents && opt.eventsPath.empty()) {
-        throw InputError("checkpoint " + opt.resumePath +
-                         " was written with --events; pass the same "
-                         "events file to resume");
-      }
-      if (!ckptHasEvents && !opt.eventsPath.empty()) {
-        throw InputError("checkpoint " + opt.resumePath +
-                         " was written without --events; drop the flag "
-                         "to resume");
-      }
-      if (ckptHasEvents) {
-        spliceEventsFile(opt.eventsPath, core::ckpt::field(resumeDoc, "events"),
-                         opt.resumePath);
-      }
+    };
+    expect("isa", isaName);
+    expect("strategy", opt.strategy);
+    expect("image_sha256", imageSha);
+    if (core::ckpt::fieldU64(resumeDoc, "rng_seed") != sopt.explorer.rngSeed) {
+      throw InputError("checkpoint " + opt.resumePath + ": rng_seed mismatch");
     }
+    // The events stream is part of the checkpointed state: a resume must
+    // continue the same stream (or, like the original run, have none at
+    // all).
+    const bool ckptHasEvents = resumeDoc.find("events") != nullptr;
+    if (ckptHasEvents && opt.eventsPath.empty()) {
+      throw InputError("checkpoint " + opt.resumePath +
+                       " was written with --events; pass the same "
+                       "events file to resume");
+    }
+    if (!ckptHasEvents && !opt.eventsPath.empty()) {
+      throw InputError("checkpoint " + opt.resumePath +
+                       " was written without --events; drop the flag "
+                       "to resume");
+    }
+    if (ckptHasEvents) {
+      spliceEventsFile(opt.eventsPath, core::ckpt::field(resumeDoc, "events"),
+                       opt.resumePath);
+    }
+  }
 
-    CommandTelemetry ct(opt.statsJsonPath, opt.tracePath,
-                        opt.manualClockStepUs);
-    if (resuming && ct.manualClock() != nullptr) {
-      // Continue the manual clock exactly where the checkpointed run's
-      // next read would have been, before any component reads it.
-      ct.manualClock()->advance(core::ckpt::fieldU64(resumeDoc, "clock_us"));
-    }
-    // Live observers only; the path forest is rebuilt from the merged
-    // tree after the run, so only thread-safe collectors ride along, all
-    // behind one locked mux.
-    core::LockedObserverMux mux;
-    FlightRecorder fr;
-    fr.open(opt, *model, image, ct.get(), resuming);
-    if (fr.bus) mux.add(fr.bus.get());
-    std::unique_ptr<obs::ProgressMeter> progress;
-    if (opt.progressSeconds > 0.0) {
-      // Always on the system clock: heartbeats are a live wall-time
-      // display from concurrent workers, not a deterministic artifact.
-      progress = std::make_unique<obs::ProgressMeter>(
-          nullptr, std::cerr, opt.progressSeconds, fr.bus.get(), fr.codePcs);
-      mux.add(progress.get());
-    }
-    std::unique_ptr<obs::SiteStatsCollector> sites;
-    if (ct.wantsStatsJson()) {
-      sites = std::make_unique<obs::SiteStatsCollector>(*model, image);
-      mux.add(sites.get());
-      if (resuming) {
-        if (const json::Value* sv = resumeDoc.find("sites")) {
-          sites->restoreFromCkpt(*sv);
-        }
+  CommandTelemetry ct(opt.statsJsonPath, opt.manualClockStepUs);
+  if (resuming && ct.manualClock() != nullptr) {
+    // Continue the manual clock exactly where the checkpointed run's next
+    // read would have been, before any component reads it.
+    ct.manualClock()->advance(core::ckpt::fieldU64(resumeDoc, "clock_us"));
+  }
+
+  // Observatory wiring (docs/observability.md): each flag adds one
+  // observer; the mux keeps the engines' single-pointer hook.
+  core::ObserverMux mux;
+  FlightRecorder fr;
+  fr.open(opt, *model, image, ct.get(), resuming);
+  if (fr.bus) mux.add(fr.bus.get());
+  std::unique_ptr<obs::ProgressMeter> progress;
+  if (opt.progressSeconds > 0.0) {
+    // Parallel heartbeats stay on the system clock: they are a live
+    // wall-time display from concurrent workers, not a deterministic
+    // artifact.
+    progress = std::make_unique<obs::ProgressMeter>(
+        parallel ? nullptr : ct.get(), std::cerr, opt.progressSeconds,
+        fr.bus.get(), fr.codePcs);
+    mux.add(progress.get());
+  }
+  // One per-site collector feeds both the stats tables and the profile.
+  std::unique_ptr<obs::ProfileCollector> sites;
+  if (ct.wantsStatsJson() || profiling) {
+    sites = std::make_unique<obs::ProfileCollector>(*model, image);
+    mux.add(sites.get());
+  }
+  std::unique_ptr<core::RtlProfile> rtlProf;
+  if (profiling) rtlProf = std::make_unique<core::RtlProfile>(*model);
+  const bool wantForest =
+      !opt.pathForestPath.empty() || !opt.pathDotPath.empty();
+
+  // What the epilogue reads back from whichever engine ran.
+  core::ExploreSummary summary;
+  smt::SolverTelemetry solverTel;
+  std::map<unsigned, smt::SmtSolver::ShapeRow> shapes;
+  std::unique_ptr<obs::PathForestRecorder> forest;
+  std::unique_ptr<smt::QueryCache> qcache;
+  std::string poolLine;
+  const adl::ArchModel& m = *model;
+  const bool interp = opt.engine == "interp";
+
+  if (parallel) {
+    if (resuming && sites) {
+      if (const json::Value* sv = resumeDoc.find("sites")) {
+        sites->restoreFromCkpt(*sv);
       }
     }
-    std::unique_ptr<core::RtlProfile> rtlProf;
-    std::unique_ptr<obs::ProfileCollector> profCollector;
-    if (profiling) {
-      rtlProf = std::make_unique<core::RtlProfile>(*model);
-      profCollector = std::make_unique<obs::ProfileCollector>(*model, image);
-      mux.add(profCollector.get());
-    }
-
-    std::unique_ptr<smt::QueryCache> qcache;
     if (opt.qcacheOn) {
       qcache = std::make_unique<smt::QueryCache>(opt.qcacheCapacity);
       if (resuming) {
@@ -779,10 +774,14 @@ CommandResult cmdExplore(const std::string& isaName,
         }
       }
     }
+    // Workers invoke the observers concurrently; one lock around the
+    // whole fan-out keeps every observer's state consistent.
+    core::LockedObserverMux locked;
+    locked.add(&mux);
 
     core::ParallelConfig pcfg;
     pcfg.base = sopt.explorer;
-    if (!mux.empty()) pcfg.base.observer = &mux;
+    if (!mux.empty()) pcfg.base.observer = &locked;
     pcfg.jobs = static_cast<unsigned>(opt.jobs);
     pcfg.manualClockStepUs = opt.manualClockStepUs;
     pcfg.qcache = qcache.get();
@@ -801,7 +800,7 @@ CommandResult cmdExplore(const std::string& isaName,
       // CLI-owned checkpoint sections. Runs on the checkpointing worker
       // while every other worker is quiescent, so the collectors are
       // stable and the events stream is fully flushed.
-      obs::SiteStatsCollector* sitesPtr = sites.get();
+      obs::ProfileCollector* sitesPtr = sites.get();
       obs::EventBus* busPtr = fr.bus.get();
       std::ofstream* eventsFile = &fr.file;
       const std::string eventsPath = opt.eventsPath;
@@ -841,9 +840,7 @@ CommandResult cmdExplore(const std::string& isaName,
       };
     }
 
-    const adl::ArchModel& m = *model;
     core::RtlProfile* rp = rtlProf.get();
-    const bool interp = opt.engine == "interp";
     core::ParallelExplorer pex(
         image, sopt.engine, pcfg,
         [&m, rp, interp](
@@ -860,223 +857,91 @@ CommandResult cmdExplore(const std::string& isaName,
           return ex;
         },
         ct.get());
-    if (resuming && fr.bus) {
-      // The spliced stream prefix already carries the run_begin event;
-      // adopt the checkpoint's watermarks instead of emitting another.
-      obs::EventBus::RunMeta rm;
-      rm.command = opt.profileStdout ? "profile" : "explore";
-      rm.isa = isaName;
-      rm.strategy = opt.strategy;
-      rm.program = opt.programLabel;
-      fr.bus->resumeRun(
-          rm, core::ckpt::field(core::ckpt::field(resumeDoc, "events"), "bus"));
-    } else {
-      fr.runBegin(isaName, opt);
-    }
+    fr.runBegin(isaName, opt,
+                resuming && fr.bus
+                    ? &core::ckpt::field(
+                          core::ckpt::field(resumeDoc, "events"), "bus")
+                    : nullptr);
     core::ParallelResult pres = pex.run();
-    const core::ExploreSummary& summary = pres.summary;
-    if (fr.bus) {
-      // Workers were destroyed inside run(), so the evaluator tick total
-      // is already flushed.
-      fr.bus->runEnd(summary, pex.solverTelemetry(),
-                     rtlProf ? rtlProf->total() : 0);
+    summary = std::move(pres.summary);
+    solverTel = pex.solverTelemetry();
+    shapes = pex.queryShapes();
+    // The path forest is rebuilt from the canonical merged tree, so no
+    // live recorder rides along with the workers.
+    if (wantForest) {
+      forest = std::make_unique<obs::PathForestRecorder>(
+          obs::forestFromTree(std::move(pres.tree)));
     }
-
-    if (!opt.pathForestPath.empty() || !opt.pathDotPath.empty()) {
-      const obs::PathForestRecorder forest = obs::forestFromTree(pres.tree);
-      if (!opt.pathForestPath.empty()) {
-        fault::hit("obs.write");
-        std::ofstream out(opt.pathForestPath,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-          return fail("cannot open path-forest file '" + opt.pathForestPath +
-                      "'");
-        }
-        forest.writeJson(out);
-      }
-      if (!opt.pathDotPath.empty()) {
-        fault::hit("obs.write");
-        std::ofstream out(opt.pathDotPath, std::ios::binary | std::ios::trunc);
-        if (!out) {
-          return fail("cannot open path-dot file '" + opt.pathDotPath + "'");
-        }
-        forest.writeDot(out);
-      }
-    }
-
-    obs::ProfileReport rep;
-    if (profiling) {
-      rep.isa = isaName;
-      rep.program = opt.programLabel;
-      rep.prof = profCollector.get();
-      rep.rtl = rtlProf.get();
-      rep.engineSteps = summary.totalSteps;
-      // Independent of the observer deltas: the per-statement tables
-      // flushed by the worker evaluators. Reconciliation cross-checks
-      // the two accumulation paths.
-      rep.engineRtlTicks = rtlProf->total();
-      rep.solver = pex.solverTelemetry();
-      if (qcache) {
-        rep.hasQcache = true;
-        rep.qcache = qcache->stats();
-      }
-      rep.shapes = &pex.queryShapes();
-    }
-
-    ct.writeStatsJson("explore", isaName, [&](json::Writer& w) {
-      w.kv("strategy", std::string_view(opt.strategy));
-      // v8 addition: which ADL engine ran. Stripped by stats_strip — the
-      // byte-identity contract holds *across* engines (docs/bytecode.md).
-      w.key("engine");
-      w.beginObject();
-      w.kv("name", std::string_view(opt.engine));
-      w.endObject();
-      w.key("summary");
-      core::writeSummaryJson(w, summary);
-      w.key("solver");
-      pex.solverTelemetry().writeJson(w);
-      // v6 addition: the abstract-prefilter block (docs/absdomain.md).
-      w.key("prefilter");
-      pex.solverTelemetry().writePrefilterJson(w);
-      // The shared query cache. Note no "jobs" field anywhere in the
-      // document — byte-identity across --jobs values is the contract,
-      // so the document cannot mention the jobs count.
-      w.key("qcache");
-      if (qcache) {
-        qcache->stats().writeJson(w);
-      } else {
-        w.beginObject();
-        w.kv("enabled", false);
-        w.endObject();
-      }
-      if (sites) sites->writeJson(w);
-      // v5 addition: the profile summary block (profiling runs only).
-      if (profiling) rep.writeSummary(w);
-      // v7 addition: the flight-recorder accounting block.
-      fr.writeStatsJson(w);
-    });
-    ct.finish();
-
-    if (profiling) {
-      // Pool diagnostics are schedule-dependent by nature (which worker
-      // stole what), so they go to stderr only — never into the
-      // byte-identical stdout/JSON artifacts.
-      const core::ParallelExplorer::PoolStats& ps = pex.poolStats();
-      std::cerr << "[pool] jobs=" << ps.jobs << " steals=" << ps.steals
-                << " steal_wait_us=" << ps.stealWaitMicros
-                << " steps_min=" << ps.minWorkerSteps
-                << " steps_max=" << ps.maxWorkerSteps
-                << " steps_total=" << ps.totalSteps << "\n";
-      const std::string err = writeProfileArtifacts(rep, opt);
-      if (!err.empty()) return fail(err);
-    }
-
-    // Every artifact stream is final now; the manifest hashes them.
-    fr.close();
-    writeRunManifest(isaName, opt);
-
-    std::ostringstream os;
-    os << lintText;
-    os << core::formatSummary(summary);
-    if (opt.coverageReport) {
-      for (const loader::Section& sec : image.sections()) {
-        if (sec.writable) continue;
-        os << "\ncoverage of section " << sec.name << ":\n"
-           << core::formatCoverage(*model, image, sec.name, summary);
-      }
-    }
-    os << pex.solverTelemetry().format();
-    if (opt.profileStdout) os << rep.formatText();
-    int code = 0;
-    if (summary.numDefects() > 0) {
-      code = 1;
-    } else if (summary.budgetExhausted() ||
-               (!summary.stopReason.empty() &&
-                summary.stopReason != "first-defect")) {
-      code = 3;
-    }
-    return {code, os.str()};
-  }
-
-  CommandTelemetry ct(opt.statsJsonPath, opt.tracePath, opt.manualClockStepUs);
-  smt::TermManager tm;
-  smt::SmtSolver solver(tm);
-  solver.setConflictBudget(sopt.solverConflictBudget);
-  solver.setQueryTimeoutMicros(opt.solverTimeoutMs * 1000);
-  std::unique_ptr<smt::PreSolver> presolver;
-  if (opt.prefilterOn) {
-    presolver = std::make_unique<smt::PreSolver>(tm);
-    solver.setPreSolver(presolver.get());
-  }
-
-  // Observatory wiring (docs/observability.md): each flag adds one
-  // observer; the mux keeps the explorer's single-pointer hook.
-  core::ObserverMux mux;
-  FlightRecorder fr;
-  fr.open(opt, *model, image, ct.get());
-  if (fr.bus) {
-    mux.add(fr.bus.get());
-    solver.addQueryListener(fr.bus.get());
-  }
-  std::unique_ptr<obs::PathForestRecorder> forest;
-  if (!opt.pathForestPath.empty() || !opt.pathDotPath.empty()) {
-    forest = std::make_unique<obs::PathForestRecorder>();
-    mux.add(forest.get());
-  }
-  std::unique_ptr<obs::QueryLogger> qlog;
-  if (!opt.queryLogDir.empty()) {
-    qlog = std::make_unique<obs::QueryLogger>(opt.queryLogDir);
-    mux.add(qlog.get());
-    solver.setQueryListener(qlog.get());
-  }
-  std::unique_ptr<obs::ProgressMeter> progress;
-  if (opt.progressSeconds > 0.0) {
-    progress = std::make_unique<obs::ProgressMeter>(
-        ct.get(), std::cerr, opt.progressSeconds, fr.bus.get(), fr.codePcs);
-    mux.add(progress.get());
-  }
-  std::unique_ptr<obs::SiteStatsCollector> sites;
-  if (ct.wantsStatsJson()) {
-    sites = std::make_unique<obs::SiteStatsCollector>(*model, image);
-    mux.add(sites.get());
-  }
-  std::unique_ptr<core::RtlProfile> rtlProf;
-  std::unique_ptr<obs::ProfileCollector> profCollector;
-  if (profiling) {
-    rtlProf = std::make_unique<core::RtlProfile>(*model);
-    profCollector = std::make_unique<obs::ProfileCollector>(*model, image);
-    mux.add(profCollector.get());
-    solver.setShapeProfiling(true);
-  }
-  if (!mux.empty()) sopt.explorer.observer = &mux;
-
-  core::EngineServices services(tm, solver, image, sopt.engine, ct.get());
-  std::unique_ptr<core::Executor> executor;
-  if (opt.engine == "interp") {
-    executor = std::make_unique<core::AdlExecutor>(*model, services);
+    // Pool diagnostics are schedule-dependent by nature (which worker
+    // stole what), so profiling runs print them to stderr only — never
+    // into the byte-identical stdout/JSON artifacts.
+    const core::ParallelExplorer::PoolStats& ps = pex.poolStats();
+    poolLine = "[pool] jobs=" + std::to_string(ps.jobs) +
+               " steals=" + std::to_string(ps.steals) +
+               " steal_wait_us=" + std::to_string(ps.stealWaitMicros) +
+               " steps_min=" + std::to_string(ps.minWorkerSteps) +
+               " steps_max=" + std::to_string(ps.maxWorkerSteps) +
+               " steps_total=" + std::to_string(ps.totalSteps) + "\n";
   } else {
-    executor = std::make_unique<core::BytecodeExecutor>(*model, services);
+    smt::TermManager tm;
+    smt::SmtSolver solver(tm);
+    solver.setConflictBudget(sopt.solverConflictBudget);
+    solver.setQueryTimeoutMicros(opt.solverTimeoutMs * 1000);
+    std::unique_ptr<smt::PreSolver> presolver;
+    if (opt.prefilterOn) {
+      presolver = std::make_unique<smt::PreSolver>(tm);
+      solver.setPreSolver(presolver.get());
+    }
+    if (fr.bus) solver.addQueryListener(fr.bus.get());
+    if (wantForest) {
+      forest = std::make_unique<obs::PathForestRecorder>();
+      mux.add(forest.get());
+    }
+    std::unique_ptr<obs::QueryLogger> qlog;
+    if (!opt.queryLogDir.empty()) {
+      qlog = std::make_unique<obs::QueryLogger>(opt.queryLogDir);
+      mux.add(qlog.get());
+      solver.setQueryListener(qlog.get());
+    }
+    if (profiling) solver.setShapeProfiling(true);
+    if (!mux.empty()) sopt.explorer.observer = &mux;
+
+    core::EngineServices services(tm, solver, image, sopt.engine, ct.get());
+    std::unique_ptr<core::Executor> executor;
+    if (interp) {
+      executor = std::make_unique<core::AdlExecutor>(m, services);
+    } else {
+      executor = std::make_unique<core::BytecodeExecutor>(m, services);
+    }
+    // Leaving this block destroys the executor, whose destructor flush
+    // lands its statement counts before we read them.
+    if (rtlProf) executor->setRtlProfile(rtlProf.get());
+    core::Explorer explorer(*executor, services, sopt.explorer);
+    fr.runBegin(isaName, opt);
+    summary = explorer.run();
+    solverTel = solver.telemetrySnapshot();
+    shapes = solver.queryShapes();
   }
-  if (rtlProf) executor->setRtlProfile(rtlProf.get());
-  core::Explorer explorer(*executor, services, sopt.explorer);
-  fr.runBegin(isaName, opt);
-  const auto summary = explorer.run();
-  if (rtlProf) executor->flushRtlProfile();
+
+  // ---- epilogue: every artifact, from whichever engine ran -------------
   if (fr.bus) {
-    fr.bus->runEnd(summary, solver.telemetrySnapshot(),
-                   rtlProf ? rtlProf->total() : 0);
+    fr.bus->runEnd(summary, solverTel, rtlProf ? rtlProf->total() : 0);
   }
 
   if (!opt.pathForestPath.empty()) {
     fault::hit("obs.write");
     std::ofstream out(opt.pathForestPath, std::ios::binary | std::ios::trunc);
-    if (!out) return fail("cannot open path-forest file '" + opt.pathForestPath + "'");
+    if (!out) {
+      return fail("cannot open path-forest file '" + opt.pathForestPath + "'");
+    }
     forest->writeJson(out);
   }
   if (!opt.pathDotPath.empty()) {
     fault::hit("obs.write");
     std::ofstream out(opt.pathDotPath, std::ios::binary | std::ios::trunc);
-    if (!out) return fail("cannot open path-dot file '" + opt.pathDotPath + "'");
+    if (!out) {
+      return fail("cannot open path-dot file '" + opt.pathDotPath + "'");
+    }
     forest->writeDot(out);
   }
 
@@ -1084,12 +949,19 @@ CommandResult cmdExplore(const std::string& isaName,
   if (profiling) {
     rep.isa = isaName;
     rep.program = opt.programLabel;
-    rep.prof = profCollector.get();
+    rep.prof = sites.get();
     rep.rtl = rtlProf.get();
     rep.engineSteps = summary.totalSteps;
+    // Independent of the observer deltas: the per-statement tables
+    // flushed by the executors. Reconciliation cross-checks the two
+    // accumulation paths.
     rep.engineRtlTicks = rtlProf->total();
-    rep.solver = solver.telemetrySnapshot();
-    rep.shapes = &solver.queryShapes();
+    rep.solver = solverTel;
+    if (qcache) {
+      rep.hasQcache = true;
+      rep.qcache = qcache->stats();
+    }
+    rep.shapes = &shapes;
   }
 
   ct.writeStatsJson("explore", isaName, [&](json::Writer& w) {
@@ -1103,19 +975,32 @@ CommandResult cmdExplore(const std::string& isaName,
     w.key("summary");
     core::writeSummaryJson(w, summary);
     w.key("solver");
-    solver.telemetrySnapshot().writeJson(w);
+    solverTel.writeJson(w);
     // v6 addition: the abstract-prefilter block (docs/absdomain.md).
     w.key("prefilter");
-    solver.telemetrySnapshot().writePrefilterJson(w);
-    if (sites) sites->writeJson(w);
+    solverTel.writePrefilterJson(w);
+    if (parallel) {
+      // The shared query cache. Note no "jobs" field anywhere in the
+      // document — byte-identity across --jobs values is the contract,
+      // so the document cannot mention the jobs count.
+      w.key("qcache");
+      if (qcache) {
+        qcache->stats().writeJson(w);
+      } else {
+        w.beginObject();
+        w.kv("enabled", false);
+        w.endObject();
+      }
+    }
+    sites->writeJson(w);
     // v5 addition: the profile summary block (profiling runs only).
     if (profiling) rep.writeSummary(w);
     // v7 addition: the flight-recorder accounting block.
     fr.writeStatsJson(w);
   });
-  ct.finish();
 
   if (profiling) {
+    std::cerr << poolLine;
     const std::string err = writeProfileArtifacts(rep, opt);
     if (!err.empty()) return fail(err);
   }
@@ -1134,7 +1019,7 @@ CommandResult cmdExplore(const std::string& isaName,
          << core::formatCoverage(*model, image, sec.name, summary);
     }
   }
-  os << solver.telemetrySnapshot().format();
+  os << solverTel.format();
   if (opt.profileStdout) os << rep.formatText();
   // Exit-code table (docs/robustness.md): defects found beat everything
   // (the findings are the tool's point, even from a partial run); then
@@ -1294,8 +1179,6 @@ CommandResult dispatch(const std::vector<std::string>& args) {
       for (size_t i = 3; i < args.size(); ++i) {
         if (startsWith(args[i], "--stats-json=")) {
           ropt.statsJsonPath = args[i].substr(13);
-        } else if (startsWith(args[i], "--trace=")) {
-          ropt.tracePath = args[i].substr(8);
         } else {
           const auto v = parseInt(args[i]);
           if (!v) return fail("bad input value '" + args[i] + "'");
@@ -1330,8 +1213,6 @@ CommandResult dispatch(const std::vector<std::string>& args) {
           opt.lint = true;
         } else if (startsWith(args[i], "--stats-json=")) {
           opt.statsJsonPath = args[i].substr(13);
-        } else if (startsWith(args[i], "--trace=")) {
-          opt.tracePath = args[i].substr(8);
         } else if (startsWith(args[i], "--path-forest=")) {
           opt.pathForestPath = args[i].substr(14);
         } else if (startsWith(args[i], "--path-dot=")) {

@@ -31,8 +31,6 @@ CommandResult cmdDisasm(const std::string& isa, const std::string& imageText);
 struct RunOptions {
   /// Write the aggregated JSON stats document here ("" = off).
   std::string statsJsonPath;
-  /// Stream JSONL trace events here ("" = off).
-  std::string tracePath;
 };
 
 /// `adlsym run <isa> <image-text> [inputs...]` — concrete execution with
@@ -71,8 +69,6 @@ struct ExploreOptions {
   /// Write the aggregated JSON stats document (summary + solver + metrics
   /// + opcode/branch-site tables, docs/observability.md) here ("" = off).
   std::string statsJsonPath;
-  /// Stream JSONL trace events here ("" = off).
-  std::string tracePath;
   /// Write the adlsym-pathforest-v1 JSON document here ("" = off).
   std::string pathForestPath;
   /// Write the path forest as Graphviz DOT here ("" = off).

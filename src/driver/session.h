@@ -46,9 +46,9 @@ struct SessionOptions {
   /// measured on the telemetry clock when one is attached. Layered on the
   /// conflict budget; an expired query returns Unknown (docs/robustness.md).
   uint64_t solverTimeoutMicros = 0;
-  /// Observability bundle (metrics registry + clock + optional trace
-  /// sink), attached to every layer of the session. Not owned; null =
-  /// telemetry disabled at zero cost (docs/observability.md).
+  /// Observability bundle (metrics registry + clock), attached to every
+  /// layer of the session. Not owned; null = telemetry disabled at zero
+  /// cost (docs/observability.md).
   telemetry::Telemetry* telemetry = nullptr;
 };
 

@@ -4,22 +4,21 @@
 #include <ostream>
 #include <sstream>
 
-#include "core/pexplorer.h"
 #include "core/testgen.h"
 #include "smt/printer.h"
 #include "support/json.h"
 
 namespace adlsym::obs {
 
-PathNode& PathForestRecorder::at(uint64_t id) {
+core::PathTreeNode& PathForestRecorder::at(uint64_t id) {
   if (id >= nodes_.size()) nodes_.resize(id + 1);
-  PathNode& n = nodes_[id];
+  core::PathTreeNode& n = nodes_[id];
   n.id = id;
   return n;
 }
 
 void PathForestRecorder::onRoot(uint64_t node, const core::MachineState& st) {
-  PathNode& n = at(node);
+  core::PathTreeNode& n = at(node);
   n.forkPc = st.pc;
   n.entryPc = st.pc;
   n.verdict = "root";
@@ -34,7 +33,7 @@ void PathForestRecorder::onStepBegin(uint64_t /*node*/,
 void PathForestRecorder::onChild(uint64_t parent, uint64_t child,
                                  const core::MachineState& st,
                                  size_t condSizeBefore) {
-  PathNode& n = at(child);
+  core::PathTreeNode& n = at(child);
   n.parent = parent;
   n.forkPc = stepPc_;
   n.entryPc = st.pc;
@@ -44,7 +43,7 @@ void PathForestRecorder::onChild(uint64_t parent, uint64_t child,
     cond += smt::toString(st.pathCond[i], opt_.maxCondDepth);
   }
   n.cond = std::move(cond);
-  PathNode& p = at(parent);
+  core::PathTreeNode& p = at(parent);
   p.children.push_back(child);
   // A fork retires the parent id (every successor got a fresh one), so
   // the parent is an interior node from here on.
@@ -57,7 +56,7 @@ void PathForestRecorder::onStepEnd(const StepInfo& info) {
   // during a forking step are the feasibility checks that admitted them.
   const char* verdict = info.stepSolverQueries > 0 ? "sat" : "assumed";
   for (const uint64_t id : stepChildren_) {
-    PathNode& n = at(id);
+    core::PathTreeNode& n = at(id);
     n.verdict = verdict;
     n.solverQueries = info.stepSolverQueries;
     n.solverMicros = info.stepSolverMicros;
@@ -66,14 +65,14 @@ void PathForestRecorder::onStepEnd(const StepInfo& info) {
 }
 
 void PathForestRecorder::onDrop(uint64_t node, uint64_t pc) {
-  PathNode& n = at(node);
+  core::PathTreeNode& n = at(node);
   n.status = "dropped";
   n.finalPc = pc;
 }
 
 void PathForestRecorder::onMerge(uint64_t host, uint64_t incoming,
                                  uint64_t pc) {
-  PathNode& n = at(incoming);
+  core::PathTreeNode& n = at(incoming);
   n.status = "merged";
   n.finalPc = pc;
   n.mergedInto = host;
@@ -81,7 +80,7 @@ void PathForestRecorder::onMerge(uint64_t host, uint64_t incoming,
 
 void PathForestRecorder::onPathDone(uint64_t node,
                                     const core::PathResult& r) {
-  PathNode& n = at(node);
+  core::PathTreeNode& n = at(node);
   n.status = core::pathStatusName(r.status);
   if (r.status == core::PathStatus::Truncated) {
     n.truncReason = core::truncReasonName(r.truncReason);
@@ -103,7 +102,7 @@ void PathForestRecorder::writeJson(std::ostream& os) const {
   w.kv("schema", "adlsym-pathforest-v1");
   w.kv("nodes", static_cast<uint64_t>(nodes_.size()));
   w.key("forest").beginArray();
-  for (const PathNode& n : nodes_) {
+  for (const core::PathTreeNode& n : nodes_) {
     w.beginObject();
     w.kv("id", n.id);
     if (n.parent) w.kv("parent", *n.parent);
@@ -186,7 +185,7 @@ void PathForestRecorder::writeDot(std::ostream& os) const {
   os << "digraph pathforest {\n"
      << "  node [shape=box fontname=\"monospace\" style=filled];\n";
   char buf[64];
-  for (const PathNode& n : nodes_) {
+  for (const core::PathTreeNode& n : nodes_) {
     std::snprintf(buf, sizeof buf, "0x%llx",
                   static_cast<unsigned long long>(n.entryPc));
     std::string label = "n" + std::to_string(n.id) + " @" + buf;
@@ -199,7 +198,7 @@ void PathForestRecorder::writeDot(std::ostream& os) const {
     os << "  n" << n.id << " [label=\"" << label << "\" fillcolor=\""
        << statusColor(n.status) << "\"];\n";
   }
-  for (const PathNode& n : nodes_) {
+  for (const core::PathTreeNode& n : nodes_) {
     for (const uint64_t c : n.children) {
       os << "  n" << n.id << " -> n" << c;
       const std::string& cond = nodes_[c].cond;
@@ -209,7 +208,7 @@ void PathForestRecorder::writeDot(std::ostream& os) const {
       os << ";\n";
     }
   }
-  for (const PathNode& n : nodes_) {
+  for (const core::PathTreeNode& n : nodes_) {
     if (n.mergedInto) {
       os << "  n" << n.id << " -> n" << *n.mergedInto
          << " [style=dashed label=\"merge\"];\n";
@@ -224,33 +223,10 @@ std::string PathForestRecorder::toDot() const {
   return os.str();
 }
 
-PathForestRecorder forestFromTree(
-    const std::vector<core::PathTreeNode>& tree,
-    PathForestRecorder::Options opt) {
+PathForestRecorder forestFromTree(std::vector<core::PathTreeNode> tree,
+                                  PathForestRecorder::Options opt) {
   PathForestRecorder rec(opt);
-  rec.nodes_.reserve(tree.size());
-  for (const core::PathTreeNode& t : tree) {
-    PathNode n;
-    n.id = t.id;
-    n.parent = t.parent;
-    n.forkPc = t.forkPc;
-    n.entryPc = t.entryPc;
-    n.cond = t.cond;
-    n.verdict = t.verdict;
-    n.solverQueries = t.solverQueries;
-    n.solverMicros = t.solverMicros;
-    n.status = t.status;
-    n.truncReason = t.truncReason;
-    n.finalPc = t.finalPc;
-    n.steps = t.steps;
-    n.forks = t.forks;
-    n.exitCode = t.exitCode;
-    n.defectKind = t.defectKind;
-    n.defectPc = t.defectPc;
-    n.testInputs = t.testInputs;
-    n.children = t.children;
-    rec.nodes_.push_back(std::move(n));
-  }
+  rec.nodes_ = std::move(tree);
   return rec;
 }
 

@@ -9,50 +9,12 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/observer.h"
 
-namespace adlsym::core {
-struct PathTreeNode;
-}
-
 namespace adlsym::obs {
-
-struct PathNode {
-  uint64_t id = 0;
-  std::optional<uint64_t> parent;      // unset for the root
-  uint64_t forkPc = 0;   // pc of the instruction that minted this node
-  uint64_t entryPc = 0;  // first pc this node executes
-  /// Branch condition(s) added at creation, rendered with smt::toString
-  /// and joined with " & " (empty for the root and unconstrained forks).
-  std::string cond;
-  /// "sat" when the creating step issued solver queries (eager
-  /// feasibility admitted the branch), "assumed" when it was enqueued
-  /// unchecked. Set by the matching onStepEnd.
-  std::string verdict;
-  uint64_t solverQueries = 0;  // queries issued by the creating step
-  uint64_t solverMicros = 0;   // their total latency (includeTiming only)
-  /// Terminal state: a pathStatusName() value, "dropped" (every successor
-  /// infeasible), "merged" (veritesting), "forked" (interior node — the id
-  /// was retired by a fork), or "open" if the run ended with the node
-  /// still on the frontier.
-  std::string status = "open";
-  /// truncReasonName() when status == "truncated" (governor close-out),
-  /// empty otherwise.
-  std::string truncReason;
-  uint64_t finalPc = 0;
-  uint64_t steps = 0;
-  unsigned forks = 0;
-  std::optional<uint64_t> exitCode;
-  std::string defectKind;  // empty when the path had no defect
-  uint64_t defectPc = 0;
-  std::vector<core::TestCase::Value> testInputs;
-  std::optional<uint64_t> mergedInto;  // host node, when status == "merged"
-  std::vector<uint64_t> children;
-};
 
 class PathForestRecorder final : public core::ExploreObserver {
  public:
@@ -79,7 +41,7 @@ class PathForestRecorder final : public core::ExploreObserver {
   void onMerge(uint64_t host, uint64_t incoming, uint64_t pc) override;
   void onPathDone(uint64_t node, const core::PathResult& result) override;
 
-  const std::vector<PathNode>& nodes() const { return nodes_; }
+  const std::vector<core::PathTreeNode>& nodes() const { return nodes_; }
 
   /// The adlsym-pathforest-v1 JSON document (one compact object).
   void writeJson(std::ostream& os) const;
@@ -91,22 +53,22 @@ class PathForestRecorder final : public core::ExploreObserver {
 
  private:
   friend PathForestRecorder forestFromTree(
-      const std::vector<core::PathTreeNode>& tree, Options opt);
+      std::vector<core::PathTreeNode> tree, Options opt);
 
-  PathNode& at(uint64_t id);
+  core::PathTreeNode& at(uint64_t id);
 
   Options opt_;
-  std::vector<PathNode> nodes_;        // indexed by id (ids are dense)
+  std::vector<core::PathTreeNode> nodes_;  // indexed by id (ids are dense)
   std::vector<uint64_t> stepChildren_; // minted during the current step
   uint64_t stepPc_ = 0;                // pc of the in-flight step
 };
 
-/// Rebuild a recorder from the parallel engine's merged path tree
-/// (core::ParallelResult::tree): node ids are already dense and preorder,
-/// so the conversion is field-for-field and the resulting JSON/DOT has the
-/// same shape as a live recording — byte-identical across --jobs values.
-PathForestRecorder forestFromTree(
-    const std::vector<core::PathTreeNode>& tree,
-    PathForestRecorder::Options opt = {});
+/// Wrap the parallel engine's merged path tree (core::ParallelResult::tree)
+/// in a recorder: node ids are already dense and preorder and the node type
+/// is the recorder's own, so the tree is moved in as is and the resulting
+/// JSON/DOT has the same shape as a live recording — byte-identical across
+/// --jobs values.
+PathForestRecorder forestFromTree(std::vector<core::PathTreeNode> tree,
+                                  PathForestRecorder::Options opt = {});
 
 }  // namespace adlsym::obs

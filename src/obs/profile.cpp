@@ -6,17 +6,25 @@
 #include <utility>
 #include <vector>
 
+#include "support/error.h"
 #include "support/json.h"
 
 namespace adlsym::obs {
 
-void ProfileCollector::onStepEnd(const StepInfo& info) {
-  std::lock_guard<std::mutex> lk(mu_);
-  SiteCost& site = sites_[info.pc];
+ProfileCollector::SiteCost& ProfileCollector::siteAt(uint64_t pc) {
+  SiteCost& site = sites_[pc];
   if (site.opcode.empty()) {
-    const decode::DecodedInsn* d = decoder_.decodeAt(image_, info.pc);
+    // Off-step solves and checkpoint restores can name a pc no step has
+    // reported yet, so every entry point decodes on first use.
+    const decode::DecodedInsn* d = decoder_.decodeAt(image_, pc);
     site.opcode = d != nullptr ? d->insn->name : "<illegal>";
   }
+  return site;
+}
+
+void ProfileCollector::onStepEnd(const StepInfo& info) {
+  std::lock_guard<std::mutex> lk(mu_);
+  SiteCost& site = siteAt(info.pc);
   ++site.steps;
   site.rtlTicks += info.stepRtlTicks;
   if (info.numSuccessors > 1) ++site.forks;
@@ -36,13 +44,7 @@ void ProfileCollector::onOffStepSolve(uint64_t pc, uint64_t queries,
                                       uint64_t canonConflicts,
                                       uint64_t preHits, uint64_t preMisses) {
   std::lock_guard<std::mutex> lk(mu_);
-  SiteCost& site = sites_[pc];
-  if (site.opcode.empty()) {
-    // The cut pc never executed (the budget closed the path before its
-    // step), so the decoder may not have seen it yet.
-    const decode::DecodedInsn* d = decoder_.decodeAt(image_, pc);
-    site.opcode = d != nullptr ? d->insn->name : "<illegal>";
-  }
+  SiteCost& site = siteAt(pc);
   site.offStepQueries += queries;
   site.canon.terms += canonTerms;
   site.canon.gates += canonGates;
@@ -51,6 +53,75 @@ void ProfileCollector::onOffStepSolve(uint64_t pc, uint64_t queries,
   site.prefilterMisses += preMisses;
   totalQueries_ += queries;
   totalOffStep_ += queries;
+}
+
+void ProfileCollector::onDrop(uint64_t /*node*/, uint64_t pc) {
+  std::lock_guard<std::mutex> lk(mu_);
+  ++siteAt(pc).infeasible;
+}
+
+std::map<std::string, uint64_t> ProfileCollector::opcodeSteps() const {
+  std::map<std::string, uint64_t> ops;
+  for (const auto& [pc, s] : sites_) {
+    if (s.steps != 0) ops[s.opcode] += s.steps;
+  }
+  return ops;
+}
+
+void ProfileCollector::writeJson(json::Writer& w) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  w.key("opcodes").beginObject();
+  for (const auto& [name, steps] : opcodeSteps()) w.kv(name, steps);
+  w.endObject();
+  w.key("branch_sites").beginArray();
+  for (const auto& [pc, s] : sites_) {
+    if (s.forks == 0 && s.infeasible == 0) continue;
+    w.beginObject();
+    w.kv("pc", pc);
+    w.kv("hits", s.steps);
+    w.kv("forks", s.forks);
+    w.kv("infeasible", s.infeasible);
+    w.endObject();
+  }
+  w.endArray();
+}
+
+void ProfileCollector::writeCkptJson(json::Writer& w) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  w.beginObject();
+  w.key("opcodes").beginObject();
+  for (const auto& [name, steps] : opcodeSteps()) w.kv(name, steps);
+  w.endObject();
+  w.key("sites").beginArray();
+  for (const auto& [pc, s] : sites_) {
+    if (s.steps == 0 && s.infeasible == 0) continue;
+    w.beginArray();
+    w.value(pc).value(s.steps).value(s.forks).value(s.infeasible);
+    w.endArray();
+  }
+  w.endArray();
+  w.endObject();
+}
+
+void ProfileCollector::restoreFromCkpt(const json::Value& v) {
+  const json::Value* opcodes = v.find("opcodes");
+  const json::Value* sites = v.find("sites");
+  if (opcodes == nullptr || !opcodes->isObject() || sites == nullptr ||
+      !sites->isArray()) {
+    throw InputError("sites section: missing 'opcodes'/'sites'");
+  }
+  // The opcode table is derived from the per-pc rows, so only the rows
+  // are folded in.
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const json::Value& row : sites->array) {
+    if (!row.isArray() || row.array.size() != 4) {
+      throw InputError("sites section: malformed site row");
+    }
+    SiteCost& site = siteAt(row.array[0].asU64());
+    site.steps += row.array[1].asU64();
+    site.forks += row.array[2].asU64();
+    site.infeasible += row.array[3].asU64();
+  }
 }
 
 namespace {

@@ -1,8 +1,10 @@
-// Deterministic cost-attribution profiler (docs/observability.md): an
-// ExploreObserver that charges execution cost (steps, RTL ticks) and
-// solver cost (queries + canonical terms/gates/conflicts) to the ADL
-// semantic site that incurred it — the pc, and through the decoder the
-// mnemonic — plus a report type that joins those sites with the
+// Deterministic cost-attribution profiler (docs/observability.md): the
+// one per-site collector, an ExploreObserver that charges execution cost
+// (steps, RTL ticks, forks, infeasible drops) and solver cost (queries +
+// canonical terms/gates/conflicts) to the ADL semantic site that incurred
+// it — the pc, and through the decoder the mnemonic. It feeds both the
+// stats document's "opcodes"/"branch_sites" tables and the profile
+// artifacts. Alongside it sits a report type that joins those sites with the
 // per-RTL-statement tables (core::RtlProfile), the solver aggregate and
 // the query-shape rows into the adlsym-profile-v2 JSON document, a
 // collapsed-stack file for flamegraph tooling, and the top-level
@@ -32,6 +34,7 @@
 
 namespace adlsym::json {
 class Writer;
+struct Value;
 }
 
 namespace adlsym::obs {
@@ -46,6 +49,10 @@ class ProfileCollector final : public core::ExploreObserver {
   /// StepInfo are step-scoped deltas, never run* accumulators — in the
   /// parallel engine the latter are worker-local and meaningless summed.
   void onStepEnd(const StepInfo& info) override;
+  /// A step at `pc` produced no successors (every side infeasible).
+  /// Normal path termination also has zero successors but is not a drop,
+  /// so drops are counted here rather than in onStepEnd.
+  void onDrop(uint64_t node, uint64_t pc) override;
 
   /// Budget-cut witness solves happen outside any step window; both
   /// engines report them here so per-site query sums still reconcile
@@ -59,6 +66,7 @@ class ProfileCollector final : public core::ExploreObserver {
     uint64_t steps = 0;
     uint64_t rtlTicks = 0;
     uint64_t forks = 0;          // steps yielding >1 successor
+    uint64_t infeasible = 0;     // steps yielding 0 successors (drops)
     uint64_t queries = 0;        // issued inside this site's step windows
     uint64_t offStepQueries = 0;  // budget-cut witness solves charged here
     smt::QueryCost canon;        // canonical solver cost (replayed on hits)
@@ -78,7 +86,27 @@ class ProfileCollector final : public core::ExploreObserver {
   uint64_t totalQueries() const { return totalQueries_; }
   uint64_t totalOffStepQueries() const { return totalOffStep_; }
 
+  /// Append the stats document's "opcodes" object (mnemonic -> steps) and
+  /// "branch_sites" array (sites that forked or dropped) to an open JSON
+  /// object. Sites charged only off-step never executed and are skipped.
+  void writeJson(json::Writer& w) const;
+
+  /// The checkpoint "sites" section (adlsym-ckpt-v1): the opcode table
+  /// plus every executed or dropped site's [pc, steps, forks, infeasible],
+  /// so a resumed run's final stats document is byte-identical to the
+  /// uninterrupted run's.
+  void writeCkptJson(json::Writer& w) const;
+
+  /// Fold a parsed writeCkptJson() section in (--resume baseline); each
+  /// restored pc is decoded afresh. Throws InputError on malformed input.
+  void restoreFromCkpt(const json::Value& v);
+
  private:
+  /// The site row for `pc`, decoded on first use. Caller holds mu_.
+  SiteCost& siteAt(uint64_t pc);
+  /// Per-mnemonic step totals of the executed sites. Caller holds mu_.
+  std::map<std::string, uint64_t> opcodeSteps() const;
+
   mutable std::mutex mu_;
   const loader::Image& image_;
   decode::Decoder decoder_;

@@ -63,19 +63,6 @@ void ProgressMeter::onStepEnd(const StepInfo& info) {
   os_ << line;
   os_.flush();
 
-  if (tel_ && tel_->tracing()) {
-    tel_->emit(telemetry::EventKind::Heartbeat,
-               {{"frontier", static_cast<uint64_t>(info.frontierSize)},
-                {"paths", static_cast<uint64_t>(info.pathsDone)},
-                {"steps", info.totalSteps},
-                {"steps_per_sec", stepsPerSec},
-                {"covered_pcs", static_cast<uint64_t>(info.coveredPcs)},
-                {"solver_queries", info.runSolverQueries},
-                {"solver_share", solverShare},
-                {"qcache_hit_rate", qcacheRate},
-                {"depth", info.depth},
-                {"frontier_bytes", info.frontierBytes}});
-  }
   // The event stream sees the same beat the terminal does, so --events
   // and --progress never disagree about the run's live trajectory.
   if (bus_ != nullptr) {

@@ -3,9 +3,8 @@
 // throughput, coverage (count and percent of decodable code pcs), the
 // solver's share of wall time, the query-cache hit rate, the stepped
 // state's fork depth and the frontier's resident bytes — one
-// "[progress] ..." line on a stream (the CLI points it at stderr) and,
-// when the telemetry bundle has a trace sink, one Heartbeat trace event.
-// When an EventBus is attached, every beat is also emitted as a heartbeat
+// "[progress] ..." line on a stream (the CLI points it at stderr). When
+// an EventBus is attached, every beat is also emitted as a heartbeat
 // event on the stream, so --progress and --events always agree.
 // Time comes from the injectable telemetry clock, so tests drive it with
 // a ManualClock and never sleep.
@@ -25,7 +24,7 @@ class EventBus;  // obs/events.h
 class ProgressMeter final : public core::ExploreObserver {
  public:
   /// Emits at most one beat per `intervalSeconds` of clock time, checked
-  /// after every step. `tel` may be null (system clock, no trace events);
+  /// after every step. `tel` supplies the clock (null = system clock);
   /// `os` is borrowed and must outlive the meter. `bus` (optional, also
   /// borrowed) receives one heartbeat event per beat; `codePcs` is the
   /// coverage-percent denominator (0 = unknown, percent omitted).

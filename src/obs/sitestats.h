@@ -1,69 +1,12 @@
-// Per-opcode and per-branch-site accounting for the stats document
-// (docs/observability.md, adlsym-stats-v8): an ExploreObserver that
-// decodes every executed pc through the loaded ADL model and counts
-// executions per mnemonic, plus a per-pc table of fork/infeasible events
-// — the branch sites that actually split or killed paths. The decoder
-// caches by address, so the per-step cost after warm-up is one hash
-// lookup.
+// The per-opcode / per-branch-site stats tables are written by the one
+// per-site collector, obs::ProfileCollector (obs/profile.h). This alias
+// keeps the older name compiling for code that still spells it.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
-
-#include "core/observer.h"
-#include "decode/decoder.h"
-
-namespace adlsym::json {
-class Writer;
-struct Value;
-}
+#include "obs/profile.h"
 
 namespace adlsym::obs {
 
-class SiteStatsCollector final : public core::ExploreObserver {
- public:
-  SiteStatsCollector(const adl::ArchModel& model, const loader::Image& image)
-      : image_(image), decoder_(model) {}
-
-  /// Thread-safe: parallel exploration workers report steps and drops
-  /// concurrently (an internal mutex guards the decoder cache and both
-  /// tables). Counts are order-independent sums over std::maps, so the
-  /// JSON is identical across --jobs values.
-  void onStepEnd(const StepInfo& info) override;
-  void onDrop(uint64_t node, uint64_t pc) override;
-
-  struct Site {
-    uint64_t hits = 0;        // times the instruction executed
-    uint64_t forks = 0;       // steps yielding >1 successor
-    uint64_t infeasible = 0;  // steps yielding 0 successors (drops)
-  };
-
-  const std::map<std::string, uint64_t>& opcodeCounts() const {
-    return opcodes_;
-  }
-  const std::map<uint64_t, Site>& sites() const { return sites_; }
-
-  /// Append the "opcodes" object and "branch_sites" array to an open JSON
-  /// object (the v2 stats document).
-  void writeJson(json::Writer& w) const;
-
-  /// Full-state serialization for checkpoints (adlsym-ckpt-v1): unlike
-  /// writeJson this includes hit-only sites, so a resumed run's final
-  /// stats document is byte-identical to the uninterrupted run's.
-  void writeCkptJson(json::Writer& w) const;
-
-  /// Fold a parsed writeCkptJson() section in (--resume baseline).
-  /// Throws InputError on malformed input.
-  void restoreFromCkpt(const json::Value& v);
-
- private:
-  mutable std::mutex mu_;
-  const loader::Image& image_;
-  decode::Decoder decoder_;
-  std::map<std::string, uint64_t> opcodes_;  // mnemonic -> executions
-  std::map<uint64_t, Site> sites_;           // pc -> events
-};
+using SiteStatsCollector = ProfileCollector;
 
 }  // namespace adlsym::obs

@@ -308,13 +308,6 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     for (QueryListener* l : extraListeners_) {
       l->onCheck(permanentAsserts_, assumptions, r, us, cached);
     }
-    if (tel_ && tel_->tracing()) {
-      tel_->emit(telemetry::EventKind::SolverQuery,
-                 {{"result", checkResultName(r)},
-                  {"us", us},
-                  {"cached", cached ? 1 : 0},
-                  {"assumptions", static_cast<uint64_t>(assumptions.size())}});
-    }
     return r;
   };
 

@@ -206,9 +206,9 @@ class SmtSolver {
   SolverTelemetry telemetrySnapshot() const;
 
   /// Attach a telemetry bundle (may be null to detach): records the
-  /// solver.query_us latency histogram, query/cache counters and
-  /// solver_query trace events; forwarded to the SAT core and the
-  /// bit-blaster for their own counters.
+  /// solver.query_us latency histogram and query/cache counters;
+  /// forwarded to the SAT core and the bit-blaster for their own
+  /// counters.
   void setTelemetry(telemetry::Telemetry* t);
 
   /// Attach a query-capture listener (null to detach). Every check() —

@@ -28,11 +28,6 @@ Clock& Clock::system() {
   return clock;
 }
 
-Telemetry& Telemetry::global() {
-  static Telemetry instance;
-  return instance;
-}
-
 // ---- histogram ----------------------------------------------------------
 
 void Histogram::record(uint64_t v) {
@@ -116,46 +111,6 @@ void MetricsRegistry::mergeFromJson(const json::Value& v) {
       histograms_[name].merge(h);
     }
   }
-}
-
-// ---- trace ---------------------------------------------------------------
-
-const char* eventKindName(EventKind k) {
-  switch (k) {
-    case EventKind::Step: return "step";
-    case EventKind::Fork: return "fork";
-    case EventKind::Drop: return "drop";
-    case EventKind::Merge: return "merge";
-    case EventKind::SolverQuery: return "solver_query";
-    case EventKind::PathDone: return "path_done";
-    case EventKind::Defect: return "defect";
-    case EventKind::Phase: return "phase";
-    case EventKind::Heartbeat: return "heartbeat";
-  }
-  return "?";
-}
-
-void JsonlTraceSink::event(EventKind kind, uint64_t tMicros,
-                           const std::vector<Field>& fields) {
-  json::Writer w(os_);
-  w.beginObject();
-  w.kv("ev", eventKindName(kind));
-  w.kv("t", tMicros);
-  for (const Field& f : fields) {
-    switch (f.type) {
-      case Field::Type::U64: w.kv(f.key, f.u); break;
-      case Field::Type::F64: w.kv(f.key, f.f); break;
-      case Field::Type::Str: w.kv(f.key, std::string_view(f.s)); break;
-    }
-  }
-  w.endObject();
-  os_ << '\n';
-  ++events_;
-}
-
-void Telemetry::emit(EventKind kind, std::initializer_list<Field> fields) {
-  if (!sink_) return;
-  sink_->event(kind, nowMicros(), std::vector<Field>(fields));
 }
 
 uint64_t ScopedTimer::stop() {

@@ -1,9 +1,10 @@
 // Unified telemetry layer (docs/observability.md): a metrics registry of
-// named counters / gauges / fixed-bucket latency histograms, RAII scoped
-// timers, and a structured trace-event sink with a JSONL implementation.
-// Every hot layer (engine, explorer, solver) takes an optional Telemetry*
-// and is zero-cost when it is null: call sites branch on the pointer and
-// no clock is read, no field is built, nothing allocates.
+// named counters / gauges / fixed-bucket latency histograms and RAII
+// scoped timers. Structured events go through the flight recorder
+// (obs/events.h), not through this layer. Every hot layer (engine,
+// explorer, solver) takes an optional Telemetry* and is zero-cost when it
+// is null: call sites branch on the pointer and no clock is read, nothing
+// allocates.
 //
 // The clock is injectable (ManualClock) so wall-budget paths and timer
 // assertions are deterministic in tests.
@@ -11,11 +12,8 @@
 
 #include <array>
 #include <cstdint>
-#include <initializer_list>
 #include <map>
-#include <ostream>
 #include <string>
-#include <vector>
 
 namespace adlsym::json {
 class Writer;
@@ -156,69 +154,10 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
-// ---- trace events ------------------------------------------------------
-
-enum class EventKind : uint8_t {
-  Step,         // one instruction symbolically executed
-  Fork,         // a step produced >1 successors
-  Drop,         // a step produced 0 successors (infeasible)
-  Merge,        // veritesting merge of two frontier states
-  SolverQuery,  // one SmtSolver::check
-  PathDone,     // a path left the frontier with a terminal status
-  Defect,       // a checker reported a defect
-  Phase,        // begin/end markers of coarse stages
-  Heartbeat,    // periodic progress report (obs::ProgressMeter)
-};
-
-const char* eventKindName(EventKind k);
-
-/// One key/value of an event payload. Implicit constructors let call sites
-/// write {"pc", pc}, {"status", "exited"}, {"seconds", 0.5}.
-struct Field {
-  enum class Type : uint8_t { U64, F64, Str } type;
-  const char* key;
-  uint64_t u = 0;
-  double f = 0.0;
-  std::string s;
-
-  Field(const char* k, uint64_t v) : type(Type::U64), key(k), u(v) {}
-  Field(const char* k, uint32_t v) : type(Type::U64), key(k), u(v) {}
-  Field(const char* k, int v)
-      : type(Type::U64), key(k), u(static_cast<uint64_t>(v)) {}
-  Field(const char* k, double v) : type(Type::F64), key(k), f(v) {}
-  Field(const char* k, const char* v) : type(Type::Str), key(k), s(v) {}
-  Field(const char* k, std::string v) : type(Type::Str), key(k), s(std::move(v)) {}
-};
-
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void event(EventKind kind, uint64_t tMicros,
-                     const std::vector<Field>& fields) = 0;
-  virtual void flush() {}
-};
-
-/// One JSON object per line: {"ev":"fork","t":123,"pc":64,...}. `t` is
-/// microseconds from the telemetry clock. The stream is borrowed, not
-/// owned.
-class JsonlTraceSink final : public TraceSink {
- public:
-  explicit JsonlTraceSink(std::ostream& os) : os_(os) {}
-  void event(EventKind kind, uint64_t tMicros,
-             const std::vector<Field>& fields) override;
-  void flush() override { os_.flush(); }
-  uint64_t eventsWritten() const { return events_; }
-
- private:
-  std::ostream& os_;
-  uint64_t events_ = 0;
-};
-
 // ---- the bundle ---------------------------------------------------------
 
-/// What components hold a pointer to: registry + clock + optional sink.
-/// A process-wide instance exists (global()) but everything is injectable;
-/// Session wires one per SessionOptions::telemetry.
+/// What components hold a pointer to: registry + clock. Injectable
+/// everywhere; Session wires one per SessionOptions::telemetry.
 class Telemetry {
  public:
   Telemetry() : clock_(&Clock::system()) {}
@@ -231,22 +170,9 @@ class Telemetry {
   void setClock(Clock& c) { clock_ = &c; }
   uint64_t nowMicros() { return clock_->nowMicros(); }
 
-  void setSink(TraceSink* sink) { sink_ = sink; }
-  TraceSink* sink() const { return sink_; }
-  /// Guard before building Fields: `if (tel && tel->tracing()) tel->emit(...)`.
-  bool tracing() const { return sink_ != nullptr; }
-
-  /// Record an event at clock time now; no-op without a sink.
-  void emit(EventKind kind, std::initializer_list<Field> fields);
-
-  /// Process-wide default instance (injectable everywhere; nothing uses it
-  /// implicitly).
-  static Telemetry& global();
-
  private:
   MetricsRegistry metrics_;
   Clock* clock_;
-  TraceSink* sink_ = nullptr;
 };
 
 /// RAII timer: records elapsed microseconds into a histogram at scope

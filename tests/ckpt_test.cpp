@@ -17,6 +17,7 @@
 #include "driver/cli.h"
 #include "driver/session.h"
 #include "obs/events.h"
+#include "obs/profile.h"
 #include "smt/term.h"
 #include "smt/termio.h"
 #include "support/error.h"
@@ -283,6 +284,43 @@ TEST(CkptState, PathResultRoundTrip) {
   t.pathKey = "0L";
   const core::PathResult tb = core::ckpt::readPathResult(json::parse(render(t)));
   EXPECT_EQ(tb.truncReason, core::TruncReason::Signal);
+}
+
+TEST(CkptState, SitesSectionRoundTrip) {
+  auto s = Session::forPortable(workloads::progBitcount(3), "rv32e");
+  const uint64_t entry = s->image().entry();
+  obs::ProfileCollector prof(s->model(), s->image());
+  core::ExploreObserver::StepInfo info;
+  info.pc = entry;
+  info.numSuccessors = 1;
+  prof.onStepEnd(info);
+  info.pc = entry + 4;
+  info.numSuccessors = 2;
+  prof.onStepEnd(info);
+  info.numSuccessors = 0;
+  prof.onDrop(0, info.pc);
+  prof.onStepEnd(info);
+  // Off-step only: never stepped, so not part of the section.
+  prof.onOffStepSolve(entry + 8, 1, 0, 0, 0, 0, 0);
+
+  const auto section = [](const obs::ProfileCollector& p) {
+    std::ostringstream os;
+    json::Writer w(os);
+    p.writeCkptJson(w);
+    return os.str();
+  };
+  const std::string first = section(prof);
+  EXPECT_EQ(first.find("[" + std::to_string(entry + 8) + ","),
+            std::string::npos)
+      << first;
+  obs::ProfileCollector restored(s->model(), s->image());
+  restored.restoreFromCkpt(json::parse(first));
+  EXPECT_EQ(section(restored), first);
+  for (const auto& [pc, site] : restored.sites()) {
+    EXPECT_EQ(site.opcode, prof.sites().at(pc).opcode) << pc;
+  }
+  EXPECT_THROW(restored.restoreFromCkpt(json::parse("{\"sites\":[]}")),
+               InputError);
 }
 
 // ---------------------------------------------------------------------

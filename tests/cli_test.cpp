@@ -15,20 +15,6 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-/// Count JSONL trace lines of the given event kind.
-size_t countEvents(const std::string& jsonl, const std::string& kind) {
-  const std::string needle = "{\"ev\":\"" + kind + "\",";
-  size_t n = 0;
-  std::istringstream in(jsonl);
-  std::string line;
-  while (std::getline(in, line)) {
-    EXPECT_EQ(line.front(), '{') << line;
-    EXPECT_EQ(line.back(), '}') << line;
-    if (line.compare(0, needle.size(), needle) == 0) ++n;
-  }
-  return n;
-}
-
 TEST(Cli, UsageAndUnknown) {
   EXPECT_EQ(dispatch({}).exitCode, 2);
   EXPECT_NE(dispatch({}).output.find("usage:"), std::string::npos);
@@ -126,12 +112,11 @@ TEST(Cli, ExploreCoverageAndMerge) {
   EXPECT_NE(r.output.find(" * "), std::string::npos);
 }
 
-TEST(Cli, ExploreStatsJsonAndTrace) {
+TEST(Cli, ExploreStatsJson) {
   const auto img = cmdAsm("rv32e", kProgram);
   ASSERT_EQ(img.exitCode, 0);
   ExploreOptions opt;
   opt.statsJsonPath = testing::TempDir() + "cli_stats.json";
-  opt.tracePath = testing::TempDir() + "cli_trace.jsonl";
   const auto r = cmdExplore("rv32e", img.output, opt);
   ASSERT_EQ(r.exitCode, 0) << r.output;
   EXPECT_NE(r.output.find("paths=2"), std::string::npos);
@@ -154,29 +139,33 @@ TEST(Cli, ExploreStatsJsonAndTrace) {
                        "\"infeasible\":0}]"),
             std::string::npos)
       << stats;
-
-  // The trace's path_done count equals the printed/emitted path count.
-  const std::string trace = slurp(opt.tracePath);
-  EXPECT_EQ(countEvents(trace, "path_done"), 2u);
-  EXPECT_GT(countEvents(trace, "step"), 0u);
-  EXPECT_EQ(countEvents(trace, "phase"), 2u);  // begin + end
 }
 
-TEST(Cli, RunStatsJsonAndTrace) {
+TEST(Cli, RunStatsJson) {
   const auto img = cmdAsm("rv32e", kProgram);
   ASSERT_EQ(img.exitCode, 0);
   RunOptions ropt;
   ropt.statsJsonPath = testing::TempDir() + "cli_run_stats.json";
-  ropt.tracePath = testing::TempDir() + "cli_run_trace.jsonl";
   const auto r = cmdRun("rv32e", img.output, {7}, ropt);
   EXPECT_EQ(r.exitCode, 0);
   const std::string stats = slurp(ropt.statsJsonPath);
   EXPECT_NE(stats.find("\"command\":\"run\""), std::string::npos);
   EXPECT_NE(stats.find("\"status\":\"exited\""), std::string::npos);
   EXPECT_NE(stats.find("\"exit_code\":1"), std::string::npos);
-  const std::string trace = slurp(ropt.tracePath);
-  EXPECT_GT(countEvents(trace, "step"), 0u);
-  EXPECT_EQ(countEvents(trace, "path_done"), 1u);
+}
+
+TEST(Cli, TraceFlagIsGone) {
+  // The JSONL trace stream was folded into --events; the old flag is
+  // rejected as bad input rather than silently ignored.
+  const auto img = cmdAsm("rv32e", kProgram);
+  ASSERT_EQ(img.exitCode, 0);
+  const std::string imgPath = testing::TempDir() + "cli_trace_flag.img";
+  std::ofstream(imgPath, std::ios::binary) << img.output;
+  const std::string trace = testing::TempDir() + "cli_trace_flag.jsonl";
+  const auto e = dispatch({"explore", "rv32e", imgPath, "--trace=" + trace});
+  EXPECT_EQ(e.exitCode, 2) << e.output;
+  const auto r = dispatch({"run", "rv32e", imgPath, "7", "--trace=" + trace});
+  EXPECT_EQ(r.exitCode, 2) << r.output;
 }
 
 TEST(Cli, DispatchParsesObservabilityFlags) {

@@ -9,11 +9,12 @@
 
 #include "driver/session.h"
 #include "isa/registry.h"
+#include "obs/events.h"
 #include "obs/pathforest.h"
+#include "obs/profile.h"
 #include "obs/progress.h"
 #include "obs/querylog.h"
 #include "obs/replay.h"
-#include "obs/sitestats.h"
 #include "obs/smtlib.h"
 #include "smt/printer.h"
 #include "support/json.h"
@@ -66,7 +67,7 @@ TEST(PathForest, RecordsForkTreeWithConditionsAndWitnesses) {
   EXPECT_EQ(nodes[0].status, "forked");
   ASSERT_EQ(nodes[0].children.size(), 2u);
   for (const uint64_t c : nodes[0].children) {
-    const obs::PathNode& n = nodes[c];
+    const core::PathTreeNode& n = nodes[c];
     EXPECT_EQ(n.parent, 0u);
     EXPECT_EQ(n.forkPc, 4u);  // the beq
     EXPECT_FALSE(n.cond.empty());
@@ -80,8 +81,8 @@ TEST(PathForest, RecordsForkTreeWithConditionsAndWitnesses) {
     EXPECT_EQ(n.testInputs[0].width, 8u);
   }
   // The two sides carry complementary conditions and distinct exits.
-  const obs::PathNode& a = nodes[nodes[0].children[0]];
-  const obs::PathNode& b = nodes[nodes[0].children[1]];
+  const core::PathTreeNode& a = nodes[nodes[0].children[0]];
+  const core::PathTreeNode& b = nodes[nodes[0].children[1]];
   EXPECT_NE(a.cond, b.cond);
   EXPECT_NE(*a.exitCode, *b.exitCode);
 }
@@ -152,7 +153,7 @@ same:
   const auto summary = session.explore();
   EXPECT_EQ(summary.paths.size(), 1u);
   bool sawExit = false;
-  for (const obs::PathNode& n : forest.nodes()) {
+  for (const core::PathTreeNode& n : forest.nodes()) {
     if (n.status == "exited") {
       sawExit = true;
       EXPECT_EQ(n.exitCode, 2u);
@@ -340,12 +341,11 @@ TEST(SmtLibReader, RejectsWhatThePrinterCannotProduce) {
 TEST(Progress, BeatsOnManualClockWithoutSleeping) {
   telemetry::ManualClock clk;
   telemetry::Telemetry tel(clk);
-  std::ostringstream trace;
-  telemetry::JsonlTraceSink sink(trace);
-  tel.setSink(&sink);
+  std::ostringstream events;
+  obs::EventBus bus(events, &tel);
 
   std::ostringstream out;
-  obs::ProgressMeter meter(&tel, out, 0.001);  // beat every 1000 us
+  obs::ProgressMeter meter(&tel, out, 0.001, &bus);  // beat every 1000 us
 
   core::ExploreObserver::StepInfo si;
   si.frontierSize = 3;
@@ -365,14 +365,18 @@ TEST(Progress, BeatsOnManualClockWithoutSleeping) {
   EXPECT_NE(text.find("frontier=3"), std::string::npos);
   EXPECT_NE(text.find("steps/s="), std::string::npos);
 
-  // Each beat also lands in the trace as a heartbeat event.
+  // Each beat also lands on the attached event stream as a heartbeat.
+  bus.flush();
   size_t heartbeats = 0;
-  std::istringstream lines(trace.str());
+  std::istringstream lines(events.str());
   std::string line;
   while (std::getline(lines, line)) {
-    if (line.find("\"ev\":\"heartbeat\"") != std::string::npos) ++heartbeats;
+    if (line.find("\"type\":\"heartbeat\"") != std::string::npos) {
+      ++heartbeats;
+    }
   }
-  EXPECT_EQ(heartbeats, 4u) << trace.str();
+  EXPECT_EQ(heartbeats, 4u) << events.str();
+  EXPECT_EQ(bus.counts().heartbeat, 4u);
 }
 
 TEST(Progress, FiresDuringExplorationUnderManualClock) {
@@ -402,7 +406,7 @@ TEST(Progress, NoBeatBeforeIntervalElapses) {
 
 TEST(SiteStats, CountsOpcodesAndBranchEvents) {
   Session session("rv32e", kBranchy);
-  obs::SiteStatsCollector sites(session.model(), session.image());
+  obs::ProfileCollector sites(session.model(), session.image());
 
   core::ExploreObserver::StepInfo si;
   si.pc = 0;  // in8
@@ -418,11 +422,11 @@ TEST(SiteStats, CountsOpcodesAndBranchEvents) {
   si.numSuccessors = 0;
   sites.onStepEnd(si);
 
-  EXPECT_EQ(sites.opcodeCounts().at("in8"), 1u);
-  EXPECT_EQ(sites.opcodeCounts().at("beq"), 2u);
-  EXPECT_EQ(sites.opcodeCounts().at("<illegal>"), 1u);
+  EXPECT_EQ(sites.sites().at(0).opcode, "in8");
+  EXPECT_EQ(sites.sites().at(0xdead).opcode, "<illegal>");
   const auto& beq = sites.sites().at(4);
-  EXPECT_EQ(beq.hits, 2u);
+  EXPECT_EQ(beq.opcode, "beq");
+  EXPECT_EQ(beq.steps, 2u);
   EXPECT_EQ(beq.forks, 1u);
   EXPECT_EQ(beq.infeasible, 1u);
 
@@ -432,8 +436,9 @@ TEST(SiteStats, CountsOpcodesAndBranchEvents) {
   sites.writeJson(w);
   w.endObject();
   const std::string j = os.str();
-  EXPECT_NE(j.find("\"opcodes\":{"), std::string::npos) << j;
-  EXPECT_NE(j.find("\"beq\":2"), std::string::npos);
+  EXPECT_NE(j.find("\"opcodes\":{\"<illegal>\":1,\"beq\":2,\"in8\":1}"),
+            std::string::npos)
+      << j;
   // Only sites with fork/infeasible events make the table: pc 0 (plain
   // in8) stays out, pc 4 is reported with all three counters.
   EXPECT_EQ(j.find("\"pc\":0,"), std::string::npos) << j;

@@ -4,7 +4,7 @@
 // solver aggregates; support/benchcmp.h must catch injected regressions
 // (the bench_diff acceptance fixture); the JSON reader must reject
 // truncated documents; and the thread-safe observer plumbing
-// (LockedObserverMux, SiteStatsCollector) must hold up under raw
+// (LockedObserverMux, ProfileCollector) must hold up under raw
 // concurrent callers.
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "driver/cli.h"
 #include "driver/session.h"
 #include "obs/profile.h"
-#include "obs/sitestats.h"
 #include "support/benchcmp.h"
 #include "support/error.h"
 #include "support/json.h"
@@ -296,6 +295,58 @@ TEST(ProfileCollectorUnit, ChargesStepAndOffStepCostPerSite) {
   EXPECT_EQ(prof.sites().at(0xdeadbeef).opcode, "<illegal>");
 }
 
+/// The stats-document tables ("opcodes" + "branch_sites") of `prof`.
+std::string statsTables(const obs::ProfileCollector& prof) {
+  std::ostringstream os;
+  json::Writer w(os);
+  w.beginObject();
+  prof.writeJson(w);
+  w.endObject();
+  return os.str();
+}
+
+TEST(ProfileCollectorUnit, OffStepOnlySiteStaysOutOfStatsTables) {
+  auto s = Session::forPortable(workloads::progBitcount(3), "rv32e");
+  obs::ProfileCollector prof(s->model(), s->image());
+  const uint64_t entry = s->image().entry();
+  core::ExploreObserver::StepInfo info;
+  info.pc = entry;
+  info.numSuccessors = 2;
+  prof.onStepEnd(info);
+  const std::string before = statsTables(prof);
+
+  // A budget-cut witness solve at a pc that never stepped: the profile
+  // gains a site row, the stats tables must not (no "0" opcode count, no
+  // branch-site row).
+  const uint64_t cutPc = entry + 4;
+  ASSERT_EQ(prof.sites().count(cutPc), 0u);
+  prof.onOffStepSolve(cutPc, 1, 3, 5, 0, 0, 1);
+  EXPECT_EQ(prof.sites().at(cutPc).steps, 0u);
+  // Distinct mnemonics, so a stray zero count would show as a new key.
+  ASSERT_NE(prof.sites().at(cutPc).opcode, prof.sites().at(entry).opcode);
+  EXPECT_EQ(statsTables(prof), before);
+}
+
+TEST(ProfileCollectorUnit, DropFillsInfeasible) {
+  auto s = Session::forPortable(workloads::progBitcount(3), "rv32e");
+  obs::ProfileCollector prof(s->model(), s->image());
+  const uint64_t entry = s->image().entry();
+  core::ExploreObserver::StepInfo info;
+  info.pc = entry;
+  info.numSuccessors = 0;  // an infeasible step is reported twice
+  prof.onDrop(0, entry);
+  prof.onStepEnd(info);
+  prof.onDrop(0, entry);
+  prof.onStepEnd(info);
+  const auto& site = prof.sites().at(entry);
+  EXPECT_EQ(site.infeasible, 2u);
+  EXPECT_EQ(site.steps, 2u);
+  EXPECT_EQ(site.forks, 0u);
+  EXPECT_NE(statsTables(prof).find("\"hits\":2,\"forks\":0,\"infeasible\":2"),
+            std::string::npos)
+      << statsTables(prof);
+}
+
 // ---------------------------------------------------------------------
 // Thread-safety of the observer plumbing under raw concurrent callers
 // (what the parallel engine's workers are).
@@ -373,7 +424,7 @@ TEST(ThreadSafeObservers, LockedMuxKeepsEachFanOutAtomic) {
 
 TEST(ThreadSafeObservers, SiteStatsMergeIsOrderIndependent) {
   auto s = Session::forPortable(workloads::progBitcount(3), "rv32e");
-  obs::SiteStatsCollector stats(s->model(), s->image());
+  obs::ProfileCollector stats(s->model(), s->image());
   const uint64_t entry = s->image().entry();
   const std::vector<uint64_t> pcs = {entry, entry + 4, entry + 8};
 
@@ -396,16 +447,15 @@ TEST(ThreadSafeObservers, SiteStatsMergeIsOrderIndependent) {
   const uint64_t kSteps = uint64_t{kThreads} * kRounds;
   uint64_t hits = 0, forks = 0, infeasible = 0;
   for (const auto& [pc, site] : stats.sites()) {
-    hits += site.hits;
+    hits += site.steps;
     forks += site.forks;
     infeasible += site.infeasible;
+    EXPECT_FALSE(site.opcode.empty());  // every step decoded to *some* bucket
   }
   EXPECT_EQ(hits, kSteps);
   EXPECT_EQ(forks, uint64_t{kThreads} * 100);  // i % 3 == 0: 100 per thread
   EXPECT_EQ(infeasible, uint64_t{kThreads} * 60);  // i % 5 == 0
-  uint64_t opcodeTotal = 0;
-  for (const auto& [name, count] : stats.opcodeCounts()) opcodeTotal += count;
-  EXPECT_EQ(opcodeTotal, kSteps);  // every step decoded to *some* bucket
+  EXPECT_EQ(stats.totalSteps(), kSteps);
 }
 
 TEST(ThreadSafeObservers, ProfileCollectorMergesConcurrentWorkers) {

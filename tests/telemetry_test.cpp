@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "support/json.h"
 
 namespace adlsym::telemetry {
@@ -117,40 +115,6 @@ TEST(ScopedTimerTest, NullSafe) {
   EXPECT_EQ(clk.nowMicros(), 0u);
 }
 
-TEST(TelemetryTest, EmitWithoutSinkIsNoOp) {
-  ManualClock clk(7);
-  Telemetry tel(clk);
-  EXPECT_FALSE(tel.tracing());
-  tel.emit(EventKind::Fork, {{"pc", uint64_t{64}}});
-  // No sink: the clock is untouched.
-  EXPECT_EQ(clk.nowMicros(), 0u);
-}
-
-TEST(TelemetryTest, JsonlEventsAreWellFormed) {
-  ManualClock clk;
-  Telemetry tel(clk);
-  std::ostringstream os;
-  JsonlTraceSink sink(os);
-  tel.setSink(&sink);
-  ASSERT_TRUE(tel.tracing());
-
-  clk.advance(5);
-  tel.emit(EventKind::Step, {{"pc", uint64_t{0x40}}, {"succ", 2}});
-  clk.advance(5);
-  tel.emit(EventKind::PathDone,
-           {{"status", "exited"}, {"seconds", 0.5}});
-  tel.emit(EventKind::Defect, {{"note", std::string("say \"hi\"\n")}});
-  EXPECT_EQ(sink.eventsWritten(), 3u);
-
-  // Round-trip: the writer is deterministic, so well-formedness is checked
-  // by exact comparison against hand-written JSON.
-  EXPECT_EQ(os.str(),
-            "{\"ev\":\"step\",\"t\":5,\"pc\":64,\"succ\":2}\n"
-            "{\"ev\":\"path_done\",\"t\":10,\"status\":\"exited\","
-            "\"seconds\":0.5}\n"
-            "{\"ev\":\"defect\",\"t\":10,\"note\":\"say \\\"hi\\\"\\n\"}\n");
-}
-
 TEST(TelemetryTest, RegistryJsonShape) {
   MetricsRegistry reg;
   reg.counter("a").add(3);
@@ -161,18 +125,6 @@ TEST(TelemetryTest, RegistryJsonShape) {
   EXPECT_NE(j.find("\"gauges\":{\"g\":-2}"), std::string::npos) << j;
   EXPECT_NE(j.find("\"count\":1"), std::string::npos) << j;
   EXPECT_NE(j.find("\"sum\":4"), std::string::npos) << j;
-}
-
-TEST(EventKindTest, Names) {
-  EXPECT_STREQ(eventKindName(EventKind::Step), "step");
-  EXPECT_STREQ(eventKindName(EventKind::Fork), "fork");
-  EXPECT_STREQ(eventKindName(EventKind::Merge), "merge");
-  EXPECT_STREQ(eventKindName(EventKind::SolverQuery), "solver_query");
-  EXPECT_STREQ(eventKindName(EventKind::PathDone), "path_done");
-  EXPECT_STREQ(eventKindName(EventKind::Drop), "drop");
-  EXPECT_STREQ(eventKindName(EventKind::Defect), "defect");
-  EXPECT_STREQ(eventKindName(EventKind::Phase), "phase");
-  EXPECT_STREQ(eventKindName(EventKind::Heartbeat), "heartbeat");
 }
 
 }  // namespace

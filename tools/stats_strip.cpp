@@ -28,7 +28,7 @@ using adlsym::json::Value;
 
 namespace {
 
-void emit(const Value& v, std::string* out, bool inSolver);
+void emitValue(const Value& v, std::string* out, bool inSolver);
 
 void emitNumber(double d, std::string* out) {
   char buf[64];
@@ -62,12 +62,12 @@ void emitObject(const Value& v, std::string* out, bool topLevel) {
     *out += '"';
     *out += adlsym::json::escape(key);
     *out += "\":";
-    emit(member, out, topLevel && key == "solver");
+    emitValue(member, out, topLevel && key == "solver");
   }
   *out += '}';
 }
 
-void emit(const Value& v, std::string* out, bool inSolver) {
+void emitValue(const Value& v, std::string* out, bool inSolver) {
   switch (v.kind) {
     case Value::Kind::Null:
       *out += "null";
@@ -87,7 +87,7 @@ void emit(const Value& v, std::string* out, bool inSolver) {
       *out += '[';
       for (size_t i = 0; i < v.array.size(); ++i) {
         if (i) *out += ',';
-        emit(v.array[i], out, false);
+        emitValue(v.array[i], out, false);
       }
       *out += ']';
       break;
@@ -101,7 +101,7 @@ void emit(const Value& v, std::string* out, bool inSolver) {
         *out += '"';
         *out += adlsym::json::escape(key);
         *out += "\":";
-        emit(member, out, false);
+        emitValue(member, out, false);
       }
       *out += '}';
       break;
