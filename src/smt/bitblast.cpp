@@ -7,6 +7,16 @@
 namespace adlsym::smt {
 
 BitBlaster::BitBlaster(TermManager& tm, SatSolver& sat) : tm_(tm), sat_(sat) {
+  reset();
+}
+
+void BitBlaster::reset() {
+  blasted_.clear();
+  varTerms_.clear();
+  andCache_.clear();
+  xorCache_.clear();
+  stats_ = Stats{};
+  setTelemetry(nullptr);
   trueLit_ = Lit(sat_.newVar(), false);
   sat_.addUnit(trueLit_);
 }

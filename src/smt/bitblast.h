@@ -17,6 +17,12 @@ class BitBlaster {
  public:
   BitBlaster(TermManager& tm, SatSolver& sat);
 
+  /// Forget every blasted term, zero the stats, detach telemetry and
+  /// allocate a new constant-true literal, keeping allocated capacity.
+  /// After a SatSolver::reset() of the core this is the just-constructed
+  /// state.
+  void reset();
+
   /// SAT literal representing a width-1 term; encodes the term's cone into
   /// the solver on first use.
   Lit litFor(TermRef t);

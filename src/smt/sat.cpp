@@ -21,6 +21,32 @@ uint64_t luby(uint64_t i) {
 
 SatSolver::SatSolver() = default;
 
+void SatSolver::reset() {
+  clauses_.clear();
+  arena_.clear();
+  for (std::vector<Watcher>& ws : watches_) ws.clear();  // newVar reuses them
+  assigns_.clear();
+  savedPhase_.clear();
+  reason_.clear();
+  level_.clear();
+  trail_.clear();
+  trailLims_.clear();
+  qhead_ = 0;
+  activity_.clear();
+  varInc_ = 1.0;
+  clauseInc_ = 1.0;
+  heap_.clear();
+  heapPos_.clear();
+  seen_.clear();
+  unsatisfiable_ = false;
+  stats_ = Stats{};
+  conflictBudget_ = 0;
+  deadlineClock_ = nullptr;
+  deadlineMicros_ = 0;
+  learnedLimit_ = kInitialLearnedLimit;
+  setTelemetry(nullptr);
+}
+
 uint32_t SatSolver::newVar() {
   const uint32_t v = static_cast<uint32_t>(assigns_.size());
   assigns_.push_back(kUndef);
@@ -29,60 +55,93 @@ uint32_t SatSolver::newVar() {
   level_.push_back(0);
   activity_.push_back(0.0);
   seen_.push_back(0);
-  watches_.emplace_back();
-  watches_.emplace_back();
-  heapPush(v);
+  heapPos_.push_back(-1);
+  if (watches_.size() < 2 * size_t{v} + 2) watches_.resize(2 * size_t{v} + 2);
+  heapInsert(v);
   return v;
 }
 
-void SatSolver::heapPush(uint32_t v) {
-  heap_.emplace_back(activity_[v], v);
-  std::push_heap(heap_.begin(), heap_.end());
+void SatSolver::heapInsert(uint32_t v) {
+  heapPos_[v] = static_cast<int32_t>(heap_.size());
+  heap_.push_back(v);
+  heapSiftUp(static_cast<uint32_t>(heap_.size() - 1));
 }
 
-bool SatSolver::addClause(std::vector<Lit> lits) {
+void SatSolver::heapSiftUp(uint32_t i) {
+  const uint32_t v = heap_[i];
+  while (i > 0) {
+    const uint32_t parent = (i - 1) / 2;
+    if (!heapBelow(heap_[parent], v)) break;
+    heap_[i] = heap_[parent];
+    heapPos_[heap_[i]] = static_cast<int32_t>(i);
+    i = parent;
+  }
+  heap_[i] = v;
+  heapPos_[v] = static_cast<int32_t>(i);
+}
+
+void SatSolver::heapSiftDown(uint32_t i) {
+  const uint32_t v = heap_[i];
+  const size_t n = heap_.size();
+  while (true) {
+    size_t child = 2 * size_t{i} + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heapBelow(heap_[child], heap_[child + 1])) ++child;
+    if (!heapBelow(v, heap_[child])) break;
+    heap_[i] = heap_[child];
+    heapPos_[heap_[i]] = static_cast<int32_t>(i);
+    i = static_cast<uint32_t>(child);
+  }
+  heap_[i] = v;
+  heapPos_[v] = static_cast<int32_t>(i);
+}
+
+bool SatSolver::addClause(const Lit* lits, size_t n) {
   if (unsatisfiable_) return false;
   // After a Sat result the trail still holds the model; new clauses (e.g.
   // from incremental bit-blasting) first unwind to the root level.
   backtrack(0);
-  // Normalize: drop duplicate and false literals; detect tautologies and
-  // already-satisfied clauses at level 0.
-  std::sort(lits.begin(), lits.end(),
+  // Normalize in place: drop duplicate and false literals; detect
+  // tautologies and already-satisfied clauses at level 0.
+  addBuf_.assign(lits, lits + n);
+  std::sort(addBuf_.begin(), addBuf_.end(),
             [](Lit a, Lit b) { return a.x < b.x; });
-  std::vector<Lit> out;
-  out.reserve(lits.size());
-  for (size_t i = 0; i < lits.size(); ++i) {
-    const Lit l = lits[i];
-    if (i + 1 < lits.size() && lits[i + 1] == ~l) return true;  // tautology
-    if (!out.empty() && out.back() == l) continue;
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Lit l = addBuf_[i];
+    if (i + 1 < n && addBuf_[i + 1] == ~l) return true;  // tautology
+    if (kept != 0 && addBuf_[kept - 1] == l) continue;
     check(l.var() < numVars(), "clause literal references unknown variable");
     const LBool v = litValue(l);
     if (v == kTrue) return true;  // satisfied at level 0
     if (v == kFalse) continue;    // falsified at level 0: drop
-    out.push_back(l);
+    addBuf_[kept++] = l;
   }
-  if (out.empty()) {
+  if (kept == 0) {
     unsatisfiable_ = true;
     return false;
   }
-  if (out.size() == 1) {
-    enqueue(out[0], -1);
+  if (kept == 1) {
+    enqueue(addBuf_[0], -1);
     if (propagate() != -1) {
       unsatisfiable_ = true;
       return false;
     }
     return true;
   }
-  const uint32_t idx = static_cast<uint32_t>(clauses_.size());
-  clauses_.push_back(Clause{std::move(out), 0.0, false, false});
-  attachClause(idx);
+  storeClause(addBuf_.data(), kept, /*learned=*/false);
   return true;
 }
 
-void SatSolver::attachClause(uint32_t idx) {
-  const Clause& c = clauses_[idx];
-  watches_[(~c.lits[0]).x].push_back({idx, c.lits[1]});
-  watches_[(~c.lits[1]).x].push_back({idx, c.lits[0]});
+uint32_t SatSolver::storeClause(const Lit* lits, size_t n, bool learned) {
+  check(arena_.size() + n <= UINT32_MAX, "clause arena overflow");
+  const uint32_t idx = static_cast<uint32_t>(clauses_.size());
+  clauses_.push_back(Clause{static_cast<uint32_t>(arena_.size()),
+                            static_cast<uint32_t>(n), 0.0, learned, false});
+  arena_.insert(arena_.end(), lits, lits + n);
+  watches_[(~lits[0]).x].push_back({idx, lits[1]});
+  watches_[(~lits[1]).x].push_back({idx, lits[0]});
+  return idx;
 }
 
 void SatSolver::enqueue(Lit l, int32_t reasonClause) {
@@ -105,20 +164,21 @@ int32_t SatSolver::propagate() {
         ws[keep++] = w;
         continue;
       }
-      Clause& c = clauses_[w.clauseIdx];
+      const Clause& c = clauses_[w.clauseIdx];
       if (c.removed) continue;  // lazily detach deleted clauses
+      Lit* lits = litsOf(c);
       // Ensure the false literal ~p is at position 1.
-      if (c.lits[0] == ~p) std::swap(c.lits[0], c.lits[1]);
-      if (litValue(c.lits[0]) == kTrue) {
-        ws[keep++] = {w.clauseIdx, c.lits[0]};
+      if (lits[0] == ~p) std::swap(lits[0], lits[1]);
+      if (litValue(lits[0]) == kTrue) {
+        ws[keep++] = {w.clauseIdx, lits[0]};
         continue;
       }
       // Look for a new literal to watch.
       bool moved = false;
-      for (size_t k = 2; k < c.lits.size(); ++k) {
-        if (litValue(c.lits[k]) != kFalse) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[(~c.lits[1]).x].push_back({w.clauseIdx, c.lits[0]});
+      for (uint32_t k = 2; k < c.size; ++k) {
+        if (litValue(lits[k]) != kFalse) {
+          std::swap(lits[1], lits[k]);
+          watches_[(~lits[1]).x].push_back({w.clauseIdx, lits[0]});
           moved = true;
           break;
         }
@@ -126,14 +186,14 @@ int32_t SatSolver::propagate() {
       if (moved) continue;
       // Clause is unit or conflicting.
       ws[keep++] = w;
-      if (litValue(c.lits[0]) == kFalse) {
+      if (litValue(lits[0]) == kFalse) {
         // Conflict: keep remaining watchers, then report.
         for (size_t k = i + 1; k < ws.size(); ++k) ws[keep++] = ws[k];
         ws.resize(keep);
         qhead_ = trail_.size();
         return static_cast<int32_t>(w.clauseIdx);
       }
-      enqueue(c.lits[0], static_cast<int32_t>(w.clauseIdx));
+      enqueue(lits[0], static_cast<int32_t>(w.clauseIdx));
     }
     ws.resize(keep);
   }
@@ -142,16 +202,21 @@ int32_t SatSolver::propagate() {
 
 void SatSolver::bumpVar(uint32_t v) {
   activity_[v] += varInc_;
-  if (activity_[v] > 1e100) rescaleVarActivity();
-  heapPush(v);  // lazy: stale smaller entries remain and are skipped
+  if (activity_[v] > 1e100) {
+    rescaleVarActivity();
+  } else if (heapPos_[v] >= 0) {
+    heapSiftUp(static_cast<uint32_t>(heapPos_[v]));
+  }
 }
 
 void SatSolver::rescaleVarActivity() {
   for (double& a : activity_) a *= 1e-100;
   varInc_ *= 1e-100;
-  // Heap entries are stale after rescale; rebuild.
-  heap_.clear();
-  for (uint32_t v = 0; v < numVars(); ++v) heapPush(v);
+  // Scaling can merge distinct activities, which reorders ties by index:
+  // rebuild the heap order from scratch.
+  for (uint32_t i = static_cast<uint32_t>(heap_.size() / 2); i-- > 0;) {
+    heapSiftDown(i);
+  }
 }
 
 void SatSolver::bumpClause(Clause& c) {
@@ -162,8 +227,8 @@ void SatSolver::bumpClause(Clause& c) {
   }
 }
 
-void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
-                        unsigned& btLevel) {
+unsigned SatSolver::analyze(int32_t conflictIdx) {
+  std::vector<Lit>& learnt = learnt_;
   learnt.clear();
   learnt.push_back(Lit());  // slot for the asserting literal
   const unsigned curLevel = static_cast<unsigned>(trailLims_.size());
@@ -176,9 +241,10 @@ void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
     check(confl != -1, "analyze: missing reason clause");
     Clause& c = clauses_[static_cast<uint32_t>(confl)];
     if (c.learned) bumpClause(c);
-    const size_t start = p.valid() ? 1 : 0;  // skip asserting lit of reason
-    for (size_t i = start; i < c.lits.size(); ++i) {
-      const Lit q = c.lits[i];
+    const Lit* lits = litsOf(c);
+    const uint32_t start = p.valid() ? 1 : 0;  // skip asserting lit of reason
+    for (uint32_t i = start; i < c.size; ++i) {
+      const Lit q = lits[i];
       if (seen_[q.var()] || level_[q.var()] == 0) continue;
       seen_[q.var()] = 1;
       bumpVar(q.var());
@@ -200,7 +266,8 @@ void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
 
   // Clause minimization (cheap local form): drop literals implied by the
   // rest of the clause through their reason clauses.
-  std::vector<Lit> minimized;
+  std::vector<Lit>& minimized = minimized_;
+  minimized.clear();
   minimized.push_back(learnt[0]);
   for (size_t i = 1; i < learnt.size(); ++i) {
     const Lit q = learnt[i];
@@ -208,7 +275,10 @@ void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
     bool redundant = false;
     if (r != -1) {
       redundant = true;
-      for (const Lit x : clauses_[static_cast<uint32_t>(r)].lits) {
+      const Clause& rc = clauses_[static_cast<uint32_t>(r)];
+      const Lit* rlits = litsOf(rc);
+      for (uint32_t k = 0; k < rc.size; ++k) {
+        const Lit x = rlits[k];
         if (x == ~q) continue;
         if (level_[x.var()] == 0) continue;
         if (!seen_[x.var()]) {
@@ -220,10 +290,10 @@ void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
     if (!redundant) minimized.push_back(q);
   }
   for (size_t i = 1; i < learnt.size(); ++i) seen_[learnt[i].var()] = 0;
-  learnt = std::move(minimized);
+  learnt.swap(minimized);
 
   // Backtrack level = max level among learnt[1..].
-  btLevel = 0;
+  unsigned btLevel = 0;
   size_t maxIdx = 1;
   for (size_t i = 1; i < learnt.size(); ++i) {
     if (level_[learnt[i].var()] > btLevel) {
@@ -232,6 +302,7 @@ void SatSolver::analyze(int32_t conflictIdx, std::vector<Lit>& learnt,
     }
   }
   if (learnt.size() > 1) std::swap(learnt[1], learnt[maxIdx]);
+  return btLevel;
 }
 
 void SatSolver::backtrack(unsigned targetLevel) {
@@ -241,7 +312,7 @@ void SatSolver::backtrack(unsigned targetLevel) {
     const uint32_t v = trail_[i - 1].var();
     assigns_[v] = kUndef;
     reason_[v] = -1;
-    heapPush(v);
+    if (heapPos_[v] < 0) heapInsert(v);
   }
   trail_.resize(lim);
   trailLims_.resize(targetLevel);
@@ -249,24 +320,27 @@ void SatSolver::backtrack(unsigned targetLevel) {
 }
 
 uint32_t SatSolver::pickBranchVar() {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end());
-    const auto [act, v] = heap_.back();
+  // Only called with an unassigned variable left, which the heap holds.
+  while (true) {
+    check(!heap_.empty(), "decision heap lost an unassigned variable");
+    const uint32_t v = heap_[0];
+    const uint32_t last = heap_.back();
     heap_.pop_back();
-    if (assigns_[v] == kUndef && act == activity_[v]) return v;
-  }
-  // Heap drained (all stale): linear fallback.
-  for (uint32_t v = 0; v < numVars(); ++v) {
+    heapPos_[v] = -1;
+    if (!heap_.empty()) {
+      heap_[0] = last;
+      heapPos_[last] = 0;
+      heapSiftDown(0);
+    }
     if (assigns_[v] == kUndef) return v;
   }
-  return 0xffffffff;
 }
 
 void SatSolver::reduceDB() {
   // Keep the most active half of the learned clauses.
   std::vector<uint32_t> learned;
   for (uint32_t i = 0; i < clauses_.size(); ++i) {
-    if (clauses_[i].learned && !clauses_[i].removed && clauses_[i].lits.size() > 2)
+    if (clauses_[i].learned && !clauses_[i].removed && clauses_[i].size > 2)
       learned.push_back(i);
   }
   if (learned.size() < learnedLimit_) return;
@@ -283,10 +357,21 @@ void SatSolver::reduceDB() {
   for (size_t i = 0; i < toRemove; ++i) {
     if (locked[learned[i]]) continue;
     clauses_[learned[i]].removed = true;
-    clauses_[learned[i]].lits.clear();
-    clauses_[learned[i]].lits.shrink_to_fit();
+    clauses_[learned[i]].size = 0;
     ++stats_.deletedClauses;
   }
+  // Compact the arena over the deleted clauses' literals; clause indices,
+  // and with them reasons and watchers, stay as they are.
+  uint32_t out = 0;
+  for (Clause& c : clauses_) {
+    if (c.start != out) {
+      std::copy(arena_.begin() + c.start, arena_.begin() + c.start + c.size,
+                arena_.begin() + out);
+      c.start = out;
+    }
+    out += c.size;
+  }
+  arena_.resize(out);
   learnedLimit_ = learnedLimit_ + learnedLimit_ / 2;
 }
 
@@ -336,26 +421,16 @@ SatResult SatSolver::solveImpl(const std::vector<Lit>& assumptions) {
         backtrack(0);
         return SatResult::Unsat;
       }
-      std::vector<Lit> learnt;
-      unsigned btLevel = 0;
-      analyze(confl, learnt, btLevel);
-      // Never backtrack past the assumption levels.
-      btLevel = std::max<unsigned>(btLevel, 0);
-      backtrack(btLevel);
-      if (learnt.size() == 1) {
-        if (trailLims_.empty()) {
-          enqueue(learnt[0], -1);
-        } else {
-          // Can't add a unit above level 0 safely; restart to level 0 first.
-          backtrack(0);
-          enqueue(learnt[0], -1);
-        }
+      backtrack(analyze(confl));
+      if (learnt_.size() == 1) {
+        // A unit is only safe at level 0: restart there first.
+        backtrack(0);
+        enqueue(learnt_[0], -1);
       } else {
-        const uint32_t idx = static_cast<uint32_t>(clauses_.size());
-        clauses_.push_back(Clause{std::move(learnt), 0.0, true, false});
+        const uint32_t idx =
+            storeClause(learnt_.data(), learnt_.size(), /*learned=*/true);
         bumpClause(clauses_[idx]);
-        attachClause(idx);
-        enqueue(clauses_[idx].lits[0], static_cast<int32_t>(idx));
+        enqueue(learnt_[0], static_cast<int32_t>(idx));
         ++stats_.learned;
       }
       decayVarActivity();
@@ -397,8 +472,8 @@ SatResult SatSolver::solveImpl(const std::vector<Lit>& assumptions) {
       continue;
     }
 
+    if (trail_.size() == numVars()) return SatResult::Sat;  // all assigned
     const uint32_t v = pickBranchVar();
-    if (v == 0xffffffff) return SatResult::Sat;  // all assigned
     ++stats_.decisions;
     trailLims_.push_back(static_cast<uint32_t>(trail_.size()));
     enqueue(Lit(v, savedPhase_[v] == kFalse), -1);

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "support/error.h"
@@ -33,13 +34,23 @@ class SatSolver {
  public:
   SatSolver();
 
+  /// Return to the just-constructed state — no variables, no clauses, zero
+  /// stats, no budget, no deadline, no telemetry — while keeping allocated
+  /// capacity, so one core can serve a stream of independent solves.
+  void reset();
+
   /// Allocate a fresh variable; returns its index.
   uint32_t newVar();
   uint32_t numVars() const { return static_cast<uint32_t>(assigns_.size()); }
 
   /// Add a clause over existing variables. Returns false if the clause set
   /// is already known unsatisfiable (empty clause derived).
-  bool addClause(std::vector<Lit> lits);
+  bool addClause(const std::vector<Lit>& lits) {
+    return addClause(lits.data(), lits.size());
+  }
+  bool addClause(std::initializer_list<Lit> lits) {
+    return addClause(lits.begin(), lits.size());
+  }
   bool addUnit(Lit l) { return addClause({l}); }
   bool addBinary(Lit a, Lit b) { return addClause({a, b}); }
   bool addTernary(Lit a, Lit b, Lit c) { return addClause({a, b, c}); }
@@ -76,6 +87,7 @@ class SatSolver {
     }
   };
   const Stats& stats() const { return stats_; }
+  /// Every clause ever stored, learned and deleted ones included.
   size_t numClauses() const { return clauses_.size(); }
 
   /// Hard budget: give up (Unknown) after this many conflicts per solve
@@ -97,9 +109,13 @@ class SatSolver {
 
  private:
   enum LBool : int8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
+  static constexpr uint64_t kInitialLearnedLimit = 4096;
 
+  /// A clause's literals live in arena_[start, start + size). Indices into
+  /// clauses_ never change; reduceDB() compacts the arena under them.
   struct Clause {
-    std::vector<Lit> lits;
+    uint32_t start = 0;
+    uint32_t size = 0;
     double activity = 0.0;
     bool learned = false;
     bool removed = false;
@@ -116,13 +132,19 @@ class SatSolver {
     return (v == kTrue) != l.sign() ? kTrue : kFalse;
   }
 
+  Lit* litsOf(const Clause& c) { return arena_.data() + c.start; }
+
+  bool addClause(const Lit* lits, size_t n);
+
   SatResult solveImpl(const std::vector<Lit>& assumptions);
   void enqueue(Lit l, int32_t reasonClause);
   /// Returns conflicting clause index or -1.
   int32_t propagate();
-  void analyze(int32_t conflictIdx, std::vector<Lit>& learnt, unsigned& btLevel);
+  /// First-UIP analysis into learnt_; returns the backtrack level.
+  unsigned analyze(int32_t conflictIdx);
   void backtrack(unsigned level);
-  void attachClause(uint32_t idx);
+  /// Store lits as a new clause and watch its first two literals.
+  uint32_t storeClause(const Lit* lits, size_t n, bool learned);
   void bumpVar(uint32_t v);
   void decayVarActivity() { varInc_ /= 0.95; }
   void bumpClause(Clause& c);
@@ -130,11 +152,20 @@ class SatSolver {
   void reduceDB();
   void rescaleVarActivity();
 
-  // Heap of variables ordered by activity (lazy deletion: stale entries are
-  // skipped on pop).
-  void heapPush(uint32_t v);
+  // Indexed max-heap of decision candidates ordered by (activity, index):
+  // the next decision is the unassigned variable with the largest
+  // activity, ties to the larger index. Every unassigned variable is in
+  // the heap; assigned ones may linger and are skipped by pickBranchVar.
+  bool heapBelow(uint32_t a, uint32_t b) const {
+    return activity_[a] < activity_[b] ||
+           (activity_[a] == activity_[b] && a < b);
+  }
+  void heapInsert(uint32_t v);
+  void heapSiftUp(uint32_t i);
+  void heapSiftDown(uint32_t i);
 
   std::vector<Clause> clauses_;
+  std::vector<Lit> arena_;                     // literals of every clause
   std::vector<std::vector<Watcher>> watches_;  // indexed by literal
   std::vector<int8_t> assigns_;                // LBool per var
   std::vector<int8_t> savedPhase_;             // phase saving
@@ -147,16 +178,21 @@ class SatSolver {
   std::vector<double> activity_;
   double varInc_ = 1.0;
   double clauseInc_ = 1.0;
-  std::vector<std::pair<double, uint32_t>> heap_;  // max-heap by activity
+  std::vector<uint32_t> heap_;
+  std::vector<int32_t> heapPos_;  // position in heap_ per var, -1 if absent
 
-  std::vector<uint8_t> seen_;  // scratch for analyze()
+  // Scratch buffers, reused across calls.
+  std::vector<uint8_t> seen_;   // analyze()
+  std::vector<Lit> learnt_;     // analyze() result
+  std::vector<Lit> minimized_;  // analyze() minimization
+  std::vector<Lit> addBuf_;     // addClause() normalization
 
   bool unsatisfiable_ = false;  // empty clause added at level 0
   Stats stats_;
   uint64_t conflictBudget_ = 0;
   telemetry::Clock* deadlineClock_ = nullptr;
   uint64_t deadlineMicros_ = 0;
-  uint64_t learnedLimit_ = 4096;
+  uint64_t learnedLimit_ = kInitialLearnedLimit;
 
   telemetry::Counter* solvesCtr_ = nullptr;
   telemetry::Histogram* conflictsHist_ = nullptr;

@@ -159,110 +159,93 @@ void SmtSolver::assertAlways(TermRef t) {
   if (!sat_.addUnit(bb_.litFor(t))) permanentlyUnsat_ = true;
 }
 
-CheckResult SmtSolver::checkFresh(const std::vector<TermRef>& assumptions) {
-  SatSolver freshSat;
-  BitBlaster freshBb(tm_, freshSat);
-  bool bad = false;
-  for (const TermRef t : permanentAsserts_) {
-    if (t.isFalse() || !freshSat.addUnit(freshBb.litFor(t))) bad = true;
-  }
-  std::vector<Lit> lits;
-  for (const TermRef t : assumptions) {
-    if (t.isTrue()) continue;
-    if (t.isFalse()) return CheckResult::Unsat;
-    lits.push_back(freshBb.litFor(t));
-  }
-  if (bad) return CheckResult::Unsat;
-  switch (freshSat.solve(lits)) {
+namespace {
+CheckResult fromSat(SatResult r) {
+  switch (r) {
     case SatResult::Sat: return CheckResult::Sat;
     case SatResult::Unsat: return CheckResult::Unsat;
     case SatResult::Unknown: return CheckResult::Unknown;
   }
   return CheckResult::Unknown;
 }
+}  // namespace
+
+SmtSolver::FreshCore& SmtSolver::resetFreshCore() {
+  if (fresh_ == nullptr) {
+    fresh_ = std::make_unique<FreshCore>(tm_);
+  } else {
+    fresh_->sat.reset();
+    fresh_->bb.reset();
+  }
+  return *fresh_;
+}
+
+bool SmtSolver::blastFresh(FreshCore& fc,
+                           const std::vector<TermRef>& assumptions,
+                           std::vector<Lit>& lits) {
+  bool ok = true;
+  for (const TermRef t : permanentAsserts_) {
+    if (t.isFalse() || !fc.sat.addUnit(fc.bb.litFor(t))) ok = false;
+  }
+  lits.reserve(assumptions.size());
+  for (const TermRef t : assumptions) {
+    if (t.isTrue()) continue;
+    if (t.isFalse()) return false;
+    lits.push_back(fc.bb.litFor(t));
+  }
+  return ok;
+}
+
+void SmtSolver::snapshotModel(BitBlaster& bb, const SatSolver& sat) {
+  model_.clear();
+  for (const auto& [termId, bits] : bb.varTerms()) {
+    uint64_t v = 0;
+    for (size_t i = 0; i < bits.size(); ++i) {
+      if (sat.modelValue(bits[i])) v |= uint64_t{1} << i;
+    }
+    model_[tm_.varIndex(termId)] = v;
+  }
+}
+
+CheckResult SmtSolver::checkFresh(const std::vector<TermRef>& assumptions) {
+  FreshCore& fc = resetFreshCore();
+  std::vector<Lit> lits;
+  if (!blastFresh(fc, assumptions, lits)) return CheckResult::Unsat;
+  return fromSat(fc.sat.solve(lits));
+}
 
 CheckResult SmtSolver::solveFreshWithModel(
     const std::vector<TermRef>& assumptions, telemetry::Clock* clk,
     uint64_t deadlineUs) {
-  SatSolver fs;
-  BitBlaster fb(tm_, fs);
-  fs.setTelemetry(tel_);
-  fb.setTelemetry(tel_);
-  fs.setConflictBudget(conflictBudget_);
-  if (deadlineUs != 0) fs.setDeadline(clk, deadlineUs);
-  bool bad = false;
-  for (const TermRef t : permanentAsserts_) {
-    if (t.isFalse() || !fs.addUnit(fb.litFor(t))) bad = true;
-  }
+  FreshCore& fc = resetFreshCore();
+  fc.sat.setTelemetry(tel_);
+  fc.bb.setTelemetry(tel_);
+  fc.sat.setConflictBudget(conflictBudget_);
+  if (deadlineUs != 0) fc.sat.setDeadline(clk, deadlineUs);
   std::vector<Lit> lits;
-  lits.reserve(assumptions.size());
-  for (const TermRef t : assumptions) {
-    if (t.isTrue()) continue;
-    if (t.isFalse()) {
-      bad = true;
-      break;
-    }
-    lits.push_back(fb.litFor(t));
-  }
-  CheckResult r = CheckResult::Unknown;
-  if (bad) {
-    r = CheckResult::Unsat;
-  } else {
-    switch (fs.solve(lits)) {
-      case SatResult::Sat: r = CheckResult::Sat; break;
-      case SatResult::Unsat: r = CheckResult::Unsat; break;
-      case SatResult::Unknown: r = CheckResult::Unknown; break;
-    }
-  }
-  if (r == CheckResult::Sat) {
-    model_.clear();
-    for (const auto& [termId, bits] : fb.varTerms()) {
-      uint64_t v = 0;
-      for (size_t i = 0; i < bits.size(); ++i) {
-        if (fs.modelValue(bits[i])) v |= uint64_t{1} << i;
-      }
-      model_[tm_.varIndex(termId)] = v;
-    }
-  }
-  freshSat_ += fs.stats();
-  freshBlast_ += fb.stats();
-  freshVars_ += fs.numVars();
-  freshClauses_ += fs.numClauses();
+  const CheckResult r = blastFresh(fc, assumptions, lits)
+                            ? fromSat(fc.sat.solve(lits))
+                            : CheckResult::Unsat;
+  if (r == CheckResult::Sat) snapshotModel(fc.bb, fc.sat);
+  freshSat_ += fc.sat.stats();
+  freshBlast_ += fc.bb.stats();
+  freshVars_ += fc.sat.numVars();
+  freshClauses_ += fc.sat.numClauses();
   return r;
 }
 
 void SmtSolver::restoreModelFresh(const std::vector<TermRef>& assumptions) {
   // No telemetry, no budget, no deadline, no stats aggregation: see the
-  // header comment. The throwaway core sees the same canonical CNF as
+  // header comment. The reset core sees the same canonical CNF as
   // solveFreshWithModel would, so the model it finds is the model the
   // single-flight miss solve would have published.
-  SatSolver fs;
-  BitBlaster fb(tm_, fs);
-  bool bad = false;
-  for (const TermRef t : permanentAsserts_) {
-    if (t.isFalse() || !fs.addUnit(fb.litFor(t))) bad = true;
-  }
+  FreshCore& fc = resetFreshCore();
   std::vector<Lit> lits;
-  lits.reserve(assumptions.size());
-  for (const TermRef t : assumptions) {
-    if (t.isTrue()) continue;
-    if (t.isFalse()) {
-      bad = true;
-      break;
-    }
-    lits.push_back(fb.litFor(t));
-  }
-  adlsym::check(!bad && fs.solve(lits) == SatResult::Sat,
+  const bool ok = blastFresh(fc, assumptions, lits);
+  adlsym::check(ok && fc.sat.solve(lits) == SatResult::Sat,
                 "prefilter sat certificate failed model restoration "
                 "(abstract-domain soundness bug)");
-  model_.clear();
-  for (const auto& [termId, bits] : fb.varTerms()) {
-    uint64_t v = 0;
-    for (size_t i = 0; i < bits.size(); ++i) {
-      if (fs.modelValue(bits[i])) v |= uint64_t{1} << i;
-    }
-    model_[tm_.varIndex(termId)] = v;
-  }
+  snapshotModel(fc.bb, fc.sat);
 }
 
 CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
@@ -631,19 +614,11 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     }
   }
   switch (raw) {
-    case SatResult::Sat: {
+    case SatResult::Sat:
       // Snapshot variable values immediately: any later incremental blast
       // (even for model reads) unwinds the assignment trail.
-      model_.clear();
-      for (const auto& [termId, bits] : bb_.varTerms()) {
-        uint64_t v = 0;
-        for (size_t i = 0; i < bits.size(); ++i) {
-          if (sat_.modelValue(bits[i])) v |= uint64_t{1} << i;
-        }
-        model_[tm_.varIndex(termId)] = v;
-      }
+      snapshotModel(bb_, sat_);
       return remember(CheckResult::Sat);
-    }
     case SatResult::Unsat: return remember(CheckResult::Unsat);
     case SatResult::Unknown:
       snapCost();

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -222,16 +223,18 @@ class SmtSolver {
     if (l != nullptr) extraListeners_.push_back(l);
   }
 
-  /// Solve assumptions /\ permanent asserts on a throwaway solver (no state
-  /// shared with this instance). Used by paranoid mode and tests.
+  /// Solve assumptions /\ permanent asserts on the fresh core (reset
+  /// first, so no state is shared with earlier queries). Used by paranoid
+  /// mode and tests.
   CheckResult checkFresh(const std::vector<TermRef>& assumptions);
 
   /// Fresh-solve mode (parallel exploration, docs/parallelism.md): every
-  /// check() runs on a throwaway SAT core instead of the incremental one,
-  /// so the CNF — and hence any Sat model — depends only on term structure,
-  /// never on what this instance solved before. Slower per query, but the
-  /// canonical models are what make -j1 and -jN byte-identical; the shared
-  /// QueryCache (below) recovers the lost incrementality.
+  /// check() runs on a SAT core reset to its just-constructed state
+  /// instead of the incremental one, so the CNF — and hence any Sat model
+  /// — depends only on term structure, never on what this instance solved
+  /// before. Slower per query, but the canonical models are what make -j1
+  /// and -jN byte-identical; the shared QueryCache (below) recovers the
+  /// lost incrementality.
   void setFreshMode(bool on) { freshMode_ = on; }
   bool freshMode() const { return freshMode_; }
 
@@ -284,19 +287,39 @@ class SmtSolver {
   CheckResult checkImpl(const std::vector<TermRef>& assumptions,
                         bool needModel);
 
-  /// Fresh-mode miss path: solve on a throwaway core, snapshot the model
+  /// Fresh-mode miss path: solve on the fresh core, snapshot the model
   /// into model_ on Sat, aggregate the core's stats into the fresh
   /// counters.
   CheckResult solveFreshWithModel(const std::vector<TermRef>& assumptions,
                                   telemetry::Clock* clk, uint64_t deadlineUs);
 
   /// Model restoration for a prefilter-certified Sat query: solve the
-  /// canonical CNF on a throwaway core with no budget, no deadline, no
+  /// canonical CNF on the fresh core with no budget, no deadline, no
   /// telemetry and no stats aggregation — deliberately off the books, so
   /// whether (and where) a restoration happens can never perturb the
   /// schedule-independent counters. Fills model_; throws if the core
   /// disagrees with the certificate (an absdom soundness bug).
   void restoreModelFresh(const std::vector<TermRef>& assumptions);
+
+  /// The SAT core and bit-blaster behind every fresh solve. One pair is
+  /// created on first use and reset before each query, so a query sees a
+  /// just-constructed core without paying to build one; solvers that
+  /// never solve fresh never allocate it.
+  struct FreshCore {
+    explicit FreshCore(TermManager& tm) : bb(tm, sat) {}
+    SatSolver sat;
+    BitBlaster bb;
+  };
+  /// The fresh core in its just-constructed state.
+  FreshCore& resetFreshCore();
+  /// Blast the permanent assertions and then the assumptions into `fc`,
+  /// the assumption literals into `lits`. False when the query is Unsat
+  /// without solving (a false assertion or assumption).
+  bool blastFresh(FreshCore& fc, const std::vector<TermRef>& assumptions,
+                  std::vector<Lit>& lits);
+  /// Snapshot every blasted variable's value after a Sat answer into
+  /// model_.
+  void snapshotModel(BitBlaster& bb, const SatSolver& sat);
 
   TermManager& tm_;
   SatSolver sat_;
@@ -323,7 +346,8 @@ class SmtSolver {
   bool freshMode_ = false;
   QueryCache* sharedCache_ = nullptr;
   PreSolver* pre_ = nullptr;
-  // Aggregates over the throwaway cores of fresh mode (the members sat_/bb_
+  std::unique_ptr<FreshCore> fresh_;
+  // Aggregates over the fresh solves of fresh mode (the members sat_/bb_
   // sit unused there); telemetrySnapshot() reads these instead.
   SatSolver::Stats freshSat_;
   BitBlaster::Stats freshBlast_;

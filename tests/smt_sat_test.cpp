@@ -2,12 +2,33 @@
 
 #include "smt/sat.h"
 #include "support/rng.h"
+#include "support/telemetry.h"
 
 namespace adlsym::smt {
 namespace {
 
 Lit pos(uint32_t v) { return Lit(v, false); }
 Lit neg(uint32_t v) { return Lit(v, true); }
+
+// PHP(pigeons, holes): every pigeon in some hole, no hole shared.
+void addPigeonhole(SatSolver& s, int pigeons, int holes) {
+  std::vector<std::vector<uint32_t>> x(pigeons, std::vector<uint32_t>(holes));
+  for (auto& row : x) {
+    for (auto& v : row) v = s.newVar();
+  }
+  for (const auto& row : x) {
+    std::vector<Lit> some;
+    for (const uint32_t v : row) some.push_back(pos(v));
+    s.addClause(some);
+  }
+  for (int h = 0; h < holes; ++h) {
+    for (int p1 = 0; p1 < pigeons; ++p1) {
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
+        s.addBinary(neg(x[p1][h]), neg(x[p2][h]));
+      }
+    }
+  }
+}
 
 TEST(Sat, TrivialSat) {
   SatSolver s;
@@ -58,24 +79,7 @@ TEST(Sat, PropagationChain) {
 TEST(Sat, PigeonholeUnsat) {
   // 4 pigeons in 3 holes: classic small UNSAT requiring real search.
   SatSolver s;
-  const int P = 4;
-  const int H = 3;
-  uint32_t x[4][3];
-  for (int p = 0; p < P; ++p) {
-    for (int h = 0; h < H; ++h) x[p][h] = s.newVar();
-  }
-  for (int p = 0; p < P; ++p) {
-    std::vector<Lit> some;
-    for (int h = 0; h < H; ++h) some.push_back(pos(x[p][h]));
-    s.addClause(some);
-  }
-  for (int h = 0; h < H; ++h) {
-    for (int p1 = 0; p1 < P; ++p1) {
-      for (int p2 = p1 + 1; p2 < P; ++p2) {
-        s.addBinary(neg(x[p1][h]), neg(x[p2][h]));
-      }
-    }
-  }
+  addPigeonhole(s, 4, 3);
   EXPECT_EQ(s.solve(), SatResult::Unsat);
   EXPECT_GT(s.stats().conflicts, 0u);
 }
@@ -117,24 +121,7 @@ TEST(Sat, IncrementalClausesAfterSolve) {
 TEST(Sat, ConflictBudgetReturnsUnknown) {
   // A hard pigeonhole with a tiny budget must give up, not hang or crash.
   SatSolver s;
-  const int P = 8;
-  const int H = 7;
-  std::vector<std::vector<uint32_t>> x(P, std::vector<uint32_t>(H));
-  for (auto& row : x) {
-    for (auto& v : row) v = s.newVar();
-  }
-  for (int p = 0; p < P; ++p) {
-    std::vector<Lit> some;
-    for (int h = 0; h < H; ++h) some.push_back(pos(x[p][h]));
-    s.addClause(some);
-  }
-  for (int h = 0; h < H; ++h) {
-    for (int p1 = 0; p1 < P; ++p1) {
-      for (int p2 = p1 + 1; p2 < P; ++p2) {
-        s.addBinary(neg(x[p1][h]), neg(x[p2][h]));
-      }
-    }
-  }
+  addPigeonhole(s, 8, 7);
   s.setConflictBudget(10);
   EXPECT_EQ(s.solve(), SatResult::Unknown);
   s.setConflictBudget(0);
@@ -193,6 +180,150 @@ TEST_P(SatRandomTest, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random3Sat, SatRandomTest, ::testing::Range(0, 40));
+
+// ---- golden trajectories -------------------------------------------------
+//
+// The decision order is part of the core's contract: models become test
+// inputs, and conflicts/decisions/propagations reach the stats document.
+// A change that alters which variable is picked, which clause is learned
+// or which learned clause is deleted changes those artifacts, so these
+// instances pin the exact search through restarts, learned-clause
+// deletion and activity rescaling. The expected values were recorded
+// with an earlier implementation of the core: when one differs, the
+// search changed, so fix the core rather than the value.
+
+// Everything a search shows the rest of the system: verdicts, models and
+// the stats behind the stats document's sat_core object.
+struct Trajectory {
+  std::vector<SatResult> verdicts;
+  uint64_t modelHash = 0xcbf29ce484222325ull;  // FNV-1a over Sat models
+  SatSolver::Stats stats;
+  size_t clauses = 0;
+};
+
+void solveAndRecord(SatSolver& s, const std::vector<Lit>& assumptions,
+                    Trajectory& t) {
+  const SatResult r = s.solve(assumptions);
+  t.verdicts.push_back(r);
+  if (r != SatResult::Sat) return;
+  for (uint32_t v = 0; v < s.numVars(); ++v) {
+    t.modelHash ^= s.modelValue(v) ? 1 : 0;
+    t.modelHash *= 0x100000001b3ull;
+  }
+}
+
+void finish(const SatSolver& s, Trajectory& t) {
+  t.stats = s.stats();
+  t.clauses = s.numClauses();
+}
+
+Trajectory runPigeonhole(SatSolver& s) {
+  Trajectory t;
+  addPigeonhole(s, 8, 7);
+  solveAndRecord(s, {}, t);
+  finish(s, t);
+  return t;
+}
+
+// Incremental random 3-SAT: variables and clause batches arrive between
+// solves, the way the bit-blaster feeds the incremental solver, and each
+// round solves once under three random assumptions and once without.
+// The clause ratio climbs past the threshold, so verdicts turn Unsat.
+Trajectory runIncremental3Sat(SatSolver& s) {
+  Rng rng(7);
+  Trajectory t;
+  auto lit = [&] {
+    return Lit(static_cast<uint32_t>(rng.below(s.numVars())),
+               rng.below(2) == 0);
+  };
+  for (unsigned v = 0; v < 150; ++v) s.newVar();
+  for (unsigned round = 0; round < 12; ++round) {
+    for (unsigned v = 0; v < 2; ++v) s.newVar();
+    for (unsigned i = 0; i < 75; ++i) s.addTernary(lit(), lit(), lit());
+    std::vector<Lit> assumptions;
+    for (unsigned k = 0; k < 3; ++k) assumptions.push_back(lit());
+    solveAndRecord(s, assumptions, t);
+    solveAndRecord(s, {}, t);
+  }
+  finish(s, t);
+  return t;
+}
+
+std::string verdictString(const Trajectory& t) {
+  std::string out;
+  for (const SatResult r : t.verdicts) {
+    out += r == SatResult::Sat ? 'S' : r == SatResult::Unsat ? 'U' : '?';
+  }
+  return out;
+}
+
+void expectSameTrajectory(const Trajectory& a, const Trajectory& b) {
+  EXPECT_EQ(verdictString(a), verdictString(b));
+  EXPECT_EQ(a.modelHash, b.modelHash);
+  EXPECT_EQ(a.stats.conflicts, b.stats.conflicts);
+  EXPECT_EQ(a.stats.decisions, b.stats.decisions);
+  EXPECT_EQ(a.stats.propagations, b.stats.propagations);
+  EXPECT_EQ(a.stats.restarts, b.stats.restarts);
+  EXPECT_EQ(a.stats.learned, b.stats.learned);
+  EXPECT_EQ(a.stats.deletedClauses, b.stats.deletedClauses);
+  EXPECT_EQ(a.stats.deadlineAborts, b.stats.deadlineAborts);
+  EXPECT_EQ(a.clauses, b.clauses);
+}
+
+TEST(SatGolden, PigeonholeEightSeven) {
+  SatSolver s;
+  const Trajectory t = runPigeonhole(s);
+  EXPECT_EQ(verdictString(t), "U");
+  EXPECT_EQ(t.stats.conflicts, 4324u);
+  EXPECT_EQ(t.stats.decisions, 5475u);
+  EXPECT_EQ(t.stats.propagations, 59786u);
+  EXPECT_EQ(t.stats.restarts, 30u);
+  EXPECT_EQ(t.stats.learned, 4320u);
+  EXPECT_EQ(t.stats.deletedClauses, 2063u);
+  EXPECT_EQ(t.clauses, 4524u);
+}
+
+TEST(SatGolden, IncrementalRandom3SatUnderAssumptions) {
+  SatSolver s;
+  const Trajectory t = runIncremental3Sat(s);
+  EXPECT_EQ(verdictString(t), "SSSSSSSSSSSSSSSSUSUUUUUU");
+  EXPECT_EQ(t.modelHash, 0xa008fd93d6fccb2eull);
+  EXPECT_EQ(t.stats.conflicts, 6068u);  // past the activity rescale
+  EXPECT_EQ(t.stats.decisions, 8803u);
+  EXPECT_EQ(t.stats.propagations, 201982u);
+  EXPECT_EQ(t.stats.restarts, 37u);
+  EXPECT_EQ(t.stats.learned, 6060u);
+  EXPECT_EQ(t.stats.deletedClauses, 2193u);
+  EXPECT_EQ(t.clauses, 6802u);
+}
+
+TEST(SatReset, ReproducesANewSolver) {
+  SatSolver reused;
+  // Leave every kind of state behind: learned and deleted clauses, bumped
+  // activities, a grown learned-clause limit, restarts in the stats...
+  (void)runIncremental3Sat(reused);
+  // ...and a budget, an expired deadline and telemetry, none of which a
+  // new solver has.
+  telemetry::ManualClock clock;
+  clock.advance(1000);
+  telemetry::Telemetry tel(clock);
+  reused.setTelemetry(&tel);
+  reused.setConflictBudget(3);
+  reused.setDeadline(&clock, 1);
+
+  reused.reset();
+  EXPECT_EQ(reused.numVars(), 0u);
+  EXPECT_EQ(reused.numClauses(), 0u);
+  SatSolver fresh;
+  expectSameTrajectory(runIncremental3Sat(reused), runIncremental3Sat(fresh));
+  EXPECT_EQ(tel.metrics().counter("sat.solves").value, 0u);
+
+  // Again from a solver that has itself been reset: the restart schedule
+  // and reduceDB restart from the constructor's defaults.
+  reused.reset();
+  SatSolver fresh2;
+  expectSameTrajectory(runPigeonhole(reused), runPigeonhole(fresh2));
+}
 
 }  // namespace
 }  // namespace adlsym::smt

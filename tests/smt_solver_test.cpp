@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "smt/presolver.h"
 #include "smt/solver.h"
 #include "support/bits.h"
 
@@ -172,6 +173,95 @@ TEST_F(SolverTest, QueryCacheCanBeDisabled) {
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
   EXPECT_EQ(s.cacheHits(), 0u);
+}
+
+// Fresh mode solves every query on one SAT core and bit-blaster, reset to
+// the just-constructed state before each query. The reuse must not show:
+// one solver answering a sequence gives the verdicts, models and stats
+// totals of a new solver per query.
+TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
+  TermManager tm;
+  auto c = [&](unsigned w, uint64_t v) { return tm.mkConst(w, v); };
+  const TermRef x = tm.mkVar(8, "x");
+  const TermRef y = tm.mkVar(8, "y");
+  const TermRef a = tm.mkVar(16, "a");
+  const TermRef b = tm.mkVar(16, "b");
+  struct Query {
+    std::vector<TermRef> assumptions;
+    uint64_t conflictBudget;
+    CheckResult expected;
+  };
+  const std::vector<Query> queries = {
+      // Bit-blasted Sat.
+      {{tm.mkEq(tm.mkMul(x, y), c(8, 91)), tm.mkUgt(x, c(8, 1)),
+        tm.mkUgt(y, c(8, 1))},
+       0,
+       CheckResult::Sat},
+      // Prefilter-certified Sat whose model is restored off the books.
+      {{tm.mkUlt(x, c(8, 10))}, 0, CheckResult::Sat},
+      // Bit-blasted Unsat: 2 is no square modulo 256.
+      {{tm.mkEq(tm.mkMul(x, x), c(8, 2))}, 0, CheckResult::Unsat},
+      // Factoring 211 * 223, cut by a one-conflict budget...
+      {{tm.mkEq(tm.mkMul(a, b), c(16, 211 * 223)), tm.mkUgt(a, c(16, 1)),
+        tm.mkUgt(b, c(16, 1)), tm.mkUlt(a, c(16, 256)),
+        tm.mkUlt(b, c(16, 256))},
+       1,
+       CheckResult::Unknown},
+      // ...and an ordinary query after it.
+      {{tm.mkEq(tm.mkAdd(tm.mkMul(x, c(8, 3)), c(8, 7)), c(8, 52))},
+       0,
+       CheckResult::Sat},
+  };
+
+  auto freshSolver = [&](SmtSolver& s, PreSolver& pre) {
+    s.setFreshMode(true);
+    s.setPreSolver(&pre);
+  };
+  PreSolver pre(tm);
+  SmtSolver reused(tm);
+  freshSolver(reused, pre);
+
+  SolverTelemetry sum;
+  for (const Query& q : queries) {
+    reused.setConflictBudget(q.conflictBudget);
+    ASSERT_EQ(reused.check(q.assumptions), q.expected);
+
+    PreSolver onePre(tm);
+    SmtSolver one(tm);
+    freshSolver(one, onePre);
+    one.setConflictBudget(q.conflictBudget);
+    ASSERT_EQ(one.check(q.assumptions), q.expected);
+    if (q.expected == CheckResult::Sat) {
+      for (const TermRef v : {x, y, a, b}) {
+        EXPECT_EQ(reused.modelValue(v), one.modelValue(v));
+      }
+    }
+    const SolverTelemetry t = one.telemetrySnapshot();
+    sum.satCore += t.satCore;
+    sum.blast += t.blast;
+    sum.canon += t.canon;
+    sum.satVars += t.satVars;
+    sum.satClauses += t.satClauses;
+  }
+  EXPECT_EQ(reused.stats().preModelRestores, 1u);
+
+  const SolverTelemetry t = reused.telemetrySnapshot();
+  EXPECT_GT(t.satCore.conflicts, 0u);
+  EXPECT_EQ(t.satCore.conflicts, sum.satCore.conflicts);
+  EXPECT_EQ(t.satCore.decisions, sum.satCore.decisions);
+  EXPECT_EQ(t.satCore.propagations, sum.satCore.propagations);
+  EXPECT_EQ(t.satCore.restarts, sum.satCore.restarts);
+  EXPECT_EQ(t.satCore.learned, sum.satCore.learned);
+  EXPECT_EQ(t.satCore.deletedClauses, sum.satCore.deletedClauses);
+  EXPECT_EQ(t.satCore.deadlineAborts, sum.satCore.deadlineAborts);
+  EXPECT_EQ(t.blast.gates, sum.blast.gates);
+  EXPECT_EQ(t.blast.cacheHits, sum.blast.cacheHits);
+  EXPECT_EQ(t.blast.termsBlasted, sum.blast.termsBlasted);
+  EXPECT_EQ(t.canon.terms, sum.canon.terms);
+  EXPECT_EQ(t.canon.gates, sum.canon.gates);
+  EXPECT_EQ(t.canon.conflicts, sum.canon.conflicts);
+  EXPECT_EQ(t.satVars, sum.satVars);
+  EXPECT_EQ(t.satClauses, sum.satClauses);
 }
 
 }  // namespace

@@ -8,10 +8,13 @@
 # --jobs 2}, all under --clock=manual, each writing --stats-json,
 # --path-forest, --path-dot, --profile, --profile-folded, --events and
 # --manifest; plus per ISA `adlsym profile` runs (stdout tables), a
-# --max-steps budget run and one --checkpoint run. Under --jobs 2 the raw
-# event order and therefore
-# the manifest hashes are schedule-dependent, so those runs compare the
-# tools/events_canon form of the stream and skip the manifest.
+# --max-steps budget run, one --checkpoint run and sort4 sequential and
+# --jobs 1 runs, whose queries the prefilter rarely decides, so they go
+# through bit-blasting and the SAT core. Under --jobs 2 the raw event
+# order and therefore the manifest hashes are schedule-dependent, so those
+# runs compare the tools/events_canon form of the stream and skip the
+# manifest. sort4 has no --jobs 2 case: its stats are not yet stable
+# across schedules (docs/parallelism.md, caveats).
 #
 # Every run executes in the same scratch work directory with relative
 # artifact paths, so the argv and paths echoed into the manifests match.
@@ -126,6 +129,15 @@ for isa in acc8 m16 rv32e stk16; do
     --manifest=manifest.json
   same "$isa-ckpt" stdout.txt exit.txt stats.json forest.json forest.dot \
     events.jsonl manifest.json run.ckpt
+
+  # Solver-bound: sort4's branches need the SAT core. Older builds'
+  # workload_img may not know sort4, so only the new build generates it.
+  img="$scratch/img/$isa-sort4.img"
+  "$new/tools/workload_img" sort4 "$isa" > "$img"
+  both "$isa-sort4-seq" explore "$isa" "$img" "${observe[@]}"
+  same "$isa-sort4-seq" "${common[@]}" events.jsonl manifest.json
+  both "$isa-sort4-j1" explore "$isa" "$img" "${observe[@]}" --jobs 1
+  same "$isa-sort4-j1" "${common[@]}" events.jsonl manifest.json
 done
 
 if [ "$fails" -ne 0 ]; then

@@ -17,9 +17,10 @@ adlsym::workloads::PProgram byName(const std::string& name) {
   if (name == "max3") return progMax(3);
   if (name == "checksum2") return progChecksum(2);
   if (name == "parse2") return progParse(2);
+  if (name == "sort4") return progSort(4);
   throw adlsym::InputError("unknown workload '" + name +
                            "' (want bitcount3|earlyexit4|max3|checksum2|"
-                           "parse2)");
+                           "parse2|sort4)");
 }
 
 }  // namespace
