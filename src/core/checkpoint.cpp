@@ -114,7 +114,21 @@ const json::Value& field(const json::Value& v, const char* name) {
 }
 
 uint64_t fieldU64(const json::Value& v, const char* name) {
-  return field(v, name).asU64();
+  const json::Value& f = field(v, name);
+  if (!f.isU64()) {
+    throw InputError(std::string("checkpoint: field '") + name +
+                     "' is not a non-negative integer");
+  }
+  return f.asU64();
+}
+
+bool fieldBool(const json::Value& v, const char* name) {
+  const json::Value& f = field(v, name);
+  if (!f.isBool()) {
+    throw InputError(std::string("checkpoint: field '") + name +
+                     "' is not a boolean");
+  }
+  return f.boolean;
 }
 
 std::string fieldStr(const json::Value& v, const char* name) {

@@ -34,9 +34,12 @@ void writeCheckpointFile(const std::string& path, const std::string& doc);
 /// file/line context on any mismatch. Fault site: ckpt.read.
 json::Value loadCheckpointFile(const std::string& path);
 
-/// Required-field lookups with checkpoint-flavored InputErrors.
+/// Required-field lookups with checkpoint-flavored InputErrors: a missing
+/// field, or one of the wrong JSON type (fieldU64 takes only non-negative
+/// integer tokens), is bad input.
 const json::Value& field(const json::Value& v, const char* name);
 uint64_t fieldU64(const json::Value& v, const char* name);
+bool fieldBool(const json::Value& v, const char* name);
 std::string fieldStr(const json::Value& v, const char* name);
 
 /// Serialize the fields of a frontier (Running) MachineState into an

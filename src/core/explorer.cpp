@@ -6,12 +6,6 @@
 #include "support/fault.h"
 #include "support/stop.h"
 
-namespace {
-/// Approximate resident bytes per hash-consed term (node + bucket + ref
-/// bookkeeping); the governor's charge for the shared TermManager pool.
-constexpr size_t kBytesPerTerm = 48;
-}  // namespace
-
 namespace adlsym::core {
 
 Explorer::Explorer(Executor& exec, EngineServices& services,
@@ -36,58 +30,6 @@ const char* strategyName(SearchStrategy s) {
     case SearchStrategy::Coverage: return "coverage";
   }
   return "?";
-}
-
-size_t Explorer::pickNext(const std::vector<Frontier>& frontier, Rng& rng) const {
-  switch (config_.strategy) {
-    case SearchStrategy::DFS:
-      return frontier.size() - 1;
-    case SearchStrategy::BFS:
-      return 0;
-    case SearchStrategy::Random:
-      return static_cast<size_t>(rng.below(frontier.size()));
-    case SearchStrategy::Coverage: {
-      // Highest new-coverage count wins; newest state breaks ties (keeps a
-      // DFS flavor so progress is still made when nothing is novel).
-      size_t best = 0;
-      for (size_t i = 1; i < frontier.size(); ++i) {
-        const Frontier& a = frontier[i];
-        const Frontier& b = frontier[best];
-        if (a.newCovered > b.newCovered ||
-            (a.newCovered == b.newCovered && a.order > b.order)) {
-          best = i;
-        }
-      }
-      return best;
-    }
-  }
-  return frontier.size() - 1;
-}
-
-size_t Explorer::pickEvict(const std::vector<Frontier>& frontier,
-                           Rng& rng) const {
-  switch (config_.strategy) {
-    case SearchStrategy::DFS:
-      return 0;  // DFS schedules the back first; the front goes last
-    case SearchStrategy::BFS:
-      return frontier.size() - 1;  // BFS drains the front; the back goes last
-    case SearchStrategy::Random:
-      return static_cast<size_t>(rng.below(frontier.size()));
-    case SearchStrategy::Coverage: {
-      // Mirror of pickNext: least new coverage loses; oldest breaks ties.
-      size_t worst = 0;
-      for (size_t i = 1; i < frontier.size(); ++i) {
-        const Frontier& a = frontier[i];
-        const Frontier& b = frontier[worst];
-        if (a.newCovered < b.newCovered ||
-            (a.newCovered == b.newCovered && a.order < b.order)) {
-          worst = i;
-        }
-      }
-      return worst;
-    }
-  }
-  return 0;
 }
 
 namespace {
@@ -173,27 +115,28 @@ PathResult Explorer::finishPath(MachineState&& st, uint64_t node,
   if (st.defect) {
     r.defect = std::move(st.defect);
     r.test = r.defect->witness;
-    if (config_.observer) config_.observer->onPathDone(node, r);
-    return r;
-  }
-  // Solve the path condition once for the witness, the concrete exit code
-  // and the concrete output trace. Truncated paths skip this: the
-  // governor closed them precisely because a budget ran out, so no new
-  // solver work is spent on them.
-  if (st.status != PathStatus::Truncated && svc_.config.generateTests &&
-      svc_.solver.check(st.pathCond) == smt::CheckResult::Sat) {
-    for (const InputRecord& in : st.inputs) {
-      r.test.inputs.push_back({in.name, in.width, svc_.solver.modelValue(in.term)});
-    }
-    if (st.status == PathStatus::Exited && st.exitCode.valid()) {
-      r.exitCode = svc_.solver.modelValue(st.exitCode);
-    }
-    for (const OutputRecord& o : st.outputs) {
-      r.outputs.push_back(svc_.solver.modelValue(o.term));
-    }
+  } else {
+    solvePathWitness(svc_, st, r);
   }
   if (config_.observer) config_.observer->onPathDone(node, r);
   return r;
+}
+
+void solvePathWitness(EngineServices& svc, const MachineState& st,
+                      PathResult& r) {
+  if (st.status == PathStatus::Truncated || !svc.config.generateTests ||
+      svc.solver.check(st.pathCond) != smt::CheckResult::Sat) {
+    return;
+  }
+  for (const InputRecord& in : st.inputs) {
+    r.test.inputs.push_back({in.name, in.width, svc.solver.modelValue(in.term)});
+  }
+  if (st.status == PathStatus::Exited && st.exitCode.valid()) {
+    r.exitCode = svc.solver.modelValue(st.exitCode);
+  }
+  for (const OutputRecord& o : st.outputs) {
+    r.outputs.push_back(svc.solver.modelValue(o.term));
+  }
 }
 
 ExploreSummary Explorer::run() {
@@ -238,7 +181,7 @@ ExploreSummary Explorer::run() {
 
   // Close one frontier state as Truncated{why} (governor eviction).
   auto evict = [&](TruncReason why) {
-    const size_t vi = pickEvict(frontier, rng);
+    const size_t vi = pickEvict(config_.strategy, frontier, rng);
     Frontier ev = std::move(frontier[vi]);
     frontier.erase(frontier.begin() + static_cast<long>(vi));
     frontierBytes -= ev.bytes;
@@ -289,7 +232,7 @@ ExploreSummary Explorer::run() {
       break;
     }
 
-    const size_t idx = pickNext(frontier, rng);
+    const size_t idx = pickNext(config_.strategy, frontier, rng);
     Frontier cur = std::move(frontier[idx]);
     frontier.erase(frontier.begin() + static_cast<long>(idx));
     frontierBytes -= cur.bytes;

@@ -3,10 +3,12 @@
 // PathResults (with generated test inputs) for every completed path.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/executor.h"
@@ -24,6 +26,61 @@ enum class SearchStrategy : uint8_t {
 };
 
 const char* strategyName(SearchStrategy s);
+
+/// The Coverage strategy's order on frontier entries: new-pc credit
+/// (`newCovered`), ties broken by creation sequence (`order`). Both
+/// engines' frontier entries carry the two fields.
+template <class Entry>
+bool coverageLess(const Entry& a, const Entry& b) {
+  return std::pair(a.newCovered, a.order) < std::pair(b.newCovered, b.order);
+}
+
+/// The frontier entry the strategy runs next.
+template <class Entry>
+size_t pickNext(SearchStrategy s, const std::vector<Entry>& fr, Rng& rng) {
+  switch (s) {
+    case SearchStrategy::DFS: return fr.size() - 1;
+    case SearchStrategy::BFS: return 0;
+    case SearchStrategy::Random:
+      return static_cast<size_t>(rng.below(fr.size()));
+    case SearchStrategy::Coverage:
+      // Highest new-coverage count wins; newest state breaks ties (keeps a
+      // DFS flavor so progress is still made when nothing is novel).
+      return static_cast<size_t>(
+          std::max_element(fr.begin(), fr.end(), coverageLess<Entry>) -
+          fr.begin());
+  }
+  return fr.size() - 1;
+}
+
+/// Eviction victim for the governor: the entry the strategy would
+/// schedule *last* (mirror image of pickNext).
+template <class Entry>
+size_t pickEvict(SearchStrategy s, const std::vector<Entry>& fr, Rng& rng) {
+  switch (s) {
+    case SearchStrategy::DFS: return 0;  // the front goes last
+    case SearchStrategy::BFS: return fr.size() - 1;  // the back goes last
+    case SearchStrategy::Random:
+      return static_cast<size_t>(rng.below(fr.size()));
+    case SearchStrategy::Coverage:
+      // Least new coverage loses; oldest breaks ties.
+      return static_cast<size_t>(
+          std::min_element(fr.begin(), fr.end(), coverageLess<Entry>) -
+          fr.begin());
+  }
+  return 0;
+}
+
+/// Approximate resident bytes per hash-consed term (node + bucket + ref
+/// bookkeeping): the memory governor's charge for a term pool.
+inline constexpr size_t kBytesPerTerm = 48;
+
+/// The witness half of finishing a path: solve its path condition once
+/// for the test inputs, the concrete exit code and the concrete output
+/// trace. Truncated paths skip this: the governor closed them precisely
+/// because a budget ran out, so no new solver work is spent on them.
+void solvePathWitness(EngineServices& svc, const MachineState& st,
+                      PathResult& r);
 
 struct ExplorerConfig {
   SearchStrategy strategy = SearchStrategy::DFS;
@@ -122,10 +179,6 @@ class Explorer {
     std::string key;
   };
 
-  size_t pickNext(const std::vector<Frontier>& frontier, Rng& rng) const;
-  /// Eviction victim for the governor: the state the strategy would
-  /// schedule *last* (mirror image of pickNext).
-  size_t pickEvict(const std::vector<Frontier>& frontier, Rng& rng) const;
   PathResult finishPath(MachineState&& st, uint64_t node,
                         std::string pathKey = {});
   /// Try to merge `incoming` into `host` (both Running, same pc).

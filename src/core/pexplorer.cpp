@@ -26,9 +26,6 @@
 namespace adlsym::core {
 namespace {
 
-// Mirror of the sequential explorer's term accounting unit (explorer.cpp).
-constexpr size_t kBytesPerTerm = 48;
-
 // Structural address of a state in the fork tree: the sequence of
 // successor indices taken from the root. Worker- and schedule-independent,
 // and lexicographic order over keys is exactly DFS preorder with children
@@ -73,31 +70,6 @@ struct Entry {
   uint64_t newCovered = 0;  // decaying new-pc credit (Coverage strategy)
   size_t bytes = 0;         // approxBytes at enqueue (governor tally)
 };
-
-/// Fold one worker's solver snapshot into the running aggregate — the
-/// barrier merge and the checkpoint writer must sum identically.
-void accumulateSolver(smt::SolverTelemetry& a, const smt::SolverTelemetry& t) {
-  a.queries += t.queries;
-  a.sat += t.sat;
-  a.unsat += t.unsat;
-  a.unknown += t.unknown;
-  a.totalMicros += t.totalMicros;
-  a.maxMicros = std::max(a.maxMicros, t.maxMicros);
-  a.cacheHits += t.cacheHits;
-  a.satCore += t.satCore;
-  a.blast += t.blast;
-  a.satVars += t.satVars;
-  a.satClauses += t.satClauses;
-  a.canon += t.canon;
-  a.preEnabled = a.preEnabled || t.preEnabled;
-  a.preConsulted += t.preConsulted;
-  a.preSat += t.preSat;
-  a.preUnsat += t.preUnsat;
-  a.preFallback += t.preFallback;
-  a.preShortcircuit += t.preShortcircuit;
-  a.directSolves += t.directSolves;
-  a.preCoreConstraints += t.preCoreConstraints;
-}
 
 /// Checkpoint form of the across-worker solver aggregate: every field a
 /// resumed run must treat as already-consumed baseline.
@@ -169,7 +141,7 @@ smt::SolverTelemetry readSolverCkpt(const json::Value& v) {
   t.canon.terms = ckpt::fieldU64(canon, "terms");
   t.canon.gates = ckpt::fieldU64(canon, "gates");
   t.canon.conflicts = ckpt::fieldU64(canon, "conflicts");
-  t.preEnabled = ckpt::field(v, "pre_enabled").boolean;
+  t.preEnabled = ckpt::fieldBool(v, "pre_enabled");
   t.preConsulted = ckpt::fieldU64(v, "pre_consulted");
   t.preSat = ckpt::fieldU64(v, "pre_sat");
   t.preUnsat = ckpt::fieldU64(v, "pre_unsat");
@@ -178,50 +150,6 @@ smt::SolverTelemetry readSolverCkpt(const json::Value& v) {
   t.directSolves = ckpt::fieldU64(v, "direct_solves");
   t.preCoreConstraints = ckpt::fieldU64(v, "pre_core_constraints");
   return t;
-}
-
-size_t pickNextIdx(SearchStrategy s, const std::vector<Entry>& fr, Rng& rng) {
-  switch (s) {
-    case SearchStrategy::DFS: return fr.size() - 1;
-    case SearchStrategy::BFS: return 0;
-    case SearchStrategy::Random:
-      return static_cast<size_t>(rng.below(fr.size()));
-    case SearchStrategy::Coverage: {
-      size_t best = 0;
-      for (size_t i = 1; i < fr.size(); ++i) {
-        const Entry& a = fr[i];
-        const Entry& b = fr[best];
-        if (a.newCovered > b.newCovered ||
-            (a.newCovered == b.newCovered && a.order > b.order)) {
-          best = i;
-        }
-      }
-      return best;
-    }
-  }
-  return fr.size() - 1;
-}
-
-size_t pickEvictIdx(SearchStrategy s, const std::vector<Entry>& fr, Rng& rng) {
-  switch (s) {
-    case SearchStrategy::DFS: return 0;
-    case SearchStrategy::BFS: return fr.size() - 1;
-    case SearchStrategy::Random:
-      return static_cast<size_t>(rng.below(fr.size()));
-    case SearchStrategy::Coverage: {
-      size_t worst = 0;
-      for (size_t i = 1; i < fr.size(); ++i) {
-        const Entry& a = fr[i];
-        const Entry& b = fr[worst];
-        if (a.newCovered < b.newCovered ||
-            (a.newCovered == b.newCovered && a.order < b.order)) {
-          worst = i;
-        }
-      }
-      return worst;
-    }
-  }
-  return 0;
 }
 
 // Global per-node record, guarded by Engine::recMu. Creation fields are
@@ -368,9 +296,8 @@ struct Engine {
     cv.notify_all();
   }
 
-  // Mirror of Explorer::finishPath: resolve the terminal record,
-  // optionally solve the path condition for a witness, and file the
-  // result under the node's key.
+  // Resolve the terminal record, solve the path's witness (like
+  // Explorer::finishPath), and file the result under the node's key.
   void finishPath(Worker& w, MachineState&& st, const PathKey& key) {
     PathResult r;
     r.status = st.status;
@@ -383,19 +310,8 @@ struct Engine {
     if (st.defect) {
       r.defect = std::move(st.defect);
       r.test = r.defect->witness;
-    } else if (st.status != PathStatus::Truncated &&
-               w.svc->config.generateTests &&
-               w.solver.check(st.pathCond) == smt::CheckResult::Sat) {
-      for (const InputRecord& in : st.inputs) {
-        r.test.inputs.push_back(
-            {in.name, in.width, w.solver.modelValue(in.term)});
-      }
-      if (st.status == PathStatus::Exited && st.exitCode.valid()) {
-        r.exitCode = w.solver.modelValue(st.exitCode);
-      }
-      for (const OutputRecord& o : st.outputs) {
-        r.outputs.push_back(w.solver.modelValue(o.term));
-      }
+    } else {
+      solvePathWitness(*w.svc, st, r);
     }
     gPathsDone.fetch_add(1, std::memory_order_relaxed);
     if (ob) ob->onPathDone(0, r);
@@ -407,7 +323,7 @@ struct Engine {
   // eviction). Returns false when w has nothing left to evict.
   bool evictLocal(Worker& w, TruncReason why) {
     if (w.frontier.empty()) return false;
-    const size_t vi = pickEvictIdx(base.strategy, w.frontier, w.rng);
+    const size_t vi = pickEvict(base.strategy, w.frontier, w.rng);
     Entry ev = std::move(w.frontier[vi]);
     w.frontier.erase(w.frontier.begin() + static_cast<long>(vi));
     gFrontier.fetch_sub(1, std::memory_order_relaxed);
@@ -494,7 +410,7 @@ struct Engine {
     // cannot observe idle == jobs and falsely declare the pool finished.
     --idle;
     Worker& thief = *workers[ti];
-    const size_t vi = pickEvictIdx(base.strategy, w.frontier, w.rng);
+    const size_t vi = pickEvict(base.strategy, w.frontier, w.rng);
     Entry ev = std::move(w.frontier[vi]);
     w.frontier.erase(w.frontier.begin() + static_cast<long>(vi));
     thief.inbox.push_back(migrate(std::move(ev), w, thief));
@@ -519,7 +435,7 @@ struct Engine {
   smt::SolverTelemetry solverSum() const {
     smt::SolverTelemetry t = solverBase;
     for (const auto& wp : workers) {
-      accumulateSolver(t, wp->solver.telemetrySnapshot());
+      t += wp->solver.telemetrySnapshot();
     }
     return t;
   }
@@ -778,7 +694,7 @@ struct Engine {
 
   // One scheduling slot: mirror of the sequential loop body.
   void step(Worker& w) {
-    const size_t idx = pickNextIdx(base.strategy, w.frontier, w.rng);
+    const size_t idx = pickNext(base.strategy, w.frontier, w.rng);
     Entry cur = std::move(w.frontier[idx]);
     w.frontier.erase(w.frontier.begin() + static_cast<long>(idx));
     gFrontier.fetch_sub(1, std::memory_order_relaxed);
@@ -1071,7 +987,7 @@ ParallelResult ParallelExplorer::run() {
       mainTel_ ? mainTel_->clock() : telemetry::Clock::system();
   const json::Value* rv = cfg_.resume;
   const bool resumedComplete =
-      rv != nullptr && ckpt::field(*rv, "complete").boolean;
+      rv != nullptr && ckpt::fieldBool(*rv, "complete");
   // Exactly two reads of the coordinator clock per run (here and at the
   // end), so wallSeconds under --clock=manual is a constant independent of
   // scheduling; workers run on their own clock instances. A resumed run
@@ -1236,7 +1152,7 @@ ParallelResult ParallelExplorer::run() {
       n.solverQueries = ckpt::fieldU64(re, "q");
       n.solverMicros = ckpt::fieldU64(re, "us");
       n.numChildren = static_cast<size_t>(ckpt::fieldU64(re, "nc"));
-      n.dropped = ckpt::field(re, "d").boolean;
+      n.dropped = ckpt::fieldBool(re, "d");
       n.dropPc = ckpt::fieldU64(re, "dp");
       if (const json::Value* r = re.find("r")) {
         n.result = ckpt::readPathResult(*r);

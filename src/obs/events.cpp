@@ -364,8 +364,9 @@ void EventBus::writeCkptJson(json::Writer& w, const CkptGauges& g) const {
 void EventBus::resumeRun(const RunMeta& meta, const json::Value& v) {
   const auto u64 = [&](const json::Value& obj, const char* name) -> uint64_t {
     const json::Value* f = obj.find(name);
-    if (f == nullptr) {
-      throw InputError(std::string("events section: missing '") + name + "'");
+    if (f == nullptr || !f->isU64()) {
+      throw InputError(std::string("events section: '") + name +
+                       "' is missing or not a non-negative integer");
     }
     return f->asU64();
   };
@@ -375,6 +376,9 @@ void EventBus::resumeRun(const RunMeta& meta, const json::Value& v) {
   stepEvents_ = u64(v, "step_events");
   startMicros_ = u64(v, "start_micros");
   const json::Value* started = v.find("started");
+  if (started != nullptr && !started->isBool()) {
+    throw InputError("events section: 'started' is not a boolean");
+  }
   started_ = started != nullptr && started->boolean;
   const json::Value* counts = v.find("counts");
   const json::Value* live = v.find("live");

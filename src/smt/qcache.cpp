@@ -1,6 +1,7 @@
 #include "smt/qcache.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "smt/solver.h"
 #include "support/json.h"
@@ -184,51 +185,56 @@ std::string QueryCache::canonicalKey(const std::vector<TermRef>& permanent,
   return key;
 }
 
+std::string QueryCache::localKey(const std::vector<TermRef>& assumptions) {
+  std::vector<TermId> ids;
+  ids.reserve(assumptions.size());
+  for (const TermRef t : assumptions) ids.push_back(t.id());
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::string key(ids.size() * sizeof(TermId), '\0');
+  if (!ids.empty()) std::memcpy(key.data(), ids.data(), key.size());
+  return key;
+}
+
 QueryCache::Outcome QueryCache::acquire(const std::string& key) {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     auto it = map_.find(key);
     if (it == map_.end()) {
-      map_.emplace(key, Entry{});  // in-flight marker; caller owns
+      map_.emplace(key, Outcome{});  // in-flight marker; caller owns
       ++stats_.misses;
       return Outcome{};
     }
-    if (it->second.done) {
+    if (it->second.hit) {
       ++stats_.hits;
-      Outcome o;
-      o.hit = true;
-      o.result = it->second.result;
-      o.slotValues = it->second.slotValues;
-      o.cost = it->second.cost;
-      o.hasModel = it->second.hasModel;
-      o.preTag = it->second.preTag;
-      return o;
+      return it->second;
     }
     // In flight on another thread: wait for publish()/abandon(), then
     // re-examine (an abandoned key makes this caller the next owner).
     ++stats_.inflightWaits;
     cv_.wait(lk, [&] {
       auto cur = map_.find(key);
-      return cur == map_.end() || cur->second.done;
+      return cur == map_.end() || cur->second.hit;
     });
   }
 }
 
 void QueryCache::publish(const std::string& key, CheckResult result,
-                         std::vector<uint64_t> slotValues, QueryCost cost,
+                         std::vector<uint64_t> model, QueryCost cost,
                          uint8_t preTag, bool hasModel) {
   std::lock_guard<std::mutex> lk(mu_);
-  Entry& e = map_[key];
-  e.done = true;
+  const auto it = map_.try_emplace(key).first;
+  Outcome& e = it->second;
+  if (!e.hit) fifo_.push_back(&it->first);
+  e.hit = true;
   e.result = result;
-  e.slotValues = std::move(slotValues);
+  e.model = std::move(model);
   e.cost = cost;
   e.preTag = preTag;
   e.hasModel = hasModel;
-  fifo_.push_back(key);
   if (capacity_ != 0) {
     while (fifo_.size() > capacity_) {
-      map_.erase(fifo_.front());
+      map_.erase(map_.find(*fifo_.front()));
       fifo_.pop_front();
       ++stats_.evictions;
     }
@@ -237,22 +243,28 @@ void QueryCache::publish(const std::string& key, CheckResult result,
 }
 
 void QueryCache::backfillModel(const std::string& key,
-                               std::vector<uint64_t> slotValues) {
+                               std::vector<uint64_t> model) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = map_.find(key);
-  if (it == map_.end() || !it->second.done || it->second.hasModel ||
+  if (it == map_.end() || !it->second.hit || it->second.hasModel ||
       it->second.result != CheckResult::Sat) {
     return;
   }
-  it->second.slotValues = std::move(slotValues);
+  it->second.model = std::move(model);
   it->second.hasModel = true;
 }
 
 void QueryCache::abandon(const std::string& key) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = map_.find(key);
-  if (it != map_.end() && !it->second.done) map_.erase(it);
+  if (it != map_.end() && !it->second.hit) map_.erase(it);
   cv_.notify_all();
+}
+
+void QueryCache::clear() {
+  std::lock_guard<std::mutex> lk(mu_);
+  fifo_.clear();
+  map_.clear();
 }
 
 void QueryCache::writeCkptJson(json::Writer& w) const {
@@ -260,7 +272,7 @@ void QueryCache::writeCkptJson(json::Writer& w) const {
   std::vector<const std::string*> keys;
   keys.reserve(map_.size());
   for (const auto& [key, e] : map_) {
-    if (e.done) keys.push_back(&key);
+    if (e.hit) keys.push_back(&key);
   }
   std::sort(keys.begin(), keys.end(),
             [](const std::string* a, const std::string* b) { return *a < *b; });
@@ -270,12 +282,12 @@ void QueryCache::writeCkptJson(json::Writer& w) const {
   w.kv("evictions", stats_.evictions);
   w.key("entries").beginArray();
   for (const std::string* key : keys) {
-    const Entry& e = map_.at(*key);
+    const Outcome& e = map_.at(*key);
     w.beginObject();
     w.kv("k", std::string_view(*key));
     w.kv("r", e.result == CheckResult::Sat ? "sat" : "unsat");
     w.key("m").beginArray();
-    for (const uint64_t v : e.slotValues) w.value(v);
+    for (const uint64_t v : e.model) w.value(v);
     w.endArray();
     w.key("c").beginArray();
     w.value(e.cost.terms).value(e.cost.gates).value(e.cost.conflicts);
@@ -289,12 +301,19 @@ void QueryCache::writeCkptJson(json::Writer& w) const {
 }
 
 void QueryCache::restoreFromCkpt(const json::Value& v) {
+  const auto num = [](const json::Value& f, const char* what) -> uint64_t {
+    if (!f.isU64()) {
+      throw InputError(std::string("qcache section: '") + what +
+                       "' is not a non-negative integer");
+    }
+    return f.asU64();
+  };
   const auto u64 = [&](const char* name) -> uint64_t {
     const json::Value* f = v.find(name);
     if (f == nullptr) {
       throw InputError(std::string("qcache section: missing '") + name + "'");
     }
-    return f->asU64();
+    return num(*f, name);
   };
   const json::Value* entries = v.find("entries");
   if (entries == nullptr || !entries->isArray()) {
@@ -314,8 +333,8 @@ void QueryCache::restoreFromCkpt(const json::Value& v) {
         !cost->isArray() || cost->array.size() != 3) {
       throw InputError("qcache section: malformed entry");
     }
-    Entry e;
-    e.done = true;
+    Outcome e;
+    e.hit = true;
     if (result->str == "sat") {
       e.result = CheckResult::Sat;
     } else if (result->str == "unsat") {
@@ -323,17 +342,25 @@ void QueryCache::restoreFromCkpt(const json::Value& v) {
     } else {
       throw InputError("qcache section: bad result '" + result->str + "'");
     }
-    e.slotValues.reserve(model->array.size());
-    for (const json::Value& m : model->array) e.slotValues.push_back(m.asU64());
-    e.cost.terms = cost->array[0].asU64();
-    e.cost.gates = cost->array[1].asU64();
-    e.cost.conflicts = cost->array[2].asU64();
-    const json::Value* hm = ev.find("hm");
-    const json::Value* p = ev.find("p");
-    e.hasModel = hm == nullptr || hm->boolean;
-    e.preTag = p == nullptr ? 0 : static_cast<uint8_t>(p->asU64());
+    e.model.reserve(model->array.size());
+    for (const json::Value& m : model->array) e.model.push_back(num(m, "m"));
+    e.cost.terms = num(cost->array[0], "c");
+    e.cost.gates = num(cost->array[1], "c");
+    e.cost.conflicts = num(cost->array[2], "c");
+    if (const json::Value* hm = ev.find("hm")) {
+      if (!hm->isBool()) throw InputError("qcache section: 'hm' is not a boolean");
+      e.hasModel = hm->boolean;
+    }
+    if (const json::Value* p = ev.find("p")) {
+      const uint64_t tag = num(*p, "p");
+      if (tag > 3) {
+        throw InputError("qcache section: 'p' is " + std::to_string(tag) +
+                         ", not a prefilter tag (0-3)");
+      }
+      e.preTag = static_cast<uint8_t>(tag);
+    }
     auto [it, inserted] = map_.emplace(key->str, std::move(e));
-    if (inserted) fifo_.push_back(key->str);
+    if (inserted) fifo_.push_back(&it->first);
   }
   cv_.notify_all();
 }

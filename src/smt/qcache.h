@@ -1,22 +1,24 @@
-// Shared SMT query cache for multi-threaded exploration (docs/
-// parallelism.md). Workers solve path-feasibility queries on per-worker
-// term pools, so TermIds are not comparable across threads; the cache key
-// is instead a *canonical serialization* of the whole constraint set:
-// assumptions are serialized structurally (DAG-shared, so shared subterms
-// never blow up the key), sorted name-blind, de-duplicated, and variables
-// are α-renamed to dense slots in first-occurrence order. Two constraint
-// sets that are structurally equal up to a variable renaming (that
-// preserves the sorted order — e.g. any single-constraint query, or sets
-// whose constraints differ structurally) produce the same key; false
-// positives are impossible because the key encodes the full structure.
+// The SMT query cache (docs/parallelism.md): verdicts, models and solve
+// costs by query key. One type serves both of SmtSolver's caches, which
+// differ only in the key:
 //
-// Sat entries store their model as a slot-indexed value vector; each
-// client translates slots back to its own pool's variables through the
-// slotVars mapping returned by canonicalKey. This is what makes cached
-// models *canonical*: every distinct key is solved exactly once (single-
-// flight), on a fresh solver whose CNF depends only on term structure, so
-// the model a worker observes is independent of scheduling — the
-// cornerstone of the -j1 == -jN determinism guarantee.
+//  - localKey: the sorted, de-duplicated pool-local assumption ids. Hash-
+//    consing makes structurally equal assumptions share ids, so within one
+//    term pool this key is exact. Each SmtSolver owns one such cache for
+//    incremental mode; Sat models are stored by the pool's variable index.
+//  - canonicalKey: for the run-wide cache shared by parallel workers,
+//    whose TermIds are not comparable across pools. The key is a
+//    *canonical serialization* of the whole constraint set: constraints
+//    serialized structurally (DAG-shared), sorted name-blind, de-
+//    duplicated, variables α-renamed to dense slots in first-occurrence
+//    order. Sets structurally equal up to an order-preserving renaming
+//    share a key; false positives are impossible because the key encodes
+//    the full structure. Sat models are stored slot-indexed and each
+//    client maps slots back to its own variables (canonicalKey's
+//    slotVars). Every distinct key is solved exactly once (single-flight)
+//    on a fresh core whose CNF depends only on term structure, so the
+//    model a worker observes is independent of scheduling — the
+//    cornerstone of the -j1 == -jN determinism guarantee.
 //
 // Concurrency: one mutex + condvar. acquire() is single-flight — the
 // first caller of a key becomes its *owner* and must publish() (verdict +
@@ -62,6 +64,7 @@ struct QueryCost {
     conflicts += o.conflicts;
     return *this;
   }
+  bool operator==(const QueryCost&) const = default;
 };
 
 class QueryCache {
@@ -96,10 +99,12 @@ class QueryCache {
   Stats stats() const;
 
   struct Outcome {
-    bool hit = false;   // result/slotValues valid; otherwise caller owns
+    bool hit = false;   // result/model valid; otherwise caller owns
     CheckResult result;
-    std::vector<uint64_t> slotValues;  // Sat models, indexed by var slot
-    QueryCost cost;                    // canonical solve cost, replayed
+    /// Sat model, indexed by the key's variables: α-slots under
+    /// canonicalKey, pool variable indices under localKey.
+    std::vector<uint64_t> model;
+    QueryCost cost;  // canonical solve cost, replayed
     /// Sat entries published by the abstract prefilter skip the solve and
     /// carry no model; a later needModel hit restores one (canonically)
     /// and backfills it via backfillModel().
@@ -119,23 +124,25 @@ class QueryCache {
   Outcome acquire(const std::string& key);
 
   /// Owner: complete the key with a verdict (never Unknown — abandon
-  /// those), for Sat the slot-indexed model, and the canonical solve cost
+  /// those), for Sat the model (see Outcome), and the canonical solve cost
   /// (replayed verbatim to every later hit). `preTag`/`hasModel` document
   /// the verdict's provenance (see Outcome).
   void publish(const std::string& key, CheckResult result,
-               std::vector<uint64_t> slotValues, QueryCost cost = {},
+               std::vector<uint64_t> model, QueryCost cost = {},
                uint8_t preTag = 0, bool hasModel = true);
 
   /// Attach a restored model to a completed model-less Sat entry (no-op
   /// for anything else). Concurrent restorers of one key compute the same
   /// canonical model, so last-writer-wins is benign.
-  void backfillModel(const std::string& key,
-                     std::vector<uint64_t> slotValues);
+  void backfillModel(const std::string& key, std::vector<uint64_t> model);
 
   /// Owner: give the key up without a verdict (Unknown result, or an
   /// exception unwound through the solve). Waiters retry and one becomes
   /// the next owner.
   void abandon(const std::string& key);
+
+  /// Drop every entry; the counters stay. No key may be in flight.
+  void clear();
 
   /// Serialize every completed entry plus the schedule-independent stats
   /// counters — the "qcache" checkpoint section (adlsym-ckpt-v1,
@@ -161,20 +168,20 @@ class QueryCache {
                                   const std::vector<TermRef>& assumptions,
                                   std::vector<TermRef>* slotVars);
 
- private:
-  struct Entry {
-    bool done = false;
-    CheckResult result;
-    std::vector<uint64_t> slotValues;
-    QueryCost cost;
-    bool hasModel = true;
-    uint8_t preTag = 0;
-  };
+  /// Pool-local key of an assumption set (see file comment): the raw
+  /// bytes of its sorted, de-duplicated TermIds. Only comparable within
+  /// one term pool and one set of permanent assertions.
+  static std::string localKey(const std::vector<TermRef>& assumptions);
 
+ private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::unordered_map<std::string, Entry> map_;
-  std::deque<std::string> fifo_;  // completed keys, publish order
+  // Every key acquired and neither abandoned nor evicted; `hit` marks a
+  // completed entry, the rest are in flight.
+  std::unordered_map<std::string, Outcome> map_;
+  // Completed keys in publish order. They point into map_'s nodes, which
+  // never move, so no key is stored twice.
+  std::deque<const std::string*> fifo_;
   size_t capacity_;
   Stats stats_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <sstream>
 
 #include "smt/presolver.h"
@@ -101,6 +100,30 @@ std::string SolverTelemetry::format() const {
   return out;
 }
 
+SolverTelemetry& SolverTelemetry::operator+=(const SolverTelemetry& o) {
+  queries += o.queries;
+  sat += o.sat;
+  unsat += o.unsat;
+  unknown += o.unknown;
+  totalMicros += o.totalMicros;
+  maxMicros = std::max(maxMicros, o.maxMicros);
+  cacheHits += o.cacheHits;
+  satCore += o.satCore;
+  blast += o.blast;
+  satVars += o.satVars;
+  satClauses += o.satClauses;
+  canon += o.canon;
+  preEnabled = preEnabled || o.preEnabled;
+  preConsulted += o.preConsulted;
+  preSat += o.preSat;
+  preUnsat += o.preUnsat;
+  preFallback += o.preFallback;
+  preShortcircuit += o.preShortcircuit;
+  directSolves += o.directSolves;
+  preCoreConstraints += o.preCoreConstraints;
+  return *this;
+}
+
 SolverTelemetry SmtSolver::telemetrySnapshot() const {
   SolverTelemetry t;
   t.queries = stats_.queries;
@@ -150,8 +173,9 @@ void SmtSolver::assertAlways(TermRef t) {
   adlsym::check(t.width() == 1, "assertAlways requires a width-1 term");
   if (t.isTrue()) return;
   permanentAsserts_.push_back(t);
-  // Cached verdicts were computed without this assertion.
-  queryCache_.clear();
+  // Cached verdicts were computed without this assertion. (The shared
+  // cache needs no clearing: its key covers the permanent assertions.)
+  localCache_.clear();
   if (t.isFalse()) {
     permanentlyUnsat_ = true;
     return;
@@ -168,32 +192,40 @@ CheckResult fromSat(SatResult r) {
   }
   return CheckResult::Unknown;
 }
+
+/// Bump the counter of verdict `r`.
+void tally(CheckResult r, uint64_t& sat, uint64_t& unsat, uint64_t& unknown) {
+  ++(r == CheckResult::Sat ? sat : r == CheckResult::Unsat ? unsat : unknown);
+}
 }  // namespace
 
-SmtSolver::FreshCore& SmtSolver::resetFreshCore() {
+CheckResult SmtSolver::solveFresh(const std::vector<TermRef>& assumptions,
+                                  telemetry::Clock* clk, uint64_t deadlineUs) {
   if (fresh_ == nullptr) {
     fresh_ = std::make_unique<FreshCore>(tm_);
   } else {
     fresh_->sat.reset();
     fresh_->bb.reset();
   }
-  return *fresh_;
-}
-
-bool SmtSolver::blastFresh(FreshCore& fc,
-                           const std::vector<TermRef>& assumptions,
-                           std::vector<Lit>& lits) {
+  FreshCore& fc = *fresh_;
+  if (clk != nullptr) {
+    fc.sat.setTelemetry(tel_);
+    fc.bb.setTelemetry(tel_);
+    fc.sat.setConflictBudget(conflictBudget_);
+    if (deadlineUs != 0) fc.sat.setDeadline(clk, deadlineUs);
+  }
   bool ok = true;
   for (const TermRef t : permanentAsserts_) {
     if (t.isFalse() || !fc.sat.addUnit(fc.bb.litFor(t))) ok = false;
   }
+  std::vector<Lit> lits;
   lits.reserve(assumptions.size());
   for (const TermRef t : assumptions) {
     if (t.isTrue()) continue;
-    if (t.isFalse()) return false;
+    if (t.isFalse()) return CheckResult::Unsat;
     lits.push_back(fc.bb.litFor(t));
   }
-  return ok;
+  return ok ? fromSat(fc.sat.solve(lits)) : CheckResult::Unsat;
 }
 
 void SmtSolver::snapshotModel(BitBlaster& bb, const SatSolver& sat) {
@@ -203,49 +235,95 @@ void SmtSolver::snapshotModel(BitBlaster& bb, const SatSolver& sat) {
     for (size_t i = 0; i < bits.size(); ++i) {
       if (sat.modelValue(bits[i])) v |= uint64_t{1} << i;
     }
-    model_[tm_.varIndex(termId)] = v;
+    const uint32_t idx = tm_.varIndex(termId);
+    if (idx >= model_.size()) model_.resize(idx + 1, 0);
+    model_[idx] = v;
+  }
+}
+
+std::vector<uint64_t> SmtSolver::modelForCache(
+    const std::vector<TermRef>* slotVars) const {
+  if (slotVars == nullptr) return model_;
+  std::vector<uint64_t> values;
+  values.reserve(slotVars->size());
+  for (const TermRef v : *slotVars) {
+    const uint32_t idx = tm_.varIndex(v.id());
+    values.push_back(idx < model_.size() ? model_[idx] : 0);
+  }
+  return values;
+}
+
+void SmtSolver::loadCachedModel(std::vector<uint64_t> values,
+                                const std::vector<TermRef>* slotVars) {
+  if (slotVars == nullptr) {
+    model_ = std::move(values);
+    return;
+  }
+  model_.clear();
+  const size_t n = std::min(slotVars->size(), values.size());
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t idx = tm_.varIndex((*slotVars)[i].id());
+    if (idx >= model_.size()) model_.resize(idx + 1, 0);
+    model_[idx] = values[i];
   }
 }
 
 CheckResult SmtSolver::checkFresh(const std::vector<TermRef>& assumptions) {
-  FreshCore& fc = resetFreshCore();
-  std::vector<Lit> lits;
-  if (!blastFresh(fc, assumptions, lits)) return CheckResult::Unsat;
-  return fromSat(fc.sat.solve(lits));
-}
-
-CheckResult SmtSolver::solveFreshWithModel(
-    const std::vector<TermRef>& assumptions, telemetry::Clock* clk,
-    uint64_t deadlineUs) {
-  FreshCore& fc = resetFreshCore();
-  fc.sat.setTelemetry(tel_);
-  fc.bb.setTelemetry(tel_);
-  fc.sat.setConflictBudget(conflictBudget_);
-  if (deadlineUs != 0) fc.sat.setDeadline(clk, deadlineUs);
-  std::vector<Lit> lits;
-  const CheckResult r = blastFresh(fc, assumptions, lits)
-                            ? fromSat(fc.sat.solve(lits))
-                            : CheckResult::Unsat;
-  if (r == CheckResult::Sat) snapshotModel(fc.bb, fc.sat);
-  freshSat_ += fc.sat.stats();
-  freshBlast_ += fc.bb.stats();
-  freshVars_ += fc.sat.numVars();
-  freshClauses_ += fc.sat.numClauses();
-  return r;
+  return solveFresh(assumptions, nullptr, 0);
 }
 
 void SmtSolver::restoreModelFresh(const std::vector<TermRef>& assumptions) {
-  // No telemetry, no budget, no deadline, no stats aggregation: see the
-  // header comment. The reset core sees the same canonical CNF as
-  // solveFreshWithModel would, so the model it finds is the model the
-  // single-flight miss solve would have published.
-  FreshCore& fc = resetFreshCore();
-  std::vector<Lit> lits;
-  const bool ok = blastFresh(fc, assumptions, lits);
-  adlsym::check(ok && fc.sat.solve(lits) == SatResult::Sat,
+  // Off the books (see the header comment). The reset core sees the same
+  // canonical CNF as a fresh-mode solve, so the model it finds is the
+  // model the single-flight miss solve would have published.
+  adlsym::check(solveFresh(assumptions, nullptr, 0) == CheckResult::Sat,
                 "prefilter sat certificate failed model restoration "
                 "(abstract-domain soundness bug)");
-  snapshotModel(fc.bb, fc.sat);
+  snapshotModel(fresh_->bb, fresh_->sat);
+}
+
+CheckResult SmtSolver::solve(const std::vector<TermRef>& assumptions,
+                             telemetry::Clock& clk, uint64_t deadlineUs,
+                             QueryCost& cost) {
+  if (freshMode_) {
+    const CheckResult r = solveFresh(assumptions, &clk, deadlineUs);
+    FreshCore& fc = *fresh_;
+    if (r == CheckResult::Sat) snapshotModel(fc.bb, fc.sat);
+    // The core was reset, so its stats are this query's cost.
+    cost = {fc.bb.stats().termsBlasted, fc.bb.stats().gates,
+            fc.sat.stats().conflicts};
+    freshSat_ += fc.sat.stats();
+    freshBlast_ += fc.bb.stats();
+    freshVars_ += fc.sat.numVars();
+    freshClauses_ += fc.sat.numClauses();
+    return r;
+  }
+  sat_.setDeadline(deadlineUs != 0 ? &clk : nullptr, deadlineUs);
+  const uint64_t terms0 = bb_.stats().termsBlasted;
+  const uint64_t gates0 = bb_.stats().gates;
+  const uint64_t conflicts0 = sat_.stats().conflicts;
+  std::vector<Lit> lits;
+  lits.reserve(assumptions.size());
+  for (const TermRef t : assumptions) {
+    if (!t.isTrue()) lits.push_back(bb_.litFor(t));
+  }
+  const CheckResult r = fromSat(sat_.solve(lits));
+  if (paranoid_ && r != CheckResult::Unknown) {
+    const CheckResult fresh = checkFresh(assumptions);
+    if (fresh != CheckResult::Unknown && fresh != r) {
+      std::vector<TermRef> all = permanentAsserts_;
+      all.insert(all.end(), assumptions.begin(), assumptions.end());
+      throw Error(std::string("paranoid check: incremental=") +
+                  checkResultName(r) + " fresh=" + checkResultName(fresh) +
+                  "\n" + toSmtLib(all));
+    }
+  }
+  // Snapshot variable values immediately: any later incremental blast
+  // (even for model reads) unwinds the assignment trail.
+  if (r == CheckResult::Sat) snapshotModel(bb_, sat_);
+  cost = {bb_.stats().termsBlasted - terms0, bb_.stats().gates - gates0,
+          sat_.stats().conflicts - conflicts0};
+  return r;
 }
 
 CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
@@ -258,32 +336,24 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
   // system clock otherwise.
   telemetry::Clock& clk =
       tel_ ? tel_->clock() : telemetry::Clock::system();
-  auto now = [&] { return clk.nowMicros(); };
-  const uint64_t startUs = now();
+  const uint64_t startUs = clk.nowMicros();
   bool cached = false;
   // Canonical cost of this query (QueryCost): measured on a miss, replayed
-  // from the cache on a hit, zero on short-circuited checks.
+  // from the cache on a hit, zero on short-circuited and prefilter-decided
+  // checks.
   QueryCost cost;
   auto finish = [&](CheckResult r) {
-    const uint64_t us = now() - startUs;
+    const uint64_t us = clk.nowMicros() - startUs;
     stats_.totalMicros += us;
     stats_.maxMicros = std::max(stats_.maxMicros, us);
-    switch (r) {
-      case CheckResult::Sat: ++stats_.sat; break;
-      case CheckResult::Unsat: ++stats_.unsat; break;
-      case CheckResult::Unknown: ++stats_.unknown; break;
-    }
+    tally(r, stats_.sat, stats_.unsat, stats_.unknown);
     stats_.canon += cost;
     if (shapeProfiling_) {
       const auto bucket = static_cast<unsigned>(std::bit_width(cost.terms));
       ShapeRow& row = shapes_[bucket];
       ++row.queries;
       if (cached) ++row.hits;
-      switch (r) {
-        case CheckResult::Sat: ++row.sat; break;
-        case CheckResult::Unsat: ++row.unsat; break;
-        case CheckResult::Unknown: ++row.unknown; break;
-      }
+      tally(r, row.sat, row.unsat, row.unknown);
       row.cost += cost;
     }
     if (queryHist_) queryHist_->record(us);
@@ -293,345 +363,134 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     }
     return r;
   };
-
-  // Prefilter accounting (docs/absdomain.md): consult() judges a cache
-  // miss abstractly and files it in its verdict bucket; replayTag()
-  // re-plays a cached key's provenance so per-issuance hit/miss tallies
-  // are independent of which caller took the miss. Conclusive verdicts
-  // are counted once per judged key, exactly like qcache misses.
-  auto consult = [&]() {
-    const PreVerdict pv = pre_->judge(permanentAsserts_, assumptions);
-    ++stats_.preConsulted;
-    switch (pv.result) {
-      case CheckResult::Sat:
-        ++stats_.preSat;
-        ++stats_.preHitSeen;
-        if (preHitCtr_) preHitCtr_->add();
-        break;
-      case CheckResult::Unsat:
-        ++stats_.preUnsat;
-        ++stats_.preHitSeen;
-        stats_.preCoreConstraints += pv.coreConstraints;
-        if (preHitCtr_) preHitCtr_->add();
-        break;
-      case CheckResult::Unknown:
-        ++stats_.preFallback;
-        ++stats_.preMissSeen;
-        if (preMissCtr_) preMissCtr_->add();
-        break;
-    }
-    return pv.result;
-  };
-  auto replayTag = [&](uint8_t tag) {
-    if (tag == 1 || tag == 2) {
-      ++stats_.preHitSeen;
-      if (preHitCtr_) preHitCtr_->add();
-    } else if (tag == 3) {
-      ++stats_.preMissSeen;
-      if (preMissCtr_) preMissCtr_->add();
-    }
+  // Prefilter provenance (docs/absdomain.md, QueryCache::Outcome::preTag)
+  // is counted per issuance: a cache hit replays its key's tag, so the
+  // per-site tallies do not depend on which caller took the miss.
+  auto countTag = [&](uint8_t tag) {
+    if (tag == 0) return;  // solved without consulting the prefilter
+    ++(tag == 3 ? stats_.preMissSeen : stats_.preHitSeen);
+    if (telemetry::Counter* c = tag == 3 ? preMissCtr_ : preHitCtr_) c->add();
   };
 
+  // 1. Short-circuits: nothing to key, judge or solve. Constant-false
+  // assumptions must stop here, before keying (see canonicalKey).
   if (permanentlyUnsat_) {
     ++stats_.preShortcircuit;
     return finish(CheckResult::Unsat);
   }
-
-  if (freshMode_) {
-    for (const TermRef t : assumptions) {
-      adlsym::check(t.width() == 1, "assumption must be width 1");
-      if (t.isFalse()) {
-        ++stats_.preShortcircuit;
-        return finish(CheckResult::Unsat);
-      }
-    }
-    uint64_t deadlineUs = 0;
-    if (queryTimeoutMicros_ != 0) deadlineUs = startUs + queryTimeoutMicros_;
-    if (wallDeadlineMicros_ != 0) {
-      deadlineUs = deadlineUs == 0 ? wallDeadlineMicros_
-                                   : std::min(deadlineUs, wallDeadlineMicros_);
-    }
-    if (deadlineUs != 0 && startUs >= deadlineUs) {
+  for (const TermRef t : assumptions) {
+    adlsym::check(t.width() == 1, "assumption must be width 1");
+    if (t.isFalse()) {
       ++stats_.preShortcircuit;
-      return finish(CheckResult::Unknown);
+      return finish(CheckResult::Unsat);
     }
-    // Fresh-solve cost is the delta of the fresh aggregates around the
-    // throwaway-core solve; on a cache hit the stored cost is replayed.
-    auto freshCostDelta = [&](auto solve) {
-      const uint64_t terms0 = freshBlast_.termsBlasted;
-      const uint64_t gates0 = freshBlast_.gates;
-      const uint64_t conf0 = freshSat_.conflicts;
-      const CheckResult r = solve();
-      cost.terms = freshBlast_.termsBlasted - terms0;
-      cost.gates = freshBlast_.gates - gates0;
-      cost.conflicts = freshSat_.conflicts - conf0;
-      return r;
-    };
-    if (sharedCache_ == nullptr) {
-      if (pre_ != nullptr) {
-        const CheckResult pv = consult();
-        if (pv == CheckResult::Unsat) return finish(pv);
-        if (pv == CheckResult::Sat) {
-          if (needModel) {
-            restoreModelFresh(assumptions);
-            ++stats_.preModelRestores;
-          }
-          return finish(pv);
-        }
-      } else {
-        ++stats_.directSolves;
-      }
-      return finish(freshCostDelta(
-          [&] { return solveFreshWithModel(assumptions, &clk, deadlineUs); }));
-    }
-    // Shared-cache path: canonical key, single-flight solve-or-wait.
-    std::vector<TermRef> slotVars;
-    const std::string key =
-        QueryCache::canonicalKey(permanentAsserts_, assumptions, &slotVars);
-    // Slot-indexed rendering of model_, the publish/backfill format.
-    auto slotModel = [&] {
-      std::vector<uint64_t> slotValues;
-      slotValues.reserve(slotVars.size());
-      for (const TermRef v : slotVars) {
-        auto it = model_.find(tm_.varIndex(v.id()));
-        slotValues.push_back(it == model_.end() ? 0 : it->second);
-      }
-      return slotValues;
-    };
-    QueryCache::Outcome o = sharedCache_->acquire(key);
+  }
+
+  // 2. Cache lookup: the shared cache when attached (canonical key, slot-
+  // indexed models), else the solver's own in incremental mode.
+  QueryCache* cache = nullptr;
+  std::string key;
+  std::vector<TermRef> slotVars;
+  const std::vector<TermRef>* slots = nullptr;  // null: by variable index
+  if (sharedCache_ != nullptr) {
+    cache = sharedCache_;
+    key = QueryCache::canonicalKey(permanentAsserts_, assumptions, &slotVars);
+    slots = &slotVars;
+  } else if (!freshMode_ && cacheEnabled_) {
+    cache = &localCache_;
+    key = QueryCache::localKey(assumptions);
+  }
+  if (cache != nullptr) {
+    QueryCache::Outcome o = cache->acquire(key);
     if (o.hit) {
       ++cacheHits_;
       cached = true;
       cost = o.cost;
       if (cacheHitCtr_) cacheHitCtr_->add();
-      replayTag(o.preTag);
+      countTag(o.preTag);
       if (o.result == CheckResult::Sat) {
         if (o.hasModel) {
-          // Translate the slot-indexed canonical model back to this pool's
-          // variables (slotVars[i] is the Var term behind α-slot i).
-          model_.clear();
-          const size_t n = std::min(slotVars.size(), o.slotValues.size());
-          for (size_t i = 0; i < n; ++i) {
-            model_[tm_.varIndex(slotVars[i].id())] = o.slotValues[i];
-          }
+          loadCachedModel(std::move(o.model), slots);
         } else if (needModel) {
           // Prefiltered Sat entry, first model-needing reader: restore
           // the canonical model off the books and backfill the entry so
           // later readers replay it like any solved entry.
           restoreModelFresh(assumptions);
           ++stats_.preModelRestores;
-          sharedCache_->backfillModel(key, slotModel());
+          cache->backfillModel(key, modelForCache(slots));
         }
       }
       return finish(o.result);
     }
     if (cacheMissCtr_) cacheMissCtr_->add();
-    uint8_t preTag = 0;
-    if (pre_ != nullptr) {
-      CheckResult pv;
-      try {
-        pv = consult();
-        if (pv == CheckResult::Sat && needModel) {
-          restoreModelFresh(assumptions);
-          ++stats_.preModelRestores;
-        }
-      } catch (...) {
-        sharedCache_->abandon(key);
-        throw;
-      }
-      if (pv == CheckResult::Unsat) {
-        sharedCache_->publish(key, pv, {}, QueryCost{}, /*preTag=*/2,
-                              /*hasModel=*/true);
-        return finish(pv);
-      }
-      if (pv == CheckResult::Sat) {
-        // Canonical cost stays zero whether or not a restoration solve
-        // ran: the key is prefilter-decided, and its replayed cost must
-        // not depend on whether the miss-taker needed a model.
-        sharedCache_->publish(key, pv,
-                              needModel ? slotModel() : std::vector<uint64_t>{},
-                              QueryCost{}, /*preTag=*/1,
-                              /*hasModel=*/needModel);
-        return finish(pv);
-      }
-      preTag = 3;
-    } else {
-      ++stats_.directSolves;
-    }
-    CheckResult r;
-    try {
-      r = freshCostDelta(
-          [&] { return solveFreshWithModel(assumptions, &clk, deadlineUs); });
-    } catch (...) {
-      sharedCache_->abandon(key);
-      throw;
-    }
-    if (r == CheckResult::Unknown) {
-      // Never cache Unknown: a waiter (or a later caller) retries with its
-      // own budget, exactly as -j1 would.
-      sharedCache_->abandon(key);
-    } else {
-      std::vector<uint64_t> slotValues;
-      if (r == CheckResult::Sat) slotValues = slotModel();
-      sharedCache_->publish(key, r, std::move(slotValues), cost, preTag);
-    }
-    return finish(r);
   }
 
-  // Cache lookup. The key is the *sorted set* of assumption term ids:
-  // hash-consing makes structurally equal assumptions share ids, and
-  // order/duplicates don't affect satisfiability.
-  std::string cacheKey;
-  if (cacheEnabled_) {
-    std::vector<TermId> ids;
-    ids.reserve(assumptions.size());
-    for (const TermRef t : assumptions) ids.push_back(t.id());
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    cacheKey.resize(ids.size() * sizeof(TermId));
-    if (!ids.empty()) {
-      std::memcpy(cacheKey.data(), ids.data(), cacheKey.size());
-    }
-    if (auto it = queryCache_.find(cacheKey); it != queryCache_.end()) {
-      ++cacheHits_;
-      cached = true;
-      cost = it->second.cost;
-      if (cacheHitCtr_) cacheHitCtr_->add();
-      replayTag(it->second.preTag);
-      if (it->second.result == CheckResult::Sat) {
-        if (it->second.hasModel) {
-          model_ = it->second.model;
-        } else if (needModel) {
-          // Prefiltered Sat entry without a model: restore one off the
-          // books and backfill the entry for later readers.
-          restoreModelFresh(assumptions);
-          ++stats_.preModelRestores;
-          it->second.model = model_;
-          it->second.hasModel = true;
-        }
-      }
-      return finish(it->second.result);
-    }
-    if (cacheMissCtr_) cacheMissCtr_->add();
-  }
-  // Incremental-solve cost: delta of the member core/blaster stats from
-  // just before the assumption literals are blasted (snapshots assigned
-  // below, once the deadline pre-check has passed).
-  uint64_t termsBefore = 0, gatesBefore = 0, conflictsBefore = 0;
+  // A miss: this caller owns the key until it publishes or abandons it.
+  CheckResult r = CheckResult::Unknown;
   uint8_t preTag = 0;
-  auto snapCost = [&] {
-    cost.terms = bb_.stats().termsBlasted - termsBefore;
-    cost.gates = bb_.stats().gates - gatesBefore;
-    cost.conflicts = sat_.stats().conflicts - conflictsBefore;
-  };
-  auto remember = [&](CheckResult r) {
-    snapCost();
-    if (cacheEnabled_ && r != CheckResult::Unknown) {
-      CacheEntry entry;
-      entry.result = r;
-      if (r == CheckResult::Sat) entry.model = model_;
-      entry.cost = cost;
-      entry.preTag = preTag;
-      queryCache_.emplace(std::move(cacheKey), std::move(entry));
+  bool hasModel = true;
+  try {
+    // 3. Deadline: the per-query timeout (relative to query start) or the
+    // run-wide deadline (absolute, set by the explorer from its remaining
+    // maxWallSeconds), whichever is sooner.
+    uint64_t deadlineUs = queryTimeoutMicros_ ? startUs + queryTimeoutMicros_ : 0;
+    if (wallDeadlineMicros_ != 0 &&
+        (deadlineUs == 0 || wallDeadlineMicros_ < deadlineUs)) {
+      deadlineUs = wallDeadlineMicros_;
     }
-    return finish(r);
-  };
-
-  // Resolve this query's wall deadline: the per-query timeout (relative
-  // to query start) and the run-wide deadline (absolute, set by the
-  // explorer from its remaining maxWallSeconds), whichever is sooner.
-  uint64_t deadlineUs = 0;
-  if (queryTimeoutMicros_ != 0) deadlineUs = startUs + queryTimeoutMicros_;
-  if (wallDeadlineMicros_ != 0) {
-    deadlineUs = deadlineUs == 0 ? wallDeadlineMicros_
-                                 : std::min(deadlineUs, wallDeadlineMicros_);
-  }
-  if (deadlineUs != 0 && startUs >= deadlineUs) {
-    // The budget is already spent; don't even bit-blast.
-    ++stats_.preShortcircuit;
-    return finish(CheckResult::Unknown);
-  }
-  // Prefilter consult, after every short-circuit off-mode would also
-  // take (so verdicts are identical with the prefilter on or off) and
-  // before any bit-blasting. Conclusive verdicts are cached with a zero
-  // canonical cost and skip the SAT core entirely; the incremental core
-  // never sees their literals.
-  if (pre_ != nullptr) {
-    const CheckResult pv = consult();
-    if (pv == CheckResult::Unsat) {
-      if (cacheEnabled_) {
-        CacheEntry entry;
-        entry.result = pv;
-        entry.preTag = 2;
-        queryCache_.emplace(std::move(cacheKey), std::move(entry));
+    const bool expired = deadlineUs != 0 && startUs >= deadlineUs;
+    if (expired) {
+      ++stats_.preShortcircuit;  // the budget is spent; don't even blast
+    } else if (pre_ != nullptr) {
+      // 4. Prefilter consult, after every short-circuit off-mode would
+      // also take (so verdicts are identical with the prefilter on or
+      // off) and before any bit-blasting. A conclusive verdict is counted
+      // once per judged key and cached at zero canonical cost — even when
+      // a model-needing caller forces a restoration solve, so the
+      // replayed cost does not depend on who took the miss.
+      const PreVerdict pv = pre_->judge(permanentAsserts_, assumptions);
+      r = pv.result;
+      ++stats_.preConsulted;
+      tally(r, stats_.preSat, stats_.preUnsat, stats_.preFallback);
+      if (r == CheckResult::Unsat) {
+        stats_.preCoreConstraints += pv.coreConstraints;
       }
-      return finish(pv);
-    }
-    if (pv == CheckResult::Sat) {
-      if (needModel) {
+      preTag = r == CheckResult::Sat ? 1 : r == CheckResult::Unsat ? 2 : 3;
+      countTag(preTag);
+      hasModel = r != CheckResult::Sat || needModel;
+      if (r == CheckResult::Sat && needModel) {
         restoreModelFresh(assumptions);
         ++stats_.preModelRestores;
       }
-      if (cacheEnabled_) {
-        CacheEntry entry;
-        entry.result = pv;
-        entry.preTag = 1;
-        entry.hasModel = needModel;
-        if (needModel) entry.model = model_;
-        queryCache_.emplace(std::move(cacheKey), std::move(entry));
-      }
-      return finish(pv);
+    } else {
+      ++stats_.directSolves;
     }
-    preTag = 3;
-  } else {
-    ++stats_.directSolves;
+    // 5. Solve.
+    if (!expired && r == CheckResult::Unknown) {
+      r = solve(assumptions, clk, deadlineUs, cost);
+    }
+  } catch (...) {
+    if (cache != nullptr) cache->abandon(key);
+    throw;
   }
-  sat_.setDeadline(deadlineUs != 0 ? &clk : nullptr, deadlineUs);
-  termsBefore = bb_.stats().termsBlasted;
-  gatesBefore = bb_.stats().gates;
-  conflictsBefore = sat_.stats().conflicts;
-
-  std::vector<Lit> lits;
-  lits.reserve(assumptions.size());
-  for (const TermRef t : assumptions) {
-    adlsym::check(t.width() == 1, "assumption must be width 1");
-    if (t.isTrue()) continue;
-    if (t.isFalse()) return remember(CheckResult::Unsat);
-    lits.push_back(bb_.litFor(t));
-  }
-  const SatResult raw = sat_.solve(lits);
-  if (paranoid_ && raw != SatResult::Unknown) {
-    const CheckResult fresh = checkFresh(assumptions);
-    const CheckResult incr =
-        raw == SatResult::Sat ? CheckResult::Sat : CheckResult::Unsat;
-    if (fresh != CheckResult::Unknown && fresh != incr) {
-      std::vector<TermRef> all = permanentAsserts_;
-      all.insert(all.end(), assumptions.begin(), assumptions.end());
-      throw Error(std::string("paranoid check: incremental=") +
-                  (incr == CheckResult::Sat ? "sat" : "unsat") +
-                  " fresh=" + (fresh == CheckResult::Sat ? "sat" : "unsat") +
-                  "\n" + toSmtLib(all));
+  // 6. Publish. Unknown is never cached: a later caller (or a waiter on
+  // the shared cache) retries with its own budget.
+  if (cache != nullptr) {
+    if (r == CheckResult::Unknown) {
+      cache->abandon(key);
+    } else {
+      cache->publish(key, r,
+                     r == CheckResult::Sat && hasModel ? modelForCache(slots)
+                                                       : std::vector<uint64_t>{},
+                     cost, preTag, hasModel);
     }
   }
-  switch (raw) {
-    case SatResult::Sat:
-      // Snapshot variable values immediately: any later incremental blast
-      // (even for model reads) unwinds the assignment trail.
-      snapshotModel(bb_, sat_);
-      return remember(CheckResult::Sat);
-    case SatResult::Unsat: return remember(CheckResult::Unsat);
-    case SatResult::Unknown:
-      snapCost();
-      return finish(CheckResult::Unknown);
-  }
-  snapCost();
-  return finish(CheckResult::Unknown);
+  return finish(r);
 }
 
 uint64_t SmtSolver::modelValue(TermRef t) {
   return tm_.evalWith(t, [this](uint32_t idx) {
-    auto it = model_.find(idx);
-    return it == model_.end() ? uint64_t{0} : it->second;
+    return idx < model_.size() ? model_[idx] : uint64_t{0};
   });
 }
 

@@ -64,6 +64,10 @@ struct SolverTelemetry {
   /// constraints the abstract explanation blamed, totalled per judged key.
   uint64_t preCoreConstraints = 0;
 
+  /// Fold another snapshot in: counters add, maxMicros takes the max and
+  /// preEnabled the or — the sum over a parallel run's workers.
+  SolverTelemetry& operator+=(const SolverTelemetry& o);
+
   /// Hit rate over all queries (cached and solved), in [0,1].
   double cacheHitRate() const {
     return queries ? double(cacheHits) / double(queries) : 0.0;
@@ -115,9 +119,9 @@ class SmtSolver {
   }
 
   /// Like check(), but the caller promises not to read the model after a
-  /// Sat verdict (lastModel()/modelValue() are unspecified). This is what
-  /// lets the abstract prefilter short-circuit Sat verdicts: a conclusive
-  /// abstract Sat carries no model, so model-needing callers still solve.
+  /// Sat verdict (modelValue() is unspecified). This is what lets the
+  /// abstract prefilter short-circuit Sat verdicts: a conclusive abstract
+  /// Sat carries no model, so model-needing callers still solve.
   CheckResult checkNoModel(const std::vector<TermRef>& assumptions) {
     return checkImpl(assumptions, /*needModel=*/false);
   }
@@ -126,11 +130,6 @@ class SmtSolver {
   /// Sat time, so this works for any term (unconstrained variables read 0)
   /// and survives later incremental blasting.
   uint64_t modelValue(TermRef t);
-
-  /// Raw variable values of the last Sat model, by Var index.
-  const std::unordered_map<uint32_t, uint64_t>& lastModel() const {
-    return model_;
-  }
 
   /// Abandon a query after this many SAT conflicts (0 = unlimited);
   /// exploration treats Unknown paths as not-taken and reports them.
@@ -156,10 +155,12 @@ class SmtSolver {
   /// Extremely slow; for tests and bug reports only.
   void setParanoid(bool on) { paranoid_ = on; }
 
-  /// Query cache: exploration re-issues many identical feasibility checks
-  /// (eager branch checks share prefixes with later full-path solves).
-  /// Keyed on the assumption set; Sat entries replay their model. On by
-  /// default; switchable for the E4 ablation.
+  /// The solver's own query cache, used in incremental mode when no shared
+  /// cache is attached: exploration re-issues many identical feasibility
+  /// checks (eager branch checks share prefixes with later full-path
+  /// solves). A QueryCache keyed on the pool-local assumption set
+  /// (QueryCache::localKey), cleared by assertAlways(); Sat entries replay
+  /// their model. On by default; switchable for the E4 ablation.
   void setQueryCacheEnabled(bool on) { cacheEnabled_ = on; }
   uint64_t cacheHits() const { return cacheHits_; }
 
@@ -234,13 +235,15 @@ class SmtSolver {
   /// — depends only on term structure, never on what this instance solved
   /// before. Slower per query, but the canonical models are what make -j1
   /// and -jN byte-identical; the shared QueryCache (below) recovers the
-  /// lost incrementality.
+  /// lost incrementality. Without a shared cache fresh mode is uncached:
+  /// a per-worker cache would make hit counts depend on the schedule.
   void setFreshMode(bool on) { freshMode_ = on; }
   bool freshMode() const { return freshMode_; }
 
   /// Attach the run-wide shared query cache (not owned; null detaches).
-  /// Only consulted in fresh mode: hits replay the canonical verdict and
-  /// model, misses are solved fresh and published single-flight.
+  /// While attached it replaces the solver's own cache: queries are keyed
+  /// canonically (QueryCache::canonicalKey), hits replay the canonical
+  /// verdict and model, misses are solved and published single-flight.
   void setSharedCache(QueryCache* c) { sharedCache_ = c; }
 
   /// Attach the abstract pre-solver (not owned; null detaches — the
@@ -284,14 +287,18 @@ class SmtSolver {
   const std::map<unsigned, ShapeRow>& queryShapes() const { return shapes_; }
 
  private:
+  /// The one query pipeline behind check()/checkNoModel(): short-circuits,
+  /// cache lookup, expired-deadline check, prefilter consult, solve,
+  /// publish.
   CheckResult checkImpl(const std::vector<TermRef>& assumptions,
                         bool needModel);
 
-  /// Fresh-mode miss path: solve on the fresh core, snapshot the model
-  /// into model_ on Sat, aggregate the core's stats into the fresh
-  /// counters.
-  CheckResult solveFreshWithModel(const std::vector<TermRef>& assumptions,
-                                  telemetry::Clock* clk, uint64_t deadlineUs);
+  /// The solve step: bit-blast and run the incremental core, or the fresh
+  /// core reset first in fresh mode. Fills model_ on Sat and `cost` with
+  /// the query's blasting and search work.
+  CheckResult solve(const std::vector<TermRef>& assumptions,
+                    telemetry::Clock& clk, uint64_t deadlineUs,
+                    QueryCost& cost);
 
   /// Model restoration for a prefilter-certified Sat query: solve the
   /// canonical CNF on the fresh core with no budget, no deadline, no
@@ -310,16 +317,21 @@ class SmtSolver {
     SatSolver sat;
     BitBlaster bb;
   };
-  /// The fresh core in its just-constructed state.
-  FreshCore& resetFreshCore();
-  /// Blast the permanent assertions and then the assumptions into `fc`,
-  /// the assumption literals into `lits`. False when the query is Unsat
-  /// without solving (a false assertion or assumption).
-  bool blastFresh(FreshCore& fc, const std::vector<TermRef>& assumptions,
-                  std::vector<Lit>& lits);
+  /// Solve assumptions /\ permanent asserts on the fresh core, reset
+  /// first. With a clock the solve is on the books: telemetry, conflict
+  /// budget and deadline apply. Without one it runs unbounded and unseen.
+  CheckResult solveFresh(const std::vector<TermRef>& assumptions,
+                         telemetry::Clock* clk, uint64_t deadlineUs);
   /// Snapshot every blasted variable's value after a Sat answer into
   /// model_.
   void snapshotModel(BitBlaster& bb, const SatSolver& sat);
+  /// model_ as a cache stores it: by α-slot when `slotVars` is given
+  /// (slotVars[i] is the Var behind slot i), else by variable index.
+  std::vector<uint64_t> modelForCache(
+      const std::vector<TermRef>* slotVars) const;
+  /// Inverse of modelForCache: replace model_ with a cached model.
+  void loadCachedModel(std::vector<uint64_t> values,
+                       const std::vector<TermRef>* slotVars);
 
   TermManager& tm_;
   SatSolver sat_;
@@ -327,17 +339,10 @@ class SmtSolver {
   std::vector<TermRef> permanentAsserts_;
   bool paranoid_ = false;
   bool permanentlyUnsat_ = false;
-  std::unordered_map<uint32_t, uint64_t> model_;  // Var index -> value
+  std::vector<uint64_t> model_;  // Var index -> value (absent: 0)
 
-  struct CacheEntry {
-    CheckResult result = CheckResult::Unknown;
-    std::unordered_map<uint32_t, uint64_t> model;  // for Sat entries
-    QueryCost cost;  // replayed on hits (see Stats::canon)
-    bool hasModel = true;   // false: prefiltered Sat, model not computed
-    uint8_t preTag = 0;     // provenance, replayed on hits (see qcache.h)
-  };
   bool cacheEnabled_ = true;
-  std::unordered_map<std::string, CacheEntry> queryCache_;
+  QueryCache localCache_;  // keyed by QueryCache::localKey
   uint64_t cacheHits_ = 0;
   uint64_t queryTimeoutMicros_ = 0;
   uint64_t wallDeadlineMicros_ = 0;

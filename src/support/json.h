@@ -86,6 +86,9 @@ struct Value {
   bool isArray() const { return kind == Kind::Array; }
   bool isObject() const { return kind == Kind::Object; }
 
+  /// An integer token in [0, 2^64): the values asU64() reads exactly.
+  bool isU64() const { return intExact && number >= 0; }
+
   /// Exact unsigned / signed reads preferring the integer payload; fall
   /// back to truncating the double for non-integer tokens.
   uint64_t asU64() const {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -493,6 +494,44 @@ TEST_F(CkptResume, FlagValidationAndIdentityMismatch) {
   exec(broken, {"--resume=" + cut});
   EXPECT_EQ(broken.exitCode, 2);
   EXPECT_NE(broken.stdoutText.find("checkpoint"), std::string::npos);
+}
+
+// A checkpoint comes from outside the program, so a field of the wrong
+// JSON type is bad input (exit 2), never a silent default. Each case
+// rewrites one field of a real checkpoint and re-frames the document with
+// a valid trailer, so only the type check can reject it.
+TEST_F(CkptResume, IllTypedFieldsRejected) {
+  const std::string img = imageFor("rv32e");
+  CliRun ref = makeRun("typed_ref", "rv32e", img, 1);
+  exec(ref);
+  ASSERT_EQ(ref.exitCode, 0) << ref.stdoutText;
+  const std::string blob = slurp(ref.ckpt);
+  const std::string doc = blob.substr(0, blob.find('\n'));
+
+  const struct {
+    const char* field;
+    std::regex from;
+    const char* to;
+  } cases[] = {
+      {"complete", std::regex(R"("complete":true)"), R"("complete":1)"},
+      {"steps", std::regex(R"("counters":\{"steps":\d+)"),
+       R"("counters":{"steps":"7")"},
+      {"p", std::regex(R"("p":\d+)"), R"("p":300)"},
+  };
+  for (const auto& c : cases) {
+    const std::string bad = std::regex_replace(
+        doc, c.from, c.to, std::regex_constants::format_first_only);
+    ASSERT_NE(bad, doc) << c.field;
+    const std::string path =
+        testing::TempDir() + "ckpt_typed_" + c.field + ".ckpt";
+    core::ckpt::writeCheckpointFile(path, bad);
+    CliRun resumed = ref;
+    exec(resumed, {"--resume=" + path});
+    EXPECT_EQ(resumed.exitCode, 2) << c.field << ": " << resumed.stdoutText;
+    EXPECT_NE(resumed.stdoutText.find(std::string("'") + c.field + "'"),
+              std::string::npos)
+        << resumed.stdoutText;
+  }
 }
 
 }  // namespace

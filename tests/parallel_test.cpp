@@ -114,7 +114,7 @@ TEST(QueryCacheFlight, MissThenPublishThenHit) {
   auto second = qc.acquire(k);
   ASSERT_TRUE(second.hit);
   EXPECT_EQ(second.result, smt::CheckResult::Sat);
-  EXPECT_EQ(second.slotValues, (std::vector<uint64_t>{7, 9}));
+  EXPECT_EQ(second.model, (std::vector<uint64_t>{7, 9}));
   const auto st = qc.stats();
   EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.hits, 1u);
@@ -133,7 +133,7 @@ TEST(QueryCacheFlight, AbandonMakesTheNextCallerTheOwner) {
   auto out = qc.acquire(k);
   ASSERT_TRUE(out.hit);
   EXPECT_EQ(out.result, smt::CheckResult::Unsat);
-  EXPECT_TRUE(out.slotValues.empty());
+  EXPECT_TRUE(out.model.empty());
   const auto st = qc.stats();
   EXPECT_EQ(st.misses, 2u);
   EXPECT_EQ(st.hits, 1u);
@@ -175,7 +175,7 @@ TEST(QueryCacheFlight, ConcurrentWaiterBlocksThenGetsTheOwnersModel) {
   owner.join();
   ASSERT_TRUE(waited.hit);
   EXPECT_EQ(waited.result, smt::CheckResult::Sat);
-  EXPECT_EQ(waited.slotValues, (std::vector<uint64_t>{42}));
+  EXPECT_EQ(waited.model, (std::vector<uint64_t>{42}));
   const auto st = qc.stats();
   EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.hits, 1u);

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "smt/presolver.h"
+#include "smt/qcache.h"
 #include "smt/solver.h"
 #include "support/bits.h"
 
@@ -236,12 +241,7 @@ TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
         EXPECT_EQ(reused.modelValue(v), one.modelValue(v));
       }
     }
-    const SolverTelemetry t = one.telemetrySnapshot();
-    sum.satCore += t.satCore;
-    sum.blast += t.blast;
-    sum.canon += t.canon;
-    sum.satVars += t.satVars;
-    sum.satClauses += t.satClauses;
+    sum += one.telemetrySnapshot();
   }
   EXPECT_EQ(reused.stats().preModelRestores, 1u);
 
@@ -262,6 +262,147 @@ TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
   EXPECT_EQ(t.canon.conflicts, sum.canon.conflicts);
   EXPECT_EQ(t.satVars, sum.satVars);
   EXPECT_EQ(t.satClauses, sum.satClauses);
+}
+
+// Every check()/checkNoModel() runs one pipeline: short-circuits, cache
+// lookup, deadline, prefilter consult, solve, publish. The configurations
+// differ only in the solve step (incremental core or reset fresh core) and
+// in which cache, if any, sits in front of it. One query sequence, run
+// through all eight, pins what each configuration observes.
+struct PipelineConfig {
+  const char* name;
+  bool fresh;      // fresh mode (else incremental)
+  bool cache;      // incremental: own cache on; fresh: shared cache attached
+  bool prefilter;  // abstract pre-solver attached
+};
+
+struct PipelineOutcome {
+  std::string verdicts;          // one letter per query: S, U or ?
+  std::vector<uint64_t> models;  // x after every check() that was Sat
+  uint64_t cacheHits, shortcircuit, consulted, direct;  // the four buckets
+  uint64_t preHitSeen, preMissSeen, preModelRestores;
+  QueryCost canon;
+
+  bool operator==(const PipelineOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PipelineOutcome& o) {
+  os << "{\"" << o.verdicts << "\", {";
+  for (size_t i = 0; i < o.models.size(); ++i) {
+    os << (i ? ", " : "") << o.models[i];
+  }
+  return os << "}, " << o.cacheHits << ", " << o.shortcircuit << ", "
+            << o.consulted << ", " << o.direct << ", " << o.preHitSeen
+            << ", " << o.preMissSeen << ", " << o.preModelRestores << ", {"
+            << o.canon.terms << ", " << o.canon.gates << ", "
+            << o.canon.conflicts << "}}";
+}
+
+PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
+  TermManager tm;
+  auto c = [&](unsigned w, uint64_t v) { return tm.mkConst(w, v); };
+  const TermRef x = tm.mkVar(8, "x");
+  const TermRef a = tm.mkVar(16, "a");
+  const TermRef b = tm.mkVar(16, "b");
+  QueryCache shared;
+  PreSolver pre(tm);
+  SmtSolver s(tm);
+  s.setFreshMode(cfg.fresh);
+  if (cfg.fresh && cfg.cache) s.setSharedCache(&shared);
+  if (!cfg.fresh) s.setQueryCacheEnabled(cfg.cache);
+  if (cfg.prefilter) s.setPreSolver(&pre);
+  // Re-solves every incremental solve on the fresh core, off the books:
+  // it must agree, and it leaves every count below alone.
+  s.setParanoid(true);
+
+  PipelineOutcome o{};
+  auto record = [&](CheckResult r, bool model) {
+    o.verdicts += r == CheckResult::Sat     ? 'S'
+                  : r == CheckResult::Unsat ? 'U'
+                                            : '?';
+    if (model && r == CheckResult::Sat) o.models.push_back(s.modelValue(x));
+  };
+  auto check = [&](const std::vector<TermRef>& q) { record(s.check(q), true); };
+  auto checkNoModel = [&](const std::vector<TermRef>& q) {
+    record(s.checkNoModel(q), false);
+  };
+
+  // 1. A query the SAT core decides (3x + 7 == 52: x = 15), then again.
+  const std::vector<TermRef> linear = {
+      tm.mkEq(tm.mkAdd(tm.mkMul(x, c(8, 3)), c(8, 7)), c(8, 52))};
+  check(linear);
+  check(linear);
+  // 2. A prefilter-certified Sat without a model, then twice with one
+  // (8 < x < 10: x = 9).
+  const std::vector<TermRef> interval = {tm.mkUgt(x, c(8, 8)),
+                                         tm.mkUlt(x, c(8, 10))};
+  checkNoModel(interval);
+  check(interval);
+  check(interval);
+  // 3. Unsat: 2 is no square modulo 256.
+  check({tm.mkEq(tm.mkMul(x, x), c(8, 2))});
+  // 4. Factoring 211 * 223 cut by a one-conflict budget, twice: Unknown
+  // is never cached.
+  const std::vector<TermRef> factor = {
+      tm.mkEq(tm.mkMul(a, b), c(16, 211 * 223)), tm.mkUgt(a, c(16, 1)),
+      tm.mkUgt(b, c(16, 1)), tm.mkUlt(a, c(16, 256)), tm.mkUlt(b, c(16, 256))};
+  s.setConflictBudget(1);
+  check(factor);
+  check(factor);
+  s.setConflictBudget(0);
+  // 5. A constant-false assumption, twice.
+  check({linear[0], tm.mkFalse()});
+  check({linear[0], tm.mkFalse()});
+  // 6. A permanent assertion that contradicts the query of step 1.
+  s.assertAlways(tm.mkNe(x, c(8, 15)));
+  check(linear);
+
+  const SolverTelemetry t = s.telemetrySnapshot();
+  EXPECT_TRUE(t.prefilterReconciled()) << cfg.name;
+  EXPECT_EQ(s.cacheHits(), t.cacheHits) << cfg.name;
+  o.cacheHits = t.cacheHits;
+  o.shortcircuit = t.preShortcircuit;
+  o.consulted = t.preConsulted;
+  o.direct = t.directSolves;
+  o.preHitSeen = s.stats().preHitSeen;
+  o.preMissSeen = s.stats().preMissSeen;
+  o.preModelRestores = s.stats().preModelRestores;
+  o.canon = t.canon;
+  return o;
+}
+
+TEST(QueryPipeline, SameSequenceThroughEveryConfiguration) {
+  // Verdicts and models agree everywhere. With a cache, step 1's repeat
+  // and step 2's two check()s hit, and only the first of those restores
+  // the model of the model-less prefilter entry; uncached, each check()
+  // re-judges and restores. Both constant-false checks short-circuit
+  // (uncached) in every mode. Canonical costs depend only on the solve
+  // step: incremental blasting reuses earlier queries' terms.
+  const std::vector<uint64_t> m = {15, 15, 9, 9};
+  const struct {
+    PipelineConfig cfg;
+    PipelineOutcome want;
+  } rows[] = {
+      {{"incremental, cache, prefilter", false, true, true},
+       {"SSSSSU??UUU", m, 3, 2, 6, 0, 3, 6, 1, {28, 1015, 5}}},
+      {{"incremental, cache, no prefilter", false, true, false},
+       {"SSSSSU??UUU", m, 3, 2, 0, 6, 0, 0, 0, {40, 1075, 5}}},
+      {{"incremental, no cache, prefilter", false, false, true},
+       {"SSSSSU??UUU", m, 0, 2, 9, 0, 3, 6, 2, {21, 960, 5}}},
+      {{"incremental, no cache, no prefilter", false, false, false},
+       {"SSSSSU??UUU", m, 0, 2, 0, 9, 0, 0, 0, {25, 980, 5}}},
+      {{"fresh, shared cache, prefilter", true, true, true},
+       {"SSSSSU??UUU", m, 3, 2, 6, 0, 3, 6, 1, {50, 1856, 5}}},
+      {{"fresh, shared cache, no prefilter", true, true, false},
+       {"SSSSSU??UUU", m, 3, 2, 0, 6, 0, 0, 0, {65, 1916, 5}}},
+      {{"fresh, no cache, prefilter", true, false, true},
+       {"SSSSSU??UUU", m, 0, 2, 9, 0, 3, 6, 2, {50, 1856, 5}}},
+      {{"fresh, no cache, no prefilter", true, false, false},
+       {"SSSSSU??UUU", m, 0, 2, 0, 9, 0, 0, 0, {65, 1916, 5}}},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(runPipelineSequence(row.cfg), row.want) << row.cfg.name;
+  }
 }
 
 }  // namespace

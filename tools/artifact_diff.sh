@@ -7,14 +7,24 @@
 # Matrix: 4 ISAs x {bitcount3, earlyexit4, parse2} x {sequential, --jobs 1,
 # --jobs 2}, all under --clock=manual, each writing --stats-json,
 # --path-forest, --path-dot, --profile, --profile-folded, --events and
-# --manifest; plus per ISA `adlsym profile` runs (stdout tables), a
-# --max-steps budget run, one --checkpoint run and sort4 sequential and
-# --jobs 1 runs, whose queries the prefilter rarely decides, so they go
-# through bit-blasting and the SAT core. Under --jobs 2 the raw event
-# order and therefore the manifest hashes are schedule-dependent, so those
-# runs compare the tools/events_canon form of the stream and skip the
-# manifest. sort4 has no --jobs 2 case: its stats are not yet stable
-# across schedules (docs/parallelism.md, caveats).
+# --manifest; plus per ISA:
+#  - `adlsym profile` runs (stdout tables), a --max-steps budget run and
+#    one --checkpoint run;
+#  - sort4 sequential and --jobs 1 runs, whose queries the prefilter
+#    rarely decides, so they go through bit-blasting and the SAT core;
+#  - every path through the solver's query pipeline: bitcount3 with
+#    --prefilter=off (sequential and --jobs 1) and at --jobs 2
+#    --qcache=off (fresh mode without a cache);
+#  - bitcount3 with --merge --strategy bfs, and with --query-log (every
+#    corpus file compared);
+#  - parse2 under --strategy coverage and --strategy random.
+# One more rv32e sort4 run has a --max-wall-ms budget on a 10 us manual
+# clock: it exits 3, and one query finds its deadline already spent.
+#
+# Under --jobs 2 the raw event order and therefore the manifest hashes are
+# schedule-dependent, so those runs compare the tools/events_canon form of
+# the stream and skip the manifest. sort4 has no --jobs 2 case: its stats
+# are not yet stable across schedules (docs/parallelism.md, caveats).
 #
 # Every run executes in the same scratch work directory with relative
 # artifact paths, so the argv and paths echoed into the manifests match.
@@ -69,6 +79,12 @@ same() {
       fails=$((fails + 1))
     fi
   done
+}
+
+# corpus <case>: the query-log files either run of the case wrote.
+corpus() {
+  (cd "$scratch" && find "old/$1/qlog" "new/$1/qlog" -type f 2>/dev/null |
+    sed 's|^[a-z]*/[^/]*/||' | sort -u)
 }
 
 # both <case> <adlsym args...>: run the case on the old and new builds.
@@ -138,7 +154,40 @@ for isa in acc8 m16 rv32e stk16; do
   same "$isa-sort4-seq" "${common[@]}" events.jsonl manifest.json
   both "$isa-sort4-j1" explore "$isa" "$img" "${observe[@]}" --jobs 1
   same "$isa-sort4-j1" "${common[@]}" events.jsonl manifest.json
+
+  # Solver configurations the default runs never reach: every cache miss
+  # solved without the prefilter, and fresh mode without a shared cache.
+  img="$scratch/img/$isa-bitcount3.img"
+  both "$isa-prefilter-off-seq" explore "$isa" "$img" "${observe[@]}" \
+    --prefilter=off
+  same "$isa-prefilter-off-seq" "${common[@]}" events.jsonl manifest.json
+  both "$isa-prefilter-off-j1" explore "$isa" "$img" "${observe[@]}" \
+    --prefilter=off --jobs 1
+  same "$isa-prefilter-off-j1" "${common[@]}" events.jsonl manifest.json
+  both "$isa-qcache-off-j2" explore "$isa" "$img" "${observe[@]}" \
+    --jobs 2 --qcache=off
+  same "$isa-qcache-off-j2" "${common[@]}" events.canon
+
+  both "$isa-merge-bfs" explore "$isa" "$img" "${observe[@]}" \
+    --merge --strategy bfs
+  same "$isa-merge-bfs" "${common[@]}" events.jsonl manifest.json
+  both "$isa-qlog" explore "$isa" "$img" "${observe[@]}" --query-log=qlog
+  # shellcheck disable=SC2046  # corpus prints one path per line
+  same "$isa-qlog" "${common[@]}" events.jsonl manifest.json \
+    $(corpus "$isa-qlog")
+
+  for strategy in coverage random; do
+    both "$isa-parse2-$strategy" explore "$isa" \
+      "$scratch/img/$isa-parse2.img" "${observe[@]}" --strategy "$strategy"
+    same "$isa-parse2-$strategy" "${common[@]}" events.jsonl manifest.json
+  done
 done
+
+# The expired-deadline check: "${observe[@]:1}" drops --clock=manual for
+# a clock that advances 10 us per read.
+both rv32e-sort4-max-wall explore rv32e "$scratch/img/rv32e-sort4.img" \
+  --clock=manual:10 --max-wall-ms 3 "${observe[@]:1}"
+same rv32e-sort4-max-wall "${common[@]}" events.jsonl manifest.json
 
 if [ "$fails" -ne 0 ]; then
   echo "artifact_diff: $fails difference(s) over $cases cases" \
