@@ -11,7 +11,8 @@ namespace adlsym::core::ckpt {
 
 namespace {
 
-constexpr std::string_view kTrailerPrefix = "#adlsym-ckpt-v1 sha256=";
+// The trailer names the schema too, so it is derived from kSchema.
+const std::string kTrailerPrefix = std::string("#") + kSchema + " sha256=";
 
 [[noreturn]] void badFile(const std::string& path, int line,
                           const std::string& what) {
@@ -77,7 +78,7 @@ json::Value loadCheckpointFile(const std::string& path) {
   const std::string_view trailer(blob.data() + prevNl + 1,
                                  blob.size() - prevNl - 2);
   if (trailer.substr(0, kTrailerPrefix.size()) != kTrailerPrefix) {
-    badFile(path, 2, "bad trailer (want '" + std::string(kTrailerPrefix) +
+    badFile(path, 2, "bad trailer (want '" + kTrailerPrefix +
                          "<hex>'; truncated checkpoint?)");
   }
   const std::string_view recorded = trailer.substr(kTrailerPrefix.size());

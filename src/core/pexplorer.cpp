@@ -441,7 +441,7 @@ struct Engine {
   }
 
   /// Serialize the full exploration state into cfg.checkpointPath
-  /// (adlsym-ckpt-v1, atomic replace). Every other worker must be
+  /// (adlsym-ckpt-v2, atomic replace). Every other worker must be
   /// quiescent — parked under mu, signal-parked, or joined — so worker
   /// frontiers, term pools and counters are safe to read.
   void writeCheckpointQuiesced(bool complete, const std::string& stopR,

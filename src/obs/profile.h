@@ -91,7 +91,7 @@ class ProfileCollector final : public core::ExploreObserver {
   /// object. Sites charged only off-step never executed and are skipped.
   void writeJson(json::Writer& w) const;
 
-  /// The checkpoint "sites" section (adlsym-ckpt-v1): the opcode table
+  /// The checkpoint "sites" section (adlsym-ckpt-v2): the opcode table
   /// plus every executed or dropped site's [pc, steps, forks, infeasible],
   /// so a resumed run's final stats document is byte-identical to the
   /// uninterrupted run's.

@@ -33,12 +33,17 @@ TermRef TermManager::foldBinary(Kind k, TermRef a, TermRef b) {
   if (a.isConst() && b.isConst()) {
     return mkConst(resW, evalOp(k, opW, a.constValue(), b.constValue()));
   }
-  // Normalize commutative operators: constant (or lower id) on the right so
-  // that x+c and c+x intern to the same node.
-  if (rewriteOn() && isCommutative(k)) {
-    if (a.isConst() || (!b.isConst() && a.id() > b.id())) std::swap(a, b);
-  }
   return TermRef();  // not folded
+}
+
+// Commutative operands: a constant goes right, so x+c and c+x intern to
+// one node; otherwise the lower named hash goes left, so every pool builds
+// the same structure. TermId only breaks a 64-bit hash collision.
+void TermManager::orderOperands(TermRef& a, TermRef& b) const {
+  const uint64_t ha = node(a).named;
+  const uint64_t hb = node(b).named;
+  const bool after = ha != hb ? ha > hb : a.id() > b.id();
+  if (a.isConst() || (!b.isConst() && after)) std::swap(a, b);
 }
 
 TermRef TermManager::mkNot(TermRef a) {
@@ -73,7 +78,7 @@ TermRef TermManager::mkNeg(TermRef a) {
 TermRef TermManager::mkAnd(TermRef a, TermRef b) {
   if (TermRef f = foldBinary(Kind::And, a, b); f.valid()) return f;
   if (rewriteOn()) {
-    if (a.isConst() || (!b.isConst() && a.id() > b.id())) std::swap(a, b);
+    orderOperands(a, b);
     if (isZero(b)) return noteRewrite(mkConst(a.width(), 0));
     if (isAllOnes(b)) return noteRewrite(a);
     if (a == b) return noteRewrite(a);
@@ -89,7 +94,7 @@ TermRef TermManager::mkAnd(TermRef a, TermRef b) {
 TermRef TermManager::mkOr(TermRef a, TermRef b) {
   if (TermRef f = foldBinary(Kind::Or, a, b); f.valid()) return f;
   if (rewriteOn()) {
-    if (a.isConst() || (!b.isConst() && a.id() > b.id())) std::swap(a, b);
+    orderOperands(a, b);
     if (isZero(b)) return noteRewrite(a);
     if (isAllOnes(b)) return noteRewrite(mkConst(a.width(), lowMask(a.width())));
     if (a == b) return noteRewrite(a);
@@ -106,7 +111,7 @@ TermRef TermManager::mkOr(TermRef a, TermRef b) {
 TermRef TermManager::mkXor(TermRef a, TermRef b) {
   if (TermRef f = foldBinary(Kind::Xor, a, b); f.valid()) return f;
   if (rewriteOn()) {
-    if (a.isConst() || (!b.isConst() && a.id() > b.id())) std::swap(a, b);
+    orderOperands(a, b);
     if (isZero(b)) return noteRewrite(a);
     if (isAllOnes(b)) return noteRewrite(mkNot(a));
     if (a == b) return noteRewrite(mkConst(a.width(), 0));
@@ -117,7 +122,7 @@ TermRef TermManager::mkXor(TermRef a, TermRef b) {
 TermRef TermManager::mkAdd(TermRef a, TermRef b) {
   if (TermRef f = foldBinary(Kind::Add, a, b); f.valid()) return f;
   if (rewriteOn()) {
-    if (a.isConst() || (!b.isConst() && a.id() > b.id())) std::swap(a, b);
+    orderOperands(a, b);
     if (isZero(b)) return noteRewrite(a);
     // (x + c1) + c2  ->  x + (c1+c2): collapses PC-relative address chains.
     const TermNode& na = node(a);
@@ -147,7 +152,7 @@ TermRef TermManager::mkSub(TermRef a, TermRef b) {
 TermRef TermManager::mkMul(TermRef a, TermRef b) {
   if (TermRef f = foldBinary(Kind::Mul, a, b); f.valid()) return f;
   if (rewriteOn()) {
-    if (a.isConst() || (!b.isConst() && a.id() > b.id())) std::swap(a, b);
+    orderOperands(a, b);
     if (isZero(b)) return noteRewrite(mkConst(a.width(), 0));
     if (isOne(b)) return noteRewrite(a);
     // x * 2^k -> x << k (cheaper to bit-blast)
@@ -312,7 +317,7 @@ TermRef TermManager::mkResize(TermRef a, unsigned newWidth) {
 TermRef TermManager::mkEq(TermRef a, TermRef b) {
   if (TermRef f = foldBinary(Kind::Eq, a, b); f.valid()) return f;
   if (rewriteOn()) {
-    if (a.isConst() || (!b.isConst() && a.id() > b.id())) std::swap(a, b);
+    orderOperands(a, b);
     if (a == b) return noteRewrite(mkTrue());
     if (a.width() == 1) {
       // (x == true) -> x ; (x == false) -> !x

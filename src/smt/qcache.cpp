@@ -1,49 +1,29 @@
 #include "smt/qcache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 
 #include "smt/solver.h"
+#include "smt/termio.h"
 #include "support/json.h"
 
 namespace adlsym::smt {
 
 namespace {
 
-void appendNum(std::string& out, uint64_t v) {
-  char buf[24];
-  char* p = buf + sizeof buf;
-  do {
-    *--p = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  out.append(p, buf + sizeof buf);
-}
-
-void appendRef(std::string& out, TermId id,
-               const std::unordered_map<TermId, size_t>& memo) {
-  if (id == kInvalidTerm) {
-    out += '-';
-    return;
-  }
-  appendNum(out, memo.at(id));
-}
-
-enum class VarMode : uint8_t {
-  Blind,  // "V<w>:?"       — name-independent sort key
-  Named,  // "V<w>:<name>"  — within-pool deterministic tie-break
-  Slot,   // "V<w>:@<slot>" — α-renamed final key
-};
-
-/// Append post-order descriptors of every node under `root` not already in
-/// `memo`; returns root's local index. Local indices are emission order,
-/// so the serialization is DAG-shared: a subterm reachable twice is
-/// defined once and referenced by index.
-size_t serializeTerm(const TermManager& tm, TermId root, VarMode mode,
-                     std::unordered_map<TermId, size_t>& memo,
-                     std::string& out,
-                     std::unordered_map<std::string, size_t>* slotByName,
-                     std::vector<TermRef>* slotVars, TermManager* mgr) {
+/// Append the descriptors (smt/termio) of every node under `root` not
+/// already in `memo`, in post-order; returns root's local index. Local
+/// indices are emission order, so the serialization is DAG-shared: a
+/// subterm reachable twice is defined once and referenced by index.
+/// `varText(id)` renders a variable.
+template <class VarText>
+TermId serializeTerm(const TermManager& tm, TermId root,
+                     std::unordered_map<TermId, TermId>& memo,
+                     std::string& out, const VarText& varText) {
+  const auto local = [&](TermId o) {
+    return o == kInvalidTerm ? kInvalidTerm : memo.at(o);
+  };
   std::vector<TermId> stack{root};
   while (!stack.empty()) {
     const TermId id = stack.back();
@@ -52,9 +32,8 @@ size_t serializeTerm(const TermManager& tm, TermId root, VarMode mode,
       continue;
     }
     const TermNode& n = tm.node(id);
-    const TermId ops[3] = {n.a, n.b, n.c};
     bool ready = true;
-    for (const TermId o : ops) {
+    for (const TermId o : {n.a, n.b, n.c}) {
       if (o != kInvalidTerm && memo.count(o) == 0) {
         stack.push_back(o);
         ready = false;
@@ -62,54 +41,9 @@ size_t serializeTerm(const TermManager& tm, TermId root, VarMode mode,
     }
     if (!ready) continue;
     stack.pop_back();
-    switch (n.kind) {
-      case Kind::Const:
-        out += 'C';
-        appendNum(out, n.width);
-        out += ':';
-        appendNum(out, n.aux);
-        break;
-      case Kind::Var:
-        out += 'V';
-        appendNum(out, n.width);
-        out += ':';
-        switch (mode) {
-          case VarMode::Blind:
-            out += '?';
-            break;
-          case VarMode::Named:
-            out += tm.varName(id);
-            break;
-          case VarMode::Slot: {
-            const std::string& name = tm.varName(id);
-            auto [it, inserted] =
-                slotByName->try_emplace(name, slotByName->size());
-            if (inserted && slotVars != nullptr) {
-              slotVars->push_back(TermRef(mgr, id));
-            }
-            out += '@';
-            appendNum(out, it->second);
-            break;
-          }
-        }
-        break;
-      default:
-        out += 'O';
-        appendNum(out, static_cast<uint64_t>(n.kind));
-        out += ':';
-        appendNum(out, n.width);
-        out += ':';
-        appendRef(out, n.a, memo);
-        out += ',';
-        appendRef(out, n.b, memo);
-        out += ',';
-        appendRef(out, n.c, memo);
-        out += ':';
-        appendNum(out, n.aux);
-        break;
-    }
-    out += ';';
-    memo.emplace(id, memo.size());
+    appendDescriptor(out, n, local(n.a), local(n.b), local(n.c),
+                     n.kind == Kind::Var ? varText(id) : std::string_view());
+    memo.emplace(id, static_cast<TermId>(memo.size()));
   }
   return memo.at(root);
 }
@@ -123,63 +57,66 @@ std::string QueryCache::canonicalKey(const std::vector<TermRef>& permanent,
   // The query is the *set* permanent ∪ assumptions; order and duplicates
   // don't affect satisfiability. Within one pool, structural equality is
   // id equality, so de-duplicating ids de-duplicates structure.
-  std::vector<TermRef> terms;
-  terms.reserve(permanent.size() + assumptions.size());
-  for (const TermRef t : permanent) {
-    if (t.valid() && !t.isTrue()) terms.push_back(t);
+  std::vector<TermId> ids;
+  ids.reserve(permanent.size() + assumptions.size());
+  TermManager* mgr = nullptr;
+  for (const auto* set : {&permanent, &assumptions}) {
+    for (const TermRef t : *set) {
+      if (!t.valid() || t.isTrue()) continue;
+      ids.push_back(t.id());
+      mgr = t.manager();
+    }
   }
-  for (const TermRef t : assumptions) {
-    if (t.valid() && !t.isTrue()) terms.push_back(t);
-  }
-  if (terms.empty()) return std::string();
-  TermManager* mgr = terms.front().manager();
-  {
-    std::vector<TermId> ids;
-    ids.reserve(terms.size());
-    for (const TermRef t : terms) ids.push_back(t.id());
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    terms.clear();
-    for (const TermId id : ids) terms.push_back(TermRef(mgr, id));
-  }
+  if (ids.empty()) return std::string();
+  const TermManager& tm = *mgr;
 
-  // Pass 1: per-constraint sort keys. Primary key is name-*blind* so the
-  // order (and hence the α-renaming below) is invariant under variable
-  // renamings that don't collide structurally; the name-aware secondary
-  // key keeps the order deterministic within one pool.
-  struct Item {
-    std::string blind;
-    std::string named;
-    TermId id;
-  };
-  std::vector<Item> items;
-  items.reserve(terms.size());
-  for (const TermRef t : terms) {
-    Item it;
-    it.id = t.id();
-    std::unordered_map<TermId, size_t> memo;
-    serializeTerm(*mgr, t.id(), VarMode::Blind, memo, it.blind, nullptr,
-                  nullptr, nullptr);
-    memo.clear();
-    serializeTerm(*mgr, t.id(), VarMode::Named, memo, it.named, nullptr,
-                  nullptr, nullptr);
-    items.push_back(std::move(it));
-  }
-  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-    if (a.blind != b.blind) return a.blind < b.blind;
-    return a.named < b.named;
+  // Order by blind hash, which is invariant under variable renamings, so
+  // the α-renaming below is too. Constraints whose blind hashes tie (α-
+  // variants such as x<y and y<z) are ordered by their named
+  // serialization, which is the same in every pool; the pool-local id
+  // only brings duplicates together.
+  const auto blind = [&](TermId id) { return tm.node(id).blind; };
+  std::sort(ids.begin(), ids.end(), [&](TermId x, TermId y) {
+    return blind(x) != blind(y) ? blind(x) < blind(y) : x < y;
   });
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const auto name = [&](TermId id) -> std::string_view {
+    return tm.varName(id);
+  };
+  std::vector<std::pair<std::string, TermId>> tied;
+  std::unordered_map<TermId, TermId> memo;
+  for (auto run = ids.begin(); run != ids.end();) {
+    const auto end = std::find_if(
+        run, ids.end(), [&](TermId id) { return blind(id) != blind(*run); });
+    if (end - run > 1) {
+      tied.clear();
+      for (auto it = run; it != end; ++it) {
+        memo.clear();
+        tied.emplace_back(std::string(), *it);
+        serializeTerm(tm, *it, memo, tied.back().first, name);
+      }
+      std::sort(tied.begin(), tied.end());
+      for (const auto& [named, id] : tied) *run++ = id;
+    }
+    run = end;
+  }
 
-  // Pass 2: one global DAG walk over the sorted set, variables α-renamed
-  // to dense slots in first-occurrence order.
+  // One global DAG walk over the ordered set, variables α-renamed to
+  // dense slots "@<n>" in first-occurrence order.
   std::string key;
-  std::unordered_map<TermId, size_t> memo;
-  std::unordered_map<std::string, size_t> slotByName;
-  for (const Item& it : items) {
-    const size_t root = serializeTerm(*mgr, it.id, VarMode::Slot, memo, key,
-                                      &slotByName, slotVars, mgr);
+  memo.clear();
+  std::unordered_map<TermId, uint64_t> slotOf;
+  char text[24] = {'@'};
+  const auto slot = [&](TermId id) -> std::string_view {
+    const auto [it, inserted] = slotOf.try_emplace(id, slotOf.size());
+    if (inserted && slotVars != nullptr) slotVars->push_back(TermRef(mgr, id));
+    const auto res = std::to_chars(text + 1, text + sizeof text, it->second);
+    return std::string_view(text, static_cast<size_t>(res.ptr - text));
+  };
+  for (const TermId id : ids) {
+    const TermId root = serializeTerm(tm, id, memo, key, slot);
     key += 'R';
-    appendNum(key, root);
+    key += std::to_string(root);
     key += ';';
   }
   return key;

@@ -9,11 +9,14 @@
 //  - canonicalKey: for the run-wide cache shared by parallel workers,
 //    whose TermIds are not comparable across pools. The key is a
 //    *canonical serialization* of the whole constraint set: constraints
-//    serialized structurally (DAG-shared), sorted name-blind, de-
-//    duplicated, variables α-renamed to dense slots in first-occurrence
-//    order. Sets structurally equal up to an order-preserving renaming
-//    share a key; false positives are impossible because the key encodes
-//    the full structure. Sat models are stored slot-indexed and each
+//    de-duplicated, ordered by their name-blind structural hash
+//    (TermNode::blind; constraints whose blind hashes tie, such as x<y
+//    and y<z, by their named serialization), then written structurally
+//    (DAG-shared, smt/termio's descriptor grammar) with variables α-
+//    renamed to dense slots in first-occurrence order. Sets structurally
+//    equal up to an order-preserving renaming share a key; false
+//    positives are impossible because the key encodes the full
+//    structure. Sat models are stored slot-indexed and each
 //    client maps slots back to its own variables (canonicalKey's
 //    slotVars). Every distinct key is solved exactly once (single-flight)
 //    on a fresh core whose CNF depends only on term structure, so the
@@ -145,7 +148,7 @@ class QueryCache {
   void clear();
 
   /// Serialize every completed entry plus the schedule-independent stats
-  /// counters — the "qcache" checkpoint section (adlsym-ckpt-v1,
+  /// counters — the "qcache" checkpoint section (adlsym-ckpt-v2,
   /// docs/robustness.md). Entries emit in key order, so the bytes are
   /// canonical across -jN at a quiescent checkpoint barrier. In-flight
   /// entries cannot exist at a barrier and are skipped defensively.

@@ -35,20 +35,6 @@ const char* kindName(Kind k) {
   return "?";
 }
 
-bool isCommutative(Kind k) {
-  switch (k) {
-    case Kind::And:
-    case Kind::Or:
-    case Kind::Xor:
-    case Kind::Add:
-    case Kind::Mul:
-    case Kind::Eq:
-      return true;
-    default:
-      return false;
-  }
-}
-
 const std::string& TermManager::varName(TermId id) const {
   const TermNode& n = nodes_[id];
   check(n.kind == Kind::Var, "varName on non-variable");
@@ -61,16 +47,63 @@ uint32_t TermManager::varIndex(TermId id) const {
   return static_cast<uint32_t>(n.aux);
 }
 
+namespace {
+
+constexpr uint64_t kMul = 0x9e3779b97f4a7c15ull;
+
+// splitmix64's finalizer: a bijective, well-spread 64-bit mix.
+uint64_t mix(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// FNV-1a: a variable's name, hashed the same way on every platform.
+uint64_t hashName(const std::string& name) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char ch : name) {
+    h ^= ch;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+}  // namespace
+
 TermRef TermManager::intern(Kind kind, unsigned width, TermId a, TermId b,
                             TermId c, uint64_t aux) {
   check(width >= 1 && width <= 64, "term width out of range");
-  const NodeKey key{kind, static_cast<uint8_t>(width), a, b, c, aux};
-  auto [it, inserted] = internMap_.try_emplace(key, 0);
-  if (!inserted) return TermRef(this, it->second);
-  const TermId id = static_cast<TermId>(nodes_.size());
-  nodes_.push_back(TermNode{kind, static_cast<uint8_t>(width), a, b, c, aux});
-  it->second = id;
-  return TermRef(this, id);
+  TermNode n{kind, static_cast<uint8_t>(width), a, b, c, aux};
+  // A variable's aux is its pool-local index: the named hash takes its
+  // name instead, the blind hash nothing more than its width.
+  uint64_t named = (static_cast<uint64_t>(kind) << 8 | width) * kMul;
+  uint64_t blind = named;
+  if (kind == Kind::Var) {
+    named = named * kMul + hashName(varNames_[aux]);
+  } else {
+    named = blind = named * kMul + aux;
+    for (const TermId op : {a, b, c}) {
+      if (op == kInvalidTerm) continue;
+      named = named * kMul + nodes_[op].named;
+      blind = blind * kMul + nodes_[op].blind;
+    }
+  }
+  n.named = mix(named);
+  n.blind = mix(blind);
+  // The table is keyed by the named hash. A 64-bit collision moves the
+  // later node to the next free key, so a lookup probes until it finds
+  // its node or a free key.
+  for (uint64_t key = n.named;; ++key) {
+    const auto [it, inserted] =
+        internMap_.try_emplace(key, static_cast<TermId>(nodes_.size()));
+    if (inserted) {
+      nodes_.push_back(n);
+      return TermRef(this, it->second);
+    }
+    if (nodes_[it->second] == n) return TermRef(this, it->second);
+  }
 }
 
 TermRef TermManager::mkConst(unsigned width, uint64_t value) {

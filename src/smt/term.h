@@ -5,6 +5,9 @@
 // Terms are immutable and deduplicated: building the same term twice yields
 // the same TermId, so structural equality is pointer equality and the
 // symbolic-execution core can share subterms freely across forked states.
+// A TermId is only a handle into one pool; what a term *is* across pools
+// is its structural hash (TermNode::named), and every order on terms —
+// commutative operands, canonical query keys — is taken from that hash.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +39,6 @@ enum class Kind : uint8_t {
 
 const char* kindName(Kind k);
 
-/// True for operators whose operand order does not matter.
-bool isCommutative(Kind k);
-
 using TermId = uint32_t;
 inline constexpr TermId kInvalidTerm = 0xffffffff;
 
@@ -49,6 +49,14 @@ struct TermNode {
   TermId b = kInvalidTerm;
   TermId c = kInvalidTerm;
   uint64_t aux = 0;    // Const value / Var index / Extract range
+  // Structural identity, computed once at intern time from kind, width,
+  // aux and the operands' hashes, so it is the same in every pool:
+  // `named` hashes a variable by name and width (never by its pool-local
+  // index), `blind` by width only.
+  uint64_t named = 0;
+  uint64_t blind = 0;
+
+  bool operator==(const TermNode&) const = default;
 };
 
 class TermManager;
@@ -202,40 +210,20 @@ class TermManager {
  private:
   friend class TermRef;
 
-  struct NodeKey {
-    Kind kind;
-    uint8_t width;
-    TermId a, b, c;
-    uint64_t aux;
-    bool operator==(const NodeKey& o) const {
-      return kind == o.kind && width == o.width && a == o.a && b == o.b &&
-             c == o.c && aux == o.aux;
-    }
-  };
-  struct NodeKeyHash {
-    size_t operator()(const NodeKey& k) const {
-      uint64_t h = static_cast<uint64_t>(k.kind) * 0x9e3779b97f4a7c15ull;
-      h ^= (h >> 29) ^ (static_cast<uint64_t>(k.width) << 56);
-      h = h * 31 + k.a;
-      h = h * 31 + k.b;
-      h = h * 31 + k.c;
-      h = h * 31 + k.aux;
-      return static_cast<size_t>(h ^ (h >> 32));
-    }
-  };
-
-  /// Hash-cons a node (no simplification).
+  /// Hash-cons a node (no simplification), computing its structural
+  /// hashes.
   TermRef intern(Kind kind, unsigned width, TermId a = kInvalidTerm,
                  TermId b = kInvalidTerm, TermId c = kInvalidTerm,
                  uint64_t aux = 0);
 
   // Simplification helpers (builder.cpp).
   TermRef foldBinary(Kind k, TermRef a, TermRef b);
+  void orderOperands(TermRef& a, TermRef& b) const;
   bool rewriteOn() const { return rewriting_; }
   TermRef noteRewrite(TermRef t) { ++rewriteHits_; return t; }
 
   std::vector<TermNode> nodes_;
-  std::unordered_map<NodeKey, TermId, NodeKeyHash> internMap_;
+  std::unordered_map<uint64_t, TermId> internMap_;
   std::vector<std::string> varNames_;
   std::unordered_map<std::string, TermId> varMap_;
   bool rewriting_ = true;

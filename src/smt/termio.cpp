@@ -59,15 +59,18 @@ struct Cursor {
     return v;
   }
 
-  TermId ref(size_t slotsSoFar) {
+  /// An operand slot, as the pool id of the term read for it.
+  TermId ref(const std::vector<TermRef>& slots) {
     if (!done() && s[pos] == '-') {
       ++pos;
       return kInvalidTerm;
     }
     const uint64_t v = number();
     // Forward references would make the table non-topological.
-    if (v >= slotsSoFar) fail("operand slot " + std::to_string(v) + " out of range");
-    return static_cast<TermId>(v);
+    if (v >= slots.size()) {
+      fail("operand slot " + std::to_string(v) + " out of range");
+    }
+    return slots[v].id();
   }
 
   std::string until(char stop) {
@@ -86,46 +89,54 @@ unsigned widthOrFail(Cursor& c, uint64_t w) {
 
 }  // namespace
 
+void appendDescriptor(std::string& out, const TermNode& n, TermId a,
+                      TermId b, TermId c, std::string_view varText) {
+  switch (n.kind) {
+    case Kind::Const:
+      out += 'C';
+      appendNum(out, n.width);
+      out += ':';
+      appendNum(out, n.aux);
+      break;
+    case Kind::Var:
+      out += 'V';
+      appendNum(out, n.width);
+      out += ':';
+      out += varText;
+      break;
+    default:
+      out += 'O';
+      appendNum(out, static_cast<uint64_t>(n.kind));
+      out += ':';
+      appendNum(out, n.width);
+      out += ':';
+      appendRef(out, a);
+      out += ',';
+      appendRef(out, b);
+      out += ',';
+      appendRef(out, c);
+      out += ':';
+      appendNum(out, n.aux);
+      break;
+  }
+  out += ';';
+}
+
 uint32_t TermTableWriter::slot(TermRef t) {
   check(t.valid(), "TermTableWriter::slot on invalid term");
   const TermRef local = scratch_.import(t, memos_[t.manager()]);
   // import() only appends to an (initially empty) pool, so scratch ids
   // are dense creation-order slots; describe whatever is new.
   for (; described_ < scratch_.numTerms(); ++described_) {
-    const TermNode& n = scratch_.node(static_cast<TermId>(described_));
-    switch (n.kind) {
-      case Kind::Const:
-        table_ += 'C';
-        appendNum(table_, n.width);
-        table_ += ':';
-        appendNum(table_, n.aux);
-        break;
-      case Kind::Var: {
-        const std::string& name = scratch_.varName(static_cast<TermId>(described_));
-        check(name.find(';') == std::string::npos,
-              "term table: variable name contains the ';' delimiter");
-        table_ += 'V';
-        appendNum(table_, n.width);
-        table_ += ':';
-        table_ += name;
-        break;
-      }
-      default:
-        table_ += 'O';
-        appendNum(table_, static_cast<uint64_t>(n.kind));
-        table_ += ':';
-        appendNum(table_, n.width);
-        table_ += ':';
-        appendRef(table_, n.a);
-        table_ += ',';
-        appendRef(table_, n.b);
-        table_ += ',';
-        appendRef(table_, n.c);
-        table_ += ':';
-        appendNum(table_, n.aux);
-        break;
+    const TermId id = static_cast<TermId>(described_);
+    const TermNode& n = scratch_.node(id);
+    std::string_view name;
+    if (n.kind == Kind::Var) {
+      name = scratch_.varName(id);
+      check(name.find(';') == std::string_view::npos,
+            "term table: variable name contains the ';' delimiter");
     }
-    table_ += ';';
+    appendDescriptor(table_, n, n.a, n.b, n.c, name);
   }
   return local.id();
 }
@@ -161,11 +172,11 @@ std::vector<TermRef> TermTableReader::read(std::string_view table,
           c.expect(':');
           const unsigned w = widthOrFail(c, c.number());
           c.expect(':');
-          const TermId a = c.ref(slots.size());
+          const TermId a = c.ref(slots);
           c.expect(',');
-          const TermId b = c.ref(slots.size());
+          const TermId b = c.ref(slots);
           c.expect(',');
-          const TermId cc = c.ref(slots.size());
+          const TermId cc = c.ref(slots);
           c.expect(':');
           const uint64_t aux = c.number();
           slots.push_back(

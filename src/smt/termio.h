@@ -1,18 +1,22 @@
-// Canonical order-preserving term-DAG serialization (adlsym-ckpt-v1,
-// docs/robustness.md). A TermTableWriter assigns dense slots to every
-// distinct node reachable from the roots it is given, in first-visit
-// post-order, and renders one descriptor per slot:
+// The one term descriptor grammar of the SMT layer, and the canonical
+// order-preserving term-DAG serialization built on it (adlsym-ckpt-v2,
+// docs/robustness.md). appendDescriptor() renders one node:
 //
 //   C<width>:<value>;          constant (value already truncated to width)
-//   V<width>:<name>;           variable (re-consed by name on restore)
+//   V<width>:<text>;           variable: its name here, its α-slot "@<n>"
+//                              in a canonical query key (smt/qcache)
 //   O<kind>:<width>:<a>,<b>,<c>:<aux>;   operator, '-' = absent operand
 //
-// Slots only reference earlier slots, so the reader can intern a table in
-// one left-to-right pass. Roots may come from *different* TermManager
-// pools (parallel workers): structurally equal terms from distinct pools
-// collapse to one slot, because the writer deduplicates by importing
-// everything into a private scratch pool (hash-consing does the rest).
-// That is what makes checkpoint bytes identical across -j1/-j2/-j8.
+// A TermTableWriter assigns dense slots to every distinct node reachable
+// from the roots it is given, in first-visit post-order, and renders one
+// descriptor per slot. Slots only reference earlier slots, so the reader
+// can intern a table in one left-to-right pass. Roots may come from
+// *different* TermManager pools (parallel workers): the builders order
+// operands by structural hash, so an equal constraint has one structure
+// in every pool, and the writer collapses structurally equal terms from
+// distinct pools to one slot by importing everything into a private
+// scratch pool (hash-consing does the rest). That is what makes
+// checkpoint bytes identical across -j1/-j2/-j8.
 //
 // Round-trip contract (ckpt_test): read(table) into a fresh pool, then
 // re-serialize the same roots in the same order — byte-identical table.
@@ -27,6 +31,12 @@
 #include "smt/term.h"
 
 namespace adlsym::smt {
+
+/// Append the descriptor of node `n` to `out`, with `a`, `b`, `c` as its
+/// operand references (kInvalidTerm = absent) and, for a variable,
+/// `varText` after "V<width>:".
+void appendDescriptor(std::string& out, const TermNode& n, TermId a,
+                      TermId b, TermId c, std::string_view varText);
 
 class TermTableWriter {
  public:

@@ -1,4 +1,4 @@
-// Crash-safe checkpoint/resume (adlsym-ckpt-v1, docs/robustness.md):
+// Crash-safe checkpoint/resume (adlsym-ckpt-v2, docs/robustness.md):
 // term-table round-trips, file framing + corruption rejection, state and
 // path-result serializers, and the end-to-end kill/resume byte-identity
 // contract driven through the CLI — crash via --inject=ckpt.write, resume,
@@ -19,9 +19,11 @@
 #include "driver/session.h"
 #include "obs/events.h"
 #include "obs/profile.h"
+#include "smt/printer.h"
 #include "smt/term.h"
 #include "smt/termio.h"
 #include "support/error.h"
+#include "support/hash.h"
 #include "support/json.h"
 #include "support/stop.h"
 #include "workloads/programs.h"
@@ -118,6 +120,21 @@ TEST(TermTable, CrossPoolStructuralDedup) {
   EXPECT_EQ(reserialized(tw.table()), tw.table());
 }
 
+TEST(TermTable, ReadIntoNonEmptyPool) {
+  // Operand references are table slots, not pool ids: a pool that already
+  // holds terms must still get the table's structure.
+  smt::TermManager src;
+  const auto t = src.mkEq(src.mkAdd(src.mkVar(8, "in0"), src.mkConst(8, 7)),
+                          src.mkVar(8, "in1"));
+  smt::TermTableWriter tw;
+  tw.slot(t);
+  smt::TermManager dst;
+  dst.mkVar(8, "noise");
+  dst.mkConst(16, 3);
+  const auto slots = smt::TermTableReader::read(tw.table(), dst);
+  EXPECT_EQ(smt::toString(slots.back()), smt::toString(t));
+}
+
 TEST(TermTable, MalformedTablesRejected) {
   smt::TermManager tm;
   const auto rejects = [&](const std::string& table) {
@@ -138,19 +155,19 @@ TEST(TermTable, MalformedTablesRejected) {
 TEST(CkptFile, RoundTripAndTrailer) {
   const std::string path = testing::TempDir() + "ckpt_frame.ckpt";
   core::ckpt::writeCheckpointFile(
-      path, "{\"schema\":\"adlsym-ckpt-v1\",\"n\":7}");
+      path, "{\"schema\":\"adlsym-ckpt-v2\",\"n\":7}");
   const std::string blob = slurp(path);
-  EXPECT_NE(blob.find("#adlsym-ckpt-v1 sha256="), std::string::npos);
+  EXPECT_NE(blob.find("#adlsym-ckpt-v2 sha256="), std::string::npos);
   EXPECT_EQ(blob.back(), '\n');
   const json::Value v = core::ckpt::loadCheckpointFile(path);
   EXPECT_EQ(core::ckpt::fieldU64(v, "n"), 7u);
-  EXPECT_EQ(core::ckpt::fieldStr(v, "schema"), "adlsym-ckpt-v1");
+  EXPECT_EQ(core::ckpt::fieldStr(v, "schema"), "adlsym-ckpt-v2");
 }
 
 TEST(CkptFile, CorruptionRejectedWithContext) {
   const std::string good = testing::TempDir() + "ckpt_good.ckpt";
   core::ckpt::writeCheckpointFile(
-      good, "{\"schema\":\"adlsym-ckpt-v1\",\"n\":7}");
+      good, "{\"schema\":\"adlsym-ckpt-v2\",\"n\":7}");
   const std::string blob = slurp(good);
 
   const auto expectRejected = [](const std::string& path,
@@ -532,6 +549,41 @@ TEST_F(CkptResume, IllTypedFieldsRejected) {
               std::string::npos)
         << resumed.stdoutText;
   }
+}
+
+// A v1 file holds its term table in pool order and its qcache keys in the
+// old constraint order, so this build would silently miss the file's own
+// cache entries: every older schema is refused with exit 2, whether its
+// document is re-framed with a valid trailer or framed exactly as v1 did.
+TEST_F(CkptResume, OlderSchemaRejected) {
+  const std::string img = imageFor("rv32e");
+  CliRun ref = makeRun("schema_ref", "rv32e", img, 1);
+  exec(ref);
+  ASSERT_EQ(ref.exitCode, 0) << ref.stdoutText;
+  const std::string blob = slurp(ref.ckpt);
+  const std::string doc = std::regex_replace(
+      blob.substr(0, blob.find('\n')),
+      std::regex(R"("schema":"adlsym-ckpt-v\d+")"),
+      R"("schema":"adlsym-ckpt-v1")");
+
+  const std::string retagged = testing::TempDir() + "ckpt_v1_retagged.ckpt";
+  core::ckpt::writeCheckpointFile(retagged, doc);
+  CliRun resumed = ref;
+  exec(resumed, {"--resume=" + retagged});
+  EXPECT_EQ(resumed.exitCode, 2) << resumed.stdoutText;
+  EXPECT_NE(resumed.stdoutText.find(std::string("schema is not ") +
+                                    core::ckpt::kSchema),
+            std::string::npos)
+      << resumed.stdoutText;
+
+  const std::string framed = testing::TempDir() + "ckpt_v1_framed.ckpt";
+  spit(framed, doc + "\n#adlsym-ckpt-v1 sha256=" +
+                   hash::sha256Hex(doc + "\n") + "\n");
+  CliRun v1 = ref;
+  exec(v1, {"--resume=" + framed});
+  EXPECT_EQ(v1.exitCode, 2) << v1.stdoutText;
+  EXPECT_NE(v1.stdoutText.find("checkpoint"), std::string::npos)
+      << v1.stdoutText;
 }
 
 }  // namespace

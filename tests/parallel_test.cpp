@@ -94,6 +94,25 @@ TEST(QueryCacheKey, SetSemanticsOrderAndDuplicatesDoNotMatter) {
             smt::QueryCache::canonicalKey({}, {a, b}, nullptr));
 }
 
+TEST(QueryCacheKey, PoolCreationOrderDoesNotMatter) {
+  // After a steal, the thief pool has created the same variables in
+  // another order than the victim's. {x = y, x <u 5} must still get one
+  // key: with operands ordered by pool-local id, x = y would become y = x
+  // in one pool and α-rename differently against x <u 5.
+  smt::TermManager tm1;
+  smt::TermManager tm2;
+  const auto x1 = tm1.mkVar(8, "x");
+  const auto y1 = tm1.mkVar(8, "y");
+  const auto y2 = tm2.mkVar(8, "y");
+  const auto x2 = tm2.mkVar(8, "x");
+  const auto set = [](smt::TermManager& tm, smt::TermRef x, smt::TermRef y) {
+    return std::vector<smt::TermRef>{tm.mkEq(x, y),
+                                     tm.mkUlt(x, tm.mkConst(8, 5))};
+  };
+  EXPECT_EQ(smt::QueryCache::canonicalKey({}, set(tm1, x1, y1), nullptr),
+            smt::QueryCache::canonicalKey({}, set(tm2, x2, y2), nullptr));
+}
+
 TEST(QueryCacheKey, ConstantTrueAssumptionsAreSkipped) {
   smt::TermManager tm;
   const auto c = tm.mkEq(tm.mkVar(8, "x"), tm.mkConst(8, 7));
@@ -259,9 +278,14 @@ class ParallelDeterminism : public ::testing::Test {
   // symbolic input bits -> 8 paths, enough forks for stealing and for
   // witness-generation queries to exercise the shared cache.
   static std::string imageFor(const std::string& isa) {
-    auto s = Session::forPortable(workloads::progBitcount(3), isa);
+    return imageOf(workloads::progBitcount(3), "bitcount3", isa);
+  }
+
+  static std::string imageOf(const workloads::PProgram& prog,
+                             const std::string& name, const std::string& isa) {
+    auto s = Session::forPortable(prog, isa);
     const std::string path =
-        testing::TempDir() + "parallel_" + isa + ".img";
+        testing::TempDir() + "parallel_" + name + "_" + isa + ".img";
     std::ofstream(path) << s->image().serialize();
     return path;
   }
@@ -339,6 +363,29 @@ TEST_F(ParallelDeterminism, Rv32eAllStrategies) {
 TEST_F(ParallelDeterminism, Stk16AllStrategies) {
   for (const char* s : {"dfs", "bfs", "random", "coverage"}) {
     expectIdenticalAcrossJobs("stk16", s);
+  }
+}
+
+TEST_F(ParallelDeterminism, Sort4AllIsasRepeated) {
+  // sort4's branches compare inputs with each other and need the SAT
+  // core, so a steal makes the thief build constraints over variables its
+  // pool created in another order. Repeated runs give different steals.
+  for (const char* isa : {"acc8", "m16", "rv32e", "stk16"}) {
+    const std::string img = imageOf(workloads::progSort(4), "sort4", isa);
+    const RunArtifacts base = explore(isa, img, "dfs", 1);
+    ASSERT_FALSE(base.forestJson.empty()) << isa;
+    for (const unsigned jobs : {2u, 4u}) {
+      for (int run = 1; run <= 3; ++run) {
+        const RunArtifacts r = explore(isa, img, "dfs", jobs);
+        const std::string where = std::string(isa) + " sort4 -j1 vs -j" +
+                                  std::to_string(jobs) + " run " +
+                                  std::to_string(run);
+        EXPECT_EQ(base.exitCode, r.exitCode) << where;
+        EXPECT_EQ(base.stdoutText, r.stdoutText) << where;
+        EXPECT_EQ(base.statsJson, r.statsJson) << where;
+        EXPECT_EQ(base.forestJson, r.forestJson) << where;
+      }
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include "smt/printer.h"
 #include "smt/term.h"
+#include "smt/termio.h"
 #include "support/bits.h"
 
 namespace adlsym::smt {
@@ -189,6 +190,55 @@ TEST_F(TermTest, PrinterRendersSmtLib) {
   EXPECT_NE(script.find("(set-logic QF_BV)"), std::string::npos);
   EXPECT_NE(script.find("(declare-const x (_ BitVec 8))"), std::string::npos);
   EXPECT_NE(script.find("(check-sat)"), std::string::npos);
+}
+
+// Two pools that create the same variables in opposite orders, as a
+// thief and a victim worker do after a steal, must build one structure for
+// one constraint: commutative operands are ordered by structural hash,
+// never by pool-local TermId.
+TEST(TermIdentity, OperandOrderIsPoolIndependent) {
+  TermManager p1;
+  TermManager p2;
+  const TermRef x1 = p1.mkVar(8, "in0_w8");
+  const TermRef y1 = p1.mkVar(8, "in1_w8");
+  const TermRef y2 = p2.mkVar(8, "in1_w8");
+  const TermRef x2 = p2.mkVar(8, "in0_w8");
+  const auto expectSame = [](TermRef t1, TermRef t2) {
+    EXPECT_EQ(toString(t1), toString(t2));
+    TermTableWriter w1;
+    TermTableWriter w2;
+    w1.slot(t1);
+    w2.slot(t2);
+    EXPECT_EQ(w1.table(), w2.table()) << toString(t1);
+  };
+  using Builder = TermRef (TermManager::*)(TermRef, TermRef);
+  for (const Builder mk : {&TermManager::mkAdd, &TermManager::mkMul,
+                           &TermManager::mkAnd, &TermManager::mkOr,
+                           &TermManager::mkXor, &TermManager::mkEq}) {
+    expectSame((p1.*mk)(x1, y1), (p2.*mk)(x2, y2));
+    expectSame((p1.*mk)(x1, y1), (p2.*mk)(y2, x2));
+  }
+  const auto nested = [](TermManager& tm, TermRef x, TermRef y) {
+    return tm.mkEq(tm.mkAdd(tm.mkMul(x, tm.mkConst(8, 3)), y),
+                   tm.mkXor(tm.mkOr(y, x), tm.mkAnd(x, y)));
+  };
+  expectSame(nested(p1, x1, y1), nested(p2, x2, y2));
+}
+
+TEST(TermIdentity, StructuralHashes) {
+  TermManager p1;
+  TermManager p2;
+  p2.mkVar(8, "noise");  // shifts every pool-local index in p2
+  const TermRef a1 = p1.mkAdd(p1.mkVar(8, "a"), p1.mkConst(8, 3));
+  const TermRef a2 = p2.mkAdd(p2.mkVar(8, "a"), p2.mkConst(8, 3));
+  const TermRef b2 = p2.mkAdd(p2.mkVar(8, "b"), p2.mkConst(8, 3));
+  // Named: equal structure and names, equal hash in any pool.
+  EXPECT_EQ(p1.node(a1).named, p2.node(a2).named);
+  EXPECT_NE(p2.node(a2).named, p2.node(b2).named);
+  // Blind: a renaming of variables keeps the hash, a width change does not.
+  EXPECT_EQ(p1.node(a1).blind, p2.node(b2).blind);
+  const TermRef wide = p2.mkAdd(p2.mkVar(16, "w"), p2.mkConst(16, 3));
+  EXPECT_NE(p2.node(a2).blind, p2.node(wide).blind);
 }
 
 TEST_F(TermTest, WidthChecksThrow) {

@@ -10,8 +10,10 @@
 # --manifest; plus per ISA:
 #  - `adlsym profile` runs (stdout tables), a --max-steps budget run and
 #    one --checkpoint run;
-#  - sort4 sequential and --jobs 1 runs, whose queries the prefilter
-#    rarely decides, so they go through bit-blasting and the SAT core;
+#  - sort4 sequential, --jobs 1, --jobs 2 and --jobs 4 runs, whose
+#    queries the prefilter rarely decides, so they go through bit-blasting
+#    and the SAT core, and whose steals make workers build constraints
+#    over variables their pools created in different orders;
 #  - every path through the solver's query pipeline: bitcount3 with
 #    --prefilter=off (sequential and --jobs 1) and at --jobs 2
 #    --qcache=off (fresh mode without a cache);
@@ -21,10 +23,9 @@
 # One more rv32e sort4 run has a --max-wall-ms budget on a 10 us manual
 # clock: it exits 3, and one query finds its deadline already spent.
 #
-# Under --jobs 2 the raw event order and therefore the manifest hashes are
-# schedule-dependent, so those runs compare the tools/events_canon form of
-# the stream and skip the manifest. sort4 has no --jobs 2 case: its stats
-# are not yet stable across schedules (docs/parallelism.md, caveats).
+# Under --jobs 2 and 4 the raw event order and therefore the manifest
+# hashes are schedule-dependent, so those runs compare the
+# tools/events_canon form of the stream and skip the manifest.
 #
 # Every run executes in the same scratch work directory with relative
 # artifact paths, so the argv and paths echoed into the manifests match.
@@ -154,6 +155,10 @@ for isa in acc8 m16 rv32e stk16; do
   same "$isa-sort4-seq" "${common[@]}" events.jsonl manifest.json
   both "$isa-sort4-j1" explore "$isa" "$img" "${observe[@]}" --jobs 1
   same "$isa-sort4-j1" "${common[@]}" events.jsonl manifest.json
+  for j in 2 4; do
+    both "$isa-sort4-j$j" explore "$isa" "$img" "${observe[@]}" --jobs "$j"
+    same "$isa-sort4-j$j" "${common[@]}" events.canon
+  done
 
   # Solver configurations the default runs never reach: every cache miss
   # solved without the prefilter, and fresh mode without a shared cache.
