@@ -52,23 +52,8 @@ void Rv32Engine::finishSymbolic(MachineState&& st, TermRef nextPc,
     finish(std::move(st), nextPc.constValue(), out);
     return;
   }
-  smt::TermManager& tm = svc_.tm;
   ++st.steps;
-  std::vector<TermRef> blocking = st.pathCond;
-  for (unsigned i = 0; i < svc_.config.maxIndirectTargets; ++i) {
-    if (svc_.solver.check(blocking) != smt::CheckResult::Sat) return;
-    const uint64_t target = svc_.solver.modelValue(nextPc);
-    MachineState succ = st;
-    succ.addConstraint(tm.mkEq(nextPc, tm.mkConst(32, target)));
-    succ.pc = target;
-    ++succ.forks;
-    out.successors.push_back(std::move(succ));
-    blocking.push_back(tm.mkNe(nextPc, tm.mkConst(32, target)));
-  }
-  if (svc_.solver.check(blocking) == smt::CheckResult::Sat) {
-    st.status = core::PathStatus::Budget;
-    out.successors.push_back(std::move(st));
-  }
+  svc_.forkJumpTargets(std::move(st), nextPc, out);
 }
 
 void Rv32Engine::branch(MachineState&& st, TermRef cond, uint64_t target,
@@ -77,26 +62,22 @@ void Rv32Engine::branch(MachineState&& st, TermRef cond, uint64_t target,
     finish(std::move(st), cond.constValue() ? target : fallThrough, out);
     return;
   }
-  const TermRef notCond = svc_.tm.mkNot(cond);
-  const bool takenOk =
-      !svc_.config.eagerFeasibility || svc_.feasible(st, cond);
-  const bool fallOk =
-      !svc_.config.eagerFeasibility || svc_.feasible(st, notCond);
-  if (takenOk && fallOk) {
-    MachineState taken = st;
-    taken.addConstraint(cond);
-    ++taken.forks;
-    finish(std::move(taken), target, out);
-    st.addConstraint(notCond);
+  auto [taken, fall] = svc_.branch(st, cond);
+  if (taken.feasible && fall.feasible) {
+    MachineState succ = st;
+    core::EngineServices::enter(succ, std::move(taken));
+    ++succ.forks;
+    finish(std::move(succ), target, out);
+    core::EngineServices::enter(st, std::move(fall));
     ++st.forks;
     finish(std::move(st), fallThrough, out);
     return;
   }
-  if (takenOk) {
-    st.addConstraint(cond);
+  if (taken.feasible) {
+    core::EngineServices::enter(st, std::move(taken));
     finish(std::move(st), target, out);
-  } else if (fallOk) {
-    st.addConstraint(notCond);
+  } else if (fall.feasible) {
+    core::EngineServices::enter(st, std::move(fall));
     finish(std::move(st), fallThrough, out);
   }
 }
@@ -124,7 +105,6 @@ void Rv32Engine::step(const MachineState& in, StepOut& out) {
     def.kind = DefectKind::IllegalInsn;
     def.pc = in.pc;
     def.message = why;
-    def.witness = svc_.solveWitness(in);
     bad.defect = std::move(def);
     out.successors.push_back(std::move(bad));
   };
@@ -200,20 +180,19 @@ void Rv32Engine::step(const MachineState& in, StepOut& out) {
             tm.mkAnd(tm.mkAnd(tm.mkSlt(a, zero), tm.mkSlt(b, zero)),
                      tm.mkSge(s, zero)));
         if (ovf.isTrue()) {
-          core::emitDefect(svc_, st, out, DefectKind::Trap, site,
-                           "trap(1) reached", TermRef(), 1);
+          core::emitDefect(st, out, DefectKind::Trap, site,
+                           "trap(1) reached", {}, 1);
           return;
         }
         if (!ovf.isFalse()) {
-          const bool ovfFeasible =
-              !svc_.config.eagerFeasibility || svc_.feasible(st, ovf);
-          if (ovfFeasible) {
-            core::emitDefect(svc_, st, out, DefectKind::Trap, site,
-                             "trap(1) reached", ovf, 1);
+          core::Side trap = svc_.side(st, ovf, svc_.branchAsk());
+          if (trap.feasible) {
+            core::emitDefect(st, out, DefectKind::Trap, site,
+                             "trap(1) reached", std::move(trap), 1);
           }
-          const TermRef noOvf = tm.mkNot(ovf);
-          if (!svc_.feasible(st, noOvf)) return;
-          st.addConstraint(noOvf);
+          core::Side noOvf = svc_.side(st, tm.mkNot(ovf));
+          if (!noOvf.feasible) return;
+          core::EngineServices::enter(st, std::move(noOvf));
         }
         v = s;
       }

@@ -17,33 +17,11 @@ const char* defectKindName(DefectKind k) {
   return "?";
 }
 
-bool EngineServices::feasible(const MachineState& st, smt::TermRef extra) {
-  std::vector<smt::TermRef> assumptions = st.pathCond;
-  if (extra.valid()) assumptions.push_back(extra);
-  // Feasibility never reads the model, so a conclusive abstract-prefilter
-  // Sat can short-circuit the solve entirely (smt/presolver.h).
-  return solver.checkNoModel(assumptions) == smt::CheckResult::Sat;
-}
-
-TestCase EngineServices::solveWitness(const MachineState& st,
-                                      smt::TermRef extra) {
-  TestCase tc;
-  if (!config.generateTests) return tc;
-  std::vector<smt::TermRef> assumptions = st.pathCond;
-  if (extra.valid()) assumptions.push_back(extra);
-  if (solver.check(assumptions) != smt::CheckResult::Sat) return tc;
-  tc.inputs.reserve(st.inputs.size());
-  for (const InputRecord& in : st.inputs) {
-    tc.inputs.push_back({in.name, in.width, solver.modelValue(in.term)});
-  }
-  return tc;
-}
-
-void emitDefect(EngineServices& svc, const MachineState& st, StepOut& out,
-                DefectKind kind, const CheckSite& site, std::string message,
-                smt::TermRef extraCond, uint64_t trapClass) {
+void emitDefect(const MachineState& st, StepOut& out, DefectKind kind,
+                const CheckSite& site, std::string message, Side side,
+                uint64_t trapClass) {
   MachineState bad = st;
-  if (extraCond.valid()) bad.addConstraint(extraCond);
+  EngineServices::enter(bad, std::move(side));
   bad.status = PathStatus::Defect;
   Defect d;
   d.kind = kind;
@@ -51,7 +29,6 @@ void emitDefect(EngineServices& svc, const MachineState& st, StepOut& out,
   d.mnemonic = site.mnemonic;
   d.message = std::move(message);
   d.trapClass = trapClass;
-  d.witness = svc.solveWitness(st, extraCond);
   bad.defect = std::move(d);
   out.successors.push_back(std::move(bad));
 }
@@ -64,17 +41,18 @@ bool guardDivisor(EngineServices& svc, MachineState& st, StepOut& out,
   const smt::TermRef isZero = tm.mkEq(divisor, zero);
   if (isZero.isFalse()) return true;  // provably nonzero
   if (isZero.isTrue()) {
-    emitDefect(svc, st, out, DefectKind::DivByZero, site,
+    emitDefect(st, out, DefectKind::DivByZero, site,
                "divisor is always zero here");
     return false;
   }
-  if (svc.feasible(st, isZero)) {
-    emitDefect(svc, st, out, DefectKind::DivByZero, site,
-               "divisor can be zero", isZero);
+  Side zeroSide = svc.side(st, isZero);
+  if (zeroSide.feasible) {
+    emitDefect(st, out, DefectKind::DivByZero, site,
+               "divisor can be zero", std::move(zeroSide));
   }
-  const smt::TermRef nonZero = tm.mkNot(isZero);
-  if (!svc.feasible(st, nonZero)) return false;  // only the zero case exists
-  st.addConstraint(nonZero);
+  Side nonZero = svc.side(st, tm.mkNot(isZero));
+  if (!nonZero.feasible) return false;  // only the zero case exists
+  EngineServices::enter(st, std::move(nonZero));
   return true;
 }
 
@@ -142,24 +120,31 @@ bool boundsCheckSymbolic(EngineServices& svc, MachineState& st, StepOut& out,
   const smt::TermRef bad = svc.tm.mkNot(ok);
   if (!svc.config.checkOob) {
     // Even unchecked, the engine must not read unmapped space: constrain.
-    if (!svc.feasible(st, ok)) return false;
-    st.addConstraint(ok);
+    Side in = svc.side(st, ok);
+    if (!in.feasible) return false;
+    EngineServices::enter(st, std::move(in));
     return true;
   }
+  const DefectKind kind = forWrite ? DefectKind::OobWrite : DefectKind::OobRead;
   if (ok.isFalse()) {
-    emitDefect(svc, st, out, forWrite ? DefectKind::OobWrite : DefectKind::OobRead,
-               site, "access is always out of bounds");
+    emitDefect(st, out, kind, site, "access is always out of bounds");
     return false;
   }
-  if (!bad.isFalse() && svc.feasible(st, bad)) {
-    emitDefect(svc, st, out, forWrite ? DefectKind::OobWrite : DefectKind::OobRead,
-               site,
-               formatStr("%u-byte %s can go out of bounds", size,
-                         forWrite ? "write" : "read"),
-               bad);
-    if (!svc.feasible(st, ok)) return false;  // only the OOB case exists
+  // Without a feasible OOB side, every model of the path is in bounds: the
+  // carried witness satisfies `ok` and the in-bounds side is free.
+  Side in{ok};
+  if (!bad.isFalse()) {
+    Side oob = svc.side(st, bad);
+    if (oob.feasible) {
+      emitDefect(st, out, kind, site,
+                 formatStr("%u-byte %s can go out of bounds", size,
+                           forWrite ? "write" : "read"),
+                 std::move(oob));
+      in = svc.side(st, ok);
+      if (!in.feasible) return false;  // only the OOB case exists
+    }
   }
-  st.addConstraint(ok);
+  EngineServices::enter(st, std::move(in));
   return true;
 }
 
@@ -173,7 +158,7 @@ smt::TermRef checkedLoad(EngineServices& svc, MachineState& st, StepOut& out,
     const uint64_t a = addr.constValue();
     if (!concreteInBounds(svc, a, size, /*forWrite=*/false)) {
       if (svc.config.checkOob) {
-        emitDefect(svc, st, out, DefectKind::OobRead, site,
+        emitDefect(st, out, DefectKind::OobRead, site,
                    formatStr("read of %u bytes at unmapped address 0x%llx",
                              size, static_cast<unsigned long long>(a)));
       }
@@ -217,7 +202,7 @@ bool checkedStore(EngineServices& svc, MachineState& st, StepOut& out,
     const uint64_t a = addr.constValue();
     if (!concreteInBounds(svc, a, size, /*forWrite=*/true)) {
       if (svc.config.checkOob) {
-        emitDefect(svc, st, out, DefectKind::OobWrite, site,
+        emitDefect(st, out, DefectKind::OobWrite, site,
                    formatStr("write of %u bytes at invalid address 0x%llx",
                              size, static_cast<unsigned long long>(a)));
       }
@@ -258,16 +243,21 @@ bool guardAssertEq(EngineServices& svc, MachineState& st, StepOut& out,
   if (eq.isTrue()) return true;
   const smt::TermRef ne = tm.mkNot(eq);
   if (eq.isFalse()) {
-    emitDefect(svc, st, out, DefectKind::AssertFail, site,
+    emitDefect(st, out, DefectKind::AssertFail, site,
                "assertion always fails here");
     return false;
   }
-  if (svc.feasible(st, ne)) {
-    emitDefect(svc, st, out, DefectKind::AssertFail, site,
-               "assertion can fail", ne);
-    if (!svc.feasible(st, eq)) return false;
+  // As in the bounds check: when the failing side is infeasible, every
+  // model of the path, the carried witness included, satisfies `eq`.
+  Side holds{eq};
+  Side fails = svc.side(st, ne);
+  if (fails.feasible) {
+    emitDefect(st, out, DefectKind::AssertFail, site,
+               "assertion can fail", std::move(fails));
+    holds = svc.side(st, eq);
+    if (!holds.feasible) return false;
   }
-  st.addConstraint(eq);
+  EngineServices::enter(st, std::move(holds));
   return true;
 }
 

@@ -4,8 +4,9 @@
 //
 // Symbolic addresses are handled without forking: reads become ite-chains
 // over the bytes of each feasible section, writes update every feasible
-// byte conditionally (DESIGN.md §6.3). Out-of-bounds accessibility is a
-// separate solver query that produces a Defect successor with a witness.
+// byte conditionally (DESIGN.md §6.3). Out-of-bounds reachability is one
+// more feasibility decision (EngineServices::side): a feasible OOB side
+// becomes a Defect successor that carries that side's witness.
 #pragma once
 
 #include <string>
@@ -21,10 +22,12 @@ struct CheckSite {
   std::string mnemonic;
 };
 
-/// Report a defect on a copy of `st` and append it to `out`.
-void emitDefect(EngineServices& svc, const MachineState& st, StepOut& out,
-                DefectKind kind, const CheckSite& site, std::string message,
-                smt::TermRef extraCond = {}, uint64_t trapClass = 0);
+/// Report a defect on a copy of `st` that enters `side` (its condition
+/// and witness; the default adds neither) and append it to `out`. The
+/// defect's test inputs are read off that witness when the path ends.
+void emitDefect(const MachineState& st, StepOut& out, DefectKind kind,
+                const CheckSite& site, std::string message, Side side = {},
+                uint64_t trapClass = 0);
 
 /// Checked division guard: reports DivByZero if the divisor can be zero,
 /// then constrains it nonzero on `st`. Returns false if the path dies

@@ -78,6 +78,15 @@ json::Value loadCheckpointFile(const std::string& path) {
   const std::string_view trailer(blob.data() + prevNl + 1,
                                  blob.size() - prevNl - 2);
   if (trailer.substr(0, kTrailerPrefix.size()) != kTrailerPrefix) {
+    // Another schema version names itself in its trailer: report the
+    // version, not a truncation.
+    const size_t sha = trailer.find(" sha256=");
+    if (trailer.substr(0, 13) == "#adlsym-ckpt-" &&
+        sha != std::string_view::npos) {
+      badFile(path, 2,
+              "schema is not " + std::string(kSchema) + " (the trailer names " +
+                  std::string(trailer.substr(1, sha - 1)) + ")");
+    }
     badFile(path, 2, "bad trailer (want '" + kTrailerPrefix +
                          "<hex>'; truncated checkpoint?)");
   }
@@ -183,6 +192,13 @@ void writeMachineStateFields(json::Writer& w, const MachineState& st,
   }
   w.endArray();
   if (st.exitCode.valid()) w.kv("exit", tw.slot(st.exitCode));
+  // The carried witness, by input position; absent when lazy feasibility
+  // left the state without one.
+  if (st.witnessValid) {
+    w.key("w").beginArray();
+    for (const uint64_t v : st.witness) w.value(v);
+    w.endArray();
+  }
 }
 
 MachineState readMachineState(const json::Value& v,
@@ -233,6 +249,13 @@ MachineState readMachineState(const json::Value& v,
   }
   if (const json::Value* exit = v.find("exit")) {
     st.exitCode = slotRef(*exit, slots);
+  }
+  st.witnessValid = v.find("w") != nullptr;
+  if (st.witnessValid) {
+    for (const json::Value& x : arrayField("w").array) {
+      if (!x.isU64()) throw InputError("checkpoint state: bad witness value");
+      st.witness.push_back(x.asU64());
+    }
   }
   st.status = PathStatus::Running;
   return st;

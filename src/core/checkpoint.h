@@ -1,9 +1,9 @@
-// adlsym-ckpt-v2 (docs/robustness.md): durable exploration checkpoints.
+// adlsym-ckpt-v3 (docs/robustness.md): durable exploration checkpoints.
 // A checkpoint is one compact JSON document (line 1) plus a self-hash
 // trailer (line 2):
 //
-//   {"schema":"adlsym-ckpt-v2", ...}\n
-//   #adlsym-ckpt-v2 sha256=<64 hex of everything before this line>\n
+//   {"schema":"adlsym-ckpt-v3", ...}\n
+//   #adlsym-ckpt-v3 sha256=<64 hex of everything before this line>\n
 //
 // Files are replaced atomically (support/atomicio), so the previous
 // checkpoint survives any crash during a write, and the trailer rejects
@@ -22,7 +22,7 @@
 
 namespace adlsym::core::ckpt {
 
-inline constexpr const char* kSchema = "adlsym-ckpt-v2";
+inline constexpr const char* kSchema = "adlsym-ckpt-v3";
 
 /// Append the trailer to `doc` and replace `path` crash-safely.
 /// Fault site: ckpt.write (fires before the temp file exists, so an
@@ -42,8 +42,9 @@ uint64_t fieldU64(const json::Value& v, const char* name);
 bool fieldBool(const json::Value& v, const char* name);
 std::string fieldStr(const json::Value& v, const char* name);
 
-/// Serialize the fields of a frontier (Running) MachineState into an
-/// open JSON object — the caller adds the structural key. All terms are
+/// Serialize the fields of a frontier (Running) MachineState, its carried
+/// witness included, into an open JSON object — the caller adds the
+/// structural key. All terms are
 /// routed through `tw`, whose scratch-pool dedup makes the resulting
 /// bytes independent of which worker pool owned the state.
 void writeMachineStateFields(json::Writer& w, const MachineState& st,

@@ -1,7 +1,6 @@
 #include "core/concolic.h"
 
 #include <deque>
-#include <map>
 
 #include "core/testgen.h"
 
@@ -9,24 +8,13 @@ namespace adlsym::core {
 
 namespace {
 
-/// Evaluate a width-1 term under a concrete input seed (stream order; the
-/// i-th input variable of the state reads seed[i], 0 beyond the end).
-bool holdsUnderSeed(smt::TermManager& tm, const MachineState& st,
-                    const std::vector<uint64_t>& seed, smt::TermRef cond) {
-  std::map<uint32_t, uint64_t> env;
-  for (size_t i = 0; i < st.inputs.size(); ++i) {
-    env[tm.varIndex(st.inputs[i].term.id())] = i < seed.size() ? seed[i] : 0;
-  }
-  return tm.evalWith(cond, [&](uint32_t idx) {
-           auto it = env.find(idx);
-           return it == env.end() ? uint64_t{0} : it->second;
-         }) != 0;
-}
-
+/// Do pathCond[from..] of `st` hold under a concrete input seed? A seed is
+/// an assignment by input position, like a carried witness (bindInputs).
 bool suffixHoldsUnderSeed(smt::TermManager& tm, const MachineState& st,
                           const std::vector<uint64_t>& seed, size_t from) {
+  bindInputs(tm, st.inputs, seed);
   for (size_t i = from; i < st.pathCond.size(); ++i) {
-    if (!holdsUnderSeed(tm, st, seed, st.pathCond[i])) return false;
+    if (tm.evalTerm(st.pathCond[i]) == 0) return false;
   }
   return true;
 }
@@ -135,19 +123,12 @@ ConcolicResult ConcolicDriver::run() {
       pr.defect = final.defect;
       pr.defect->witness = pr.test;
     }
-    auto seedEnv = [&](uint32_t idx) -> uint64_t {
-      for (size_t i = 0; i < final.inputs.size(); ++i) {
-        if (svc_.tm.varIndex(final.inputs[i].term.id()) == idx) {
-          return i < seed.size() ? seed[i] : 0;
-        }
-      }
-      return 0;
-    };
+    bindInputs(svc_.tm, final.inputs, seed);
     if (final.status == PathStatus::Exited && final.exitCode.valid()) {
-      pr.exitCode = svc_.tm.evalWith(final.exitCode, seedEnv);
+      pr.exitCode = svc_.tm.evalTerm(final.exitCode);
     }
     for (const OutputRecord& o : final.outputs) {
-      pr.outputs.push_back(svc_.tm.evalWith(o.term, seedEnv));
+      pr.outputs.push_back(svc_.tm.evalTerm(o.term));
     }
     result.paths.push_back(std::move(pr));
 

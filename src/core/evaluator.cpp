@@ -143,7 +143,7 @@ smt::TermRef AdlExecutor::evalExpr(const Expr& e, MachineState& st, Frame& f,
       if (idx >= st.regfile.size()) {
         // Encodable-but-invalid register number (e.g. a 5-bit field on a
         // 16-register file): an illegal instruction, not an engine bug.
-        emitDefect(svc_, st, out, DefectKind::IllegalInsn, f.site,
+        emitDefect(st, out, DefectKind::IllegalInsn, f.site,
                    formatStr("register index %llu out of range",
                              static_cast<unsigned long long>(idx)));
         dead = true;
@@ -244,7 +244,6 @@ smt::TermRef AdlExecutor::evalExpr(const Expr& e, MachineState& st, Frame& f,
 
 void AdlExecutor::execStmts(MachineState st, Frame frame,
                             std::vector<const Stmt*> work, StepOut& out) {
-  smt::TermManager& tm = svc_.tm;
   while (!work.empty()) {
     const Stmt* s = work.front();
     work.erase(work.begin());
@@ -271,7 +270,7 @@ void AdlExecutor::execStmts(MachineState st, Frame frame,
         const smt::TermRef v = evalExpr(*s->args[1], st, frame, out, dead);
         if (dead) return;
         if (idx >= st.regfile.size()) {
-          emitDefect(svc_, st, out, DefectKind::IllegalInsn, frame.site,
+          emitDefect(st, out, DefectKind::IllegalInsn, frame.site,
                      formatStr("register index %llu out of range",
                                static_cast<unsigned long long>(idx)));
           return;
@@ -320,10 +319,10 @@ void AdlExecutor::execStmts(MachineState st, Frame frame,
         break;
       }
       case StmtOp::Trap: {
-        emitDefect(svc_, st, out, DefectKind::Trap, frame.site,
+        emitDefect(st, out, DefectKind::Trap, frame.site,
                    formatStr("trap(%llu) reached",
                              static_cast<unsigned long long>(s->aux)),
-                   smt::TermRef(), s->aux);
+                   {}, s->aux);
         return;
       }
       case StmtOp::If: {
@@ -343,28 +342,24 @@ void AdlExecutor::execStmts(MachineState st, Frame frame,
           break;
         }
         // Symbolic branch: fork.
-        const smt::TermRef notCond = tm.mkNot(cond);
-        const bool thenFeasible =
-            !svc_.config.eagerFeasibility || svc_.feasible(st, cond);
-        const bool elseFeasible =
-            !svc_.config.eagerFeasibility || svc_.feasible(st, notCond);
-        if (thenFeasible && elseFeasible) {
+        auto [thenSide, elseSide] = svc_.branch(st, cond);
+        if (thenSide.feasible && elseSide.feasible) {
           MachineState other = st;
-          other.addConstraint(notCond);
+          EngineServices::enter(other, std::move(elseSide));
           ++other.forks;
           execStmts(std::move(other), frame, enqueueArm(s->elseBody, work), out);
-          st.addConstraint(cond);
+          EngineServices::enter(st, std::move(thenSide));
           ++st.forks;
           work = enqueueArm(s->thenBody, std::move(work));
           break;
         }
-        if (thenFeasible) {
-          st.addConstraint(cond);
+        if (thenSide.feasible) {
+          EngineServices::enter(st, std::move(thenSide));
           work = enqueueArm(s->thenBody, std::move(work));
           break;
         }
-        if (elseFeasible) {
-          st.addConstraint(notCond);
+        if (elseSide.feasible) {
+          EngineServices::enter(st, std::move(elseSide));
           work = enqueueArm(s->elseBody, std::move(work));
           break;
         }
@@ -388,25 +383,7 @@ void AdlExecutor::finishInsn(MachineState st, Frame& frame, StepOut& out) {
     out.successors.push_back(std::move(st));
     return;
   }
-  // Symbolic jump target: enumerate feasible concrete targets (bounded).
-  smt::TermManager& tm = svc_.tm;
-  std::vector<smt::TermRef> blocking = st.pathCond;
-  for (unsigned i = 0; i < svc_.config.maxIndirectTargets; ++i) {
-    if (svc_.solver.check(blocking) != smt::CheckResult::Sat) return;
-    const uint64_t target = svc_.solver.modelValue(frame.newPc);
-    MachineState succ = st;
-    succ.addConstraint(tm.mkEq(frame.newPc, tm.mkConst(addrW, target)));
-    succ.pc = target;
-    ++succ.forks;
-    out.successors.push_back(std::move(succ));
-    blocking.push_back(tm.mkNe(frame.newPc, tm.mkConst(addrW, target)));
-  }
-  // Remaining targets beyond the bound are dropped; record as budget state.
-  if (svc_.solver.check(blocking) == smt::CheckResult::Sat) {
-    MachineState trunc = std::move(st);
-    trunc.status = PathStatus::Budget;
-    out.successors.push_back(std::move(trunc));
-  }
+  svc_.forkJumpTargets(std::move(st), frame.newPc, out);
 }
 
 void AdlExecutor::step(const MachineState& in, StepOut& out) {
@@ -423,7 +400,6 @@ void AdlExecutor::step(const MachineState& in, StepOut& out) {
     def.kind = DefectKind::IllegalInsn;
     def.pc = in.pc;
     def.message = "undecodable or unmapped instruction";
-    def.witness = svc_.solveWitness(in);
     bad.defect = std::move(def);
     out.successors.push_back(std::move(bad));
     return;

@@ -4,8 +4,11 @@
 // baseline (baseline/rv32_engine.h, the E2 comparison).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/state.h"
 #include "loader/image.h"
@@ -16,7 +19,9 @@ namespace adlsym::core {
 
 struct EngineConfig {
   /// Check both sides of a symbolic branch for feasibility at fork time
-  /// (eager). When false, infeasible paths die later at their next check.
+  /// (eager). When false, a branch side the carried witness does not
+  /// satisfy is taken on trust, without a witness, and an infeasible path
+  /// dies later at its next check.
   bool eagerFeasibility = true;
   /// Case-split bound for symbolic jump targets (indirect branches).
   unsigned maxIndirectTargets = 16;
@@ -25,6 +30,21 @@ struct EngineConfig {
   bool checkDivZero = true;
   /// Generate witness test cases for completed paths and defects.
   bool generateTests = true;
+};
+
+struct StepOut;
+
+/// One side of a split: the constraint it adds to a state and where that
+/// successor's witness comes from (EngineServices::side).
+struct Side {
+  smt::TermRef cond;  // the constraint the side adds; invalid = none
+  bool feasible = true;
+  /// Carried: the state's own witness satisfies `cond` and stays. Model:
+  /// `model`, from the query that found the side feasible. None: lazy
+  /// feasibility took the side on trust, so no assignment is known.
+  enum class From : uint8_t { Carried, Model, None };
+  From from = From::Carried;
+  std::vector<uint64_t> model;  // by input position, when from == Model
 };
 
 /// Everything an executor needs from its environment. One instance is
@@ -47,17 +67,56 @@ class EngineServices {
   /// = telemetry disabled (zero cost: call sites branch on the pointer).
   telemetry::Telemetry* telemetry = nullptr;
 
-  /// Is pathCond(state) /\ extra satisfiable? Unknown counts as
-  /// infeasible (documented limitation; counted in solver stats).
-  bool feasible(const MachineState& st, smt::TermRef extra = {});
+  /// How side() decides a side that the carried witness does not satisfy.
+  enum class Ask : uint8_t {
+    Witness,  // one check(); its model becomes the side's witness
+    Verdict,  // one checkNoModel(), for a probe whose side is never entered
+    Trust,    // no query: feasible without a witness (lazy feasibility)
+  };
 
-  /// Solve pathCond(state) /\ extra and extract a witness for the state's
-  /// inputs. Callers must know the query is satisfiable (e.g. via a
-  /// preceding feasible() call with the same arguments).
-  TestCase solveWitness(const MachineState& st, smt::TermRef extra = {});
+  /// The one feasibility decision (DESIGN.md §6.8): is pathCond(st) /\ c
+  /// satisfiable? When st's carried witness satisfies `c`, yes: no query,
+  /// and the side keeps the witness. Otherwise `ask` decides. Unknown
+  /// counts as infeasible (documented limitation; counted in solver
+  /// stats).
+  Side side(const MachineState& st, smt::TermRef c, Ask ask = Ask::Witness);
 
-  /// Concrete model value of `t` under the last solved query.
-  uint64_t modelOf(smt::TermRef t) { return solver.modelValue(t); }
+  /// Both arms of a branch on the width-1 `cond`: {cond, not cond}. The
+  /// rule of side() with `cond` evaluated once: the arm the witness
+  /// satisfies is free and only the other one is decided, by branchAsk().
+  std::pair<Side, Side> branch(const MachineState& st, smt::TermRef cond);
+
+  /// How a branch arm is decided: a query under eager feasibility, trust
+  /// under lazy feasibility.
+  Ask branchAsk() const {
+    return config.eagerFeasibility ? Ask::Witness : Ask::Trust;
+  }
+
+  /// A probe: is pathCond(st) /\ c satisfiable? For sides never entered.
+  bool feasible(const MachineState& st, smt::TermRef c) {
+    return side(st, c, Ask::Verdict).feasible;
+  }
+
+  /// Enter a feasible side: add its constraint to `st` and take its
+  /// witness.
+  static void enter(MachineState& st, Side&& s);
+
+  /// Symbolic jump: one successor per feasible concrete value of `target`
+  /// (at most config.maxIndirectTargets), constrained to that value; if
+  /// values remain beyond the bound, `st` itself ends as a Budget path.
+  /// The first value is the carried witness's; each later one comes from
+  /// the query that excluded the values before it, and its successor
+  /// carries that query's model.
+  void forkJumpTargets(MachineState&& st, smt::TermRef target, StepOut& out);
+
+  /// The last Sat model's values of st's inputs, by input position: the
+  /// witness a successor takes from the query that found it feasible.
+  std::vector<uint64_t> modelWitness(const MachineState& st);
+
+ private:
+  /// side() for a `c` the carried witness does not satisfy (or when there
+  /// is none): `ask` decides.
+  Side decide(const MachineState& st, smt::TermRef c, Ask ask);
 };
 
 /// One instruction executed on one state produces 0..N successor states

@@ -97,6 +97,13 @@ bool Explorer::tryMerge(MachineState& host, const MachineState& incoming) {
 
   host.pathCond.resize(k);
   host.addConstraint(tm.mkOr(condHost, condIn));
+  // The host's witness satisfies prefix /\ condHost, hence the merged
+  // prefix /\ (condHost \/ condIn). Lazy feasibility may have left the
+  // host without one; the incoming state's serves the same way.
+  if (!host.witnessValid) {
+    host.witness = incoming.witness;
+    host.witnessValid = incoming.witnessValid;
+  }
   host.steps = std::max(host.steps, incoming.steps);
   host.forks = std::max(host.forks, incoming.forks);
   return true;
@@ -112,31 +119,41 @@ PathResult Explorer::finishPath(MachineState&& st, uint64_t node,
   r.forks = st.forks;
   r.pathKey = std::move(pathKey);
   if (pathsCtr_) pathsCtr_->add();
-  if (st.defect) {
-    r.defect = std::move(st.defect);
-    r.test = r.defect->witness;
-  } else {
-    solvePathWitness(svc_, st, r);
-  }
+  r.defect = std::move(st.defect);
+  finishWitness(svc_, st, r);
   if (config_.observer) config_.observer->onPathDone(node, r);
   return r;
 }
 
-void solvePathWitness(EngineServices& svc, const MachineState& st,
-                      PathResult& r) {
-  if (st.status == PathStatus::Truncated || !svc.config.generateTests ||
-      svc.solver.check(st.pathCond) != smt::CheckResult::Sat) {
+void finishWitness(EngineServices& svc, MachineState& st, PathResult& r) {
+  if (st.status == PathStatus::Truncated || !svc.config.generateTests) return;
+  if (!st.witnessValid && !solvePathWitness(svc, st)) return;
+  r.test.inputs.reserve(st.inputs.size());
+  for (size_t i = 0; i < st.inputs.size(); ++i) {
+    const InputRecord& in = st.inputs[i];
+    r.test.inputs.push_back(
+        {in.name, in.width, i < st.witness.size() ? st.witness[i] : 0});
+  }
+  if (r.defect) {
+    r.defect->witness = r.test;
     return;
   }
-  for (const InputRecord& in : st.inputs) {
-    r.test.inputs.push_back({in.name, in.width, svc.solver.modelValue(in.term)});
-  }
+  smt::TermManager& tm = svc.tm;
+  bindInputs(tm, st.inputs, st.witness);
   if (st.status == PathStatus::Exited && st.exitCode.valid()) {
-    r.exitCode = svc.solver.modelValue(st.exitCode);
+    r.exitCode = tm.evalTerm(st.exitCode);
   }
+  r.outputs.reserve(st.outputs.size());
   for (const OutputRecord& o : st.outputs) {
-    r.outputs.push_back(svc.solver.modelValue(o.term));
+    r.outputs.push_back(tm.evalTerm(o.term));
   }
+}
+
+bool solvePathWitness(EngineServices& svc, MachineState& st) {
+  if (svc.solver.check(st.pathCond) != smt::CheckResult::Sat) return false;
+  st.witness = svc.modelWitness(st);
+  st.witnessValid = true;
+  return true;
 }
 
 ExploreSummary Explorer::run() {
@@ -246,8 +263,9 @@ ExploreSummary Explorer::run() {
           finishPath(std::move(cur.state), cur.node, std::move(cur.key)));
       ++completed;
       if (ob) {
-        // The witness solve above ran outside any step window; report it
-        // so per-site attributed queries still sum to the solver total.
+        // A lazy-feasibility witness solve above ran outside any step
+        // window; report it so per-site attributed queries still sum to
+        // the solver total.
         const smt::SmtSolver::Stats post = svc_.solver.stats();
         if (post.queries != preClose.queries) {
           ob->onOffStepSolve(cutPc, post.queries - preClose.queries,

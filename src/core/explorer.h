@@ -75,12 +75,17 @@ size_t pickEvict(SearchStrategy s, const std::vector<Entry>& fr, Rng& rng) {
 /// bookkeeping): the memory governor's charge for a term pool.
 inline constexpr size_t kBytesPerTerm = 48;
 
-/// The witness half of finishing a path: solve its path condition once
-/// for the test inputs, the concrete exit code and the concrete output
-/// trace. Truncated paths skip this: the governor closed them precisely
-/// because a budget ran out, so no new solver work is spent on them.
-void solvePathWitness(EngineServices& svc, const MachineState& st,
-                      PathResult& r);
+/// The witness half of finishing a path: its test inputs and, unless it
+/// ended in a defect (whose witness is those inputs), its concrete exit
+/// code and output trace, all read off the carried witness. Truncated
+/// paths skip this: the governor closed them precisely because a budget
+/// ran out, so they get no witness.
+void finishWitness(EngineServices& svc, MachineState& st, PathResult& r);
+
+/// The lazy-feasibility fallback of finishWitness: a state that took a
+/// side on trust carries no valid witness, so solve its path condition
+/// once and carry the model. False when the solver finds none.
+bool solvePathWitness(EngineServices& svc, MachineState& st);
 
 struct ExplorerConfig {
   SearchStrategy strategy = SearchStrategy::DFS;

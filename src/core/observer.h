@@ -129,10 +129,12 @@ class ExploreObserver {
   virtual void onStepEnd(const StepInfo& /*info*/) {}
 
   /// Solver queries issued *outside* any step window: the witness solve of
-  /// a path closed by the per-path step budget before its next step began.
-  /// Charged to `pc` (where the path was cut) so per-site query counts
-  /// still sum to the solver's aggregate query count. `preHits`/`preMisses`
-  /// are the prefilter outcomes of those queries (see StepInfo).
+  /// a path closed by the per-path step budget before its next step began,
+  /// which only lazy feasibility needs (an eager path carries its
+  /// witness; see MachineState::witnessValid). Charged to `pc` (where the
+  /// path was cut) so per-site query counts still sum to the solver's
+  /// aggregate query count. `preHits`/`preMisses` are the prefilter
+  /// outcomes of those queries (see StepInfo).
   virtual void onOffStepSolve(uint64_t /*pc*/, uint64_t /*queries*/,
                               uint64_t /*canonTerms*/, uint64_t /*canonGates*/,
                               uint64_t /*canonConflicts*/, uint64_t /*preHits*/,

@@ -296,7 +296,7 @@ struct Engine {
     cv.notify_all();
   }
 
-  // Resolve the terminal record, solve the path's witness (like
+  // Resolve the terminal record, read the path's witness (like
   // Explorer::finishPath), and file the result under the node's key.
   void finishPath(Worker& w, MachineState&& st, const PathKey& key) {
     PathResult r;
@@ -307,12 +307,8 @@ struct Engine {
     r.forks = st.forks;
     if (wantKeys) r.pathKey = keyToString(key);
     if (w.pathsCtr) w.pathsCtr->add();
-    if (st.defect) {
-      r.defect = std::move(st.defect);
-      r.test = r.defect->witness;
-    } else {
-      solvePathWitness(*w.svc, st, r);
-    }
+    r.defect = std::move(st.defect);
+    finishWitness(*w.svc, st, r);
     gPathsDone.fetch_add(1, std::memory_order_relaxed);
     if (ob) ob->onPathDone(0, r);
     std::lock_guard<std::mutex> lk(recMu);
@@ -388,6 +384,9 @@ struct Engine {
     ns.truncReason = s.truncReason;
     if (s.exitCode.valid()) ns.exitCode = imp(s.exitCode);
     ns.defect = s.defect;  // witness is concrete; no terms to migrate
+    // By input position, so the carried witness moves unchanged.
+    ns.witness = s.witness;
+    ns.witnessValid = s.witnessValid;
     ne.state = std::move(ns);
     return ne;
   }
@@ -441,7 +440,7 @@ struct Engine {
   }
 
   /// Serialize the full exploration state into cfg.checkpointPath
-  /// (adlsym-ckpt-v2, atomic replace). Every other worker must be
+  /// (adlsym-ckpt-v3, atomic replace). Every other worker must be
   /// quiescent — parked under mu, signal-parked, or joined — so worker
   /// frontiers, term pools and counters are safe to read.
   void writeCheckpointQuiesced(bool complete, const std::string& stopR,
@@ -708,8 +707,9 @@ struct Engine {
       finishPath(w, std::move(cur.state), cur.key);
       gCompleted.fetch_add(1, std::memory_order_relaxed);
       if (ob) {
-        // Witness solve outside any step window: report it so per-site
-        // attributed queries still sum to the solver total.
+        // A lazy-feasibility witness solve runs outside any step window:
+        // report it so per-site attributed queries still sum to the
+        // solver total.
         const smt::SmtSolver::Stats post = w.solver.stats();
         if (post.queries != preClose.queries) {
           ob->onOffStepSolve(cutPc, post.queries - preClose.queries,
@@ -860,8 +860,7 @@ struct Engine {
     const smt::SmtSolver::Stats after = w.solver.stats();
     if (forked) {
       // Fork verdict, exactly as the sequential recorder computes it: the
-      // step issued queries (including witness solves for terminal
-      // successors) => "sat", none => "assumed". Query counts per state
+      // step issued queries => "sat", none => "assumed". Query counts per state
       // are schedule-independent (cache hits count as queries too), so
       // the verdicts are canonical.
       const uint64_t q = after.queries - before.queries;

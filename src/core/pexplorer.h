@@ -86,7 +86,7 @@ struct ParallelConfig {
   /// is canonical across --jobs). 0 = no periodic checkpoints (the file,
   /// if configured, is still written on graceful stop and at run end).
   uint64_t checkpointEverySteps = 0;
-  std::string checkpointPath;  // adlsym-ckpt-v2 file; empty = off
+  std::string checkpointPath;  // adlsym-ckpt-v3 file; empty = off
   /// Run identity echoed into every checkpoint so --resume can verify the
   /// resumed command matches the checkpointed one.
   std::string ckptIsa;

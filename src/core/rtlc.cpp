@@ -675,7 +675,7 @@ void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
         fr.slots[op.dst] = st.regfile[op.imm];
         break;
       case OpCode::RegIndexDefect:
-        emitDefect(svc_, st, out, DefectKind::IllegalInsn, fr.site,
+        emitDefect(st, out, DefectKind::IllegalInsn, fr.site,
                    formatStr("register index %llu out of range",
                              static_cast<unsigned long long>(op.imm)));
         return;
@@ -829,10 +829,10 @@ void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
         }
         break;
       case OpCode::Trap:
-        emitDefect(svc_, st, out, DefectKind::Trap, fr.site,
+        emitDefect(st, out, DefectKind::Trap, fr.site,
                    formatStr("trap(%llu) reached",
                              static_cast<unsigned long long>(op.imm)),
-                   smt::TermRef(), op.imm);
+                   {}, op.imm);
         return;
       case OpCode::Jmp:
         ip = op.t;
@@ -848,26 +848,22 @@ void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
           ip = op.t;
           continue;
         }
-        const smt::TermRef notCond = tm.mkNot(cond);
-        const bool thenFeasible =
-            !svc_.config.eagerFeasibility || svc_.feasible(st, cond);
-        const bool elseFeasible =
-            !svc_.config.eagerFeasibility || svc_.feasible(st, notCond);
-        if (thenFeasible && elseFeasible) {
+        auto [thenSide, elseSide] = svc_.branch(st, cond);
+        if (thenSide.feasible && elseSide.feasible) {
           MachineState other = st;
-          other.addConstraint(notCond);
+          EngineServices::enter(other, std::move(elseSide));
           ++other.forks;
           exec(std::move(other), fr, op.t, out);  // else arm first
-          st.addConstraint(cond);
+          EngineServices::enter(st, std::move(thenSide));
           ++st.forks;
           break;  // fall through into the then arm
         }
-        if (thenFeasible) {
-          st.addConstraint(cond);
+        if (thenSide.feasible) {
+          EngineServices::enter(st, std::move(thenSide));
           break;
         }
-        if (elseFeasible) {
-          st.addConstraint(notCond);
+        if (elseSide.feasible) {
+          EngineServices::enter(st, std::move(elseSide));
           ip = op.t;
           continue;
         }
@@ -896,25 +892,7 @@ void BytecodeExecutor::finishInsn(MachineState st, SymFrame& fr,
     out.successors.push_back(std::move(st));
     return;
   }
-  // Symbolic jump target: enumerate feasible concrete targets (bounded).
-  smt::TermManager& tm = svc_.tm;
-  std::vector<smt::TermRef> blocking = st.pathCond;
-  for (unsigned i = 0; i < svc_.config.maxIndirectTargets; ++i) {
-    if (svc_.solver.check(blocking) != smt::CheckResult::Sat) return;
-    const uint64_t target = svc_.solver.modelValue(fr.newPc);
-    MachineState succ = st;
-    succ.addConstraint(tm.mkEq(fr.newPc, tm.mkConst(addrW, target)));
-    succ.pc = target;
-    ++succ.forks;
-    out.successors.push_back(std::move(succ));
-    blocking.push_back(tm.mkNe(fr.newPc, tm.mkConst(addrW, target)));
-  }
-  // Remaining targets beyond the bound are dropped; record as budget state.
-  if (svc_.solver.check(blocking) == smt::CheckResult::Sat) {
-    MachineState trunc = std::move(st);
-    trunc.status = PathStatus::Budget;
-    out.successors.push_back(std::move(trunc));
-  }
+  svc_.forkJumpTargets(std::move(st), fr.newPc, out);
 }
 
 void BytecodeExecutor::step(const MachineState& in, StepOut& out) {
@@ -931,7 +909,6 @@ void BytecodeExecutor::step(const MachineState& in, StepOut& out) {
     def.kind = DefectKind::IllegalInsn;
     def.pc = in.pc;
     def.message = "undecodable or unmapped instruction";
-    def.witness = svc_.solveWitness(in);
     bad.defect = std::move(def);
     out.successors.push_back(std::move(bad));
     return;

@@ -7,6 +7,7 @@
 // interpretation, not the state machinery.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -108,6 +109,17 @@ class MachineState {
   smt::TermRef exitCode;              // valid when status == Exited
   std::optional<Defect> defect;       // valid when status == Defect
 
+  // ---- carried witness (DESIGN.md §6.8) -------------------------------
+  /// A concrete input assignment that satisfies pathCond: witness[i] is
+  /// the value of inputs[i]. A position past its end reads 0, which is
+  /// sound because an input created since is not yet in pathCond. The
+  /// root's witness is empty, as its path condition is.
+  std::vector<uint64_t> witness;
+  /// False only when lazy feasibility took a side on trust
+  /// (EngineConfig::eagerFeasibility): then no assignment is known, and
+  /// the next decision or path end asks the solver.
+  bool witnessValid = true;
+
   void addConstraint(smt::TermRef c) {
     if (!c.isTrue()) pathCond.push_back(c);
   }
@@ -122,9 +134,22 @@ class MachineState {
                sizeof(smt::TermRef) +
            inputs.capacity() * sizeof(InputRecord) +
            outputs.capacity() * sizeof(OutputRecord) +
+           witness.capacity() * sizeof(uint64_t) +
            memory.overlayBytes() * 16;  // map node + key + TermRef, approx
   }
 };
+
+/// Make `values` tm's current evaluation (smt::TermManager::evalBegin):
+/// inputs[i] reads values[i], and an input past the end of `values` reads
+/// 0. A carried witness and a concolic seed are both such assignments by
+/// input position.
+inline void bindInputs(smt::TermManager& tm,
+                       const std::vector<InputRecord>& inputs,
+                       const std::vector<uint64_t>& values) {
+  tm.evalBegin();
+  const size_t n = std::min(inputs.size(), values.size());
+  for (size_t i = 0; i < n; ++i) tm.evalBind(inputs[i].term, values[i]);
+}
 
 /// Final record of one completed path (explorer output).
 struct PathResult {

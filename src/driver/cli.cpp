@@ -372,7 +372,7 @@ std::string usage() {
       "                         stats documents)\n"
       "\n"
       "crash-safe checkpointing (explore; docs/robustness.md):\n"
-      "  --checkpoint=<file>    write an adlsym-ckpt-v2 checkpoint\n"
+      "  --checkpoint=<file>    write an adlsym-ckpt-v3 checkpoint\n"
       "                         (atomically replaced, self-hashed) at\n"
       "                         every level barrier, on SIGINT/SIGTERM,\n"
       "                         and at run end. Requires --clock=manual\n"

@@ -148,7 +148,7 @@ struct ExploreOptions {
   std::vector<std::string> argvEcho;
 
   // ---- crash-safe checkpointing (docs/robustness.md) -----------------
-  /// Write an adlsym-ckpt-v2 checkpoint here ("" = off): at every level
+  /// Write an adlsym-ckpt-v3 checkpoint here ("" = off): at every level
   /// barrier (--checkpoint-every), on graceful SIGINT/SIGTERM stop, and
   /// at run end. Requires --clock=manual (the kill/resume byte-identity
   /// contract is defined on the deterministic clock) and routes to the

@@ -54,9 +54,9 @@ class ProfileCollector final : public core::ExploreObserver {
   /// so drops are counted here rather than in onStepEnd.
   void onDrop(uint64_t node, uint64_t pc) override;
 
-  /// Budget-cut witness solves happen outside any step window; both
-  /// engines report them here so per-site query sums still reconcile
-  /// with the solver's aggregate query count.
+  /// Budget-cut witness solves (lazy feasibility only) happen outside any
+  /// step window; both engines report them here so per-site query sums
+  /// still reconcile with the solver's aggregate query count.
   void onOffStepSolve(uint64_t pc, uint64_t queries, uint64_t canonTerms,
                       uint64_t canonGates, uint64_t canonConflicts,
                       uint64_t preHits, uint64_t preMisses) override;
@@ -91,7 +91,7 @@ class ProfileCollector final : public core::ExploreObserver {
   /// object. Sites charged only off-step never executed and are skipped.
   void writeJson(json::Writer& w) const;
 
-  /// The checkpoint "sites" section (adlsym-ckpt-v2): the opcode table
+  /// The checkpoint "sites" section (adlsym-ckpt-v3): the opcode table
   /// plus every executed or dropped site's [pc, steps, forks, infeasible],
   /// so a resumed run's final stats document is byte-identical to the
   /// uninterrupted run's.

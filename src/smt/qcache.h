@@ -148,7 +148,7 @@ class QueryCache {
   void clear();
 
   /// Serialize every completed entry plus the schedule-independent stats
-  /// counters — the "qcache" checkpoint section (adlsym-ckpt-v2,
+  /// counters — the "qcache" checkpoint section (adlsym-ckpt-v3,
   /// docs/robustness.md). Entries emit in key order, so the bytes are
   /// canonical across -jN at a quiescent checkpoint barrier. In-flight
   /// entries cannot exist at a barrier and are skipped defensively.

@@ -7,6 +7,7 @@
 #include "smt/presolver.h"
 #include "smt/printer.h"
 #include "smt/qcache.h"
+#include "support/bits.h"
 #include "support/fault.h"
 #include "support/json.h"
 #include "support/strings.h"
@@ -489,6 +490,10 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
 }
 
 uint64_t SmtSolver::modelValue(TermRef t) {
+  const TermNode& n = tm_.node(t);
+  if (n.kind == Kind::Var) {
+    return n.aux < model_.size() ? truncTo(model_[n.aux], n.width) : 0;
+  }
   return tm_.evalWith(t, [this](uint32_t idx) {
     return idx < model_.size() ? model_[idx] : uint64_t{0};
   });

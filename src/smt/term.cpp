@@ -1,5 +1,7 @@
 #include "smt/term.h"
 
+#include <algorithm>
+
 #include "support/bits.h"
 
 namespace adlsym::smt {
@@ -195,17 +197,44 @@ uint64_t TermManager::evalOp(Kind k, unsigned width, uint64_t a, uint64_t b,
   }
 }
 
-uint64_t TermManager::evalWith(
-    TermRef t, const std::function<uint64_t(uint32_t)>& varValue) const {
-  check(t.manager() == this, "evalWith: foreign term");
-  std::unordered_map<TermId, uint64_t> memo;
+void TermManager::evalReserve() {
+  if (evalStamps_.size() < nodes_.size()) {
+    evalStamps_.resize(nodes_.size(), 0);
+    evalValues_.resize(nodes_.size(), 0);
+  }
+}
+
+void TermManager::evalBegin() {
+  if (++evalEpoch_ == 0) {
+    // The stamp wrapped: clear every stamp so no stale entry reads live.
+    std::fill(evalStamps_.begin(), evalStamps_.end(), 0);
+    evalEpoch_ = 1;
+  }
+}
+
+void TermManager::evalBind(TermRef var, uint64_t value) {
+  check(var.manager() == this && var.isVar(), "evalBind: not a variable here");
+  evalReserve();
+  evalValues_[var.id()] = truncTo(value, nodes_[var.id()].width);
+  evalStamps_[var.id()] = evalEpoch_;
+}
+
+uint64_t TermManager::evalMemo(
+    TermRef t, const std::function<uint64_t(uint32_t)>* varValue) {
+  check(t.manager() == this, "evalTerm: foreign term");
+  if (evalEpoch_ == 0) evalBegin();
+  evalReserve();
+  const uint32_t epoch = evalEpoch_;
+  uint64_t* memo = evalValues_.data();
+  uint32_t* stamps = evalStamps_.data();
   // Iterative post-order to survive deep path-condition chains.
-  std::vector<std::pair<TermId, bool>> stack;
+  std::vector<std::pair<TermId, bool>>& stack = evalStack_;
+  stack.clear();
   stack.emplace_back(t.id(), false);
   while (!stack.empty()) {
     auto [id, expanded] = stack.back();
     stack.pop_back();
-    if (memo.count(id)) continue;
+    if (stamps[id] == epoch) continue;
     const TermNode& n = nodes_[id];
     if (!expanded) {
       stack.emplace_back(id, true);
@@ -218,13 +247,13 @@ uint64_t TermManager::evalWith(
     switch (n.kind) {
       case Kind::Const: value = n.aux; break;
       case Kind::Var:
-        value = truncTo(varValue(static_cast<uint32_t>(n.aux)), n.width);
+        if (varValue != nullptr) {
+          value = truncTo((*varValue)(static_cast<uint32_t>(n.aux)), n.width);
+        }
         break;
       case Kind::Concat: {
-        const uint64_t hi = memo[n.a];
-        const uint64_t lo = memo[n.b];
         const unsigned loW = nodes_[n.b].width;
-        value = truncTo((hi << loW) | lo, n.width);
+        value = truncTo((memo[n.a] << loW) | memo[n.b], n.width);
         break;
       }
       case Kind::Ite:
@@ -247,6 +276,7 @@ uint64_t TermManager::evalWith(
       }
     }
     memo[id] = value;
+    stamps[id] = epoch;
   }
   return memo[t.id()];
 }

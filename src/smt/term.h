@@ -174,10 +174,24 @@ class TermManager {
   static uint64_t evalOp(Kind k, unsigned width, uint64_t a, uint64_t b,
                          uint64_t aux = 0);
 
-  /// Evaluate a term under a variable assignment (by Var index). Missing
-  /// variables evaluate to 0. Memoized across one call.
+  /// Evaluate terms under one variable assignment: evalBegin() starts an
+  /// assignment in which every variable reads 0, evalBind() sets one
+  /// variable, evalTerm() evaluates a term. Values stay memoized across
+  /// evalTerm() calls until the next evalBegin(). The memo is a pair of
+  /// vectors indexed by TermId that the pool keeps and reuses, so a new
+  /// assignment costs one epoch bump, not an allocation. Like the rest of
+  /// the pool, it is single-threaded.
+  void evalBegin();
+  void evalBind(TermRef var, uint64_t value);
+  uint64_t evalTerm(TermRef t) { return evalMemo(t, nullptr); }
+
+  /// Evaluate a term under a variable assignment (by Var index) as one
+  /// fresh assignment. Missing variables evaluate to 0.
   uint64_t evalWith(TermRef t,
-                    const std::function<uint64_t(uint32_t)>& varValue) const;
+                    const std::function<uint64_t(uint32_t)>& varValue) {
+    evalBegin();
+    return evalMemo(t, &varValue);
+  }
 
   // ---- cross-pool migration -------------------------------------------
   /// Deep-copy a term owned by *another* manager into this one,
@@ -216,6 +230,13 @@ class TermManager {
                  TermId b = kInvalidTerm, TermId c = kInvalidTerm,
                  uint64_t aux = 0);
 
+  /// evalTerm's post-order walk over the memo. A variable neither bound
+  /// nor memoized reads `varValue` (when given) or 0.
+  uint64_t evalMemo(TermRef t,
+                    const std::function<uint64_t(uint32_t)>* varValue);
+  /// Grow the memo to cover every node interned so far.
+  void evalReserve();
+
   // Simplification helpers (builder.cpp).
   TermRef foldBinary(Kind k, TermRef a, TermRef b);
   void orderOperands(TermRef& a, TermRef& b) const;
@@ -228,6 +249,13 @@ class TermManager {
   std::unordered_map<std::string, TermId> varMap_;
   bool rewriting_ = true;
   uint64_t rewriteHits_ = 0;
+
+  // Concrete-evaluation memo: evalValues_[id] is live while
+  // evalStamps_[id] == evalEpoch_ (stamp 0 is never live).
+  std::vector<uint64_t> evalValues_;
+  std::vector<uint32_t> evalStamps_;
+  uint32_t evalEpoch_ = 0;
+  std::vector<std::pair<TermId, bool>> evalStack_;
 };
 
 // ---- TermRef inline definitions that need TermManager ----------------

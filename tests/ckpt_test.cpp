@@ -1,4 +1,4 @@
-// Crash-safe checkpoint/resume (adlsym-ckpt-v2, docs/robustness.md):
+// Crash-safe checkpoint/resume (adlsym-ckpt-v3, docs/robustness.md):
 // term-table round-trips, file framing + corruption rejection, state and
 // path-result serializers, and the end-to-end kill/resume byte-identity
 // contract driven through the CLI — crash via --inject=ckpt.write, resume,
@@ -155,19 +155,19 @@ TEST(TermTable, MalformedTablesRejected) {
 TEST(CkptFile, RoundTripAndTrailer) {
   const std::string path = testing::TempDir() + "ckpt_frame.ckpt";
   core::ckpt::writeCheckpointFile(
-      path, "{\"schema\":\"adlsym-ckpt-v2\",\"n\":7}");
+      path, "{\"schema\":\"adlsym-ckpt-v3\",\"n\":7}");
   const std::string blob = slurp(path);
-  EXPECT_NE(blob.find("#adlsym-ckpt-v2 sha256="), std::string::npos);
+  EXPECT_NE(blob.find("#adlsym-ckpt-v3 sha256="), std::string::npos);
   EXPECT_EQ(blob.back(), '\n');
   const json::Value v = core::ckpt::loadCheckpointFile(path);
   EXPECT_EQ(core::ckpt::fieldU64(v, "n"), 7u);
-  EXPECT_EQ(core::ckpt::fieldStr(v, "schema"), "adlsym-ckpt-v2");
+  EXPECT_EQ(core::ckpt::fieldStr(v, "schema"), "adlsym-ckpt-v3");
 }
 
 TEST(CkptFile, CorruptionRejectedWithContext) {
   const std::string good = testing::TempDir() + "ckpt_good.ckpt";
   core::ckpt::writeCheckpointFile(
-      good, "{\"schema\":\"adlsym-ckpt-v2\",\"n\":7}");
+      good, "{\"schema\":\"adlsym-ckpt-v3\",\"n\":7}");
   const std::string blob = slurp(good);
 
   const auto expectRejected = [](const std::string& path,
@@ -584,6 +584,41 @@ TEST_F(CkptResume, OlderSchemaRejected) {
   EXPECT_EQ(v1.exitCode, 2) << v1.stdoutText;
   EXPECT_NE(v1.stdoutText.find("checkpoint"), std::string::npos)
       << v1.stdoutText;
+}
+
+// A v2 file carries no per-state witnesses: a state resumed from one would
+// solve both sides of its next branch, so its counters, witnesses and
+// forest would differ from the uninterrupted run. v2 is refused with exit
+// 2 and the schema message, whether re-framed with a valid trailer or
+// framed exactly as v2 wrote it.
+TEST_F(CkptResume, V2WithoutWitnessesRejected) {
+  const std::string img = imageFor("rv32e");
+  CliRun ref = makeRun("v2_ref", "rv32e", img, 1);
+  exec(ref, {"--inject=ckpt.write:2"});
+  ASSERT_EQ(ref.exitCode, 4) << ref.stdoutText;
+  const std::string blob = slurp(ref.ckpt);
+  std::string doc = blob.substr(0, blob.find('\n'));
+  ASSERT_NE(doc.find("\"w\":["), std::string::npos) << doc;
+  doc = std::regex_replace(doc, std::regex(R"(,"w":\[[0-9,]*\])"), "");
+  doc = std::regex_replace(doc, std::regex(R"("schema":"adlsym-ckpt-v\d+")"),
+                           R"("schema":"adlsym-ckpt-v2")");
+  const std::string want = std::string("schema is not ") + core::ckpt::kSchema;
+
+  const std::string retagged = testing::TempDir() + "ckpt_v2_retagged.ckpt";
+  core::ckpt::writeCheckpointFile(retagged, doc);
+  CliRun resumed = ref;
+  exec(resumed, {"--resume=" + retagged});
+  EXPECT_EQ(resumed.exitCode, 2) << resumed.stdoutText;
+  EXPECT_NE(resumed.stdoutText.find(want), std::string::npos)
+      << resumed.stdoutText;
+
+  const std::string framed = testing::TempDir() + "ckpt_v2_framed.ckpt";
+  spit(framed, doc + "\n#adlsym-ckpt-v2 sha256=" +
+                   hash::sha256Hex(doc + "\n") + "\n");
+  CliRun v2 = ref;
+  exec(v2, {"--resume=" + framed});
+  EXPECT_EQ(v2.exitCode, 2) << v2.stdoutText;
+  EXPECT_NE(v2.stdoutText.find(want), std::string::npos) << v2.stdoutText;
 }
 
 }  // namespace

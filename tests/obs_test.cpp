@@ -37,6 +37,19 @@ zero:
   halti 2
 )";
 
+// Two chained symbolic branches: one solver query each on the path that
+// reaches them (the free side of a branch costs none).
+constexpr char kTwoBranches[] = R"(
+_start:
+  in8 x5
+  beq x5, x0, zero
+  in8 x6
+  beq x6, x0, zero
+  halti 1
+zero:
+  halti 2
+)";
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream os;
@@ -215,7 +228,7 @@ TEST(QueryReplay, DetectsCorruptedVerdictAndScript) {
     SessionOptions sopt;
     obs::QueryLogger qlog(dir);
     sopt.explorer.observer = &qlog;
-    Session session("rv32e", kBranchy, sopt);
+    Session session("rv32e", kTwoBranches, sopt);
     session.solver().setQueryListener(&qlog);
     session.explore();
     ASSERT_GE(qlog.queriesLogged(), 2u);

@@ -20,6 +20,7 @@
 #include "smt/qcache.h"
 #include "smt/solver.h"
 #include "smt/term.h"
+#include "support/json.h"
 #include "support/telemetry.h"
 #include "workloads/programs.h"
 
@@ -401,16 +402,39 @@ TEST_F(ParallelDeterminism, QcacheOffIsStillDeterministic) {
             std::string::npos);
 }
 
-TEST_F(ParallelDeterminism, QcacheServesWitnessQueries) {
-  // Each fork's feasibility check populates the cache; the final witness
-  // solve over the same path condition must then hit it, so a forking
-  // workload always reports hits > 0 — and the canonical counts say so
-  // identically for every jobs value (covered by the matrix above).
+TEST_F(ParallelDeterminism, NoPathEndQueriesAndQcacheCountsReconcile) {
+  // Path ends read their witnesses off the carried assignment, so every
+  // query is a branch decision: the profile charges queries only to the
+  // sites that fork (bitcount3's branches all do), never to the halts
+  // that end the 8 paths. Every query that reaches the shared cache is
+  // one hit or one miss, and the solver counts the same hits.
   const std::string img = imageFor("rv32e");
-  const RunArtifacts r = explore("rv32e", img, "dfs", 2);
-  EXPECT_EQ(r.statsJson.find("\"hits\":0,"), std::string::npos);
-  EXPECT_NE(r.statsJson.find("\"hits\":"), std::string::npos);
-  EXPECT_NE(r.statsJson.find("\"hit_rate\":"), std::string::npos);
+  const std::string prof = testing::TempDir() + "qcache_rv32e.profile.json";
+  const RunArtifacts r =
+      explore("rv32e", img, "dfs", 2, {"--profile=" + prof});
+  ASSERT_EQ(r.exitCode, 0) << r.stdoutText;
+  const json::Value p = json::parse(slurp(prof));
+  const json::Value* sites = p.find("sites");
+  ASSERT_NE(sites, nullptr);
+  uint64_t queries = 0;
+  for (const json::Value& site : sites->array) {
+    const uint64_t q = site.find("queries")->asU64();
+    queries += q;
+    if (site.find("forks")->asU64() == 0) {
+      EXPECT_EQ(q, 0u) << "pc " << site.find("pc")->asU64() << " "
+                       << site.find("opcode")->str;
+    }
+  }
+  const json::Value st = json::parse(r.statsJson);
+  const json::Value& solver = *st.find("solver");
+  const json::Value& qcache = *st.find("qcache");
+  const json::Value& pre = *st.find("prefilter");
+  EXPECT_EQ(queries, solver.find("queries")->asU64());
+  EXPECT_GT(queries, 0u);
+  EXPECT_EQ(qcache.find("hits")->asU64(), solver.find("cache_hits")->asU64());
+  EXPECT_EQ(qcache.find("hits")->asU64() + qcache.find("misses")->asU64() +
+                pre.find("shortcircuit")->asU64(),
+            solver.find("queries")->asU64());
 }
 
 TEST_F(ParallelDeterminism, ParallelAgreesWithSequentialOnPathCounts) {

@@ -492,12 +492,17 @@ TEST(ThreadSafeObservers, ProfileCollectorMergesConcurrentWorkers) {
 // ---------------------------------------------------------------------
 // Off-step attribution end to end: a per-path step budget cuts paths, the
 // witness solves happen outside any step window, and the collector still
-// reconciles with the solver's aggregate query count.
+// reconciles with the solver's aggregate query count. Only lazy
+// feasibility leaves a cut path without a carried witness to read, so
+// only it still solves there.
 // ---------------------------------------------------------------------
 
 TEST(OffStepAttribution, BudgetCutWitnessSolvesStillReconcile) {
   driver::SessionOptions opt;
-  opt.explorer.maxStepsPerPath = 3;  // cut every path almost immediately
+  opt.engine.eagerFeasibility = false;
+  // Cut every path a few branches in (bitcount3's paths run 19-28 steps),
+  // after lazy feasibility has taken sides on trust.
+  opt.explorer.maxStepsPerPath = 12;
   auto s = Session::forPortable(workloads::progBitcount(3), "rv32e",
                                 std::move(opt));
   obs::ProfileCollector prof(s->model(), s->image());

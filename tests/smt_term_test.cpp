@@ -180,6 +180,29 @@ TEST_F(TermTest, EvalWith) {
   EXPECT_EQ(tm.evalWith(deep, env), (7 + 50000 * 5) % 256);
 }
 
+TEST_F(TermTest, EvalTermReusesItsMemoAcrossAssignments) {
+  // One assignment memoizes shared subterms across evalTerm calls; the
+  // next evalBegin forgets every value and binding, and an unbound
+  // variable reads 0.
+  const TermRef sum = tm.mkAdd(x, y);
+  const TermRef twice = tm.mkAdd(sum, sum);
+  tm.evalBegin();
+  tm.evalBind(x, 3);
+  tm.evalBind(y, 0x104);  // truncated to the variable's 8 bits
+  EXPECT_EQ(tm.evalTerm(sum), 7u);
+  EXPECT_EQ(tm.evalTerm(twice), 14u);
+  tm.evalBegin();
+  tm.evalBind(x, 10);
+  EXPECT_EQ(tm.evalTerm(twice), 20u);
+  EXPECT_EQ(tm.evalTerm(sum), 10u);
+  // evalWith starts its own assignment; terms built since the last
+  // evaluation are covered.
+  const TermRef later = tm.mkMul(sum, c(8, 3));
+  EXPECT_EQ(tm.evalWith(later, [](uint32_t) { return uint64_t{1}; }), 6u);
+  tm.evalBegin();
+  EXPECT_EQ(tm.evalTerm(later), 0u);
+}
+
 TEST_F(TermTest, PrinterRendersSmtLib) {
   TermRef t = tm.mkEq(tm.mkAdd(x, c(8, 4)), y);
   const std::string s = toString(t);
