@@ -44,9 +44,7 @@ int main() {
                     benchutil::fmt("%.2f", t.millis())});
     }
     {
-      driver::SessionOptions opt;
-      opt.engine.eagerFeasibility = false;
-      auto session = driver::Session::forPortable(c.prog, "rv32e", opt);
+      auto session = driver::Session::forPortable(c.prog, "rv32e");
       benchutil::Timer t;
       const auto r = session->concolic();
       table.addRow({c.name, "concolic", benchutil::num(r.paths.size()),

@@ -185,7 +185,7 @@ void Rv32Engine::step(const MachineState& in, StepOut& out) {
           return;
         }
         if (!ovf.isFalse()) {
-          core::Side trap = svc_.side(st, ovf, svc_.branchAsk());
+          core::Side trap = svc_.side(st, ovf);
           if (trap.feasible) {
             core::emitDefect(st, out, DefectKind::Trap, site,
                              "trap(1) reached", std::move(trap), 1);

@@ -132,7 +132,7 @@ bool boundsCheckSymbolic(EngineServices& svc, MachineState& st, StepOut& out,
   }
   // Without a feasible OOB side, every model of the path is in bounds: the
   // carried witness satisfies `ok` and the in-bounds side is free.
-  Side in{ok};
+  Side in(ok);
   if (!bad.isFalse()) {
     Side oob = svc.side(st, bad);
     if (oob.feasible) {
@@ -249,7 +249,7 @@ bool guardAssertEq(EngineServices& svc, MachineState& st, StepOut& out,
   }
   // As in the bounds check: when the failing side is infeasible, every
   // model of the path, the carried witness included, satisfies `eq`.
-  Side holds{eq};
+  Side holds(eq);
   Side fails = svc.side(st, ne);
   if (fails.feasible) {
     emitDefect(st, out, DefectKind::AssertFail, site,

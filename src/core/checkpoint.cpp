@@ -192,13 +192,10 @@ void writeMachineStateFields(json::Writer& w, const MachineState& st,
   }
   w.endArray();
   if (st.exitCode.valid()) w.kv("exit", tw.slot(st.exitCode));
-  // The carried witness, by input position; absent when lazy feasibility
-  // left the state without one.
-  if (st.witnessValid) {
-    w.key("w").beginArray();
-    for (const uint64_t v : st.witness) w.value(v);
-    w.endArray();
-  }
+  // The carried witness, by input position.
+  w.key("w").beginArray();
+  for (const uint64_t v : st.witness) w.value(v);
+  w.endArray();
 }
 
 MachineState readMachineState(const json::Value& v,
@@ -250,12 +247,9 @@ MachineState readMachineState(const json::Value& v,
   if (const json::Value* exit = v.find("exit")) {
     st.exitCode = slotRef(*exit, slots);
   }
-  st.witnessValid = v.find("w") != nullptr;
-  if (st.witnessValid) {
-    for (const json::Value& x : arrayField("w").array) {
-      if (!x.isU64()) throw InputError("checkpoint state: bad witness value");
-      st.witness.push_back(x.asU64());
-    }
+  for (const json::Value& x : arrayField("w").array) {
+    if (!x.isU64()) throw InputError("checkpoint state: bad witness value");
+    st.witness.push_back(x.asU64());
   }
   st.status = PathStatus::Running;
   return st;

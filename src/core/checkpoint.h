@@ -52,7 +52,8 @@ void writeMachineStateFields(json::Writer& w, const MachineState& st,
 
 /// Rebuild a frontier state from a parsed entry: `slots` is the term
 /// table mapping (TermTableReader::read), `image` backs the rebuilt
-/// symbolic memory. Throws InputError on malformed input.
+/// symbolic memory. Throws InputError on malformed input, a state
+/// without its witness (`w`) included: every state carries one.
 MachineState readMachineState(const json::Value& v,
                               const std::vector<smt::TermRef>& slots,
                               const loader::Image* image);

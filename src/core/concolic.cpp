@@ -2,7 +2,7 @@
 
 #include <deque>
 
-#include "core/testgen.h"
+#include "core/explorer.h"
 
 namespace adlsym::core {
 
@@ -21,11 +21,15 @@ bool suffixHoldsUnderSeed(smt::TermManager& tm, const MachineState& st,
 
 }  // namespace
 
-MachineState ConcolicDriver::executeSeed(const std::vector<uint64_t>& seed,
-                                         std::vector<BranchPoint>& branches,
-                                         uint64_t& steps,
-                                         std::set<uint64_t>& covered) {
+MachineState ConcolicDriver::executeSeed(
+    const std::vector<uint64_t>& seed,
+    std::vector<std::vector<uint64_t>>& next, uint64_t& steps,
+    std::set<uint64_t>& covered) {
   MachineState st = exec_.initialState();
+  // Any assignment satisfies the root's empty path condition, so the seed
+  // is the root's witness, and the side of every decision it takes is
+  // free: the successor chosen below keeps it.
+  st.witness = seed;
   while (st.status == PathStatus::Running && steps < config_.maxStepsPerRun) {
     covered.insert(st.pc);
     const size_t prefixLen = st.pathCond.size();
@@ -56,22 +60,23 @@ MachineState ConcolicDriver::executeSeed(const std::vector<uint64_t>& seed,
       if (newTerminal && !curTerminal) chosen = static_cast<int>(i);
     }
     if (chosen < 0) {
-      // No successor matches the seed (e.g. an Unknown solver verdict
-      // pruned the concrete side). Record and stop.
+      // No successor matches the seed (e.g. with checkOob off, the engine
+      // constrains the seed's out-of-bounds access in bounds). Record and
+      // stop.
       st.status = PathStatus::Budget;
       return st;
     }
-    // Every non-chosen sibling contributes a branch point to negate.
+    // Every other successor that added a constraint is a side the seed did
+    // not take, found feasible by one query whose model it carries as its
+    // witness: the seed that drives it.
     for (size_t i = 0; i < out.successors.size(); ++i) {
       if (static_cast<int>(i) == chosen) continue;
-      const MachineState& alt = out.successors[i];
+      MachineState& alt = out.successors[i];
       if (alt.pathCond.size() <= prefixLen) continue;  // no new constraint
-      BranchPoint bp;
-      bp.prefix.assign(alt.pathCond.begin(),
-                       alt.pathCond.begin() + static_cast<long>(prefixLen));
-      bp.altSuffix.assign(alt.pathCond.begin() + static_cast<long>(prefixLen),
-                          alt.pathCond.end());
-      branches.push_back(std::move(bp));
+      std::vector<uint64_t> w = std::move(alt.witness);
+      // Trim defaulted-zero tail so equivalent seeds deduplicate.
+      while (!w.empty() && w.back() == 0) w.pop_back();
+      next.push_back(std::move(w));
     }
     st = std::move(out.successors[static_cast<size_t>(chosen)]);
   }
@@ -99,59 +104,21 @@ ConcolicResult ConcolicDriver::run() {
     queue.pop_front();
     ++result.seedsExecuted;
 
-    std::vector<BranchPoint> branches;
+    std::vector<std::vector<uint64_t>> next;
     uint64_t steps = 0;
-    MachineState final = executeSeed(seed, branches, steps, result.coveredSet);
+    MachineState final = executeSeed(seed, next, steps, result.coveredSet);
     result.totalSteps += steps;
     if (runsCtr) {
       runsCtr->add();
       stepsCtr->add(steps);
     }
+    // The executed path, its witness (the seed) read as the explorers do.
+    result.paths.push_back(
+        finishPath(svc_, std::move(final), {}, 0, nullptr, nullptr));
 
-    // Record the executed path (witness = the seed itself, padded to the
-    // inputs the run actually consumed).
-    PathResult pr;
-    pr.status = final.status;
-    pr.finalPc = final.pc;
-    pr.steps = final.steps;
-    pr.forks = final.forks;
-    for (size_t i = 0; i < final.inputs.size(); ++i) {
-      pr.test.inputs.push_back({final.inputs[i].name, final.inputs[i].width,
-                                i < seed.size() ? seed[i] : 0});
-    }
-    if (final.defect) {
-      pr.defect = final.defect;
-      pr.defect->witness = pr.test;
-    }
-    bindInputs(svc_.tm, final.inputs, seed);
-    if (final.status == PathStatus::Exited && final.exitCode.valid()) {
-      pr.exitCode = svc_.tm.evalTerm(final.exitCode);
-    }
-    for (const OutputRecord& o : final.outputs) {
-      pr.outputs.push_back(svc_.tm.evalTerm(o.term));
-    }
-    result.paths.push_back(std::move(pr));
-
-    // Generational search: negate every branch point of this run.
-    const size_t limit = config_.generational ? branches.size()
-                         : branches.empty() ? 0
-                                            : 1;
-    for (size_t b = 0; b < limit; ++b) {
-      const BranchPoint& bp =
-          config_.generational ? branches[b] : branches.back();
-      std::vector<smt::TermRef> assumptions = bp.prefix;
-      assumptions.insert(assumptions.end(), bp.altSuffix.begin(),
-                         bp.altSuffix.end());
-      if (svc_.solver.check(assumptions) != smt::CheckResult::Sat) continue;
-      // Extract a new seed from the model for the inputs seen so far.
-      std::vector<uint64_t> next;
-      for (const InputRecord& in : final.inputs) {
-        next.push_back(svc_.solver.modelValue(in.term));
-      }
-      // Trim defaulted-zero tail so equivalent seeds deduplicate.
-      while (!next.empty() && next.back() == 0) next.pop_back();
+    for (std::vector<uint64_t>& n : next) {
       ++result.seedsGenerated;
-      if (seen.insert(next).second) queue.push_back(std::move(next));
+      if (seen.insert(n).second) queue.push_back(std::move(n));
     }
   }
 

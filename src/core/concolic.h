@@ -1,9 +1,12 @@
-// Concolic execution driver (generational search, SAGE-style): an
-// alternative exploration mode built on the same retargetable executor.
-// Each iteration runs ONE path, driven by a concrete input seed (branches
-// resolve by evaluating their conditions under the seed), while collecting
-// the symbolic branch conditions along the way. New seeds are generated by
-// negating each branch condition under the path prefix and solving.
+// Concolic execution driver (SAGE-style seed search): an alternative
+// exploration mode built on the same retargetable executor and the same
+// feasibility rule (DESIGN.md §6.8). Each iteration runs ONE path, driven
+// by a concrete input seed installed as the root's carried witness: the
+// seed's side of every decision is then free, and every other feasible
+// side comes back carrying the model of the one query that found it
+// feasible. Those models are the next seeds, so the driver itself makes
+// no solver call: the engine solves exactly the untaken sides, the
+// queries that negating each branch condition would issue.
 //
 // Compared to full symbolic exploration (core::Explorer), memory stays
 // bounded to one path, at the cost of re-executing shared prefixes — the
@@ -22,9 +25,6 @@ namespace adlsym::core {
 struct ConcolicConfig {
   uint64_t maxRuns = 512;          // executed seeds
   uint64_t maxStepsPerRun = 100000;
-  /// Generational search: negate every branch of a run (true) or only the
-  /// deepest unexplored one (false).
-  bool generational = true;
 };
 
 struct ConcolicResult {
@@ -50,18 +50,16 @@ class ConcolicDriver {
                  ConcolicConfig config = {})
       : exec_(exec), svc_(services), config_(config) {}
 
-  /// Run generational search starting from the all-zeroes seed.
+  /// Run the search starting from the all-zeroes seed.
   ConcolicResult run();
 
  private:
-  /// Execute one seed to completion; returns the final state and fills
-  /// `branches` with (prefixLen, negatedCondSuffix) alternatives.
-  struct BranchPoint {
-    std::vector<smt::TermRef> prefix;  // path condition before the branch
-    std::vector<smt::TermRef> altSuffix;  // the not-taken side's constraints
-  };
+  /// Execute one seed to completion and return the final state, whose
+  /// witness is the seed. Appends to `next` the witness of every side the
+  /// seed did not take that added a constraint: the seeds that drive
+  /// those sides.
   MachineState executeSeed(const std::vector<uint64_t>& seed,
-                           std::vector<BranchPoint>& branches,
+                           std::vector<std::vector<uint64_t>>& next,
                            uint64_t& steps, std::set<uint64_t>& covered);
 
   Executor& exec_;

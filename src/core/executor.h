@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,11 +19,6 @@
 namespace adlsym::core {
 
 struct EngineConfig {
-  /// Check both sides of a symbolic branch for feasibility at fork time
-  /// (eager). When false, a branch side the carried witness does not
-  /// satisfy is taken on trust, without a witness, and an infeasible path
-  /// dies later at its next check.
-  bool eagerFeasibility = true;
   /// Case-split bound for symbolic jump targets (indirect branches).
   unsigned maxIndirectTargets = 16;
   /// Enable the engine-internal checkers.
@@ -34,17 +30,20 @@ struct EngineConfig {
 
 struct StepOut;
 
-/// One side of a split: the constraint it adds to a state and where that
-/// successor's witness comes from (EngineServices::side).
+/// One side of a split: the constraint it adds to a state and the witness
+/// that successor carries (EngineServices::side).
 struct Side {
+  Side() = default;
+  /// The side adding `c`, as constructed feasible and free: the state's
+  /// carried witness satisfies `c` and stays.
+  explicit Side(smt::TermRef c) : cond(c) {}
+
   smt::TermRef cond;  // the constraint the side adds; invalid = none
   bool feasible = true;
-  /// Carried: the state's own witness satisfies `cond` and stays. Model:
-  /// `model`, from the query that found the side feasible. None: lazy
-  /// feasibility took the side on trust, so no assignment is known.
-  enum class From : uint8_t { Carried, Model, None };
-  From from = From::Carried;
-  std::vector<uint64_t> model;  // by input position, when from == Model
+  /// Unset for a free side, whose successor keeps the state's witness.
+  /// Otherwise the model of the query that found the side feasible, by
+  /// input position, which the successor carries instead.
+  std::optional<std::vector<uint64_t>> model;
 };
 
 /// Everything an executor needs from its environment. One instance is
@@ -67,35 +66,21 @@ class EngineServices {
   /// = telemetry disabled (zero cost: call sites branch on the pointer).
   telemetry::Telemetry* telemetry = nullptr;
 
-  /// How side() decides a side that the carried witness does not satisfy.
-  enum class Ask : uint8_t {
-    Witness,  // one check(); its model becomes the side's witness
-    Verdict,  // one checkNoModel(), for a probe whose side is never entered
-    Trust,    // no query: feasible without a witness (lazy feasibility)
-  };
-
   /// The one feasibility decision (DESIGN.md §6.8): is pathCond(st) /\ c
   /// satisfiable? When st's carried witness satisfies `c`, yes: no query,
-  /// and the side keeps the witness. Otherwise `ask` decides. Unknown
-  /// counts as infeasible (documented limitation; counted in solver
-  /// stats).
-  Side side(const MachineState& st, smt::TermRef c, Ask ask = Ask::Witness);
+  /// and the side keeps the witness. Otherwise one check() decides, and
+  /// its model becomes the side's witness. Unknown counts as infeasible
+  /// (documented limitation; counted in solver stats).
+  Side side(const MachineState& st, smt::TermRef c);
 
   /// Both arms of a branch on the width-1 `cond`: {cond, not cond}. The
   /// rule of side() with `cond` evaluated once: the arm the witness
-  /// satisfies is free and only the other one is decided, by branchAsk().
+  /// satisfies is free and only the other one is decided.
   std::pair<Side, Side> branch(const MachineState& st, smt::TermRef cond);
 
-  /// How a branch arm is decided: a query under eager feasibility, trust
-  /// under lazy feasibility.
-  Ask branchAsk() const {
-    return config.eagerFeasibility ? Ask::Witness : Ask::Trust;
-  }
-
-  /// A probe: is pathCond(st) /\ c satisfiable? For sides never entered.
-  bool feasible(const MachineState& st, smt::TermRef c) {
-    return side(st, c, Ask::Verdict).feasible;
-  }
+  /// A probe, for sides never entered: side()'s rule, but the query is a
+  /// checkNoModel(), as no model is read.
+  bool feasible(const MachineState& st, smt::TermRef c);
 
   /// Enter a feasible side: add its constraint to `st` and take its
   /// witness.
@@ -109,14 +94,12 @@ class EngineServices {
   /// carries that query's model.
   void forkJumpTargets(MachineState&& st, smt::TermRef target, StepOut& out);
 
+ private:
+  /// side() for a `c` the carried witness does not satisfy: one check().
+  Side decide(const MachineState& st, smt::TermRef c);
   /// The last Sat model's values of st's inputs, by input position: the
   /// witness a successor takes from the query that found it feasible.
   std::vector<uint64_t> modelWitness(const MachineState& st);
-
- private:
-  /// side() for a `c` the carried witness does not satisfy (or when there
-  /// is none): `ask` decides.
-  Side decide(const MachineState& st, smt::TermRef c, Ask ask);
 };
 
 /// One instruction executed on one state produces 0..N successor states

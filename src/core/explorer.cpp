@@ -98,36 +98,18 @@ bool Explorer::tryMerge(MachineState& host, const MachineState& incoming) {
   host.pathCond.resize(k);
   host.addConstraint(tm.mkOr(condHost, condIn));
   // The host's witness satisfies prefix /\ condHost, hence the merged
-  // prefix /\ (condHost \/ condIn). Lazy feasibility may have left the
-  // host without one; the incoming state's serves the same way.
-  if (!host.witnessValid) {
-    host.witness = incoming.witness;
-    host.witnessValid = incoming.witnessValid;
-  }
+  // prefix /\ (condHost \/ condIn): it stays.
   host.steps = std::max(host.steps, incoming.steps);
   host.forks = std::max(host.forks, incoming.forks);
   return true;
 }
 
-PathResult Explorer::finishPath(MachineState&& st, uint64_t node,
-                                std::string pathKey) {
-  PathResult r;
-  r.status = st.status;
-  r.truncReason = st.truncReason;
-  r.finalPc = st.pc;
-  r.steps = st.steps;
-  r.forks = st.forks;
-  r.pathKey = std::move(pathKey);
-  if (pathsCtr_) pathsCtr_->add();
-  r.defect = std::move(st.defect);
-  finishWitness(svc_, st, r);
-  if (config_.observer) config_.observer->onPathDone(node, r);
-  return r;
-}
+namespace {
 
-void finishWitness(EngineServices& svc, MachineState& st, PathResult& r) {
+/// The witness half of finishPath.
+void finishWitness(EngineServices& svc, const MachineState& st,
+                   PathResult& r) {
   if (st.status == PathStatus::Truncated || !svc.config.generateTests) return;
-  if (!st.witnessValid && !solvePathWitness(svc, st)) return;
   r.test.inputs.reserve(st.inputs.size());
   for (size_t i = 0; i < st.inputs.size(); ++i) {
     const InputRecord& in = st.inputs[i];
@@ -149,11 +131,35 @@ void finishWitness(EngineServices& svc, MachineState& st, PathResult& r) {
   }
 }
 
-bool solvePathWitness(EngineServices& svc, MachineState& st) {
-  if (svc.solver.check(st.pathCond) != smt::CheckResult::Sat) return false;
-  st.witness = svc.modelWitness(st);
-  st.witnessValid = true;
-  return true;
+}  // namespace
+
+PathResult finishPath(EngineServices& svc, MachineState&& st,
+                      std::string pathKey, uint64_t node, ExploreObserver* ob,
+                      telemetry::Counter* pathsCtr) {
+  PathResult r;
+  r.status = st.status;
+  r.truncReason = st.truncReason;
+  r.finalPc = st.pc;
+  r.steps = st.steps;
+  r.forks = st.forks;
+  r.pathKey = std::move(pathKey);
+  if (pathsCtr) pathsCtr->add();
+  r.defect = std::move(st.defect);
+  finishWitness(svc, st, r);
+  if (ob) ob->onPathDone(node, r);
+  return r;
+}
+
+void setStepSolverDeltas(ExploreObserver::StepInfo& si,
+                         const smt::SmtSolver::Stats& before,
+                         const smt::SmtSolver::Stats& after) {
+  si.stepSolverQueries = after.queries - before.queries;
+  si.stepSolverMicros = after.totalMicros - before.totalMicros;
+  si.stepCanonTerms = after.canon.terms - before.canon.terms;
+  si.stepCanonGates = after.canon.gates - before.canon.gates;
+  si.stepCanonConflicts = after.canon.conflicts - before.canon.conflicts;
+  si.stepPrefilterHits = after.preHitSeen - before.preHitSeen;
+  si.stepPrefilterMisses = after.preMissSeen - before.preMissSeen;
 }
 
 ExploreSummary Explorer::run() {
@@ -196,6 +202,11 @@ ExploreSummary Explorer::run() {
   // The reason stamped on frontier states left over when the loop stops.
   TruncReason closeReason = TruncReason::None;
 
+  // Record one finished path.
+  auto finish = [&](MachineState&& st, uint64_t node, std::string key) {
+    summary.paths.push_back(
+        finishPath(svc_, std::move(st), std::move(key), node, ob, pathsCtr_));
+  };
   // Close one frontier state as Truncated{why} (governor eviction).
   auto evict = [&](TruncReason why) {
     const size_t vi = pickEvict(config_.strategy, frontier, rng);
@@ -204,8 +215,7 @@ ExploreSummary Explorer::run() {
     frontierBytes -= ev.bytes;
     ev.state.status = PathStatus::Truncated;
     ev.state.truncReason = why;
-    summary.paths.push_back(
-        finishPath(std::move(ev.state), ev.node, std::move(ev.key)));
+    finish(std::move(ev.state), ev.node, std::move(ev.key));
   };
 
   // Superblock fusing (Executor::stepMany with fuel > 1) is offered only
@@ -256,26 +266,8 @@ ExploreSummary Explorer::run() {
 
     if (cur.state.steps >= config_.maxStepsPerPath) {
       cur.state.status = PathStatus::Budget;
-      const uint64_t cutPc = cur.state.pc;
-      smt::SmtSolver::Stats preClose;
-      if (ob) preClose = svc_.solver.stats();
-      summary.paths.push_back(
-          finishPath(std::move(cur.state), cur.node, std::move(cur.key)));
+      finish(std::move(cur.state), cur.node, std::move(cur.key));
       ++completed;
-      if (ob) {
-        // A lazy-feasibility witness solve above ran outside any step
-        // window; report it so per-site attributed queries still sum to
-        // the solver total.
-        const smt::SmtSolver::Stats post = svc_.solver.stats();
-        if (post.queries != preClose.queries) {
-          ob->onOffStepSolve(cutPc, post.queries - preClose.queries,
-                             post.canon.terms - preClose.canon.terms,
-                             post.canon.gates - preClose.canon.gates,
-                             post.canon.conflicts - preClose.canon.conflicts,
-                             post.preHitSeen - preClose.preHitSeen,
-                             post.preMissSeen - preClose.preMissSeen);
-        }
-      }
       continue;
     }
 
@@ -363,8 +355,7 @@ ExploreSummary Explorer::run() {
         }
       } else {
         sawDefect = sawDefect || succ.defect.has_value();
-        summary.paths.push_back(
-            finishPath(std::move(succ), childNode, std::move(childKey)));
+        finish(std::move(succ), childNode, std::move(childKey));
         ++completed;
       }
     }
@@ -392,19 +383,12 @@ ExploreSummary Explorer::run() {
       si.totalSteps = summary.totalSteps;
       si.pathsDone = summary.paths.size();
       si.coveredPcs = covered_.size();
-      si.stepSolverQueries = after.queries - solverBefore.queries;
-      si.stepSolverMicros = after.totalMicros - solverBefore.totalMicros;
+      setStepSolverDeltas(si, solverBefore, after);
       si.runSolverQueries = after.queries - solverBase.queries;
       si.runSolverMicros = after.totalMicros - solverBase.totalMicros;
       si.depth = cur.state.forks;
       si.stepRtlTicks = out.rtlTicks;
-      si.stepCanonTerms = after.canon.terms - solverBefore.canon.terms;
-      si.stepCanonGates = after.canon.gates - solverBefore.canon.gates;
-      si.stepCanonConflicts =
-          after.canon.conflicts - solverBefore.canon.conflicts;
       si.runCacheHits = svc_.solver.cacheHits() - cacheHitsBase;
-      si.stepPrefilterHits = after.preHitSeen - solverBefore.preHitSeen;
-      si.stepPrefilterMisses = after.preMissSeen - solverBefore.preMissSeen;
       if (wantKeys) si.pathKey = cur.key;
       si.pathSteps = cur.state.steps;  // pre-step count (cur is unstepped)
       si.frontierBytes = frontierBytes;
@@ -426,8 +410,7 @@ ExploreSummary Explorer::run() {
     for (Frontier& f : frontier) {
       f.state.status = PathStatus::Truncated;
       f.state.truncReason = closeReason;
-      summary.paths.push_back(
-          finishPath(std::move(f.state), f.node, std::move(f.key)));
+      finish(std::move(f.state), f.node, std::move(f.key));
     }
     frontier.clear();
   }

@@ -75,17 +75,23 @@ size_t pickEvict(SearchStrategy s, const std::vector<Entry>& fr, Rng& rng) {
 /// bookkeeping): the memory governor's charge for a term pool.
 inline constexpr size_t kBytesPerTerm = 48;
 
-/// The witness half of finishing a path: its test inputs and, unless it
-/// ended in a defect (whose witness is those inputs), its concrete exit
-/// code and output trace, all read off the carried witness. Truncated
-/// paths skip this: the governor closed them precisely because a budget
-/// ran out, so they get no witness.
-void finishWitness(EngineServices& svc, MachineState& st, PathResult& r);
+/// Close one path, the same way in both engines: its PathResult (status,
+/// counters, defect, `pathKey`) and the witness half, that is its test
+/// inputs and, unless it ended in a defect (whose witness is those
+/// inputs), its concrete exit code and output trace, all read off the
+/// carried witness. Truncated paths get no witness: the governor closed
+/// them precisely because a budget ran out. Then ticks `pathsCtr` and
+/// reports onPathDone(node) to `ob` (either may be null).
+PathResult finishPath(EngineServices& svc, MachineState&& st,
+                      std::string pathKey, uint64_t node, ExploreObserver* ob,
+                      telemetry::Counter* pathsCtr);
 
-/// The lazy-feasibility fallback of finishWitness: a state that took a
-/// side on trust carries no valid witness, so solve its path condition
-/// once and carry the model. False when the solver finds none.
-bool solvePathWitness(EngineServices& svc, MachineState& st);
+/// Fill the step-scoped solver fields of `si` (queries, latency,
+/// canonical cost, prefilter outcomes): the deltas between the solver's
+/// stats before and after one step.
+void setStepSolverDeltas(ExploreObserver::StepInfo& si,
+                         const smt::SmtSolver::Stats& before,
+                         const smt::SmtSolver::Stats& after);
 
 struct ExplorerConfig {
   SearchStrategy strategy = SearchStrategy::DFS;
@@ -184,8 +190,6 @@ class Explorer {
     std::string key;
   };
 
-  PathResult finishPath(MachineState&& st, uint64_t node,
-                        std::string pathKey = {});
   /// Try to merge `incoming` into `host` (both Running, same pc).
   /// Returns false (leaving both untouched) when the states' traces are
   /// incompatible.

@@ -31,9 +31,8 @@ struct PathTreeNode {
   /// Branch condition(s) added at creation, rendered with smt::toString
   /// and joined with " & " (empty for the root and unconstrained forks).
   std::string cond;
-  /// "root"; "sat" when the creating step issued solver queries (eager
-  /// feasibility admitted the branch), "assumed" when it was enqueued
-  /// unchecked.
+  /// "root"; "sat" when the creating step issued solver queries,
+  /// "assumed" when it issued none.
   std::string verdict;
   uint64_t solverQueries = 0;  // queries issued by the creating step
   uint64_t solverMicros = 0;   // their total latency
@@ -128,13 +127,10 @@ class ExploreObserver {
   };
   virtual void onStepEnd(const StepInfo& /*info*/) {}
 
-  /// Solver queries issued *outside* any step window: the witness solve of
-  /// a path closed by the per-path step budget before its next step began,
-  /// which only lazy feasibility needs (an eager path carries its
-  /// witness; see MachineState::witnessValid). Charged to `pc` (where the
-  /// path was cut) so per-site query counts still sum to the solver's
-  /// aggregate query count. `preHits`/`preMisses` are the prefilter
-  /// outcomes of those queries (see StepInfo).
+  /// Retired: no engine calls it. Every state carries its witness, so
+  /// nothing solves outside a step window. Kept with its signature only
+  /// because perfbench/src/ledger.cpp overrides it; a change to the
+  /// benchmark removes both.
   virtual void onOffStepSolve(uint64_t /*pc*/, uint64_t /*queries*/,
                               uint64_t /*canonTerms*/, uint64_t /*canonGates*/,
                               uint64_t /*canonConflicts*/, uint64_t /*preHits*/,
@@ -185,14 +181,6 @@ class ObserverMux final : public ExploreObserver {
   void onStepEnd(const StepInfo& info) override {
     for (ExploreObserver* ob : obs_) ob->onStepEnd(info);
   }
-  void onOffStepSolve(uint64_t pc, uint64_t queries, uint64_t canonTerms,
-                      uint64_t canonGates, uint64_t canonConflicts,
-                      uint64_t preHits, uint64_t preMisses) override {
-    for (ExploreObserver* ob : obs_) {
-      ob->onOffStepSolve(pc, queries, canonTerms, canonGates, canonConflicts,
-                         preHits, preMisses);
-    }
-  }
   void onChild(uint64_t parent, uint64_t child, const MachineState& st,
                size_t condSizeBefore) override {
     for (ExploreObserver* ob : obs_) ob->onChild(parent, child, st, condSizeBefore);
@@ -236,13 +224,6 @@ class LockedObserverMux final : public ExploreObserver {
   void onStepEnd(const StepInfo& info) override {
     std::lock_guard<std::mutex> lk(mu_);
     mux_.onStepEnd(info);
-  }
-  void onOffStepSolve(uint64_t pc, uint64_t queries, uint64_t canonTerms,
-                      uint64_t canonGates, uint64_t canonConflicts,
-                      uint64_t preHits, uint64_t preMisses) override {
-    std::lock_guard<std::mutex> lk(mu_);
-    mux_.onOffStepSolve(pc, queries, canonTerms, canonGates, canonConflicts,
-                        preHits, preMisses);
   }
   void onChild(uint64_t parent, uint64_t child, const MachineState& st,
                size_t condSizeBefore) override {

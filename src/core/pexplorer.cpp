@@ -296,21 +296,13 @@ struct Engine {
     cv.notify_all();
   }
 
-  // Resolve the terminal record, read the path's witness (like
-  // Explorer::finishPath), and file the result under the node's key.
+  // Close the path (core::finishPath) and file its result under the
+  // node's key.
   void finishPath(Worker& w, MachineState&& st, const PathKey& key) {
-    PathResult r;
-    r.status = st.status;
-    r.truncReason = st.truncReason;
-    r.finalPc = st.pc;
-    r.steps = st.steps;
-    r.forks = st.forks;
-    if (wantKeys) r.pathKey = keyToString(key);
-    if (w.pathsCtr) w.pathsCtr->add();
-    r.defect = std::move(st.defect);
-    finishWitness(*w.svc, st, r);
+    PathResult r = core::finishPath(*w.svc, std::move(st),
+                                    wantKeys ? keyToString(key) : "", 0, ob,
+                                    w.pathsCtr);
     gPathsDone.fetch_add(1, std::memory_order_relaxed);
-    if (ob) ob->onPathDone(0, r);
     std::lock_guard<std::mutex> lk(recMu);
     recs[key].result = std::move(r);
   }
@@ -386,7 +378,6 @@ struct Engine {
     ns.defect = s.defect;  // witness is concrete; no terms to migrate
     // By input position, so the carried witness moves unchanged.
     ns.witness = s.witness;
-    ns.witnessValid = s.witnessValid;
     ne.state = std::move(ns);
     return ne;
   }
@@ -701,25 +692,8 @@ struct Engine {
 
     if (cur.state.steps >= base.maxStepsPerPath) {
       cur.state.status = PathStatus::Budget;
-      const uint64_t cutPc = cur.state.pc;
-      smt::SmtSolver::Stats preClose;
-      if (ob) preClose = w.solver.stats();
       finishPath(w, std::move(cur.state), cur.key);
       gCompleted.fetch_add(1, std::memory_order_relaxed);
-      if (ob) {
-        // A lazy-feasibility witness solve runs outside any step window:
-        // report it so per-site attributed queries still sum to the
-        // solver total.
-        const smt::SmtSolver::Stats post = w.solver.stats();
-        if (post.queries != preClose.queries) {
-          ob->onOffStepSolve(cutPc, post.queries - preClose.queries,
-                             post.canon.terms - preClose.canon.terms,
-                             post.canon.gates - preClose.canon.gates,
-                             post.canon.conflicts - preClose.canon.conflicts,
-                             post.preHitSeen - preClose.preHitSeen,
-                             post.preMissSeen - preClose.preMissSeen);
-        }
-      }
       return;
     }
 
@@ -885,18 +859,12 @@ struct Engine {
       si.totalSteps = gSteps.load(std::memory_order_relaxed);
       si.pathsDone = gPathsDone.load(std::memory_order_relaxed);
       si.coveredPcs = covSize;
-      si.stepSolverQueries = after.queries - before.queries;
-      si.stepSolverMicros = after.totalMicros - before.totalMicros;
+      setStepSolverDeltas(si, before, after);
       si.runSolverQueries = after.queries;
       si.runSolverMicros = after.totalMicros;
       si.depth = cur.state.forks;
       si.stepRtlTicks = out.rtlTicks;
-      si.stepCanonTerms = after.canon.terms - before.canon.terms;
-      si.stepCanonGates = after.canon.gates - before.canon.gates;
-      si.stepCanonConflicts = after.canon.conflicts - before.canon.conflicts;
       si.runCacheHits = w.solver.cacheHits();
-      si.stepPrefilterHits = after.preHitSeen - before.preHitSeen;
-      si.stepPrefilterMisses = after.preMissSeen - before.preMissSeen;
       if (wantKeys) si.pathKey = keyToString(cur.key);
       si.pathSteps = cur.state.steps;  // pre-step count (cur is unstepped)
       si.frontierBytes = gFrontierBytes.load(std::memory_order_relaxed);

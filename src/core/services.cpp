@@ -13,61 +13,47 @@ bool witnessSatisfies(smt::TermManager& tm, const MachineState& st,
   return tm.evalTerm(c) != 0;
 }
 
+/// The assumptions of the query "pathCond(st) /\ c".
+std::vector<smt::TermRef> withCond(const MachineState& st, smt::TermRef c) {
+  std::vector<smt::TermRef> assumptions = st.pathCond;
+  assumptions.push_back(c);
+  return assumptions;
+}
+
 }  // namespace
 
-Side EngineServices::side(const MachineState& st, smt::TermRef c, Ask ask) {
-  if (st.witnessValid && witnessSatisfies(tm, st, c)) {
-    return Side{c};  // the free side: no query
-  }
-  return decide(st, c, ask);
+Side EngineServices::side(const MachineState& st, smt::TermRef c) {
+  if (witnessSatisfies(tm, st, c)) return Side(c);  // the free side
+  return decide(st, c);
 }
 
 std::pair<Side, Side> EngineServices::branch(const MachineState& st,
                                              smt::TermRef cond) {
   const smt::TermRef notCond = tm.mkNot(cond);
-  if (!st.witnessValid) {
-    Side onTrue = decide(st, cond, branchAsk());
-    return {std::move(onTrue), decide(st, notCond, branchAsk())};
-  }
   // Exactly one arm holds under the witness: that one is free.
   if (witnessSatisfies(tm, st, cond)) {
-    return {Side{cond}, decide(st, notCond, branchAsk())};
+    return {Side(cond), decide(st, notCond)};
   }
-  return {decide(st, cond, branchAsk()), Side{notCond}};
+  return {decide(st, cond), Side(notCond)};
 }
 
-Side EngineServices::decide(const MachineState& st, smt::TermRef c, Ask ask) {
-  Side s{c};
-  if (ask == Ask::Trust) {
-    s.from = Side::From::None;
-    return s;
-  }
-  std::vector<smt::TermRef> assumptions = st.pathCond;
-  assumptions.push_back(c);
-  if (ask == Ask::Verdict) {
-    // The model is never read, so a conclusive abstract-prefilter Sat can
-    // short-circuit the solve entirely (smt/presolver.h).
-    s.feasible = solver.checkNoModel(assumptions) == smt::CheckResult::Sat;
-    return s;
-  }
-  s.feasible = solver.check(assumptions) == smt::CheckResult::Sat;
-  if (s.feasible) {
-    s.from = Side::From::Model;
-    s.model = modelWitness(st);
-  }
+bool EngineServices::feasible(const MachineState& st, smt::TermRef c) {
+  if (witnessSatisfies(tm, st, c)) return true;
+  // The model is never read, so a conclusive abstract-prefilter Sat can
+  // short-circuit the solve entirely (smt/presolver.h).
+  return solver.checkNoModel(withCond(st, c)) == smt::CheckResult::Sat;
+}
+
+Side EngineServices::decide(const MachineState& st, smt::TermRef c) {
+  Side s(c);
+  s.feasible = solver.check(withCond(st, c)) == smt::CheckResult::Sat;
+  if (s.feasible) s.model = modelWitness(st);
   return s;
 }
 
 void EngineServices::enter(MachineState& st, Side&& s) {
   if (s.cond.valid()) st.addConstraint(s.cond);
-  switch (s.from) {
-    case Side::From::Carried: break;
-    case Side::From::Model:
-      st.witness = std::move(s.model);
-      st.witnessValid = true;
-      break;
-    case Side::From::None: st.witnessValid = false; break;
-  }
+  if (s.model) st.witness = std::move(*s.model);
 }
 
 void EngineServices::forkJumpTargets(MachineState&& st, smt::TermRef target,
@@ -75,9 +61,8 @@ void EngineServices::forkJumpTargets(MachineState&& st, smt::TermRef target,
   const unsigned w = target.width();
   std::vector<smt::TermRef> blocking = st.pathCond;
   for (unsigned i = 0; i < config.maxIndirectTargets; ++i) {
-    const bool carried = i == 0 && st.witnessValid;
     uint64_t value;
-    if (carried) {
+    if (i == 0) {
       bindInputs(tm, st.inputs, st.witness);
       value = tm.evalTerm(target);
     } else {
@@ -85,10 +70,7 @@ void EngineServices::forkJumpTargets(MachineState&& st, smt::TermRef target,
       value = solver.modelValue(target);
     }
     MachineState succ = st;
-    if (!carried) {
-      succ.witness = modelWitness(st);
-      succ.witnessValid = true;
-    }
+    if (i != 0) succ.witness = modelWitness(st);
     const smt::TermRef at = tm.mkConst(w, value);
     succ.addConstraint(tm.mkEq(target, at));
     succ.pc = value;

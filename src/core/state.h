@@ -110,15 +110,14 @@ class MachineState {
   std::optional<Defect> defect;       // valid when status == Defect
 
   // ---- carried witness (DESIGN.md §6.8) -------------------------------
-  /// A concrete input assignment that satisfies pathCond: witness[i] is
-  /// the value of inputs[i]. A position past its end reads 0, which is
-  /// sound because an input created since is not yet in pathCond. The
-  /// root's witness is empty, as its path condition is.
+  /// A concrete input assignment that satisfies pathCond, which every
+  /// state carries: witness[i] is the value of inputs[i]. An entry past
+  /// the state's current inputs is the value an input not yet read will
+  /// take (a concolic seed's), and a position past the end reads 0; both
+  /// are sound because such an input is not yet in pathCond. The
+  /// explorers' root witness is empty; a concolic run's root carries its
+  /// seed (core/concolic.h).
   std::vector<uint64_t> witness;
-  /// False only when lazy feasibility took a side on trust
-  /// (EngineConfig::eagerFeasibility): then no assignment is known, and
-  /// the next decision or path end asks the solver.
-  bool witnessValid = true;
 
   void addConstraint(smt::TermRef c) {
     if (!c.isTrue()) pathCond.push_back(c);

@@ -400,7 +400,7 @@ std::string usage() {
       "  --progress[=N]        heartbeat to stderr every N seconds\n"
       "                        (default 1); includes the qcache hit rate\n"
       "                        and current frontier depth\n"
-      "  --profile=<file>      adlsym-profile-v2 cost attribution: per-\n"
+      "  --profile=<file>      adlsym-profile-v3 cost attribution: per-\n"
       "                        opcode / per-RTL-statement tick counts and\n"
       "                        per-branch-site canonical solver cost;\n"
       "                        byte-identical across --jobs under\n"

@@ -120,7 +120,7 @@ struct ExploreOptions {
   std::string engine = "bytecode";
 
   // ---- profiler (docs/observability.md) ------------------------------
-  /// Write the adlsym-profile-v2 cost-attribution document here ("" =
+  /// Write the adlsym-profile-v3 cost-attribution document here ("" =
   /// off). Byte-identical across --jobs values under --clock=manual.
   std::string profilePath;
   /// Write collapsed-stack lines for flamegraph tooling here ("" = off).

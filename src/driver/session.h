@@ -68,10 +68,10 @@ class Session {
   /// Run symbolic exploration from the entry point.
   core::ExploreSummary explore();
 
-  /// Run concolic generational search instead (one concrete path per
-  /// iteration, branch negation for new seeds). Uses the same executor;
-  /// disabling `engine.eagerFeasibility` in the options avoids redundant
-  /// solver work in this mode.
+  /// Run concolic search instead (one concrete path per seed, from the
+  /// all-zeroes seed). Uses the same executor and feasibility rule: each
+  /// seed is the root's carried witness, so the engine solves only the
+  /// sides it does not take, and their witnesses are the next seeds.
   core::ConcolicResult concolic(core::ConcolicConfig cfg = {});
 
   /// Replay a witness concretely with the same semantics.

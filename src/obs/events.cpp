@@ -171,24 +171,6 @@ void EventBus::onStepEnd(const StepInfo& info) {
   }
 }
 
-void EventBus::onOffStepSolve(uint64_t pc, uint64_t queries,
-                              uint64_t canonTerms, uint64_t canonGates,
-                              uint64_t canonConflicts, uint64_t preHits,
-                              uint64_t preMisses) {
-  std::lock_guard<std::mutex> lk(mu_);
-  livePreHits_ += preHits;
-  livePreMisses_ += preMisses;
-  lineBegin("offstep");
-  kvU("pc", pc);
-  kvU("queries", queries);
-  kvU("canon_terms", canonTerms);
-  kvU("canon_gates", canonGates);
-  kvU("canon_conflicts", canonConflicts);
-  kvU("pre_hits", preHits);
-  kvU("pre_misses", preMisses);
-  commit(counts_.offstep);
-}
-
 void EventBus::onMerge(uint64_t host, uint64_t incoming, uint64_t pc) {
   std::lock_guard<std::mutex> lk(mu_);
   // Merging is sequential-only (the CLI rejects --merge with --jobs), so
@@ -311,7 +293,6 @@ void EventBus::writeStatsJson(json::Writer& w) const {
   w.kv("run_begin", counts_.runBegin);
   w.kv("step", counts_.step);
   w.kv("snapshot", counts_.snapshot);
-  w.kv("offstep", counts_.offstep);
   w.kv("merge", counts_.merge);
   w.kv("path_done", counts_.pathDone);
   w.kv("query", counts_.query);
@@ -338,7 +319,6 @@ void EventBus::writeCkptJson(json::Writer& w, const CkptGauges& g) const {
   w.kv("run_begin", counts_.runBegin);
   w.kv("step", counts_.step);
   w.kv("snapshot", counts_.snapshot);
-  w.kv("offstep", counts_.offstep);
   w.kv("merge", counts_.merge);
   w.kv("path_done", counts_.pathDone);
   w.kv("query", counts_.query);
@@ -389,7 +369,6 @@ void EventBus::resumeRun(const RunMeta& meta, const json::Value& v) {
   counts_.runBegin = u64(*counts, "run_begin");
   counts_.step = u64(*counts, "step");
   counts_.snapshot = u64(*counts, "snapshot");
-  counts_.offstep = u64(*counts, "offstep");
   counts_.merge = u64(*counts, "merge");
   counts_.pathDone = u64(*counts, "path_done");
   counts_.query = u64(*counts, "query");
@@ -419,11 +398,10 @@ namespace {
 int typeRank(const std::string& type) {
   if (type == "run_begin") return 0;
   if (type == "step") return 1;
-  if (type == "offstep") return 2;
-  if (type == "merge") return 3;
-  if (type == "path_done") return 4;
-  if (type == "run_end") return 6;
-  return 5;
+  if (type == "merge") return 2;
+  if (type == "path_done") return 3;
+  if (type == "run_end") return 5;
+  return 4;
 }
 
 bool isLiveType(const std::string& type) {
@@ -574,14 +552,6 @@ EventsSummary summarizeEvents(std::istream& in) {
       es.canonConflicts += u64Field(ev, "canon_conflicts");
       es.preHits += u64Field(ev, "pre_hits");
       es.preMisses += u64Field(ev, "pre_misses");
-    } else if (type == "offstep") {
-      ++es.offstepEvents;
-      es.offstepQueries += u64Field(ev, "queries");
-      es.canonTerms += u64Field(ev, "canon_terms");
-      es.canonGates += u64Field(ev, "canon_gates");
-      es.canonConflicts += u64Field(ev, "canon_conflicts");
-      es.preHits += u64Field(ev, "pre_hits");
-      es.preMisses += u64Field(ev, "pre_misses");
     } else if (type == "merge") {
       ++es.merges;
     } else if (type == "path_done") {
@@ -649,11 +619,10 @@ EventsSummary summarizeEvents(std::istream& in) {
           std::to_string(es.dropped) + " dropped + " +
           std::to_string(es.merges) + " merged");
     }
-    if (es.stepQueries + es.offstepQueries != es.endQueries) {
+    if (es.stepQueries != es.endQueries) {
       es.problems.push_back(
           "query attribution violated: " + std::to_string(es.stepQueries) +
-          " step + " + std::to_string(es.offstepQueries) +
-          " offstep queries != " + std::to_string(es.endQueries) + " total");
+          " step queries != " + std::to_string(es.endQueries) + " total");
     }
     if (es.endCacheHits + es.endPreShortcircuit + es.endPreConsulted +
             es.endDirectSolves !=
@@ -696,8 +665,7 @@ std::string EventsSummary::formatText() const {
   }
   if (pathStatuses.empty()) os << " (none)";
   os << '\n';
-  os << "queries: step=" << stepQueries << " offstep=" << offstepQueries
-     << " total=" << stepQueries + offstepQueries;
+  os << "queries: step=" << stepQueries;
   if (sawRunEnd) os << " (run_end: " << endQueries << ")";
   os << '\n';
   os << "canon: terms=" << canonTerms << " gates=" << canonGates
@@ -776,8 +744,7 @@ std::vector<std::string> reconcileWithStats(const EventsSummary& es,
     out.push_back("stats summary.stop_reason='" + stop->str +
                   "' but run_end stop_reason='" + es.stopReason + "'");
   }
-  check({"solver", "queries"}, es.stepQueries + es.offstepQueries,
-        "attributed event queries");
+  check({"solver", "queries"}, es.stepQueries, "attributed event queries");
   check({"solver", "cache_hits"}, es.endCacheHits, "run_end cache_hits");
   check({"solver", "canon", "terms"}, es.canonTerms, "event canon terms");
   check({"solver", "canon", "gates"}, es.canonGates, "event canon gates");
@@ -798,8 +765,6 @@ std::vector<std::string> reconcileWithStats(const EventsSummary& es,
     check({"events", "emitted", "run_begin"}, es.sawRunBegin ? 1 : 0,
           "run_begin events");
     check({"events", "emitted", "step"}, es.steps, "step events");
-    check({"events", "emitted", "offstep"}, es.offstepEvents,
-          "offstep events");
     check({"events", "emitted", "merge"}, es.merges, "merge events");
     check({"events", "emitted", "path_done"}, es.pathsDone,
           "path_done events");

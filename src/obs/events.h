@@ -6,7 +6,7 @@
 // counters after the fact (`adlsym events summarize`).
 //
 // Determinism contract: the *set* of deterministic events (run_begin,
-// step, offstep, merge, path_done, run_end) is identical across
+// step, merge, path_done, run_end) is identical across
 // --jobs=1/2/8 under --clock=manual — every record is attributed to a
 // structural path key (docs/parallelism.md), and only schedule-independent
 // fields (canonical solver cost, per-step query counts, prefilter
@@ -82,9 +82,6 @@ class EventBus final : public core::ExploreObserver, public smt::QueryListener {
 
   // ---- ExploreObserver (deterministic events) -------------------------
   void onStepEnd(const StepInfo& info) override;
-  void onOffStepSolve(uint64_t pc, uint64_t queries, uint64_t canonTerms,
-                      uint64_t canonGates, uint64_t canonConflicts,
-                      uint64_t preHits, uint64_t preMisses) override;
   void onMerge(uint64_t host, uint64_t incoming, uint64_t pc) override;
   void onPathDone(uint64_t node, const core::PathResult& result) override;
 
@@ -102,7 +99,6 @@ class EventBus final : public core::ExploreObserver, public smt::QueryListener {
     uint64_t runBegin = 0;
     uint64_t step = 0;
     uint64_t snapshot = 0;
-    uint64_t offstep = 0;
     uint64_t merge = 0;
     uint64_t pathDone = 0;
     uint64_t query = 0;
@@ -275,7 +271,6 @@ struct EventsSummary {
   uint64_t defects = 0;     // path_done with a defect
   uint64_t exited = 0;      // path_done with status "exited"
   uint64_t stepQueries = 0;
-  uint64_t offstepQueries = 0;
   uint64_t rtlTicks = 0;
   uint64_t canonTerms = 0;
   uint64_t canonGates = 0;
@@ -284,7 +279,6 @@ struct EventsSummary {
   uint64_t preMisses = 0;
   std::map<std::string, uint64_t> pathStatuses;
   // Raw per-type event counts (for the stats "events.emitted" cross-check).
-  uint64_t offstepEvents = 0;
   uint64_t queryEvents = 0;
   uint64_t snapshotEvents = 0;
   uint64_t heartbeatEvents = 0;

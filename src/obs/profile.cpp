@@ -14,8 +14,8 @@ namespace adlsym::obs {
 ProfileCollector::SiteCost& ProfileCollector::siteAt(uint64_t pc) {
   SiteCost& site = sites_[pc];
   if (site.opcode.empty()) {
-    // Off-step solves and checkpoint restores can name a pc no step has
-    // reported yet, so every entry point decodes on first use.
+    // Drops and checkpoint restores can name a pc no step has reported
+    // yet, so every entry point decodes on first use.
     const decode::DecodedInsn* d = decoder_.decodeAt(image_, pc);
     site.opcode = d != nullptr ? d->insn->name : "<illegal>";
   }
@@ -37,22 +37,6 @@ void ProfileCollector::onStepEnd(const StepInfo& info) {
   ++totalSteps_;
   totalTicks_ += info.stepRtlTicks;
   totalQueries_ += info.stepSolverQueries;
-}
-
-void ProfileCollector::onOffStepSolve(uint64_t pc, uint64_t queries,
-                                      uint64_t canonTerms, uint64_t canonGates,
-                                      uint64_t canonConflicts,
-                                      uint64_t preHits, uint64_t preMisses) {
-  std::lock_guard<std::mutex> lk(mu_);
-  SiteCost& site = siteAt(pc);
-  site.offStepQueries += queries;
-  site.canon.terms += canonTerms;
-  site.canon.gates += canonGates;
-  site.canon.conflicts += canonConflicts;
-  site.prefilterHits += preHits;
-  site.prefilterMisses += preMisses;
-  totalQueries_ += queries;
-  totalOffStep_ += queries;
 }
 
 void ProfileCollector::onDrop(uint64_t /*node*/, uint64_t pc) {
@@ -140,7 +124,7 @@ struct OpRow {
   uint64_t steps = 0;
   uint64_t rtlTicks = 0;
   uint64_t forks = 0;
-  uint64_t queries = 0;  // in-step + off-step
+  uint64_t queries = 0;
   smt::QueryCost canon;
 };
 
@@ -151,7 +135,7 @@ std::map<std::string, OpRow> rollupOpcodes(const ProfileCollector& prof) {
     row.steps += s.steps;
     row.rtlTicks += s.rtlTicks;
     row.forks += s.forks;
-    row.queries += s.queries + s.offStepQueries;
+    row.queries += s.queries;
     row.canon += s.canon;
   }
   return ops;
@@ -178,7 +162,7 @@ ProfileReport::Reconcile ProfileReport::reconcile() const {
 void ProfileReport::writeJson(std::ostream& os) const {
   json::Writer w(os);
   w.beginObject();
-  w.kv("schema", "adlsym-profile-v2");
+  w.kv("schema", "adlsym-profile-v3");
   w.kv("isa", isa);
   w.kv("program", program);
 
@@ -197,7 +181,6 @@ void ProfileReport::writeJson(std::ostream& os) const {
       w.kv("rtl_ticks", s.rtlTicks);
       w.kv("forks", s.forks);
       w.kv("queries", s.queries);
-      w.kv("off_step_queries", s.offStepQueries);
       w.kv("prefilter_hits", s.prefilterHits);
       w.kv("prefilter_misses", s.prefilterMisses);
       writeCanon(w, s.canon);
@@ -318,14 +301,12 @@ void ProfileReport::writeFolded(std::ostream& os) const {
 void ProfileReport::writeSummary(json::Writer& w) const {
   const Reconcile r = reconcile();
   w.key("profile").beginObject();
-  w.kv("schema", "adlsym-profile-v2");
+  w.kv("schema", "adlsym-profile-v3");
   w.kv("rtl_ticks", engineRtlTicks);
   w.kv("sites", static_cast<uint64_t>(prof != nullptr ? prof->sites().size()
                                                       : 0));
   w.kv("attributed_queries",
        prof != nullptr ? prof->totalQueries() : uint64_t{0});
-  w.kv("off_step_queries",
-       prof != nullptr ? prof->totalOffStepQueries() : uint64_t{0});
   w.kv("reconciled", r.ok());
   w.endObject();
 }
@@ -369,9 +350,7 @@ std::string ProfileReport::formatText() const {
     // Most expensive branch sites by canonical solver gates.
     std::vector<std::pair<uint64_t, ProfileCollector::SiteCost>> hot;
     for (const auto& kv : prof->sites()) {
-      if (kv.second.queries + kv.second.offStepQueries != 0) {
-        hot.push_back(kv);
-      }
+      if (kv.second.queries != 0) hot.push_back(kv);
     }
     std::stable_sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
       return a.second.canon.gates > b.second.canon.gates;
@@ -381,7 +360,7 @@ std::string ProfileReport::formatText() const {
     for (const auto& [pc, s] : hot) {
       if (shown++ == 10) break;
       os << "  " << hexPc(pc) << " " << s.opcode << "  " << s.canon.gates
-         << " | " << (s.queries + s.offStepQueries) << " | "
+         << " | " << s.queries << " | "
          << s.canon.conflicts << "\n";
     }
   }

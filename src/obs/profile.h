@@ -6,10 +6,11 @@
 // stats document's "opcodes"/"branch_sites" tables and the profile
 // artifacts. Alongside it sits a report type that joins those sites with the
 // per-RTL-statement tables (core::RtlProfile), the solver aggregate and
-// the query-shape rows into the adlsym-profile-v2 JSON document, a
+// the query-shape rows into the adlsym-profile-v3 JSON document, a
 // collapsed-stack file for flamegraph tooling, and the top-level
-// "profile" summary block of the v6 stats schema. v2 adds per-site
-// abstract-prefilter hit/miss attribution (docs/absdomain.md).
+// "profile" summary block of the stats schema. v2 added per-site
+// abstract-prefilter hit/miss attribution (docs/absdomain.md); v3 drops
+// the off-step query counts, as every query is issued inside a step.
 //
 // Every number here is canonical: per-step solver deltas replay cached
 // costs (smt::QueryCost), RTL tick counts depend only on what executed,
@@ -54,13 +55,6 @@ class ProfileCollector final : public core::ExploreObserver {
   /// so drops are counted here rather than in onStepEnd.
   void onDrop(uint64_t node, uint64_t pc) override;
 
-  /// Budget-cut witness solves (lazy feasibility only) happen outside any
-  /// step window; both engines report them here so per-site query sums
-  /// still reconcile with the solver's aggregate query count.
-  void onOffStepSolve(uint64_t pc, uint64_t queries, uint64_t canonTerms,
-                      uint64_t canonGates, uint64_t canonConflicts,
-                      uint64_t preHits, uint64_t preMisses) override;
-
   struct SiteCost {
     std::string opcode;  // mnemonic; "<illegal>" when undecodable
     uint64_t steps = 0;
@@ -68,7 +62,6 @@ class ProfileCollector final : public core::ExploreObserver {
     uint64_t forks = 0;          // steps yielding >1 successor
     uint64_t infeasible = 0;     // steps yielding 0 successors (drops)
     uint64_t queries = 0;        // issued inside this site's step windows
-    uint64_t offStepQueries = 0;  // budget-cut witness solves charged here
     smt::QueryCost canon;        // canonical solver cost (replayed on hits)
     /// Abstract-prefilter outcomes of this site's queries, per issuance
     /// (replayed like canon, so schedule-independent).
@@ -82,13 +75,12 @@ class ProfileCollector final : public core::ExploreObserver {
   // solver aggregates (reconciliation).
   uint64_t totalSteps() const { return totalSteps_; }
   uint64_t totalRtlTicks() const { return totalTicks_; }
-  /// In-step plus off-step queries — must equal the solver's query count.
+  /// Must equal the solver's query count: every query is in a step.
   uint64_t totalQueries() const { return totalQueries_; }
-  uint64_t totalOffStepQueries() const { return totalOffStep_; }
 
   /// Append the stats document's "opcodes" object (mnemonic -> steps) and
   /// "branch_sites" array (sites that forked or dropped) to an open JSON
-  /// object. Sites charged only off-step never executed and are skipped.
+  /// object.
   void writeJson(json::Writer& w) const;
 
   /// The checkpoint "sites" section (adlsym-ckpt-v3): the opcode table
@@ -114,7 +106,6 @@ class ProfileCollector final : public core::ExploreObserver {
   uint64_t totalSteps_ = 0;
   uint64_t totalTicks_ = 0;
   uint64_t totalQueries_ = 0;
-  uint64_t totalOffStep_ = 0;
 };
 
 /// Joined view rendered after a run: collector sites + RTL statement
@@ -137,8 +128,7 @@ struct ProfileReport {
   const std::map<unsigned, smt::SmtSolver::ShapeRow>* shapes = nullptr;
 
   /// The acceptance identities: sum of per-site ticks == engine tick
-  /// total, sum of per-site (in-step + off-step) queries == solver query
-  /// total.
+  /// total, sum of per-site queries == solver query total.
   struct Reconcile {
     uint64_t siteRtlTicks = 0;
     uint64_t engineRtlTicks = 0;
@@ -150,7 +140,7 @@ struct ProfileReport {
   };
   Reconcile reconcile() const;
 
-  /// The full adlsym-profile-v2 document (compact JSON + '\n').
+  /// The full adlsym-profile-v3 document (compact JSON + '\n').
   void writeJson(std::ostream& os) const;
   /// Collapsed-stack lines ("frame;frame value") for flamegraph tooling.
   /// Roots name their unit: exec_ticks (RTL statements), solver_gates

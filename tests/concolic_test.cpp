@@ -1,5 +1,5 @@
-// Concolic (generational-search) driver: coverage parity with full
-// symbolic exploration, seed soundness, and defect discovery.
+// Concolic driver: coverage parity with full symbolic exploration, seed
+// soundness, and defect discovery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,19 +15,9 @@ namespace adlsym::core {
 namespace {
 
 using driver::Session;
-using driver::SessionOptions;
-
-SessionOptions concolicOptions() {
-  SessionOptions opt;
-  // Concolic mode resolves branches concretely; eager feasibility checks
-  // would duplicate that work with solver queries.
-  opt.engine.eagerFeasibility = false;
-  return opt;
-}
 
 TEST(Concolic, EnumeratesAllBehaviorsOfBitcount) {
-  auto s = Session::forPortable(workloads::progBitcount(4), "rv32e",
-                                concolicOptions());
+  auto s = Session::forPortable(workloads::progBitcount(4), "rv32e");
   const auto r = s->concolic();
   // Full symbolic exploration has 16 paths. Concolic needs >= 16 runs
   // (seeds may differ in unconstrained bits yet drive the same path) and
@@ -46,8 +36,7 @@ TEST(Concolic, EnumeratesAllBehaviorsOfBitcount) {
 
 TEST(Concolic, CoverageMatchesSymbolicExploration) {
   for (const char* iname : {"rv32e", "stk16"}) {
-    auto sc = Session::forPortable(workloads::progParse(2), iname,
-                                   concolicOptions());
+    auto sc = Session::forPortable(workloads::progParse(2), iname);
     auto ss = Session::forPortable(workloads::progParse(2), iname);
     const auto rc = sc->concolic();
     const auto rs = ss->explore();
@@ -56,8 +45,7 @@ TEST(Concolic, CoverageMatchesSymbolicExploration) {
 }
 
 TEST(Concolic, SeedsReplayToTheirRecordedBehavior) {
-  auto s = Session::forPortable(workloads::progMax(3), "rv32e",
-                                concolicOptions());
+  auto s = Session::forPortable(workloads::progMax(3), "rv32e");
   const auto r = s->concolic();
   EXPECT_GE(r.paths.size(), 4u);
   for (const auto& p : r.paths) {
@@ -75,7 +63,7 @@ TEST(Concolic, FindsSeededDefectsWithWitnesses) {
   for (const auto& dc : workloads::defectSuite()) {
     if (!dc.expected) continue;
     SCOPED_TRACE(dc.name);
-    auto s = Session::forPortable(dc.program, "rv32e", concolicOptions());
+    auto s = Session::forPortable(dc.program, "rv32e");
     const auto r = s->concolic();
     bool found = false;
     for (const auto& p : r.paths) {
@@ -94,7 +82,7 @@ TEST(Concolic, NoFalseAlarmsOnGuardedTwins) {
   for (const auto& dc : workloads::defectSuite()) {
     if (dc.expected) continue;
     SCOPED_TRACE(dc.name);
-    auto s = Session::forPortable(dc.program, "rv32e", concolicOptions());
+    auto s = Session::forPortable(dc.program, "rv32e");
     const auto r = s->concolic();
     EXPECT_EQ(r.numDefects(), 0u);
   }
@@ -103,31 +91,15 @@ TEST(Concolic, NoFalseAlarmsOnGuardedTwins) {
 TEST(Concolic, RunBudgetIsRespected) {
   ConcolicConfig cfg;
   cfg.maxRuns = 3;
-  auto s = Session::forPortable(workloads::progBitcount(8), "rv32e",
-                                concolicOptions());
+  auto s = Session::forPortable(workloads::progBitcount(8), "rv32e");
   const auto r = s->concolic(cfg);
   EXPECT_EQ(r.seedsExecuted, 3u);
   EXPECT_EQ(r.paths.size(), 3u);
   EXPECT_GT(r.seedsGenerated, r.seedsExecuted);
 }
 
-TEST(Concolic, DepthFirstVariantStillProgresses) {
-  ConcolicConfig cfg;
-  cfg.generational = false;  // negate only the deepest branch per run
-  auto s = Session::forPortable(workloads::progEarlyExit(3), "rv32e",
-                                concolicOptions());
-  const auto r = s->concolic(cfg);
-  EXPECT_GE(r.paths.size(), 2u);
-  std::set<uint64_t> outs;
-  for (const auto& p : r.paths) {
-    if (p.status == PathStatus::Exited) outs.insert(p.outputs.at(0));
-  }
-  EXPECT_GE(outs.size(), 2u);
-}
-
 TEST(Concolic, ConcreteLoopSingleSeed) {
-  auto s = Session::forPortable(workloads::progFib(10), "rv32e",
-                                concolicOptions());
+  auto s = Session::forPortable(workloads::progFib(10), "rv32e");
   const auto r = s->concolic();
   ASSERT_EQ(r.paths.size(), 1u);  // no symbolic branches, no new seeds
   EXPECT_EQ(r.paths[0].outputs.at(0), 55u);

@@ -1,5 +1,5 @@
 // Deterministic profiler + bench comparator (docs/observability.md):
-// the adlsym-profile-v2 artifacts (obs/profile.h) must be byte-identical
+// the adlsym-profile-v3 artifacts (obs/profile.h) must be byte-identical
 // across --jobs values and reconcile per-site sums against the engine and
 // solver aggregates; support/benchcmp.h must catch injected regressions
 // (the bench_diff acceptance fixture); the JSON reader must reject
@@ -257,7 +257,7 @@ TEST(RtlProfileTable, IndexesEveryStatementStably) {
 // ProfileCollector unit behavior: per-site charging and totals.
 // ---------------------------------------------------------------------
 
-TEST(ProfileCollectorUnit, ChargesStepAndOffStepCostPerSite) {
+TEST(ProfileCollectorUnit, ChargesStepCostPerSite) {
   auto s = Session::forPortable(workloads::progBitcount(3), "rv32e");
   obs::ProfileCollector prof(s->model(), s->image());
   const uint64_t entry = s->image().entry();
@@ -273,13 +273,11 @@ TEST(ProfileCollectorUnit, ChargesStepAndOffStepCostPerSite) {
   info.stepSolverQueries = 1;
   info.stepCanonGates = 11;
   prof.onStepEnd(info);
-  prof.onOffStepSolve(entry, 2, 5, 7, 1, 1, 1);
-  prof.onOffStepSolve(0xdeadbeef, 1, 0, 0, 0, 0, 1);  // undecodable site
+  prof.onDrop(0, 0xdeadbeef);  // undecodable site
 
   EXPECT_EQ(prof.totalSteps(), 2u);
   EXPECT_EQ(prof.totalRtlTicks(), 10u);
-  EXPECT_EQ(prof.totalQueries(), 4u);  // 1 in-step + 3 off-step
-  EXPECT_EQ(prof.totalOffStepQueries(), 3u);
+  EXPECT_EQ(prof.totalQueries(), 1u);
 
   ASSERT_EQ(prof.sites().count(entry), 1u);
   const auto& site = prof.sites().at(entry);
@@ -289,8 +287,7 @@ TEST(ProfileCollectorUnit, ChargesStepAndOffStepCostPerSite) {
   EXPECT_EQ(site.rtlTicks, 10u);
   EXPECT_EQ(site.forks, 1u);
   EXPECT_EQ(site.queries, 1u);
-  EXPECT_EQ(site.offStepQueries, 2u);
-  EXPECT_EQ(site.canon.gates, 11u + 7u);
+  EXPECT_EQ(site.canon.gates, 11u);
   ASSERT_EQ(prof.sites().count(0xdeadbeef), 1u);
   EXPECT_EQ(prof.sites().at(0xdeadbeef).opcode, "<illegal>");
 }
@@ -303,28 +300,6 @@ std::string statsTables(const obs::ProfileCollector& prof) {
   prof.writeJson(w);
   w.endObject();
   return os.str();
-}
-
-TEST(ProfileCollectorUnit, OffStepOnlySiteStaysOutOfStatsTables) {
-  auto s = Session::forPortable(workloads::progBitcount(3), "rv32e");
-  obs::ProfileCollector prof(s->model(), s->image());
-  const uint64_t entry = s->image().entry();
-  core::ExploreObserver::StepInfo info;
-  info.pc = entry;
-  info.numSuccessors = 2;
-  prof.onStepEnd(info);
-  const std::string before = statsTables(prof);
-
-  // A budget-cut witness solve at a pc that never stepped: the profile
-  // gains a site row, the stats tables must not (no "0" opcode count, no
-  // branch-site row).
-  const uint64_t cutPc = entry + 4;
-  ASSERT_EQ(prof.sites().count(cutPc), 0u);
-  prof.onOffStepSolve(cutPc, 1, 3, 5, 0, 0, 1);
-  EXPECT_EQ(prof.sites().at(cutPc).steps, 0u);
-  // Distinct mnemonics, so a stray zero count would show as a new key.
-  ASSERT_NE(prof.sites().at(cutPc).opcode, prof.sites().at(entry).opcode);
-  EXPECT_EQ(statsTables(prof), before);
 }
 
 TEST(ProfileCollectorUnit, DropFillsInfeasible) {
@@ -361,7 +336,6 @@ struct SeqObserver final : core::ExploreObserver {
   uint64_t steps = 0;
   uint64_t begins = 0;
   uint64_t drops = 0;
-  uint64_t offSteps = 0;
   uint64_t tears = 0;
 
   void onStepBegin(uint64_t, const core::MachineState&) override {
@@ -379,10 +353,6 @@ struct SeqObserver final : core::ExploreObserver {
     }
   }
   void onDrop(uint64_t, uint64_t) override { ++drops; }
-  void onOffStepSolve(uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
-                      uint64_t, uint64_t) override {
-    ++offSteps;
-  }
 };
 
 TEST(ThreadSafeObservers, LockedMuxKeepsEachFanOutAtomic) {
@@ -407,7 +377,6 @@ TEST(ThreadSafeObservers, LockedMuxKeepsEachFanOutAtomic) {
       for (int i = 0; i < kStepsPerThread; ++i) {
         mux.onStepEnd(info);
         if (i % 7 == 0) mux.onDrop(0, 4);
-        if (i % 11 == 0) mux.onOffStepSolve(4, 1, 0, 0, 0, 0, 1);
       }
     });
   }
@@ -419,7 +388,6 @@ TEST(ThreadSafeObservers, LockedMuxKeepsEachFanOutAtomic) {
   EXPECT_EQ(shared, kSteps);       // no lost bump on the plain counter
   EXPECT_EQ(second.tears, 0u);     // no interleaving inside a fan-out
   EXPECT_EQ(first.drops, second.drops);
-  EXPECT_EQ(first.offSteps, second.offSteps);
 }
 
 TEST(ThreadSafeObservers, SiteStatsMergeIsOrderIndependent) {
@@ -475,7 +443,6 @@ TEST(ThreadSafeObservers, ProfileCollectorMergesConcurrentWorkers) {
       info.stepSolverQueries = 1;
       info.stepCanonGates = 3;
       for (int i = 0; i < kRounds; ++i) prof.onStepEnd(info);
-      prof.onOffStepSolve(entry, 1, 0, 0, 0, 0, 1);
     });
   }
   for (auto& th : pool) th.join();
@@ -483,42 +450,9 @@ TEST(ThreadSafeObservers, ProfileCollectorMergesConcurrentWorkers) {
   const uint64_t kSteps = uint64_t{kThreads} * kRounds;
   EXPECT_EQ(prof.totalSteps(), kSteps);
   EXPECT_EQ(prof.totalRtlTicks(), kSteps * 2);
-  EXPECT_EQ(prof.totalQueries(), kSteps + kThreads);
-  EXPECT_EQ(prof.totalOffStepQueries(), uint64_t{kThreads});
+  EXPECT_EQ(prof.totalQueries(), kSteps);
   ASSERT_EQ(prof.sites().size(), 1u);
   EXPECT_EQ(prof.sites().at(entry).canon.gates, kSteps * 3);
-}
-
-// ---------------------------------------------------------------------
-// Off-step attribution end to end: a per-path step budget cuts paths, the
-// witness solves happen outside any step window, and the collector still
-// reconciles with the solver's aggregate query count. Only lazy
-// feasibility leaves a cut path without a carried witness to read, so
-// only it still solves there.
-// ---------------------------------------------------------------------
-
-TEST(OffStepAttribution, BudgetCutWitnessSolvesStillReconcile) {
-  driver::SessionOptions opt;
-  opt.engine.eagerFeasibility = false;
-  // Cut every path a few branches in (bitcount3's paths run 19-28 steps),
-  // after lazy feasibility has taken sides on trust.
-  opt.explorer.maxStepsPerPath = 12;
-  auto s = Session::forPortable(workloads::progBitcount(3), "rv32e",
-                                std::move(opt));
-  obs::ProfileCollector prof(s->model(), s->image());
-  // Session::explore() doesn't take an observer; build the explorer over
-  // the session's own executor and services with one attached.
-  core::ExplorerConfig cfg = s->options().explorer;
-  cfg.observer = &prof;
-  core::Explorer explorer(s->executor(), s->services(), cfg);
-  const core::ExploreSummary sum = explorer.run();
-  uint64_t budgetCut = 0;
-  for (const auto& p : sum.paths) {
-    budgetCut += p.status == core::PathStatus::Budget ? 1 : 0;
-  }
-  EXPECT_GT(budgetCut, 0u);
-  EXPECT_GT(prof.totalOffStepQueries(), 0u);
-  EXPECT_EQ(prof.totalQueries(), s->solver().stats().queries);
 }
 
 // ---------------------------------------------------------------------
@@ -575,7 +509,7 @@ class ProfileDeterminism : public ::testing::Test {
     ASSERT_FALSE(a.profileJson.empty()) << where;
     const json::Value doc = json::parse(a.profileJson);
     ASSERT_NE(doc.find("schema"), nullptr) << where;
-    EXPECT_EQ(doc.find("schema")->str, "adlsym-profile-v2") << where;
+    EXPECT_EQ(doc.find("schema")->str, "adlsym-profile-v3") << where;
 
     const json::Value* engine = doc.find("engine");
     const json::Value* solver = doc.find("solver");
@@ -586,8 +520,7 @@ class ProfileDeterminism : public ::testing::Test {
     double siteTicks = 0, siteQueries = 0;
     for (const json::Value& site : sites->array) {
       siteTicks += site.find("rtl_ticks")->number;
-      siteQueries += site.find("queries")->number +
-                     site.find("off_step_queries")->number;
+      siteQueries += site.find("queries")->number;
     }
     EXPECT_EQ(siteTicks, engine->find("rtl_ticks")->number) << where;
     EXPECT_EQ(siteQueries, solver->find("queries")->number) << where;
@@ -615,7 +548,7 @@ class ProfileDeterminism : public ::testing::Test {
     EXPECT_NE(a.statsJson.find("\"schema\":\"adlsym-stats-v8\""),
               std::string::npos)
         << where;
-    EXPECT_NE(a.statsJson.find("\"profile\":{\"schema\":\"adlsym-profile-v2\""),
+    EXPECT_NE(a.statsJson.find("\"profile\":{\"schema\":\"adlsym-profile-v3\""),
               std::string::npos)
         << where;
     EXPECT_NE(a.statsJson.find("\"reconciled\":true"), std::string::npos)

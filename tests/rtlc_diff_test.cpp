@@ -414,7 +414,7 @@ TEST(SuperblockCache, CheckpointBarrierMidSuperblock) {
 TEST(RtlcProfile, StatementCountsIdenticalAcrossEngines) {
   // With an RtlProfile attached the bytecode engine never fuses and every
   // tick is attributed to a statement id; the per-site counts — and so
-  // the emitted adlsym-profile-v2 rows — must match the walker's exactly.
+  // the emitted adlsym-profile-v3 rows — must match the walker's exactly.
   for (const std::string& isa : isa::allIsaNames()) {
     const workloads::PProgram prog = workloads::progParse(2);
     auto si =
@@ -427,8 +427,11 @@ TEST(RtlcProfile, StatementCountsIdenticalAcrossEngines) {
     sb->executor().setRtlProfile(&profB);
     const auto sumI = si->explore();
     const auto sumB = sb->explore();
-    si->executor().flushRtlProfile();
-    sb->executor().flushRtlProfile();
+    // Detaching flushes each executor's counts into its profile and stops
+    // the executor's destructor from flushing into a profile that, being
+    // declared after the session, is destroyed first.
+    si->executor().setRtlProfile(nullptr);
+    sb->executor().setRtlProfile(nullptr);
     EXPECT_EQ(fingerprint(sumI), fingerprint(sumB)) << isa;
     ASSERT_EQ(profI.size(), profB.size()) << isa;
     EXPECT_EQ(profI.counts(), profB.counts()) << isa;

@@ -8,7 +8,10 @@
 //     ADL engines (and the rv32e baseline), sequentially and on the
 //     parallel engine;
 //   * the saving: the two-path CI program issues exactly one query in
-//     the whole run, and none at its path ends.
+//     the whole run, and none at its path ends;
+//   * concolic search runs on the same rule: each seed is the root's
+//     witness, every state a run creates carries a witness, and every
+//     query is issued inside an executor step (the driver solves nothing).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "baseline/rv32_engine.h"
+#include "core/concolic.h"
 #include "core/evaluator.h"
 #include "core/explorer.h"
 #include "core/pexplorer.h"
@@ -35,11 +39,10 @@ namespace {
 using driver::Session;
 using driver::SessionOptions;
 
-/// Empty when `st` carries a valid witness under which every constraint
-/// of its path condition evaluates to 1; else what failed. Evaluates with
-/// its own variable environment, independent of the engine's binding.
+/// Empty when every constraint of st's path condition evaluates to 1
+/// under its carried witness; else what failed. Evaluates with its own
+/// variable environment, independent of the engine's binding.
 std::string witnessViolation(const core::MachineState& st) {
-  if (!st.witnessValid) return "no valid witness";
   if (st.pathCond.empty()) return "";
   smt::TermManager& tm = *st.pathCond.front().manager();
   std::unordered_map<uint32_t, uint64_t> env;
@@ -99,11 +102,13 @@ class WitnessObserver final : public core::ExploreObserver {
 
 /// Checks every successor of every step: each state the engine creates,
 /// so every path end too (a budget-cut or truncated path ends with the
-/// witness it had when it was created).
+/// witness it had when it was created). Given the solver the inner
+/// executor queries, it also counts the queries issued inside its steps.
 class CheckingExecutor final : public core::Executor {
  public:
-  CheckingExecutor(core::Executor& inner, Tally& t)
-      : inner_(inner), tally_(t) {}
+  CheckingExecutor(core::Executor& inner, Tally& t,
+                   const smt::SmtSolver* solver = nullptr)
+      : inner_(inner), tally_(t), solver_(solver) {}
   std::string name() const override { return inner_.name(); }
   core::MachineState initialState() override {
     core::MachineState st = inner_.initialState();
@@ -111,16 +116,24 @@ class CheckingExecutor final : public core::Executor {
     return st;
   }
   void step(const core::MachineState& in, core::StepOut& out) override {
+    const uint64_t before = queries();
     inner_.step(in, out);
+    stepQueries_ += queries() - before;
     checkAll(out);
   }
   void stepMany(const core::MachineState& in, core::StepOut& out,
                 uint64_t fuel) override {
+    const uint64_t before = queries();
     inner_.stepMany(in, out, fuel);
+    stepQueries_ += queries() - before;
     checkAll(out);
   }
+  uint64_t stepQueries() const { return stepQueries_; }
 
  private:
+  uint64_t queries() const {
+    return solver_ != nullptr ? solver_->stats().queries : 0;
+  }
   void checkAll(const core::StepOut& out) {
     for (const core::MachineState& s : out.successors) {
       tally_.check(s, s.status == core::PathStatus::Running ? "successor"
@@ -129,6 +142,8 @@ class CheckingExecutor final : public core::Executor {
   }
   core::Executor& inner_;
   Tally& tally_;
+  const smt::SmtSolver* solver_;
+  uint64_t stepQueries_ = 0;
 };
 
 struct Workload {
@@ -241,6 +256,36 @@ TEST(CarriedWitness, SatisfiesThePathConditionAtEveryForkAndPathEnd) {
         EXPECT_EQ(parPaths, seqPaths) << where;
         EXPECT_EQ(par.first(), "") << where << " (--jobs 2)";
       }
+    }
+  }
+}
+
+// Concolic search: the seed is the root's witness, so the side of every
+// decision it takes is free and the engine solves each other side once,
+// inside the step, where that side's model becomes its witness and the
+// next seed. Every state a run creates carries a satisfying witness, and
+// the solver's query total is exactly the queries issued inside steps.
+TEST(CarriedWitness, ConcolicRunsCarryWitnessesAndSolveOnlyInSteps) {
+  std::vector<Workload> wls;
+  wls.push_back({"bitcount3", workloads::progBitcount(3)});
+  wls.push_back({"parse2", workloads::progParse(2)});
+  for (const workloads::DefectCase& c : workloads::defectSuite()) {
+    wls.push_back({"defect:" + c.name, c.program});
+  }
+  for (const char* isa : {"acc8", "m16", "rv32e", "stk16"}) {
+    for (const Workload& w : wls) {
+      const std::string where = std::string(isa) + " " + w.name;
+      auto s = Session::forPortable(w.program, isa);
+      Tally tally;
+      CheckingExecutor exec(s->executor(), tally, &s->solver());
+      const uint64_t base = s->solver().stats().queries;
+      core::ConcolicDriver driver(exec, s->services());
+      const core::ConcolicResult r = driver.run();
+      EXPECT_GT(r.seedsExecuted, 0u) << where;
+      EXPECT_GT(tally.checks(), r.seedsExecuted) << where;
+      EXPECT_EQ(tally.first(), "") << where;
+      EXPECT_EQ(s->solver().stats().queries - base, exec.stepQueries())
+          << where;
     }
   }
 }

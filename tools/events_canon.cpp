@@ -1,7 +1,7 @@
 // events_canon — canonicalize an adlsym-events-v1 stream for the
 // cross-jobs byte-identity smoke (CI, docs/observability.md). The
 // determinism contract says the *set* of deterministic events (run_begin,
-// step, offstep, merge, path_done, run_end) is identical across --jobs
+// step, merge, path_done, run_end) is identical across --jobs
 // values under --clock=manual, but their interleaving and seq/t stamps
 // are schedule-dependent, and the live types (snapshot, heartbeat, query)
 // are inherently timing-dependent. This tool drops the live events,
