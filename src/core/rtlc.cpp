@@ -462,8 +462,10 @@ Program specialize(const Program& generic, const decode::DecodedInsn& d,
                    uint64_t insnAddr, const adl::ArchModel& model) {
   Program p = generic;
   const uint64_t rfCount = model.regfile ? model.regfile->count : 0;
-  const std::optional<unsigned> zeroReg =
-      model.regfile ? model.regfile->zeroReg : std::nullopt;
+  // The hard-wired zero register's index; rfCount (no register) if none.
+  const uint64_t zeroReg = model.regfile && model.regfile->zeroReg
+                               ? *model.regfile->zeroReg
+                               : rfCount;
 
   // Phase A: bind decode-dependent leaves. zeroReg regfile reads become
   // the constant 0 (the walker materializes the same constant at runtime);
@@ -487,7 +489,7 @@ Program specialize(const Program& generic, const decode::DecodedInsn& d,
         if (idx >= rfCount) {
           op.code = OpCode::RegIndexDefect;
           op.imm = idx;
-        } else if (zeroReg && idx == *zeroReg) {
+        } else if (idx == zeroReg) {
           op.code = OpCode::Const;
           op.imm = 0;
         } else {
@@ -501,7 +503,7 @@ Program specialize(const Program& generic, const decode::DecodedInsn& d,
         if (idx >= rfCount) {
           op.code = OpCode::RegIndexDefect;
           op.imm = idx;
-        } else if (zeroReg && idx == *zeroReg) {
+        } else if (idx == zeroReg) {
           op.code = OpCode::Nop;
         } else {
           op.imm = idx;

@@ -188,7 +188,8 @@ void PathForestRecorder::writeDot(std::ostream& os) const {
   for (const core::PathTreeNode& n : nodes_) {
     std::snprintf(buf, sizeof buf, "0x%llx",
                   static_cast<unsigned long long>(n.entryPc));
-    std::string label = "n" + std::to_string(n.id) + " @" + buf;
+    std::string label = "n";
+    label += std::to_string(n.id) + " @" + buf;
     label += "\\n" + n.status;
     if (n.status != "open" && n.status != "merged" && n.status != "dropped") {
       label += " steps=" + std::to_string(n.steps);

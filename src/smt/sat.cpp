@@ -38,6 +38,7 @@ void SatSolver::reset() {
   heap_.clear();
   heapPos_.clear();
   seen_.clear();
+  failed_.clear();
   unsatisfiable_ = false;
   stats_ = Stats{};
   conflictBudget_ = 0;
@@ -305,6 +306,32 @@ unsigned SatSolver::analyze(int32_t conflictIdx) {
   return btLevel;
 }
 
+void SatSolver::analyzeFinal(const Lit* lits, size_t n) {
+  if (trailLims_.empty()) return;  // level 0: the clauses alone refute
+  for (size_t i = 0; i < n; ++i) {
+    if (level_[lits[i].var()] > 0) seen_[lits[i].var()] = 1;
+  }
+  // Walk the trail back over every level above 0. All of them are
+  // assumption levels, so every decision met is an assumption; every
+  // implied literal hands its mark on to its reason's other literals.
+  for (size_t i = trail_.size(); i-- > trailLims_[0];) {
+    const uint32_t v = trail_[i].var();
+    if (!seen_[v]) continue;
+    seen_[v] = 0;
+    const int32_t r = reason_[v];
+    if (r == -1) {
+      failed_.push_back(trail_[i]);
+      continue;
+    }
+    const Clause& c = clauses_[static_cast<uint32_t>(r)];
+    const Lit* rlits = litsOf(c);
+    for (uint32_t k = 0; k < c.size; ++k) {
+      const uint32_t u = rlits[k].var();
+      if (u != v && level_[u] > 0) seen_[u] = 1;
+    }
+  }
+}
+
 void SatSolver::backtrack(unsigned targetLevel) {
   if (trailLims_.size() <= targetLevel) return;
   const uint32_t lim = trailLims_[targetLevel];
@@ -393,6 +420,7 @@ SatResult SatSolver::solve(const std::vector<Lit>& assumptions) {
 }
 
 SatResult SatSolver::solveImpl(const std::vector<Lit>& assumptions) {
+  failed_.clear();
   if (unsatisfiable_) return SatResult::Unsat;
   if (deadlineClock_ != nullptr &&
       deadlineClock_->nowMicros() >= deadlineMicros_) {
@@ -418,6 +446,8 @@ SatResult SatSolver::solveImpl(const std::vector<Lit>& assumptions) {
       ++conflictsSinceRestart;
       if (trailLims_.size() <= assumptions.size()) {
         // Conflict under assumptions only: formula is Unsat under them.
+        const Clause& c = clauses_[static_cast<uint32_t>(confl)];
+        analyzeFinal(litsOf(c), c.size);
         backtrack(0);
         return SatResult::Unsat;
       }
@@ -464,6 +494,9 @@ SatResult SatSolver::solveImpl(const std::vector<Lit>& assumptions) {
       const Lit a = assumptions[trailLims_.size()];
       const LBool v = litValue(a);
       if (v == kFalse) {
+        // The clauses and the earlier assumptions imply ~a.
+        failed_.push_back(a);
+        analyzeFinal(&a, 1);
         backtrack(0);
         return SatResult::Unsat;
       }

@@ -1,7 +1,8 @@
 // CDCL SAT solver: two-watched-literal propagation, first-UIP clause
 // learning, EVSIDS branching, Luby restarts, activity-based learned-clause
-// deletion, and incremental solving under assumptions. This is the decision
-// procedure underneath the bit-blaster (DESIGN.md S2).
+// deletion, and incremental solving under assumptions with failed-
+// assumption extraction. This is the decision procedure underneath the
+// bit-blaster (DESIGN.md S2).
 #pragma once
 
 #include <cstdint>
@@ -58,6 +59,12 @@ class SatSolver {
   /// Solve under the given assumption literals. The solver state persists:
   /// learned clauses carry over to later calls.
   SatResult solve(const std::vector<Lit>& assumptions = {});
+
+  /// After an Unsat answer of solve(assumptions): the assumptions the
+  /// refutation used, a subset of them such that the clauses plus that
+  /// subset alone are Unsat. Empty when the clauses alone are Unsat, and
+  /// after a Sat or Unknown answer.
+  const std::vector<Lit>& failedAssumptions() const { return failed_; }
 
   /// Model access after Sat: value of a variable.
   bool modelValue(uint32_t var) const;
@@ -142,6 +149,9 @@ class SatSolver {
   int32_t propagate();
   /// First-UIP analysis into learnt_; returns the backtrack level.
   unsigned analyze(int32_t conflictIdx);
+  /// Final conflict analysis at an assumption level: append to failed_
+  /// the assumption decisions that the n false literals rest on.
+  void analyzeFinal(const Lit* lits, size_t n);
   void backtrack(unsigned level);
   /// Store lits as a new clause and watch its first two literals.
   uint32_t storeClause(const Lit* lits, size_t n, bool learned);
@@ -186,6 +196,7 @@ class SatSolver {
   std::vector<Lit> learnt_;     // analyze() result
   std::vector<Lit> minimized_;  // analyze() minimization
   std::vector<Lit> addBuf_;     // addClause() normalization
+  std::vector<Lit> failed_;     // failedAssumptions()
 
   bool unsatisfiable_ = false;  // empty clause added at level 0
   Stats stats_;

@@ -166,6 +166,8 @@ void SmtSolver::setTelemetry(telemetry::Telemetry* t) {
   preHitCtr_ = t ? &t->metrics().counter("solver.prefilter_hits") : nullptr;
   preMissCtr_ =
       t ? &t->metrics().counter("solver.prefilter_misses") : nullptr;
+  coreHitCtr_ = nullptr;  // resolved by the next incremental query
+  coresKeptCtr_ = nullptr;
   sat_.setTelemetry(t);
   bb_.setTelemetry(t);
 }
@@ -283,6 +285,62 @@ void SmtSolver::restoreModelFresh(const std::vector<TermRef>& assumptions) {
   snapshotModel(fresh_->bb, fresh_->sat);
 }
 
+void SmtSolver::crossCheck(const std::vector<TermRef>& assumptions,
+                           CheckResult r, const char* source) {
+  const CheckResult fresh = checkFresh(assumptions);
+  if (fresh != CheckResult::Unknown && fresh != r) {
+    std::vector<TermRef> all = permanentAsserts_;
+    all.insert(all.end(), assumptions.begin(), assumptions.end());
+    throw Error(std::string("paranoid check: ") + source + "=" +
+                checkResultName(r) + " fresh=" + checkResultName(fresh) +
+                "\n" + toSmtLib(all));
+  }
+}
+
+void SmtSolver::keepCore(const std::vector<TermRef>& assumptions,
+                         const std::vector<Lit>& lits) {
+  const std::vector<Lit>& failed = sat_.failedAssumptions();
+  if (failed.empty()) {  // the permanent assertions alone are Unsat
+    permanentlyUnsat_ = true;
+    return;
+  }
+  std::vector<TermId> core;
+  size_t i = 0;
+  for (const TermRef t : assumptions) {
+    if (t.isTrue()) continue;
+    const Lit l = lits[i++];
+    if (std::find(failed.begin(), failed.end(), l) != failed.end()) {
+      core.push_back(t.id());
+    }
+  }
+  std::sort(core.begin(), core.end());
+  core.erase(std::unique(core.begin(), core.end()), core.end());
+  coreWatch_[core.back()].push_back(static_cast<uint32_t>(cores_.size()));
+  cores_.push_back(std::move(core));
+  ++stats_.coresKept;
+  if (coresKeptCtr_) coresKeptCtr_->add();
+}
+
+bool SmtSolver::refutedByCore(const std::vector<TermRef>& assumptions) const {
+  if (cores_.empty()) return false;
+  auto inQuery = [&](TermId id) {
+    return std::any_of(assumptions.begin(), assumptions.end(),
+                       [id](TermRef t) { return t.id() == id; });
+  };
+  // Newest first: the branch condition, issued last, is most often the
+  // watched id of the core that refutes the query.
+  for (auto t = assumptions.rbegin(); t != assumptions.rend(); ++t) {
+    const auto it = coreWatch_.find(t->id());
+    if (it == coreWatch_.end()) continue;
+    for (const uint32_t c : it->second) {
+      const std::vector<TermId>& core = cores_[c];
+      // The watched (last) id is *t itself.
+      if (std::all_of(core.begin(), core.end() - 1, inQuery)) return true;
+    }
+  }
+  return false;
+}
+
 CheckResult SmtSolver::solve(const std::vector<TermRef>& assumptions,
                              telemetry::Clock& clk, uint64_t deadlineUs,
                              QueryCost& cost) {
@@ -310,15 +368,9 @@ CheckResult SmtSolver::solve(const std::vector<TermRef>& assumptions,
   }
   const CheckResult r = fromSat(sat_.solve(lits));
   if (paranoid_ && r != CheckResult::Unknown) {
-    const CheckResult fresh = checkFresh(assumptions);
-    if (fresh != CheckResult::Unknown && fresh != r) {
-      std::vector<TermRef> all = permanentAsserts_;
-      all.insert(all.end(), assumptions.begin(), assumptions.end());
-      throw Error(std::string("paranoid check: incremental=") +
-                  checkResultName(r) + " fresh=" + checkResultName(fresh) +
-                  "\n" + toSmtLib(all));
-    }
+    crossCheck(assumptions, r, "incremental");
   }
+  if (r == CheckResult::Unsat) keepCore(assumptions, lits);
   // Snapshot variable values immediately: any later incremental blast
   // (even for model reads) unwinds the assignment trail.
   if (r == CheckResult::Sat) snapshotModel(bb_, sat_);
@@ -340,8 +392,8 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
   const uint64_t startUs = clk.nowMicros();
   bool cached = false;
   // Canonical cost of this query (QueryCost): measured on a miss, replayed
-  // from the cache on a hit, zero on short-circuited and prefilter-decided
-  // checks.
+  // from the cache on a hit, zero on short-circuited, core-refuted and
+  // prefilter-decided checks.
   QueryCost cost;
   auto finish = [&](CheckResult r) {
     const uint64_t us = clk.nowMicros() - startUs;
@@ -387,7 +439,24 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     }
   }
 
-  // 2. Cache lookup: the shared cache when attached (canonical key, slot-
+  // 2. Kept cores (incremental mode): a query that contains a core an
+  // earlier solve refuted is Unsat, served like a cache hit at zero cost.
+  if (!freshMode_) {
+    if (tel_ != nullptr && coreHitCtr_ == nullptr) {
+      coreHitCtr_ = &tel_->metrics().counter("solver.core_hits");
+      coresKeptCtr_ = &tel_->metrics().counter("solver.cores_kept");
+    }
+    if (refutedByCore(assumptions)) {
+      ++stats_.preShortcircuit;
+      ++stats_.coreHits;
+      if (coreHitCtr_) coreHitCtr_->add();
+      cached = true;
+      if (paranoid_) crossCheck(assumptions, CheckResult::Unsat, "kept core");
+      return finish(CheckResult::Unsat);
+    }
+  }
+
+  // 3. Cache lookup: the shared cache when attached (canonical key, slot-
   // indexed models), else the solver's own in incremental mode.
   QueryCache* cache = nullptr;
   std::string key;
@@ -431,7 +500,7 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
   uint8_t preTag = 0;
   bool hasModel = true;
   try {
-    // 3. Deadline: the per-query timeout (relative to query start) or the
+    // 4. Deadline: the per-query timeout (relative to query start) or the
     // run-wide deadline (absolute, set by the explorer from its remaining
     // maxWallSeconds), whichever is sooner.
     uint64_t deadlineUs = queryTimeoutMicros_ ? startUs + queryTimeoutMicros_ : 0;
@@ -443,7 +512,7 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     if (expired) {
       ++stats_.preShortcircuit;  // the budget is spent; don't even blast
     } else if (pre_ != nullptr) {
-      // 4. Prefilter consult, after every short-circuit off-mode would
+      // 5. Prefilter consult, after every short-circuit off-mode would
       // also take (so verdicts are identical with the prefilter on or
       // off) and before any bit-blasting. A conclusive verdict is counted
       // once per judged key and cached at zero canonical cost — even when
@@ -466,7 +535,7 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     } else {
       ++stats_.directSolves;
     }
-    // 5. Solve.
+    // 6. Solve.
     if (!expired && r == CheckResult::Unknown) {
       r = solve(assumptions, clk, deadlineUs, cost);
     }
@@ -474,7 +543,7 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
     if (cache != nullptr) cache->abandon(key);
     throw;
   }
-  // 6. Publish. Unknown is never cached: a later caller (or a waiter on
+  // 7. Publish. Unknown is never cached: a later caller (or a waiter on
   // the shared cache) retries with its own budget.
   if (cache != nullptr) {
     if (r == CheckResult::Unknown) {

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "smt/bitblast.h"
@@ -50,9 +51,10 @@ struct SolverTelemetry {
   /// Abstract prefilter accounting (docs/absdomain.md). Every query lands
   /// in exactly one of four disjoint buckets: cacheHits, preShortcircuit
   /// (resolved before cache or prefilter — permanently-unsat, constant-
-  /// false assumption, expired deadline), preConsulted (prefilter judged
-  /// it at a cache miss) and directSolves (missed with the prefilter
-  /// disabled). preSat/preUnsat/preFallback partition preConsulted.
+  /// false assumption, a kept Unsat core, expired deadline), preConsulted
+  /// (prefilter judged it at a cache miss) and directSolves (missed with
+  /// the prefilter disabled). preSat/preUnsat/preFallback partition
+  /// preConsulted.
   bool preEnabled = false;
   uint64_t preConsulted = 0;
   uint64_t preSat = 0;
@@ -150,9 +152,10 @@ class SmtSolver {
   /// returns Unknown without touching the SAT core.
   void setWallDeadlineMicros(uint64_t us) { wallDeadlineMicros_ = us; }
 
-  /// Debug cross-check: re-solve every query on a fresh single-shot solver
-  /// and throw (with an SMT-LIB dump) if the incremental result diverges.
-  /// Extremely slow; for tests and bug reports only.
+  /// Debug cross-check: re-solve every incremental solve and every kept-
+  /// core answer on a fresh single-shot solver and throw (with an SMT-LIB
+  /// dump) if the verdicts diverge. Extremely slow; for tests and bug
+  /// reports only.
   void setParanoid(bool on) { paranoid_ = on; }
 
   /// The solver's own query cache, used in incremental mode when no shared
@@ -199,6 +202,10 @@ class SmtSolver {
     /// prefilter effectiveness per branch site, schedule-independently.
     uint64_t preHitSeen = 0;
     uint64_t preMissSeen = 0;
+    /// Kept Unsat cores (incremental mode): cores stored, and queries
+    /// answered by one (a part of preShortcircuit).
+    uint64_t coresKept = 0;
+    uint64_t coreHits = 0;
   };
   const Stats& stats() const { return stats_; }
   const SatSolver::Stats& satStats() const { return sat_.stats(); }
@@ -236,7 +243,8 @@ class SmtSolver {
   /// before. Slower per query, but the canonical models are what make -j1
   /// and -jN byte-identical; the shared QueryCache (below) recovers the
   /// lost incrementality. Without a shared cache fresh mode is uncached:
-  /// a per-worker cache would make hit counts depend on the schedule.
+  /// a per-worker cache would make hit counts depend on the schedule. For
+  /// the same reason fresh mode keeps no Unsat cores.
   void setFreshMode(bool on) { freshMode_ = on; }
   bool freshMode() const { return freshMode_; }
 
@@ -288,17 +296,35 @@ class SmtSolver {
 
  private:
   /// The one query pipeline behind check()/checkNoModel(): short-circuits,
-  /// cache lookup, expired-deadline check, prefilter consult, solve,
-  /// publish.
+  /// kept-core lookup, cache lookup, expired-deadline check, prefilter
+  /// consult, solve, publish.
   CheckResult checkImpl(const std::vector<TermRef>& assumptions,
                         bool needModel);
 
   /// The solve step: bit-blast and run the incremental core, or the fresh
   /// core reset first in fresh mode. Fills model_ on Sat and `cost` with
-  /// the query's blasting and search work.
+  /// the query's blasting and search work. An incremental Unsat keeps its
+  /// failed assumptions as a core.
   CheckResult solve(const std::vector<TermRef>& assumptions,
                     telemetry::Clock& clk, uint64_t deadlineUs,
                     QueryCost& cost);
+
+  /// Kept Unsat cores (incremental mode only). After an Unsat of the
+  /// incremental core, the assumption terms whose literals refuted it
+  /// are stored as a sorted TermId set, watched under its largest (the
+  /// newest) id. Permanent assertions only ever add constraints, so a
+  /// core stays Unsat for the solver's lifetime and a query containing
+  /// one is Unsat with no key, judge or solve. Cores are not minimized:
+  /// deletion re-solves cost more than the few extra hits they buy
+  /// (ROADMAP). `lits` are the non-true assumptions' literals, in order.
+  void keepCore(const std::vector<TermRef>& assumptions,
+                const std::vector<Lit>& lits);
+  /// Does a kept core lie inside the query's assumption set?
+  bool refutedByCore(const std::vector<TermRef>& assumptions) const;
+  /// Paranoid mode: re-solve on the fresh core and throw if it disagrees
+  /// with `r`, the verdict `source` gave.
+  void crossCheck(const std::vector<TermRef>& assumptions, CheckResult r,
+                  const char* source);
 
   /// Model restoration for a prefilter-certified Sat query: solve the
   /// canonical CNF on the fresh core with no budget, no deadline, no
@@ -359,6 +385,10 @@ class SmtSolver {
   uint64_t freshVars_ = 0;
   uint64_t freshClauses_ = 0;
 
+  // Kept Unsat cores (keepCore), and the cores watched under each id.
+  std::vector<std::vector<TermId>> cores_;
+  std::unordered_map<TermId, std::vector<uint32_t>> coreWatch_;
+
   Stats stats_;
 
   bool shapeProfiling_ = false;
@@ -375,6 +405,10 @@ class SmtSolver {
   telemetry::Counter* cacheMissCtr_ = nullptr;
   telemetry::Counter* preHitCtr_ = nullptr;
   telemetry::Counter* preMissCtr_ = nullptr;
+  // Resolved by the first incremental query, so fresh-mode (--jobs)
+  // registries do not list them.
+  telemetry::Counter* coreHitCtr_ = nullptr;
+  telemetry::Counter* coresKeptCtr_ = nullptr;
 };
 
 }  // namespace adlsym::smt

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "smt/sat.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
@@ -180,6 +182,160 @@ TEST_P(SatRandomTest, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random3Sat, SatRandomTest, ::testing::Range(0, 40));
+
+// ---- failed assumptions ---------------------------------------------------
+//
+// After an Unsat under assumptions, failedAssumptions() names the
+// assumptions the refutation used: the clauses plus those alone are Unsat.
+// The core returns Unsat under assumptions at two exits, a conflict at an
+// assumption level and an assumption found false while it is being
+// re-established; the conflict counter tells them apart.
+
+/// The failed set as sorted literal codes, for order-free comparison.
+std::vector<uint32_t> failedCodes(const SatSolver& s) {
+  std::vector<uint32_t> out;
+  for (const Lit l : s.failedAssumptions()) out.push_back(l.x);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<uint32_t> codes(std::vector<Lit> lits) {
+  std::vector<uint32_t> out;
+  for (const Lit l : lits) out.push_back(l.x);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(SatFailed, AssumptionFoundFalse) {
+  SatSolver s;
+  const uint32_t d = s.newVar();  // an assumption no clause mentions
+  const uint32_t a = s.newVar();
+  const uint32_t b = s.newVar();
+  s.addBinary(neg(a), pos(b));  // a -> b
+  EXPECT_EQ(s.solve({pos(d), pos(a), neg(b)}), SatResult::Unsat);
+  EXPECT_EQ(s.stats().conflicts, 0u);  // ~b was already false
+  EXPECT_EQ(failedCodes(s), codes({pos(a), neg(b)}));
+}
+
+TEST(SatFailed, AssumptionFalseAtLevelZero) {
+  SatSolver s;
+  const uint32_t d = s.newVar();
+  const uint32_t c = s.newVar();
+  s.addUnit(neg(c));
+  EXPECT_EQ(s.solve({pos(d), pos(c)}), SatResult::Unsat);
+  EXPECT_EQ(s.stats().conflicts, 0u);
+  EXPECT_EQ(failedCodes(s), codes({pos(c)}));
+}
+
+TEST(SatFailed, ConflictAtAnAssumptionLevel) {
+  SatSolver s;
+  const uint32_t d = s.newVar();
+  const uint32_t a = s.newVar();
+  const uint32_t b = s.newVar();
+  const uint32_t c = s.newVar();
+  s.addTernary(neg(a), neg(b), pos(c));  // a & b -> c
+  s.addTernary(neg(a), neg(b), neg(c));  // a & b -> ~c
+  EXPECT_EQ(s.solve({pos(d), pos(a), pos(b)}), SatResult::Unsat);
+  EXPECT_EQ(s.stats().conflicts, 1u);  // at b's level, under assumptions
+  EXPECT_EQ(failedCodes(s), codes({pos(a), pos(b)}));
+  // The set belongs to the last solve only.
+  EXPECT_EQ(s.solve({pos(a)}), SatResult::Sat);
+  EXPECT_TRUE(s.failedAssumptions().empty());
+}
+
+TEST(SatFailed, EmptyWhenTheClausesAloneAreUnsat) {
+  // PHP(4,3) needs search; its refutation ends in a level-0 conflict that
+  // no assumption takes part in.
+  SatSolver s;
+  addPigeonhole(s, 4, 3);
+  const uint32_t e = s.newVar();
+  EXPECT_EQ(s.solve({pos(e)}), SatResult::Unsat);
+  EXPECT_GT(s.stats().conflicts, 0u);
+  EXPECT_TRUE(s.failedAssumptions().empty());
+  // An empty clause derived while adding clauses.
+  SatSolver t;
+  const uint32_t a = t.newVar();
+  const uint32_t b = t.newVar();
+  t.addUnit(pos(a));
+  EXPECT_FALSE(t.addUnit(neg(a)));
+  EXPECT_EQ(t.solve({pos(b)}), SatResult::Unsat);
+  EXPECT_TRUE(t.failedAssumptions().empty());
+}
+
+TEST(SatFailed, EmptyAfterUnknown) {
+  SatSolver s;
+  addPigeonhole(s, 8, 7);
+  const uint32_t e = s.newVar();
+  EXPECT_EQ(s.solve({neg(e), pos(e)}), SatResult::Unsat);
+  EXPECT_FALSE(s.failedAssumptions().empty());
+  s.setConflictBudget(10);
+  EXPECT_EQ(s.solve({pos(e)}), SatResult::Unknown);
+  EXPECT_TRUE(s.failedAssumptions().empty());
+}
+
+/// Brute force over the first numVars variables: does an assignment
+/// satisfy every clause and every literal of `units`?
+bool bruteSat(unsigned numVars, const std::vector<std::vector<Lit>>& clauses,
+              const std::vector<Lit>& units) {
+  auto holds = [](uint32_t m, Lit l) {
+    return (((m >> l.var()) & 1) != 0) != l.sign();
+  };
+  for (uint32_t m = 0; m < (1u << numVars); ++m) {
+    bool all = std::all_of(units.begin(), units.end(),
+                           [&](Lit l) { return holds(m, l); });
+    for (size_t i = 0; all && i < clauses.size(); ++i) {
+      all = std::any_of(clauses[i].begin(), clauses[i].end(),
+                        [&](Lit l) { return holds(m, l); });
+    }
+    if (all) return true;
+  }
+  return false;
+}
+
+// Random 3-CNFs solved incrementally under random assumption sets,
+// checked against brute force: every Unsat names a subset of its
+// assumptions that the clauses refute on their own, which is empty only
+// when the clauses alone are Unsat.
+class SatFailedRandomTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SatFailedRandomTest, FailedAssumptionsAreACore) {
+  Rng rng(static_cast<uint64_t>(1000 + GetParam()));
+  const unsigned numVars = 10;
+  auto lit = [&] {
+    return Lit(static_cast<uint32_t>(rng.below(numVars)), rng.below(2) == 0);
+  };
+  SatSolver s;
+  for (unsigned v = 0; v < numVars; ++v) s.newVar();
+  std::vector<std::vector<Lit>> clauses;
+  for (unsigned round = 0; round < 6; ++round) {
+    // Clauses arrive between solves, as the bit-blaster feeds them.
+    for (unsigned i = 0; i < 7; ++i) {
+      clauses.push_back({lit(), lit(), lit()});
+      s.addClause(clauses.back());
+    }
+    for (unsigned q = 0; q < 4; ++q) {
+      std::vector<Lit> assumptions;
+      const uint64_t n = 1 + rng.below(6);
+      for (uint64_t k = 0; k < n; ++k) assumptions.push_back(lit());
+      const SatResult r = s.solve(assumptions);
+      const bool sat = bruteSat(numVars, clauses, assumptions);
+      ASSERT_EQ(r, sat ? SatResult::Sat : SatResult::Unsat);
+      const std::vector<Lit>& failed = s.failedAssumptions();
+      if (sat) {
+        EXPECT_TRUE(failed.empty());
+        continue;
+      }
+      for (const Lit l : failed) {
+        EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), l),
+                  assumptions.end());
+      }
+      EXPECT_FALSE(bruteSat(numVars, clauses, failed));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random3Sat, SatFailedRandomTest,
+                         ::testing::Range(0, 40));
 
 // ---- golden trajectories -------------------------------------------------
 //

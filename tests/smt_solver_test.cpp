@@ -156,11 +156,13 @@ TEST_F(SolverTest, QueryCacheHitsAndReplaysModels) {
   ASSERT_EQ(s.check({q, p}), CheckResult::Sat);
   ASSERT_EQ(s.check({p, q, p}), CheckResult::Sat);
   EXPECT_EQ(s.cacheHits(), 2u);
-  // Unsat results are cached too.
+  // A repeated Unsat is answered by the core its first solve kept, ahead
+  // of the cache.
   TermRef bad = tm.mkEq(x, c(8, 44));
   EXPECT_EQ(s.check({q, bad}), CheckResult::Unsat);
   EXPECT_EQ(s.check({q, bad}), CheckResult::Unsat);
-  EXPECT_EQ(s.cacheHits(), 3u);
+  EXPECT_EQ(s.cacheHits(), 2u);
+  EXPECT_EQ(s.stats().coreHits, 1u);
 }
 
 TEST_F(SolverTest, QueryCacheInvalidatedByAssertAlways) {
@@ -178,6 +180,138 @@ TEST_F(SolverTest, QueryCacheCanBeDisabled) {
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
   EXPECT_EQ(s.cacheHits(), 0u);
+}
+
+// Kept Unsat cores: after an incremental Unsat, the assumptions the SAT
+// core's refutation used are kept, and a later query containing them is
+// Unsat without a key, a judge or a solve.
+class KeptCores : public SolverTest {
+ protected:
+  TermRef x = tm.mkVar(8, "x");
+  TermRef y = tm.mkVar(8, "y");
+  TermRef noSquare = tm.mkEq(tm.mkMul(x, x), c(8, 2));  // Unsat alone
+  TermRef small = tm.mkUlt(y, c(8, 200));               // Sat alone
+};
+
+TEST_F(KeptCores, SupersetIsUnsatWithoutSolving) {
+  ASSERT_EQ(s.check({small, noSquare}), CheckResult::Unsat);
+  EXPECT_EQ(s.stats().coresKept, 1u);
+  const SatSolver::Stats sat0 = s.satStats();
+  const uint64_t short0 = s.telemetrySnapshot().preShortcircuit;
+  const QueryCost canon0 = s.stats().canon;
+
+  EXPECT_EQ(s.check({tm.mkUgt(y, c(8, 7)), noSquare, small}),
+            CheckResult::Unsat);
+  EXPECT_EQ(s.stats().coreHits, 1u);
+  EXPECT_EQ(s.telemetrySnapshot().preShortcircuit, short0 + 1);
+  EXPECT_EQ(s.satStats().conflicts, sat0.conflicts);
+  EXPECT_EQ(s.satStats().propagations, sat0.propagations);
+  EXPECT_EQ(s.stats().canon.terms, canon0.terms);
+  EXPECT_EQ(s.stats().canon.conflicts, canon0.conflicts);
+  EXPECT_EQ(s.cacheHits(), 0u);
+  EXPECT_TRUE(s.telemetrySnapshot().prefilterReconciled());
+  // The core is {noSquare}: y < 200 took no part, so dropping it still
+  // hits, and a query without noSquare is solved.
+  EXPECT_EQ(s.check({noSquare}), CheckResult::Unsat);
+  EXPECT_EQ(s.stats().coreHits, 2u);
+  EXPECT_EQ(s.check({small}), CheckResult::Sat);
+  EXPECT_EQ(s.stats().coreHits, 2u);
+}
+
+TEST_F(KeptCores, SurviveAssertAlways) {
+  ASSERT_EQ(s.check({noSquare}), CheckResult::Unsat);
+  s.assertAlways(tm.mkNe(x, c(8, 7)));
+  EXPECT_EQ(s.check({noSquare, small}), CheckResult::Unsat);
+  EXPECT_EQ(s.stats().coreHits, 1u);
+}
+
+TEST_F(KeptCores, EmptyCoreMakesTheSolverPermanentlyUnsat) {
+  // A permanent assertion that only search refutes (odd squares are 1
+  // modulo 8): the refutation uses no assumption, so every later query
+  // is Unsat.
+  s.assertAlways(tm.mkEq(tm.mkMul(x, x), c(8, 5)));
+  ASSERT_EQ(s.check({small}), CheckResult::Unsat);
+  EXPECT_EQ(s.stats().directSolves, 1u);  // the SAT core refuted it
+  EXPECT_EQ(s.stats().coresKept, 0u);
+  const uint64_t short0 = s.stats().preShortcircuit;
+  EXPECT_EQ(s.check({tm.mkUgt(y, c(8, 7))}), CheckResult::Unsat);
+  EXPECT_EQ(s.stats().preShortcircuit, short0 + 1);
+}
+
+TEST_F(KeptCores, UnknownKeepsNone) {
+  const TermRef a = tm.mkVar(16, "a");
+  const TermRef b = tm.mkVar(16, "b");
+  const std::vector<TermRef> factor = {
+      tm.mkEq(tm.mkMul(a, b), c(16, 211 * 223)), tm.mkUgt(a, c(16, 1)),
+      tm.mkUgt(b, c(16, 1)), tm.mkUlt(a, c(16, 256)), tm.mkUlt(b, c(16, 256))};
+  s.setConflictBudget(1);
+  ASSERT_EQ(s.check(factor), CheckResult::Unknown);
+  ASSERT_EQ(s.check(factor), CheckResult::Unknown);
+  EXPECT_EQ(s.stats().coresKept, 0u);
+  EXPECT_EQ(s.stats().coreHits, 0u);
+}
+
+TEST_F(KeptCores, FreshModeKeepsNone) {
+  for (const bool shared : {false, true}) {
+    QueryCache cache;
+    SmtSolver f(tm);
+    f.setFreshMode(true);
+    if (shared) f.setSharedCache(&cache);
+    ASSERT_EQ(f.check({small, noSquare}), CheckResult::Unsat);
+    ASSERT_EQ(f.check({noSquare, tm.mkUgt(y, c(8, 7))}), CheckResult::Unsat);
+    EXPECT_EQ(f.stats().coresKept, 0u) << shared;
+    EXPECT_EQ(f.stats().coreHits, 0u) << shared;
+    EXPECT_EQ(f.stats().directSolves, 2u) << shared;
+  }
+}
+
+TEST_F(KeptCores, CountersInTheRegistry) {
+  telemetry::Telemetry tel;
+  s.setTelemetry(&tel);
+  ASSERT_EQ(s.check({noSquare}), CheckResult::Unsat);
+  ASSERT_EQ(s.check({noSquare, small}), CheckResult::Unsat);
+  const auto& counters = tel.metrics().counters();
+  EXPECT_EQ(counters.at("solver.cores_kept").value, 1u);
+  EXPECT_EQ(counters.at("solver.core_hits").value, 1u);
+  // Fresh mode keeps no cores and does not list their counters, so a
+  // --jobs run's metrics block has the same names as before cores.
+  telemetry::Telemetry freshTel;
+  SmtSolver f(tm);
+  f.setTelemetry(&freshTel);
+  f.setFreshMode(true);
+  ASSERT_EQ(f.check({noSquare}), CheckResult::Unsat);
+  EXPECT_EQ(freshTel.metrics().counters().count("solver.core_hits"), 0u);
+  EXPECT_EQ(freshTel.metrics().counters().count("solver.cores_kept"), 0u);
+}
+
+TEST_F(KeptCores, ParanoidModeResolvesCoreHits) {
+  // Each core answer is re-solved on the fresh core, which throws if it
+  // disagrees. Steps 1 and 2 keep the cores {lo, hi} and {odd, even},
+  // proper subsets of their queries, and steps 5 and 6 hit them; a store
+  // that kept other assumptions would answer a Sat step Unsat.
+  s.setParanoid(true);
+  const TermRef lo = tm.mkUlt(x, c(8, 10));
+  const TermRef hi = tm.mkUgt(x, c(8, 20));
+  const TermRef odd = tm.mkEq(tm.mkAnd(y, c(8, 1)), c(8, 1));
+  const TermRef even = tm.mkEq(tm.mkAnd(y, c(8, 1)), c(8, 0));
+  const struct {
+    std::vector<TermRef> q;
+    CheckResult want;
+  } steps[] = {
+      {{small, lo, odd, hi}, CheckResult::Unsat},
+      {{odd, small, even}, CheckResult::Unsat},
+      {{lo, odd, small}, CheckResult::Sat},
+      {{hi, even, small}, CheckResult::Sat},
+      {{hi, lo, even}, CheckResult::Unsat},
+      {{small, even, odd, lo}, CheckResult::Unsat},
+      {{small, lo}, CheckResult::Sat},
+      {{odd, hi}, CheckResult::Sat},
+  };
+  for (const auto& st : steps) {
+    EXPECT_EQ(s.check(st.q), st.want);
+  }
+  EXPECT_EQ(s.stats().coresKept, 2u);
+  EXPECT_EQ(s.stats().coreHits, 2u);
 }
 
 // Fresh mode solves every query on one SAT core and bit-blaster, reset to
@@ -264,11 +398,12 @@ TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
   EXPECT_EQ(t.satClauses, sum.satClauses);
 }
 
-// Every check()/checkNoModel() runs one pipeline: short-circuits, cache
-// lookup, deadline, prefilter consult, solve, publish. The configurations
-// differ only in the solve step (incremental core or reset fresh core) and
-// in which cache, if any, sits in front of it. One query sequence, run
-// through all eight, pins what each configuration observes.
+// Every check()/checkNoModel() runs one pipeline: short-circuits, kept-
+// core lookup (incremental mode), cache lookup, deadline, prefilter
+// consult, solve, publish. The configurations differ only in the solve
+// step (incremental core or reset fresh core), in which cache, if any,
+// sits in front of it, and in whether kept cores do. One query sequence,
+// run through all eight, pins what each configuration observes.
 struct PipelineConfig {
   const char* name;
   bool fresh;      // fresh mode (else incremental)
@@ -356,6 +491,9 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
   // 6. A permanent assertion that contradicts the query of step 1.
   s.assertAlways(tm.mkNe(x, c(8, 15)));
   check(linear);
+  // 7. A superset of step 3's query: incremental mode answers it by the
+  // core step 3 kept, which step 6's assertion left standing.
+  check({tm.mkUlt(x, c(8, 200)), tm.mkEq(tm.mkMul(x, x), c(8, 2))});
 
   const SolverTelemetry t = s.telemetrySnapshot();
   EXPECT_TRUE(t.prefilterReconciled()) << cfg.name;
@@ -376,29 +514,31 @@ TEST(QueryPipeline, SameSequenceThroughEveryConfiguration) {
   // and step 2's two check()s hit, and only the first of those restores
   // the model of the model-less prefilter entry; uncached, each check()
   // re-judges and restores. Both constant-false checks short-circuit
-  // (uncached) in every mode. Canonical costs depend only on the solve
-  // step: incremental blasting reuses earlier queries' terms.
+  // (uncached) in every mode, and so does step 7 in incremental mode,
+  // where a kept core answers it at zero cost; fresh mode solves it.
+  // Canonical costs depend only on the solve step: incremental blasting
+  // reuses earlier queries' terms.
   const std::vector<uint64_t> m = {15, 15, 9, 9};
   const struct {
     PipelineConfig cfg;
     PipelineOutcome want;
   } rows[] = {
       {{"incremental, cache, prefilter", false, true, true},
-       {"SSSSSU??UUU", m, 3, 2, 6, 0, 3, 6, 1, {28, 1015, 5}}},
+       {"SSSSSU??UUUU", m, 3, 3, 6, 0, 3, 6, 1, {28, 1015, 5}}},
       {{"incremental, cache, no prefilter", false, true, false},
-       {"SSSSSU??UUU", m, 3, 2, 0, 6, 0, 0, 0, {40, 1075, 5}}},
+       {"SSSSSU??UUUU", m, 3, 3, 0, 6, 0, 0, 0, {40, 1075, 5}}},
       {{"incremental, no cache, prefilter", false, false, true},
-       {"SSSSSU??UUU", m, 0, 2, 9, 0, 3, 6, 2, {21, 960, 5}}},
+       {"SSSSSU??UUUU", m, 0, 3, 9, 0, 3, 6, 2, {21, 960, 5}}},
       {{"incremental, no cache, no prefilter", false, false, false},
-       {"SSSSSU??UUU", m, 0, 2, 0, 9, 0, 0, 0, {25, 980, 5}}},
+       {"SSSSSU??UUUU", m, 0, 3, 0, 9, 0, 0, 0, {25, 980, 5}}},
       {{"fresh, shared cache, prefilter", true, true, true},
-       {"SSSSSU??UUU", m, 3, 2, 6, 0, 3, 6, 1, {50, 1856, 5}}},
+       {"SSSSSU??UUUU", m, 3, 2, 7, 0, 3, 7, 1, {59, 2001, 5}}},
       {{"fresh, shared cache, no prefilter", true, true, false},
-       {"SSSSSU??UUU", m, 3, 2, 0, 6, 0, 0, 0, {65, 1916, 5}}},
+       {"SSSSSU??UUUU", m, 3, 2, 0, 7, 0, 0, 0, {74, 2061, 5}}},
       {{"fresh, no cache, prefilter", true, false, true},
-       {"SSSSSU??UUU", m, 0, 2, 9, 0, 3, 6, 2, {50, 1856, 5}}},
+       {"SSSSSU??UUUU", m, 0, 2, 10, 0, 3, 7, 2, {59, 2001, 5}}},
       {{"fresh, no cache, no prefilter", true, false, false},
-       {"SSSSSU??UUU", m, 0, 2, 0, 9, 0, 0, 0, {65, 1916, 5}}},
+       {"SSSSSU??UUUU", m, 0, 2, 0, 10, 0, 0, 0, {74, 2061, 5}}},
   };
   for (const auto& row : rows) {
     EXPECT_EQ(runPipelineSequence(row.cfg), row.want) << row.cfg.name;
