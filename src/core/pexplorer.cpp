@@ -431,7 +431,7 @@ struct Engine {
   }
 
   /// Serialize the full exploration state into cfg.checkpointPath
-  /// (adlsym-ckpt-v3, atomic replace). Every other worker must be
+  /// (adlsym-ckpt-v4, atomic replace). Every other worker must be
   /// quiescent — parked under mu, signal-parked, or joined — so worker
   /// frontiers, term pools and counters are safe to read.
   void writeCheckpointQuiesced(bool complete, const std::string& stopR,
@@ -978,6 +978,8 @@ ParallelResult ParallelExplorer::run() {
     }
     w->svc = std::make_unique<EngineServices>(w->tm, w->solver, image_,
                                               engineCfg_, w->tel.get());
+    // Fresh mode: verdicts from this worker's warm incremental core, Sat
+    // models and canonical costs from a reset fresh core per query.
     w->solver.setFreshMode(true);
     w->solver.setSharedCache(cfg_.qcache);
     if (cfg_.prefilter) {
@@ -1239,6 +1241,11 @@ ParallelResult ParallelExplorer::run() {
     poolStats_.minWorkerSteps = std::min(poolStats_.minWorkerSteps, w->steps);
     poolStats_.maxWorkerSteps = std::max(poolStats_.maxWorkerSteps, w->steps);
     poolStats_.totalSteps += w->steps;
+    const smt::SmtSolver::Stats& st = w->solver.stats();
+    poolStats_.warmSolves += st.warmSolves;
+    poolStats_.warmUnsat += st.warmUnsat;
+    poolStats_.warmCoreHits += st.coreHits;
+    poolStats_.warmConflicts += w->solver.satStats().conflicts;
   }
   if (poolStats_.minWorkerSteps == UINT64_MAX) poolStats_.minWorkerSteps = 0;
 

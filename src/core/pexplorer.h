@@ -10,17 +10,19 @@
 //   * every state is addressed by a structural path key (the sequence of
 //     fork-successor indices from the root), independent of which worker
 //     executes it or in what order;
-//   * every solver query is solved from scratch (canonical CNF -> one
-//     canonical model) and the shared cache is single-flight, so a cached
-//     hit replays exactly the model the sole solve produced;
+//   * every Sat model is solved from scratch (canonical CNF -> one
+//     canonical model), an Unsat verdict (decided on the worker's warm
+//     incremental core) does not depend on what that core solved before,
+//     and the shared cache is single-flight, so a cached hit replays
+//     exactly the model the sole solve produced;
 //   * the barrier merge walks the global record map in path-key order,
 //     which is DFS preorder, and assigns dense node ids from that walk.
 // Parallel node ids therefore differ from the sequential engine's
 // completion-order ids, but are identical across all --jobs values.
 // Remaining caveats (timing-dependent by nature): per-query wall
-// deadlines on the system clock, --max-wall-ms stops, and a *binding*
-// cache capacity all break cross-N identity; docs/parallelism.md lists
-// them.
+// deadlines on the system clock, --max-wall-ms stops, a *binding* cache
+// capacity and a *binding* conflict budget all break cross-N identity;
+// docs/parallelism.md lists them.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +88,7 @@ struct ParallelConfig {
   /// is canonical across --jobs). 0 = no periodic checkpoints (the file,
   /// if configured, is still written on graceful stop and at run end).
   uint64_t checkpointEverySteps = 0;
-  std::string checkpointPath;  // adlsym-ckpt-v3 file; empty = off
+  std::string checkpointPath;  // adlsym-ckpt-v4 file; empty = off
   /// Run identity echoed into every checkpoint so --resume can verify the
   /// resumed command matches the checkpointed one.
   std::string ckptIsa;
@@ -158,6 +160,13 @@ class ParallelExplorer {
     uint64_t minWorkerSteps = 0;   // utilization spread across workers
     uint64_t maxWorkerSteps = 0;
     uint64_t totalSteps = 0;
+    // Warm verdicts, summed over the workers' solvers (SmtSolver::Stats):
+    // solves on the warm cores, the Unsat answers they gave, the kept-
+    // core hits among those, and the warm cores' SAT conflicts.
+    uint64_t warmSolves = 0;
+    uint64_t warmUnsat = 0;
+    uint64_t warmCoreHits = 0;
+    uint64_t warmConflicts = 0;
   };
   const PoolStats& poolStats() const { return poolStats_; }
 

@@ -350,8 +350,8 @@ std::string usage() {
       "                       identical across N under --clock=manual.\n"
       "                       Incompatible with --merge and --query-log\n"
       "  --qcache=on|off|N    shared SMT query cache across workers:\n"
-      "                       on = unbounded (default), off = solve every\n"
-      "                       query, N = capacity with FIFO eviction\n"
+      "                       on = unbounded, off = solve every query\n"
+      "                       (default), N = capacity with FIFO eviction\n"
       "                       (eviction makes hit counts schedule-dependent)\n"
       "\n"
       "resource governor (explore; docs/robustness.md):\n"
@@ -372,7 +372,7 @@ std::string usage() {
       "                         stats documents)\n"
       "\n"
       "crash-safe checkpointing (explore; docs/robustness.md):\n"
-      "  --checkpoint=<file>    write an adlsym-ckpt-v3 checkpoint\n"
+      "  --checkpoint=<file>    write an adlsym-ckpt-v4 checkpoint\n"
       "                         (atomically replaced, self-hashed) at\n"
       "                         every level barrier, on SIGINT/SIGTERM,\n"
       "                         and at run end. Requires --clock=manual\n"
@@ -881,7 +881,11 @@ CommandResult cmdExplore(const std::string& isaName,
                " steal_wait_us=" + std::to_string(ps.stealWaitMicros) +
                " steps_min=" + std::to_string(ps.minWorkerSteps) +
                " steps_max=" + std::to_string(ps.maxWorkerSteps) +
-               " steps_total=" + std::to_string(ps.totalSteps) + "\n";
+               " steps_total=" + std::to_string(ps.totalSteps) +
+               " warm_solves=" + std::to_string(ps.warmSolves) +
+               " warm_unsat=" + std::to_string(ps.warmUnsat) +
+               " warm_core_hits=" + std::to_string(ps.warmCoreHits) +
+               " warm_conflicts=" + std::to_string(ps.warmConflicts) + "\n";
   } else {
     smt::TermManager tm;
     smt::SmtSolver solver(tm);

@@ -103,9 +103,10 @@ struct ExploreOptions {
   /// across every jobs value. Incompatible with --merge and --query-log.
   uint64_t jobs = 0;
   /// Shared SMT query cache for the parallel engine (--qcache=on|off|N).
-  /// Ignored by the sequential explorer, which has its own per-solver
-  /// cache.
-  bool qcacheOn = true;
+  /// Off by default: with warm Unsat verdicts it keys every query for a
+  /// handful of hits (docs/parallelism.md). Ignored by the sequential
+  /// explorer, which has its own per-solver cache.
+  bool qcacheOn = false;
   /// Cache entry capacity; 0 = unbounded (the deterministic default —
   /// a binding capacity makes hit counts depend on scheduling).
   uint64_t qcacheCapacity = 0;
@@ -148,7 +149,7 @@ struct ExploreOptions {
   std::vector<std::string> argvEcho;
 
   // ---- crash-safe checkpointing (docs/robustness.md) -----------------
-  /// Write an adlsym-ckpt-v3 checkpoint here ("" = off): at every level
+  /// Write an adlsym-ckpt-v4 checkpoint here ("" = off): at every level
   /// barrier (--checkpoint-every), on graceful SIGINT/SIGTERM stop, and
   /// at run end. Requires --clock=manual (the kill/resume byte-identity
   /// contract is defined on the deterministic clock) and routes to the

@@ -115,7 +115,7 @@ class EventBus final : public core::ExploreObserver, public smt::QueryListener {
 
   void flush();
 
-  // ---- checkpoint support (adlsym-ckpt-v3, docs/robustness.md) ---------
+  // ---- checkpoint support (adlsym-ckpt-v4, docs/robustness.md) ---------
 
   /// Canonical replacement values for the live snapshot gauges, computed
   /// by the quiesced engine at a checkpoint barrier. The bus's own

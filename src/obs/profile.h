@@ -83,7 +83,7 @@ class ProfileCollector final : public core::ExploreObserver {
   /// object.
   void writeJson(json::Writer& w) const;
 
-  /// The checkpoint "sites" section (adlsym-ckpt-v3): the opcode table
+  /// The checkpoint "sites" section (adlsym-ckpt-v4): the opcode table
   /// plus every executed or dropped site's [pc, steps, forks, infeasible],
   /// so a resumed run's final stats document is byte-identical to the
   /// uninterrupted run's.

@@ -168,8 +168,24 @@ void SmtSolver::setTelemetry(telemetry::Telemetry* t) {
       t ? &t->metrics().counter("solver.prefilter_misses") : nullptr;
   coreHitCtr_ = nullptr;  // resolved by the next incremental query
   coresKeptCtr_ = nullptr;
-  sat_.setTelemetry(t);
-  bb_.setTelemetry(t);
+  attachIncrementalTelemetry();
+}
+
+void SmtSolver::setFreshMode(bool on) {
+  freshMode_ = on;
+  attachIncrementalTelemetry();
+}
+
+void SmtSolver::attachIncrementalTelemetry() {
+  // Attaching registers the SAT and blast metric names, so a registry
+  // lists them whether or not a fresh solve ever runs. In fresh mode the
+  // pair is the warm core, whose work stays off the books: detach again.
+  sat_.setTelemetry(tel_);
+  bb_.setTelemetry(tel_);
+  if (freshMode_) {
+    sat_.setTelemetry(nullptr);
+    bb_.setTelemetry(nullptr);
+  }
 }
 
 void SmtSolver::assertAlways(TermRef t) {
@@ -285,15 +301,21 @@ void SmtSolver::restoreModelFresh(const std::vector<TermRef>& assumptions) {
   snapshotModel(fresh_->bb, fresh_->sat);
 }
 
+std::string SmtSolver::verdictMismatch(
+    const std::vector<TermRef>& assumptions, const char* source,
+    CheckResult r, CheckResult fresh) const {
+  std::vector<TermRef> all = permanentAsserts_;
+  all.insert(all.end(), assumptions.begin(), assumptions.end());
+  return std::string(source) + "=" + checkResultName(r) +
+         " fresh=" + checkResultName(fresh) + "\n" + toSmtLib(all);
+}
+
 void SmtSolver::crossCheck(const std::vector<TermRef>& assumptions,
                            CheckResult r, const char* source) {
   const CheckResult fresh = checkFresh(assumptions);
   if (fresh != CheckResult::Unknown && fresh != r) {
-    std::vector<TermRef> all = permanentAsserts_;
-    all.insert(all.end(), assumptions.begin(), assumptions.end());
-    throw Error(std::string("paranoid check: ") + source + "=" +
-                checkResultName(r) + " fresh=" + checkResultName(fresh) +
-                "\n" + toSmtLib(all));
+    throw Error("paranoid check: " +
+                verdictMismatch(assumptions, source, r, fresh));
   }
 }
 
@@ -301,7 +323,9 @@ void SmtSolver::keepCore(const std::vector<TermRef>& assumptions,
                          const std::vector<Lit>& lits) {
   const std::vector<Lit>& failed = sat_.failedAssumptions();
   if (failed.empty()) {  // the permanent assertions alone are Unsat
-    permanentlyUnsat_ = true;
+    // Fresh mode keeps each query in its bucket; the warm core refutes
+    // every later query at once anyway.
+    if (!freshMode_) permanentlyUnsat_ = true;
     return;
   }
   std::vector<TermId> core;
@@ -341,23 +365,10 @@ bool SmtSolver::refutedByCore(const std::vector<TermRef>& assumptions) const {
   return false;
 }
 
-CheckResult SmtSolver::solve(const std::vector<TermRef>& assumptions,
-                             telemetry::Clock& clk, uint64_t deadlineUs,
-                             QueryCost& cost) {
-  if (freshMode_) {
-    const CheckResult r = solveFresh(assumptions, &clk, deadlineUs);
-    FreshCore& fc = *fresh_;
-    if (r == CheckResult::Sat) snapshotModel(fc.bb, fc.sat);
-    // The core was reset, so its stats are this query's cost.
-    cost = {fc.bb.stats().termsBlasted, fc.bb.stats().gates,
-            fc.sat.stats().conflicts};
-    freshSat_ += fc.sat.stats();
-    freshBlast_ += fc.bb.stats();
-    freshVars_ += fc.sat.numVars();
-    freshClauses_ += fc.sat.numClauses();
-    return r;
-  }
-  sat_.setDeadline(deadlineUs != 0 ? &clk : nullptr, deadlineUs);
+CheckResult SmtSolver::solveIncremental(const std::vector<TermRef>& assumptions,
+                                        telemetry::Clock* clk,
+                                        uint64_t deadlineUs, QueryCost& cost) {
+  sat_.setDeadline(clk, deadlineUs);
   const uint64_t terms0 = bb_.stats().termsBlasted;
   const uint64_t gates0 = bb_.stats().gates;
   const uint64_t conflicts0 = sat_.stats().conflicts;
@@ -368,14 +379,62 @@ CheckResult SmtSolver::solve(const std::vector<TermRef>& assumptions,
   }
   const CheckResult r = fromSat(sat_.solve(lits));
   if (paranoid_ && r != CheckResult::Unknown) {
-    crossCheck(assumptions, r, "incremental");
+    crossCheck(assumptions, r, freshMode_ ? "warm" : "incremental");
   }
   if (r == CheckResult::Unsat) keepCore(assumptions, lits);
   // Snapshot variable values immediately: any later incremental blast
-  // (even for model reads) unwinds the assignment trail.
-  if (r == CheckResult::Sat) snapshotModel(bb_, sat_);
+  // (even for model reads) unwinds the assignment trail. Fresh mode takes
+  // its models from the fresh core instead.
+  if (r == CheckResult::Sat && !freshMode_) snapshotModel(bb_, sat_);
   cost = {bb_.stats().termsBlasted - terms0, bb_.stats().gates - gates0,
           sat_.stats().conflicts - conflicts0};
+  return r;
+}
+
+CheckResult SmtSolver::warmVerdict(const std::vector<TermRef>& assumptions) {
+  CheckResult r = CheckResult::Unsat;
+  if (refutedByCore(assumptions)) {
+    ++stats_.coreHits;
+    if (paranoid_) crossCheck(assumptions, r, "warm core");
+  } else {
+    ++stats_.warmSolves;
+    QueryCost work;  // the warm core's work stays off the canonical books
+    r = solveIncremental(assumptions, nullptr, 0, work);
+  }
+  if (r == CheckResult::Unsat) ++stats_.warmUnsat;
+  return r;
+}
+
+CheckResult SmtSolver::solve(const std::vector<TermRef>& assumptions,
+                             telemetry::Clock& clk, uint64_t deadlineUs,
+                             QueryCost& cost) {
+  if (!freshMode_) {
+    return solveIncremental(assumptions, deadlineUs != 0 ? &clk : nullptr,
+                            deadlineUs, cost);
+  }
+  // A query without a deadline takes its verdict from the warm core: an
+  // Unsat is final at canonical cost 0, and only a Sat or Unknown pays
+  // for the canonical fresh solve. A deadline is read on the query clock,
+  // which the warm core never reads, so such a query solves fresh only.
+  CheckResult warm = CheckResult::Unknown;
+  if (deadlineUs == 0) {
+    warm = warmVerdict(assumptions);
+    if (warm == CheckResult::Unsat) return warm;
+  }
+  const CheckResult r = solveFresh(assumptions, &clk, deadlineUs);
+  if (warm == CheckResult::Sat && r == CheckResult::Unsat) {
+    throw Error("internal error: " +
+                verdictMismatch(assumptions, "warm", warm, r));
+  }
+  FreshCore& fc = *fresh_;
+  if (r == CheckResult::Sat) snapshotModel(fc.bb, fc.sat);
+  // The core was reset, so its stats are this query's cost.
+  cost = {fc.bb.stats().termsBlasted, fc.bb.stats().gates,
+          fc.sat.stats().conflicts};
+  freshSat_ += fc.sat.stats();
+  freshBlast_ += fc.bb.stats();
+  freshVars_ += fc.sat.numVars();
+  freshClauses_ += fc.sat.numClauses();
   return r;
 }
 

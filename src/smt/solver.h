@@ -152,10 +152,10 @@ class SmtSolver {
   /// returns Unknown without touching the SAT core.
   void setWallDeadlineMicros(uint64_t us) { wallDeadlineMicros_ = us; }
 
-  /// Debug cross-check: re-solve every incremental solve and every kept-
-  /// core answer on a fresh single-shot solver and throw (with an SMT-LIB
-  /// dump) if the verdicts diverge. Extremely slow; for tests and bug
-  /// reports only.
+  /// Debug cross-check: re-solve every incremental or warm solve and
+  /// every kept-core answer on a fresh single-shot solver and throw (with
+  /// an SMT-LIB dump) if the verdicts diverge. Extremely slow; for tests
+  /// and bug reports only.
   void setParanoid(bool on) { paranoid_ = on; }
 
   /// The solver's own query cache, used in incremental mode when no shared
@@ -202,10 +202,17 @@ class SmtSolver {
     /// prefilter effectiveness per branch site, schedule-independently.
     uint64_t preHitSeen = 0;
     uint64_t preMissSeen = 0;
-    /// Kept Unsat cores (incremental mode): cores stored, and queries
-    /// answered by one (a part of preShortcircuit).
+    /// Kept Unsat cores: cores stored, and queries answered by one. In
+    /// incremental mode a core hit is a part of preShortcircuit; in fresh
+    /// mode it is a warm answer and keeps its bucket.
     uint64_t coresKept = 0;
     uint64_t coreHits = 0;
+    /// Warm verdicts (fresh mode): solves on the warm core, and the Unsat
+    /// answers it gave, by a solve or by a kept core. Which cores exist
+    /// depends on the worker's history, so these never reach the stats
+    /// JSON.
+    uint64_t warmSolves = 0;
+    uint64_t warmUnsat = 0;
   };
   const Stats& stats() const { return stats_; }
   const SatSolver::Stats& satStats() const { return sat_.stats(); }
@@ -237,15 +244,20 @@ class SmtSolver {
   CheckResult checkFresh(const std::vector<TermRef>& assumptions);
 
   /// Fresh-solve mode (parallel exploration, docs/parallelism.md): every
-  /// check() runs on a SAT core reset to its just-constructed state
-  /// instead of the incremental one, so the CNF — and hence any Sat model
-  /// — depends only on term structure, never on what this instance solved
-  /// before. Slower per query, but the canonical models are what make -j1
-  /// and -jN byte-identical; the shared QueryCache (below) recovers the
-  /// lost incrementality. Without a shared cache fresh mode is uncached:
-  /// a per-worker cache would make hit counts depend on the schedule. For
-  /// the same reason fresh mode keeps no Unsat cores.
-  void setFreshMode(bool on) { freshMode_ = on; }
+  /// model comes from a SAT core reset to its just-constructed state, so
+  /// the CNF — and hence any Sat model — depends only on term structure,
+  /// never on what this instance solved before. That is what makes -j1
+  /// and -jN byte-identical. Verdicts come first from the incremental
+  /// pair, here called the warm core: a sound solver's Unsat does not
+  /// depend on its history, so a warm Unsat (solved, or by a kept core)
+  /// is final at canonical cost 0, and only a Sat or Unknown is solved
+  /// again fresh. The warm step keeps each query in its bucket, reads no
+  /// clock and reports to no telemetry; satStats()/blastStats() are the
+  /// warm core's, telemetrySnapshot() counts fresh solves only. A query
+  /// with a deadline solves fresh only. Without a shared cache fresh
+  /// mode is uncached: a per-worker cache would make hit counts depend on
+  /// the schedule.
+  void setFreshMode(bool on);
   bool freshMode() const { return freshMode_; }
 
   /// Attach the run-wide shared query cache (not owned; null detaches).
@@ -301,20 +313,32 @@ class SmtSolver {
   CheckResult checkImpl(const std::vector<TermRef>& assumptions,
                         bool needModel);
 
-  /// The solve step: bit-blast and run the incremental core, or the fresh
-  /// core reset first in fresh mode. Fills model_ on Sat and `cost` with
-  /// the query's blasting and search work. An incremental Unsat keeps its
-  /// failed assumptions as a core.
+  /// The solve step: the incremental core, or in fresh mode the warm
+  /// verdict and then, unless it is Unsat, the fresh core reset first.
+  /// Fills model_ on Sat and `cost` with the query's canonical blasting
+  /// and search work. Throws if a warm Sat is a fresh Unsat.
   CheckResult solve(const std::vector<TermRef>& assumptions,
                     telemetry::Clock& clk, uint64_t deadlineUs,
                     QueryCost& cost);
+  /// Bit-blast into the incremental pair and solve under assumptions
+  /// (deadline on `clk` when non-null). An Unsat keeps its failed
+  /// assumptions as a core; outside fresh mode a Sat fills model_.
+  CheckResult solveIncremental(const std::vector<TermRef>& assumptions,
+                               telemetry::Clock* clk, uint64_t deadlineUs,
+                               QueryCost& cost);
+  /// Fresh mode's warm step: a kept core, else a solve on the warm core.
+  CheckResult warmVerdict(const std::vector<TermRef>& assumptions);
+  /// Re-apply tel_ to the incremental pair: attached outside fresh mode,
+  /// names registered but detached in it.
+  void attachIncrementalTelemetry();
 
-  /// Kept Unsat cores (incremental mode only). After an Unsat of the
-  /// incremental core, the assumption terms whose literals refuted it
-  /// are stored as a sorted TermId set, watched under its largest (the
-  /// newest) id. Permanent assertions only ever add constraints, so a
-  /// core stays Unsat for the solver's lifetime and a query containing
-  /// one is Unsat with no key, judge or solve. Cores are not minimized:
+  /// Kept Unsat cores. After an Unsat of the incremental (or warm) core,
+  /// the assumption terms whose literals refuted it are stored as a
+  /// sorted TermId set, watched under its largest (the newest) id.
+  /// Permanent assertions only ever add constraints, so a core stays
+  /// Unsat for the solver's lifetime and a query containing one is Unsat
+  /// with no solve (in incremental mode also with no key or judge, as
+  /// the lookup runs before both). Cores are not minimized:
   /// deletion re-solves cost more than the few extra hits they buy
   /// (ROADMAP). `lits` are the non-true assumptions' literals, in order.
   void keepCore(const std::vector<TermRef>& assumptions,
@@ -325,6 +349,10 @@ class SmtSolver {
   /// with `r`, the verdict `source` gave.
   void crossCheck(const std::vector<TermRef>& assumptions, CheckResult r,
                   const char* source);
+  /// "<source>=<r> fresh=<fresh>" and the query as SMT-LIB.
+  std::string verdictMismatch(const std::vector<TermRef>& assumptions,
+                              const char* source, CheckResult r,
+                              CheckResult fresh) const;
 
   /// Model restoration for a prefilter-certified Sat query: solve the
   /// canonical CNF on the fresh core with no budget, no deadline, no
@@ -379,7 +407,7 @@ class SmtSolver {
   PreSolver* pre_ = nullptr;
   std::unique_ptr<FreshCore> fresh_;
   // Aggregates over the fresh solves of fresh mode (the members sat_/bb_
-  // sit unused there); telemetrySnapshot() reads these instead.
+  // are the warm core there); telemetrySnapshot() reads these instead.
   SatSolver::Stats freshSat_;
   BitBlaster::Stats freshBlast_;
   uint64_t freshVars_ = 0;

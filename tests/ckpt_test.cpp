@@ -1,4 +1,4 @@
-// Crash-safe checkpoint/resume (adlsym-ckpt-v3, docs/robustness.md):
+// Crash-safe checkpoint/resume (adlsym-ckpt-v4, docs/robustness.md):
 // term-table round-trips, file framing + corruption rejection, state and
 // path-result serializers, and the end-to-end kill/resume byte-identity
 // contract driven through the CLI — crash via --inject=ckpt.write, resume,
@@ -155,19 +155,19 @@ TEST(TermTable, MalformedTablesRejected) {
 TEST(CkptFile, RoundTripAndTrailer) {
   const std::string path = testing::TempDir() + "ckpt_frame.ckpt";
   core::ckpt::writeCheckpointFile(
-      path, "{\"schema\":\"adlsym-ckpt-v3\",\"n\":7}");
+      path, "{\"schema\":\"adlsym-ckpt-v4\",\"n\":7}");
   const std::string blob = slurp(path);
-  EXPECT_NE(blob.find("#adlsym-ckpt-v3 sha256="), std::string::npos);
+  EXPECT_NE(blob.find("#adlsym-ckpt-v4 sha256="), std::string::npos);
   EXPECT_EQ(blob.back(), '\n');
   const json::Value v = core::ckpt::loadCheckpointFile(path);
   EXPECT_EQ(core::ckpt::fieldU64(v, "n"), 7u);
-  EXPECT_EQ(core::ckpt::fieldStr(v, "schema"), "adlsym-ckpt-v3");
+  EXPECT_EQ(core::ckpt::fieldStr(v, "schema"), "adlsym-ckpt-v4");
 }
 
 TEST(CkptFile, CorruptionRejectedWithContext) {
   const std::string good = testing::TempDir() + "ckpt_good.ckpt";
   core::ckpt::writeCheckpointFile(
-      good, "{\"schema\":\"adlsym-ckpt-v3\",\"n\":7}");
+      good, "{\"schema\":\"adlsym-ckpt-v4\",\"n\":7}");
   const std::string blob = slurp(good);
 
   const auto expectRejected = [](const std::string& path,
@@ -511,10 +511,13 @@ TEST_F(CkptResume, FlagValidationAndIdentityMismatch) {
 // A checkpoint comes from outside the program, so a field of the wrong
 // JSON type is bad input (exit 2), never a silent default. Each case
 // rewrites one field of a real checkpoint and re-frames the document with
-// a valid trailer, so only the type check can reject it.
+// a valid trailer, so only the type check can reject it. The shared
+// query cache is on, so the file has the qcache section whose prefilter
+// tag "p" the last case corrupts.
 TEST_F(CkptResume, IllTypedFieldsRejected) {
   const std::string img = imageFor("rv32e");
   CliRun ref = makeRun("typed_ref", "rv32e", img, 1);
+  ref.args.push_back("--qcache=on");
   exec(ref);
   ASSERT_EQ(ref.exitCode, 0) << ref.stdoutText;
   const std::string blob = slurp(ref.ckpt);
@@ -546,39 +549,50 @@ TEST_F(CkptResume, IllTypedFieldsRejected) {
   }
 }
 
-// A v1 file holds its term table in pool order and its qcache keys in the
-// old constraint order, so this build would silently miss the file's own
-// cache entries: every older schema is refused with exit 2, whether its
-// document is re-framed with a valid trailer or framed exactly as v1 did.
+// Every older schema is refused with exit 2, whether its document is
+// re-framed with a valid trailer or framed exactly as that version did.
+// A v1 file holds its term table in pool order and its qcache keys in
+// the old constraint order, so this build would silently miss the
+// file's own cache entries. A v3 file's solver baseline and site costs
+// counted Unsat verdicts that --jobs workers now answer warm at cost 0,
+// and its run had the shared cache on by default, so resuming it would
+// give a document no uninterrupted run writes.
 TEST_F(CkptResume, OlderSchemaRejected) {
   const std::string img = imageFor("rv32e");
   CliRun ref = makeRun("schema_ref", "rv32e", img, 1);
   exec(ref);
   ASSERT_EQ(ref.exitCode, 0) << ref.stdoutText;
   const std::string blob = slurp(ref.ckpt);
-  const std::string doc = std::regex_replace(
-      blob.substr(0, blob.find('\n')),
-      std::regex(R"("schema":"adlsym-ckpt-v\d+")"),
-      R"("schema":"adlsym-ckpt-v1")");
+  for (const std::string version : {"v1", "v3"}) {
+    const std::string tag = "adlsym-ckpt-" + version;
+    const std::string doc = std::regex_replace(
+        blob.substr(0, blob.find('\n')),
+        std::regex(R"("schema":"adlsym-ckpt-v\d+")"),
+        "\"schema\":\"" + tag + "\"");
 
-  const std::string retagged = testing::TempDir() + "ckpt_v1_retagged.ckpt";
-  core::ckpt::writeCheckpointFile(retagged, doc);
-  CliRun resumed = ref;
-  exec(resumed, {"--resume=" + retagged});
-  EXPECT_EQ(resumed.exitCode, 2) << resumed.stdoutText;
-  EXPECT_NE(resumed.stdoutText.find(std::string("schema is not ") +
-                                    core::ckpt::kSchema),
-            std::string::npos)
-      << resumed.stdoutText;
+    const std::string retagged =
+        testing::TempDir() + "ckpt_" + version + "_retagged.ckpt";
+    core::ckpt::writeCheckpointFile(retagged, doc);
+    CliRun resumed = ref;
+    exec(resumed, {"--resume=" + retagged});
+    EXPECT_EQ(resumed.exitCode, 2) << version << ": " << resumed.stdoutText;
+    EXPECT_NE(resumed.stdoutText.find(std::string("schema is not ") +
+                                      core::ckpt::kSchema),
+              std::string::npos)
+        << resumed.stdoutText;
 
-  const std::string framed = testing::TempDir() + "ckpt_v1_framed.ckpt";
-  spit(framed, doc + "\n#adlsym-ckpt-v1 sha256=" +
-                   hash::sha256Hex(doc + "\n") + "\n");
-  CliRun v1 = ref;
-  exec(v1, {"--resume=" + framed});
-  EXPECT_EQ(v1.exitCode, 2) << v1.stdoutText;
-  EXPECT_NE(v1.stdoutText.find("checkpoint"), std::string::npos)
-      << v1.stdoutText;
+    const std::string framed =
+        testing::TempDir() + "ckpt_" + version + "_framed.ckpt";
+    spit(framed, doc + "\n#" + tag + " sha256=" +
+                     hash::sha256Hex(doc + "\n") + "\n");
+    CliRun old = ref;
+    exec(old, {"--resume=" + framed});
+    EXPECT_EQ(old.exitCode, 2) << version << ": " << old.stdoutText;
+    EXPECT_NE(old.stdoutText.find(std::string("schema is not ") +
+                                  core::ckpt::kSchema),
+              std::string::npos)
+        << old.stdoutText;
+  }
 }
 
 // A v2 file carries no per-state witnesses: a state resumed from one would
@@ -616,7 +630,7 @@ TEST_F(CkptResume, V2WithoutWitnessesRejected) {
   EXPECT_NE(v2.stdoutText.find(want), std::string::npos) << v2.stdoutText;
 }
 
-// Every state carries its witness, so a v3 frontier state without `w` is
+// Every state carries its witness, so a frontier state without `w` is
 // malformed: resuming it is refused with exit 2 and a message naming the
 // field, never resumed with a witness made up.
 TEST_F(CkptResume, FrontierStateWithoutWitnessRejected) {

@@ -276,8 +276,7 @@ struct RunArtifacts {
 class ParallelDeterminism : public ::testing::Test {
  protected:
   // One image per ISA, lowered from the same portable workload: three
-  // symbolic input bits -> 8 paths, enough forks for stealing and for
-  // witness-generation queries to exercise the shared cache.
+  // symbolic input bits -> 8 paths, enough forks for stealing.
   static std::string imageFor(const std::string& isa) {
     return imageOf(workloads::progBitcount(3), "bitcount3", isa);
   }
@@ -327,7 +326,7 @@ class ParallelDeterminism : public ::testing::Test {
     ASSERT_FALSE(base.forestJson.empty()) << isa << "/" << strategy;
     EXPECT_NE(base.statsJson.find("\"schema\":\"adlsym-stats-v8\""),
               std::string::npos);
-    EXPECT_NE(base.statsJson.find("\"qcache\":{\"enabled\":true"),
+    EXPECT_NE(base.statsJson.find("\"qcache\":{\"enabled\":false}"),
               std::string::npos);
     EXPECT_NE(base.forestJson.find("\"schema\":\"adlsym-pathforest-v1\""),
               std::string::npos);
@@ -370,21 +369,27 @@ TEST_F(ParallelDeterminism, Stk16AllStrategies) {
 TEST_F(ParallelDeterminism, Sort4AllIsasRepeated) {
   // sort4's branches compare inputs with each other and need the SAT
   // core, so a steal makes the thief build constraints over variables its
-  // pool created in another order. Repeated runs give different steals.
+  // pool created in another order, and its warm core holds what it
+  // solved before. Repeated runs give different steals. Both shared-cache
+  // settings: off (the default) and on.
   for (const char* isa : {"acc8", "m16", "rv32e", "stk16"}) {
     const std::string img = imageOf(workloads::progSort(4), "sort4", isa);
-    const RunArtifacts base = explore(isa, img, "dfs", 1);
-    ASSERT_FALSE(base.forestJson.empty()) << isa;
-    for (const unsigned jobs : {2u, 4u}) {
-      for (int run = 1; run <= 3; ++run) {
-        const RunArtifacts r = explore(isa, img, "dfs", jobs);
-        const std::string where = std::string(isa) + " sort4 -j1 vs -j" +
-                                  std::to_string(jobs) + " run " +
-                                  std::to_string(run);
-        EXPECT_EQ(base.exitCode, r.exitCode) << where;
-        EXPECT_EQ(base.stdoutText, r.stdoutText) << where;
-        EXPECT_EQ(base.statsJson, r.statsJson) << where;
-        EXPECT_EQ(base.forestJson, r.forestJson) << where;
+    const std::vector<std::string> cacheFlags[] = {{}, {"--qcache=on"}};
+    for (const std::vector<std::string>& extra : cacheFlags) {
+      const RunArtifacts base = explore(isa, img, "dfs", 1, extra);
+      ASSERT_FALSE(base.forestJson.empty()) << isa;
+      const std::string cache = extra.empty() ? "" : " --qcache=on";
+      for (const unsigned jobs : {2u, 4u}) {
+        for (int run = 1; run <= 3; ++run) {
+          const RunArtifacts r = explore(isa, img, "dfs", jobs, extra);
+          const std::string where = std::string(isa) + " sort4" + cache +
+                                    " -j1 vs -j" + std::to_string(jobs) +
+                                    " run " + std::to_string(run);
+          EXPECT_EQ(base.exitCode, r.exitCode) << where;
+          EXPECT_EQ(base.stdoutText, r.stdoutText) << where;
+          EXPECT_EQ(base.statsJson, r.statsJson) << where;
+          EXPECT_EQ(base.forestJson, r.forestJson) << where;
+        }
       }
     }
   }
@@ -406,12 +411,13 @@ TEST_F(ParallelDeterminism, NoPathEndQueriesAndQcacheCountsReconcile) {
   // Path ends read their witnesses off the carried assignment, so every
   // query is a branch decision: the profile charges queries only to the
   // sites that fork (bitcount3's branches all do), never to the halts
-  // that end the 8 paths. Every query that reaches the shared cache is
-  // one hit or one miss, and the solver counts the same hits.
+  // that end the 8 paths. With the shared cache on, every query that
+  // reaches it is one hit or one miss, and the solver counts the same
+  // hits.
   const std::string img = imageFor("rv32e");
   const std::string prof = testing::TempDir() + "qcache_rv32e.profile.json";
   const RunArtifacts r =
-      explore("rv32e", img, "dfs", 2, {"--profile=" + prof});
+      explore("rv32e", img, "dfs", 2, {"--profile=" + prof, "--qcache=on"});
   ASSERT_EQ(r.exitCode, 0) << r.stdoutText;
   const json::Value p = json::parse(slurp(prof));
   const json::Value* sites = p.find("sites");

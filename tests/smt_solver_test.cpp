@@ -251,7 +251,9 @@ TEST_F(KeptCores, UnknownKeepsNone) {
   EXPECT_EQ(s.stats().coreHits, 0u);
 }
 
-TEST_F(KeptCores, FreshModeKeepsNone) {
+TEST_F(KeptCores, FreshModeKeepsThemOffTheBooks) {
+  // Fresh mode keeps cores in its warm core. A warm answer keeps its
+  // bucket and costs nothing canonical, so the snapshot shows no work.
   for (const bool shared : {false, true}) {
     QueryCache cache;
     SmtSolver f(tm);
@@ -259,9 +261,20 @@ TEST_F(KeptCores, FreshModeKeepsNone) {
     if (shared) f.setSharedCache(&cache);
     ASSERT_EQ(f.check({small, noSquare}), CheckResult::Unsat);
     ASSERT_EQ(f.check({noSquare, tm.mkUgt(y, c(8, 7))}), CheckResult::Unsat);
-    EXPECT_EQ(f.stats().coresKept, 0u) << shared;
-    EXPECT_EQ(f.stats().coreHits, 0u) << shared;
+    EXPECT_EQ(f.stats().coresKept, 1u) << shared;
+    EXPECT_EQ(f.stats().coreHits, 1u) << shared;
     EXPECT_EQ(f.stats().directSolves, 2u) << shared;
+    const SolverTelemetry t = f.telemetrySnapshot();
+    EXPECT_EQ(t.preShortcircuit, 0u) << shared;
+    EXPECT_EQ(t.satCore.conflicts + t.satCore.decisions +
+                  t.satCore.propagations,
+              0u)
+        << shared;
+    EXPECT_EQ(t.blast.termsBlasted + t.blast.gates, 0u) << shared;
+    EXPECT_EQ(t.satVars + t.satClauses, 0u) << shared;
+    EXPECT_EQ(t.canon.terms + t.canon.gates + t.canon.conflicts, 0u)
+        << shared;
+    EXPECT_GT(f.blastStats().termsBlasted, 0u) << shared;  // the warm core's
   }
 }
 
@@ -273,8 +286,9 @@ TEST_F(KeptCores, CountersInTheRegistry) {
   const auto& counters = tel.metrics().counters();
   EXPECT_EQ(counters.at("solver.cores_kept").value, 1u);
   EXPECT_EQ(counters.at("solver.core_hits").value, 1u);
-  // Fresh mode keeps no cores and does not list their counters, so a
-  // --jobs run's metrics block has the same names as before cores.
+  // Fresh mode's warm core keeps cores off the books and does not list
+  // their counters, so a --jobs run's metrics block has the same names as
+  // before cores.
   telemetry::Telemetry freshTel;
   SmtSolver f(tm);
   f.setTelemetry(&freshTel);
@@ -314,10 +328,183 @@ TEST_F(KeptCores, ParanoidModeResolvesCoreHits) {
   EXPECT_EQ(s.stats().coreHits, 2u);
 }
 
-// Fresh mode solves every query on one SAT core and bit-blaster, reset to
-// the just-constructed state before each query. The reuse must not show:
-// one solver answering a sequence gives the verdicts, models and stats
-// totals of a new solver per query.
+// Warm verdicts (fresh mode): a query without a deadline is first decided
+// on the solver's warm incremental core. A warm Unsat is final; a Sat or
+// Unknown is solved again on the reset fresh core, which gives the model
+// and the canonical cost.
+class WarmVerdicts : public SolverTest {
+ protected:
+  TermRef x = tm.mkVar(8, "x");
+  TermRef y = tm.mkVar(8, "y");
+  TermRef noSquare = tm.mkEq(tm.mkMul(x, x), c(8, 2));  // Unsat alone
+  // Sat with many models: x * y == 91 has solutions besides 7 * 13.
+  std::vector<TermRef> product = {tm.mkEq(tm.mkMul(x, y), c(8, 91)),
+                                  tm.mkUgt(x, c(8, 1)), tm.mkUgt(y, c(8, 1))};
+
+  SmtSolver& fresh() {
+    s.setFreshMode(true);
+    return s;
+  }
+};
+
+struct CachedFlags : QueryListener {
+  std::vector<bool> cached;
+  void onCheck(const std::vector<TermRef>&, const std::vector<TermRef>&,
+               CheckResult, uint64_t, bool c) override {
+    cached.push_back(c);
+  }
+};
+
+TEST_F(WarmVerdicts, UnsatCostsNothingAndSolvesNothingFresh) {
+  CachedFlags flags;
+  fresh().setQueryListener(&flags);
+  ASSERT_EQ(s.check({tm.mkUlt(y, c(8, 9)), noSquare}), CheckResult::Unsat);
+  const SolverTelemetry t = s.telemetrySnapshot();
+  EXPECT_EQ(t.canon.terms + t.canon.gates + t.canon.conflicts, 0u);
+  EXPECT_EQ(t.blast.termsBlasted, 0u);  // no fresh solve ran
+  EXPECT_EQ(t.satVars, 0u);
+  EXPECT_EQ(t.directSolves, 1u);
+  EXPECT_EQ(t.preShortcircuit, 0u);
+  EXPECT_TRUE(t.prefilterReconciled());
+  EXPECT_EQ(s.stats().warmSolves, 1u);
+  EXPECT_EQ(s.stats().warmUnsat, 1u);
+  EXPECT_EQ(flags.cached, std::vector<bool>{false});
+}
+
+TEST_F(WarmVerdicts, SatModelIsThePureFreshModelWhateverTheHistory) {
+  // The reference solves fresh only: a query timeout skips the warm step.
+  SmtSolver pure(tm);
+  pure.setFreshMode(true);
+  pure.setQueryTimeoutMicros(uint64_t{1} << 50);
+  ASSERT_EQ(pure.check(product), CheckResult::Sat);
+  ASSERT_EQ(pure.stats().warmSolves, 0u);
+  const uint64_t wantX = pure.modelValue(x);
+  const uint64_t wantY = pure.modelValue(y);
+  const QueryCost wantCost = pure.stats().canon;
+
+  // Two histories that leave the warm cores in different states.
+  const std::vector<std::vector<std::vector<TermRef>>> histories = {
+      {},
+      {{tm.mkEq(x, c(8, 13))}, {noSquare}, {tm.mkUgt(y, c(8, 100))}},
+      {{tm.mkEq(tm.mkMul(x, y), c(8, 91)), tm.mkEq(y, c(8, 7))},
+       {tm.mkUlt(x, c(8, 3)), tm.mkUgt(x, c(8, 5))}},
+  };
+  for (size_t h = 0; h < histories.size(); ++h) {
+    SmtSolver f(tm);
+    f.setFreshMode(true);
+    for (const auto& q : histories[h]) f.check(q);
+    const QueryCost before = f.stats().canon;
+    ASSERT_EQ(f.check(product), CheckResult::Sat) << h;
+    EXPECT_EQ(f.modelValue(x), wantX) << h;
+    EXPECT_EQ(f.modelValue(y), wantY) << h;
+    EXPECT_EQ(f.stats().canon.terms - before.terms, wantCost.terms) << h;
+    EXPECT_EQ(f.stats().canon.gates - before.gates, wantCost.gates) << h;
+    EXPECT_EQ(f.stats().canon.conflicts - before.conflicts,
+              wantCost.conflicts)
+        << h;
+  }
+}
+
+TEST_F(WarmVerdicts, QueryTimeoutSolvesFreshOnly) {
+  fresh().setQueryTimeoutMicros(uint64_t{1} << 50);
+  ASSERT_EQ(s.check({noSquare}), CheckResult::Unsat);
+  ASSERT_EQ(s.check({noSquare, tm.mkUlt(y, c(8, 9))}), CheckResult::Unsat);
+  EXPECT_EQ(s.stats().warmSolves, 0u);
+  EXPECT_EQ(s.stats().coreHits, 0u);
+  EXPECT_EQ(s.blastStats().termsBlasted, 0u);  // the warm core is unused
+  EXPECT_GT(s.stats().canon.terms, 0u);       // both solved fresh
+  EXPECT_EQ(s.telemetrySnapshot().directSolves, 2u);
+}
+
+TEST_F(WarmVerdicts, UnknownFallsThroughToTheFreshSolve) {
+  const TermRef a = tm.mkVar(16, "a");
+  const TermRef b = tm.mkVar(16, "b");
+  const std::vector<TermRef> factor = {
+      tm.mkEq(tm.mkMul(a, b), c(16, 211 * 223)), tm.mkUgt(a, c(16, 1)),
+      tm.mkUgt(b, c(16, 1)), tm.mkUlt(a, c(16, 256)), tm.mkUlt(b, c(16, 256))};
+  fresh().setConflictBudget(1);
+  ASSERT_EQ(s.check(factor), CheckResult::Unknown);
+  EXPECT_EQ(s.stats().warmSolves, 1u);
+  EXPECT_EQ(s.stats().warmUnsat, 0u);
+  EXPECT_GT(s.satStats().conflicts, 0u);  // the warm core hit the budget
+  const SolverTelemetry t = s.telemetrySnapshot();
+  EXPECT_GT(t.satCore.conflicts, 0u);  // and so did the fresh solve
+  EXPECT_EQ(t.canon.conflicts, t.satCore.conflicts);
+  EXPECT_GT(t.canon.terms, 0u);
+  EXPECT_EQ(t.unknown, 1u);
+}
+
+TEST_F(WarmVerdicts, ParanoidModeResolvesWarmAnswers) {
+  // Every warm Unsat and every warm core hit is re-solved on a reset
+  // fresh core, which throws if it disagrees. Steps 1 and 2 keep the
+  // cores {lo, hi} and {odd, even}, proper subsets of their queries, and
+  // steps 5 and 6 hit them; a store that kept other assumptions would
+  // answer a Sat step Unsat.
+  fresh().setParanoid(true);
+  const TermRef small = tm.mkUlt(y, c(8, 200));
+  const TermRef lo = tm.mkUlt(x, c(8, 10));
+  const TermRef hi = tm.mkUgt(x, c(8, 20));
+  const TermRef odd = tm.mkEq(tm.mkAnd(y, c(8, 1)), c(8, 1));
+  const TermRef even = tm.mkEq(tm.mkAnd(y, c(8, 1)), c(8, 0));
+  const struct {
+    std::vector<TermRef> q;
+    CheckResult want;
+  } steps[] = {
+      {{small, lo, odd, hi}, CheckResult::Unsat},
+      {{odd, small, even}, CheckResult::Unsat},
+      {{lo, odd, small}, CheckResult::Sat},
+      {{hi, even, small}, CheckResult::Sat},
+      {{hi, lo, even}, CheckResult::Unsat},
+      {{small, even, odd, lo}, CheckResult::Unsat},
+      {{small, lo}, CheckResult::Sat},
+      {{odd, hi}, CheckResult::Sat},
+  };
+  for (const auto& st : steps) {
+    EXPECT_EQ(s.check(st.q), st.want);
+  }
+  EXPECT_EQ(s.stats().coresKept, 2u);
+  EXPECT_EQ(s.stats().coreHits, 2u);
+  EXPECT_EQ(s.stats().warmUnsat, 4u);
+  EXPECT_EQ(s.telemetrySnapshot().directSolves, 8u);
+}
+
+TEST_F(WarmVerdicts, RegistryListsTheSameNames) {
+  // The warm core reports to no registry, yet a fresh-mode registry lists
+  // the SAT and blast names whether or not a fresh solve ran, and never
+  // the incremental mode's core counters.
+  auto names = [](const auto& metrics) {
+    std::string out;
+    for (const auto& entry : metrics) out += entry.first + " ";
+    return out;
+  };
+  for (const bool telFirst : {false, true}) {
+    telemetry::Telemetry tel;
+    SmtSolver f(tm);
+    if (telFirst) f.setTelemetry(&tel);
+    f.setFreshMode(true);
+    if (!telFirst) f.setTelemetry(&tel);
+    ASSERT_EQ(f.check({noSquare}), CheckResult::Unsat);
+    EXPECT_EQ(names(tel.metrics().counters()),
+              "blast.gates blast.terms_blasted sat.solves solver.cache_hits "
+              "solver.cache_misses solver.prefilter_hits "
+              "solver.prefilter_misses solver.queries ")
+        << telFirst;
+    EXPECT_EQ(names(tel.metrics().histograms()),
+              "sat.conflicts_per_solve sat.decisions_per_solve "
+              "solver.query_us ")
+        << telFirst;
+    EXPECT_EQ(tel.metrics().counters().at("sat.solves").value, 0u);
+    EXPECT_EQ(tel.metrics().counters().at("blast.gates").value, 0u);
+    // A Sat is solved fresh, on the books.
+    ASSERT_EQ(f.check(product), CheckResult::Sat);
+    EXPECT_EQ(tel.metrics().counters().at("sat.solves").value, 1u);
+  }
+}
+
+// Fresh mode solves every query the warm core does not refute on one SAT
+// core and bit-blaster, reset to the just-constructed state before each
+// query. The reuse must not show: one solver answering a sequence gives
+// the verdicts, models and stats totals of a new solver per query.
 TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
   TermManager tm;
   auto c = [&](unsigned w, uint64_t v) { return tm.mkConst(w, v); };
@@ -401,9 +588,10 @@ TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
 // Every check()/checkNoModel() runs one pipeline: short-circuits, kept-
 // core lookup (incremental mode), cache lookup, deadline, prefilter
 // consult, solve, publish. The configurations differ only in the solve
-// step (incremental core or reset fresh core), in which cache, if any,
-// sits in front of it, and in whether kept cores do. One query sequence,
-// run through all eight, pins what each configuration observes.
+// step (incremental core, or warm core then reset fresh core), in which
+// cache, if any, sits in front of it, and in where kept cores sit. One
+// query sequence, run through all eight, pins what each configuration
+// observes.
 struct PipelineConfig {
   const char* name;
   bool fresh;      // fresh mode (else incremental)
@@ -515,9 +703,11 @@ TEST(QueryPipeline, SameSequenceThroughEveryConfiguration) {
   // the model of the model-less prefilter entry; uncached, each check()
   // re-judges and restores. Both constant-false checks short-circuit
   // (uncached) in every mode, and so does step 7 in incremental mode,
-  // where a kept core answers it at zero cost; fresh mode solves it.
-  // Canonical costs depend only on the solve step: incremental blasting
-  // reuses earlier queries' terms.
+  // where a kept core answers it at zero cost; fresh mode's warm core
+  // answers it inside the solve step, which keeps its bucket. Canonical
+  // costs depend only on the solve step: incremental blasting reuses
+  // earlier queries' terms, and fresh mode pays only for Sat and Unknown
+  // verdicts (steps 1, 2 and 4), as every Unsat is a warm answer.
   const std::vector<uint64_t> m = {15, 15, 9, 9};
   const struct {
     PipelineConfig cfg;
@@ -532,13 +722,13 @@ TEST(QueryPipeline, SameSequenceThroughEveryConfiguration) {
       {{"incremental, no cache, no prefilter", false, false, false},
        {"SSSSSU??UUUU", m, 0, 3, 0, 9, 0, 0, 0, {25, 980, 5}}},
       {{"fresh, shared cache, prefilter", true, true, true},
-       {"SSSSSU??UUUU", m, 3, 2, 7, 0, 3, 7, 1, {59, 2001, 5}}},
+       {"SSSSSU??UUUU", m, 3, 2, 7, 0, 3, 7, 1, {36, 1662, 4}}},
       {{"fresh, shared cache, no prefilter", true, true, false},
-       {"SSSSSU??UUUU", m, 3, 2, 0, 7, 0, 0, 0, {74, 2061, 5}}},
+       {"SSSSSU??UUUU", m, 3, 2, 0, 7, 0, 0, 0, {51, 1722, 4}}},
       {{"fresh, no cache, prefilter", true, false, true},
-       {"SSSSSU??UUUU", m, 0, 2, 10, 0, 3, 7, 2, {59, 2001, 5}}},
+       {"SSSSSU??UUUU", m, 0, 2, 10, 0, 3, 7, 2, {36, 1662, 4}}},
       {{"fresh, no cache, no prefilter", true, false, false},
-       {"SSSSSU??UUUU", m, 0, 2, 0, 10, 0, 0, 0, {74, 2061, 5}}},
+       {"SSSSSU??UUUU", m, 0, 2, 0, 10, 0, 0, 0, {51, 1722, 4}}},
   };
   for (const auto& row : rows) {
     EXPECT_EQ(runPipelineSequence(row.cfg), row.want) << row.cfg.name;

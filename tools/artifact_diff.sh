@@ -16,7 +16,7 @@
 #    over variables their pools created in different orders;
 #  - every path through the solver's query pipeline: bitcount3 with
 #    --prefilter=off (sequential and --jobs 1) and at --jobs 2
-#    --qcache=off (fresh mode without a cache);
+#    --qcache=on (fresh mode with the shared cache, off by default);
 #  - bitcount3 with --merge --strategy bfs, and with --query-log (every
 #    corpus file compared);
 #  - parse2 under --strategy coverage and --strategy random.
@@ -163,7 +163,7 @@ for isa in acc8 m16 rv32e stk16; do
   done
 
   # Solver configurations the default runs never reach: every cache miss
-  # solved without the prefilter, and fresh mode without a shared cache.
+  # solved without the prefilter, and fresh mode with the shared cache.
   img="$scratch/img/$isa-bitcount3.img"
   both "$isa-prefilter-off-seq" explore "$isa" "$img" "${observe[@]}" \
     --prefilter=off
@@ -171,9 +171,9 @@ for isa in acc8 m16 rv32e stk16; do
   both "$isa-prefilter-off-j1" explore "$isa" "$img" "${observe[@]}" \
     --prefilter=off --jobs 1
   same "$isa-prefilter-off-j1" "${common[@]}" events.jsonl manifest.json
-  both "$isa-qcache-off-j2" explore "$isa" "$img" "${observe[@]}" \
-    --jobs 2 --qcache=off
-  same "$isa-qcache-off-j2" "${common[@]}" events.canon
+  both "$isa-qcache-on-j2" explore "$isa" "$img" "${observe[@]}" \
+    --jobs 2 --qcache=on
+  same "$isa-qcache-on-j2" "${common[@]}" events.canon
 
   both "$isa-merge-bfs" explore "$isa" "$img" "${observe[@]}" \
     --merge --strategy bfs

@@ -18,9 +18,10 @@ adlsym::workloads::PProgram byName(const std::string& name) {
   if (name == "checksum2") return progChecksum(2);
   if (name == "parse2") return progParse(2);
   if (name == "sort4") return progSort(4);
+  if (name == "sort5") return progSort(5);
   throw adlsym::InputError("unknown workload '" + name +
                            "' (want bitcount3|earlyexit4|max3|checksum2|"
-                           "parse2|sort4)");
+                           "parse2|sort4|sort5)");
 }
 
 }  // namespace
