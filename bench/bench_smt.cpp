@@ -115,7 +115,8 @@ void cacheTable() {
 
 void sharedCacheTable() {
   std::printf(
-      "(d) shared query cache under the parallel engine (--qcache,\n"
+      "(d) shared query cache under the parallel engine\n"
+      "    (ParallelConfig::qcache, which the CLI leaves unset;\n"
       "    docs/parallelism.md; hit/miss counts are jobs-invariant)\n\n");
   benchutil::Table table({"jobs", "qcache", "queries", "hits", "misses",
                           "hit-rate", "wall-ms"},

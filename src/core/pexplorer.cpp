@@ -16,7 +16,6 @@
 #include "core/testgen.h"
 #include "smt/presolver.h"
 #include "smt/printer.h"
-#include "smt/qcache.h"
 #include "support/error.h"
 #include "support/fault.h"
 #include "support/json.h"
@@ -540,11 +539,6 @@ struct Engine {
     const smt::SolverTelemetry solver = solverSum();
     w.key("solver");
     writeSolverCkpt(w, solver);
-
-    if (cfg.qcache != nullptr) {
-      w.key("qcache");
-      cfg.qcache->writeCkptJson(w);
-    }
 
     // Worker-side metrics only (plus the restored baseline): the
     // coordinator's own registry re-accumulates deterministically when

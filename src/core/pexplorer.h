@@ -1,8 +1,9 @@
 // Deterministic multi-threaded exploration engine (docs/parallelism.md).
 // `explore --jobs=N` routes here instead of the sequential Explorer: a
 // pool of N workers, each with a private TermManager + SmtSolver in fresh
-// per-query mode, cooperates over the frontier through work stealing and
-// an optional shared single-flight query cache (src/smt/qcache.h).
+// per-query mode, cooperates over the frontier through work stealing.
+// An API caller may also attach a shared single-flight query cache
+// (src/smt/qcache.h); the CLI attaches none.
 //
 // Determinism contract: under --clock=manual the merged results — stats
 // JSON, path forest, per-path test inputs and stdout — are byte-identical
@@ -52,7 +53,7 @@ struct ParallelConfig {
   ExplorerConfig base;             // strategy, budgets, live observer
   unsigned jobs = 1;               // worker threads (clamped to >= 1)
   uint64_t manualClockStepUs = 0;  // per-worker ManualClock step; 0 = system
-  smt::QueryCache* qcache = nullptr;  // shared cache; null = solve per query
+  smt::QueryCache* qcache = nullptr;  // shared cache; null (the CLI) = none
   uint64_t solverConflictBudget = 0;
   uint64_t solverTimeoutMicros = 0;   // per-query deadline on worker clocks
   /// Accumulate per-shape query rows in every worker solver (profiler

@@ -30,7 +30,6 @@
 #include "obs/querylog.h"
 #include "obs/replay.h"
 #include "smt/presolver.h"
-#include "smt/qcache.h"
 #include "support/atomicio.h"
 #include "support/error.h"
 #include "support/fault.h"
@@ -349,10 +348,6 @@ std::string usage() {
       "  --jobs N             worker threads (1..64); results are byte-\n"
       "                       identical across N under --clock=manual.\n"
       "                       Incompatible with --merge and --query-log\n"
-      "  --qcache=on|off|N    shared SMT query cache across workers:\n"
-      "                       on = unbounded, off = solve every query\n"
-      "                       (default), N = capacity with FIFO eviction\n"
-      "                       (eviction makes hit counts schedule-dependent)\n"
       "\n"
       "resource governor (explore; docs/robustness.md):\n"
       "  --max-frontier N       cap the frontier; excess states are\n"
@@ -755,7 +750,6 @@ CommandResult cmdExplore(const std::string& isaName,
   smt::SolverTelemetry solverTel;
   std::map<unsigned, smt::SmtSolver::ShapeRow> shapes;
   std::unique_ptr<obs::PathForestRecorder> forest;
-  std::unique_ptr<smt::QueryCache> qcache;
   std::string poolLine;
   const adl::ArchModel& m = *model;
   const bool interp = opt.engine == "interp";
@@ -764,14 +758,6 @@ CommandResult cmdExplore(const std::string& isaName,
     if (resuming && sites) {
       if (const json::Value* sv = resumeDoc.find("sites")) {
         sites->restoreFromCkpt(*sv);
-      }
-    }
-    if (opt.qcacheOn) {
-      qcache = std::make_unique<smt::QueryCache>(opt.qcacheCapacity);
-      if (resuming) {
-        if (const json::Value* qv = resumeDoc.find("qcache")) {
-          qcache->restoreFromCkpt(*qv);
-        }
       }
     }
     // Workers invoke the observers concurrently; one lock around the
@@ -784,7 +770,6 @@ CommandResult cmdExplore(const std::string& isaName,
     if (!mux.empty()) pcfg.base.observer = &locked;
     pcfg.jobs = static_cast<unsigned>(opt.jobs);
     pcfg.manualClockStepUs = opt.manualClockStepUs;
-    pcfg.qcache = qcache.get();
     pcfg.prefilter = opt.prefilterOn;
     pcfg.solverConflictBudget = sopt.solverConflictBudget;
     pcfg.solverTimeoutMicros = opt.solverTimeoutMs * 1000;
@@ -961,10 +946,6 @@ CommandResult cmdExplore(const std::string& isaName,
     // accumulation paths.
     rep.engineRtlTicks = rtlProf->total();
     rep.solver = solverTel;
-    if (qcache) {
-      rep.hasQcache = true;
-      rep.qcache = qcache->stats();
-    }
     rep.shapes = &shapes;
   }
 
@@ -984,17 +965,15 @@ CommandResult cmdExplore(const std::string& isaName,
     w.key("prefilter");
     solverTel.writePrefilterJson(w);
     if (parallel) {
-      // The shared query cache. Note no "jobs" field anywhere in the
-      // document — byte-identity across --jobs values is the contract,
-      // so the document cannot mention the jobs count.
+      // The shared-query-cache block (since adlsym-stats-v4). The CLI
+      // attaches no shared cache, so it always reads disabled. Note no
+      // "jobs" field anywhere in the document — byte-identity across
+      // --jobs values is the contract, so the document cannot mention
+      // the jobs count.
       w.key("qcache");
-      if (qcache) {
-        qcache->stats().writeJson(w);
-      } else {
-        w.beginObject();
-        w.kv("enabled", false);
-        w.endObject();
-      }
+      w.beginObject();
+      w.kv("enabled", false);
+      w.endObject();
     }
     sites->writeJson(w);
     // v5 addition: the profile summary block (profiling runs only).
@@ -1303,16 +1282,6 @@ CommandResult dispatch(const std::vector<std::string>& args) {
         } else if (startsWith(args[i], "--engine=")) {
           return fail("bad --engine '" + args[i] +
                       "' (want bytecode|interp)");
-        } else if (args[i] == "--qcache=on") {
-          opt.qcacheOn = true;
-          opt.qcacheCapacity = 0;
-        } else if (args[i] == "--qcache=off") {
-          opt.qcacheOn = false;
-        } else if (startsWith(args[i], "--qcache=")) {
-          const auto v = parseInt(args[i].substr(9));
-          if (!v || *v == 0) return fail("bad --qcache '" + args[i] + "'");
-          opt.qcacheOn = true;
-          opt.qcacheCapacity = *v;
         } else if (args[i] == "--progress") {
           opt.progressSeconds = 1.0;
         } else if (startsWith(args[i], "--progress=")) {

@@ -102,14 +102,6 @@ struct ExploreOptions {
   /// stats JSON, path forest and generated test inputs are byte-identical
   /// across every jobs value. Incompatible with --merge and --query-log.
   uint64_t jobs = 0;
-  /// Shared SMT query cache for the parallel engine (--qcache=on|off|N).
-  /// Off by default: with warm Unsat verdicts it keys every query for a
-  /// handful of hits (docs/parallelism.md). Ignored by the sequential
-  /// explorer, which has its own per-solver cache.
-  bool qcacheOn = false;
-  /// Cache entry capacity; 0 = unbounded (the deterministic default —
-  /// a binding capacity makes hit counts depend on scheduling).
-  uint64_t qcacheCapacity = 0;
   /// Abstract-interpretation pre-solver in front of bit-blasting
   /// (--prefilter=on|off, docs/absdomain.md). Applies to both engines;
   /// per-worker in the parallel engine (shared-nothing).

@@ -251,11 +251,6 @@ void ProfileReport::writeJson(std::ostream& os) const {
   }
   w.endObject();
 
-  if (hasQcache) {
-    w.key("qcache");
-    qcache.writeJson(w);
-  }
-
   const Reconcile r = reconcile();
   w.key("reconcile").beginObject();
   w.kv("site_rtl_ticks", r.siteRtlTicks);
@@ -326,11 +321,6 @@ std::string ProfileReport::formatText() const {
      << " consulted=" << solver.preConsulted << " sat=" << solver.preSat
      << " unsat=" << solver.preUnsat << " fallbacks=" << solver.preFallback
      << " direct=" << solver.directSolves << "\n";
-  if (hasQcache) {
-    os << "qcache: hits=" << qcache.hits << " misses=" << qcache.misses
-       << " evictions=" << qcache.evictions << " entries=" << qcache.entries
-       << "\n";
-  }
 
   if (prof != nullptr) {
     // Hottest opcodes by RTL ticks.

@@ -30,7 +30,6 @@
 #include "core/observer.h"
 #include "core/rtlprofile.h"
 #include "decode/decoder.h"
-#include "smt/qcache.h"
 #include "smt/solver.h"
 
 namespace adlsym::json {
@@ -109,7 +108,7 @@ class ProfileCollector final : public core::ExploreObserver {
 };
 
 /// Joined view rendered after a run: collector sites + RTL statement
-/// tables + solver/qcache aggregates. Plain struct — the CLI fills the
+/// tables + solver aggregates. Plain struct — the CLI fills the
 /// fields it has and calls the writers; null optional parts are skipped.
 struct ProfileReport {
   std::string isa;      // ArchModel name
@@ -122,8 +121,6 @@ struct ProfileReport {
   uint64_t engineRtlTicks = 0;  // engine.rtl_ticks counter (merged)
 
   smt::SolverTelemetry solver;  // aggregate snapshot (merged across workers)
-  bool hasQcache = false;       // shared cache attached (parallel runs)
-  smt::QueryCache::Stats qcache;
   /// Per-shape rows; null when shape profiling was off.
   const std::map<unsigned, smt::SmtSolver::ShapeRow>* shapes = nullptr;
 

@@ -6,7 +6,6 @@
 
 #include "smt/solver.h"
 #include "smt/termio.h"
-#include "support/json.h"
 
 namespace adlsym::smt {
 
@@ -204,122 +203,12 @@ void QueryCache::clear() {
   map_.clear();
 }
 
-void QueryCache::writeCkptJson(json::Writer& w) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<const std::string*> keys;
-  keys.reserve(map_.size());
-  for (const auto& [key, e] : map_) {
-    if (e.hit) keys.push_back(&key);
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  w.beginObject();
-  w.kv("hits", stats_.hits);
-  w.kv("misses", stats_.misses);
-  w.kv("evictions", stats_.evictions);
-  w.key("entries").beginArray();
-  for (const std::string* key : keys) {
-    const Outcome& e = map_.at(*key);
-    w.beginObject();
-    w.kv("k", std::string_view(*key));
-    w.kv("r", e.result == CheckResult::Sat ? "sat" : "unsat");
-    w.key("m").beginArray();
-    for (const uint64_t v : e.model) w.value(v);
-    w.endArray();
-    w.key("c").beginArray();
-    w.value(e.cost.terms).value(e.cost.gates).value(e.cost.conflicts);
-    w.endArray();
-    w.kv("hm", e.hasModel);
-    w.kv("p", static_cast<uint64_t>(e.preTag));
-    w.endObject();
-  }
-  w.endArray();
-  w.endObject();
-}
-
-void QueryCache::restoreFromCkpt(const json::Value& v) {
-  const auto num = [](const json::Value& f, const char* what) -> uint64_t {
-    if (!f.isU64()) {
-      throw InputError(std::string("qcache section: '") + what +
-                       "' is not a non-negative integer");
-    }
-    return f.asU64();
-  };
-  const auto u64 = [&](const char* name) -> uint64_t {
-    const json::Value* f = v.find(name);
-    if (f == nullptr) {
-      throw InputError(std::string("qcache section: missing '") + name + "'");
-    }
-    return num(*f, name);
-  };
-  const json::Value* entries = v.find("entries");
-  if (entries == nullptr || !entries->isArray()) {
-    throw InputError("qcache section: missing 'entries' array");
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  stats_.hits = u64("hits");
-  stats_.misses = u64("misses");
-  stats_.evictions = u64("evictions");
-  for (const json::Value& ev : entries->array) {
-    const json::Value* key = ev.find("k");
-    const json::Value* result = ev.find("r");
-    const json::Value* model = ev.find("m");
-    const json::Value* cost = ev.find("c");
-    if (key == nullptr || !key->isString() || result == nullptr ||
-        model == nullptr || !model->isArray() || cost == nullptr ||
-        !cost->isArray() || cost->array.size() != 3) {
-      throw InputError("qcache section: malformed entry");
-    }
-    Outcome e;
-    e.hit = true;
-    if (result->str == "sat") {
-      e.result = CheckResult::Sat;
-    } else if (result->str == "unsat") {
-      e.result = CheckResult::Unsat;
-    } else {
-      throw InputError("qcache section: bad result '" + result->str + "'");
-    }
-    e.model.reserve(model->array.size());
-    for (const json::Value& m : model->array) e.model.push_back(num(m, "m"));
-    e.cost.terms = num(cost->array[0], "c");
-    e.cost.gates = num(cost->array[1], "c");
-    e.cost.conflicts = num(cost->array[2], "c");
-    if (const json::Value* hm = ev.find("hm")) {
-      if (!hm->isBool()) throw InputError("qcache section: 'hm' is not a boolean");
-      e.hasModel = hm->boolean;
-    }
-    if (const json::Value* p = ev.find("p")) {
-      const uint64_t tag = num(*p, "p");
-      if (tag > 3) {
-        throw InputError("qcache section: 'p' is " + std::to_string(tag) +
-                         ", not a prefilter tag (0-3)");
-      }
-      e.preTag = static_cast<uint8_t>(tag);
-    }
-    auto [it, inserted] = map_.emplace(key->str, std::move(e));
-    if (inserted) fifo_.push_back(&it->first);
-  }
-  cv_.notify_all();
-}
-
 QueryCache::Stats QueryCache::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   Stats s = stats_;
   s.entries = fifo_.size();
   s.capacity = capacity_;
   return s;
-}
-
-void QueryCache::Stats::writeJson(json::Writer& w) const {
-  w.beginObject();
-  w.kv("enabled", true);
-  w.kv("capacity", static_cast<uint64_t>(capacity));
-  w.kv("entries", static_cast<uint64_t>(entries));
-  w.kv("hits", hits);
-  w.kv("misses", misses);
-  w.kv("evictions", evictions);
-  w.kv("hit_rate", hitRate());
-  w.endObject();
 }
 
 }  // namespace adlsym::smt

@@ -40,11 +40,6 @@
 
 #include "smt/term.h"
 
-namespace adlsym::json {
-class Writer;
-struct Value;
-}
-
 namespace adlsym::smt {
 
 enum class CheckResult;  // smt/solver.h
@@ -95,9 +90,6 @@ class QueryCache {
       const uint64_t total = hits + misses;
       return total ? double(hits) / double(total) : 0.0;
     }
-    /// The "qcache" object of the stats schema (adlsym-stats-v8). Emits
-    /// only scheduling-independent fields.
-    void writeJson(json::Writer& w) const;
   };
   Stats stats() const;
 
@@ -146,21 +138,6 @@ class QueryCache {
 
   /// Drop every entry; the counters stay. No key may be in flight.
   void clear();
-
-  /// Serialize every completed entry plus the schedule-independent stats
-  /// counters — the "qcache" checkpoint section (adlsym-ckpt-v4,
-  /// docs/robustness.md). Entries emit in key order, so the bytes are
-  /// canonical across -jN at a quiescent checkpoint barrier. In-flight
-  /// entries cannot exist at a barrier and are skipped defensively.
-  void writeCkptJson(json::Writer& w) const;
-
-  /// Seed a fresh cache from a parsed writeCkptJson() section (--resume).
-  /// Restored entries hit exactly as the original run's suffix would
-  /// have, which keeps the 4-bucket query accounting byte-identical.
-  /// Restored FIFO order is key order, not original publish order — a
-  /// *binding* capacity may therefore evict differently after a resume
-  /// (same caveat as cross-jN determinism). Throws InputError.
-  void restoreFromCkpt(const json::Value& v);
 
   /// Canonical serialization of permanent ∪ assumptions (see file
   /// comment). `slotVars`, when non-null, receives the caller-pool Var

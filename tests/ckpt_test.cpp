@@ -511,13 +511,10 @@ TEST_F(CkptResume, FlagValidationAndIdentityMismatch) {
 // A checkpoint comes from outside the program, so a field of the wrong
 // JSON type is bad input (exit 2), never a silent default. Each case
 // rewrites one field of a real checkpoint and re-frames the document with
-// a valid trailer, so only the type check can reject it. The shared
-// query cache is on, so the file has the qcache section whose prefilter
-// tag "p" the last case corrupts.
+// a valid trailer, so only the type check can reject it.
 TEST_F(CkptResume, IllTypedFieldsRejected) {
   const std::string img = imageFor("rv32e");
   CliRun ref = makeRun("typed_ref", "rv32e", img, 1);
-  ref.args.push_back("--qcache=on");
   exec(ref);
   ASSERT_EQ(ref.exitCode, 0) << ref.stdoutText;
   const std::string blob = slurp(ref.ckpt);
@@ -531,7 +528,6 @@ TEST_F(CkptResume, IllTypedFieldsRejected) {
       {"complete", std::regex(R"("complete":true)"), R"("complete":1)"},
       {"steps", std::regex(R"("counters":\{"steps":\d+)"),
        R"("counters":{"steps":"7")"},
-      {"p", std::regex(R"("p":\d+)"), R"("p":300)"},
   };
   for (const auto& c : cases) {
     const std::string bad = std::regex_replace(
@@ -551,12 +547,11 @@ TEST_F(CkptResume, IllTypedFieldsRejected) {
 
 // Every older schema is refused with exit 2, whether its document is
 // re-framed with a valid trailer or framed exactly as that version did.
-// A v1 file holds its term table in pool order and its qcache keys in
-// the old constraint order, so this build would silently miss the
-// file's own cache entries. A v3 file's solver baseline and site costs
-// counted Unsat verdicts that --jobs workers now answer warm at cost 0,
-// and its run had the shared cache on by default, so resuming it would
-// give a document no uninterrupted run writes.
+// A v1 file holds its term table in pool order. A v3 file's solver
+// baseline and site costs counted Unsat verdicts that --jobs workers now
+// answer warm at cost 0, and its run had the shared query cache on by
+// default, which this build no longer offers, so resuming it would give
+// a document no uninterrupted run writes.
 TEST_F(CkptResume, OlderSchemaRejected) {
   const std::string img = imageFor("rv32e");
   CliRun ref = makeRun("schema_ref", "rv32e", img, 1);

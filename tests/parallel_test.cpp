@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "core/observer.h"
+#include "core/pexplorer.h"
+#include "core/rtlc.h"
 #include "driver/cli.h"
 #include "driver/session.h"
 #include "obs/progress.h"
@@ -370,54 +372,35 @@ TEST_F(ParallelDeterminism, Sort4AllIsasRepeated) {
   // sort4's branches compare inputs with each other and need the SAT
   // core, so a steal makes the thief build constraints over variables its
   // pool created in another order, and its warm core holds what it
-  // solved before. Repeated runs give different steals. Both shared-cache
-  // settings: off (the default) and on.
+  // solved before. Repeated runs give different steals.
   for (const char* isa : {"acc8", "m16", "rv32e", "stk16"}) {
     const std::string img = imageOf(workloads::progSort(4), "sort4", isa);
-    const std::vector<std::string> cacheFlags[] = {{}, {"--qcache=on"}};
-    for (const std::vector<std::string>& extra : cacheFlags) {
-      const RunArtifacts base = explore(isa, img, "dfs", 1, extra);
-      ASSERT_FALSE(base.forestJson.empty()) << isa;
-      const std::string cache = extra.empty() ? "" : " --qcache=on";
-      for (const unsigned jobs : {2u, 4u}) {
-        for (int run = 1; run <= 3; ++run) {
-          const RunArtifacts r = explore(isa, img, "dfs", jobs, extra);
-          const std::string where = std::string(isa) + " sort4" + cache +
-                                    " -j1 vs -j" + std::to_string(jobs) +
-                                    " run " + std::to_string(run);
-          EXPECT_EQ(base.exitCode, r.exitCode) << where;
-          EXPECT_EQ(base.stdoutText, r.stdoutText) << where;
-          EXPECT_EQ(base.statsJson, r.statsJson) << where;
-          EXPECT_EQ(base.forestJson, r.forestJson) << where;
-        }
+    const RunArtifacts base = explore(isa, img, "dfs", 1);
+    ASSERT_FALSE(base.forestJson.empty()) << isa;
+    for (const unsigned jobs : {2u, 4u}) {
+      for (int run = 1; run <= 3; ++run) {
+        const RunArtifacts r = explore(isa, img, "dfs", jobs);
+        const std::string where = std::string(isa) + " sort4 -j1 vs -j" +
+                                  std::to_string(jobs) + " run " +
+                                  std::to_string(run);
+        EXPECT_EQ(base.exitCode, r.exitCode) << where;
+        EXPECT_EQ(base.stdoutText, r.stdoutText) << where;
+        EXPECT_EQ(base.statsJson, r.statsJson) << where;
+        EXPECT_EQ(base.forestJson, r.forestJson) << where;
       }
     }
   }
 }
 
-TEST_F(ParallelDeterminism, QcacheOffIsStillDeterministic) {
-  const std::string img = imageFor("rv32e");
-  const RunArtifacts a = explore("rv32e", img, "dfs", 1, {"--qcache=off"});
-  const RunArtifacts b = explore("rv32e", img, "dfs", 4, {"--qcache=off"});
-  EXPECT_EQ(a.exitCode, b.exitCode);
-  EXPECT_EQ(a.stdoutText, b.stdoutText);
-  EXPECT_EQ(a.statsJson, b.statsJson);
-  EXPECT_EQ(a.forestJson, b.forestJson);
-  EXPECT_NE(a.statsJson.find("\"qcache\":{\"enabled\":false}"),
-            std::string::npos);
-}
-
-TEST_F(ParallelDeterminism, NoPathEndQueriesAndQcacheCountsReconcile) {
+TEST_F(ParallelDeterminism, NoPathEndQueriesAndBucketsReconcile) {
   // Path ends read their witnesses off the carried assignment, so every
   // query is a branch decision: the profile charges queries only to the
   // sites that fork (bitcount3's branches all do), never to the halts
-  // that end the 8 paths. With the shared cache on, every query that
-  // reaches it is one hit or one miss, and the solver counts the same
-  // hits.
+  // that end the 8 paths. No shared cache is attached, so every query is
+  // a short-circuit, a prefilter consultation or a direct solve.
   const std::string img = imageFor("rv32e");
-  const std::string prof = testing::TempDir() + "qcache_rv32e.profile.json";
-  const RunArtifacts r =
-      explore("rv32e", img, "dfs", 2, {"--profile=" + prof, "--qcache=on"});
+  const std::string prof = testing::TempDir() + "buckets_rv32e.profile.json";
+  const RunArtifacts r = explore("rv32e", img, "dfs", 2, {"--profile=" + prof});
   ASSERT_EQ(r.exitCode, 0) << r.stdoutText;
   const json::Value p = json::parse(slurp(prof));
   const json::Value* sites = p.find("sites");
@@ -433,14 +416,50 @@ TEST_F(ParallelDeterminism, NoPathEndQueriesAndQcacheCountsReconcile) {
   }
   const json::Value st = json::parse(r.statsJson);
   const json::Value& solver = *st.find("solver");
-  const json::Value& qcache = *st.find("qcache");
   const json::Value& pre = *st.find("prefilter");
   EXPECT_EQ(queries, solver.find("queries")->asU64());
   EXPECT_GT(queries, 0u);
-  EXPECT_EQ(qcache.find("hits")->asU64(), solver.find("cache_hits")->asU64());
-  EXPECT_EQ(qcache.find("hits")->asU64() + qcache.find("misses")->asU64() +
-                pre.find("shortcircuit")->asU64(),
-            solver.find("queries")->asU64());
+  EXPECT_EQ(solver.find("cache_hits")->asU64(), 0u);
+  EXPECT_EQ(pre.find("shortcircuit")->asU64() +
+                pre.find("consulted")->asU64() + pre.find("direct")->asU64(),
+            queries);
+}
+
+// PoolStats' warm counters, summed over the workers' solvers, against
+// the schedule-independent solver telemetry of the same run. With the
+// prefilter on and no deadline or shared cache, every query the
+// prefilter does not decide reaches a worker's warm core once, as a
+// kept-core hit or a warm solve, and every Unsat the prefilter does not
+// give is a warm answer.
+TEST(WarmPoolStats, SumOverWorkersMatchesTheSolverTelemetry) {
+  for (const char* isa : {"m16", "rv32e"}) {
+    auto s = Session::forPortable(workloads::progSort(4), isa);
+    const adl::ArchModel& model = s->model();
+    for (const unsigned jobs : {1u, 4u}) {
+      core::ParallelConfig pcfg;
+      pcfg.base = s->options().explorer;
+      pcfg.jobs = jobs;
+      pcfg.solverConflictBudget = s->options().solverConflictBudget;
+      core::ParallelExplorer pex(
+          s->image(), s->options().engine, pcfg,
+          [&](core::EngineServices& svc) -> std::unique_ptr<core::Executor> {
+            return std::make_unique<core::BytecodeExecutor>(model, svc);
+          });
+      pex.run();
+      const core::ParallelExplorer::PoolStats& ps = pex.poolStats();
+      const smt::SolverTelemetry& tel = pex.solverTelemetry();
+      const std::string where = std::string(isa) + " -j" + std::to_string(jobs);
+      ASSERT_EQ(tel.unknown, 0u) << where;
+      EXPECT_EQ(ps.warmSolves + ps.warmCoreHits,
+                tel.preFallback + tel.directSolves)
+          << where;
+      EXPECT_EQ(ps.warmUnsat, tel.unsat - tel.preUnsat) << where;
+      EXPECT_GT(ps.warmUnsat, 0u) << where;
+      EXPECT_GT(ps.warmCoreHits, 0u) << where;
+      EXPECT_LT(ps.warmCoreHits, ps.warmUnsat) << where;
+      EXPECT_GT(ps.warmConflicts, 0u) << where;
+    }
+  }
 }
 
 TEST_F(ParallelDeterminism, ParallelAgreesWithSequentialOnPathCounts) {

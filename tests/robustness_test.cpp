@@ -475,8 +475,9 @@ TEST_F(CliRobustness, ParallelRejectsIncompatibleModes) {
       dispatch({"explore", "rv32e", imgPath, "--jobs", "0"}).exitCode, 2);
   EXPECT_EQ(
       dispatch({"explore", "rv32e", imgPath, "--jobs", "65"}).exitCode, 2);
+  // The shared query cache has no flag: --qcache is an unknown option.
   EXPECT_EQ(
-      dispatch({"explore", "rv32e", imgPath, "--qcache=0"}).exitCode, 2);
+      dispatch({"explore", "rv32e", imgPath, "--qcache=on"}).exitCode, 2);
 }
 
 TEST_F(CliRobustness, MalformedImageReportsLineContext) {

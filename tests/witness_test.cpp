@@ -29,7 +29,6 @@
 #include "core/pexplorer.h"
 #include "core/rtlc.h"
 #include "driver/session.h"
-#include "smt/qcache.h"
 #include "workloads/defects.h"
 #include "workloads/programs.h"
 
@@ -200,19 +199,17 @@ uint64_t checkSequential(const Workload& w, const std::string& isa, Engine e,
   return explorer.run().paths.size();
 }
 
-/// Parallel engine at --jobs 2 with the shared cache and the prefilter,
-/// as the CLI builds it: one checked executor per worker.
+/// Parallel engine at --jobs 2 with the prefilter and no shared cache, as
+/// the CLI builds it: one checked executor per worker.
 uint64_t checkParallel(const Workload& w, const std::string& isa, Engine e,
                        Tally& tally) {
   auto s = Session::forPortable(w.program, isa, optionsFor(e, false));
   const adl::ArchModel& model = s->model();
-  smt::QueryCache qcache;
   WitnessObserver ob(tally);
   core::ParallelConfig pcfg;
   pcfg.base = s->options().explorer;
   pcfg.base.observer = &ob;
   pcfg.jobs = 2;
-  pcfg.qcache = &qcache;
   // The factory runs on the coordinator thread; the inner executors
   // outlive the workers, which run() destroys.
   std::vector<std::unique_ptr<core::Executor>> inners;
@@ -351,13 +348,11 @@ TEST(CarriedWitness, TwoPathProgramIssuesOneQuery) {
   {
     Session s("rv32e", kTwoPaths);
     const adl::ArchModel& model = s.model();
-    smt::QueryCache qcache;
     QueriesByPc ob;
     core::ParallelConfig pcfg;
     pcfg.base = s.options().explorer;
     pcfg.base.observer = &ob;
     pcfg.jobs = 2;
-    pcfg.qcache = &qcache;
     core::ParallelExplorer pex(
         s.image(), s.options().engine, pcfg,
         [&](core::EngineServices& svc) -> std::unique_ptr<core::Executor> {

@@ -14,9 +14,8 @@
 #    queries the prefilter rarely decides, so they go through bit-blasting
 #    and the SAT core, and whose steals make workers build constraints
 #    over variables their pools created in different orders;
-#  - every path through the solver's query pipeline: bitcount3 with
-#    --prefilter=off (sequential and --jobs 1) and at --jobs 2
-#    --qcache=on (fresh mode with the shared cache, off by default);
+#  - every path through the solver's query pipeline the default runs
+#    miss: bitcount3 with --prefilter=off (sequential and --jobs 1);
 #  - bitcount3 with --merge --strategy bfs, and with --query-log (every
 #    corpus file compared);
 #  - parse2 under --strategy coverage and --strategy random.
@@ -163,7 +162,7 @@ for isa in acc8 m16 rv32e stk16; do
   done
 
   # Solver configurations the default runs never reach: every cache miss
-  # solved without the prefilter, and fresh mode with the shared cache.
+  # solved without the prefilter.
   img="$scratch/img/$isa-bitcount3.img"
   both "$isa-prefilter-off-seq" explore "$isa" "$img" "${observe[@]}" \
     --prefilter=off
@@ -171,9 +170,6 @@ for isa in acc8 m16 rv32e stk16; do
   both "$isa-prefilter-off-j1" explore "$isa" "$img" "${observe[@]}" \
     --prefilter=off --jobs 1
   same "$isa-prefilter-off-j1" "${common[@]}" events.jsonl manifest.json
-  both "$isa-qcache-on-j2" explore "$isa" "$img" "${observe[@]}" \
-    --jobs 2 --qcache=on
-  same "$isa-qcache-on-j2" "${common[@]}" events.canon
 
   both "$isa-merge-bfs" explore "$isa" "$img" "${observe[@]}" \
     --merge --strategy bfs
