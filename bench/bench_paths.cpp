@@ -14,6 +14,7 @@
 #include "core/testgen.h"
 #include "driver/session.h"
 #include "isa/registry.h"
+#include "smt/presolver.h"
 #include "smt/qcache.h"
 #include "workloads/programs.h"
 
@@ -30,9 +31,7 @@ void series(const char* title, const char* label,
                          label);
   for (const unsigned x : xs) {
     for (const std::string& isaName : isa::allIsaNames()) {
-      driver::SessionOptions opt;
-      opt.prefilter = false;  // raw solver counts; (f) has the ablation
-      auto session = driver::Session::forPortable(make(x), isaName, opt);
+      auto session = driver::Session::forPortable(make(x), isaName);
       benchutil::Timer t;
       const auto summary = session->explore();
       table.addRow({benchutil::num(x), isaName,
@@ -56,7 +55,6 @@ void mergingSeries() {
   for (const unsigned bits : {4u, 6u, 8u}) {
     for (const bool merge : {false, true}) {
       driver::SessionOptions opt;
-      opt.prefilter = false;  // isolate the merging axis
       opt.explorer.mergeStates = merge;
       // Merging requires reconverging states to coexist on the frontier:
       // breadth-first scheduling maximizes that.
@@ -88,7 +86,6 @@ void governedSeries() {
       telemetry::ManualClock clk;
       telemetry::Telemetry tel(clk);
       driver::SessionOptions opt;
-      opt.prefilter = false;  // isolate the governor axis
       opt.telemetry = &tel;
       opt.explorer.maxFrontier = cap;
       // BFS is the worst case for frontier growth on the diamond chain
@@ -129,7 +126,6 @@ void parallelSeries() {
       core::ParallelConfig pcfg;
       pcfg.jobs = jobs;
       pcfg.qcache = &qcache;
-      pcfg.prefilter = false;  // isolate the jobs axis
       pcfg.solverConflictBudget = session->options().solverConflictBudget;
       core::ParallelExplorer pex(
           session->image(), session->options().engine, pcfg,
@@ -170,7 +166,6 @@ void checkpointSeries() {
       core::ParallelConfig pcfg;
       pcfg.jobs = 2;
       pcfg.qcache = &qcache;
-      pcfg.prefilter = false;  // isolate the checkpoint axis
       pcfg.manualClockStepUs = 1;  // the clock model checkpoints rely on
       pcfg.solverConflictBudget = session->options().solverConflictBudget;
       uint64_t writes = 0;
@@ -212,18 +207,19 @@ void checkpointSeries() {
 void prefilterSeries() {
   std::printf(
       "(f) abstract-interpretation prefilter on the exponential series\n"
-      "    (--prefilter, docs/absdomain.md; path counts invariant, blasted\n"
-      "    = queries that reached the bit-blaster)\n\n");
+      "    (smt::PreSolver attached through the API, docs/absdomain.md;\n"
+      "    path counts invariant, blasted = queries that reached the\n"
+      "    bit-blaster)\n\n");
   benchutil::Table table({"bits", "prefilter", "paths", "queries", "blasted",
                           "gates", "wall-ms", "blast-ratio"},
                          "prefilter");
   for (const unsigned bits : {4u, 6u, 8u}) {
     uint64_t blastedOff = 0;
     for (const bool pre : {false, true}) {
-      driver::SessionOptions opt;
-      opt.prefilter = pre;
       auto session = driver::Session::forPortable(
-          workloads::progBitcount(bits), "rv32e", opt);
+          workloads::progBitcount(bits), "rv32e");
+      smt::PreSolver presolver(session->termManager());
+      if (pre) session->solver().setPreSolver(&presolver);
       benchutil::Timer t;
       const auto summary = session->explore();
       const auto& st = session->solver().stats();

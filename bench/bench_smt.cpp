@@ -13,6 +13,7 @@
 #include "core/evaluator.h"
 #include "core/pexplorer.h"
 #include "driver/session.h"
+#include "smt/presolver.h"
 #include "smt/qcache.h"
 #include "workloads/programs.h"
 
@@ -26,10 +27,8 @@ void depthTable() {
                           "solve-ms", "total-ms", "solver-share"},
                          "depth");
   for (const unsigned n : {2u, 4u, 8u, 16u, 24u, 32u}) {
-    driver::SessionOptions opt;
-    opt.prefilter = false;  // measure the raw solver; (e) has the ablation
     auto session =
-        driver::Session::forPortable(workloads::progChecksum(n), "rv32e", opt);
+        driver::Session::forPortable(workloads::progChecksum(n), "rv32e");
     benchutil::Timer t;
     const auto summary = session->explore();
     const double totalMs = t.millis();
@@ -61,7 +60,6 @@ void ablationTable() {
   for (const Case& c : cases) {
     for (const bool rewrite : {true, false}) {
       driver::SessionOptions opt;
-      opt.prefilter = false;  // isolate the rewriter axis
       opt.rewriting = rewrite;
       auto session = driver::Session::forPortable(c.prog, "rv32e", opt);
       benchutil::Timer t;
@@ -97,7 +95,6 @@ void cacheTable() {
   for (const Case& c : cases) {
     for (const bool cache : {true, false}) {
       driver::SessionOptions opt;
-      opt.prefilter = false;  // isolate the cache axis
       opt.queryCache = cache;
       auto session = driver::Session::forPortable(c.prog, "rv32e", opt);
       benchutil::Timer t;
@@ -130,7 +127,6 @@ void sharedCacheTable() {
       core::ParallelConfig pcfg;
       pcfg.jobs = jobs;
       pcfg.qcache = cache ? &qcache : nullptr;
-      pcfg.prefilter = false;  // isolate the shared-cache axis
       pcfg.solverConflictBudget = session->options().solverConflictBudget;
       core::ParallelExplorer pex(
           session->image(), session->options().engine, pcfg,
@@ -153,9 +149,10 @@ void sharedCacheTable() {
 
 void prefilterTable() {
   std::printf(
-      "(e) abstract-interpretation prefilter ablation (--prefilter,\n"
-      "    docs/absdomain.md; identical exploration results, blasted =\n"
-      "    queries that reached the bit-blaster)\n\n");
+      "(e) abstract-interpretation prefilter ablation (smt::PreSolver\n"
+      "    attached through the API, docs/absdomain.md; identical\n"
+      "    exploration results, blasted = queries that reached the\n"
+      "    bit-blaster)\n\n");
   benchutil::Table table({"workload", "prefilter", "queries", "pre-sat",
                           "pre-unsat", "fallback", "blasted", "gates",
                           "solve-ms", "blast-ratio"},
@@ -171,9 +168,9 @@ void prefilterTable() {
   for (const Case& c : cases) {
     uint64_t blastedOff = 0;
     for (const bool pre : {false, true}) {
-      driver::SessionOptions opt;
-      opt.prefilter = pre;
-      auto session = driver::Session::forPortable(c.prog, "rv32e", opt);
+      auto session = driver::Session::forPortable(c.prog, "rv32e");
+      smt::PreSolver presolver(session->termManager());
+      if (pre) session->solver().setPreSolver(&presolver);
       (void)session->explore();
       const auto& st = session->solver().stats();
       const uint64_t blasted = st.preFallback + st.directSolves;

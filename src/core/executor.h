@@ -78,8 +78,8 @@ class EngineServices {
   /// satisfies is free and only the other one is decided.
   std::pair<Side, Side> branch(const MachineState& st, smt::TermRef cond);
 
-  /// A probe, for sides never entered: side()'s rule, but the query is a
-  /// checkNoModel(), as no model is read.
+  /// A probe, for sides never entered: side()'s rule, with no witness
+  /// taken.
   bool feasible(const MachineState& st, smt::TermRef c);
 
   /// Enter a feasible side: add its constraint to `st` and take its

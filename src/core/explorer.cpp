@@ -158,8 +158,6 @@ void setStepSolverDeltas(ExploreObserver::StepInfo& si,
   si.stepCanonTerms = after.canon.terms - before.canon.terms;
   si.stepCanonGates = after.canon.gates - before.canon.gates;
   si.stepCanonConflicts = after.canon.conflicts - before.canon.conflicts;
-  si.stepPrefilterHits = after.preHitSeen - before.preHitSeen;
-  si.stepPrefilterMisses = after.preMissSeen - before.preMissSeen;
 }
 
 ExploreSummary Explorer::run() {
@@ -191,7 +189,6 @@ ExploreSummary Explorer::run() {
   // Solver-work baseline so StepInfo can report run-relative deltas even
   // when the solver instance is shared across explorations.
   const smt::SmtSolver::Stats solverBase = svc_.solver.stats();
-  const uint64_t cacheHitsBase = svc_.solver.cacheHits();
 
   std::vector<Frontier> frontier;
   uint64_t orderCounter = 0;
@@ -388,7 +385,6 @@ ExploreSummary Explorer::run() {
       si.runSolverMicros = after.totalMicros - solverBase.totalMicros;
       si.depth = cur.state.forks;
       si.stepRtlTicks = out.rtlTicks;
-      si.runCacheHits = svc_.solver.cacheHits() - cacheHitsBase;
       if (wantKeys) si.pathKey = cur.key;
       si.pathSteps = cur.state.steps;  // pre-step count (cur is unstepped)
       si.frontierBytes = frontierBytes;

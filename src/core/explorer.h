@@ -87,8 +87,8 @@ PathResult finishPath(EngineServices& svc, MachineState&& st,
                       telemetry::Counter* pathsCtr);
 
 /// Fill the step-scoped solver fields of `si` (queries, latency,
-/// canonical cost, prefilter outcomes): the deltas between the solver's
-/// stats before and after one step.
+/// canonical cost): the deltas between the solver's stats before and
+/// after one step.
 void setStepSolverDeltas(ExploreObserver::StepInfo& si,
                          const smt::SmtSolver::Stats& before,
                          const smt::SmtSolver::Stats& after);

@@ -104,16 +104,6 @@ class ExploreObserver {
     uint64_t stepCanonTerms = 0;
     uint64_t stepCanonGates = 0;
     uint64_t stepCanonConflicts = 0;
-    /// Query-cache hits since the run began (sequential: the solver's
-    /// local cache; parallel: this worker's shared-cache hits). Feeds the
-    /// heartbeat hit-rate together with runSolverQueries.
-    uint64_t runCacheHits = 0;
-    /// Abstract-prefilter outcomes charged to this step, per issuance:
-    /// queries whose key the prefilter decided (hits) or judged and fell
-    /// through on (misses). Replayed through the query cache like the
-    /// canon costs, so the per-site sums are identical across -jN.
-    uint64_t stepPrefilterHits = 0;
-    uint64_t stepPrefilterMisses = 0;
     /// Structural path key of the stepped state (see wantsPathKeys);
     /// empty unless an attached observer opted in.
     std::string pathKey;

@@ -430,7 +430,7 @@ struct Engine {
   }
 
   /// Serialize the full exploration state into cfg.checkpointPath
-  /// (adlsym-ckpt-v4, atomic replace). Every other worker must be
+  /// (adlsym-ckpt-v5, atomic replace). Every other worker must be
   /// quiescent — parked under mu, signal-parked, or joined — so worker
   /// frontiers, term pools and counters are safe to read.
   void writeCheckpointQuiesced(bool complete, const std::string& stopR,
@@ -561,7 +561,6 @@ struct Engine {
       info.pathsDone = gPathsDone.load(std::memory_order_relaxed);
       info.coveredPcs = coveredPcs;
       info.solverQueries = solver.queries;
-      info.cacheHits = solver.cacheHits;
       info.solverMicros = solver.totalMicros;
       cfg.ckptExtras(w, info);
     }
@@ -858,7 +857,6 @@ struct Engine {
       si.runSolverMicros = after.totalMicros;
       si.depth = cur.state.forks;
       si.stepRtlTicks = out.rtlTicks;
-      si.runCacheHits = w.solver.cacheHits();
       if (wantKeys) si.pathKey = keyToString(cur.key);
       si.pathSteps = cur.state.steps;  // pre-step count (cur is unstepped)
       si.frontierBytes = gFrontierBytes.load(std::memory_order_relaxed);

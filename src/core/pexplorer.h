@@ -62,7 +62,8 @@ struct ParallelConfig {
   /// Attach a per-worker abstract pre-solver (smt/presolver.h) to every
   /// worker solver. Shared-nothing like the term pools; verdicts are
   /// structural, so enabling it never perturbs the determinism contract.
-  bool prefilter = true;
+  /// Off by default and never set by the CLI (docs/absdomain.md).
+  bool prefilter = false;
   /// Extra query listener attached to every worker solver (not owned;
   /// null = none). Invoked from worker threads concurrently, so it must be
   /// thread-safe — the flight recorder (obs::EventBus) qualifies.
@@ -80,7 +81,6 @@ struct ParallelConfig {
     uint64_t pathsDone = 0;
     uint64_t coveredPcs = 0;
     uint64_t solverQueries = 0;
-    uint64_t cacheHits = 0;
     uint64_t solverMicros = 0;
   };
   /// Write a checkpoint to `checkpointPath` every time all live states
@@ -89,7 +89,7 @@ struct ParallelConfig {
   /// is canonical across --jobs). 0 = no periodic checkpoints (the file,
   /// if configured, is still written on graceful stop and at run end).
   uint64_t checkpointEverySteps = 0;
-  std::string checkpointPath;  // adlsym-ckpt-v4 file; empty = off
+  std::string checkpointPath;  // adlsym-ckpt-v5 file; empty = off
   /// Run identity echoed into every checkpoint so --resume can verify the
   /// resumed command matches the checkpointed one.
   std::string ckptIsa;

@@ -39,9 +39,7 @@ std::pair<Side, Side> EngineServices::branch(const MachineState& st,
 
 bool EngineServices::feasible(const MachineState& st, smt::TermRef c) {
   if (witnessSatisfies(tm, st, c)) return true;
-  // The model is never read, so a conclusive abstract-prefilter Sat can
-  // short-circuit the solve entirely (smt/presolver.h).
-  return solver.checkNoModel(withCond(st, c)) == smt::CheckResult::Sat;
+  return solver.check(withCond(st, c)) == smt::CheckResult::Sat;
 }
 
 Side EngineServices::decide(const MachineState& st, smt::TermRef c) {
@@ -79,7 +77,7 @@ void EngineServices::forkJumpTargets(MachineState&& st, smt::TermRef target,
     blocking.push_back(tm.mkNe(target, at));
   }
   // Values beyond the bound are dropped; record the state as a budget end.
-  if (solver.checkNoModel(blocking) == smt::CheckResult::Sat) {
+  if (solver.check(blocking) == smt::CheckResult::Sat) {
     st.status = PathStatus::Budget;
     out.successors.push_back(std::move(st));
   }

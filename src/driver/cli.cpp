@@ -29,7 +29,6 @@
 #include "obs/progress.h"
 #include "obs/querylog.h"
 #include "obs/replay.h"
-#include "smt/presolver.h"
 #include "support/atomicio.h"
 #include "support/error.h"
 #include "support/fault.h"
@@ -333,10 +332,6 @@ std::string usage() {
       "  --coverage                           per-insn coverage report\n"
       "  --lint                               lint model+image first;\n"
       "                                       error findings abort\n"
-      "  --prefilter=on|off                   abstract-interpretation\n"
-      "                                       pre-solver in front of bit-\n"
-      "                                       blasting (default on;\n"
-      "                                       docs/absdomain.md)\n"
       "  --engine=bytecode|interp             ADL execution engine: load-\n"
       "                                       time RTL bytecode compiler\n"
       "                                       (default) or the tree-walking\n"
@@ -367,7 +362,7 @@ std::string usage() {
       "                         stats documents)\n"
       "\n"
       "crash-safe checkpointing (explore; docs/robustness.md):\n"
-      "  --checkpoint=<file>    write an adlsym-ckpt-v4 checkpoint\n"
+      "  --checkpoint=<file>    write an adlsym-ckpt-v5 checkpoint\n"
       "                         (atomically replaced, self-hashed) at\n"
       "                         every level barrier, on SIGINT/SIGTERM,\n"
       "                         and at run end. Requires --clock=manual\n"
@@ -393,16 +388,16 @@ std::string usage() {
       "  --query-log=<dir>     capture every solver query as SMT-LIB +\n"
       "                        metadata; replay with `adlsym replay`\n"
       "  --progress[=N]        heartbeat to stderr every N seconds\n"
-      "                        (default 1); includes the qcache hit rate\n"
-      "                        and current frontier depth\n"
-      "  --profile=<file>      adlsym-profile-v3 cost attribution: per-\n"
+      "                        (default 1); includes the solver's share\n"
+      "                        of wall time and current frontier depth\n"
+      "  --profile=<file>      adlsym-profile-v4 cost attribution: per-\n"
       "                        opcode / per-RTL-statement tick counts and\n"
       "                        per-branch-site canonical solver cost;\n"
       "                        byte-identical across --jobs under\n"
       "                        --clock=manual\n"
       "  --profile-folded=<f>  collapsed-stack lines for flamegraph\n"
       "                        tooling\n"
-      "  --events=<file|->     adlsym-events-v1 flight recorder: one JSONL\n"
+      "  --events=<file|->     adlsym-events-v2 flight recorder: one JSONL\n"
       "                        event per step/fork/path/query plus periodic\n"
       "                        snapshots; the deterministic event set is\n"
       "                        identical across --jobs under --clock=manual\n"
@@ -770,7 +765,6 @@ CommandResult cmdExplore(const std::string& isaName,
     if (!mux.empty()) pcfg.base.observer = &locked;
     pcfg.jobs = static_cast<unsigned>(opt.jobs);
     pcfg.manualClockStepUs = opt.manualClockStepUs;
-    pcfg.prefilter = opt.prefilterOn;
     pcfg.solverConflictBudget = sopt.solverConflictBudget;
     pcfg.solverTimeoutMicros = opt.solverTimeoutMs * 1000;
     pcfg.solverShapeProfile = profiling;
@@ -813,7 +807,6 @@ CommandResult cmdExplore(const std::string& isaName,
           g.pathsDone = info.pathsDone;
           g.covered = info.coveredPcs;
           g.queries = info.solverQueries;
-          g.cacheHits = info.cacheHits;
           g.solverMicros = info.solverMicros;
           w.key("events").beginObject();
           w.kv("offset", static_cast<uint64_t>(bytes.size()));
@@ -876,11 +869,6 @@ CommandResult cmdExplore(const std::string& isaName,
     smt::SmtSolver solver(tm);
     solver.setConflictBudget(sopt.solverConflictBudget);
     solver.setQueryTimeoutMicros(opt.solverTimeoutMs * 1000);
-    std::unique_ptr<smt::PreSolver> presolver;
-    if (opt.prefilterOn) {
-      presolver = std::make_unique<smt::PreSolver>(tm);
-      solver.setPreSolver(presolver.get());
-    }
     if (fr.bus) solver.addQueryListener(fr.bus.get());
     if (wantForest) {
       forest = std::make_unique<obs::PathForestRecorder>();
@@ -961,7 +949,9 @@ CommandResult cmdExplore(const std::string& isaName,
     core::writeSummaryJson(w, summary);
     w.key("solver");
     solverTel.writeJson(w);
-    // v6 addition: the abstract-prefilter block (docs/absdomain.md).
+    // v6 addition: the abstract-prefilter block (docs/absdomain.md). No
+    // exploration attaches the prefilter, so it reads enabled:false and
+    // carries the query buckets' shortcircuit and direct counts.
     w.key("prefilter");
     solverTel.writePrefilterJson(w);
     if (parallel) {
@@ -1270,12 +1260,6 @@ CommandResult dispatch(const std::vector<std::string>& args) {
             return fail("bad --jobs count '" + v + "' (want 1..64)");
           }
           opt.jobs = *n;
-        } else if (args[i] == "--prefilter=on") {
-          opt.prefilterOn = true;
-        } else if (args[i] == "--prefilter=off") {
-          opt.prefilterOn = false;
-        } else if (startsWith(args[i], "--prefilter=")) {
-          return fail("bad --prefilter '" + args[i] + "' (want on|off)");
         } else if (args[i] == "--engine=bytecode" ||
                    args[i] == "--engine=interp") {
           opt.engine = args[i].substr(9);

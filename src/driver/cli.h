@@ -102,10 +102,6 @@ struct ExploreOptions {
   /// stats JSON, path forest and generated test inputs are byte-identical
   /// across every jobs value. Incompatible with --merge and --query-log.
   uint64_t jobs = 0;
-  /// Abstract-interpretation pre-solver in front of bit-blasting
-  /// (--prefilter=on|off, docs/absdomain.md). Applies to both engines;
-  /// per-worker in the parallel engine (shared-nothing).
-  bool prefilterOn = true;
   /// ADL execution engine (--engine=bytecode|interp): the load-time RTL
   /// bytecode compiler with superblock fusing (default) or the
   /// tree-walking reference interpreter. Artifacts are byte-identical
@@ -113,7 +109,7 @@ struct ExploreOptions {
   std::string engine = "bytecode";
 
   // ---- profiler (docs/observability.md) ------------------------------
-  /// Write the adlsym-profile-v3 cost-attribution document here ("" =
+  /// Write the adlsym-profile-v4 cost-attribution document here ("" =
   /// off). Byte-identical across --jobs values under --clock=manual.
   std::string profilePath;
   /// Write collapsed-stack lines for flamegraph tooling here ("" = off).
@@ -126,7 +122,7 @@ struct ExploreOptions {
   std::string programLabel;
 
   // ---- flight recorder (docs/observability.md) -----------------------
-  /// Stream the adlsym-events-v1 JSONL event stream here ("" = off;
+  /// Stream the adlsym-events-v2 JSONL event stream here ("" = off;
   /// "-" = stdout). The deterministic event *set* is identical across
   /// --jobs values under --clock=manual (tools/events_canon).
   std::string eventsPath;
@@ -141,7 +137,7 @@ struct ExploreOptions {
   std::vector<std::string> argvEcho;
 
   // ---- crash-safe checkpointing (docs/robustness.md) -----------------
-  /// Write an adlsym-ckpt-v4 checkpoint here ("" = off): at every level
+  /// Write an adlsym-ckpt-v5 checkpoint here ("" = off): at every level
   /// barrier (--checkpoint-every), on graceful SIGINT/SIGTERM stop, and
   /// at run end. Requires --clock=manual (the kill/resume byte-identity
   /// contract is defined on the deterministic clock) and routes to the
@@ -183,7 +179,7 @@ struct TailOptions {
 };
 
 /// `adlsym tail <events-file>` — live terminal inspector over an
-/// adlsym-events-v1 stream (file or fifo): renders the run dashboard,
+/// adlsym-events-v2 stream (file or fifo): renders the run dashboard,
 /// redrawing as events arrive, until run_end. Exit 2 on a malformed
 /// stream.
 CommandResult cmdTail(const std::string& eventsPath, const TailOptions& opt);

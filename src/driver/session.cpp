@@ -24,10 +24,6 @@ Session::Session(const std::string& isa, const std::string& asmSource,
   solver_->setConflictBudget(opt_.solverConflictBudget);
   solver_->setQueryTimeoutMicros(opt_.solverTimeoutMicros);
   solver_->setQueryCacheEnabled(opt_.queryCache);
-  if (opt_.prefilter) {
-    presolver_ = std::make_unique<smt::PreSolver>(tm_);
-    solver_->setPreSolver(presolver_.get());
-  }
   svc_ = std::make_unique<core::EngineServices>(tm_, *solver_, image_,
                                                 opt_.engine, opt_.telemetry);
   if (opt_.useBaselineEngine) {

@@ -15,7 +15,6 @@
 #include "core/evaluator.h"
 #include "core/explorer.h"
 #include "loader/image.h"
-#include "smt/presolver.h"
 #include "smt/solver.h"
 #include "support/telemetry.h"
 #include "workloads/pgen.h"
@@ -36,10 +35,6 @@ struct SessionOptions {
   bool rewriting = true;
   /// Disable the solver's query cache (E4 ablation).
   bool queryCache = true;
-  /// Abstract-interpretation pre-solver in front of bit-blasting
-  /// (smt/presolver.h, docs/absdomain.md). On by default; --prefilter=off
-  /// and the bench ablations switch it off.
-  bool prefilter = true;
   /// SAT conflict budget per solver query (0 = unlimited).
   uint64_t solverConflictBudget = 500000;
   /// Wall deadline per solver query in microseconds (0 = unlimited),
@@ -97,7 +92,6 @@ class Session {
   loader::Image image_;
   smt::TermManager tm_;
   std::unique_ptr<smt::SmtSolver> solver_;
-  std::unique_ptr<smt::PreSolver> presolver_;  // attached when opt.prefilter
   std::unique_ptr<core::EngineServices> svc_;
   std::unique_ptr<core::Executor> exec_;
 };

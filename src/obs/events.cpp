@@ -90,7 +90,7 @@ void EventBus::runBegin(const RunMeta& meta) {
   std::lock_guard<std::mutex> lk(mu_);
   meta_ = meta;
   lineBegin("run_begin");
-  kvS("schema", "adlsym-events-v1");
+  kvS("schema", "adlsym-events-v2");
   kvS("command", meta_.command);
   kvS("isa", meta_.isa);
   kvS("strategy", meta_.strategy);
@@ -140,10 +140,7 @@ void EventBus::onStepEnd(const StepInfo& info) {
   livePathsDone_ = info.pathsDone;
   liveCovered_ = info.coveredPcs;
   liveQueries_ = info.runSolverQueries;
-  liveCacheHits_ = info.runCacheHits;
   liveSolverMicros_ = info.runSolverMicros;
-  livePreHits_ += info.stepPrefilterHits;
-  livePreMisses_ += info.stepPrefilterMisses;
   ++depthHist_[depthBucket(info.depth)];
 
   // Deterministic fields only: everything below is attributed to the
@@ -160,8 +157,6 @@ void EventBus::onStepEnd(const StepInfo& info) {
   kvU("canon_terms", info.stepCanonTerms);
   kvU("canon_gates", info.stepCanonGates);
   kvU("canon_conflicts", info.stepCanonConflicts);
-  kvU("pre_hits", info.stepPrefilterHits);
-  kvU("pre_misses", info.stepPrefilterMisses);
   commit(counts_.step);
 
   ++stepEvents_;
@@ -217,7 +212,7 @@ void EventBus::onCheck(const std::vector<smt::TermRef>& /*permanent*/,
 
 void EventBus::heartbeat(size_t frontier, size_t pathsDone, uint64_t steps,
                          double stepsPerSec, size_t coveredPcs,
-                         double solverShare, double qcacheRate, uint64_t depth,
+                         double solverShare, uint64_t depth,
                          uint64_t frontierBytes) {
   std::lock_guard<std::mutex> lk(mu_);
   lineBegin("heartbeat");
@@ -230,7 +225,6 @@ void EventBus::heartbeat(size_t frontier, size_t pathsDone, uint64_t steps,
     kvD("coverage_pct", 100.0 * double(coveredPcs) / double(opts_.codePcs));
   }
   kvD("solver_share", solverShare);
-  kvD("qcache_hit_rate", qcacheRate);
   kvU("depth", depth);
   kvU("frontier_bytes", frontierBytes);
   commit(counts_.heartbeat, /*flushNow=*/true);
@@ -258,12 +252,8 @@ void EventBus::emitSnapshot() {
     kvD("coverage_pct", 100.0 * double(liveCovered_) / double(opts_.codePcs));
   }
   kvU("queries", liveQueries_);
-  kvD("qcache_hit_rate",
-      liveQueries_ != 0 ? double(liveCacheHits_) / double(liveQueries_) : 0.0);
   kvD("solver_share",
       elapsed != 0 ? double(liveSolverMicros_) / double(elapsed) : 0.0);
-  kvU("pre_hits", livePreHits_);
-  kvU("pre_misses", livePreMisses_);
   kvU("max_frontier", opts_.maxFrontier);
   kvU("mem_budget_bytes", opts_.memBudgetBytes);
   line_ += ",\"depth_hist\":[";
@@ -286,7 +276,7 @@ void EventBus::writeStatsJson(json::Writer& w) const {
   std::lock_guard<std::mutex> lk(mu_);
   w.beginObject();
   w.kv("enabled", true);
-  w.kv("schema", "adlsym-events-v1");
+  w.kv("schema", "adlsym-events-v2");
   w.kv("snapshot_every_steps", opts_.snapshotEverySteps);
   w.key("emitted");
   w.beginObject();
@@ -333,10 +323,7 @@ void EventBus::writeCkptJson(json::Writer& w, const CkptGauges& g) const {
   w.kv("paths_done", g.pathsDone);
   w.kv("covered", g.covered);
   w.kv("queries", g.queries);
-  w.kv("cache_hits", g.cacheHits);
   w.kv("solver_micros", g.solverMicros);
-  w.kv("pre_hits", livePreHits_);
-  w.kv("pre_misses", livePreMisses_);
   w.endObject();
   w.endObject();
 }
@@ -381,10 +368,7 @@ void EventBus::resumeRun(const RunMeta& meta, const json::Value& v) {
   livePathsDone_ = u64(*live, "paths_done");
   liveCovered_ = u64(*live, "covered");
   liveQueries_ = u64(*live, "queries");
-  liveCacheHits_ = u64(*live, "cache_hits");
   liveSolverMicros_ = u64(*live, "solver_micros");
-  livePreHits_ = u64(*live, "pre_hits");
-  livePreMisses_ = u64(*live, "pre_misses");
   for (uint64_t& b : depthHist_) b = 0;
 }
 
@@ -533,9 +517,9 @@ EventsSummary summarizeEvents(std::istream& in) {
       es.isa = strField(ev, "isa");
       es.strategy = strField(ev, "strategy");
       const std::string schema = strField(ev, "schema");
-      if (schema != "adlsym-events-v1") {
+      if (schema != "adlsym-events-v2") {
         es.problems.push_back("run_begin schema is '" + schema +
-                              "', want adlsym-events-v1");
+                              "', want adlsym-events-v2");
       }
     } else if (type == "step") {
       ++es.steps;
@@ -550,8 +534,6 @@ EventsSummary summarizeEvents(std::istream& in) {
       es.canonTerms += u64Field(ev, "canon_terms");
       es.canonGates += u64Field(ev, "canon_gates");
       es.canonConflicts += u64Field(ev, "canon_conflicts");
-      es.preHits += u64Field(ev, "pre_hits");
-      es.preMisses += u64Field(ev, "pre_misses");
     } else if (type == "merge") {
       ++es.merges;
     } else if (type == "path_done") {
@@ -811,10 +793,6 @@ void TailState::apply(const json::Value& ev) {
         c != nullptr && c->isNumber()) {
       codePcs_ = c->asU64();
     }
-    if (const json::Value* r = ev.find("qcache_hit_rate");
-        r != nullptr && r->isNumber()) {
-      qcacheRate_ = r->number;
-    }
     if (const json::Value* h = ev.find("depth_hist");
         h != nullptr && h->isArray()) {
       depthHist_.clear();
@@ -827,10 +805,6 @@ void TailState::apply(const json::Value& ev) {
     pathsDone_ = u64Field(ev, "paths");
     covered_ = u64Field(ev, "covered");
     depth_ = u64Field(ev, "depth");
-    if (const json::Value* r = ev.find("qcache_hit_rate");
-        r != nullptr && r->isNumber()) {
-      qcacheRate_ = r->number;
-    }
     if (const json::Value* s = ev.find("steps_per_sec");
         s != nullptr && s->isNumber()) {
       stepsPerSec_ = s->number;
@@ -872,11 +846,6 @@ std::string TailState::render() const {
     os << "/" << codePcs_ << " pcs (" << pct << "%)";
   } else {
     os << " pcs";
-  }
-  {
-    char rate[32];
-    std::snprintf(rate, sizeof(rate), "%.1f", 100.0 * qcacheRate_);
-    os << "  qcache: " << rate << "%";
   }
   if (stepsPerSec_ > 0.0) {
     char sps[32];

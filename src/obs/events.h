@@ -1,4 +1,4 @@
-// Flight recorder (docs/observability.md): the adlsym-events-v1 JSONL
+// Flight recorder (docs/observability.md): the adlsym-events-v2 JSONL
 // event stream. EventBus unifies the ExploreObserver and QueryListener
 // hook surfaces into one versioned, seekable stream of events with
 // monotone sequence numbers and periodic self-describing Snapshot events,
@@ -9,11 +9,11 @@
 // step, merge, path_done, run_end) is identical across
 // --jobs=1/2/8 under --clock=manual — every record is attributed to a
 // structural path key (docs/parallelism.md), and only schedule-independent
-// fields (canonical solver cost, per-step query counts, prefilter
-// outcomes) are emitted on them. Live signals (snapshot, heartbeat, query)
-// carry schedule-dependent data and are quarantined to their own event
-// types; canonicalizeEvents() drops them plus the seq/t fields and sorts
-// what remains into a canonical order, which CI byte-compares across jobs
+// fields (canonical solver cost, per-step query counts) are emitted on
+// them. Live signals (snapshot, heartbeat, query) carry schedule-
+// dependent data and are quarantined to their own event types;
+// canonicalizeEvents() drops them plus the seq/t fields and sorts what
+// remains into a canonical order, which CI byte-compares across jobs
 // counts.
 #pragma once
 
@@ -93,7 +93,7 @@ class EventBus final : public core::ExploreObserver, public smt::QueryListener {
   // ---- live heartbeat (called by ProgressMeter) -----------------------
   void heartbeat(size_t frontier, size_t pathsDone, uint64_t steps,
                  double stepsPerSec, size_t coveredPcs, double solverShare,
-                 double qcacheRate, uint64_t depth, uint64_t frontierBytes);
+                 uint64_t depth, uint64_t frontierBytes);
 
   struct Counts {
     uint64_t runBegin = 0;
@@ -115,7 +115,7 @@ class EventBus final : public core::ExploreObserver, public smt::QueryListener {
 
   void flush();
 
-  // ---- checkpoint support (adlsym-ckpt-v4, docs/robustness.md) ---------
+  // ---- checkpoint support (adlsym-ckpt-v5, docs/robustness.md) ---------
 
   /// Canonical replacement values for the live snapshot gauges, computed
   /// by the quiesced engine at a checkpoint barrier. The bus's own
@@ -128,7 +128,6 @@ class EventBus final : public core::ExploreObserver, public smt::QueryListener {
     uint64_t pathsDone = 0;
     uint64_t covered = 0;
     uint64_t queries = 0;
-    uint64_t cacheHits = 0;
     uint64_t solverMicros = 0;
   };
 
@@ -235,10 +234,7 @@ class EventBus final : public core::ExploreObserver, public smt::QueryListener {
   uint64_t livePathsDone_ = 0;
   uint64_t liveCovered_ = 0;
   uint64_t liveQueries_ = 0;
-  uint64_t liveCacheHits_ = 0;
   uint64_t liveSolverMicros_ = 0;
-  uint64_t livePreHits_ = 0;
-  uint64_t livePreMisses_ = 0;
   uint64_t startMicros_ = 0;
   bool started_ = false;
   /// Depth histogram of steps since the last snapshot: bucket 0 = depth 0,
@@ -248,7 +244,7 @@ class EventBus final : public core::ExploreObserver, public smt::QueryListener {
 
 // ---- stream tools -----------------------------------------------------
 
-/// Canonicalize an adlsym-events-v1 stream: drop the live event types
+/// Canonicalize an adlsym-events-v2 stream: drop the live event types
 /// (snapshot, heartbeat, query) and the schedule-dependent seq/t fields,
 /// then sort the remaining events into canonical order — type rank, then
 /// numeric structural path key, then per-path step index. The output is
@@ -275,8 +271,6 @@ struct EventsSummary {
   uint64_t canonTerms = 0;
   uint64_t canonGates = 0;
   uint64_t canonConflicts = 0;
-  uint64_t preHits = 0;
-  uint64_t preMisses = 0;
   std::map<std::string, uint64_t> pathStatuses;
   // Raw per-type event counts (for the stats "events.emitted" cross-check).
   uint64_t queryEvents = 0;
@@ -351,7 +345,7 @@ class TailState {
   // Latest gauges (snapshot > heartbeat > step, whichever came last).
   uint64_t frontier_ = 0, frontierBytes_ = 0, pathsDone_ = 0, steps_ = 0,
            covered_ = 0, codePcs_ = 0, depth_ = 0;
-  double qcacheRate_ = 0.0, stepsPerSec_ = 0.0;
+  double stepsPerSec_ = 0.0;
   std::vector<uint64_t> depthHist_;
   // Terminal totals from run_end.
   uint64_t endPaths_ = 0, endDefects_ = 0, endQueries_ = 0;

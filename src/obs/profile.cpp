@@ -32,8 +32,6 @@ void ProfileCollector::onStepEnd(const StepInfo& info) {
   site.canon.terms += info.stepCanonTerms;
   site.canon.gates += info.stepCanonGates;
   site.canon.conflicts += info.stepCanonConflicts;
-  site.prefilterHits += info.stepPrefilterHits;
-  site.prefilterMisses += info.stepPrefilterMisses;
   ++totalSteps_;
   totalTicks_ += info.stepRtlTicks;
   totalQueries_ += info.stepSolverQueries;
@@ -162,7 +160,7 @@ ProfileReport::Reconcile ProfileReport::reconcile() const {
 void ProfileReport::writeJson(std::ostream& os) const {
   json::Writer w(os);
   w.beginObject();
-  w.kv("schema", "adlsym-profile-v3");
+  w.kv("schema", "adlsym-profile-v4");
   w.kv("isa", isa);
   w.kv("program", program);
 
@@ -181,8 +179,6 @@ void ProfileReport::writeJson(std::ostream& os) const {
       w.kv("rtl_ticks", s.rtlTicks);
       w.kv("forks", s.forks);
       w.kv("queries", s.queries);
-      w.kv("prefilter_hits", s.prefilterHits);
-      w.kv("prefilter_misses", s.prefilterMisses);
       writeCanon(w, s.canon);
       w.endObject();
     }
@@ -296,7 +292,7 @@ void ProfileReport::writeFolded(std::ostream& os) const {
 void ProfileReport::writeSummary(json::Writer& w) const {
   const Reconcile r = reconcile();
   w.key("profile").beginObject();
-  w.kv("schema", "adlsym-profile-v3");
+  w.kv("schema", "adlsym-profile-v4");
   w.kv("rtl_ticks", engineRtlTicks);
   w.kv("sites", static_cast<uint64_t>(prof != nullptr ? prof->sites().size()
                                                       : 0));

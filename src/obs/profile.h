@@ -6,11 +6,10 @@
 // stats document's "opcodes"/"branch_sites" tables and the profile
 // artifacts. Alongside it sits a report type that joins those sites with the
 // per-RTL-statement tables (core::RtlProfile), the solver aggregate and
-// the query-shape rows into the adlsym-profile-v3 JSON document, a
+// the query-shape rows into the adlsym-profile-v4 JSON document, a
 // collapsed-stack file for flamegraph tooling, and the top-level
-// "profile" summary block of the stats schema. v2 added per-site
-// abstract-prefilter hit/miss attribution (docs/absdomain.md); v3 drops
-// the off-step query counts, as every query is issued inside a step.
+// "profile" summary block of the stats schema (schema changelog:
+// docs/observability.md).
 //
 // Every number here is canonical: per-step solver deltas replay cached
 // costs (smt::QueryCost), RTL tick counts depend only on what executed,
@@ -62,10 +61,6 @@ class ProfileCollector final : public core::ExploreObserver {
     uint64_t infeasible = 0;     // steps yielding 0 successors (drops)
     uint64_t queries = 0;        // issued inside this site's step windows
     smt::QueryCost canon;        // canonical solver cost (replayed on hits)
-    /// Abstract-prefilter outcomes of this site's queries, per issuance
-    /// (replayed like canon, so schedule-independent).
-    uint64_t prefilterHits = 0;
-    uint64_t prefilterMisses = 0;
   };
 
   const std::map<uint64_t, SiteCost>& sites() const { return sites_; }
@@ -82,7 +77,7 @@ class ProfileCollector final : public core::ExploreObserver {
   /// object.
   void writeJson(json::Writer& w) const;
 
-  /// The checkpoint "sites" section (adlsym-ckpt-v4): the opcode table
+  /// The checkpoint "sites" section (adlsym-ckpt-v5): the opcode table
   /// plus every executed or dropped site's [pc, steps, forks, infeasible],
   /// so a resumed run's final stats document is byte-identical to the
   /// uninterrupted run's.
@@ -137,7 +132,7 @@ struct ProfileReport {
   };
   Reconcile reconcile() const;
 
-  /// The full adlsym-profile-v3 document (compact JSON + '\n').
+  /// The full adlsym-profile-v4 document (compact JSON + '\n').
   void writeJson(std::ostream& os) const;
   /// Collapsed-stack lines ("frame;frame value") for flamegraph tooling.
   /// Roots name their unit: exec_ticks (RTL statements), solver_gates

@@ -35,13 +35,6 @@ void ProgressMeter::onStepEnd(const StepInfo& info) {
                 : 0.0;
   const double solverShare =
       sinceStart ? double(info.runSolverMicros) / double(sinceStart) : 0.0;
-  // Query-cache hit rate over the whole run so far; 0 until the first
-  // query. With --jobs the run* fields are worker-local, so the rate is
-  // this worker's view — a live signal, not a deterministic artifact.
-  const double qcacheRate =
-      info.runSolverQueries
-          ? double(info.runCacheHits) / double(info.runSolverQueries)
-          : 0.0;
 
   char cov[48];
   if (codePcs_ != 0) {
@@ -53,11 +46,11 @@ void ProgressMeter::onStepEnd(const StepInfo& info) {
   char line[256];
   std::snprintf(line, sizeof line,
                 "[progress] t=%.1fs frontier=%zu paths=%zu steps=%llu "
-                "steps/s=%.0f covered=%s solver=%.0f%% qcache=%.0f%% "
+                "steps/s=%.0f covered=%s solver=%.0f%% "
                 "depth=%llu fmem=%lluKiB\n",
                 double(sinceStart) / 1e6, info.frontierSize, info.pathsDone,
                 static_cast<unsigned long long>(info.totalSteps), stepsPerSec,
-                cov, solverShare * 100.0, qcacheRate * 100.0,
+                cov, solverShare * 100.0,
                 static_cast<unsigned long long>(info.depth),
                 static_cast<unsigned long long>(info.frontierBytes / 1024));
   os_ << line;
@@ -67,8 +60,8 @@ void ProgressMeter::onStepEnd(const StepInfo& info) {
   // and --progress never disagree about the run's live trajectory.
   if (bus_ != nullptr) {
     bus_->heartbeat(info.frontierSize, info.pathsDone, info.totalSteps,
-                    stepsPerSec, info.coveredPcs, solverShare, qcacheRate,
-                    info.depth, info.frontierBytes);
+                    stepsPerSec, info.coveredPcs, solverShare, info.depth,
+                    info.frontierBytes);
   }
 
   ++beats_;

@@ -1,8 +1,8 @@
 // Live progress heartbeat (docs/observability.md): an ExploreObserver
 // that periodically reports frontier size, finished paths, step
 // throughput, coverage (count and percent of decodable code pcs), the
-// solver's share of wall time, the query-cache hit rate, the stepped
-// state's fork depth and the frontier's resident bytes — one
+// solver's share of wall time, the stepped state's fork depth and the
+// frontier's resident bytes — one
 // "[progress] ..." line on a stream (the CLI points it at stderr). When
 // an EventBus is attached, every beat is also emitted as a heartbeat
 // event on the stream, so --progress and --events always agree.

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstring>
 
-#include "smt/solver.h"
 #include "smt/termio.h"
 
 namespace adlsym::smt {
@@ -156,8 +155,7 @@ QueryCache::Outcome QueryCache::acquire(const std::string& key) {
 }
 
 void QueryCache::publish(const std::string& key, CheckResult result,
-                         std::vector<uint64_t> model, QueryCost cost,
-                         uint8_t preTag, bool hasModel) {
+                         std::vector<uint64_t> model, QueryCost cost) {
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = map_.try_emplace(key).first;
   Outcome& e = it->second;
@@ -166,8 +164,6 @@ void QueryCache::publish(const std::string& key, CheckResult result,
   e.result = result;
   e.model = std::move(model);
   e.cost = cost;
-  e.preTag = preTag;
-  e.hasModel = hasModel;
   if (capacity_ != 0) {
     while (fifo_.size() > capacity_) {
       map_.erase(map_.find(*fifo_.front()));
@@ -176,18 +172,6 @@ void QueryCache::publish(const std::string& key, CheckResult result,
     }
   }
   cv_.notify_all();
-}
-
-void QueryCache::backfillModel(const std::string& key,
-                               std::vector<uint64_t> model) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end() || !it->second.hit || it->second.hasModel ||
-      it->second.result != CheckResult::Sat) {
-    return;
-  }
-  it->second.model = std::move(model);
-  it->second.hasModel = true;
 }
 
 void QueryCache::abandon(const std::string& key) {

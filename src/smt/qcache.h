@@ -100,16 +100,6 @@ class QueryCache {
     /// canonicalKey, pool variable indices under localKey.
     std::vector<uint64_t> model;
     QueryCost cost;  // canonical solve cost, replayed
-    /// Sat entries published by the abstract prefilter skip the solve and
-    /// carry no model; a later needModel hit restores one (canonically)
-    /// and backfills it via backfillModel().
-    bool hasModel = true;
-    /// Prefilter provenance of the key's verdict (see SmtSolver): 0 =
-    /// solved directly, 1 = prefilter sat, 2 = prefilter unsat, 3 =
-    /// consulted but fell through to a real solve. Structural like the
-    /// verdict itself, so replaying it on hits keeps per-site prefilter
-    /// attribution schedule-independent.
-    uint8_t preTag = 0;
   };
 
   /// Single-flight lookup: a hit returns the completed verdict (+model);
@@ -120,16 +110,9 @@ class QueryCache {
 
   /// Owner: complete the key with a verdict (never Unknown — abandon
   /// those), for Sat the model (see Outcome), and the canonical solve cost
-  /// (replayed verbatim to every later hit). `preTag`/`hasModel` document
-  /// the verdict's provenance (see Outcome).
+  /// (replayed verbatim to every later hit).
   void publish(const std::string& key, CheckResult result,
-               std::vector<uint64_t> model, QueryCost cost = {},
-               uint8_t preTag = 0, bool hasModel = true);
-
-  /// Attach a restored model to a completed model-less Sat entry (no-op
-  /// for anything else). Concurrent restorers of one key compute the same
-  /// canonical model, so last-writer-wins is benign.
-  void backfillModel(const std::string& key, std::vector<uint64_t> model);
+               std::vector<uint64_t> model, QueryCost cost = {});
 
   /// Owner: give the key up without a verdict (Unknown result, or an
   /// exception unwound through the solve). Waiters retry and one becomes

@@ -163,9 +163,6 @@ void SmtSolver::setTelemetry(telemetry::Telemetry* t) {
   queryCtr_ = t ? &t->metrics().counter("solver.queries") : nullptr;
   cacheHitCtr_ = t ? &t->metrics().counter("solver.cache_hits") : nullptr;
   cacheMissCtr_ = t ? &t->metrics().counter("solver.cache_misses") : nullptr;
-  preHitCtr_ = t ? &t->metrics().counter("solver.prefilter_hits") : nullptr;
-  preMissCtr_ =
-      t ? &t->metrics().counter("solver.prefilter_misses") : nullptr;
   coreHitCtr_ = nullptr;  // resolved by the next incremental query
   coresKeptCtr_ = nullptr;
   attachIncrementalTelemetry();
@@ -438,8 +435,7 @@ CheckResult SmtSolver::solve(const std::vector<TermRef>& assumptions,
   return r;
 }
 
-CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
-                                 bool needModel) {
+CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions) {
   fault::hit("solver.check");
   ++stats_.queries;
   if (queryCtr_) queryCtr_->add();
@@ -474,14 +470,6 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
       l->onCheck(permanentAsserts_, assumptions, r, us, cached);
     }
     return r;
-  };
-  // Prefilter provenance (docs/absdomain.md, QueryCache::Outcome::preTag)
-  // is counted per issuance: a cache hit replays its key's tag, so the
-  // per-site tallies do not depend on which caller took the miss.
-  auto countTag = [&](uint8_t tag) {
-    if (tag == 0) return;  // solved without consulting the prefilter
-    ++(tag == 3 ? stats_.preMissSeen : stats_.preHitSeen);
-    if (telemetry::Counter* c = tag == 3 ? preMissCtr_ : preHitCtr_) c->add();
   };
 
   // 1. Short-circuits: nothing to key, judge or solve. Constant-false
@@ -536,18 +524,8 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
       cached = true;
       cost = o.cost;
       if (cacheHitCtr_) cacheHitCtr_->add();
-      countTag(o.preTag);
       if (o.result == CheckResult::Sat) {
-        if (o.hasModel) {
-          loadCachedModel(std::move(o.model), slots);
-        } else if (needModel) {
-          // Prefiltered Sat entry, first model-needing reader: restore
-          // the canonical model off the books and backfill the entry so
-          // later readers replay it like any solved entry.
-          restoreModelFresh(assumptions);
-          ++stats_.preModelRestores;
-          cache->backfillModel(key, modelForCache(slots));
-        }
+        loadCachedModel(std::move(o.model), slots);
       }
       return finish(o.result);
     }
@@ -556,8 +534,6 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
 
   // A miss: this caller owns the key until it publishes or abandons it.
   CheckResult r = CheckResult::Unknown;
-  uint8_t preTag = 0;
-  bool hasModel = true;
   try {
     // 4. Deadline: the per-query timeout (relative to query start) or the
     // run-wide deadline (absolute, set by the explorer from its remaining
@@ -574,9 +550,8 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
       // 5. Prefilter consult, after every short-circuit off-mode would
       // also take (so verdicts are identical with the prefilter on or
       // off) and before any bit-blasting. A conclusive verdict is counted
-      // once per judged key and cached at zero canonical cost — even when
-      // a model-needing caller forces a restoration solve, so the
-      // replayed cost does not depend on who took the miss.
+      // once per judged key and cached at zero canonical cost; a Sat
+      // takes its model from the off-the-books restoration solve.
       const PreVerdict pv = pre_->judge(permanentAsserts_, assumptions);
       r = pv.result;
       ++stats_.preConsulted;
@@ -584,13 +559,7 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
       if (r == CheckResult::Unsat) {
         stats_.preCoreConstraints += pv.coreConstraints;
       }
-      preTag = r == CheckResult::Sat ? 1 : r == CheckResult::Unsat ? 2 : 3;
-      countTag(preTag);
-      hasModel = r != CheckResult::Sat || needModel;
-      if (r == CheckResult::Sat && needModel) {
-        restoreModelFresh(assumptions);
-        ++stats_.preModelRestores;
-      }
+      if (r == CheckResult::Sat) restoreModelFresh(assumptions);
     } else {
       ++stats_.directSolves;
     }
@@ -609,9 +578,9 @@ CheckResult SmtSolver::checkImpl(const std::vector<TermRef>& assumptions,
       cache->abandon(key);
     } else {
       cache->publish(key, r,
-                     r == CheckResult::Sat && hasModel ? modelForCache(slots)
-                                                       : std::vector<uint64_t>{},
-                     cost, preTag, hasModel);
+                     r == CheckResult::Sat ? modelForCache(slots)
+                                           : std::vector<uint64_t>{},
+                     cost);
     }
   }
   return finish(r);

@@ -115,18 +115,10 @@ class SmtSolver {
   void assertAlways(TermRef t);
 
   /// Check satisfiability of the permanent assertions plus the given
-  /// width-1 assumption terms.
-  CheckResult check(const std::vector<TermRef>& assumptions) {
-    return checkImpl(assumptions, /*needModel=*/true);
-  }
-
-  /// Like check(), but the caller promises not to read the model after a
-  /// Sat verdict (modelValue() is unspecified). This is what lets the
-  /// abstract prefilter short-circuit Sat verdicts: a conclusive abstract
-  /// Sat carries no model, so model-needing callers still solve.
-  CheckResult checkNoModel(const std::vector<TermRef>& assumptions) {
-    return checkImpl(assumptions, /*needModel=*/false);
-  }
+  /// width-1 assumption terms. The one query pipeline: short-circuits,
+  /// kept-core lookup, cache lookup, expired-deadline check, prefilter
+  /// consult, solve, publish.
+  CheckResult check(const std::vector<TermRef>& assumptions);
 
   /// Model value of a term after a Sat result. The model is snapshotted at
   /// Sat time, so this works for any term (unconstrained variables read 0)
@@ -178,9 +170,8 @@ class SmtSolver {
     /// the fresh-solve cost, a hit *replays* the stored cost, so these
     /// accumulate identically whichever caller took the miss. Observers
     /// read deltas of these to attribute solver cost per branch site.
-    /// Keys the prefilter decided carry a canonical cost of zero — even
-    /// when a model-needing caller forced a restoration solve — so the
-    /// totals stay independent of which caller took the miss.
+    /// Keys the prefilter decided carry a canonical cost of zero, their
+    /// model restoration solve being off the books.
     QueryCost canon;
     /// Abstract-prefilter buckets; see SolverTelemetry for the invariants.
     uint64_t preConsulted = 0;
@@ -190,18 +181,6 @@ class SmtSolver {
     uint64_t preShortcircuit = 0;
     uint64_t directSolves = 0;
     uint64_t preCoreConstraints = 0;
-    /// Model restorations: needModel checks served by a model-less
-    /// prefiltered Sat entry. Which issuance of a key pays the
-    /// restoration is scheduling-dependent, so this never reaches the
-    /// stats JSON — it exists for logs and tests.
-    uint64_t preModelRestores = 0;
-    /// Per-issuance prefilter provenance, replayed from the cache on hits
-    /// (preTag): a query whose key was judged conclusively counts as a
-    /// "seen hit" every time it is issued, a judged-but-fallen-through
-    /// key as a "seen miss". Observers read deltas of these to attribute
-    /// prefilter effectiveness per branch site, schedule-independently.
-    uint64_t preHitSeen = 0;
-    uint64_t preMissSeen = 0;
     /// Kept Unsat cores: cores stored, and queries answered by one. In
     /// incremental mode a core hit is a part of preShortcircuit; in fresh
     /// mode it is a warm answer and keeps its bucket.
@@ -267,13 +246,12 @@ class SmtSolver {
   void setSharedCache(QueryCache* c) { sharedCache_ = c; }
 
   /// Attach the abstract pre-solver (not owned; null detaches — the
-  /// default). When attached, every cache miss is judged abstractly
-  /// before any bit-blasting: a conclusive Unsat always short-circuits
-  /// the solve, a conclusive Sat short-circuits it for checkNoModel()
-  /// callers and triggers an off-the-books model restoration for
-  /// check() callers. Per-worker, shared-nothing, like the term pool.
+  /// default, and what every exploration runs with). When attached,
+  /// every cache miss is judged abstractly before any bit-blasting: a
+  /// conclusive Unsat short-circuits the solve, a conclusive Sat takes
+  /// its model from an off-the-books restoration solve. Per-worker,
+  /// shared-nothing, like the term pool.
   void setPreSolver(PreSolver* p) { pre_ = p; }
-  bool prefilterEnabled() const { return pre_ != nullptr; }
 
   /// One row of the profiler's query-shape table: queries grouped by the
   /// bit-width bucket of their canonical terms-blasted count. Sums are
@@ -307,12 +285,6 @@ class SmtSolver {
   const std::map<unsigned, ShapeRow>& queryShapes() const { return shapes_; }
 
  private:
-  /// The one query pipeline behind check()/checkNoModel(): short-circuits,
-  /// kept-core lookup, cache lookup, expired-deadline check, prefilter
-  /// consult, solve, publish.
-  CheckResult checkImpl(const std::vector<TermRef>& assumptions,
-                        bool needModel);
-
   /// The solve step: the incremental core, or in fresh mode the warm
   /// verdict and then, unless it is Unsat, the fresh core reset first.
   /// Fills model_ on Sat and `cost` with the query's canonical blasting
@@ -431,8 +403,6 @@ class SmtSolver {
   telemetry::Counter* queryCtr_ = nullptr;
   telemetry::Counter* cacheHitCtr_ = nullptr;
   telemetry::Counter* cacheMissCtr_ = nullptr;
-  telemetry::Counter* preHitCtr_ = nullptr;
-  telemetry::Counter* preMissCtr_ = nullptr;
   // Resolved by the first incremental query, so fresh-mode (--jobs)
   // registries do not list them.
   telemetry::Counter* coreHitCtr_ = nullptr;

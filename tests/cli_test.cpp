@@ -292,7 +292,7 @@ TEST(CliEvents, ExploreEventsAndManifestFlagsEndToEnd) {
   ASSERT_EQ(r.exitCode, 0) << r.output;
   const std::string stream = slurp(ev);
   EXPECT_NE(stream.find("\"type\":\"run_begin\""), std::string::npos);
-  EXPECT_NE(stream.find("\"schema\":\"adlsym-events-v1\""),
+  EXPECT_NE(stream.find("\"schema\":\"adlsym-events-v2\""),
             std::string::npos);
   EXPECT_NE(stream.find("\"snapshot_every_steps\":2"), std::string::npos);
   EXPECT_NE(stream.find("\"type\":\"snapshot\""), std::string::npos);

@@ -1,5 +1,5 @@
 // Flight recorder (src/obs/events.h, src/obs/manifest.h,
-// docs/observability.md): the adlsym-events-v1 stream, its canonicalizer
+// docs/observability.md): the adlsym-events-v2 stream, its canonicalizer
 // and summarizer, the adlsym-run-v1 manifest + verify-run, the tail
 // dashboard state machine, and the SHA-256 underneath it all.
 #include <gtest/gtest.h>
@@ -315,7 +315,7 @@ TEST(StatsV7, EventsBlockMatchesEmittedCounts) {
   const json::Value* events = stats.find("events");
   ASSERT_NE(events, nullptr);
   EXPECT_TRUE(events->find("enabled")->boolean);
-  EXPECT_EQ(events->find("schema")->str, "adlsym-events-v1");
+  EXPECT_EQ(events->find("schema")->str, "adlsym-events-v2");
   EXPECT_EQ(events->find("dropped")->asU64(), 0u);
   const json::Value* emitted = events->find("emitted");
   ASSERT_NE(emitted, nullptr);
@@ -399,7 +399,7 @@ TEST(Manifest, RecordsArtifactsWithHashes) {
   EXPECT_EQ(man.find("schema")->str, "adlsym-run-v1");
   EXPECT_EQ(man.find("isa")->str, "rv32e");
   EXPECT_EQ(man.find("stats_schema")->str, "adlsym-stats-v8");
-  EXPECT_EQ(man.find("events_schema")->str, "adlsym-events-v1");
+  EXPECT_EQ(man.find("events_schema")->str, "adlsym-events-v2");
   const json::Value* arts = man.find("artifacts");
   ASSERT_NE(arts, nullptr);
   ASSERT_EQ(arts->array.size(), 3u);  // stats, forest, events
@@ -486,9 +486,10 @@ TEST(TailState, RendersRunMetadataAndGauges) {
       "{\"v\":1,\"seq\":1,\"t\":5,\"type\":\"snapshot\",\"steps\":7,"
       "\"frontier\":3,\"frontier_bytes\":2048,\"paths_done\":1,"
       "\"covered_pcs\":5,\"code_pcs\":10,\"queries\":4,"
-      "\"qcache_hit_rate\":0.5,\"depth_hist\":[1,2,0,0,0,0,0,0]}"));
+      "\"solver_share\":0.5,\"depth_hist\":[1,2,0,0,0,0,0,0]}"));
   EXPECT_FALSE(ts.done());
   const std::string dash = ts.render();
+  EXPECT_EQ(dash.find("qcache"), std::string::npos) << dash;
   EXPECT_NE(dash.find("explore"), std::string::npos) << dash;
   EXPECT_NE(dash.find("m16"), std::string::npos) << dash;
   EXPECT_NE(dash.find("bfs"), std::string::npos) << dash;

@@ -377,6 +377,7 @@ TEST(Progress, BeatsOnManualClockWithoutSleeping) {
   EXPECT_NE(text.find("[progress] t="), std::string::npos) << text;
   EXPECT_NE(text.find("frontier=3"), std::string::npos);
   EXPECT_NE(text.find("steps/s="), std::string::npos);
+  EXPECT_EQ(text.find("qcache"), std::string::npos) << text;
 
   // Each beat also lands on the attached event stream as a heartbeat.
   bus.flush();
@@ -386,6 +387,7 @@ TEST(Progress, BeatsOnManualClockWithoutSleeping) {
   while (std::getline(lines, line)) {
     if (line.find("\"type\":\"heartbeat\"") != std::string::npos) {
       ++heartbeats;
+      EXPECT_EQ(line.find("qcache"), std::string::npos) << line;
     }
   }
   EXPECT_EQ(heartbeats, 4u) << events.str();

@@ -396,8 +396,8 @@ TEST_F(ParallelDeterminism, NoPathEndQueriesAndBucketsReconcile) {
   // Path ends read their witnesses off the carried assignment, so every
   // query is a branch decision: the profile charges queries only to the
   // sites that fork (bitcount3's branches all do), never to the halts
-  // that end the 8 paths. No shared cache is attached, so every query is
-  // a short-circuit, a prefilter consultation or a direct solve.
+  // that end the 8 paths. No shared cache or prefilter is attached, so
+  // every query is a short-circuit or a direct solve.
   const std::string img = imageFor("rv32e");
   const std::string prof = testing::TempDir() + "buckets_rv32e.profile.json";
   const RunArtifacts r = explore("rv32e", img, "dfs", 2, {"--profile=" + prof});
@@ -425,12 +425,71 @@ TEST_F(ParallelDeterminism, NoPathEndQueriesAndBucketsReconcile) {
             queries);
 }
 
+TEST_F(ParallelDeterminism, NoRunConsultsThePrefilter) {
+  // bitcount3's Sat sides are ones the abstract prefilter decides when
+  // attached. Neither engine attaches it: every query is a cache hit, a
+  // short-circuit or a direct solve, and no artifact carries
+  // per-issuance prefilter counts.
+  const std::string img = imageFor("rv32e");
+  for (const unsigned jobs : {0u, 2u}) {
+    const std::string where = jobs == 0 ? "sequential" : "--jobs 2";
+    const std::string stem =
+        testing::TempDir() + "noprefilter_j" + std::to_string(jobs);
+    std::vector<std::string> args = {"explore",
+                                     "rv32e",
+                                     img,
+                                     "--clock=manual",
+                                     "--stats-json=" + stem + ".stats.json",
+                                     "--profile=" + stem + ".profile.json",
+                                     "--events=" + stem + ".events.jsonl"};
+    if (jobs != 0) {
+      args.push_back("--jobs");
+      args.push_back(std::to_string(jobs));
+    }
+    const auto r = dispatch(args);
+    ASSERT_EQ(r.exitCode, 0) << where << ": " << r.output;
+
+    const json::Value st = json::parse(slurp(stem + ".stats.json"));
+    const json::Value& solver = *st.find("solver");
+    const json::Value& pre = *st.find("prefilter");
+    EXPECT_FALSE(pre.find("enabled")->boolean) << where;
+    EXPECT_EQ(pre.find("consulted")->asU64(), 0u) << where;
+    EXPECT_TRUE(pre.find("reconciled")->boolean) << where;
+    const uint64_t queries = solver.find("queries")->asU64();
+    EXPECT_GT(queries, 0u) << where;
+    EXPECT_EQ(solver.find("cache_hits")->asU64() +
+                  pre.find("shortcircuit")->asU64() +
+                  pre.find("direct")->asU64(),
+              queries)
+        << where;
+
+    const json::Value prof = json::parse(slurp(stem + ".profile.json"));
+    for (const json::Value& site : prof.find("sites")->array) {
+      for (const auto& [key, value] : site.object) {
+        EXPECT_NE(key.rfind("prefilter", 0), 0u) << where << ": " << key;
+      }
+    }
+    std::istringstream events(slurp(stem + ".events.jsonl"));
+    uint64_t steps = 0;
+    for (std::string line; std::getline(events, line);) {
+      const json::Value ev = json::parse(line);
+      if (ev.find("type")->str != "step") continue;
+      ++steps;
+      for (const auto& [key, value] : ev.object) {
+        EXPECT_NE(key.rfind("pre_", 0), 0u) << where << ": " << key;
+      }
+    }
+    EXPECT_EQ(steps, st.find("summary")->find("total_steps")->asU64())
+        << where;
+  }
+}
+
 // PoolStats' warm counters, summed over the workers' solvers, against
 // the schedule-independent solver telemetry of the same run. With the
-// prefilter on and no deadline or shared cache, every query the
-// prefilter does not decide reaches a worker's warm core once, as a
-// kept-core hit or a warm solve, and every Unsat the prefilter does not
-// give is a warm answer.
+// prefilter on (as perfbench's traced ledger runs it) and no deadline or
+// shared cache, every query the prefilter does not decide reaches a
+// worker's warm core once, as a kept-core hit or a warm solve, and every
+// Unsat the prefilter does not give is a warm answer.
 TEST(WarmPoolStats, SumOverWorkersMatchesTheSolverTelemetry) {
   for (const char* isa : {"m16", "rv32e"}) {
     auto s = Session::forPortable(workloads::progSort(4), isa);
@@ -439,6 +498,7 @@ TEST(WarmPoolStats, SumOverWorkersMatchesTheSolverTelemetry) {
       core::ParallelConfig pcfg;
       pcfg.base = s->options().explorer;
       pcfg.jobs = jobs;
+      pcfg.prefilter = true;
       pcfg.solverConflictBudget = s->options().solverConflictBudget;
       core::ParallelExplorer pex(
           s->image(), s->options().engine, pcfg,

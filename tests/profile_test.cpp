@@ -1,5 +1,5 @@
 // Deterministic profiler + bench comparator (docs/observability.md):
-// the adlsym-profile-v3 artifacts (obs/profile.h) must be byte-identical
+// the adlsym-profile-v4 artifacts (obs/profile.h) must be byte-identical
 // across --jobs values and reconcile per-site sums against the engine and
 // solver aggregates; support/benchcmp.h must catch injected regressions
 // (the bench_diff acceptance fixture); the JSON reader must reject
@@ -509,7 +509,7 @@ class ProfileDeterminism : public ::testing::Test {
     ASSERT_FALSE(a.profileJson.empty()) << where;
     const json::Value doc = json::parse(a.profileJson);
     ASSERT_NE(doc.find("schema"), nullptr) << where;
-    EXPECT_EQ(doc.find("schema")->str, "adlsym-profile-v3") << where;
+    EXPECT_EQ(doc.find("schema")->str, "adlsym-profile-v4") << where;
 
     const json::Value* engine = doc.find("engine");
     const json::Value* solver = doc.find("solver");
@@ -548,7 +548,7 @@ class ProfileDeterminism : public ::testing::Test {
     EXPECT_NE(a.statsJson.find("\"schema\":\"adlsym-stats-v8\""),
               std::string::npos)
         << where;
-    EXPECT_NE(a.statsJson.find("\"profile\":{\"schema\":\"adlsym-profile-v3\""),
+    EXPECT_NE(a.statsJson.find("\"profile\":{\"schema\":\"adlsym-profile-v4\""),
               std::string::npos)
         << where;
     EXPECT_NE(a.statsJson.find("\"reconciled\":true"), std::string::npos)

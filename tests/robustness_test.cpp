@@ -478,6 +478,12 @@ TEST_F(CliRobustness, ParallelRejectsIncompatibleModes) {
   // The shared query cache has no flag: --qcache is an unknown option.
   EXPECT_EQ(
       dispatch({"explore", "rv32e", imgPath, "--qcache=on"}).exitCode, 2);
+  // Neither has the abstract prefilter, which no exploration attaches.
+  for (const char* flag : {"--prefilter=on", "--prefilter=off"}) {
+    const auto r = dispatch({"explore", "rv32e", imgPath, flag});
+    EXPECT_EQ(r.exitCode, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find(flag), std::string::npos) << r.output;
+  }
 }
 
 TEST_F(CliRobustness, MalformedImageReportsLineContext) {

@@ -8,6 +8,7 @@
 #include "smt/qcache.h"
 #include "smt/solver.h"
 #include "support/bits.h"
+#include "support/telemetry.h"
 
 namespace adlsym::smt {
 namespace {
@@ -486,8 +487,7 @@ TEST_F(WarmVerdicts, RegistryListsTheSameNames) {
     ASSERT_EQ(f.check({noSquare}), CheckResult::Unsat);
     EXPECT_EQ(names(tel.metrics().counters()),
               "blast.gates blast.terms_blasted sat.solves solver.cache_hits "
-              "solver.cache_misses solver.prefilter_hits "
-              "solver.prefilter_misses solver.queries ")
+              "solver.cache_misses solver.queries ")
         << telFirst;
     EXPECT_EQ(names(tel.metrics().histograms()),
               "sat.conflicts_per_solve sat.decisions_per_solve "
@@ -564,7 +564,6 @@ TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
     }
     sum += one.telemetrySnapshot();
   }
-  EXPECT_EQ(reused.stats().preModelRestores, 1u);
 
   const SolverTelemetry t = reused.telemetrySnapshot();
   EXPECT_GT(t.satCore.conflicts, 0u);
@@ -585,9 +584,9 @@ TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
   EXPECT_EQ(t.satClauses, sum.satClauses);
 }
 
-// Every check()/checkNoModel() runs one pipeline: short-circuits, kept-
-// core lookup (incremental mode), cache lookup, deadline, prefilter
-// consult, solve, publish. The configurations differ only in the solve
+// Every check() runs one pipeline: short-circuits, kept-core lookup
+// (incremental mode), cache lookup, deadline, prefilter consult, solve,
+// publish. The configurations differ only in the solve
 // step (incremental core, or warm core then reset fresh core), in which
 // cache, if any, sits in front of it, and in where kept cores sit. One
 // query sequence, run through all eight, pins what each configuration
@@ -603,7 +602,6 @@ struct PipelineOutcome {
   std::string verdicts;          // one letter per query: S, U or ?
   std::vector<uint64_t> models;  // x after every check() that was Sat
   uint64_t cacheHits, shortcircuit, consulted, direct;  // the four buckets
-  uint64_t preHitSeen, preMissSeen, preModelRestores;
   QueryCost canon;
 
   bool operator==(const PipelineOutcome&) const = default;
@@ -615,9 +613,7 @@ std::ostream& operator<<(std::ostream& os, const PipelineOutcome& o) {
     os << (i ? ", " : "") << o.models[i];
   }
   return os << "}, " << o.cacheHits << ", " << o.shortcircuit << ", "
-            << o.consulted << ", " << o.direct << ", " << o.preHitSeen
-            << ", " << o.preMissSeen << ", " << o.preModelRestores << ", {"
-            << o.canon.terms << ", " << o.canon.gates << ", "
+            << o.consulted << ", " << o.direct << ", {" << o.canon.terms << ", " << o.canon.gates << ", "
             << o.canon.conflicts << "}}";
 }
 
@@ -639,15 +635,12 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
   s.setParanoid(true);
 
   PipelineOutcome o{};
-  auto record = [&](CheckResult r, bool model) {
+  auto check = [&](const std::vector<TermRef>& q) {
+    const CheckResult r = s.check(q);
     o.verdicts += r == CheckResult::Sat     ? 'S'
                   : r == CheckResult::Unsat ? 'U'
                                             : '?';
-    if (model && r == CheckResult::Sat) o.models.push_back(s.modelValue(x));
-  };
-  auto check = [&](const std::vector<TermRef>& q) { record(s.check(q), true); };
-  auto checkNoModel = [&](const std::vector<TermRef>& q) {
-    record(s.checkNoModel(q), false);
+    if (r == CheckResult::Sat) o.models.push_back(s.modelValue(x));
   };
 
   // 1. A query the SAT core decides (3x + 7 == 52: x = 15), then again.
@@ -655,11 +648,10 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
       tm.mkEq(tm.mkAdd(tm.mkMul(x, c(8, 3)), c(8, 7)), c(8, 52))};
   check(linear);
   check(linear);
-  // 2. A prefilter-certified Sat without a model, then twice with one
-  // (8 < x < 10: x = 9).
+  // 2. A prefilter-certified Sat, three times (8 < x < 10: x = 9).
   const std::vector<TermRef> interval = {tm.mkUgt(x, c(8, 8)),
                                          tm.mkUlt(x, c(8, 10))};
-  checkNoModel(interval);
+  check(interval);
   check(interval);
   check(interval);
   // 3. Unsat: 2 is no square modulo 256.
@@ -690,49 +682,96 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
   o.shortcircuit = t.preShortcircuit;
   o.consulted = t.preConsulted;
   o.direct = t.directSolves;
-  o.preHitSeen = s.stats().preHitSeen;
-  o.preMissSeen = s.stats().preMissSeen;
-  o.preModelRestores = s.stats().preModelRestores;
   o.canon = t.canon;
   return o;
 }
 
 TEST(QueryPipeline, SameSequenceThroughEveryConfiguration) {
   // Verdicts and models agree everywhere. With a cache, step 1's repeat
-  // and step 2's two check()s hit, and only the first of those restores
-  // the model of the model-less prefilter entry; uncached, each check()
-  // re-judges and restores. Both constant-false checks short-circuit
-  // (uncached) in every mode, and so does step 7 in incremental mode,
-  // where a kept core answers it at zero cost; fresh mode's warm core
+  // and step 2's last two checks hit and replay the model the first one
+  // published; uncached, each check re-judges (or re-solves). Both
+  // constant-false checks short-circuit (uncached) in every mode, and so
+  // does step 7 in incremental mode, where a kept core answers it at zero
+  // cost; fresh mode's warm core
   // answers it inside the solve step, which keeps its bucket. Canonical
   // costs depend only on the solve step: incremental blasting reuses
   // earlier queries' terms, and fresh mode pays only for Sat and Unknown
   // verdicts (steps 1, 2 and 4), as every Unsat is a warm answer.
-  const std::vector<uint64_t> m = {15, 15, 9, 9};
+  const std::vector<uint64_t> m = {15, 15, 9, 9, 9};
   const struct {
     PipelineConfig cfg;
     PipelineOutcome want;
   } rows[] = {
       {{"incremental, cache, prefilter", false, true, true},
-       {"SSSSSU??UUUU", m, 3, 3, 6, 0, 3, 6, 1, {28, 1015, 5}}},
+       {"SSSSSU??UUUU", m, 3, 3, 6, 0, {28, 1015, 5}}},
       {{"incremental, cache, no prefilter", false, true, false},
-       {"SSSSSU??UUUU", m, 3, 3, 0, 6, 0, 0, 0, {40, 1075, 5}}},
+       {"SSSSSU??UUUU", m, 3, 3, 0, 6, {40, 1075, 5}}},
       {{"incremental, no cache, prefilter", false, false, true},
-       {"SSSSSU??UUUU", m, 0, 3, 9, 0, 3, 6, 2, {21, 960, 5}}},
+       {"SSSSSU??UUUU", m, 0, 3, 9, 0, {21, 960, 5}}},
       {{"incremental, no cache, no prefilter", false, false, false},
-       {"SSSSSU??UUUU", m, 0, 3, 0, 9, 0, 0, 0, {25, 980, 5}}},
+       {"SSSSSU??UUUU", m, 0, 3, 0, 9, {25, 980, 5}}},
       {{"fresh, shared cache, prefilter", true, true, true},
-       {"SSSSSU??UUUU", m, 3, 2, 7, 0, 3, 7, 1, {36, 1662, 4}}},
+       {"SSSSSU??UUUU", m, 3, 2, 7, 0, {36, 1662, 4}}},
       {{"fresh, shared cache, no prefilter", true, true, false},
-       {"SSSSSU??UUUU", m, 3, 2, 0, 7, 0, 0, 0, {51, 1722, 4}}},
+       {"SSSSSU??UUUU", m, 3, 2, 0, 7, {51, 1722, 4}}},
       {{"fresh, no cache, prefilter", true, false, true},
-       {"SSSSSU??UUUU", m, 0, 2, 10, 0, 3, 7, 2, {36, 1662, 4}}},
+       {"SSSSSU??UUUU", m, 0, 2, 10, 0, {36, 1662, 4}}},
       {{"fresh, no cache, no prefilter", true, false, false},
-       {"SSSSSU??UUUU", m, 0, 2, 0, 10, 0, 0, 0, {51, 1722, 4}}},
+       {"SSSSSU??UUUU", m, 0, 2, 0, 10, {51, 1722, 4}}},
   };
   for (const auto& row : rows) {
     EXPECT_EQ(runPipelineSequence(row.cfg), row.want) << row.cfg.name;
   }
+}
+
+// The prefilter with a shared cache, as an API caller attaches them
+// (fresh-mode workers, one term pool each). A prefilter-certified Sat
+// restores its model at the miss, off the books, and publishes it with
+// the verdict; a hit on another solver replays that model and solves
+// nothing.
+TEST(PrefilterApi, SatMissPublishesItsModelAndAHitReplaysIt) {
+  QueryCache shared;
+  auto interval = [](TermManager& tm, TermRef v) {
+    return std::vector<TermRef>{tm.mkUgt(v, tm.mkConst(8, 8)),
+                                tm.mkUlt(v, tm.mkConst(8, 10))};
+  };
+
+  TermManager tm1;
+  const TermRef x = tm1.mkVar(8, "x");
+  telemetry::Telemetry tel1;
+  PreSolver pre(tm1);
+  SmtSolver first(tm1);
+  first.setFreshMode(true);
+  first.setTelemetry(&tel1);
+  first.setSharedCache(&shared);
+  first.setPreSolver(&pre);
+  ASSERT_EQ(first.check(interval(tm1, x)), CheckResult::Sat);
+  EXPECT_EQ(first.modelValue(x), 9u);
+  EXPECT_EQ(first.stats().preSat, 1u);
+  EXPECT_EQ(first.stats().warmSolves, 0u);
+  EXPECT_EQ(tel1.metrics().counters().at("sat.solves").value, 0u);
+  EXPECT_EQ(first.telemetrySnapshot().canon, QueryCost{});
+  // The entry was complete, model included, as soon as the miss returned.
+  const QueryCache::Outcome entry = shared.acquire(
+      QueryCache::canonicalKey({}, interval(tm1, x), nullptr));
+  ASSERT_TRUE(entry.hit);
+  EXPECT_EQ(entry.result, CheckResult::Sat);
+  EXPECT_EQ(entry.model, std::vector<uint64_t>{9});
+
+  TermManager tm2;
+  tm2.mkVar(16, "unrelated");  // so y's pool index differs from x's
+  const TermRef y = tm2.mkVar(8, "y");
+  telemetry::Telemetry tel2;
+  SmtSolver second(tm2);
+  second.setFreshMode(true);
+  second.setTelemetry(&tel2);
+  second.setSharedCache(&shared);
+  ASSERT_EQ(second.check(interval(tm2, y)), CheckResult::Sat);
+  EXPECT_EQ(second.modelValue(y), 9u);
+  EXPECT_EQ(second.cacheHits(), 1u);
+  EXPECT_EQ(second.stats().warmSolves, 0u);
+  EXPECT_EQ(second.blastStats().termsBlasted, 0u);
+  EXPECT_EQ(tel2.metrics().counters().at("sat.solves").value, 0u);
 }
 
 }  // namespace

@@ -11,14 +11,13 @@
 #  - `adlsym profile` runs (stdout tables), a --max-steps budget run and
 #    one --checkpoint run;
 #  - sort4 sequential, --jobs 1, --jobs 2 and --jobs 4 runs, whose
-#    queries the prefilter rarely decides, so they go through bit-blasting
-#    and the SAT core, and whose steals make workers build constraints
-#    over variables their pools created in different orders;
-#  - every path through the solver's query pipeline the default runs
-#    miss: bitcount3 with --prefilter=off (sequential and --jobs 1);
+#    queries need bit-blasting and the SAT core (most Unsat ones are
+#    answered by kept cores), and whose steals make workers build
+#    constraints over variables their pools created in different orders;
 #  - bitcount3 with --merge --strategy bfs, and with --query-log (every
 #    corpus file compared);
 #  - parse2 under --strategy coverage and --strategy random.
+# 89 cases in all: 22 per ISA and the budget run below.
 # One more rv32e sort4 run has a --max-wall-ms budget on a 10 us manual
 # clock: it exits 3, and one query finds its deadline already spent. The
 # budget is tuned to the number of clock reads, so a change in the number
@@ -161,16 +160,7 @@ for isa in acc8 m16 rv32e stk16; do
     same "$isa-sort4-j$j" "${common[@]}" events.canon
   done
 
-  # Solver configurations the default runs never reach: every cache miss
-  # solved without the prefilter.
   img="$scratch/img/$isa-bitcount3.img"
-  both "$isa-prefilter-off-seq" explore "$isa" "$img" "${observe[@]}" \
-    --prefilter=off
-  same "$isa-prefilter-off-seq" "${common[@]}" events.jsonl manifest.json
-  both "$isa-prefilter-off-j1" explore "$isa" "$img" "${observe[@]}" \
-    --prefilter=off --jobs 1
-  same "$isa-prefilter-off-j1" "${common[@]}" events.jsonl manifest.json
-
   both "$isa-merge-bfs" explore "$isa" "$img" "${observe[@]}" \
     --merge --strategy bfs
   same "$isa-merge-bfs" "${common[@]}" events.jsonl manifest.json

@@ -1,12 +1,11 @@
 // stats_strip — canonicalize an adlsym stats JSON document for the
-// prefilter byte-identity smoke (CI, docs/absdomain.md). The determinism
-// contract says exploration artifacts are identical with --prefilter=on
-// and off *modulo the solver-work accounting*: the prefilter block itself,
-// the metrics registry (histogram shapes shift with the solver path
-// taken) and the solver's sat/bit-blast/canonicalization counters. This
-// tool parses a stats document, drops exactly those subtrees, and
-// re-emits the rest deterministically so `cmp` can assert the remainder
-// is byte-identical across modes.
+// bytecode/interp byte-identity smoke (CI, docs/bytecode.md). The engine
+// contract says the stats documents of --engine=bytecode and
+// --engine=interp differ only in the "engine" block that names the
+// engine. This tool parses a stats document, drops that block together
+// with the metrics registry and the solver's sat/bit-blast/
+// canonicalization work counters, and re-emits the rest deterministically
+// so `cmp` can assert the remainder is byte-identical across engines.
 //
 //   stats_strip <stats.json>               # stripped document on stdout
 //   stats_strip --check-keys <stats.json>  # schema gate: exit 1 when the
@@ -45,7 +44,7 @@ void emitNumber(double d, std::string* out) {
 bool dropTopLevel(const std::string& key) {
   // "engine" (v8): which ADL engine ran — the one field allowed to differ
   // in the bytecode/interp byte-identity smoke (docs/bytecode.md).
-  return key == "prefilter" || key == "metrics" || key == "engine";
+  return key == "metrics" || key == "engine";
 }
 
 bool dropInSolver(const std::string& key) {
