@@ -15,11 +15,14 @@ class Lexer {
  public:
   Lexer(std::string_view source, DiagEngine& diags);
 
-  /// Tokenize the whole buffer; always ends with a Tok::End token.
+  /// Tokenize the whole buffer; always ends with a Tok::End token. Token
+  /// text views into `source` (see Token::text).
   std::vector<Token> lexAll();
 
  private:
-  Token next();
+  /// Fill `tok` with the next token, reporting and skipping every
+  /// character that starts none.
+  void next(Token& tok);
   char peek(size_t ahead = 0) const;
   char advance();
   bool match(char expected);

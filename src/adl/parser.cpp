@@ -14,12 +14,56 @@ using ast::Stmt;
 using ast::StmtPtr;
 using ast::UnOp;
 
+/// Deepest nesting the parser accepts. Each statement inside another's
+/// body (and each `else if`), each expression operand (parenthesized,
+/// call argument, subscript), each unary operator and each binary
+/// operator of a chain is one level; the shipped descriptions reach 8.
+/// The limit keeps the recursive descent, sema's recursive lowering and
+/// the RTL trees' destructors far from the end of the stack.
+constexpr unsigned kMaxNesting = 256;
+
+struct NestingTooDeep {
+  SourceLoc loc;
+};
+
+/// Precedence level (0 = loosest) of a binary operator token, and its
+/// operator; -1 for any other token. Every level is left-associative.
+int binaryLevel(Tok t, BinOp& op) {
+  switch (t) {
+    case Tok::PipePipe: op = BinOp::LogicalOr; return 0;
+    case Tok::AmpAmp: op = BinOp::LogicalAnd; return 1;
+    case Tok::Pipe: op = BinOp::Or; return 2;
+    case Tok::Caret: op = BinOp::Xor; return 3;
+    case Tok::Amp: op = BinOp::And; return 4;
+    case Tok::EqEq: op = BinOp::Eq; return 5;
+    case Tok::BangEq: op = BinOp::Ne; return 5;
+    case Tok::Lt: op = BinOp::Ult; return 6;
+    case Tok::LtEq: op = BinOp::Ule; return 6;
+    case Tok::Gt: op = BinOp::Ugt; return 6;
+    case Tok::GtEq: op = BinOp::Uge; return 6;
+    case Tok::LtS: op = BinOp::Slt; return 6;
+    case Tok::LtEqS: op = BinOp::Sle; return 6;
+    case Tok::GtS: op = BinOp::Sgt; return 6;
+    case Tok::GtEqS: op = BinOp::Sge; return 6;
+    case Tok::Shl: op = BinOp::Shl; return 7;
+    case Tok::Shr: op = BinOp::LShr; return 7;
+    case Tok::ShrA: op = BinOp::AShr; return 7;
+    case Tok::Plus: op = BinOp::Add; return 8;
+    case Tok::Minus: op = BinOp::Sub; return 8;
+    case Tok::Star: op = BinOp::Mul; return 9;
+    case Tok::Slash: op = BinOp::UDiv; return 9;
+    case Tok::Percent: op = BinOp::URem; return 9;
+    default: return -1;
+  }
+}
+
 class Parser {
  public:
-  Parser(std::vector<Token> toks, DiagEngine& diags)
-      : toks_(std::move(toks)), diags_(diags) {}
+  Parser(ast::ArchDecl& arch, std::vector<Token> toks, DiagEngine& diags)
+      : arch_(arch), toks_(std::move(toks)), diags_(diags) {}
 
-  std::unique_ptr<ast::ArchDecl> parseArch();
+  /// Fill the ArchDecl; false when the text is not an architecture at all.
+  bool parseArch();
 
  private:
   const Token& peek(size_t ahead = 0) const {
@@ -46,8 +90,8 @@ class Parser {
                                        context, tokName(peek().kind)));
     return false;
   }
-  std::string expectIdent(const char* context) {
-    if (at(Tok::Ident)) return advance().text;
+  std::string_view expectIdent(const char* context) {
+    if (at(Tok::Ident)) return advance().text;  // a view into arch_'s copy
     diags_.error(peek().loc, formatStr("expected identifier %s, found %s",
                                        context, tokName(peek().kind)));
     return {};
@@ -66,70 +110,91 @@ class Parser {
     }
   }
 
-  void parseItem(ast::ArchDecl& arch);
-  void parseReg(ast::ArchDecl& arch);
-  void parseRegFile(ast::ArchDecl& arch);
-  void parseFlag(ast::ArchDecl& arch);
-  void parseMem(ast::ArchDecl& arch);
-  void parseEncoding(ast::ArchDecl& arch);
-  void parseInsn(ast::ArchDecl& arch);
+  void parseItem();
+  void parseReg();
+  void parseRegFile();
+  void parseFlag();
+  void parseMem();
+  void parseEncoding();
+  void parseInsn();
 
-  std::vector<StmtPtr> parseBlock();
+  ast::StmtList parseBlock();
+  ast::ExprList parseArgs();
+  ExprPtr makeExpr(Expr::Kind kind, SourceLoc loc) {
+    ExprPtr e = arch_.make<Expr>();
+    e->kind = kind;
+    e->loc = loc;
+    return e;
+  }
+  /// An arena list of one or two operands.
+  ast::ExprList operands(ExprPtr a, ExprPtr b = nullptr) {
+    const size_t mark = exprStack_.size();
+    exprStack_.push_back(a);
+    if (b != nullptr) exprStack_.push_back(b);
+    return arch_.popSince(exprStack_, mark);
+  }
   StmtPtr parseStmt();
-  ExprPtr parseExpr() { return parseLogicalOr(); }
-  ExprPtr parseLogicalOr();
-  ExprPtr parseLogicalAnd();
-  ExprPtr parseBitOr();
-  ExprPtr parseBitXor();
-  ExprPtr parseBitAnd();
-  ExprPtr parseEquality();
-  ExprPtr parseRelational();
-  ExprPtr parseShift();
-  ExprPtr parseAdditive();
-  ExprPtr parseMultiplicative();
+  StmtPtr parseStmtBody();
+  ExprPtr parseExpr();
+  /// An operand joined by binary operators of precedence `minLevel` or
+  /// tighter.
+  ExprPtr parseBinary(int minLevel);
   ExprPtr parseUnary();
   ExprPtr parsePrimary();
 
+  /// Enter one more nesting level; throws NestingTooDeep past the limit.
+  /// The caller leaves it by decrementing depth_.
+  void nest() {
+    if (++depth_ > kMaxNesting) throw NestingTooDeep{peek().loc};
+  }
+
+  ast::ArchDecl& arch_;
   std::vector<Token> toks_;
   DiagEngine& diags_;
   size_t pos_ = 0;
+  unsigned depth_ = 0;
+  // Statements and call arguments collect here while their block or list
+  // is open (nested ones above them), so each list is allocated once, at
+  // its final size.
+  std::vector<StmtPtr> stmtStack_;
+  std::vector<ExprPtr> exprStack_;
 };
 
-std::unique_ptr<ast::ArchDecl> Parser::parseArch() {
-  auto arch = std::make_unique<ast::ArchDecl>();
-  arch->loc = peek().loc;
+bool Parser::parseArch() {
+  arch_.loc = peek().loc;
   if (!atIdent("arch")) {
     diags_.error(peek().loc, "ADL file must start with 'arch <name> { ... }'");
-    return nullptr;
+    return false;
   }
   advance();
-  arch->name = expectIdent("after 'arch'");
-  if (!expect(Tok::LBrace, "to open architecture body")) return nullptr;
-  while (!at(Tok::RBrace) && !at(Tok::End)) parseItem(*arch);
+  arch_.name = expectIdent("after 'arch'");
+  if (!expect(Tok::LBrace, "to open architecture body")) return false;
+  while (!at(Tok::RBrace) && !at(Tok::End)) parseItem();
   expect(Tok::RBrace, "to close architecture body");
-  if (diags_.hasErrors()) return nullptr;
-  return arch;
+  return true;
 }
 
-void Parser::parseItem(ast::ArchDecl& arch) {
+void Parser::parseItem() {
   if (!at(Tok::Ident)) {
     diags_.error(peek().loc, formatStr("expected declaration, found %s",
                                        tokName(peek().kind)));
     synchronize();
     return;
   }
-  const std::string kw = peek().text;
+  const std::string_view kw = peek().text;
   if (kw == "endian") {
     advance();
-    const std::string which = expectIdent("after 'endian'");
-    if (which == "little") arch.endianLittle = true;
-    else if (which == "big") arch.endianLittle = false;
+    const std::string_view which = expectIdent("after 'endian'");
+    if (which == "little") arch_.endianLittle = true;
+    else if (which == "big") arch_.endianLittle = false;
     else diags_.error(peek().loc, "endianness must be 'little' or 'big'");
-    arch.endianSeen = true;
+    arch_.endianSeen = true;
     expect(Tok::Semi, "after endian declaration");
   } else if (kw == "wordsize") {
     advance();
-    if (auto v = expectInt("after 'wordsize'")) arch.wordSize = static_cast<unsigned>(*v);
+    if (auto v = expectInt("after 'wordsize'")) {
+      arch_.wordSize = static_cast<unsigned>(*v);
+    }
     expect(Tok::Semi, "after wordsize declaration");
   } else if (kw == "const") {
     advance();
@@ -139,26 +204,26 @@ void Parser::parseItem(ast::ArchDecl& arch) {
     expect(Tok::Assign, "after constant name");
     if (auto v = expectInt("for constant value")) d.value = *v;
     expect(Tok::Semi, "after constant declaration");
-    arch.consts.push_back(std::move(d));
+    arch_.consts.push_back(d);
   } else if (kw == "reg") {
-    parseReg(arch);
+    parseReg();
   } else if (kw == "regfile") {
-    parseRegFile(arch);
+    parseRegFile();
   } else if (kw == "flag") {
-    parseFlag(arch);
+    parseFlag();
   } else if (kw == "mem") {
-    parseMem(arch);
+    parseMem();
   } else if (kw == "enc") {
-    parseEncoding(arch);
+    parseEncoding();
   } else if (kw == "insn") {
-    parseInsn(arch);
+    parseInsn();
   } else {
-    diags_.error(peek().loc, "unknown declaration '" + kw + "'");
+    diags_.error(peek().loc, "unknown declaration '" + std::string(kw) + "'");
     synchronize();
   }
 }
 
-void Parser::parseReg(ast::ArchDecl& arch) {
+void Parser::parseReg() {
   ast::RegDecl d;
   d.loc = peek().loc;
   advance();  // 'reg'
@@ -166,10 +231,10 @@ void Parser::parseReg(ast::ArchDecl& arch) {
   expect(Tok::Colon, "after register name");
   if (auto w = expectInt("for register width")) d.width = static_cast<unsigned>(*w);
   expect(Tok::Semi, "after register declaration");
-  arch.regs.push_back(std::move(d));
+  arch_.regs.push_back(d);
 }
 
-void Parser::parseRegFile(ast::ArchDecl& arch) {
+void Parser::parseRegFile() {
   ast::RegFileDecl d;
   d.loc = peek().loc;
   advance();  // 'regfile'
@@ -182,47 +247,50 @@ void Parser::parseRegFile(ast::ArchDecl& arch) {
   if (accept(Tok::LBrace)) {
     // Attribute block: currently only `zero = <index>;`
     while (!at(Tok::RBrace) && !at(Tok::End)) {
-      const std::string attr = expectIdent("for register file attribute");
+      const size_t start = pos_;
+      const std::string_view attr = expectIdent("for register file attribute");
       expect(Tok::Assign, "after attribute name");
       auto v = expectInt("for attribute value");
       if (attr == "zero" && v) {
         d.zeroReg = static_cast<unsigned>(*v);
       } else if (attr != "zero") {
-        diags_.error(peek().loc, "unknown register file attribute '" + attr + "'");
+        diags_.error(peek().loc, "unknown register file attribute '" +
+                                     std::string(attr) + "'");
       }
       accept(Tok::Semi);
+      if (pos_ == start) advance();  // no attribute starts here: skip a token
     }
     expect(Tok::RBrace, "to close attribute block");
   }
   expect(Tok::Semi, "after register file declaration");
-  arch.regfiles.push_back(std::move(d));
+  arch_.regfiles.push_back(d);
 }
 
-void Parser::parseFlag(ast::ArchDecl& arch) {
+void Parser::parseFlag() {
   ast::FlagDecl d;
   d.loc = peek().loc;
   advance();  // 'flag'
   d.name = expectIdent("for flag name");
   expect(Tok::Semi, "after flag declaration");
-  arch.flags.push_back(std::move(d));
+  arch_.flags.push_back(d);
 }
 
-void Parser::parseMem(ast::ArchDecl& arch) {
+void Parser::parseMem() {
   ast::MemDecl d;
   d.loc = peek().loc;
   advance();  // 'mem'
   d.name = expectIdent("for memory name");
   expect(Tok::Colon, "after memory name");
-  const std::string unit = expectIdent("for memory unit");
+  const std::string_view unit = expectIdent("for memory unit");
   if (unit != "byte") diags_.error(d.loc, "only byte-addressed memory is supported");
   expect(Tok::LBracket, "after 'byte'");
   if (auto w = expectInt("for address width")) d.addrWidth = static_cast<unsigned>(*w);
   expect(Tok::RBracket, "after address width");
   expect(Tok::Semi, "after memory declaration");
-  arch.mems.push_back(std::move(d));
+  arch_.mems.push_back(d);
 }
 
-void Parser::parseEncoding(ast::ArchDecl& arch) {
+void Parser::parseEncoding() {
   ast::EncodingDecl d;
   d.loc = peek().loc;
   advance();  // 'enc'
@@ -236,20 +304,22 @@ void Parser::parseEncoding(ast::ArchDecl& arch) {
     expect(Tok::Colon, "after field name");
     if (auto w = expectInt("for field width")) f.width = static_cast<unsigned>(*w);
     expect(Tok::RBracket, "after field width");
-    d.fields.push_back(std::move(f));
+    d.fields.push_back(f);
   }
   if (d.fields.empty()) diags_.error(d.loc, "encoding has no fields");
   expect(Tok::Semi, "after encoding declaration");
-  arch.encodings.push_back(std::move(d));
+  arch_.encodings.push_back(std::move(d));
 }
 
-void Parser::parseInsn(ast::ArchDecl& arch) {
+void Parser::parseInsn() {
   ast::InsnDecl d;
   d.loc = peek().loc;
   advance();  // 'insn'
   d.name = expectIdent("for instruction name");
   if (at(Tok::String)) {
-    d.syntax = advance().text;
+    const Token& t = advance();
+    // An escaped literal's text lives in its token: keep a copy.
+    d.syntax = t.unescaped ? arch_.keep(t.text) : t.text;
   } else {
     diags_.error(peek().loc, "expected assembly syntax string after instruction name");
   }
@@ -266,7 +336,7 @@ void Parser::parseInsn(ast::ArchDecl& arch) {
     } else if (auto v = expectInt("for fixed field value")) {
       fix.value = *v;
     }
-    d.fixes.push_back(std::move(fix));
+    d.fixes.push_back(fix);
     if (!accept(Tok::Comma)) break;
   }
   expect(Tok::RParen, "to close fixed field list");
@@ -275,21 +345,38 @@ void Parser::parseInsn(ast::ArchDecl& arch) {
     return;
   }
   d.body = parseBlock();
-  arch.insns.push_back(std::move(d));
+  arch_.insns.push_back(std::move(d));
 }
 
-std::vector<StmtPtr> Parser::parseBlock() {
+ast::StmtList Parser::parseBlock() {
   // Caller consumed '{'.
-  std::vector<StmtPtr> body;
+  const size_t mark = stmtStack_.size();
   while (!at(Tok::RBrace) && !at(Tok::End)) {
-    if (StmtPtr s = parseStmt()) body.push_back(std::move(s));
+    if (StmtPtr s = parseStmt()) stmtStack_.push_back(s);
   }
   expect(Tok::RBrace, "to close block");
-  return body;
+  return arch_.popSince(stmtStack_, mark);
+}
+
+ast::ExprList Parser::parseArgs() {
+  // Caller consumed '('; the caller expects the ')'.
+  const size_t mark = exprStack_.size();
+  while (!at(Tok::RParen) && !at(Tok::End)) {
+    exprStack_.push_back(parseExpr());
+    if (!accept(Tok::Comma)) break;
+  }
+  return arch_.popSince(exprStack_, mark);
 }
 
 StmtPtr Parser::parseStmt() {
-  auto s = std::make_unique<Stmt>();
+  nest();
+  StmtPtr s = parseStmtBody();
+  --depth_;
+  return s;
+}
+
+StmtPtr Parser::parseStmtBody() {
+  StmtPtr s = arch_.make<Stmt>();
   s->loc = peek().loc;
 
   if (atIdent("let")) {
@@ -312,7 +399,9 @@ StmtPtr Parser::parseStmt() {
       advance();
       if (atIdent("if")) {
         // else-if chains nest as a single-statement else body.
-        s->elseBody.push_back(parseStmt());
+        const size_t mark = stmtStack_.size();
+        stmtStack_.push_back(parseStmt());
+        s->elseBody = arch_.popSince(stmtStack_, mark);
       } else if (expect(Tok::LBrace, "to open else body")) {
         s->elseBody = parseBlock();
       }
@@ -327,16 +416,13 @@ StmtPtr Parser::parseStmt() {
     return nullptr;
   }
 
-  const std::string name = advance().text;
+  const std::string_view name = advance().text;
   if (at(Tok::LParen)) {
     // Intrinsic call statement.
     advance();
     s->kind = Stmt::Kind::CallStmt;
     s->name = name;
-    while (!at(Tok::RParen) && !at(Tok::End)) {
-      s->args.push_back(parseExpr());
-      if (!accept(Tok::Comma)) break;
-    }
+    s->args = parseArgs();
     expect(Tok::RParen, "to close call arguments");
     expect(Tok::Semi, "after call statement");
     return s;
@@ -362,165 +448,105 @@ StmtPtr Parser::parseStmt() {
 
 // --------------------------------------------------------- expressions --
 
-ExprPtr Parser::parseLogicalOr() {
-  ExprPtr lhs = parseLogicalAnd();
-  while (at(Tok::PipePipe)) {
-    const SourceLoc loc = advance().loc;
-    lhs = Expr::makeBinary(loc, BinOp::LogicalOr, std::move(lhs), parseLogicalAnd());
-  }
-  return lhs;
+ExprPtr Parser::parseExpr() {
+  nest();
+  ExprPtr e = parseBinary(0);
+  --depth_;
+  return e;
 }
 
-ExprPtr Parser::parseLogicalAnd() {
-  ExprPtr lhs = parseBitOr();
-  while (at(Tok::AmpAmp)) {
-    const SourceLoc loc = advance().loc;
-    lhs = Expr::makeBinary(loc, BinOp::LogicalAnd, std::move(lhs), parseBitOr());
-  }
-  return lhs;
-}
-
-ExprPtr Parser::parseBitOr() {
-  ExprPtr lhs = parseBitXor();
-  while (at(Tok::Pipe)) {
-    const SourceLoc loc = advance().loc;
-    lhs = Expr::makeBinary(loc, BinOp::Or, std::move(lhs), parseBitXor());
-  }
-  return lhs;
-}
-
-ExprPtr Parser::parseBitXor() {
-  ExprPtr lhs = parseBitAnd();
-  while (at(Tok::Caret)) {
-    const SourceLoc loc = advance().loc;
-    lhs = Expr::makeBinary(loc, BinOp::Xor, std::move(lhs), parseBitAnd());
-  }
-  return lhs;
-}
-
-ExprPtr Parser::parseBitAnd() {
-  ExprPtr lhs = parseEquality();
-  while (at(Tok::Amp)) {
-    const SourceLoc loc = advance().loc;
-    lhs = Expr::makeBinary(loc, BinOp::And, std::move(lhs), parseEquality());
-  }
-  return lhs;
-}
-
-ExprPtr Parser::parseEquality() {
-  ExprPtr lhs = parseRelational();
-  while (at(Tok::EqEq) || at(Tok::BangEq)) {
-    const Tok op = peek().kind;
-    const SourceLoc loc = advance().loc;
-    lhs = Expr::makeBinary(loc, op == Tok::EqEq ? BinOp::Eq : BinOp::Ne,
-                           std::move(lhs), parseRelational());
-  }
-  return lhs;
-}
-
-ExprPtr Parser::parseRelational() {
-  ExprPtr lhs = parseShift();
-  while (true) {
-    BinOp op;
-    switch (peek().kind) {
-      case Tok::Lt: op = BinOp::Ult; break;
-      case Tok::LtEq: op = BinOp::Ule; break;
-      case Tok::Gt: op = BinOp::Ugt; break;
-      case Tok::GtEq: op = BinOp::Uge; break;
-      case Tok::LtS: op = BinOp::Slt; break;
-      case Tok::LtEqS: op = BinOp::Sle; break;
-      case Tok::GtS: op = BinOp::Sgt; break;
-      case Tok::GtEqS: op = BinOp::Sge; break;
-      default: return lhs;
-    }
-    const SourceLoc loc = advance().loc;
-    lhs = Expr::makeBinary(loc, op, std::move(lhs), parseShift());
-  }
-}
-
-ExprPtr Parser::parseShift() {
-  ExprPtr lhs = parseAdditive();
-  while (at(Tok::Shl) || at(Tok::Shr) || at(Tok::ShrA)) {
-    const Tok tk = peek().kind;
-    const SourceLoc loc = advance().loc;
-    const BinOp op = tk == Tok::Shl ? BinOp::Shl
-                   : tk == Tok::Shr ? BinOp::LShr
-                                    : BinOp::AShr;
-    lhs = Expr::makeBinary(loc, op, std::move(lhs), parseAdditive());
-  }
-  return lhs;
-}
-
-ExprPtr Parser::parseAdditive() {
-  ExprPtr lhs = parseMultiplicative();
-  while (at(Tok::Plus) || at(Tok::Minus)) {
-    const Tok tk = peek().kind;
-    const SourceLoc loc = advance().loc;
-    lhs = Expr::makeBinary(loc, tk == Tok::Plus ? BinOp::Add : BinOp::Sub,
-                           std::move(lhs), parseMultiplicative());
-  }
-  return lhs;
-}
-
-ExprPtr Parser::parseMultiplicative() {
+ExprPtr Parser::parseBinary(int minLevel) {
+  // Precedence climbing: the tree recursive descent with one function per
+  // level would build, without a call per level for every operand.
   ExprPtr lhs = parseUnary();
-  while (at(Tok::Star) || at(Tok::Slash) || at(Tok::Percent)) {
-    const Tok tk = peek().kind;
+  // A chain builds a left-deep tree: one nesting level per operator.
+  const unsigned outer = depth_;
+  BinOp op{};
+  for (int level; (level = binaryLevel(peek().kind, op)) >= minLevel;) {
+    nest();
     const SourceLoc loc = advance().loc;
-    const BinOp op = tk == Tok::Star ? BinOp::Mul
-                   : tk == Tok::Slash ? BinOp::UDiv
-                                      : BinOp::URem;
-    lhs = Expr::makeBinary(loc, op, std::move(lhs), parseUnary());
+    ExprPtr rhs = parseBinary(level + 1);
+    ExprPtr e = makeExpr(Expr::Kind::Binary, loc);
+    e->binop = op;
+    e->args = operands(lhs, rhs);
+    lhs = e;
   }
+  depth_ = outer;
   return lhs;
 }
 
 ExprPtr Parser::parseUnary() {
   const SourceLoc loc = peek().loc;
-  if (accept(Tok::Tilde)) return Expr::makeUnary(loc, UnOp::Not, parseUnary());
-  if (accept(Tok::Minus)) return Expr::makeUnary(loc, UnOp::Neg, parseUnary());
-  if (accept(Tok::Bang)) return Expr::makeUnary(loc, UnOp::LogicalNot, parseUnary());
-  return parsePrimary();
+  UnOp op;
+  if (accept(Tok::Tilde)) {
+    op = UnOp::Not;
+  } else if (accept(Tok::Minus)) {
+    op = UnOp::Neg;
+  } else if (accept(Tok::Bang)) {
+    op = UnOp::LogicalNot;
+  } else {
+    return parsePrimary();
+  }
+  nest();
+  ExprPtr a = parseUnary();
+  --depth_;
+  ExprPtr e = makeExpr(Expr::Kind::Unary, loc);
+  e->unop = op;
+  e->args = operands(a);
+  return e;
 }
 
 ExprPtr Parser::parsePrimary() {
   const SourceLoc loc = peek().loc;
-  if (at(Tok::Int)) return Expr::makeInt(loc, advance().intValue);
+  if (at(Tok::Int)) {
+    ExprPtr e = makeExpr(Expr::Kind::IntLit, loc);
+    e->intValue = advance().intValue;
+    return e;
+  }
   if (accept(Tok::LParen)) {
     ExprPtr e = parseExpr();
     expect(Tok::RParen, "to close parenthesized expression");
     return e;
   }
   if (at(Tok::Ident)) {
-    const std::string name = advance().text;
+    const std::string_view name = advance().text;
     if (accept(Tok::LParen)) {
-      std::vector<ExprPtr> args;
-      while (!at(Tok::RParen) && !at(Tok::End)) {
-        args.push_back(parseExpr());
-        if (!accept(Tok::Comma)) break;
-      }
+      ExprPtr e = makeExpr(Expr::Kind::Call, loc);
+      e->name = name;
+      e->args = parseArgs();
       expect(Tok::RParen, "to close call arguments");
-      return Expr::makeCall(loc, name, std::move(args));
+      return e;
     }
     if (accept(Tok::LBracket)) {
-      ExprPtr idx = parseExpr();
+      ExprPtr e = makeExpr(Expr::Kind::Index, loc);
+      e->name = name;
+      e->args = operands(parseExpr());
       expect(Tok::RBracket, "to close subscript");
-      return Expr::makeIndex(loc, name, std::move(idx));
+      return e;
     }
-    return Expr::makeName(loc, name);
+    ExprPtr e = makeExpr(Expr::Kind::NameRef, loc);
+    e->name = name;
+    return e;
   }
   diags_.error(loc, formatStr("expected expression, found %s", tokName(peek().kind)));
   advance();
-  return Expr::makeInt(loc, 0);
+  return makeExpr(Expr::Kind::IntLit, loc);
 }
 
 }  // namespace
 
 std::unique_ptr<ast::ArchDecl> parseArch(std::string_view source,
                                          DiagEngine& diags) {
-  Lexer lexer(source, diags);
-  Parser parser(lexer.lexAll(), diags);
-  auto arch = parser.parseArch();
+  // The tree's names view into its own copy of the text. The shipped
+  // descriptions take 4.6 to 7.2 arena bytes per source byte.
+  auto arch = std::make_unique<ast::ArchDecl>(8 * source.size() + 1024);
+  Lexer lexer(arch->keep(source), diags);
+  Parser parser(*arch, lexer.lexAll(), diags);
+  try {
+    if (!parser.parseArch()) return nullptr;
+  } catch (const NestingTooDeep& e) {
+    diags.error(e.loc, formatStr("nesting deeper than %u levels", kMaxNesting));
+  }
   if (diags.hasErrors()) return nullptr;
   return arch;
 }

@@ -11,7 +11,8 @@
 namespace adlsym::adl {
 
 /// Parse one `arch { ... }` description. Returns nullptr on hard syntax
-/// errors (diagnostics in `diags`).
+/// errors (diagnostics in `diags`). The tree keeps its own copy of
+/// `source`, which its names view into (ast.h).
 std::unique_ptr<ast::ArchDecl> parseArch(std::string_view source,
                                          DiagEngine& diags);
 

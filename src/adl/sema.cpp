@@ -1,7 +1,9 @@
 #include "adl/sema.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <bit>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "analysis/lint.h"
 #include "support/bits.h"
@@ -22,6 +24,35 @@ rtl::ExprPtr mkRtl(ExprOp op, unsigned width, uint64_t aux = 0) {
   e->width = static_cast<uint8_t>(width);
   e->aux = aux;
   return e;
+}
+
+/// An interior node over one or two operands.
+rtl::ExprPtr mkRtl(ExprOp op, unsigned width, uint64_t aux, rtl::ExprPtr a,
+                   rtl::ExprPtr b = nullptr) {
+  auto e = mkRtl(op, width, aux);
+  e->args.reserve(b ? 2 : 1);
+  e->args.push_back(std::move(a));
+  if (b) e->args.push_back(std::move(b));
+  return e;
+}
+
+/// isspace() in the "C" locale.
+bool isSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// EncodingInfo::findField and InsnInfo::operandFieldIndex for names the
+// parse tree holds as views.
+const EncFieldInfo* findField(const EncodingInfo& enc, std::string_view name) {
+  for (const EncFieldInfo& f : enc.fields) {
+    if (f.name == name) return &f;
+  }
+  return nullptr;
+}
+
+int operandFieldIndex(const InsnInfo& insn, std::string_view name) {
+  for (size_t i = 0; i < insn.operandFields.size(); ++i) {
+    if (insn.operandFields[i]->name == name) return static_cast<int>(i);
+  }
+  return -1;
 }
 
 ExprOp binOpToRtl(BinOp op) {
@@ -78,12 +109,31 @@ class Analyzer {
  private:
   void error(SourceLoc loc, std::string msg) { diags_.error(loc, std::move(msg)); }
 
-  bool declareName(SourceLoc loc, const std::string& name, const char* what) {
-    if (!globalNames_.insert(name).second) {
-      error(loc, formatStr("duplicate declaration of '%s' (%s)", name.c_str(), what));
-      return false;
+  /// What a global name (constant, register or flag, register file,
+  /// memory, encoding) resolves to: a constant's value, a register's index
+  /// into ArchModel::regs or an encoding's index. A name stays Declared,
+  /// resolving to nothing, until its declaration passes its checks.
+  struct Symbol {
+    enum class Kind : uint8_t { Declared, Const, Reg, Encoding };
+    Kind kind = Kind::Declared;
+    uint64_t value = 0;
+  };
+
+  /// Claim `name` for a declaration, or report a duplicate (nullptr).
+  Symbol* declareName(SourceLoc loc, std::string_view name, const char* what) {
+    const auto [it, fresh] = globals_.try_emplace(name);
+    if (!fresh) {
+      error(loc, formatStr("duplicate declaration of '%s' (%s)",
+                           std::string(name).c_str(), what));
+      return nullptr;
     }
-    return true;
+    return &it->second;
+  }
+  /// The symbol `name` resolves to, if it is a `kind`.
+  const Symbol* lookup(std::string_view name, Symbol::Kind kind) const {
+    const auto it = globals_.find(name);
+    if (it == globals_.end() || it->second.kind != kind) return nullptr;
+    return &it->second;
   }
 
   void analyzeStorage();
@@ -95,7 +145,7 @@ class Analyzer {
   // Semantics lowering. `want` = required width; 0 = inferred (integer
   // literals then default to wordSize).
   rtl::ExprPtr lowerExpr(const ast::Expr& e, unsigned want);
-  std::vector<rtl::StmtPtr> lowerBlock(const std::vector<ast::StmtPtr>& body);
+  std::vector<rtl::StmtPtr> lowerBlock(const ast::StmtList& body);
   rtl::StmtPtr lowerStmt(const ast::Stmt& s);
   /// True if the lowered expression only depends on encoding fields and
   /// constants (required for regfile subscripts: they must be computable at
@@ -108,13 +158,14 @@ class Analyzer {
   const ast::ArchDecl& arch_;
   DiagEngine& diags_;
   std::unique_ptr<ArchModel> model_;
-  std::set<std::string> globalNames_;
-  std::map<std::string, uint64_t> consts_;
+  // Names view into the parse tree's arena, which outlives the analysis.
+  std::unordered_map<std::string_view, Symbol> globals_;
+  std::unordered_set<std::string_view> mnemonics_;  // of model_->insns
 
   // Per-instruction lowering state.
   const InsnInfo* curInsn_ = nullptr;
   struct LetBinding {
-    std::string name;
+    std::string_view name;
     unsigned slot;
     unsigned width;
   };
@@ -134,9 +185,18 @@ std::unique_ptr<ArchModel> Analyzer::run() {
     return nullptr;
   }
   model_->wordSize = arch_.wordSize;
+  model_->regs.reserve(arch_.regs.size() + arch_.flags.size());
+  model_->encodings.reserve(arch_.encodings.size());
+  model_->insns.reserve(arch_.insns.size());
+  globals_.reserve(arch_.consts.size() + arch_.regs.size() +
+                   arch_.flags.size() + arch_.regfiles.size() +
+                   arch_.mems.size() + arch_.encodings.size());
+  mnemonics_.reserve(arch_.insns.size());
 
   for (const auto& c : arch_.consts) {
-    if (declareName(c.loc, c.name, "constant")) consts_[c.name] = c.value;
+    if (Symbol* sym = declareName(c.loc, c.name, "constant")) {
+      *sym = {Symbol::Kind::Const, c.value};
+    }
   }
   analyzeStorage();
   analyzeEncodings();
@@ -158,12 +218,14 @@ std::unique_ptr<ArchModel> Analyzer::run() {
 void Analyzer::analyzeStorage() {
   bool sawPC = false;
   for (const auto& r : arch_.regs) {
-    if (!declareName(r.loc, r.name, "register")) continue;
+    Symbol* sym = declareName(r.loc, r.name, "register");
+    if (sym == nullptr) continue;
     if (r.width < 1 || r.width > 64) {
       error(r.loc, "register width must be in [1, 64]");
       continue;
     }
-    RegInfo info{r.name, r.width, r.name == "pc", false};
+    *sym = {Symbol::Kind::Reg, model_->regs.size()};
+    RegInfo info{std::string(r.name), r.width, r.name == "pc", false};
     if (info.isPC) {
       sawPC = true;
       model_->pcIndex = static_cast<unsigned>(model_->regs.size());
@@ -171,8 +233,10 @@ void Analyzer::analyzeStorage() {
     model_->regs.push_back(std::move(info));
   }
   for (const auto& f : arch_.flags) {
-    if (!declareName(f.loc, f.name, "flag")) continue;
-    model_->regs.push_back(RegInfo{f.name, 1, false, true});
+    Symbol* sym = declareName(f.loc, f.name, "flag");
+    if (sym == nullptr) continue;
+    *sym = {Symbol::Kind::Reg, model_->regs.size()};
+    model_->regs.push_back(RegInfo{std::string(f.name), 1, false, true});
   }
   if (!sawPC) {
     error(arch_.loc, "architecture must declare a program counter: 'reg pc : <width>;'");
@@ -192,7 +256,8 @@ void Analyzer::analyzeStorage() {
         if (rf.zeroReg && *rf.zeroReg >= rf.count) {
           error(rf.loc, "zero register index out of range");
         }
-        model_->regfile = RegFileInfo{rf.name, rf.count, rf.width, rf.zeroReg};
+        model_->regfile =
+            RegFileInfo{std::string(rf.name), rf.count, rf.width, rf.zeroReg};
       }
     }
   }
@@ -206,105 +271,112 @@ void Analyzer::analyzeStorage() {
     if (m.addrWidth < 8 || m.addrWidth > 64) {
       error(m.loc, "memory address width must be in [8, 64]");
     }
-    model_->mem = MemInfo{m.name, m.addrWidth};
+    model_->mem = MemInfo{std::string(m.name), m.addrWidth};
   }
 }
 
 void Analyzer::analyzeEncodings() {
+  std::vector<std::string_view> fieldNames;
   for (const auto& enc : arch_.encodings) {
-    if (!declareName(enc.loc, enc.name, "encoding")) continue;
+    Symbol* sym = declareName(enc.loc, enc.name, "encoding");
+    if (sym == nullptr) continue;
     EncodingInfo info;
     info.name = enc.name;
     unsigned total = 0;
-    std::set<std::string> fieldNames;
+    fieldNames.clear();
     for (const auto& f : enc.fields) {
       if (f.width < 1 || f.width > 64) {
         error(f.loc, "encoding field width must be in [1, 64]");
         continue;
       }
-      if (!fieldNames.insert(f.name).second) {
-        error(f.loc, "duplicate encoding field '" + f.name + "'");
+      if (std::find(fieldNames.begin(), fieldNames.end(), f.name) !=
+          fieldNames.end()) {
+        error(f.loc, "duplicate encoding field '" + std::string(f.name) + "'");
         continue;
       }
+      fieldNames.push_back(f.name);
       total += f.width;
     }
     if (total == 0 || total > 64 || total % 8 != 0) {
       error(enc.loc,
             formatStr("encoding '%s' is %u bits; must be a nonzero multiple "
                       "of 8 up to 64",
-                      enc.name.c_str(), total));
+                      std::string(enc.name).c_str(), total));
       continue;
     }
     info.totalWidth = total;
     // Fields are written MSB-first; compute each field's LSB offset.
     unsigned hi = total;
+    info.fields.reserve(enc.fields.size());
     for (const auto& f : enc.fields) {
-      info.fields.push_back(EncFieldInfo{f.name, f.width, hi - f.width});
+      info.fields.push_back(
+          EncFieldInfo{std::string(f.name), f.width, hi - f.width});
       hi -= f.width;
     }
+    *sym = {Symbol::Kind::Encoding, model_->encodings.size()};
     model_->encodings.push_back(std::move(info));
   }
 }
 
 void Analyzer::analyzeInsn(const ast::InsnDecl& insn) {
+  if (mnemonics_.count(insn.name) != 0) {
+    error(insn.loc,
+          "duplicate instruction mnemonic '" + std::string(insn.name) + "'");
+    return;
+  }
+  const Symbol* encSym = lookup(insn.encodingName, Symbol::Kind::Encoding);
+  if (encSym == nullptr) {
+    error(insn.loc,
+          "unknown encoding '" + std::string(insn.encodingName) + "'");
+    return;
+  }
   InsnInfo info;
   info.name = insn.name;
   info.syntax = insn.syntax;
-
-  for (const auto& existing : model_->insns) {
-    if (existing.name == insn.name) {
-      error(insn.loc, "duplicate instruction mnemonic '" + insn.name + "'");
-      return;
-    }
-  }
-
-  int encIdx = -1;
-  for (size_t i = 0; i < model_->encodings.size(); ++i) {
-    if (model_->encodings[i].name == insn.encodingName) {
-      encIdx = static_cast<int>(i);
-      break;
-    }
-  }
-  if (encIdx < 0) {
-    error(insn.loc, "unknown encoding '" + insn.encodingName + "'");
-    return;
-  }
-  info.encodingIdx = static_cast<unsigned>(encIdx);
+  info.encodingIdx = static_cast<unsigned>(encSym->value);
   const EncodingInfo& enc = model_->encodings[info.encodingIdx];
   info.lengthBytes = enc.totalWidth / 8;
 
-  std::set<std::string> fixed;
-  for (const auto& fixIn : insn.fixes) {
-    ast::FieldFix fix = fixIn;
+  // Bit k set: enc.fields[k] is fixed. An encoding that passed its checks
+  // has at most 64 fields, all named apart.
+  uint64_t fixed = 0;
+  for (const ast::FieldFix& fix : insn.fixes) {
+    uint64_t value = fix.value;
     if (!fix.ref.empty()) {
-      auto it = consts_.find(fix.ref);
-      if (it == consts_.end()) {
-        error(fix.loc, "unknown constant '" + fix.ref + "' in fixed field");
+      const Symbol* c = lookup(fix.ref, Symbol::Kind::Const);
+      if (c == nullptr) {
+        error(fix.loc, "unknown constant '" + std::string(fix.ref) +
+                           "' in fixed field");
         continue;
       }
-      fix.value = it->second;
+      value = c->value;
     }
-    const EncFieldInfo* f = enc.findField(fix.field);
+    const EncFieldInfo* f = findField(enc, fix.field);
     if (f == nullptr) {
       error(fix.loc, formatStr("encoding '%s' has no field '%s'",
-                               enc.name.c_str(), fix.field.c_str()));
+                               enc.name.c_str(),
+                               std::string(fix.field).c_str()));
       continue;
     }
-    if (!fixed.insert(fix.field).second) {
-      error(fix.loc, "field '" + fix.field + "' fixed twice");
+    const uint64_t bit = uint64_t{1} << (f - enc.fields.data());
+    if ((fixed & bit) != 0) {
+      error(fix.loc, "field '" + std::string(fix.field) + "' fixed twice");
       continue;
     }
-    if (!fitsUnsigned(fix.value, f->width)) {
+    fixed |= bit;
+    if (!fitsUnsigned(value, f->width)) {
       error(fix.loc, formatStr("value %llu does not fit field '%s' (%u bits)",
-                               static_cast<unsigned long long>(fix.value),
+                               static_cast<unsigned long long>(value),
                                f->name.c_str(), f->width));
       continue;
     }
     info.fixedMask |= lowMask(f->width) << f->lo;
-    info.fixedMatch |= fix.value << f->lo;
+    info.fixedMatch |= value << f->lo;
   }
-  for (const auto& f : enc.fields) {
-    if (!fixed.count(f.name)) info.operandFields.push_back(&f);
+  info.operandFields.reserve(enc.fields.size() -
+                             static_cast<size_t>(std::popcount(fixed)));
+  for (size_t k = 0; k < enc.fields.size(); ++k) {
+    if (((fixed >> k) & 1) == 0) info.operandFields.push_back(&enc.fields[k]);
   }
   if (info.fixedMask == 0) {
     error(insn.loc, "instruction fixes no encoding bits; it would match anything");
@@ -320,55 +392,54 @@ void Analyzer::analyzeInsn(const ast::InsnDecl& insn) {
   info.numLetSlots = numLetSlots_;
   curInsn_ = nullptr;
 
+  mnemonics_.insert(insn.name);
   model_->insns.push_back(std::move(info));
 }
 
 bool Analyzer::parseSyntaxTemplate(const ast::InsnDecl& insn, InsnInfo& info) {
-  const std::string& s = insn.syntax;
+  const std::string_view s = insn.syntax;
   // Mnemonic = leading word; must equal the instruction name.
   size_t i = 0;
-  while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+  while (i < s.size() && !isSpace(s[i])) ++i;
   if (s.substr(0, i) != insn.name) {
     error(insn.loc, formatStr("syntax template must start with mnemonic '%s'",
-                              insn.name.c_str()));
+                              std::string(insn.name).c_str()));
     return false;
   }
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+  while (i < s.size() && isSpace(s[i])) ++i;
 
   const EncodingInfo& enc = model_->encodings[info.encodingIdx];
-  std::set<std::string> used;
-  std::string literal;
-  auto flushLiteral = [&]() {
-    if (!literal.empty()) {
+  const auto placeholders =
+      static_cast<size_t>(std::count(s.begin(), s.end(), '%'));
+  info.operands.reserve(placeholders);
+  info.syntaxPieces.reserve(2 * placeholders + 1);
+  // Literal text (separators like ", ") runs from each placeholder's end
+  // to the next '%'.
+  auto addLiteral = [&](size_t end) {
+    if (end > i) {
       SyntaxPiece p;
       p.isOperand = false;
-      p.literal = std::move(literal);
-      literal.clear();
+      p.literal = s.substr(i, end - i);
       info.syntaxPieces.push_back(std::move(p));
     }
   };
+  uint64_t used = 0;  // bit k: operandFields[k] has a placeholder
 
   while (i < s.size()) {
-    if (s[i] != '%') {
-      literal.push_back(s[i++]);
-      continue;
-    }
-    ++i;
-    size_t j = i;
-    while (j < s.size() && s[j] != '(') ++j;
+    const size_t pct = std::min(s.find('%', i), s.size());
+    if (pct == s.size()) break;
+    const size_t j = std::min(s.find('(', pct + 1), s.size());
     if (j >= s.size()) {
       error(insn.loc, "malformed operand placeholder (expected '%kind(field)')");
       return false;
     }
-    const std::string kindStr = s.substr(i, j - i);
-    size_t k = j + 1;
-    while (k < s.size() && s[k] != ')') ++k;
+    const std::string_view kindStr = s.substr(pct + 1, j - pct - 1);
+    const size_t k = std::min(s.find(')', j + 1), s.size());
     if (k >= s.size()) {
       error(insn.loc, "unterminated operand placeholder");
       return false;
     }
-    const std::string fieldName = s.substr(j + 1, k - j - 1);
-    i = k + 1;
+    const std::string_view fieldName = s.substr(j + 1, k - j - 1);
 
     OperandKind kind;
     unsigned relScale = 1;
@@ -379,31 +450,33 @@ bool Analyzer::parseSyntaxTemplate(const ast::InsnDecl& insn, InsnInfo& info) {
     else if (kindStr == "rel4") { kind = OperandKind::Rel; relScale = 4; }
     else if (kindStr == "abs") kind = OperandKind::Abs;
     else {
-      error(insn.loc, "unknown operand kind '%" + kindStr + "'");
+      error(insn.loc, "unknown operand kind '%" + std::string(kindStr) + "'");
       return false;
     }
     if (kind == OperandKind::Reg && !model_->regfile) {
       error(insn.loc, "%r operands require a register file");
       return false;
     }
-    const EncFieldInfo* f = enc.findField(fieldName);
-    if (f == nullptr) {
+    if (findField(enc, fieldName) == nullptr) {
       error(insn.loc, formatStr("syntax references unknown field '%s'",
-                                fieldName.c_str()));
+                                std::string(fieldName).c_str()));
       return false;
     }
-    const int opIdx = info.operandFieldIndex(fieldName);
+    const int opIdx = operandFieldIndex(info, fieldName);
     if (opIdx < 0) {
       error(insn.loc, formatStr("syntax references fixed field '%s'",
-                                fieldName.c_str()));
+                                std::string(fieldName).c_str()));
       return false;
     }
-    if (!used.insert(fieldName).second) {
+    const uint64_t bit = uint64_t{1} << opIdx;
+    if ((used & bit) != 0) {
       error(insn.loc, formatStr("field '%s' appears twice in syntax",
-                                fieldName.c_str()));
+                                std::string(fieldName).c_str()));
       return false;
     }
-    flushLiteral();
+    used |= bit;
+    addLiteral(pct);
+    i = k + 1;
     OperandInfo op;
     op.fieldName = fieldName;
     op.fieldIndex = static_cast<unsigned>(opIdx);
@@ -415,13 +488,13 @@ bool Analyzer::parseSyntaxTemplate(const ast::InsnDecl& insn, InsnInfo& info) {
     info.syntaxPieces.push_back(p);
     info.operands.push_back(std::move(op));
   }
-  flushLiteral();
+  addLiteral(s.size());
 
-  for (const EncFieldInfo* f : info.operandFields) {
-    if (!used.count(f->name)) {
+  for (size_t fi = 0; fi < info.operandFields.size(); ++fi) {
+    if (((used >> fi) & 1) == 0) {
       error(insn.loc, formatStr("operand field '%s' missing from syntax "
                                 "template (fix it or add a placeholder)",
-                                f->name.c_str()));
+                                info.operandFields[fi]->name.c_str()));
       return false;
     }
   }
@@ -430,12 +503,12 @@ bool Analyzer::parseSyntaxTemplate(const ast::InsnDecl& insn, InsnInfo& info) {
 
 void Analyzer::checkDecodeAmbiguity() {
   // The exact ternary-set check lives in the analysis layer so `adlsym
-  // lint` and sema report identical findings; true ambiguity (ADL001) is
-  // a load error, everything else stays advisory.
+  // lint` and sema report identical findings. True ambiguity (ADL001) is
+  // a load error; the rest of the decode-space pass (ADL002/003) stays
+  // advisory, and only lint runs it.
   std::vector<analysis::Finding> findings;
-  analysis::appendDecodeSpaceFindings(*model_, findings);
+  analysis::appendAmbiguityFindings(*model_, findings);
   for (const analysis::Finding& f : findings) {
-    if (f.code != analysis::LintCode::AmbiguousEncodings) continue;
     error(f.loc, formatStr("[%s] %s", analysis::lintCodeName(f.code),
                            f.message.c_str()));
   }
@@ -478,7 +551,7 @@ rtl::ExprPtr Analyzer::lowerExpr(const ast::Expr& e, unsigned want) {
         }
       }
       if (curInsn_ != nullptr) {
-        const int fi = curInsn_->operandFieldIndex(e.name);
+        const int fi = operandFieldIndex(*curInsn_, e.name);
         if (fi >= 0) {
           return coerceConst(
               mkRtl(ExprOp::Field, curInsn_->operandFields[static_cast<size_t>(fi)]->width,
@@ -486,32 +559,30 @@ rtl::ExprPtr Analyzer::lowerExpr(const ast::Expr& e, unsigned want) {
               want, e.loc);
         }
       }
-      if (auto it = consts_.find(e.name); it != consts_.end()) {
+      if (const Symbol* c = lookup(e.name, Symbol::Kind::Const)) {
         // Named constants behave exactly like integer literals: they adapt
         // to the width their context requires.
         const unsigned w = want != 0 ? want : model_->wordSize;
-        if (!fitsUnsigned(it->second, w)) {
+        if (!fitsUnsigned(c->value, w)) {
           error(e.loc, formatStr("constant '%s' (%llu) does not fit in %u bits",
-                                 e.name.c_str(),
-                                 static_cast<unsigned long long>(it->second), w));
+                                 std::string(e.name).c_str(),
+                                 static_cast<unsigned long long>(c->value), w));
         }
-        return mkRtl(ExprOp::Const, w, truncTo(it->second, w));
+        return mkRtl(ExprOp::Const, w, truncTo(c->value, w));
       }
-      const int ri = model_->regIndex(e.name);
-      if (ri >= 0) {
+      if (const Symbol* r = lookup(e.name, Symbol::Kind::Reg)) {
         return coerceConst(
-            mkRtl(ExprOp::RegRead, model_->regs[static_cast<size_t>(ri)].width,
-                  static_cast<uint64_t>(ri)),
+            mkRtl(ExprOp::RegRead, model_->regs[r->value].width, r->value),
             want, e.loc);
       }
-      error(e.loc, "unknown name '" + e.name + "'");
+      error(e.loc, "unknown name '" + std::string(e.name) + "'");
       return mkRtl(ExprOp::Const, want != 0 ? want : model_->wordSize, 0);
     }
 
     case ast::Expr::Kind::Index: {
       if (!model_->regfile || e.name != model_->regfile->name) {
-        error(e.loc, "subscript requires the register file ('" + e.name +
-                         "' is not indexable)");
+        error(e.loc, "subscript requires the register file ('" +
+                         std::string(e.name) + "' is not indexable)");
         return mkRtl(ExprOp::Const, want != 0 ? want : model_->wordSize, 0);
       }
       rtl::ExprPtr idx = lowerExpr(*e.args[0], 0);
@@ -519,24 +590,23 @@ rtl::ExprPtr Analyzer::lowerExpr(const ast::Expr& e, unsigned want) {
         error(e.loc, "register file subscript must be computable at decode "
                      "time (fields and constants only)");
       }
-      auto r = mkRtl(ExprOp::RegFileRead, model_->regfile->width);
-      r->args.push_back(std::move(idx));
-      return coerceConst(std::move(r), want, e.loc);
+      return coerceConst(
+          mkRtl(ExprOp::RegFileRead, model_->regfile->width, 0, std::move(idx)),
+          want, e.loc);
     }
 
     case ast::Expr::Kind::Unary: {
       if (e.unop == UnOp::LogicalNot) {
         rtl::ExprPtr a = lowerExpr(*e.args[0], 1);
         if (a->width != 1) error(e.loc, "'!' requires a 1-bit operand");
-        auto r = mkRtl(ExprOp::LogicalNot, 1);
-        r->args.push_back(std::move(a));
-        return coerceConst(std::move(r), want, e.loc);
+        return coerceConst(mkRtl(ExprOp::LogicalNot, 1, 0, std::move(a)), want,
+                           e.loc);
       }
       rtl::ExprPtr a = lowerExpr(*e.args[0], want);
       const unsigned w = a->width;
-      auto r = mkRtl(e.unop == UnOp::Not ? ExprOp::Not : ExprOp::Neg, w);
-      r->args.push_back(std::move(a));
-      return coerceConst(std::move(r), want, e.loc);
+      return coerceConst(mkRtl(e.unop == UnOp::Not ? ExprOp::Not : ExprOp::Neg,
+                               w, 0, std::move(a)),
+                         want, e.loc);
     }
 
     case ast::Expr::Kind::Binary: {
@@ -565,18 +635,17 @@ rtl::ExprPtr Analyzer::lowerExpr(const ast::Expr& e, unsigned want) {
         error(e.loc, "'&&'/'||' require 1-bit operands (compare explicitly)");
       }
       const unsigned resW = cmp || logical ? 1 : a->width;
-      auto r = mkRtl(binOpToRtl(e.binop), resW);
-      r->args.push_back(std::move(a));
-      r->args.push_back(std::move(b));
-      return coerceConst(std::move(r), want, e.loc);
+      return coerceConst(
+          mkRtl(binOpToRtl(e.binop), resW, 0, std::move(a), std::move(b)), want,
+          e.loc);
     }
 
     case ast::Expr::Kind::Call: {
-      const std::string& fn = e.name;
+      const std::string_view fn = e.name;
       auto argCount = [&](size_t n) {
         if (e.args.size() != n) {
           error(e.loc, formatStr("%s expects %zu argument(s), got %zu",
-                                 fn.c_str(), n, e.args.size()));
+                                 std::string(fn).c_str(), n, e.args.size()));
           return false;
         }
         return true;
@@ -585,7 +654,7 @@ rtl::ExprPtr Analyzer::lowerExpr(const ast::Expr& e, unsigned want) {
         if (i < e.args.size() && e.args[i]->kind == ast::Expr::Kind::IntLit)
           return e.args[i]->intValue;
         error(e.loc, formatStr("argument %zu of %s must be an integer literal",
-                               i + 1, fn.c_str()));
+                               i + 1, std::string(fn).c_str()));
         return std::nullopt;
       };
 
@@ -603,12 +672,10 @@ rtl::ExprPtr Analyzer::lowerExpr(const ast::Expr& e, unsigned want) {
         } else if (tw < a->width) {
           error(e.loc, "extension target width below operand width");
         }
-        auto r = mkRtl(fn == "zext" ? ExprOp::ZExt
-                       : fn == "sext" ? ExprOp::SExt
-                                      : ExprOp::Trunc,
-                       tw);
-        r->args.push_back(std::move(a));
-        return coerceConst(std::move(r), want, e.loc);
+        const ExprOp op = fn == "zext"   ? ExprOp::ZExt
+                          : fn == "sext" ? ExprOp::SExt
+                                         : ExprOp::Trunc;
+        return coerceConst(mkRtl(op, tw, 0, std::move(a)), want, e.loc);
       }
       if (fn == "bits" || fn == "bit") {
         const bool single = fn == "bit";
@@ -624,10 +691,10 @@ rtl::ExprPtr Analyzer::lowerExpr(const ast::Expr& e, unsigned want) {
                                  hi, lo, a->width));
           return mkRtl(ExprOp::Const, 1, 0);
         }
-        auto r = mkRtl(ExprOp::Extract, hi - lo + 1,
-                       (static_cast<uint64_t>(hi) << 8) | lo);
-        r->args.push_back(std::move(a));
-        return coerceConst(std::move(r), want, e.loc);
+        return coerceConst(mkRtl(ExprOp::Extract, hi - lo + 1,
+                                 (static_cast<uint64_t>(hi) << 8) | lo,
+                                 std::move(a)),
+                           want, e.loc);
       }
       if (fn == "concat") {
         if (!argCount(2)) return mkRtl(ExprOp::Const, 8, 0);
@@ -638,10 +705,9 @@ rtl::ExprPtr Analyzer::lowerExpr(const ast::Expr& e, unsigned want) {
           error(e.loc, "concat result exceeds 64 bits");
           return mkRtl(ExprOp::Const, 8, 0);
         }
-        auto r = mkRtl(ExprOp::Concat, w);
-        r->args.push_back(std::move(hi));
-        r->args.push_back(std::move(lo));
-        return coerceConst(std::move(r), want, e.loc);
+        return coerceConst(
+            mkRtl(ExprOp::Concat, w, 0, std::move(hi), std::move(lo)), want,
+            e.loc);
       }
       if (fn == "sdiv" || fn == "srem") {
         if (!argCount(2)) return mkRtl(ExprOp::Const, 8, 0);
@@ -651,10 +717,10 @@ rtl::ExprPtr Analyzer::lowerExpr(const ast::Expr& e, unsigned want) {
           error(e.loc, "sdiv/srem operand width mismatch");
           b = mkRtl(ExprOp::Const, a->width, 0);
         }
-        auto r = mkRtl(fn == "sdiv" ? ExprOp::SDiv : ExprOp::SRem, a->width);
-        r->args.push_back(std::move(a));
-        r->args.push_back(std::move(b));
-        return coerceConst(std::move(r), want, e.loc);
+        const unsigned w = a->width;
+        return coerceConst(mkRtl(fn == "sdiv" ? ExprOp::SDiv : ExprOp::SRem, w,
+                                 0, std::move(a), std::move(b)),
+                           want, e.loc);
       }
       if (fn == "load8" || fn == "load16" || fn == "load32") {
         if (!argCount(1)) return mkRtl(ExprOp::Const, 8, 0);
@@ -663,16 +729,15 @@ rtl::ExprPtr Analyzer::lowerExpr(const ast::Expr& e, unsigned want) {
         if (addr->width != model_->mem.addrWidth) {
           error(e.loc, formatStr("address must be %u bits", model_->mem.addrWidth));
         }
-        auto r = mkRtl(ExprOp::Load, size * 8, size);
-        r->args.push_back(std::move(addr));
-        return coerceConst(std::move(r), want, e.loc);
+        return coerceConst(mkRtl(ExprOp::Load, size * 8, size, std::move(addr)),
+                           want, e.loc);
       }
       if (fn == "input8" || fn == "input16" || fn == "input32") {
         if (!argCount(0)) return mkRtl(ExprOp::Const, 8, 0);
         const unsigned w = fn == "input8" ? 8 : fn == "input16" ? 16 : 32;
         return coerceConst(mkRtl(ExprOp::Input, w), want, e.loc);
       }
-      error(e.loc, "unknown function '" + fn + "' in expression");
+      error(e.loc, "unknown function '" + std::string(fn) + "' in expression");
       return mkRtl(ExprOp::Const, want != 0 ? want : model_->wordSize, 0);
     }
   }
@@ -695,7 +760,7 @@ bool Analyzer::isDecodeConcrete(const rtl::Expr& e) {
   }
 }
 
-std::vector<rtl::StmtPtr> Analyzer::lowerBlock(const std::vector<ast::StmtPtr>& body) {
+std::vector<rtl::StmtPtr> Analyzer::lowerBlock(const ast::StmtList& body) {
   const size_t scopeMark = letScope_.size();
   std::vector<rtl::StmtPtr> out;
   out.reserve(body.size());
@@ -713,19 +778,21 @@ rtl::StmtPtr Analyzer::lowerStmt(const ast::Stmt& s) {
 
   switch (s.kind) {
     case ast::Stmt::Kind::AssignReg: {
-      const int ri = model_->regIndex(s.name);
-      if (ri < 0) {
-        error(s.loc, "assignment to unknown register '" + s.name + "'");
+      const Symbol* reg = lookup(s.name, Symbol::Kind::Reg);
+      if (reg == nullptr) {
+        error(s.loc, "assignment to unknown register '" +
+                         std::string(s.name) + "'");
         return nullptr;
       }
       out->op = StmtOp::AssignReg;
-      out->aux = static_cast<uint64_t>(ri);
-      out->args.push_back(lowerExpr(*s.value, model_->regs[static_cast<size_t>(ri)].width));
+      out->aux = reg->value;
+      out->args.push_back(lowerExpr(*s.value, model_->regs[reg->value].width));
       return out;
     }
     case ast::Stmt::Kind::AssignIndexed: {
       if (!model_->regfile || s.name != model_->regfile->name) {
-        error(s.loc, "'" + s.name + "' is not an indexable register file");
+        error(s.loc, "'" + std::string(s.name) +
+                         "' is not an indexable register file");
         return nullptr;
       }
       rtl::ExprPtr idx = lowerExpr(*s.index, 0);
@@ -733,6 +800,7 @@ rtl::StmtPtr Analyzer::lowerStmt(const ast::Stmt& s) {
         error(s.loc, "register file subscript must be computable at decode time");
       }
       out->op = StmtOp::AssignRegFile;
+      out->args.reserve(2);
       out->args.push_back(std::move(idx));
       out->args.push_back(lowerExpr(*s.value, model_->regfile->width));
       return out;
@@ -758,11 +826,11 @@ rtl::StmtPtr Analyzer::lowerStmt(const ast::Stmt& s) {
       return out;
     }
     case ast::Stmt::Kind::CallStmt: {
-      const std::string& fn = s.name;
+      const std::string_view fn = s.name;
       auto argCount = [&](size_t n) {
         if (s.args.size() != n) {
           error(s.loc, formatStr("%s expects %zu argument(s), got %zu",
-                                 fn.c_str(), n, s.args.size()));
+                                 std::string(fn).c_str(), n, s.args.size()));
           return false;
         }
         return true;
@@ -776,6 +844,7 @@ rtl::StmtPtr Analyzer::lowerStmt(const ast::Stmt& s) {
         if (addr->width != model_->mem.addrWidth) {
           error(s.loc, formatStr("address must be %u bits", model_->mem.addrWidth));
         }
+        out->args.reserve(2);
         out->args.push_back(std::move(addr));
         out->args.push_back(lowerExpr(*s.args[1], size * 8));
         return out;
@@ -792,9 +861,8 @@ rtl::StmtPtr Analyzer::lowerStmt(const ast::Stmt& s) {
         rtl::ExprPtr code = lowerExpr(*s.args[0], 0);
         if (code->width != 32) {
           // Normalize exit codes to 32 bits for uniform reporting.
-          auto wrap = mkRtl(code->width < 32 ? ExprOp::ZExt : ExprOp::Trunc, 32);
-          wrap->args.push_back(std::move(code));
-          code = std::move(wrap);
+          const ExprOp op = code->width < 32 ? ExprOp::ZExt : ExprOp::Trunc;
+          code = mkRtl(op, 32, 0, std::move(code));
         }
         out->args.push_back(std::move(code));
         return out;
@@ -808,6 +876,7 @@ rtl::StmtPtr Analyzer::lowerStmt(const ast::Stmt& s) {
           error(s.loc, "asserteq operand width mismatch");
           b = mkRtl(ExprOp::Const, a->width, 0);
         }
+        out->args.reserve(2);
         out->args.push_back(std::move(a));
         out->args.push_back(std::move(b));
         return out;
@@ -822,7 +891,7 @@ rtl::StmtPtr Analyzer::lowerStmt(const ast::Stmt& s) {
         out->aux = s.args[0]->intValue;
         return out;
       }
-      error(s.loc, "unknown intrinsic '" + fn + "'");
+      error(s.loc, "unknown intrinsic '" + std::string(fn) + "'");
       return nullptr;
     }
   }

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 
 #include "support/diag.h"
 
@@ -29,8 +31,12 @@ const char* tokName(Tok t);
 struct Token {
   Tok kind = Tok::End;
   SourceLoc loc;
-  std::string text;        // Ident / String
+  /// Ident / String text: a view into the lexed source, which must outlive
+  /// the token, except for a string literal with escapes, whose un-escaped
+  /// text the token owns in `unescaped`.
+  std::string_view text;
   uint64_t intValue = 0;   // Int
+  std::unique_ptr<std::string> unescaped;
 };
 
 }  // namespace adlsym::adl

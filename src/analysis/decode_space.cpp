@@ -45,13 +45,11 @@ Finding mkFinding(LintCode code, std::string message, std::string insn = "") {
 
 }  // namespace
 
-void appendDecodeSpaceFindings(const adl::ArchModel& model,
-                               std::vector<Finding>& out) {
+void appendAmbiguityFindings(const adl::ArchModel& model,
+                             std::vector<Finding>& out) {
+  // Exact pairwise intersection within one length class. The intersection
+  // cube, when nonempty, *is* the set of ambiguous words.
   const auto& insns = model.insns;
-  if (insns.empty()) return;
-
-  // ADL001: exact pairwise intersection within one length class. The
-  // intersection cube, when nonempty, *is* the set of ambiguous words.
   for (size_t i = 0; i < insns.size(); ++i) {
     for (size_t j = i + 1; j < insns.size(); ++j) {
       if (insns[i].lengthBytes != insns[j].lengthBytes) continue;
@@ -66,13 +64,22 @@ void appendDecodeSpaceFindings(const adl::ArchModel& model,
                     common->str().c_str())));
     }
   }
+}
+
+namespace {
+
+/// ADL002 and ADL003: the residual and gap sets, which only lint needs.
+void appendReachabilityFindings(const adl::ArchModel& model,
+                                std::vector<Finding>& out) {
+  const auto& insns = model.insns;
+  if (insns.empty()) return;
 
   // ADL002: subtract, from each instruction's windows, every window
   // claimed by a longer encoding or by an earlier declaration of the same
   // length. An empty residual means the instruction can only ever decode
   // where fewer bytes than the longer encodings need are mapped.
-  // (Computed from the instruction list, not model.maxInsnBytes: sema
-  // calls this pass before it finalizes the model's summary fields.)
+  // (Computed from the instruction list, not model.maxInsnBytes, so the
+  // pass does not depend on sema's summary fields.)
   unsigned maxBytes = 0;
   for (const auto& insn : insns) maxBytes = std::max(maxBytes, insn.lengthBytes);
   for (size_t i = 0; i < insns.size(); ++i) {
@@ -117,6 +124,14 @@ void appendDecodeSpaceFindings(const adl::ArchModel& model,
                   formatCount(total).c_str(), maxBytes,
                   gaps.first()->str().c_str())));
   }
+}
+
+}  // namespace
+
+void appendDecodeSpaceFindings(const adl::ArchModel& model,
+                               std::vector<Finding>& out) {
+  appendAmbiguityFindings(model, out);
+  appendReachabilityFindings(model, out);
 }
 
 }  // namespace adlsym::analysis

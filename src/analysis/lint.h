@@ -80,10 +80,16 @@ class LintReport {
   std::vector<Finding> findings_;
 };
 
-/// Decode-space findings only (ADL001-ADL003). Shared with sema, which
-/// promotes ADL001 to a load error with identical message text.
+/// Decode-space findings only (ADL001-ADL003): appendAmbiguityFindings,
+/// then the unreachable-encoding (ADL002) and gap (ADL003) set algebra.
 void appendDecodeSpaceFindings(const adl::ArchModel& model,
                                std::vector<Finding>& out);
+
+/// The ADL001 half of the decode-space pass: pairwise intersection of
+/// same-length encodings. Sema runs only this half and promotes its
+/// findings to load errors with identical message text.
+void appendAmbiguityFindings(const adl::ArchModel& model,
+                             std::vector<Finding>& out);
 
 /// Semantics dataflow findings only (ADL010-ADL015).
 void appendDataflowFindings(const adl::ArchModel& model,

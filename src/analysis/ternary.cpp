@@ -36,12 +36,17 @@ std::optional<TernaryPattern> TernaryPattern::intersect(
   return TernaryPattern{width, care | o.care, value | o.value};
 }
 
-std::vector<TernaryPattern> subtract(const TernaryPattern& a,
-                                     const TernaryPattern& b) {
-  if (!a.intersects(b)) return {a};
+namespace {
+
+/// Append a \ b to `out` as pairwise-disjoint cubes.
+void appendDifference(const TernaryPattern& a, const TernaryPattern& b,
+                      std::vector<TernaryPattern>& out) {
+  if (!a.intersects(b)) {
+    out.push_back(a);
+    return;
+  }
   // Bits b fixes but a leaves free. If there are none, a ⊆ b.
   const uint64_t d = b.care & ~a.care & lowMask(a.width);
-  std::vector<TernaryPattern> out;
   // Peel one disagreeing bit at a time: the cube where earlier d-bits
   // agree with b and bit i disagrees is disjoint from all later peels,
   // and their union is exactly a ∧ ¬b.
@@ -54,6 +59,14 @@ std::vector<TernaryPattern> subtract(const TernaryPattern& a,
     out.push_back(p);
     agreeCare |= bit;
   }
+}
+
+}  // namespace
+
+std::vector<TernaryPattern> subtract(const TernaryPattern& a,
+                                     const TernaryPattern& b) {
+  std::vector<TernaryPattern> out;
+  appendDifference(a, b, out);
   return out;
 }
 
@@ -64,12 +77,11 @@ TernarySet TernarySet::universe(unsigned width) {
 }
 
 void TernarySet::subtract(const TernaryPattern& p) {
-  std::vector<TernaryPattern> next;
-  next.reserve(cubes_.size());
-  for (const TernaryPattern& c : cubes_) {
-    for (TernaryPattern& r : analysis::subtract(c, p)) next.push_back(r);
-  }
-  cubes_ = std::move(next);
+  // Rebuild into the spare buffer, keeping the cubes' order (a gap
+  // finding names the first cube).
+  spare_.clear();
+  for (const TernaryPattern& c : cubes_) appendDifference(c, p, spare_);
+  cubes_.swap(spare_);
 }
 
 unsigned __int128 TernarySet::count() const {

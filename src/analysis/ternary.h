@@ -64,6 +64,7 @@ class TernarySet {
  private:
   unsigned width_;
   std::vector<TernaryPattern> cubes_;
+  std::vector<TernaryPattern> spare_;  // subtract()'s reused output buffer
 };
 
 /// Render an exact (possibly > 2^64) cardinality for messages.

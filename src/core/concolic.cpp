@@ -21,15 +21,15 @@ bool suffixHoldsUnderSeed(smt::TermManager& tm, const MachineState& st,
 
 }  // namespace
 
-MachineState ConcolicDriver::executeSeed(
-    const std::vector<uint64_t>& seed,
-    std::vector<std::vector<uint64_t>>& next, uint64_t& steps,
-    std::set<uint64_t>& covered) {
+MachineState ConcolicDriver::executeSeed(const Seed& seed,
+                                         std::vector<Seed>& next,
+                                         uint64_t& steps,
+                                         std::set<uint64_t>& covered) {
   MachineState st = exec_.initialState();
   // Any assignment satisfies the root's empty path condition, so the seed
   // is the root's witness, and the side of every decision it takes is
   // free: the successor chosen below keeps it.
-  st.witness = seed;
+  st.witness = seed.values;
   while (st.status == PathStatus::Running && steps < config_.maxStepsPerRun) {
     covered.insert(st.pc);
     const size_t prefixLen = st.pathCond.size();
@@ -49,7 +49,9 @@ MachineState ConcolicDriver::executeSeed(
     int chosen = -1;
     for (size_t i = 0; i < out.successors.size(); ++i) {
       const MachineState& succ = out.successors[i];
-      if (!suffixHoldsUnderSeed(svc_.tm, succ, seed, prefixLen)) continue;
+      if (!suffixHoldsUnderSeed(svc_.tm, succ, seed.values, prefixLen)) {
+        continue;
+      }
       if (chosen < 0) {
         chosen = static_cast<int>(i);
         continue;
@@ -68,15 +70,16 @@ MachineState ConcolicDriver::executeSeed(
     }
     // Every other successor that added a constraint is a side the seed did
     // not take, found feasible by one query whose model it carries as its
-    // witness: the seed that drives it.
+    // witness: the seed that drives it. Before the bound, the seed's
+    // ancestors already emitted those sides.
     for (size_t i = 0; i < out.successors.size(); ++i) {
-      if (static_cast<int>(i) == chosen) continue;
+      if (static_cast<int>(i) == chosen || prefixLen < seed.bound) continue;
       MachineState& alt = out.successors[i];
       if (alt.pathCond.size() <= prefixLen) continue;  // no new constraint
       std::vector<uint64_t> w = std::move(alt.witness);
       // Trim defaulted-zero tail so equivalent seeds deduplicate.
       while (!w.empty() && w.back() == 0) w.pop_back();
-      next.push_back(std::move(w));
+      next.push_back({std::move(w), prefixLen + 1});
     }
     st = std::move(out.successors[static_cast<size_t>(chosen)]);
   }
@@ -93,18 +96,18 @@ ConcolicResult ConcolicDriver::run() {
   telemetry::Counter* stepsCtr = tel ? &tel->metrics().counter("concolic.steps") : nullptr;
   const uint64_t startUs = clk.nowMicros();
   ConcolicResult result;
-  std::deque<std::vector<uint64_t>> queue;
+  std::deque<Seed> queue;
   std::set<std::vector<uint64_t>> seen;
   queue.push_back({});  // the all-zeroes seed
   seen.insert({});
   ++result.seedsGenerated;
 
   while (!queue.empty() && result.seedsExecuted < config_.maxRuns) {
-    const std::vector<uint64_t> seed = std::move(queue.front());
+    const Seed seed = std::move(queue.front());
     queue.pop_front();
     ++result.seedsExecuted;
 
-    std::vector<std::vector<uint64_t>> next;
+    std::vector<Seed> next;
     uint64_t steps = 0;
     MachineState final = executeSeed(seed, next, steps, result.coveredSet);
     result.totalSteps += steps;
@@ -116,9 +119,9 @@ ConcolicResult ConcolicDriver::run() {
     result.paths.push_back(
         finishPath(svc_, std::move(final), {}, 0, nullptr, nullptr));
 
-    for (std::vector<uint64_t>& n : next) {
+    for (Seed& n : next) {
       ++result.seedsGenerated;
-      if (seen.insert(n).second) queue.push_back(std::move(n));
+      if (seen.insert(n.values).second) queue.push_back(std::move(n));
     }
   }
 

@@ -8,6 +8,11 @@
 // no solver call: the engine solves exactly the untaken sides, the
 // queries that negating each branch condition would issue.
 //
+// Each seed carries SAGE's generational bound: the path-condition index
+// of the decision it was made to flip. Its run emits next seeds only for
+// decisions past that index, since its ancestors already flipped every
+// decision before it; so every feasible path runs once.
+//
 // Compared to full symbolic exploration (core::Explorer), memory stays
 // bounded to one path, at the cost of re-executing shared prefixes — the
 // trade the dynamic-symbolic-execution literature makes. Experiment E8
@@ -54,12 +59,17 @@ class ConcolicDriver {
   ConcolicResult run();
 
  private:
+  struct Seed {
+    std::vector<uint64_t> values;  // by input position, like a witness
+    /// Path-condition length from which this seed's run emits next seeds.
+    size_t bound = 0;
+  };
+
   /// Execute one seed to completion and return the final state, whose
-  /// witness is the seed. Appends to `next` the witness of every side the
-  /// seed did not take that added a constraint: the seeds that drive
-  /// those sides.
-  MachineState executeSeed(const std::vector<uint64_t>& seed,
-                           std::vector<std::vector<uint64_t>>& next,
+  /// witness is the seed's values. Appends to `next` the witness of every
+  /// side past the seed's bound that the seed did not take and that added
+  /// a constraint: the seeds that drive those sides.
+  MachineState executeSeed(const Seed& seed, std::vector<Seed>& next,
                            uint64_t& steps, std::set<uint64_t>& covered);
 
   Executor& exec_;

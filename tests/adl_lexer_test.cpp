@@ -110,5 +110,31 @@ TEST(Lexer, ErrorsReported) {
   EXPECT_TRUE(diags4.hasErrors());
 }
 
+TEST(Lexer, LongRunOfStrayCharactersIsIterative) {
+  // Each stray byte is reported and skipped in a loop, so a long run
+  // cannot exhaust the stack.
+  const std::string src(50000, '@');
+  DiagEngine diags;
+  Lexer lexer(src, diags);
+  const auto toks = lexer.lexAll();
+  ASSERT_EQ(toks.size(), 1u);
+  EXPECT_EQ(toks[0].kind, Tok::End);
+  EXPECT_EQ(diags.errorCount(), 50000u);
+  EXPECT_EQ(diags.all().back().loc.col, 50000u);
+}
+
+TEST(Lexer, TextViewsTheSourceUnlessEscaped) {
+  const std::string src = R"q(name "plain" "esc\"aped")q";
+  const auto toks = lex(src);
+  ASSERT_EQ(toks.size(), 4u);
+  EXPECT_EQ(toks[0].text.data(), src.data());
+  EXPECT_EQ(toks[1].text, "plain");
+  EXPECT_EQ(toks[1].text.data(), src.data() + 6);
+  EXPECT_EQ(toks[1].unescaped, nullptr);
+  EXPECT_EQ(toks[2].text, "esc\"aped");
+  ASSERT_NE(toks[2].unescaped, nullptr);
+  EXPECT_EQ(toks[2].text.data(), toks[2].unescaped->data());
+}
+
 }  // namespace
 }  // namespace adlsym::adl

@@ -158,5 +158,67 @@ TEST(Parser, ErrorRecoveryReportsMultiple) {
   EXPECT_GE(diags.errorCount(), 2u);
 }
 
+// An architecture whose one instruction body is `body`.
+std::string archWithBody(const std::string& body) {
+  return "arch a { wordsize 8; reg pc : 16; reg A : 8; mem M : byte[16];\n"
+         "  enc E = [op:8];\n  insn n \"n\" : E(op=1) {\n" +
+         body + "\n  }\n}\n";
+}
+
+std::string repeat(const std::string& s, size_t n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+TEST(Parser, NestingLimitRejectsDeepInputWithoutOverflow) {
+  // Each would exhaust the stack of a recursive descent without a limit
+  // (the flat chains: of sema's lowering and the tree destructors).
+  const std::string cases[] = {
+      archWithBody("A = " + std::string(10000, '(') + "1" +
+                   std::string(10000, ')') + ";"),
+      archWithBody("if (A == 0) { A = 1; }" +
+                   repeat(" else if (A == 0) { A = 1; }", 100000)),
+      archWithBody(repeat("if (A == 0) { ", 1000) + "A = 1;" +
+                   repeat(" }", 1000)),
+      archWithBody("A = 1" + repeat(" + 1", 100000) + ";"),
+      archWithBody("A = " + std::string(100000, '~') + "1;"),
+  };
+  for (const std::string& src : cases) {
+    parseFail(src, "nesting deeper than 256 levels");
+  }
+}
+
+TEST(Parser, NestingBelowTheLimitParses) {
+  parseOk(archWithBody("A = " + std::string(200, '(') + "1" +
+                       std::string(200, ')') + ";"));
+  parseOk(archWithBody("A = 1" + repeat(" + 1", 200) + ";"));
+  parseOk(archWithBody("if (A == 0) { A = 1; }" +
+                       repeat(" else if (A == 0) { A = 1; }", 200)));
+}
+
+TEST(Parser, RegfileAttributeBlockSkipsStrayTokens) {
+  // A token no attribute starts with must not stall the attribute loop,
+  // which would report errors until memory ran out.
+  DiagEngine diags;
+  EXPECT_EQ(parseArch("arch a {\n  regfile x[16] : 32 { ( };\n}\n", diags),
+            nullptr);
+  EXPECT_TRUE(diags.hasErrors());
+  EXPECT_LT(diags.errorCount(), 10u) << diags.str();
+}
+
+TEST(Parser, NamesOutliveTheSourceBuffer) {
+  // The tree keeps its own copy of the text its names view into.
+  std::string src(kMini);
+  DiagEngine diags;
+  auto arch = parseArch(src, diags);
+  ASSERT_NE(arch, nullptr) << diags.str();
+  src.assign(src.size(), '#');
+  EXPECT_EQ(arch->name, "mini");
+  EXPECT_EQ(arch->insns[0].syntax, "foo %i(imm8)");
+  EXPECT_EQ(arch->insns[0].body[0]->name, "A");
+}
+
 }  // namespace
 }  // namespace adlsym::adl

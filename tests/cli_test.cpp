@@ -520,6 +520,36 @@ TEST(CliLint, BadUsage) {
   EXPECT_EQ(dispatch({"lint", "/nonexistent.adl"}).exitCode, 2);
 }
 
+TEST(CliLint, MalformedDescriptionsExitOneWithoutCrashing) {
+  // Inputs that would exhaust a recursive front end's stack: a long run
+  // of stray characters, deep parentheses and a long else-if chain.
+  const std::string head =
+      "arch a { wordsize 8; reg pc : 16; reg A : 8; mem M : byte[16];\n"
+      "  enc E = [op:8];\n  insn n \"n\" : E(op=1) {\n";
+  std::string chain = "if (A == 0) { A = 1; }";
+  for (int i = 0; i < 100000; ++i) chain += " else if (A == 0) { A = 1; }";
+  const struct {
+    const char* file;
+    std::string text;
+    const char* message;
+  } cases[] = {
+      {"cli_stray.adl", std::string(50000, '@'), "unexpected character '@'"},
+      {"cli_parens.adl",
+       head + "A = " + std::string(10000, '(') + "1" +
+           std::string(10000, ')') + ";\n}\n}\n",
+       "nesting deeper than 256 levels"},
+      {"cli_elseif.adl", head + chain + "\n}\n}\n",
+       "nesting deeper than 256 levels"},
+  };
+  for (const auto& c : cases) {
+    const std::string path = testing::TempDir() + c.file;
+    std::ofstream(path, std::ios::binary) << c.text;
+    const auto r = dispatch({"lint", path});
+    EXPECT_EQ(r.exitCode, 1) << c.file;
+    EXPECT_NE(r.output.find(c.message), std::string::npos) << c.file;
+  }
+}
+
 TEST(CliLint, ExploreLintFlagAbortsOnErrors) {
   const auto bad = cmdAsm("acc8", "start:\n  in\n  out\n");
   ASSERT_EQ(bad.exitCode, 0);

@@ -44,6 +44,22 @@ TEST(Concolic, CoverageMatchesSymbolicExploration) {
   }
 }
 
+TEST(Concolic, RunsEachPathOnce) {
+  // The generational bound keeps a seed from re-flipping its ancestors'
+  // decisions, so concolic search runs exactly the paths symbolic
+  // exploration forks (E8).
+  for (const auto& [name, prog] :
+       {std::pair{"earlyexit12", workloads::progEarlyExit(12)},
+        std::pair{"max5", workloads::progMax(5)}}) {
+    auto sc = Session::forPortable(prog, "rv32e");
+    auto ss = Session::forPortable(prog, "rv32e");
+    const auto rc = sc->concolic();
+    const auto rs = ss->explore();
+    EXPECT_EQ(rc.paths.size(), rs.paths.size()) << name;
+    EXPECT_EQ(rc.coveredSet, rs.coveredSet) << name;
+  }
+}
+
 TEST(Concolic, SeedsReplayToTheirRecordedBehavior) {
   auto s = Session::forPortable(workloads::progMax(3), "rv32e");
   const auto r = s->concolic();

@@ -16,8 +16,11 @@
 #    constraints over variables their pools created in different orders;
 #  - bitcount3 with --merge --strategy bfs, and with --query-log (every
 #    corpus file compared);
-#  - parse2 under --strategy coverage and --strategy random.
-# 89 cases in all: 22 per ISA and the budget run below.
+#  - parse2 under --strategy coverage and --strategy random;
+#  - the front end's output: `adlsym model` and `adlsym lint
+#    --format=json`.
+# Each tests/lint fixture is linted with --format=json too. 109 cases in
+# all: 24 per ISA, 12 fixtures and the budget run below.
 # One more rv32e sort4 run has a --max-wall-ms budget on a 10 us manual
 # clock: it exits 3, and one query finds its deadline already spent. The
 # budget is tuned to the number of clock reads, so a change in the number
@@ -38,10 +41,12 @@ new=${2:?usage: artifact_diff.sh <old-build> <new-build> <scratch-dir>}
 scratch=${3:?usage: artifact_diff.sh <old-build> <new-build> <scratch-dir>}
 old=$(cd "$old" && pwd)
 new=$(cd "$new" && pwd)
+repo=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$scratch"
 scratch=$(cd "$scratch" && pwd)
-rm -rf "$scratch/old" "$scratch/new" "$scratch/img" "$scratch/work"
-mkdir -p "$scratch/old" "$scratch/new" "$scratch/img"
+rm -rf "$scratch/old" "$scratch/new" "$scratch/img" "$scratch/work" \
+  "$scratch/lint"
+mkdir -p "$scratch/old" "$scratch/new" "$scratch/img" "$scratch/lint"
 
 fails=0
 cases=0
@@ -105,6 +110,12 @@ common=(stdout.txt exit.txt stats.json forest.json forest.dot profile.json
         profile.folded)
 
 for isa in acc8 m16 rv32e stk16; do
+  # The ADL front end: the loaded model and its lint report.
+  both "$isa-model" model "$isa"
+  same "$isa-model" stdout.txt exit.txt
+  both "$isa-lint" lint "$isa" --format=json
+  same "$isa-lint" stdout.txt exit.txt
+
   for wl in bitcount3 earlyexit4 parse2; do
     img="$scratch/img/$isa-$wl.img"
     "$new/tools/workload_img" "$wl" "$isa" > "$img"
@@ -174,6 +185,15 @@ for isa in acc8 m16 rv32e stk16; do
       "$scratch/img/$isa-parse2.img" "${observe[@]}" --strategy "$strategy"
     same "$isa-parse2-$strategy" "${common[@]}" events.jsonl manifest.json
   done
+done
+
+# Every lint fixture, by a relative path so the reports' subject is the
+# same wherever the repository is checked out.
+cp "$repo"/tests/lint/*.adl "$scratch/lint/"
+for fixture in "$scratch"/lint/*.adl; do
+  name=$(basename "$fixture" .adl)
+  both "lint-$name" lint "../lint/$name.adl" --format=json
+  same "lint-$name" stdout.txt exit.txt
 done
 
 # The expired-deadline check: "${observe[@]:1}" drops --clock=manual for
