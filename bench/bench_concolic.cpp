@@ -23,10 +23,8 @@ struct Case {
 
 int main() {
   std::printf("E8: concolic generational search vs full symbolic exploration\n\n");
-  // cache-hits: queries the solver-local query cache answered
-  // (SmtSolver::cacheHits), a subset of solver-q.
   benchutil::Table table({"workload", "mode", "paths/runs", "insns",
-                          "solver-q", "cache-hits", "coverage", "wall-ms"},
+                          "solver-q", "coverage", "wall-ms"},
                          "concolic");
   std::vector<Case> cases;
   cases.push_back({"bitcount6", workloads::progBitcount(6)});
@@ -42,7 +40,6 @@ int main() {
       table.addRow({c.name, "symbolic", benchutil::num(r.paths.size()),
                     benchutil::num(r.totalSteps),
                     benchutil::num(session->solver().stats().queries),
-                    benchutil::num(session->solver().cacheHits()),
                     benchutil::num(r.coveredPcs),
                     benchutil::fmt("%.2f", t.millis())});
     }
@@ -53,15 +50,15 @@ int main() {
       table.addRow({c.name, "concolic", benchutil::num(r.paths.size()),
                     benchutil::num(r.totalSteps),
                     benchutil::num(session->solver().stats().queries),
-                    benchutil::num(session->solver().cacheHits()),
                     benchutil::num(r.coveredSet.size()),
                     benchutil::fmt("%.2f", t.millis())});
     }
   }
   table.print();
-  std::printf("\nshape check: identical instruction coverage and one run per\n"
-              "path; concolic re-executes shared path prefixes (more insns)\n"
-              "but keeps one state in memory at a time.\n");
+  std::printf("\nshape check: identical instruction coverage, one run per\n"
+              "path and the same solver queries; concolic re-executes shared\n"
+              "path prefixes (more insns) but keeps one state in memory at a\n"
+              "time.\n");
   benchutil::writeJsonReport("concolic");
   return 0;
 }

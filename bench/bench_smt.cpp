@@ -5,6 +5,11 @@
 //       equality — deep terms, two paths).
 //   (b) Ablation: the term rewriter on vs off — same results, different
 //       term/solver work (DESIGN.md §6 decision 2).
+//   (d) The shared query cache under the parallel engine.
+//   (e) Ablation: the abstract prefilter attached or not.
+//
+// There is no (c) any more: it ablated the solver's own query cache,
+// which was removed (EXPERIMENTS.md E4).
 //
 // Registers google-benchmark timings for isolated solver queries as well.
 #include <benchmark/benchmark.h>
@@ -77,37 +82,6 @@ void ablationTable() {
   std::printf("\nshape check: solver share grows with depth; disabling the\n"
               "rewriter inflates term count and gate count for identical\n"
               "exploration results.\n\n");
-}
-
-void cacheTable() {
-  std::printf("(c) query-cache ablation (identical exploration results)\n\n");
-  benchutil::Table table({"workload", "cache", "queries", "cache-hits",
-                          "solve-ms", "wall-ms"},
-                         "cache-ablation");
-  struct Case {
-    const char* name;
-    workloads::PProgram prog;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"bitcount8", workloads::progBitcount(8)});
-  cases.push_back({"max6", workloads::progMax(6)});
-  cases.push_back({"earlyexit16", workloads::progEarlyExit(16)});
-  for (const Case& c : cases) {
-    for (const bool cache : {true, false}) {
-      driver::SessionOptions opt;
-      opt.queryCache = cache;
-      auto session = driver::Session::forPortable(c.prog, "rv32e", opt);
-      benchutil::Timer t;
-      (void)session->explore();
-      const auto& st = session->solver().stats();
-      table.addRow({c.name, cache ? "on" : "off", benchutil::num(st.queries),
-                    benchutil::num(session->solver().cacheHits()),
-                    benchutil::fmt("%.2f", st.totalMicros / 1e3),
-                    benchutil::fmt("%.2f", t.millis())});
-    }
-  }
-  table.print();
-  std::printf("\n");
 }
 
 void sharedCacheTable() {
@@ -226,7 +200,6 @@ int main(int argc, char** argv) {
   std::printf("E4: SMT solver cost breakdown\n\n");
   depthTable();
   ablationTable();
-  cacheTable();
   sharedCacheTable();
   prefilterTable();
   benchutil::writeJsonReport("smt");

@@ -54,8 +54,15 @@ const char* tokName(Tok t) {
 
 namespace {
 
-// ASCII character classes, as the "C" locale's <cctype> answers them.
-enum : uint8_t { kSpace = 1, kIdentStart = 2, kIdentCont = 4, kDigit = 8 };
+// ASCII character classes, as the "C" locale's <cctype> answers them,
+// and kStray: the bytes that start no token.
+enum : uint8_t {
+  kSpace = 1,
+  kIdentStart = 2,
+  kIdentCont = 4,
+  kDigit = 8,
+  kStray = 16
+};
 
 constexpr std::array<uint8_t, 256> kCharClass = [] {
   std::array<uint8_t, 256> t{};
@@ -66,6 +73,13 @@ constexpr std::array<uint8_t, 256> kCharClass = [] {
   for (int c = 'A'; c <= 'Z'; ++c) t[c] = kIdentStart | kIdentCont;
   for (int c = '0'; c <= '9'; ++c) t[c] = kDigit | kIdentCont;
   t['_'] = kIdentStart | kIdentCont;
+  for (uint8_t& cls : t) {
+    if (cls == 0) cls = kStray;
+  }
+  // The bytes Lexer::next's switch starts a token with.
+  for (const char c : std::string_view("\"{}()[];:,+-*/%^~&|=!<>")) {
+    t[static_cast<unsigned char>(c)] = 0;
+  }
   return t;
 }();
 
@@ -237,11 +251,21 @@ void Lexer::next(Token& tok) {
           tok.kind = matchWordSuffix('s') ? Tok::GtS : Tok::Gt;
         }
         return;
-      default:
-        // Report and skip it, then lex on: a loop, not a recursive call,
-        // so a long run of stray bytes cannot exhaust the stack.
-        diags_.error(tok.loc, formatStr("unexpected character '%c'", c));
+      default: {
+        // Report a run of stray bytes once and skip it, then lex on: a
+        // loop, not a recursive call, so a long run cannot exhaust the
+        // stack. A run never spans a line, as '\n' is space.
+        const size_t runStart = pos_;
+        while (pos_ < src_.size() && isClass(src_[pos_], kStray)) ++pos_;
+        const size_t run = pos_ - runStart + 1;
+        col_ += static_cast<unsigned>(run - 1);
+        diags_.error(tok.loc,
+                     run == 1 ? formatStr("unexpected character '%c'", c)
+                              : formatStr("unexpected character '%c' (%zu "
+                                          "stray bytes in a row)",
+                                          c, run));
         break;
+      }
     }
   }
 }

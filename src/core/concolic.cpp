@@ -30,9 +30,18 @@ MachineState ConcolicDriver::executeSeed(const Seed& seed,
   // is the root's witness, and the side of every decision it takes is
   // free: the successor chosen below keeps it.
   st.witness = seed.values;
+  // witnessOnly is set per step and restored on every exit, a throw too.
+  struct Restore {
+    bool& flag;
+    const bool saved;
+    ~Restore() { flag = saved; }
+  } restore{svc_.witnessOnly, svc_.witnessOnly};
   while (st.status == PathStatus::Running && steps < config_.maxStepsPerRun) {
     covered.insert(st.pc);
     const size_t prefixLen = st.pathCond.size();
+    // Below the bound the seed's ancestors already ran every side it does
+    // not take, so those sides cost no query and make no successor.
+    svc_.witnessOnly = prefixLen < seed.bound;
     StepOut out;
     exec_.step(st, out);
     ++steps;
@@ -70,10 +79,9 @@ MachineState ConcolicDriver::executeSeed(const Seed& seed,
     }
     // Every other successor that added a constraint is a side the seed did
     // not take, found feasible by one query whose model it carries as its
-    // witness: the seed that drives it. Before the bound, the seed's
-    // ancestors already emitted those sides.
+    // witness: the seed that drives it. Below the bound there is none.
     for (size_t i = 0; i < out.successors.size(); ++i) {
-      if (static_cast<int>(i) == chosen || prefixLen < seed.bound) continue;
+      if (static_cast<int>(i) == chosen) continue;
       MachineState& alt = out.successors[i];
       if (alt.pathCond.size() <= prefixLen) continue;  // no new constraint
       std::vector<uint64_t> w = std::move(alt.witness);

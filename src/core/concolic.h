@@ -9,9 +9,12 @@
 // queries that negating each branch condition would issue.
 //
 // Each seed carries SAGE's generational bound: the path-condition index
-// of the decision it was made to flip. Its run emits next seeds only for
-// decisions past that index, since its ancestors already flipped every
-// decision before it; so every feasible path runs once.
+// of the decision it was made to flip. Its ancestors already flipped every
+// decision before that index, so its run emits next seeds only for
+// decisions past it, and every feasible path runs once. Below the bound
+// the run makes no query for the sides the seed does not take
+// (EngineServices::witnessOnly): the search decides each side once, as
+// symbolic exploration does, instead of re-solving its ancestors' sides.
 //
 // Compared to full symbolic exploration (core::Explorer), memory stays
 // bounded to one path, at the cost of re-executing shared prefixes — the
@@ -34,7 +37,8 @@ struct ConcolicConfig {
 
 struct ConcolicResult {
   /// One entry per executed seed, in execution order. The witness in each
-  /// PathResult is the seed itself.
+  /// PathResult is the seed itself. `forks` leaves out the branches below
+  /// the seed's bound, whose other side the run did not decide.
   std::vector<PathResult> paths;
   uint64_t totalSteps = 0;
   uint64_t seedsGenerated = 0;  // includes duplicates that were skipped

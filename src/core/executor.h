@@ -19,13 +19,9 @@
 namespace adlsym::core {
 
 struct EngineConfig {
-  /// Case-split bound for symbolic jump targets (indirect branches).
-  unsigned maxIndirectTargets = 16;
   /// Enable the engine-internal checkers.
   bool checkOob = true;
   bool checkDivZero = true;
-  /// Generate witness test cases for completed paths and defects.
-  bool generateTests = true;
 };
 
 struct StepOut;
@@ -65,6 +61,13 @@ class EngineServices {
   /// Optional observability bundle shared by every layer of this run; null
   /// = telemetry disabled (zero cost: call sites branch on the pointer).
   telemetry::Telemetry* telemetry = nullptr;
+  /// Only the carried witness's side exists: decide() reports every side
+  /// the witness does not take infeasible without a query, and
+  /// forkJumpTargets() stops after the witness's target. feasible() probes
+  /// still query, as they shape terms rather than choose a side. A
+  /// concolic run sets this for the steps below its seed's generational
+  /// bound, whose other sides its ancestors already ran (core/concolic.h).
+  bool witnessOnly = false;
 
   /// The one feasibility decision (DESIGN.md §6.8): is pathCond(st) /\ c
   /// satisfiable? When st's carried witness satisfies `c`, yes: no query,
@@ -87,15 +90,16 @@ class EngineServices {
   static void enter(MachineState& st, Side&& s);
 
   /// Symbolic jump: one successor per feasible concrete value of `target`
-  /// (at most config.maxIndirectTargets), constrained to that value; if
-  /// values remain beyond the bound, `st` itself ends as a Budget path.
+  /// (at most kMaxJumpTargets), constrained to that value; if values
+  /// remain beyond the bound, `st` itself ends as a Budget path.
   /// The first value is the carried witness's; each later one comes from
   /// the query that excluded the values before it, and its successor
   /// carries that query's model.
   void forkJumpTargets(MachineState&& st, smt::TermRef target, StepOut& out);
 
  private:
-  /// side() for a `c` the carried witness does not satisfy: one check().
+  /// side() for a `c` the carried witness does not satisfy: one check(),
+  /// or none under witnessOnly.
   Side decide(const MachineState& st, smt::TermRef c);
   /// The last Sat model's values of st's inputs, by input position: the
   /// witness a successor takes from the query that found it feasible.

@@ -109,7 +109,7 @@ namespace {
 /// The witness half of finishPath.
 void finishWitness(EngineServices& svc, const MachineState& st,
                    PathResult& r) {
-  if (st.status == PathStatus::Truncated || !svc.config.generateTests) return;
+  if (st.status == PathStatus::Truncated) return;
   r.test.inputs.reserve(st.inputs.size());
   for (size_t i = 0; i < st.inputs.size(); ++i) {
     const InputRecord& in = st.inputs[i];

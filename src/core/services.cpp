@@ -6,6 +6,9 @@ namespace adlsym::core {
 
 namespace {
 
+/// Case-split bound for a symbolic jump target (forkJumpTargets).
+constexpr unsigned kMaxJumpTargets = 16;
+
 /// Does st's carried witness satisfy the width-1 `c`?
 bool witnessSatisfies(smt::TermManager& tm, const MachineState& st,
                       smt::TermRef c) {
@@ -44,7 +47,8 @@ bool EngineServices::feasible(const MachineState& st, smt::TermRef c) {
 
 Side EngineServices::decide(const MachineState& st, smt::TermRef c) {
   Side s(c);
-  s.feasible = solver.check(withCond(st, c)) == smt::CheckResult::Sat;
+  s.feasible = !witnessOnly &&
+               solver.check(withCond(st, c)) == smt::CheckResult::Sat;
   if (s.feasible) s.model = modelWitness(st);
   return s;
 }
@@ -58,7 +62,7 @@ void EngineServices::forkJumpTargets(MachineState&& st, smt::TermRef target,
                                      StepOut& out) {
   const unsigned w = target.width();
   std::vector<smt::TermRef> blocking = st.pathCond;
-  for (unsigned i = 0; i < config.maxIndirectTargets; ++i) {
+  for (unsigned i = 0; i < kMaxJumpTargets; ++i) {
     uint64_t value;
     if (i == 0) {
       bindInputs(tm, st.inputs, st.witness);
@@ -74,6 +78,7 @@ void EngineServices::forkJumpTargets(MachineState&& st, smt::TermRef target,
     succ.pc = value;
     ++succ.forks;
     out.successors.push_back(std::move(succ));
+    if (witnessOnly) return;
     blocking.push_back(tm.mkNe(target, at));
   }
   // Values beyond the bound are dropped; record the state as a budget end.

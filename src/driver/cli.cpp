@@ -47,6 +47,13 @@ CommandResult fail(std::string msg) {
   return CommandResult{2, std::move(msg) + "\n"};
 }
 
+/// A count flag's value: parseInt, minus the negatives it wraps around
+/// to huge counts.
+std::optional<uint64_t> parseCount(const std::string& s) {
+  if (s.find('-') != std::string::npos) return std::nullopt;
+  return parseInt(s);
+}
+
 /// Per-command telemetry plumbing for --stats-json and --clock=manual:
 /// owns the bundle, the manual clock and the stats document. `get()` is
 /// null when neither was requested, so the engine stays on its zero-cost
@@ -1173,9 +1180,13 @@ CommandResult dispatch(const std::vector<std::string>& args) {
         if (args[i] == "--strategy" && i + 1 < args.size()) {
           opt.strategy = args[++i];
         } else if (args[i] == "--max-paths" && i + 1 < args.size()) {
-          opt.maxPaths = parseInt(args[++i]).value_or(opt.maxPaths);
+          const auto v = parseCount(args[++i]);
+          if (!v) return fail("bad --max-paths '" + args[i] + "'");
+          opt.maxPaths = *v;
         } else if (args[i] == "--max-steps" && i + 1 < args.size()) {
-          opt.maxTotalSteps = parseInt(args[++i]).value_or(opt.maxTotalSteps);
+          const auto v = parseCount(args[++i]);
+          if (!v) return fail("bad --max-steps '" + args[i] + "'");
+          opt.maxTotalSteps = *v;
         } else if (args[i] == "--first-defect") {
           opt.stopAtFirstDefect = true;
         } else if (args[i] == "--merge") {
@@ -1202,7 +1213,7 @@ CommandResult dispatch(const std::vector<std::string>& args) {
             return fail("bad --events (want a file path or '-')");
           }
         } else if (startsWith(args[i], "--events-snapshot=")) {
-          const auto v = parseInt(args[i].substr(18));
+          const auto v = parseCount(args[i].substr(18));
           if (!v) return fail("bad --events-snapshot '" + args[i] + "'");
           opt.eventsSnapshotEvery = *v;
         } else if (startsWith(args[i], "--manifest=")) {
@@ -1211,19 +1222,19 @@ CommandResult dispatch(const std::vector<std::string>& args) {
             return fail("bad --manifest (want a file path)");
           }
         } else if (args[i] == "--max-frontier" && i + 1 < args.size()) {
-          const auto v = parseInt(args[++i]);
+          const auto v = parseCount(args[++i]);
           if (!v || *v == 0) return fail("bad --max-frontier '" + args[i] + "'");
           opt.maxFrontier = *v;
         } else if (args[i] == "--mem-budget-mb" && i + 1 < args.size()) {
-          const auto v = parseInt(args[++i]);
+          const auto v = parseCount(args[++i]);
           if (!v || *v == 0) return fail("bad --mem-budget-mb '" + args[i] + "'");
           opt.memBudgetMb = *v;
         } else if (args[i] == "--solver-timeout-ms" && i + 1 < args.size()) {
-          const auto v = parseInt(args[++i]);
+          const auto v = parseCount(args[++i]);
           if (!v) return fail("bad --solver-timeout-ms '" + args[i] + "'");
           opt.solverTimeoutMs = *v;
         } else if (args[i] == "--max-wall-ms" && i + 1 < args.size()) {
-          const auto v = parseInt(args[++i]);
+          const auto v = parseCount(args[++i]);
           if (!v) return fail("bad --max-wall-ms '" + args[i] + "'");
           opt.maxWallMs = *v;
         } else if (startsWith(args[i], "--inject=")) {
@@ -1234,7 +1245,7 @@ CommandResult dispatch(const std::vector<std::string>& args) {
             return fail("bad --checkpoint (want a file path)");
           }
         } else if (startsWith(args[i], "--checkpoint-every=")) {
-          const auto v = parseInt(args[i].substr(19));
+          const auto v = parseCount(args[i].substr(19));
           if (!v || *v == 0) {
             return fail("bad --checkpoint-every '" + args[i] + "'");
           }
@@ -1247,7 +1258,7 @@ CommandResult dispatch(const std::vector<std::string>& args) {
         } else if (args[i] == "--clock=manual") {
           opt.manualClockStepUs = 1;
         } else if (startsWith(args[i], "--clock=manual:")) {
-          const auto v = parseInt(args[i].substr(15));
+          const auto v = parseCount(args[i].substr(15));
           if (!v || *v == 0) return fail("bad --clock step '" + args[i] + "'");
           opt.manualClockStepUs = *v;
         } else if ((args[i] == "--jobs" && i + 1 < args.size()) ||

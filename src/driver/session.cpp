@@ -23,7 +23,6 @@ Session::Session(const std::string& isa, const std::string& asmSource,
   solver_ = std::make_unique<smt::SmtSolver>(tm_);
   solver_->setConflictBudget(opt_.solverConflictBudget);
   solver_->setQueryTimeoutMicros(opt_.solverTimeoutMicros);
-  solver_->setQueryCacheEnabled(opt_.queryCache);
   svc_ = std::make_unique<core::EngineServices>(tm_, *solver_, image_,
                                                 opt_.engine, opt_.telemetry);
   if (opt_.useBaselineEngine) {

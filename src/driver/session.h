@@ -33,8 +33,6 @@ struct SessionOptions {
   core::AdlEngineKind engineKind = core::AdlEngineKind::Bytecode;
   /// Disable the term rewriter (E4 ablation).
   bool rewriting = true;
-  /// Disable the solver's query cache (E4 ablation).
-  bool queryCache = true;
   /// SAT conflict budget per solver query (0 = unlimited).
   uint64_t solverConflictBudget = 500000;
   /// Wall deadline per solver query in microseconds (0 = unlimited),

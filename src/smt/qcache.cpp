@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 
 #include "smt/termio.h"
 
@@ -120,17 +119,6 @@ std::string QueryCache::canonicalKey(const std::vector<TermRef>& permanent,
   return key;
 }
 
-std::string QueryCache::localKey(const std::vector<TermRef>& assumptions) {
-  std::vector<TermId> ids;
-  ids.reserve(assumptions.size());
-  for (const TermRef t : assumptions) ids.push_back(t.id());
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  std::string key(ids.size() * sizeof(TermId), '\0');
-  if (!ids.empty()) std::memcpy(key.data(), ids.data(), key.size());
-  return key;
-}
-
 QueryCache::Outcome QueryCache::acquire(const std::string& key) {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
@@ -179,12 +167,6 @@ void QueryCache::abandon(const std::string& key) {
   auto it = map_.find(key);
   if (it != map_.end() && !it->second.hit) map_.erase(it);
   cv_.notify_all();
-}
-
-void QueryCache::clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  fifo_.clear();
-  map_.clear();
 }
 
 QueryCache::Stats QueryCache::stats() const {

@@ -1,27 +1,20 @@
-// The SMT query cache (docs/parallelism.md): verdicts, models and solve
-// costs by query key. One type serves both of SmtSolver's caches, which
-// differ only in the key:
-//
-//  - localKey: the sorted, de-duplicated pool-local assumption ids. Hash-
-//    consing makes structurally equal assumptions share ids, so within one
-//    term pool this key is exact. Each SmtSolver owns one such cache for
-//    incremental mode; Sat models are stored by the pool's variable index.
-//  - canonicalKey: for the run-wide cache shared by parallel workers,
-//    whose TermIds are not comparable across pools. The key is a
-//    *canonical serialization* of the whole constraint set: constraints
-//    de-duplicated, ordered by their name-blind structural hash
-//    (TermNode::blind; constraints whose blind hashes tie, such as x<y
-//    and y<z, by their named serialization), then written structurally
-//    (DAG-shared, smt/termio's descriptor grammar) with variables α-
-//    renamed to dense slots in first-occurrence order. Sets structurally
-//    equal up to an order-preserving renaming share a key; false
-//    positives are impossible because the key encodes the full
-//    structure. Sat models are stored slot-indexed and each
-//    client maps slots back to its own variables (canonicalKey's
-//    slotVars). Every distinct key is solved exactly once (single-flight)
-//    on a fresh core whose CNF depends only on term structure, so the
-//    model a worker observes is independent of scheduling — the
-//    cornerstone of the -j1 == -jN determinism guarantee.
+// The shared SMT query cache (docs/parallelism.md): verdicts, models and
+// solve costs by query key, shared by the solvers an API caller attaches
+// it to (SmtSolver::setSharedCache), such as parallel workers, whose
+// TermIds are not comparable across pools. The key (canonicalKey) is a
+// *canonical serialization* of the whole constraint set: constraints
+// de-duplicated, ordered by their name-blind structural hash
+// (TermNode::blind; constraints whose blind hashes tie, such as x<y and
+// y<z, by their named serialization), then written structurally
+// (DAG-shared, smt/termio's descriptor grammar) with variables α-renamed
+// to dense slots in first-occurrence order. Sets structurally equal up to
+// an order-preserving renaming share a key; false positives are
+// impossible because the key encodes the full structure. Sat models are
+// stored slot-indexed and each client maps slots back to its own
+// variables (canonicalKey's slotVars). Every distinct key is solved
+// exactly once (single-flight) on a fresh core whose CNF depends only on
+// term structure, so the model a worker observes is independent of
+// scheduling — the cornerstone of the -j1 == -jN determinism guarantee.
 //
 // Concurrency: one mutex + condvar. acquire() is single-flight — the
 // first caller of a key becomes its *owner* and must publish() (verdict +
@@ -96,8 +89,7 @@ class QueryCache {
   struct Outcome {
     bool hit = false;   // result/model valid; otherwise caller owns
     CheckResult result;
-    /// Sat model, indexed by the key's variables: α-slots under
-    /// canonicalKey, pool variable indices under localKey.
+    /// Sat model, indexed by the key's α-slots (canonicalKey).
     std::vector<uint64_t> model;
     QueryCost cost;  // canonical solve cost, replayed
   };
@@ -119,9 +111,6 @@ class QueryCache {
   /// the next owner.
   void abandon(const std::string& key);
 
-  /// Drop every entry; the counters stay. No key may be in flight.
-  void clear();
-
   /// Canonical serialization of permanent ∪ assumptions (see file
   /// comment). `slotVars`, when non-null, receives the caller-pool Var
   /// term for each α-slot, in slot order — the model translation table.
@@ -130,11 +119,6 @@ class QueryCache {
   static std::string canonicalKey(const std::vector<TermRef>& permanent,
                                   const std::vector<TermRef>& assumptions,
                                   std::vector<TermRef>* slotVars);
-
-  /// Pool-local key of an assumption set (see file comment): the raw
-  /// bytes of its sorted, de-duplicated TermIds. Only comparable within
-  /// one term pool and one set of permanent assertions.
-  static std::string localKey(const std::vector<TermRef>& assumptions);
 
  private:
   mutable std::mutex mu_;

@@ -161,8 +161,6 @@ void SmtSolver::setTelemetry(telemetry::Telemetry* t) {
   tel_ = t;
   queryHist_ = t ? &t->metrics().histogram("solver.query_us") : nullptr;
   queryCtr_ = t ? &t->metrics().counter("solver.queries") : nullptr;
-  cacheHitCtr_ = t ? &t->metrics().counter("solver.cache_hits") : nullptr;
-  cacheMissCtr_ = t ? &t->metrics().counter("solver.cache_misses") : nullptr;
   coreHitCtr_ = nullptr;  // resolved by the next incremental query
   coresKeptCtr_ = nullptr;
   attachIncrementalTelemetry();
@@ -189,9 +187,6 @@ void SmtSolver::assertAlways(TermRef t) {
   adlsym::check(t.width() == 1, "assertAlways requires a width-1 term");
   if (t.isTrue()) return;
   permanentAsserts_.push_back(t);
-  // Cached verdicts were computed without this assertion. (The shared
-  // cache needs no clearing: its key covers the permanent assertions.)
-  localCache_.clear();
   if (t.isFalse()) {
     permanentlyUnsat_ = true;
     return;
@@ -258,27 +253,22 @@ void SmtSolver::snapshotModel(BitBlaster& bb, const SatSolver& sat) {
 }
 
 std::vector<uint64_t> SmtSolver::modelForCache(
-    const std::vector<TermRef>* slotVars) const {
-  if (slotVars == nullptr) return model_;
+    const std::vector<TermRef>& slotVars) const {
   std::vector<uint64_t> values;
-  values.reserve(slotVars->size());
-  for (const TermRef v : *slotVars) {
+  values.reserve(slotVars.size());
+  for (const TermRef v : slotVars) {
     const uint32_t idx = tm_.varIndex(v.id());
     values.push_back(idx < model_.size() ? model_[idx] : 0);
   }
   return values;
 }
 
-void SmtSolver::loadCachedModel(std::vector<uint64_t> values,
-                                const std::vector<TermRef>* slotVars) {
-  if (slotVars == nullptr) {
-    model_ = std::move(values);
-    return;
-  }
+void SmtSolver::loadCachedModel(const std::vector<uint64_t>& values,
+                                const std::vector<TermRef>& slotVars) {
   model_.clear();
-  const size_t n = std::min(slotVars->size(), values.size());
+  const size_t n = std::min(slotVars.size(), values.size());
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t idx = tm_.varIndex((*slotVars)[i].id());
+    const uint32_t idx = tm_.varIndex(slotVars[i].id());
     if (idx >= model_.size()) model_.resize(idx + 1, 0);
     model_[idx] = values[i];
   }
@@ -503,33 +493,21 @@ CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions) {
     }
   }
 
-  // 3. Cache lookup: the shared cache when attached (canonical key, slot-
-  // indexed models), else the solver's own in incremental mode.
-  QueryCache* cache = nullptr;
+  // 3. Shared-cache lookup, when one is attached (canonical key, slot-
+  // indexed models).
+  QueryCache* const cache = sharedCache_;
   std::string key;
   std::vector<TermRef> slotVars;
-  const std::vector<TermRef>* slots = nullptr;  // null: by variable index
-  if (sharedCache_ != nullptr) {
-    cache = sharedCache_;
-    key = QueryCache::canonicalKey(permanentAsserts_, assumptions, &slotVars);
-    slots = &slotVars;
-  } else if (!freshMode_ && cacheEnabled_) {
-    cache = &localCache_;
-    key = QueryCache::localKey(assumptions);
-  }
   if (cache != nullptr) {
-    QueryCache::Outcome o = cache->acquire(key);
+    key = QueryCache::canonicalKey(permanentAsserts_, assumptions, &slotVars);
+    const QueryCache::Outcome o = cache->acquire(key);
     if (o.hit) {
       ++cacheHits_;
       cached = true;
       cost = o.cost;
-      if (cacheHitCtr_) cacheHitCtr_->add();
-      if (o.result == CheckResult::Sat) {
-        loadCachedModel(std::move(o.model), slots);
-      }
+      if (o.result == CheckResult::Sat) loadCachedModel(o.model, slotVars);
       return finish(o.result);
     }
-    if (cacheMissCtr_) cacheMissCtr_->add();
   }
 
   // A miss: this caller owns the key until it publishes or abandons it.
@@ -578,7 +556,7 @@ CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions) {
       cache->abandon(key);
     } else {
       cache->publish(key, r,
-                     r == CheckResult::Sat ? modelForCache(slots)
+                     r == CheckResult::Sat ? modelForCache(slotVars)
                                            : std::vector<uint64_t>{},
                      cost);
     }

@@ -28,7 +28,7 @@ const char* checkResultName(CheckResult r);
 class PreSolver;  // smt/presolver.h
 
 /// One snapshot of the whole SMT stack's statistics: query-level stats,
-/// the SAT core, the bit-blaster and the query cache, aggregated so
+/// the SAT core, the bit-blaster and the shared cache, aggregated so
 /// consumers read a single object instead of stitching stats()/satStats()/
 /// blastStats() together (the CLI stats printout and the JSON stats
 /// document are both rendered from this).
@@ -116,8 +116,8 @@ class SmtSolver {
 
   /// Check satisfiability of the permanent assertions plus the given
   /// width-1 assumption terms. The one query pipeline: short-circuits,
-  /// kept-core lookup, cache lookup, expired-deadline check, prefilter
-  /// consult, solve, publish.
+  /// kept-core lookup, shared-cache lookup, expired-deadline check,
+  /// prefilter consult, solve, publish.
   CheckResult check(const std::vector<TermRef>& assumptions);
 
   /// Model value of a term after a Sat result. The model is snapshotted at
@@ -150,13 +150,12 @@ class SmtSolver {
   /// and bug reports only.
   void setParanoid(bool on) { paranoid_ = on; }
 
-  /// The solver's own query cache, used in incremental mode when no shared
-  /// cache is attached: exploration re-issues many identical feasibility
-  /// checks (eager branch checks share prefixes with later full-path
-  /// solves). A QueryCache keyed on the pool-local assumption set
-  /// (QueryCache::localKey), cleared by assertAlways(); Sat entries replay
-  /// their model. On by default; switchable for the E4 ablation.
-  void setQueryCacheEnabled(bool on) { cacheEnabled_ = on; }
+  /// No-op, kept for API callers that still call it. The solver keeps no
+  /// query cache of its own: explore runs gave it no hits, and concolic
+  /// runs no longer repeat their ancestors' queries. The one cache is the
+  /// shared one (setSharedCache).
+  void setQueryCacheEnabled(bool) {}
+  /// Queries answered by the shared cache.
   uint64_t cacheHits() const { return cacheHits_; }
 
   struct Stats {
@@ -201,7 +200,7 @@ class SmtSolver {
   SolverTelemetry telemetrySnapshot() const;
 
   /// Attach a telemetry bundle (may be null to detach): records the
-  /// solver.query_us latency histogram and query/cache counters;
+  /// solver.query_us latency histogram and the query and core counters;
   /// forwarded to the SAT core and the bit-blaster for their own
   /// counters.
   void setTelemetry(telemetry::Telemetry* t);
@@ -234,15 +233,14 @@ class SmtSolver {
   /// clock and reports to no telemetry; satStats()/blastStats() are the
   /// warm core's, telemetrySnapshot() counts fresh solves only. A query
   /// with a deadline solves fresh only. Without a shared cache fresh
-  /// mode is uncached: a per-worker cache would make hit counts depend on
-  /// the schedule.
+  /// mode is uncached, like incremental mode.
   void setFreshMode(bool on);
   bool freshMode() const { return freshMode_; }
 
   /// Attach the run-wide shared query cache (not owned; null detaches).
-  /// While attached it replaces the solver's own cache: queries are keyed
-  /// canonically (QueryCache::canonicalKey), hits replay the canonical
-  /// verdict and model, misses are solved and published single-flight.
+  /// While attached, queries are keyed canonically
+  /// (QueryCache::canonicalKey), hits replay the canonical verdict and
+  /// model, misses are solved and published single-flight.
   void setSharedCache(QueryCache* c) { sharedCache_ = c; }
 
   /// Attach the abstract pre-solver (not owned; null detaches — the
@@ -261,7 +259,7 @@ class SmtSolver {
   /// unbounded cache) no matter which worker took the miss.
   struct ShapeRow {
     uint64_t queries = 0;
-    uint64_t hits = 0;  // served from a cache (local or shared)
+    uint64_t hits = 0;  // served from the shared cache or a kept core
     uint64_t sat = 0;
     uint64_t unsat = 0;
     uint64_t unknown = 0;
@@ -351,13 +349,13 @@ class SmtSolver {
   /// Snapshot every blasted variable's value after a Sat answer into
   /// model_.
   void snapshotModel(BitBlaster& bb, const SatSolver& sat);
-  /// model_ as a cache stores it: by α-slot when `slotVars` is given
-  /// (slotVars[i] is the Var behind slot i), else by variable index.
+  /// model_ as the shared cache stores it: by α-slot (slotVars[i] is the
+  /// Var behind slot i).
   std::vector<uint64_t> modelForCache(
-      const std::vector<TermRef>* slotVars) const;
+      const std::vector<TermRef>& slotVars) const;
   /// Inverse of modelForCache: replace model_ with a cached model.
-  void loadCachedModel(std::vector<uint64_t> values,
-                       const std::vector<TermRef>* slotVars);
+  void loadCachedModel(const std::vector<uint64_t>& values,
+                       const std::vector<TermRef>& slotVars);
 
   TermManager& tm_;
   SatSolver sat_;
@@ -367,8 +365,6 @@ class SmtSolver {
   bool permanentlyUnsat_ = false;
   std::vector<uint64_t> model_;  // Var index -> value (absent: 0)
 
-  bool cacheEnabled_ = true;
-  QueryCache localCache_;  // keyed by QueryCache::localKey
   uint64_t cacheHits_ = 0;
   uint64_t queryTimeoutMicros_ = 0;
   uint64_t wallDeadlineMicros_ = 0;
@@ -401,8 +397,6 @@ class SmtSolver {
   telemetry::Telemetry* tel_ = nullptr;
   telemetry::Histogram* queryHist_ = nullptr;
   telemetry::Counter* queryCtr_ = nullptr;
-  telemetry::Counter* cacheHitCtr_ = nullptr;
-  telemetry::Counter* cacheMissCtr_ = nullptr;
   // Resolved by the first incremental query, so fresh-mode (--jobs)
   // registries do not list them.
   telemetry::Counter* coreHitCtr_ = nullptr;

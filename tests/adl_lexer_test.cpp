@@ -111,16 +111,48 @@ TEST(Lexer, ErrorsReported) {
 }
 
 TEST(Lexer, LongRunOfStrayCharactersIsIterative) {
-  // Each stray byte is reported and skipped in a loop, so a long run
-  // cannot exhaust the stack.
+  // A run of stray bytes is reported once and skipped in a loop, so a
+  // long run cannot exhaust the stack.
   const std::string src(50000, '@');
   DiagEngine diags;
   Lexer lexer(src, diags);
   const auto toks = lexer.lexAll();
   ASSERT_EQ(toks.size(), 1u);
   EXPECT_EQ(toks[0].kind, Tok::End);
-  EXPECT_EQ(diags.errorCount(), 50000u);
-  EXPECT_EQ(diags.all().back().loc.col, 50000u);
+  EXPECT_EQ(diags.errorCount(), 1u);
+  EXPECT_EQ(diags.all().back().loc.col, 1u);
+}
+
+TEST(Lexer, StrayRunIsOneDiagnosticAtItsFirstByte) {
+  // Runs end at space, a line end or a byte that starts a token; a lone
+  // stray byte keeps the one-byte message.
+  DiagEngine diags;
+  Lexer lexer("a @#$ b\n  ?` +\x01\x02(c)\n`", diags);
+  const auto toks = lexer.lexAll();
+  ASSERT_EQ(toks.size(), 7u);
+  EXPECT_EQ(toks[0].text, "a");
+  EXPECT_EQ(toks[1].text, "b");
+  EXPECT_EQ(toks[2].kind, Tok::Plus);
+  EXPECT_EQ(toks[2].loc.col, 6u);
+  EXPECT_EQ(toks[3].kind, Tok::LParen);
+  EXPECT_EQ(toks[3].loc.col, 9u);
+  EXPECT_EQ(toks[4].text, "c");
+  EXPECT_EQ(toks[5].kind, Tok::RParen);
+  EXPECT_EQ(toks[6].kind, Tok::End);
+  ASSERT_EQ(diags.errorCount(), 4u);
+  const auto& d = diags.all();
+  EXPECT_EQ(d[0].loc.line, 1u);
+  EXPECT_EQ(d[0].loc.col, 3u);
+  EXPECT_EQ(d[0].message, "unexpected character '@' (3 stray bytes in a row)");
+  EXPECT_EQ(d[1].loc.line, 2u);
+  EXPECT_EQ(d[1].loc.col, 3u);
+  EXPECT_EQ(d[1].message, "unexpected character '?' (2 stray bytes in a row)");
+  EXPECT_EQ(d[2].loc.col, 7u);
+  EXPECT_EQ(d[2].message,
+            "unexpected character '\x01' (2 stray bytes in a row)");
+  EXPECT_EQ(d[3].loc.line, 3u);
+  EXPECT_EQ(d[3].loc.col, 1u);
+  EXPECT_EQ(d[3].message, "unexpected character '`'");
 }
 
 TEST(Lexer, TextViewsTheSourceUnlessEscaped) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -263,6 +264,41 @@ TEST(Cli, ProgressFlagParsing) {
       dispatch({"explore", "rv32e", imgPath, "--progress=soon"}).exitCode, 2);
 }
 
+TEST(Cli, CountFlagsRejectMalformedValues) {
+  const auto img = cmdAsm("rv32e", kProgram);
+  ASSERT_EQ(img.exitCode, 0);
+  const std::string imgPath = testing::TempDir() + "cli_counts.img";
+  std::ofstream(imgPath, std::ios::binary) << img.output;
+  for (const std::string flag : {"--max-paths", "--max-steps"}) {
+    for (const std::string v :
+         {"abc", "-5", "99999999999999999999999", "", "12x"}) {
+      const auto r = dispatch({"explore", "rv32e", imgPath, flag, v});
+      EXPECT_EQ(r.exitCode, 2) << flag << " " << v;
+      EXPECT_EQ(r.output, "bad " + flag + " '" + v + "'\n");
+    }
+    const auto ok = dispatch({"explore", "rv32e", imgPath, flag, "0x100"});
+    EXPECT_EQ(ok.exitCode, 0) << flag;
+    EXPECT_NE(ok.output.find("paths=2"), std::string::npos) << flag;
+    // 0 is a valid bound: the run stops at once, a budget stop.
+    EXPECT_EQ(dispatch({"explore", "rv32e", imgPath, flag, "0"}).exitCode, 3)
+        << flag;
+  }
+  // The other count flags reject a negative value instead of wrapping it
+  // to a huge one (a negative solver timeout used to drop a path).
+  for (const std::string flag :
+       {"--max-frontier", "--mem-budget-mb", "--solver-timeout-ms",
+        "--max-wall-ms"}) {
+    const auto r = dispatch({"explore", "rv32e", imgPath, flag, "-5"});
+    EXPECT_EQ(r.exitCode, 2) << flag;
+    EXPECT_EQ(r.output, "bad " + flag + " '-5'\n");
+  }
+  for (const std::string flag :
+       {"--events-snapshot=-5", "--checkpoint-every=-5", "--clock=manual:-5"}) {
+    EXPECT_EQ(dispatch({"explore", "rv32e", imgPath, flag}).exitCode, 2)
+        << flag;
+  }
+}
+
 TEST(Cli, AsmErrorsReported) {
   const auto r = cmdAsm("rv32e", "frob x1\n");
   EXPECT_EQ(r.exitCode, 2);
@@ -522,7 +558,8 @@ TEST(CliLint, BadUsage) {
 
 TEST(CliLint, MalformedDescriptionsExitOneWithoutCrashing) {
   // Inputs that would exhaust a recursive front end's stack: a long run
-  // of stray characters, deep parentheses and a long else-if chain.
+  // of stray characters, deep parentheses and a long else-if chain. Each
+  // is one mistake, reported in a few lines (the stray run once).
   const std::string head =
       "arch a { wordsize 8; reg pc : 16; reg A : 8; mem M : byte[16];\n"
       "  enc E = [op:8];\n  insn n \"n\" : E(op=1) {\n";
@@ -547,6 +584,8 @@ TEST(CliLint, MalformedDescriptionsExitOneWithoutCrashing) {
     const auto r = dispatch({"lint", path});
     EXPECT_EQ(r.exitCode, 1) << c.file;
     EXPECT_NE(r.output.find(c.message), std::string::npos) << c.file;
+    EXPECT_LE(std::count(r.output.begin(), r.output.end(), '\n'), 3)
+        << c.file;
   }
 }
 

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "core/testgen.h"
 #include "driver/session.h"
 #include "isa/registry.h"
+#include "support/fault.h"
 #include "workloads/defects.h"
 #include "workloads/programs.h"
 
@@ -44,20 +46,90 @@ TEST(Concolic, CoverageMatchesSymbolicExploration) {
   }
 }
 
-TEST(Concolic, RunsEachPathOnce) {
+TEST(Concolic, IssuesExactlyTheSymbolicQueries) {
   // The generational bound keeps a seed from re-flipping its ancestors'
   // decisions, so concolic search runs exactly the paths symbolic
-  // exploration forks (E8).
-  for (const auto& [name, prog] :
-       {std::pair{"earlyexit12", workloads::progEarlyExit(12)},
-        std::pair{"max5", workloads::progMax(5)}}) {
-    auto sc = Session::forPortable(prog, "rv32e");
-    auto ss = Session::forPortable(prog, "rv32e");
+  // exploration forks; and below the bound a run decides no side
+  // (witnessOnly), so it issues one query per side, as symbolic
+  // exploration does (E8). Runs, instructions and coverage are those of
+  // the search that still re-solved its ancestors' sides.
+  const struct {
+    const char* name;
+    workloads::PProgram prog;
+    uint64_t queries, runs, insns, coverage;
+  } cases[] = {
+      {"bitcount6", workloads::progBitcount(6), 63, 64, 2752, 52},
+      {"max5", workloads::progMax(5), 15, 16, 208, 15},
+      {"earlyexit12", workloads::progEarlyExit(12), 12, 13, 622, 11},
+      {"parse2", workloads::progParse(2), 6, 7, 126, 37},
+  };
+  for (const auto& c : cases) {
+    auto sc = Session::forPortable(c.prog, "rv32e");
+    auto ss = Session::forPortable(c.prog, "rv32e");
     const auto rc = sc->concolic();
     const auto rs = ss->explore();
-    EXPECT_EQ(rc.paths.size(), rs.paths.size()) << name;
-    EXPECT_EQ(rc.coveredSet, rs.coveredSet) << name;
+    EXPECT_EQ(ss->solver().stats().queries, c.queries) << c.name;
+    EXPECT_EQ(sc->solver().stats().queries, c.queries) << c.name;
+    EXPECT_EQ(sc->solver().cacheHits(), 0u) << c.name;
+    EXPECT_EQ(rs.paths.size(), c.runs) << c.name;
+    EXPECT_EQ(rc.paths.size(), c.runs) << c.name;
+    EXPECT_EQ(rc.totalSteps, c.insns) << c.name;
+    EXPECT_EQ(rc.coveredSet.size(), c.coverage) << c.name;
+    EXPECT_EQ(rc.coveredSet, rs.coveredSet) << c.name;
+    EXPECT_FALSE(sc->services().witnessOnly) << c.name;
   }
+}
+
+/// Records, for each query, whether it was issued under witnessOnly.
+class WitnessOnlyProbe : public smt::QueryListener {
+ public:
+  explicit WitnessOnlyProbe(const EngineServices& svc) : svc_(svc) {}
+  void onCheck(const std::vector<smt::TermRef>&,
+               const std::vector<smt::TermRef>&, smt::CheckResult, uint64_t,
+               bool) override {
+    flags.push_back(svc_.witnessOnly);
+  }
+  std::vector<bool> flags;
+
+ private:
+  const EngineServices& svc_;
+};
+
+TEST(Concolic, WitnessOnlyIsClearedOnEveryExit) {
+  // A symbolic-index load probes each section's feasibility (feasible()),
+  // which queries under witnessOnly too: the runs the branch seeds load
+  // below their bound. A fault armed on such a query unwinds the run with
+  // the flag set.
+  const char* src = R"(
+    in8 x1
+    andi x1, x1, 15
+    lbu x4, 0x200(x1)
+    addi x2, x0, 3
+    bltu x1, x2, low
+    out x4
+  low:
+    halti 0
+  .section lo 0x200 ro
+    .byte 1, 2, 3, 4, 5, 6, 7, 8
+  .section hi 0x208 ro
+    .byte 9, 10, 11, 12, 13, 14, 15, 16
+  )";
+  Session probe("rv32e", src);
+  WitnessOnlyProbe flags(probe.services());
+  probe.solver().addQueryListener(&flags);
+  (void)probe.concolic();
+  EXPECT_FALSE(probe.services().witnessOnly);
+  const auto first =
+      std::find(flags.flags.begin(), flags.flags.end(), true);
+  ASSERT_NE(first, flags.flags.end()) << "no query under witnessOnly";
+  const auto nth = static_cast<size_t>(first - flags.flags.begin()) + 1;
+
+  Session s("rv32e", src);
+  {
+    fault::ScopedArm arm("solver.check:" + std::to_string(nth));
+    EXPECT_THROW((void)s.concolic(), fault::InjectedFault);
+  }
+  EXPECT_FALSE(s.services().witnessOnly);
 }
 
 TEST(Concolic, SeedsReplayToTheirRecordedBehavior) {
@@ -112,6 +184,55 @@ TEST(Concolic, RunBudgetIsRespected) {
   EXPECT_EQ(r.seedsExecuted, 3u);
   EXPECT_EQ(r.paths.size(), 3u);
   EXPECT_GT(r.seedsGenerated, r.seedsExecuted);
+}
+
+TEST(Concolic, JumpBeyondTheTargetBoundRunsEachTargetOnce) {
+  // A jalr whose target takes 32 feasible values, one per `halti k` slot:
+  // symbolic exploration forks the bound's 16 targets and ends the rest
+  // as one Budget path. Concolic search runs the same 17 paths: the root
+  // run ends at the Budget end, and each target's seed re-reaches the
+  // jump below its bound, so its run stops after its own target.
+  std::string src = R"(
+    in8 x1
+    andi x1, x1, 31
+    slli x1, x1, 2
+    addi x2, x0, table
+    add x2, x2, x1
+    jalr x0, x2, 0
+  table:
+)";
+  for (int k = 0; k < 32; ++k) src += "    halti " + std::to_string(k) + "\n";
+  for (const AdlEngineKind kind :
+       {AdlEngineKind::Bytecode, AdlEngineKind::Interp}) {
+    driver::SessionOptions opt;
+    opt.engineKind = kind;
+    Session ss("rv32e", src, opt);
+    const auto rs = ss.explore();
+    std::set<uint64_t> targets;
+    unsigned budgetEnds = 0;
+    for (const auto& p : rs.paths) {
+      if (p.status == PathStatus::Exited) targets.insert(*p.exitCode);
+      if (p.status == PathStatus::Budget) ++budgetEnds;
+    }
+    EXPECT_EQ(rs.paths.size(), 17u);
+    EXPECT_EQ(targets.size(), 16u);
+    EXPECT_EQ(budgetEnds, 1u);
+
+    Session sc("rv32e", src, opt);
+    const auto rc = sc.concolic();
+    std::map<uint64_t, unsigned> runsPerTarget;
+    for (const auto& p : rc.paths) {
+      if (p.status == PathStatus::Exited) ++runsPerTarget[*p.exitCode];
+    }
+    std::set<uint64_t> concolicTargets;
+    for (const auto& [code, runs] : runsPerTarget) {
+      EXPECT_EQ(runs, 1u) << "target " << code;
+      concolicTargets.insert(code);
+    }
+    EXPECT_EQ(concolicTargets, targets);
+    EXPECT_EQ(rc.paths.size(), 17u);
+    EXPECT_EQ(sc.solver().stats().queries, ss.solver().stats().queries);
+  }
 }
 
 TEST(Concolic, ConcreteLoopSingleSeed) {

@@ -144,26 +144,24 @@ TEST_F(SolverTest, RejectsWrongWidthAssumption) {
 }
 
 TEST_F(SolverTest, QueryCacheHitsAndReplaysModels) {
+  // The solver keeps no query cache of its own; only an attached shared
+  // cache hits (QueryPipeline, PrefilterApi).
   TermRef x = tm.mkVar(8, "x");
   TermRef q = tm.mkEq(x, c(8, 33));
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
   EXPECT_EQ(s.cacheHits(), 0u);
-  // Identical query: served from the cache, including the model.
+  // Identical query: solved again, to the same model.
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
-  EXPECT_EQ(s.cacheHits(), 1u);
   EXPECT_EQ(s.modelValue(x), 33u);
-  // Order and duplicates don't matter for the key.
   TermRef p = tm.mkUlt(x, c(8, 100));
   ASSERT_EQ(s.check({q, p}), CheckResult::Sat);
   ASSERT_EQ(s.check({p, q, p}), CheckResult::Sat);
-  EXPECT_EQ(s.cacheHits(), 2u);
-  // A repeated Unsat is answered by the core its first solve kept, ahead
-  // of the cache.
+  // A repeated Unsat is answered by the core its first solve kept.
   TermRef bad = tm.mkEq(x, c(8, 44));
   EXPECT_EQ(s.check({q, bad}), CheckResult::Unsat);
   EXPECT_EQ(s.check({q, bad}), CheckResult::Unsat);
-  EXPECT_EQ(s.cacheHits(), 2u);
   EXPECT_EQ(s.stats().coreHits, 1u);
+  EXPECT_EQ(s.cacheHits(), 0u);
 }
 
 TEST_F(SolverTest, QueryCacheInvalidatedByAssertAlways) {
@@ -175,7 +173,8 @@ TEST_F(SolverTest, QueryCacheInvalidatedByAssertAlways) {
 }
 
 TEST_F(SolverTest, QueryCacheCanBeDisabled) {
-  s.setQueryCacheEnabled(false);
+  // Without a shared cache nothing is cached, so there is nothing to
+  // disable: a repeated query takes no hit.
   TermRef x = tm.mkVar(8, "x");
   TermRef q = tm.mkEq(x, c(8, 1));
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
@@ -486,8 +485,7 @@ TEST_F(WarmVerdicts, RegistryListsTheSameNames) {
     if (!telFirst) f.setTelemetry(&tel);
     ASSERT_EQ(f.check({noSquare}), CheckResult::Unsat);
     EXPECT_EQ(names(tel.metrics().counters()),
-              "blast.gates blast.terms_blasted sat.solves solver.cache_hits "
-              "solver.cache_misses solver.queries ")
+              "blast.gates blast.terms_blasted sat.solves solver.queries ")
         << telFirst;
     EXPECT_EQ(names(tel.metrics().histograms()),
               "sat.conflicts_per_solve sat.decisions_per_solve "
@@ -585,16 +583,16 @@ TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
 }
 
 // Every check() runs one pipeline: short-circuits, kept-core lookup
-// (incremental mode), cache lookup, deadline, prefilter consult, solve,
-// publish. The configurations differ only in the solve
-// step (incremental core, or warm core then reset fresh core), in which
-// cache, if any, sits in front of it, and in where kept cores sit. One
-// query sequence, run through all eight, pins what each configuration
+// (incremental mode), shared-cache lookup, deadline, prefilter consult,
+// solve, publish. The configurations differ only in the solve
+// step (incremental core, or warm core then reset fresh core), in whether
+// the shared cache sits in front of it, and in where kept cores sit. One
+// query sequence, run through all six, pins what each configuration
 // observes.
 struct PipelineConfig {
   const char* name;
   bool fresh;      // fresh mode (else incremental)
-  bool cache;      // incremental: own cache on; fresh: shared cache attached
+  bool cache;      // shared cache attached
   bool prefilter;  // abstract pre-solver attached
 };
 
@@ -627,8 +625,7 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
   PreSolver pre(tm);
   SmtSolver s(tm);
   s.setFreshMode(cfg.fresh);
-  if (cfg.fresh && cfg.cache) s.setSharedCache(&shared);
-  if (!cfg.fresh) s.setQueryCacheEnabled(cfg.cache);
+  if (cfg.cache) s.setSharedCache(&shared);
   if (cfg.prefilter) s.setPreSolver(&pre);
   // Re-solves every incremental solve on the fresh core, off the books:
   // it must agree, and it leaves every count below alone.
@@ -687,9 +684,9 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
 }
 
 TEST(QueryPipeline, SameSequenceThroughEveryConfiguration) {
-  // Verdicts and models agree everywhere. With a cache, step 1's repeat
-  // and step 2's last two checks hit and replay the model the first one
-  // published; uncached, each check re-judges (or re-solves). Both
+  // Verdicts and models agree everywhere. With the shared cache, step 1's
+  // repeat and step 2's last two checks hit and replay the model the first
+  // one published; uncached, each check re-judges (or re-solves). Both
   // constant-false checks short-circuit (uncached) in every mode, and so
   // does step 7 in incremental mode, where a kept core answers it at zero
   // cost; fresh mode's warm core
@@ -702,10 +699,6 @@ TEST(QueryPipeline, SameSequenceThroughEveryConfiguration) {
     PipelineConfig cfg;
     PipelineOutcome want;
   } rows[] = {
-      {{"incremental, cache, prefilter", false, true, true},
-       {"SSSSSU??UUUU", m, 3, 3, 6, 0, {28, 1015, 5}}},
-      {{"incremental, cache, no prefilter", false, true, false},
-       {"SSSSSU??UUUU", m, 3, 3, 0, 6, {40, 1075, 5}}},
       {{"incremental, no cache, prefilter", false, false, true},
        {"SSSSSU??UUUU", m, 0, 3, 9, 0, {21, 960, 5}}},
       {{"incremental, no cache, no prefilter", false, false, false},
