@@ -14,7 +14,6 @@
 #include "core/testgen.h"
 #include "driver/session.h"
 #include "isa/registry.h"
-#include "smt/presolver.h"
 #include "smt/qcache.h"
 #include "workloads/programs.h"
 
@@ -204,43 +203,6 @@ void checkpointSeries() {
   std::printf("\n");
 }
 
-void prefilterSeries() {
-  std::printf(
-      "(f) abstract-interpretation prefilter on the exponential series\n"
-      "    (smt::PreSolver attached through the API, docs/absdomain.md;\n"
-      "    path counts invariant, blasted = queries that reached the\n"
-      "    bit-blaster)\n\n");
-  benchutil::Table table({"bits", "prefilter", "paths", "queries", "blasted",
-                          "gates", "wall-ms", "blast-ratio"},
-                         "prefilter");
-  for (const unsigned bits : {4u, 6u, 8u}) {
-    uint64_t blastedOff = 0;
-    for (const bool pre : {false, true}) {
-      auto session = driver::Session::forPortable(
-          workloads::progBitcount(bits), "rv32e");
-      smt::PreSolver presolver(session->termManager());
-      if (pre) session->solver().setPreSolver(&presolver);
-      benchutil::Timer t;
-      const auto summary = session->explore();
-      const auto& st = session->solver().stats();
-      const uint64_t blasted = st.preFallback + st.directSolves;
-      if (!pre) blastedOff = blasted;
-      table.addRow({benchutil::num(bits), pre ? "on" : "off",
-                    benchutil::num(summary.paths.size()),
-                    benchutil::num(st.queries), benchutil::num(blasted),
-                    benchutil::num(session->solver().blastStats().gates),
-                    benchutil::fmt("%.2f", t.millis()),
-                    pre ? benchutil::fmt("%.1fx", blasted
-                                                      ? double(blastedOff) /
-                                                            double(blasted)
-                                                      : double(blastedOff))
-                        : "1.0x"});
-    }
-  }
-  table.print();
-  std::printf("\n");
-}
-
 int main() {
   std::printf("E3: path exploration scaling (same curve on every ISA)\n\n");
   series("(a) linear series: early-exit loop, paths = bound + 1", "linear",
@@ -251,7 +213,6 @@ int main() {
   governedSeries();
   parallelSeries();
   checkpointSeries();
-  prefilterSeries();
   std::printf(
       "shape check: path counts are ISA-invariant; wall time grows with\n"
       "paths (linearly in (a), exponentially in (b)); state merging\n"
@@ -260,8 +221,7 @@ int main() {
       "state as a truncated path; the parallel series reports identical\n"
       "path/insn counts at every jobs value (speedup needs >1 core);\n"
       "level-barrier checkpoints add bounded overhead at identical path\n"
-      "counts; the prefilter removes a multiple of the bit-blasted queries at\n"
-      "identical path counts.\n");
+      "counts.\n");
   benchutil::writeJsonReport("paths");
   return 0;
 }

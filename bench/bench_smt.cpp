@@ -6,10 +6,10 @@
 //   (b) Ablation: the term rewriter on vs off — same results, different
 //       term/solver work (DESIGN.md §6 decision 2).
 //   (d) The shared query cache under the parallel engine.
-//   (e) Ablation: the abstract prefilter attached or not.
 //
-// There is no (c) any more: it ablated the solver's own query cache,
-// which was removed (EXPERIMENTS.md E4).
+// There is no (c) or (e) any more: they ablated the solver's own query
+// cache and the abstract prefilter, both removed from the solver
+// (EXPERIMENTS.md E4).
 //
 // Registers google-benchmark timings for isolated solver queries as well.
 #include <benchmark/benchmark.h>
@@ -18,7 +18,6 @@
 #include "core/evaluator.h"
 #include "core/pexplorer.h"
 #include "driver/session.h"
-#include "smt/presolver.h"
 #include "smt/qcache.h"
 #include "workloads/programs.h"
 
@@ -121,50 +120,6 @@ void sharedCacheTable() {
   std::printf("\n");
 }
 
-void prefilterTable() {
-  std::printf(
-      "(e) abstract-interpretation prefilter ablation (smt::PreSolver\n"
-      "    attached through the API, docs/absdomain.md; identical\n"
-      "    exploration results, blasted = queries that reached the\n"
-      "    bit-blaster)\n\n");
-  benchutil::Table table({"workload", "prefilter", "queries", "pre-sat",
-                          "pre-unsat", "fallback", "blasted", "gates",
-                          "solve-ms", "blast-ratio"},
-                         "prefilter-ablation");
-  struct Case {
-    const char* name;
-    workloads::PProgram prog;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"checksum16", workloads::progChecksum(16)});
-  cases.push_back({"bitcount8", workloads::progBitcount(8)});
-  cases.push_back({"earlyexit16", workloads::progEarlyExit(16)});
-  for (const Case& c : cases) {
-    uint64_t blastedOff = 0;
-    for (const bool pre : {false, true}) {
-      auto session = driver::Session::forPortable(c.prog, "rv32e");
-      smt::PreSolver presolver(session->termManager());
-      if (pre) session->solver().setPreSolver(&presolver);
-      (void)session->explore();
-      const auto& st = session->solver().stats();
-      const uint64_t blasted = st.preFallback + st.directSolves;
-      if (!pre) blastedOff = blasted;
-      table.addRow({c.name, pre ? "on" : "off", benchutil::num(st.queries),
-                    benchutil::num(st.preSat), benchutil::num(st.preUnsat),
-                    benchutil::num(st.preFallback), benchutil::num(blasted),
-                    benchutil::num(session->solver().blastStats().gates),
-                    benchutil::fmt("%.2f", st.totalMicros / 1e3),
-                    pre ? benchutil::fmt("%.1fx", blasted
-                                                      ? double(blastedOff) /
-                                                            double(blasted)
-                                                      : double(blastedOff))
-                        : "1.0x"});
-    }
-  }
-  table.print();
-  std::printf("\n");
-}
-
 void BM_SolverQueryShallow(benchmark::State& state) {
   smt::TermManager tm;
   smt::SmtSolver solver(tm);
@@ -201,7 +156,6 @@ int main(int argc, char** argv) {
   depthTable();
   ablationTable();
   sharedCacheTable();
-  prefilterTable();
   benchutil::writeJsonReport("smt");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -51,24 +51,28 @@ MachineState ConcolicDriver::executeSeed(const Seed& seed,
       st.status = PathStatus::Infeasible;
       return st;
     }
-    // Pick the successor the seed actually takes: the one whose newly
-    // added constraints all hold concretely. Terminal states (defects,
-    // exits) win over running ones when both hold (the defect *is* the
-    // concrete behavior, e.g. divisor == 0).
+    // Pick the successor the seed actually takes: one whose newly added
+    // constraints all hold concretely. One that added constraints wins
+    // over one that added none (a jump past the target bound ends in a
+    // Budget successor that holds for every seed, beside the seed's own
+    // target); after that, terminal states (defects, exits) win over
+    // running ones (the defect *is* the concrete behavior, e.g. divisor
+    // == 0).
+    auto rank = [prefixLen](const MachineState& succ) {
+      return 2 * (succ.pathCond.size() > prefixLen) +
+             (succ.status != PathStatus::Running);
+    };
     int chosen = -1;
+    int chosenRank = -1;
     for (size_t i = 0; i < out.successors.size(); ++i) {
       const MachineState& succ = out.successors[i];
       if (!suffixHoldsUnderSeed(svc_.tm, succ, seed.values, prefixLen)) {
         continue;
       }
-      if (chosen < 0) {
+      if (rank(succ) > chosenRank) {
         chosen = static_cast<int>(i);
-        continue;
+        chosenRank = rank(succ);
       }
-      const bool curTerminal =
-          out.successors[static_cast<size_t>(chosen)].status != PathStatus::Running;
-      const bool newTerminal = succ.status != PathStatus::Running;
-      if (newTerminal && !curTerminal) chosen = static_cast<int>(i);
     }
     if (chosen < 0) {
       // No successor matches the seed (e.g. with checkOob off, the engine
@@ -107,7 +111,7 @@ ConcolicResult ConcolicDriver::run() {
   std::deque<Seed> queue;
   std::set<std::vector<uint64_t>> seen;
   queue.push_back({});  // the all-zeroes seed
-  seen.insert({});
+  seen.insert(std::vector<uint64_t>{});  // insert({}) would insert nothing
   ++result.seedsGenerated;
 
   while (!queue.empty() && result.seedsExecuted < config_.maxRuns) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/testgen.h"
+#include "support/bits.h"
 #include "support/fault.h"
 #include "support/stop.h"
 
@@ -172,8 +173,8 @@ ExploreSummary Explorer::run() {
   // overshooting it (the documented flaw this replaces). Cleared before
   // returning — the solver instance may outlive this run.
   if (config_.maxWallSeconds > 0.0) {
-    svc_.solver.setWallDeadlineMicros(
-        startUs + static_cast<uint64_t>(config_.maxWallSeconds * 1e6));
+    svc_.solver.setWallDeadlineMicros(saturatingAdd(
+        startUs, saturatingCast(config_.maxWallSeconds * 1e6)));
   }
   ExploreSummary summary;
   Rng rng(config_.rngSeed);

@@ -14,8 +14,8 @@
 
 #include "core/checkpoint.h"
 #include "core/testgen.h"
-#include "smt/presolver.h"
 #include "smt/printer.h"
+#include "support/bits.h"
 #include "support/error.h"
 #include "support/fault.h"
 #include "support/json.h"
@@ -175,7 +175,6 @@ struct Worker {
   std::unique_ptr<telemetry::Telemetry> tel;
   smt::TermManager tm;
   smt::SmtSolver solver;
-  std::unique_ptr<smt::PreSolver> presolver;  // attached when cfg.prefilter
   Rng rng;
   std::unique_ptr<EngineServices> svc;
   std::unique_ptr<Executor> exec;
@@ -974,12 +973,6 @@ ParallelResult ParallelExplorer::run() {
     // models and canonical costs from a reset fresh core per query.
     w->solver.setFreshMode(true);
     w->solver.setSharedCache(cfg_.qcache);
-    if (cfg_.prefilter) {
-      // Per-worker, shared-nothing: the pre-solver's refinement cache is
-      // keyed by this worker's pool TermIds.
-      w->presolver = std::make_unique<smt::PreSolver>(w->tm);
-      w->solver.setPreSolver(w->presolver.get());
-    }
     if (cfg_.solverShapeProfile) w->solver.setShapeProfiling(true);
     if (cfg_.solverConflictBudget != 0) {
       w->solver.setConflictBudget(cfg_.solverConflictBudget);
@@ -1023,8 +1016,8 @@ ParallelResult ParallelExplorer::run() {
     // the system steady clock regardless of --clock (docs/parallelism.md:
     // wall stops are inherently schedule-dependent).
     eng.wallDeadlineSteadyUs =
-        telemetry::Clock::system().nowMicros() +
-        static_cast<uint64_t>(cfg_.base.maxWallSeconds * 1e6);
+        saturatingAdd(telemetry::Clock::system().nowMicros(),
+                      saturatingCast(cfg_.base.maxWallSeconds * 1e6));
   }
 
   if (rv == nullptr) {

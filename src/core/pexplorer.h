@@ -59,10 +59,8 @@ struct ParallelConfig {
   /// Accumulate per-shape query rows in every worker solver (profiler
   /// runs; merged via queryShapes()).
   bool solverShapeProfile = false;
-  /// Attach a per-worker abstract pre-solver (smt/presolver.h) to every
-  /// worker solver. Shared-nothing like the term pools; verdicts are
-  /// structural, so enabling it never perturbs the determinism contract.
-  /// Off by default and never set by the CLI (docs/absdomain.md).
+  /// Read by nothing: no worker solver consults the abstract pre-solver
+  /// (docs/absdomain.md). Kept for API callers that still set it.
   bool prefilter = false;
   /// Extra query listener attached to every worker solver (not owned;
   /// null = none). Invoked from worker threads concurrently, so it must be

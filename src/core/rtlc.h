@@ -145,7 +145,6 @@ class BytecodeExecutor final : public Executor {
     uint64_t bails = 0;        // fused runs ended by a symbolic/checker bail
   };
   const FusionStats& fusionStats() const { return fstats_; }
-  size_t compiledPrograms() const { return spec_.size(); }
 
  private:
   /// Per-instruction evaluation context (mirror of AdlExecutor::Frame).

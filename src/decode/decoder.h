@@ -37,9 +37,6 @@ class Decoder {
   /// and by decoder unit tests.
   std::optional<DecodedInsn> decodeBytes(const uint8_t* bytes, size_t len) const;
 
-  void clearCache() { cache_.clear(); }
-  size_t cacheSize() const { return cache_.size(); }
-
   struct Stats {
     uint64_t decodes = 0;
     uint64_t cacheHits = 0;

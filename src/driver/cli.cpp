@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -30,6 +31,7 @@
 #include "obs/querylog.h"
 #include "obs/replay.h"
 #include "support/atomicio.h"
+#include "support/bits.h"
 #include "support/error.h"
 #include "support/fault.h"
 #include "support/hash.h"
@@ -198,7 +200,7 @@ struct FlightRecorder {
     obs::EventBusOptions bopt;
     bopt.snapshotEverySteps = opt.eventsSnapshotEvery;
     bopt.maxFrontier = opt.maxFrontier;
-    bopt.memBudgetBytes = opt.memBudgetMb * 1024 * 1024;
+    bopt.memBudgetBytes = saturatingMul(opt.memBudgetMb, uint64_t{1} << 20);
     bopt.codePcs = codePcs;
     bus = std::make_unique<obs::EventBus>(*os, tel, bopt);
   }
@@ -641,7 +643,8 @@ CommandResult cmdExplore(const std::string& isaName,
   sopt.explorer.stopAtFirstDefect = opt.stopAtFirstDefect;
   sopt.explorer.mergeStates = opt.mergeStates;
   sopt.explorer.maxFrontier = opt.maxFrontier;
-  sopt.explorer.memBudgetBytes = opt.memBudgetMb * 1024 * 1024;
+  sopt.explorer.memBudgetBytes =
+      saturatingMul(opt.memBudgetMb, uint64_t{1} << 20);
   sopt.explorer.maxWallSeconds = double(opt.maxWallMs) / 1e3;
 
   // Fault schedule for this command only (support/fault.h); the guard
@@ -773,7 +776,7 @@ CommandResult cmdExplore(const std::string& isaName,
     pcfg.jobs = static_cast<unsigned>(opt.jobs);
     pcfg.manualClockStepUs = opt.manualClockStepUs;
     pcfg.solverConflictBudget = sopt.solverConflictBudget;
-    pcfg.solverTimeoutMicros = opt.solverTimeoutMs * 1000;
+    pcfg.solverTimeoutMicros = saturatingMul(opt.solverTimeoutMs, 1000);
     pcfg.solverShapeProfile = profiling;
     pcfg.queryListener = fr.bus.get();
     pcfg.checkpointEverySteps = opt.checkpointEverySteps;
@@ -875,7 +878,7 @@ CommandResult cmdExplore(const std::string& isaName,
     smt::TermManager tm;
     smt::SmtSolver solver(tm);
     solver.setConflictBudget(sopt.solverConflictBudget);
-    solver.setQueryTimeoutMicros(opt.solverTimeoutMs * 1000);
+    solver.setQueryTimeoutMicros(saturatingMul(opt.solverTimeoutMs, 1000));
     if (fr.bus) solver.addQueryListener(fr.bus.get());
     if (wantForest) {
       forest = std::make_unique<obs::PathForestRecorder>();
@@ -956,9 +959,9 @@ CommandResult cmdExplore(const std::string& isaName,
     core::writeSummaryJson(w, summary);
     w.key("solver");
     solverTel.writeJson(w);
-    // v6 addition: the abstract-prefilter block (docs/absdomain.md). No
-    // exploration attaches the prefilter, so it reads enabled:false and
-    // carries the query buckets' shortcircuit and direct counts.
+    // v6 addition: the abstract-prefilter block (docs/absdomain.md). The
+    // solver consults no prefilter, so it reads enabled:false and carries
+    // the query buckets' shortcircuit and direct counts.
     w.key("prefilter");
     solverTel.writePrefilterJson(w);
     if (parallel) {
@@ -1283,7 +1286,9 @@ CommandResult dispatch(const std::vector<std::string>& args) {
           const std::string v = args[i].substr(11);
           char* end = nullptr;
           opt.progressSeconds = std::strtod(v.c_str(), &end);
-          if (end == v.c_str() || *end != '\0' || opt.progressSeconds <= 0.0) {
+          if (end == v.c_str() || *end != '\0' ||
+              !std::isfinite(opt.progressSeconds) ||
+              opt.progressSeconds <= 0.0) {
             return fail("bad --progress interval '" + v + "'");
           }
         } else {
@@ -1307,7 +1312,9 @@ CommandResult dispatch(const std::vector<std::string>& args) {
           const std::string v = args[i].substr(11);
           char* end = nullptr;
           topt.maxWaitSeconds = std::strtod(v.c_str(), &end);
-          if (end == v.c_str() || *end != '\0' || topt.maxWaitSeconds <= 0.0) {
+          if (end == v.c_str() || *end != '\0' ||
+              !std::isfinite(topt.maxWaitSeconds) ||
+              topt.maxWaitSeconds <= 0.0) {
             return fail("bad --max-wait '" + v + "'");
           }
         } else if (startsWith(args[i], "--")) {

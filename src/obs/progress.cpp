@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "obs/events.h"
+#include "support/bits.h"
 
 namespace adlsym::obs {
 
@@ -10,8 +11,8 @@ ProgressMeter::ProgressMeter(telemetry::Telemetry* tel, std::ostream& os,
                              double intervalSeconds, EventBus* bus,
                              uint64_t codePcs)
     : tel_(tel), os_(os), bus_(bus), codePcs_(codePcs) {
-  if (intervalSeconds < 0.001) intervalSeconds = 0.001;
-  intervalMicros_ = static_cast<uint64_t>(intervalSeconds * 1e6);
+  if (!(intervalSeconds >= 0.001)) intervalSeconds = 0.001;  // NaN too
+  intervalMicros_ = saturatingCast(intervalSeconds * 1e6);
 }
 
 void ProgressMeter::onStepEnd(const StepInfo& info) {

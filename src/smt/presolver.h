@@ -1,11 +1,11 @@
 // Abstract-interpretation pre-solver (docs/absdomain.md): answers
 // trivially-sat/unsat constraint-set queries with the analysis/absdom
-// wrapped-interval + known-bits domains before any bit-blasting happens.
-// SmtSolver consults it on every cache miss (--prefilter=on, the
-// default); a conclusive verdict skips the SAT core entirely, anything
-// else falls through to the normal solve. Verdicts are a pure function
-// of term *structure*, so they are identical across worker pools and
-// replay deterministically through the shared query cache.
+// wrapped-interval + known-bits domains, without bit-blasting, and
+// Unknown otherwise. SmtSolver no longer consults it (its Sat verdicts
+// still needed a solve for the model, and kept Unsat cores answer the
+// repeated Unsat sides); it stays as a tested judge over the domain the
+// ADL016/ADL017 lints use. Verdicts are a pure function of term
+// *structure*, so they are identical across term pools.
 //
 // The judge is deliberately order-canonical: every phase aggregates over
 // the whole constraint set before concluding (no early exits that would

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 
-#include "smt/presolver.h"
 #include "smt/printer.h"
 #include "smt/qcache.h"
 #include "support/bits.h"
@@ -74,13 +72,6 @@ void SolverTelemetry::writePrefilterJson(json::Writer& w) const {
   w.endObject();
 }
 
-std::string SolverTelemetry::toJson() const {
-  std::ostringstream os;
-  json::Writer w(os);
-  writeJson(w);
-  return os.str();
-}
-
 std::string SolverTelemetry::format() const {
   std::string out = formatStr(
       "solver: %llu queries (%llu sat, %llu unsat, %llu unknown), %.1f ms, "
@@ -135,14 +126,8 @@ SolverTelemetry SmtSolver::telemetrySnapshot() const {
   t.maxMicros = stats_.maxMicros;
   t.cacheHits = cacheHits_;
   t.canon = stats_.canon;
-  t.preEnabled = pre_ != nullptr;
-  t.preConsulted = stats_.preConsulted;
-  t.preSat = stats_.preSat;
-  t.preUnsat = stats_.preUnsat;
-  t.preFallback = stats_.preFallback;
   t.preShortcircuit = stats_.preShortcircuit;
   t.directSolves = stats_.directSolves;
-  t.preCoreConstraints = stats_.preCoreConstraints;
   if (freshMode_) {
     t.satCore = freshSat_;
     t.blast = freshBlast_;
@@ -278,16 +263,6 @@ CheckResult SmtSolver::checkFresh(const std::vector<TermRef>& assumptions) {
   return solveFresh(assumptions, nullptr, 0);
 }
 
-void SmtSolver::restoreModelFresh(const std::vector<TermRef>& assumptions) {
-  // Off the books (see the header comment). The reset core sees the same
-  // canonical CNF as a fresh-mode solve, so the model it finds is the
-  // model the single-flight miss solve would have published.
-  adlsym::check(solveFresh(assumptions, nullptr, 0) == CheckResult::Sat,
-                "prefilter sat certificate failed model restoration "
-                "(abstract-domain soundness bug)");
-  snapshotModel(fresh_->bb, fresh_->sat);
-}
-
 std::string SmtSolver::verdictMismatch(
     const std::vector<TermRef>& assumptions, const char* source,
     CheckResult r, CheckResult fresh) const {
@@ -378,40 +353,46 @@ CheckResult SmtSolver::solveIncremental(const std::vector<TermRef>& assumptions,
   return r;
 }
 
-CheckResult SmtSolver::warmVerdict(const std::vector<TermRef>& assumptions) {
-  CheckResult r = CheckResult::Unsat;
-  if (refutedByCore(assumptions)) {
-    ++stats_.coreHits;
-    if (paranoid_) crossCheck(assumptions, r, "warm core");
-  } else {
-    ++stats_.warmSolves;
-    QueryCost work;  // the warm core's work stays off the canonical books
-    r = solveIncremental(assumptions, nullptr, 0, work);
-  }
-  if (r == CheckResult::Unsat) ++stats_.warmUnsat;
-  return r;
-}
-
 CheckResult SmtSolver::solve(const std::vector<TermRef>& assumptions,
                              telemetry::Clock& clk, uint64_t deadlineUs,
-                             QueryCost& cost) {
+                             bool expired, QueryCost& cost) {
+  // The incremental pair decides first: in incremental mode always, in
+  // fresh mode (where it is the warm core) for a query without a deadline,
+  // as the warm core reads no clock. A query containing a core an earlier
+  // Unsat refuted is Unsat at zero cost, even past an expired deadline.
+  const bool warm = !freshMode_ || deadlineUs == 0;
+  if (!freshMode_ && tel_ != nullptr && coreHitCtr_ == nullptr) {
+    coreHitCtr_ = &tel_->metrics().counter("solver.core_hits");
+    coresKeptCtr_ = &tel_->metrics().counter("solver.cores_kept");
+  }
+  if (warm && refutedByCore(assumptions)) {
+    ++stats_.coreHits;
+    if (coreHitCtr_) coreHitCtr_->add();
+    if (freshMode_) ++stats_.warmUnsat;
+    if (paranoid_) crossCheck(assumptions, CheckResult::Unsat, "kept core");
+    return CheckResult::Unsat;
+  }
+  if (expired) return CheckResult::Unknown;  // the budget is spent
   if (!freshMode_) {
     return solveIncremental(assumptions, deadlineUs != 0 ? &clk : nullptr,
                             deadlineUs, cost);
   }
-  // A query without a deadline takes its verdict from the warm core: an
-  // Unsat is final at canonical cost 0, and only a Sat or Unknown pays
-  // for the canonical fresh solve. A deadline is read on the query clock,
-  // which the warm core never reads, so such a query solves fresh only.
-  CheckResult warm = CheckResult::Unknown;
-  if (deadlineUs == 0) {
-    warm = warmVerdict(assumptions);
-    if (warm == CheckResult::Unsat) return warm;
+  // Fresh mode: a warm Unsat is final at canonical cost 0, and only a Sat
+  // or Unknown pays for the canonical fresh solve.
+  CheckResult w = CheckResult::Unknown;
+  if (warm) {
+    ++stats_.warmSolves;
+    QueryCost work;  // the warm core's work stays off the canonical books
+    w = solveIncremental(assumptions, nullptr, 0, work);
+    if (w == CheckResult::Unsat) {
+      ++stats_.warmUnsat;
+      return w;
+    }
   }
   const CheckResult r = solveFresh(assumptions, &clk, deadlineUs);
-  if (warm == CheckResult::Sat && r == CheckResult::Unsat) {
+  if (w == CheckResult::Sat && r == CheckResult::Unsat) {
     throw Error("internal error: " +
-                verdictMismatch(assumptions, "warm", warm, r));
+                verdictMismatch(assumptions, "warm", w, r));
   }
   FreshCore& fc = *fresh_;
   if (r == CheckResult::Sat) snapshotModel(fc.bb, fc.sat);
@@ -437,8 +418,8 @@ CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions) {
   const uint64_t startUs = clk.nowMicros();
   bool cached = false;
   // Canonical cost of this query (QueryCost): measured on a miss, replayed
-  // from the cache on a hit, zero on short-circuited, core-refuted and
-  // prefilter-decided checks.
+  // from the cache on a hit, zero on short-circuited and core-refuted
+  // checks.
   QueryCost cost;
   auto finish = [&](CheckResult r) {
     const uint64_t us = clk.nowMicros() - startUs;
@@ -462,7 +443,7 @@ CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions) {
     return r;
   };
 
-  // 1. Short-circuits: nothing to key, judge or solve. Constant-false
+  // 1. Short-circuits: nothing to key or solve. Constant-false
   // assumptions must stop here, before keying (see canonicalKey).
   if (permanentlyUnsat_) {
     ++stats_.preShortcircuit;
@@ -476,24 +457,7 @@ CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions) {
     }
   }
 
-  // 2. Kept cores (incremental mode): a query that contains a core an
-  // earlier solve refuted is Unsat, served like a cache hit at zero cost.
-  if (!freshMode_) {
-    if (tel_ != nullptr && coreHitCtr_ == nullptr) {
-      coreHitCtr_ = &tel_->metrics().counter("solver.core_hits");
-      coresKeptCtr_ = &tel_->metrics().counter("solver.cores_kept");
-    }
-    if (refutedByCore(assumptions)) {
-      ++stats_.preShortcircuit;
-      ++stats_.coreHits;
-      if (coreHitCtr_) coreHitCtr_->add();
-      cached = true;
-      if (paranoid_) crossCheck(assumptions, CheckResult::Unsat, "kept core");
-      return finish(CheckResult::Unsat);
-    }
-  }
-
-  // 3. Shared-cache lookup, when one is attached (canonical key, slot-
+  // 2. Shared-cache lookup, when one is attached (canonical key, slot-
   // indexed models).
   QueryCache* const cache = sharedCache_;
   std::string key;
@@ -513,43 +477,26 @@ CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions) {
   // A miss: this caller owns the key until it publishes or abandons it.
   CheckResult r = CheckResult::Unknown;
   try {
-    // 4. Deadline: the per-query timeout (relative to query start) or the
+    // 3. Deadline: the per-query timeout (relative to query start) or the
     // run-wide deadline (absolute, set by the explorer from its remaining
     // maxWallSeconds), whichever is sooner.
-    uint64_t deadlineUs = queryTimeoutMicros_ ? startUs + queryTimeoutMicros_ : 0;
+    uint64_t deadlineUs =
+        queryTimeoutMicros_ ? saturatingAdd(startUs, queryTimeoutMicros_) : 0;
     if (wallDeadlineMicros_ != 0 &&
         (deadlineUs == 0 || wallDeadlineMicros_ < deadlineUs)) {
       deadlineUs = wallDeadlineMicros_;
     }
     const bool expired = deadlineUs != 0 && startUs >= deadlineUs;
-    if (expired) {
-      ++stats_.preShortcircuit;  // the budget is spent; don't even blast
-    } else if (pre_ != nullptr) {
-      // 5. Prefilter consult, after every short-circuit off-mode would
-      // also take (so verdicts are identical with the prefilter on or
-      // off) and before any bit-blasting. A conclusive verdict is counted
-      // once per judged key and cached at zero canonical cost; a Sat
-      // takes its model from the off-the-books restoration solve.
-      const PreVerdict pv = pre_->judge(permanentAsserts_, assumptions);
-      r = pv.result;
-      ++stats_.preConsulted;
-      tally(r, stats_.preSat, stats_.preUnsat, stats_.preFallback);
-      if (r == CheckResult::Unsat) {
-        stats_.preCoreConstraints += pv.coreConstraints;
-      }
-      if (r == CheckResult::Sat) restoreModelFresh(assumptions);
-    } else {
-      ++stats_.directSolves;
-    }
-    // 6. Solve.
-    if (!expired && r == CheckResult::Unknown) {
-      r = solve(assumptions, clk, deadlineUs, cost);
-    }
+    // 4. Solve: kept cores, then the incremental or the fresh core. Past
+    // an expired deadline only a kept core answers; the rest short-circuit.
+    r = solve(assumptions, clk, deadlineUs, expired, cost);
+    ++(expired && r == CheckResult::Unknown ? stats_.preShortcircuit
+                                            : stats_.directSolves);
   } catch (...) {
     if (cache != nullptr) cache->abandon(key);
     throw;
   }
-  // 7. Publish. Unknown is never cached: a later caller (or a waiter on
+  // 5. Publish. Unknown is never cached: a later caller (or a waiter on
   // the shared cache) retries with its own budget.
   if (cache != nullptr) {
     if (r == CheckResult::Unknown) {

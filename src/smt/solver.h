@@ -25,7 +25,7 @@ enum class CheckResult { Sat, Unsat, Unknown };
 
 const char* checkResultName(CheckResult r);
 
-class PreSolver;  // smt/presolver.h
+class PreSolver;  // smt/presolver.h; see setPreSolver
 
 /// One snapshot of the whole SMT stack's statistics: query-level stats,
 /// the SAT core, the bit-blaster and the shared cache, aggregated so
@@ -48,13 +48,14 @@ struct SolverTelemetry {
   /// the profiler's reconciliation targets (docs/observability.md).
   QueryCost canon;
 
-  /// Abstract prefilter accounting (docs/absdomain.md). Every query lands
-  /// in exactly one of four disjoint buckets: cacheHits, preShortcircuit
-  /// (resolved before cache or prefilter — permanently-unsat, constant-
-  /// false assumption, a kept Unsat core, expired deadline), preConsulted
-  /// (prefilter judged it at a cache miss) and directSolves (missed with
-  /// the prefilter disabled). preSat/preUnsat/preFallback partition
-  /// preConsulted.
+  /// Query buckets (the stats "prefilter" object, docs/observability.md).
+  /// Every query lands in exactly one: cacheHits (the shared cache),
+  /// preShortcircuit (permanently Unsat, a constant-false assumption, or
+  /// an expired deadline) or directSolves (the solve step, kept-core
+  /// answers included). The abstract prefilter's fields (preEnabled,
+  /// preConsulted and its preSat/preUnsat/preFallback partition,
+  /// preCoreConstraints) always read zero: no solver consults it any more
+  /// (docs/absdomain.md). They stay until the stats schema drops them.
   bool preEnabled = false;
   uint64_t preConsulted = 0;
   uint64_t preSat = 0;
@@ -88,7 +89,6 @@ struct SolverTelemetry {
   void writeJson(json::Writer& w) const;
   /// The top-level "prefilter" object of the stats schema (v6).
   void writePrefilterJson(json::Writer& w) const;
-  std::string toJson() const;
   /// Human-readable two-line form used by `adlsym explore`.
   std::string format() const;
 };
@@ -115,9 +115,9 @@ class SmtSolver {
   void assertAlways(TermRef t);
 
   /// Check satisfiability of the permanent assertions plus the given
-  /// width-1 assumption terms. The one query pipeline: short-circuits,
-  /// kept-core lookup, shared-cache lookup, expired-deadline check,
-  /// prefilter consult, solve, publish.
+  /// width-1 assumption terms. The one query pipeline, in both modes:
+  /// short-circuits, shared-cache lookup, deadline, solve (kept cores
+  /// first), publish.
   CheckResult check(const std::vector<TermRef>& assumptions);
 
   /// Model value of a term after a Sat result. The model is snapshotted at
@@ -169,20 +169,12 @@ class SmtSolver {
     /// the fresh-solve cost, a hit *replays* the stored cost, so these
     /// accumulate identically whichever caller took the miss. Observers
     /// read deltas of these to attribute solver cost per branch site.
-    /// Keys the prefilter decided carry a canonical cost of zero, their
-    /// model restoration solve being off the books.
     QueryCost canon;
-    /// Abstract-prefilter buckets; see SolverTelemetry for the invariants.
-    uint64_t preConsulted = 0;
-    uint64_t preSat = 0;
-    uint64_t preUnsat = 0;
-    uint64_t preFallback = 0;
+    /// Query buckets besides cache hits; see SolverTelemetry.
     uint64_t preShortcircuit = 0;
     uint64_t directSolves = 0;
-    uint64_t preCoreConstraints = 0;
-    /// Kept Unsat cores: cores stored, and queries answered by one. In
-    /// incremental mode a core hit is a part of preShortcircuit; in fresh
-    /// mode it is a warm answer and keeps its bucket.
+    /// Kept Unsat cores: cores stored, and queries answered by one (a
+    /// part of directSolves, in both modes).
     uint64_t coresKept = 0;
     uint64_t coreHits = 0;
     /// Warm verdicts (fresh mode): solves on the warm core, and the Unsat
@@ -221,21 +213,20 @@ class SmtSolver {
   /// mode and tests.
   CheckResult checkFresh(const std::vector<TermRef>& assumptions);
 
-  /// Fresh-solve mode (parallel exploration, docs/parallelism.md): every
-  /// model comes from a SAT core reset to its just-constructed state, so
-  /// the CNF — and hence any Sat model — depends only on term structure,
-  /// never on what this instance solved before. That is what makes -j1
-  /// and -jN byte-identical. Verdicts come first from the incremental
-  /// pair, here called the warm core: a sound solver's Unsat does not
-  /// depend on its history, so a warm Unsat (solved, or by a kept core)
-  /// is final at canonical cost 0, and only a Sat or Unknown is solved
-  /// again fresh. The warm step keeps each query in its bucket, reads no
-  /// clock and reports to no telemetry; satStats()/blastStats() are the
-  /// warm core's, telemetrySnapshot() counts fresh solves only. A query
-  /// with a deadline solves fresh only. Without a shared cache fresh
-  /// mode is uncached, like incremental mode.
+  /// Fresh-solve mode (parallel exploration, docs/parallelism.md): the
+  /// pipeline is the same, and only where a Sat model comes from differs.
+  /// Every model comes from a SAT core reset to its just-constructed
+  /// state, so the CNF — and hence any Sat model — depends only on term
+  /// structure, never on what this instance solved before. That is what
+  /// makes -j1 and -jN byte-identical. Verdicts come first from the
+  /// incremental pair, here called the warm core: a sound solver's Unsat
+  /// does not depend on its history, so a warm Unsat (solved, or by a
+  /// kept core) is final at canonical cost 0, and only a Sat or Unknown is
+  /// solved again fresh. The warm step reads no clock and reports to no
+  /// telemetry; satStats()/blastStats() are the warm core's,
+  /// telemetrySnapshot() counts fresh solves only. A query with a
+  /// deadline solves fresh only.
   void setFreshMode(bool on);
-  bool freshMode() const { return freshMode_; }
 
   /// Attach the run-wide shared query cache (not owned; null detaches).
   /// While attached, queries are keyed canonically
@@ -243,13 +234,10 @@ class SmtSolver {
   /// model, misses are solved and published single-flight.
   void setSharedCache(QueryCache* c) { sharedCache_ = c; }
 
-  /// Attach the abstract pre-solver (not owned; null detaches — the
-  /// default, and what every exploration runs with). When attached,
-  /// every cache miss is judged abstractly before any bit-blasting: a
-  /// conclusive Unsat short-circuits the solve, a conclusive Sat takes
-  /// its model from an off-the-books restoration solve. Per-worker,
-  /// shared-nothing, like the term pool.
-  void setPreSolver(PreSolver* p) { pre_ = p; }
+  /// No-op, kept for API callers that still call it. The solver consults
+  /// no abstract pre-solver: a Sat side needs a model, which only a solve
+  /// gives, and kept cores answer repeated Unsat sides (docs/absdomain.md).
+  void setPreSolver(PreSolver*) {}
 
   /// One row of the profiler's query-shape table: queries grouped by the
   /// bit-width bucket of their canonical terms-blasted count. Sums are
@@ -259,7 +247,7 @@ class SmtSolver {
   /// unbounded cache) no matter which worker took the miss.
   struct ShapeRow {
     uint64_t queries = 0;
-    uint64_t hits = 0;  // served from the shared cache or a kept core
+    uint64_t hits = 0;  // served from the shared cache
     uint64_t sat = 0;
     uint64_t unsat = 0;
     uint64_t unknown = 0;
@@ -283,12 +271,13 @@ class SmtSolver {
   const std::map<unsigned, ShapeRow>& queryShapes() const { return shapes_; }
 
  private:
-  /// The solve step: the incremental core, or in fresh mode the warm
-  /// verdict and then, unless it is Unsat, the fresh core reset first.
-  /// Fills model_ on Sat and `cost` with the query's canonical blasting
-  /// and search work. Throws if a warm Sat is a fresh Unsat.
+  /// The solve step: a kept core, else (unless `expired`: Unknown) the
+  /// incremental core, or in fresh mode the warm core and then, unless it
+  /// is Unsat, the fresh core reset first. Fills model_ on Sat and `cost`
+  /// with the query's canonical blasting and search work. Throws if a
+  /// warm Sat is a fresh Unsat.
   CheckResult solve(const std::vector<TermRef>& assumptions,
-                    telemetry::Clock& clk, uint64_t deadlineUs,
+                    telemetry::Clock& clk, uint64_t deadlineUs, bool expired,
                     QueryCost& cost);
   /// Bit-blast into the incremental pair and solve under assumptions
   /// (deadline on `clk` when non-null). An Unsat keeps its failed
@@ -296,8 +285,6 @@ class SmtSolver {
   CheckResult solveIncremental(const std::vector<TermRef>& assumptions,
                                telemetry::Clock* clk, uint64_t deadlineUs,
                                QueryCost& cost);
-  /// Fresh mode's warm step: a kept core, else a solve on the warm core.
-  CheckResult warmVerdict(const std::vector<TermRef>& assumptions);
   /// Re-apply tel_ to the incremental pair: attached outside fresh mode,
   /// names registered but detached in it.
   void attachIncrementalTelemetry();
@@ -307,8 +294,7 @@ class SmtSolver {
   /// sorted TermId set, watched under its largest (the newest) id.
   /// Permanent assertions only ever add constraints, so a core stays
   /// Unsat for the solver's lifetime and a query containing one is Unsat
-  /// with no solve (in incremental mode also with no key or judge, as
-  /// the lookup runs before both). Cores are not minimized:
+  /// with no solve. Cores are not minimized:
   /// deletion re-solves cost more than the few extra hits they buy
   /// (ROADMAP). `lits` are the non-true assumptions' literals, in order.
   void keepCore(const std::vector<TermRef>& assumptions,
@@ -323,14 +309,6 @@ class SmtSolver {
   std::string verdictMismatch(const std::vector<TermRef>& assumptions,
                               const char* source, CheckResult r,
                               CheckResult fresh) const;
-
-  /// Model restoration for a prefilter-certified Sat query: solve the
-  /// canonical CNF on the fresh core with no budget, no deadline, no
-  /// telemetry and no stats aggregation — deliberately off the books, so
-  /// whether (and where) a restoration happens can never perturb the
-  /// schedule-independent counters. Fills model_; throws if the core
-  /// disagrees with the certificate (an absdom soundness bug).
-  void restoreModelFresh(const std::vector<TermRef>& assumptions);
 
   /// The SAT core and bit-blaster behind every fresh solve. One pair is
   /// created on first use and reset before each query, so a query sees a
@@ -372,7 +350,6 @@ class SmtSolver {
 
   bool freshMode_ = false;
   QueryCache* sharedCache_ = nullptr;
-  PreSolver* pre_ = nullptr;
   std::unique_ptr<FreshCore> fresh_;
   // Aggregates over the fresh solves of fresh mode (the members sat_/bb_
   // are the warm core there); telemetrySnapshot() reads these instead.
@@ -397,8 +374,8 @@ class SmtSolver {
   telemetry::Telemetry* tel_ = nullptr;
   telemetry::Histogram* queryHist_ = nullptr;
   telemetry::Counter* queryCtr_ = nullptr;
-  // Resolved by the first incremental query, so fresh-mode (--jobs)
-  // registries do not list them.
+  // Resolved by the first incremental query that reaches the solve step,
+  // so fresh-mode (--jobs) registries do not list them.
   telemetry::Counter* coreHitCtr_ = nullptr;
   telemetry::Counter* coresKeptCtr_ = nullptr;
 };

@@ -113,14 +113,12 @@ class TermManager {
   /// When false, builder methods only fold constants and skip all other
   /// rewrites. Used by the E4 simplifier ablation.
   void setRewritingEnabled(bool on) { rewriting_ = on; }
-  bool rewritingEnabled() const { return rewriting_; }
   uint64_t rewriteHits() const { return rewriteHits_; }
 
   // ---- leaf builders -------------------------------------------------
   TermRef mkConst(unsigned width, uint64_t value);
   TermRef mkTrue() { return mkConst(1, 1); }
   TermRef mkFalse() { return mkConst(1, 0); }
-  TermRef mkBool(bool b) { return mkConst(1, b ? 1 : 0); }
   /// Variables are hash-consed by (name, width): the same name always
   /// denotes the same variable. Width conflicts are an internal error.
   TermRef mkVar(unsigned width, const std::string& name);
@@ -164,7 +162,6 @@ class TermManager {
   TermRef mkSle(TermRef a, TermRef b);
   TermRef mkSgt(TermRef a, TermRef b) { return mkSlt(b, a); }
   TermRef mkSge(TermRef a, TermRef b) { return mkSle(b, a); }
-  TermRef mkImplies(TermRef a, TermRef b) { return mkOr(mkNot(a), b); }
 
   TermRef mkIte(TermRef cond, TermRef thenT, TermRef elseT);
 

@@ -1,5 +1,6 @@
 // Small bit-manipulation helpers shared by the SMT layer, the decoder
-// generator and the assembler. All widths are in [1, 64].
+// generator and the assembler (all widths are in [1, 64]), and the
+// saturating arithmetic every budget conversion goes through.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +47,26 @@ inline bool fitsUnsigned(uint64_t v, unsigned width) {
 inline uint64_t bitSlice(uint64_t v, unsigned hi, unsigned lo) {
   check(hi >= lo && hi < 64, "bitSlice range");
   return (v >> lo) & lowMask(hi - lo + 1);
+}
+
+// Budget arithmetic saturates: a budget too large to represent does not
+// bind, so it becomes UINT64_MAX ("never") instead of wrapping to a small
+// value or, from a double, casting out of range (undefined behaviour).
+
+inline uint64_t saturatingAdd(uint64_t a, uint64_t b) {
+  uint64_t r;
+  return __builtin_add_overflow(a, b, &r) ? ~uint64_t{0} : r;
+}
+
+inline uint64_t saturatingMul(uint64_t a, uint64_t b) {
+  uint64_t r;
+  return __builtin_mul_overflow(a, b, &r) ? ~uint64_t{0} : r;
+}
+
+/// `v` rounded toward zero; NaN and v <= 0 give 0.
+inline uint64_t saturatingCast(double v) {
+  if (!(v > 0)) return 0;
+  return v >= 0x1p64 ? ~uint64_t{0} : static_cast<uint64_t>(v);
 }
 
 }  // namespace adlsym

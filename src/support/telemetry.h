@@ -167,7 +167,6 @@ class Telemetry {
   const MetricsRegistry& metrics() const { return metrics_; }
 
   Clock& clock() { return *clock_; }
-  void setClock(Clock& c) { clock_ = &c; }
   uint64_t nowMicros() { return clock_->nowMicros(); }
 
  private:

@@ -5,6 +5,8 @@
 #include <sstream>
 
 #include "driver/cli.h"
+#include "driver/session.h"
+#include "workloads/programs.h"
 
 namespace adlsym::driver::cli {
 namespace {
@@ -262,6 +264,55 @@ TEST(Cli, ProgressFlagParsing) {
             2);
   EXPECT_EQ(
       dispatch({"explore", "rv32e", imgPath, "--progress=soon"}).exitCode, 2);
+  for (const std::string v : {"inf", "nan", "-inf"}) {
+    const auto r = dispatch({"explore", "rv32e", imgPath, "--progress=" + v});
+    EXPECT_EQ(r.exitCode, 2) << v;
+    EXPECT_EQ(r.output, "bad --progress interval '" + v + "'\n");
+  }
+}
+
+TEST(Cli, HugeBudgetsDoNotBind) {
+  // A budget too large to represent does not bind: with each flag at such
+  // a value, sort4 explores as the unbudgeted run does, sequentially and
+  // at --jobs 2. They used to wrap or cast out of range into tiny budgets
+  // (1 path and 15 Unknown queries, or a --jobs run stopped before its
+  // first step), a 1 MiB memory budget and a heartbeat on every step.
+  const std::string imgPath = testing::TempDir() + "cli_huge_sort4.img";
+  std::ofstream(imgPath, std::ios::binary)
+      << Session::forPortable(workloads::progSort(4), "rv32e")
+             ->image()
+             .serialize();
+  const std::string u64max = "18446744073709551615";
+  const std::string events = testing::TempDir() + "cli_huge.events.jsonl";
+  const std::vector<std::vector<std::string>> budgets = {
+      {"--max-wall-ms", u64max},
+      {"--solver-timeout-ms", u64max},
+      {"--solver-timeout-ms", "18446744073709552"},  // x1000 wrapped
+      {"--mem-budget-mb", "17592186044417", "--events=" + events},  // 2^44+1
+      {"--progress=1e300"},
+  };
+  for (const std::string jobs : {"", "2"}) {
+    std::vector<std::string> base = {"explore", "rv32e", imgPath};
+    if (!jobs.empty()) base.insert(base.end(), {"--jobs", jobs});
+    const auto want = dispatch(base);
+    ASSERT_EQ(want.exitCode, 0) << want.output;
+    ASSERT_NE(want.output.find("paths=75 "), std::string::npos) << want.output;
+    ASSERT_NE(want.output.find(", 0 unknown)"), std::string::npos);
+    for (const auto& budget : budgets) {
+      std::vector<std::string> args = base;
+      args.insert(args.end(), budget.begin(), budget.end());
+      const std::string where = budget[0] + " -j" + jobs;
+      testing::internal::CaptureStderr();
+      const auto r = dispatch(args);
+      EXPECT_EQ(testing::internal::GetCapturedStderr(), "") << where;
+      EXPECT_EQ(r.exitCode, 0) << where;
+      EXPECT_NE(r.output.find("paths=75 "), std::string::npos) << where;
+      EXPECT_NE(r.output.find(", 0 unknown)"), std::string::npos) << where;
+    }
+    EXPECT_NE(slurp(events).find("\"mem_budget_bytes\":" + u64max),
+              std::string::npos)
+        << "-j" << jobs;
+  }
 }
 
 TEST(Cli, CountFlagsRejectMalformedValues) {
@@ -378,6 +429,11 @@ TEST(CliEvents, VerifyRunFailsOnTamperedArtifact) {
 
 TEST(CliEvents, UsageErrors) {
   EXPECT_EQ(dispatch({"tail"}).exitCode, 2);
+  for (const std::string v : {"nan", "inf", "0", "-1"}) {
+    const auto r = dispatch({"tail", "x.jsonl", "--max-wait=" + v});
+    EXPECT_EQ(r.exitCode, 2) << v;
+    EXPECT_EQ(r.output, "bad --max-wait '" + v + "'\n");
+  }
   EXPECT_EQ(dispatch({"tail", "/nonexistent/events.jsonl", "--no-follow"})
                 .exitCode,
             2);

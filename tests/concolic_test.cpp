@@ -189,9 +189,10 @@ TEST(Concolic, RunBudgetIsRespected) {
 TEST(Concolic, JumpBeyondTheTargetBoundRunsEachTargetOnce) {
   // A jalr whose target takes 32 feasible values, one per `halti k` slot:
   // symbolic exploration forks the bound's 16 targets and ends the rest
-  // as one Budget path. Concolic search runs the same 17 paths: the root
-  // run ends at the Budget end, and each target's seed re-reaches the
-  // jump below its bound, so its run stops after its own target.
+  // as one Budget path. Concolic search runs the 16 targets once each:
+  // every run, the root's included, follows its own seed's target rather
+  // than the Budget end, and each target's seed re-reaches the jump below
+  // its bound, so its run stops after its own target.
   std::string src = R"(
     in8 x1
     andi x1, x1, 31
@@ -230,7 +231,15 @@ TEST(Concolic, JumpBeyondTheTargetBoundRunsEachTargetOnce) {
       concolicTargets.insert(code);
     }
     EXPECT_EQ(concolicTargets, targets);
-    EXPECT_EQ(rc.paths.size(), 17u);
+    EXPECT_EQ(rc.paths.size(), 16u);
+    // No seed runs twice: the all-zero root seed is de-duplicated too.
+    std::set<std::vector<uint64_t>> inputs;
+    for (const auto& p : rc.paths) {
+      std::vector<uint64_t> values;
+      for (const auto& in : p.test.inputs) values.push_back(in.value);
+      EXPECT_TRUE(inputs.insert(values).second)
+          << ::testing::PrintToString(values);
+    }
     EXPECT_EQ(sc.solver().stats().queries, ss.solver().stats().queries);
   }
 }

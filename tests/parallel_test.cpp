@@ -485,11 +485,10 @@ TEST_F(ParallelDeterminism, NoRunConsultsThePrefilter) {
 }
 
 // PoolStats' warm counters, summed over the workers' solvers, against
-// the schedule-independent solver telemetry of the same run. With the
-// prefilter on (as perfbench's traced ledger runs it) and no deadline or
-// shared cache, every query the prefilter does not decide reaches a
-// worker's warm core once, as a kept-core hit or a warm solve, and every
-// Unsat the prefilter does not give is a warm answer.
+// the schedule-independent solver telemetry of the same run. With no
+// deadline or shared cache, every query that is not short-circuited
+// reaches a worker's warm core once, as a kept-core hit or a warm solve,
+// and every Unsat is a warm answer.
 TEST(WarmPoolStats, SumOverWorkersMatchesTheSolverTelemetry) {
   for (const char* isa : {"m16", "rv32e"}) {
     auto s = Session::forPortable(workloads::progSort(4), isa);
@@ -498,7 +497,6 @@ TEST(WarmPoolStats, SumOverWorkersMatchesTheSolverTelemetry) {
       core::ParallelConfig pcfg;
       pcfg.base = s->options().explorer;
       pcfg.jobs = jobs;
-      pcfg.prefilter = true;
       pcfg.solverConflictBudget = s->options().solverConflictBudget;
       core::ParallelExplorer pex(
           s->image(), s->options().engine, pcfg,
@@ -510,10 +508,8 @@ TEST(WarmPoolStats, SumOverWorkersMatchesTheSolverTelemetry) {
       const smt::SolverTelemetry& tel = pex.solverTelemetry();
       const std::string where = std::string(isa) + " -j" + std::to_string(jobs);
       ASSERT_EQ(tel.unknown, 0u) << where;
-      EXPECT_EQ(ps.warmSolves + ps.warmCoreHits,
-                tel.preFallback + tel.directSolves)
-          << where;
-      EXPECT_EQ(ps.warmUnsat, tel.unsat - tel.preUnsat) << where;
+      EXPECT_EQ(ps.warmSolves + ps.warmCoreHits, tel.directSolves) << where;
+      EXPECT_EQ(ps.warmUnsat, tel.unsat) << where;
       EXPECT_GT(ps.warmUnsat, 0u) << where;
       EXPECT_GT(ps.warmCoreHits, 0u) << where;
       EXPECT_LT(ps.warmCoreHits, ps.warmUnsat) << where;
@@ -525,7 +521,7 @@ TEST(WarmPoolStats, SumOverWorkersMatchesTheSolverTelemetry) {
 TEST_F(ParallelDeterminism, ParallelAgreesWithSequentialOnPathCounts) {
   // Witness models may differ between the incremental sequential solver
   // and the fresh-mode parallel one, but the path census is engine-
-  // independent: same paths, steps, forks, statuses.
+  // independent: same paths, steps, forks, statuses, and query buckets.
   const std::string img = imageFor("rv32e");
   const std::string seqStats = testing::TempDir() + "seq_rv32e.stats.json";
   const auto seq = dispatch({"explore", "rv32e", img, "--clock=manual",
@@ -542,6 +538,37 @@ TEST_F(ParallelDeterminism, ParallelAgreesWithSequentialOnPathCounts) {
       return doc.substr(at, doc.find(',', at) - at);
     };
     EXPECT_EQ(cut(seqJson), cut(par.statsJson)) << field;
+  }
+
+  // The two engines also put every query in the same bucket. sort4's
+  // Unsat sides are mostly kept-core answers, which count as direct
+  // solves, never as cache hits, in both solving modes.
+  for (const char* isa : {"acc8", "m16", "rv32e", "stk16"}) {
+    const std::string sort4 = imageOf(workloads::progSort(4), "sort4", isa);
+    const std::string stats =
+        testing::TempDir() + "seq_sort4_" + isa + ".stats.json";
+    const auto s = dispatch({"explore", isa, sort4, "--clock=manual",
+                             "--stats-json=" + stats});
+    ASSERT_EQ(s.exitCode, 0) << isa << ": " << s.output;
+    const std::string seqDoc = slurp(stats);
+    const json::Value seqSolver = *json::parse(seqDoc).find("solver");
+    const auto prefilter = [](const std::string& doc) {
+      const size_t at = doc.find("\"prefilter\":{");
+      EXPECT_NE(at, std::string::npos);
+      return doc.substr(at, doc.find('}', at) + 1 - at);
+    };
+    for (const unsigned jobs : {1u, 2u}) {
+      const RunArtifacts par = explore(isa, sort4, "dfs", jobs);
+      const std::string where =
+          std::string(isa) + " sort4 sequential vs -j" + std::to_string(jobs);
+      ASSERT_EQ(par.exitCode, 0) << where;
+      const json::Value parSolver = *json::parse(par.statsJson).find("solver");
+      for (const char* key : {"queries", "cache_hits"}) {
+        EXPECT_EQ(seqSolver.find(key)->asU64(), parSolver.find(key)->asU64())
+            << where << ": solver." << key;
+      }
+      EXPECT_EQ(prefilter(seqDoc), prefilter(par.statsJson)) << where;
+    }
   }
 }
 

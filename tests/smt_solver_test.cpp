@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "smt/presolver.h"
 #include "smt/qcache.h"
 #include "smt/solver.h"
 #include "support/bits.h"
@@ -145,7 +144,7 @@ TEST_F(SolverTest, RejectsWrongWidthAssumption) {
 
 TEST_F(SolverTest, QueryCacheHitsAndReplaysModels) {
   // The solver keeps no query cache of its own; only an attached shared
-  // cache hits (QueryPipeline, PrefilterApi).
+  // cache hits (QueryPipeline).
   TermRef x = tm.mkVar(8, "x");
   TermRef q = tm.mkEq(x, c(8, 33));
   ASSERT_EQ(s.check({q}), CheckResult::Sat);
@@ -184,7 +183,7 @@ TEST_F(SolverTest, QueryCacheCanBeDisabled) {
 
 // Kept Unsat cores: after an incremental Unsat, the assumptions the SAT
 // core's refutation used are kept, and a later query containing them is
-// Unsat without a key, a judge or a solve.
+// Unsat without a solve, answered inside the solve step.
 class KeptCores : public SolverTest {
  protected:
   TermRef x = tm.mkVar(8, "x");
@@ -197,13 +196,13 @@ TEST_F(KeptCores, SupersetIsUnsatWithoutSolving) {
   ASSERT_EQ(s.check({small, noSquare}), CheckResult::Unsat);
   EXPECT_EQ(s.stats().coresKept, 1u);
   const SatSolver::Stats sat0 = s.satStats();
-  const uint64_t short0 = s.telemetrySnapshot().preShortcircuit;
+  const uint64_t direct0 = s.telemetrySnapshot().directSolves;
   const QueryCost canon0 = s.stats().canon;
 
   EXPECT_EQ(s.check({tm.mkUgt(y, c(8, 7)), noSquare, small}),
             CheckResult::Unsat);
   EXPECT_EQ(s.stats().coreHits, 1u);
-  EXPECT_EQ(s.telemetrySnapshot().preShortcircuit, short0 + 1);
+  EXPECT_EQ(s.telemetrySnapshot().directSolves, direct0 + 1);
   EXPECT_EQ(s.satStats().conflicts, sat0.conflicts);
   EXPECT_EQ(s.satStats().propagations, sat0.propagations);
   EXPECT_EQ(s.stats().canon.terms, canon0.terms);
@@ -521,7 +520,7 @@ TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
         tm.mkUgt(y, c(8, 1))},
        0,
        CheckResult::Sat},
-      // Prefilter-certified Sat whose model is restored off the books.
+      // A second Sat, on the reset core.
       {{tm.mkUlt(x, c(8, 10))}, 0, CheckResult::Sat},
       // Bit-blasted Unsat: 2 is no square modulo 256.
       {{tm.mkEq(tm.mkMul(x, x), c(8, 2))}, 0, CheckResult::Unsat},
@@ -537,22 +536,16 @@ TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
        CheckResult::Sat},
   };
 
-  auto freshSolver = [&](SmtSolver& s, PreSolver& pre) {
-    s.setFreshMode(true);
-    s.setPreSolver(&pre);
-  };
-  PreSolver pre(tm);
   SmtSolver reused(tm);
-  freshSolver(reused, pre);
+  reused.setFreshMode(true);
 
   SolverTelemetry sum;
   for (const Query& q : queries) {
     reused.setConflictBudget(q.conflictBudget);
     ASSERT_EQ(reused.check(q.assumptions), q.expected);
 
-    PreSolver onePre(tm);
     SmtSolver one(tm);
-    freshSolver(one, onePre);
+    one.setFreshMode(true);
     one.setConflictBudget(q.conflictBudget);
     ASSERT_EQ(one.check(q.assumptions), q.expected);
     if (q.expected == CheckResult::Sat) {
@@ -582,24 +575,22 @@ TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
   EXPECT_EQ(t.satClauses, sum.satClauses);
 }
 
-// Every check() runs one pipeline: short-circuits, kept-core lookup
-// (incremental mode), shared-cache lookup, deadline, prefilter consult,
-// solve, publish. The configurations differ only in the solve
-// step (incremental core, or warm core then reset fresh core), in whether
-// the shared cache sits in front of it, and in where kept cores sit. One
-// query sequence, run through all six, pins what each configuration
+// Every check() runs one pipeline: short-circuits, shared-cache lookup,
+// deadline, solve (kept cores first), publish. The configurations differ
+// only in the solve step (incremental core, or warm core then reset
+// fresh core) and in whether the shared cache sits in front of it. One
+// query sequence, run through all three, pins what each configuration
 // observes.
 struct PipelineConfig {
   const char* name;
-  bool fresh;      // fresh mode (else incremental)
-  bool cache;      // shared cache attached
-  bool prefilter;  // abstract pre-solver attached
+  bool fresh;  // fresh mode (else incremental)
+  bool cache;  // shared cache attached
 };
 
 struct PipelineOutcome {
   std::string verdicts;          // one letter per query: S, U or ?
   std::vector<uint64_t> models;  // x after every check() that was Sat
-  uint64_t cacheHits, shortcircuit, consulted, direct;  // the four buckets
+  uint64_t cacheHits, shortcircuit, direct;  // the three buckets
   QueryCost canon;
 
   bool operator==(const PipelineOutcome&) const = default;
@@ -611,8 +602,8 @@ std::ostream& operator<<(std::ostream& os, const PipelineOutcome& o) {
     os << (i ? ", " : "") << o.models[i];
   }
   return os << "}, " << o.cacheHits << ", " << o.shortcircuit << ", "
-            << o.consulted << ", " << o.direct << ", {" << o.canon.terms << ", " << o.canon.gates << ", "
-            << o.canon.conflicts << "}}";
+            << o.direct << ", {" << o.canon.terms << ", " << o.canon.gates
+            << ", " << o.canon.conflicts << "}}";
 }
 
 PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
@@ -622,11 +613,9 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
   const TermRef a = tm.mkVar(16, "a");
   const TermRef b = tm.mkVar(16, "b");
   QueryCache shared;
-  PreSolver pre(tm);
   SmtSolver s(tm);
   s.setFreshMode(cfg.fresh);
   if (cfg.cache) s.setSharedCache(&shared);
-  if (cfg.prefilter) s.setPreSolver(&pre);
   // Re-solves every incremental solve on the fresh core, off the books:
   // it must agree, and it leaves every count below alone.
   s.setParanoid(true);
@@ -645,7 +634,7 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
       tm.mkEq(tm.mkAdd(tm.mkMul(x, c(8, 3)), c(8, 7)), c(8, 52))};
   check(linear);
   check(linear);
-  // 2. A prefilter-certified Sat, three times (8 < x < 10: x = 9).
+  // 2. A Sat with one model, three times (8 < x < 10: x = 9).
   const std::vector<TermRef> interval = {tm.mkUgt(x, c(8, 8)),
                                          tm.mkUlt(x, c(8, 10))};
   check(interval);
@@ -668,8 +657,8 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
   // 6. A permanent assertion that contradicts the query of step 1.
   s.assertAlways(tm.mkNe(x, c(8, 15)));
   check(linear);
-  // 7. A superset of step 3's query: incremental mode answers it by the
-  // core step 3 kept, which step 6's assertion left standing.
+  // 7. A superset of step 3's query: both modes answer it by the core
+  // step 3 kept, which step 6's assertion left standing.
   check({tm.mkUlt(x, c(8, 200)), tm.mkEq(tm.mkMul(x, x), c(8, 2))});
 
   const SolverTelemetry t = s.telemetrySnapshot();
@@ -677,7 +666,6 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
   EXPECT_EQ(s.cacheHits(), t.cacheHits) << cfg.name;
   o.cacheHits = t.cacheHits;
   o.shortcircuit = t.preShortcircuit;
-  o.consulted = t.preConsulted;
   o.direct = t.directSolves;
   o.canon = t.canon;
   return o;
@@ -686,85 +674,28 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
 TEST(QueryPipeline, SameSequenceThroughEveryConfiguration) {
   // Verdicts and models agree everywhere. With the shared cache, step 1's
   // repeat and step 2's last two checks hit and replay the model the first
-  // one published; uncached, each check re-judges (or re-solves). Both
-  // constant-false checks short-circuit (uncached) in every mode, and so
-  // does step 7 in incremental mode, where a kept core answers it at zero
-  // cost; fresh mode's warm core
-  // answers it inside the solve step, which keeps its bucket. Canonical
-  // costs depend only on the solve step: incremental blasting reuses
-  // earlier queries' terms, and fresh mode pays only for Sat and Unknown
-  // verdicts (steps 1, 2 and 4), as every Unsat is a warm answer.
+  // one published; uncached, each check re-solves. Both constant-false
+  // checks short-circuit (uncached) in every mode; step 7 is a kept-core
+  // answer inside the solve step, a direct solve at zero cost in both
+  // modes. Canonical costs depend only on the solve step: incremental
+  // blasting reuses earlier queries' terms, and fresh mode pays only for
+  // Sat and Unknown verdicts (steps 1, 2 and 4), as every Unsat is a warm
+  // answer.
   const std::vector<uint64_t> m = {15, 15, 9, 9, 9};
   const struct {
     PipelineConfig cfg;
     PipelineOutcome want;
   } rows[] = {
-      {{"incremental, no cache, prefilter", false, false, true},
-       {"SSSSSU??UUUU", m, 0, 3, 9, 0, {21, 960, 5}}},
-      {{"incremental, no cache, no prefilter", false, false, false},
-       {"SSSSSU??UUUU", m, 0, 3, 0, 9, {25, 980, 5}}},
-      {{"fresh, shared cache, prefilter", true, true, true},
-       {"SSSSSU??UUUU", m, 3, 2, 7, 0, {36, 1662, 4}}},
-      {{"fresh, shared cache, no prefilter", true, true, false},
-       {"SSSSSU??UUUU", m, 3, 2, 0, 7, {51, 1722, 4}}},
-      {{"fresh, no cache, prefilter", true, false, true},
-       {"SSSSSU??UUUU", m, 0, 2, 10, 0, {36, 1662, 4}}},
-      {{"fresh, no cache, no prefilter", true, false, false},
-       {"SSSSSU??UUUU", m, 0, 2, 0, 10, {51, 1722, 4}}},
+      {{"incremental, no cache", false, false},
+       {"SSSSSU??UUUU", m, 0, 2, 10, {25, 980, 5}}},
+      {{"fresh, shared cache", true, true},
+       {"SSSSSU??UUUU", m, 3, 2, 7, {51, 1722, 4}}},
+      {{"fresh, no cache", true, false},
+       {"SSSSSU??UUUU", m, 0, 2, 10, {51, 1722, 4}}},
   };
   for (const auto& row : rows) {
     EXPECT_EQ(runPipelineSequence(row.cfg), row.want) << row.cfg.name;
   }
-}
-
-// The prefilter with a shared cache, as an API caller attaches them
-// (fresh-mode workers, one term pool each). A prefilter-certified Sat
-// restores its model at the miss, off the books, and publishes it with
-// the verdict; a hit on another solver replays that model and solves
-// nothing.
-TEST(PrefilterApi, SatMissPublishesItsModelAndAHitReplaysIt) {
-  QueryCache shared;
-  auto interval = [](TermManager& tm, TermRef v) {
-    return std::vector<TermRef>{tm.mkUgt(v, tm.mkConst(8, 8)),
-                                tm.mkUlt(v, tm.mkConst(8, 10))};
-  };
-
-  TermManager tm1;
-  const TermRef x = tm1.mkVar(8, "x");
-  telemetry::Telemetry tel1;
-  PreSolver pre(tm1);
-  SmtSolver first(tm1);
-  first.setFreshMode(true);
-  first.setTelemetry(&tel1);
-  first.setSharedCache(&shared);
-  first.setPreSolver(&pre);
-  ASSERT_EQ(first.check(interval(tm1, x)), CheckResult::Sat);
-  EXPECT_EQ(first.modelValue(x), 9u);
-  EXPECT_EQ(first.stats().preSat, 1u);
-  EXPECT_EQ(first.stats().warmSolves, 0u);
-  EXPECT_EQ(tel1.metrics().counters().at("sat.solves").value, 0u);
-  EXPECT_EQ(first.telemetrySnapshot().canon, QueryCost{});
-  // The entry was complete, model included, as soon as the miss returned.
-  const QueryCache::Outcome entry = shared.acquire(
-      QueryCache::canonicalKey({}, interval(tm1, x), nullptr));
-  ASSERT_TRUE(entry.hit);
-  EXPECT_EQ(entry.result, CheckResult::Sat);
-  EXPECT_EQ(entry.model, std::vector<uint64_t>{9});
-
-  TermManager tm2;
-  tm2.mkVar(16, "unrelated");  // so y's pool index differs from x's
-  const TermRef y = tm2.mkVar(8, "y");
-  telemetry::Telemetry tel2;
-  SmtSolver second(tm2);
-  second.setFreshMode(true);
-  second.setTelemetry(&tel2);
-  second.setSharedCache(&shared);
-  ASSERT_EQ(second.check(interval(tm2, y)), CheckResult::Sat);
-  EXPECT_EQ(second.modelValue(y), 9u);
-  EXPECT_EQ(second.cacheHits(), 1u);
-  EXPECT_EQ(second.stats().warmSolves, 0u);
-  EXPECT_EQ(second.blastStats().termsBlasted, 0u);
-  EXPECT_EQ(tel2.metrics().counters().at("sat.solves").value, 0u);
 }
 
 }  // namespace
