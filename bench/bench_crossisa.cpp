@@ -1,9 +1,12 @@
 // E6 — "Cross-ISA consistency" (reconstructed Table 4).
 //
-// One portable workload, three architectures, one engine: path structure
+// One portable workload, four architectures, one engine: path structure
 // must be identical, and witnesses generated on one ISA must replay with
 // identical observable behavior on every other ISA (the engine is
-// architecture-independent; the ADL carries all ISA specifics).
+// architecture-independent; the ADL carries all ISA specifics). Where
+// every ISA asks the solver the same queries from the same witnesses, the
+// nearest models make the test inputs themselves identical too
+// (inputs-equal).
 #include <map>
 #include <set>
 
@@ -41,7 +44,7 @@ int main() {
     pathHeader += (pathHeader == "paths" ? " " : "/") + isaName;
   }
   benchutil::Table table({"workload", pathHeader, "exits-equal",
-                          "x-replays", "mismatch"},
+                          "inputs-equal", "x-replays", "mismatch"},
                          "crossisa");
   unsigned totalMismatch = 0;
   for (const Case& c : cases) {
@@ -64,10 +67,19 @@ int main() {
       }
       return out;
     };
+    // So must the multisets of per-path test inputs.
+    auto inputs = [](const core::ExploreSummary& s) {
+      std::multiset<std::string> out;
+      for (const auto& p : s.paths) out.insert(core::formatTestCase(p.test));
+      return out;
+    };
     bool exitsEqual = true;
+    bool inputsEqual = true;
     const auto refExits = exits(sums["rv32e"]);
+    const auto refInputs = inputs(sums["rv32e"]);
     for (const std::string& isaName : isa::allIsaNames()) {
       exitsEqual = exitsEqual && exits(sums[isaName]) == refExits;
+      inputsEqual = inputsEqual && inputs(sums[isaName]) == refInputs;
     }
     // Cross replay.
     unsigned replays = 0;
@@ -86,7 +98,8 @@ int main() {
     }
     totalMismatch += mism;
     table.addRow({c.name, counts, exitsEqual ? "yes" : "NO",
-                  benchutil::num(replays), benchutil::num(mism)});
+                  inputsEqual ? "yes" : "no", benchutil::num(replays),
+                  benchutil::num(mism)});
   }
   table.print();
   std::printf("\nshape check: path counts identical, exit multisets equal,\n"

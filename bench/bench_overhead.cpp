@@ -10,7 +10,7 @@
 // latency of both engines on a concrete ALU instruction.
 // The "events" table measures the flight recorder (obs/events.h,
 // docs/observability.md): the same ADL-engine exploration with and
-// without an attached EventBus streaming adlsym-events-v2 JSONL to a
+// without an attached EventBus streaming adlsym-events-v3 JSONL to a
 // file. Emission is a constant ~0.5us per event (render + synchronous
 // write-through with per-event drop detection), so the ratio is large
 // only on the concrete tight loop where a step costs ~0.4us; symbolic

@@ -6,6 +6,7 @@
 // The expectation is that all three ISAs trace the same curve — the
 // exploration cost is a property of the program, not of the architecture —
 // while absolute time varies with instruction count per IR operation.
+// Every wall-ms cell is the fastest of benchutil::kRowRuns runs.
 #include <filesystem>
 
 #include "bench/bench_util.h"
@@ -30,14 +31,19 @@ void series(const char* title, const char* label,
                          label);
   for (const unsigned x : xs) {
     for (const std::string& isaName : isa::allIsaNames()) {
-      auto session = driver::Session::forPortable(make(x), isaName);
-      benchutil::Timer t;
-      const auto summary = session->explore();
+      std::unique_ptr<driver::Session> session;
+      core::ExploreSummary summary;
+      const double ms = benchutil::fastestRunMs([&] {
+        session = driver::Session::forPortable(make(x), isaName);
+        benchutil::Timer t;
+        summary = session->explore();
+        return t.millis();
+      });
       table.addRow({benchutil::num(x), isaName,
                     benchutil::num(summary.paths.size()),
                     benchutil::num(summary.totalSteps),
                     benchutil::num(session->solver().stats().queries),
-                    benchutil::fmt("%.2f", t.millis())});
+                    benchutil::fmt("%.2f", ms)});
     }
   }
   table.print();
@@ -58,15 +64,19 @@ void mergingSeries() {
       // Merging requires reconverging states to coexist on the frontier:
       // breadth-first scheduling maximizes that.
       opt.explorer.strategy = core::SearchStrategy::BFS;
-      auto session = driver::Session::forPortable(
-          workloads::progBitcount(bits), "rv32e", opt);
-      benchutil::Timer t;
-      const auto summary = session->explore();
+      core::ExploreSummary summary;
+      const double ms = benchutil::fastestRunMs([&] {
+        auto session = driver::Session::forPortable(
+            workloads::progBitcount(bits), "rv32e", opt);
+        benchutil::Timer t;
+        summary = session->explore();
+        return t.millis();
+      });
       table.addRow({benchutil::num(bits), merge ? "on" : "off",
                     benchutil::num(summary.paths.size()),
                     benchutil::num(summary.statesMerged),
                     benchutil::num(summary.totalSteps),
-                    benchutil::fmt("%.2f", t.millis())});
+                    benchutil::fmt("%.2f", ms)});
     }
   }
   table.print();
@@ -82,26 +92,31 @@ void governedSeries() {
                          "governed");
   for (const unsigned bits : {6u, 8u}) {
     for (const uint64_t cap : {uint64_t{0}, uint64_t{8}}) {
-      telemetry::ManualClock clk;
-      telemetry::Telemetry tel(clk);
-      driver::SessionOptions opt;
-      opt.telemetry = &tel;
-      opt.explorer.maxFrontier = cap;
-      // BFS is the worst case for frontier growth on the diamond chain
-      // (peak 2^(bits-1) states); the cap is what makes it affordable.
-      opt.explorer.strategy = core::SearchStrategy::BFS;
-      auto session = driver::Session::forPortable(
-          workloads::progBitcount(bits), "rv32e", opt);
-      benchutil::Timer t;
-      const auto summary = session->explore();
+      core::ExploreSummary summary;
+      uint64_t peak = 0;
+      const double ms = benchutil::fastestRunMs([&] {
+        telemetry::ManualClock clk;
+        telemetry::Telemetry tel(clk);
+        driver::SessionOptions opt;
+        opt.telemetry = &tel;
+        opt.explorer.maxFrontier = cap;
+        // BFS is the worst case for frontier growth on the diamond chain
+        // (peak 2^(bits-1) states); the cap is what makes it affordable.
+        opt.explorer.strategy = core::SearchStrategy::BFS;
+        auto session = driver::Session::forPortable(
+            workloads::progBitcount(bits), "rv32e", opt);
+        benchutil::Timer t;
+        summary = session->explore();
+        const double runMs = t.millis();
+        peak = static_cast<uint64_t>(
+            tel.metrics().gauge("explore.frontier_peak").value);
+        return runMs;
+      });
       table.addRow(
           {benchutil::num(bits), cap ? benchutil::num(cap) : "off",
            benchutil::num(summary.paths.size()),
-           benchutil::num(summary.statesTruncated),
-           benchutil::num(static_cast<uint64_t>(
-               tel.metrics().gauge("explore.frontier_peak").value)),
-           benchutil::num(summary.totalSteps),
-           benchutil::fmt("%.2f", t.millis())});
+           benchutil::num(summary.statesTruncated), benchutil::num(peak),
+           benchutil::num(summary.totalSteps), benchutil::fmt("%.2f", ms)});
     }
   }
   table.print();
@@ -118,27 +133,34 @@ void parallelSeries() {
                          "parallel");
   for (const unsigned bits : {6u, 8u}) {
     for (const unsigned jobs : {1u, 2u, 4u}) {
-      auto session = driver::Session::forPortable(
-          workloads::progBitcount(bits), "rv32e");
-      const adl::ArchModel& m = session->model();
-      smt::QueryCache qcache;
-      core::ParallelConfig pcfg;
-      pcfg.jobs = jobs;
-      pcfg.qcache = &qcache;
-      pcfg.solverConflictBudget = session->options().solverConflictBudget;
-      core::ParallelExplorer pex(
-          session->image(), session->options().engine, pcfg,
-          [&m](core::EngineServices& svc) -> std::unique_ptr<core::Executor> {
-            return std::make_unique<core::AdlExecutor>(m, svc);
-          });
-      benchutil::Timer t;
-      const core::ParallelResult res = pex.run();
-      const auto qs = qcache.stats();
+      core::ExploreSummary summary;
+      double hitRate = 0;
+      const double ms = benchutil::fastestRunMs([&] {
+        auto session = driver::Session::forPortable(
+            workloads::progBitcount(bits), "rv32e");
+        const adl::ArchModel& m = session->model();
+        smt::QueryCache qcache;
+        core::ParallelConfig pcfg;
+        pcfg.jobs = jobs;
+        pcfg.qcache = &qcache;
+        pcfg.solverConflictBudget = session->options().solverConflictBudget;
+        core::ParallelExplorer pex(
+            session->image(), session->options().engine, pcfg,
+            [&m](core::EngineServices& svc) -> std::unique_ptr<core::Executor> {
+              return std::make_unique<core::AdlExecutor>(m, svc);
+            });
+        benchutil::Timer t;
+        core::ParallelResult res = pex.run();
+        const double runMs = t.millis();
+        summary = std::move(res.summary);
+        hitRate = qcache.stats().hitRate();
+        return runMs;
+      });
       table.addRow({benchutil::num(bits), benchutil::num(jobs),
-                    benchutil::num(res.summary.paths.size()),
-                    benchutil::num(res.summary.totalSteps),
-                    benchutil::fmt("%.0f%%", 100.0 * qs.hitRate()),
-                    benchutil::fmt("%.2f", t.millis())});
+                    benchutil::num(summary.paths.size()),
+                    benchutil::num(summary.totalSteps),
+                    benchutil::fmt("%.0f%%", 100.0 * hitRate),
+                    benchutil::fmt("%.2f", ms)});
     }
   }
   table.print();
@@ -158,41 +180,47 @@ void checkpointSeries() {
           .string();
   for (const unsigned bits : {6u, 8u}) {
     for (const uint64_t every : {uint64_t{0}, uint64_t{4}, uint64_t{1}}) {
-      auto session = driver::Session::forPortable(
-          workloads::progBitcount(bits), "rv32e");
-      const adl::ArchModel& m = session->model();
-      smt::QueryCache qcache;
-      core::ParallelConfig pcfg;
-      pcfg.jobs = 2;
-      pcfg.qcache = &qcache;
-      pcfg.manualClockStepUs = 1;  // the clock model checkpoints rely on
-      pcfg.solverConflictBudget = session->options().solverConflictBudget;
+      core::ExploreSummary summary;
       uint64_t writes = 0;
-      if (every != 0) {
-        pcfg.checkpointEverySteps = every;
-        pcfg.checkpointPath = ckptPath;
-        pcfg.ckptIsa = "rv32e";
-        pcfg.ckptStrategy = "dfs";
-        pcfg.ckptImageSha = "bench";
-        pcfg.ckptExtras = [&writes](json::Writer&,
-                                    const core::ParallelConfig::CkptInfo&) {
-          ++writes;
-        };
-      }
-      core::ParallelExplorer pex(
-          session->image(), session->options().engine, pcfg,
-          [&m](core::EngineServices& svc) -> std::unique_ptr<core::Executor> {
-            return std::make_unique<core::AdlExecutor>(m, svc);
-          });
-      benchutil::Timer t;
-      const core::ParallelResult res = pex.run();
-      const double ms = t.millis();
       uint64_t bytes = 0;
-      if (every != 0) bytes = std::filesystem::file_size(ckptPath);
+      const double ms = benchutil::fastestRunMs([&] {
+        auto session = driver::Session::forPortable(
+            workloads::progBitcount(bits), "rv32e");
+        const adl::ArchModel& m = session->model();
+        smt::QueryCache qcache;
+        core::ParallelConfig pcfg;
+        pcfg.jobs = 2;
+        pcfg.qcache = &qcache;
+        pcfg.manualClockStepUs = 1;  // the clock model checkpoints rely on
+        pcfg.solverConflictBudget = session->options().solverConflictBudget;
+        writes = 0;
+        if (every != 0) {
+          pcfg.checkpointEverySteps = every;
+          pcfg.checkpointPath = ckptPath;
+          pcfg.ckptIsa = "rv32e";
+          pcfg.ckptStrategy = "dfs";
+          pcfg.ckptImageSha = "bench";
+          pcfg.ckptExtras = [&writes](json::Writer&,
+                                      const core::ParallelConfig::CkptInfo&) {
+            ++writes;
+          };
+        }
+        core::ParallelExplorer pex(
+            session->image(), session->options().engine, pcfg,
+            [&m](core::EngineServices& svc) -> std::unique_ptr<core::Executor> {
+              return std::make_unique<core::AdlExecutor>(m, svc);
+            });
+        benchutil::Timer t;
+        core::ParallelResult res = pex.run();
+        const double runMs = t.millis();
+        summary = std::move(res.summary);
+        if (every != 0) bytes = std::filesystem::file_size(ckptPath);
+        return runMs;
+      });
       table.addRow({benchutil::num(bits),
                     every ? benchutil::num(every) : "off",
-                    benchutil::num(res.summary.paths.size()),
-                    benchutil::num(res.summary.totalSteps),
+                    benchutil::num(summary.paths.size()),
+                    benchutil::num(summary.totalSteps),
                     benchutil::num(writes),
                     benchutil::fmt("%.1f", double(bytes) / 1024.0),
                     benchutil::fmt("%.2f", ms)});

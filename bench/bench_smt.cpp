@@ -11,7 +11,8 @@
 // cache and the abstract prefilter, both removed from the solver
 // (EXPERIMENTS.md E4).
 //
-// Registers google-benchmark timings for isolated solver queries as well.
+// Every timed cell is the fastest of benchutil::kRowRuns runs. Registers
+// google-benchmark timings for isolated solver queries as well.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -31,13 +32,23 @@ void depthTable() {
                           "solve-ms", "total-ms", "solver-share"},
                          "depth");
   for (const unsigned n : {2u, 4u, 8u, 16u, 24u, 32u}) {
-    auto session =
-        driver::Session::forPortable(workloads::progChecksum(n), "rv32e");
-    benchutil::Timer t;
-    const auto summary = session->explore();
-    const double totalMs = t.millis();
+    // The fastest run's solver time too, so the share compares one run.
+    std::unique_ptr<driver::Session> session;
+    core::ExploreSummary summary;
+    double totalMs = 1e300;
+    double solveMs = 0;
+    for (int i = 0; i < benchutil::kRowRuns; ++i) {
+      session =
+          driver::Session::forPortable(workloads::progChecksum(n), "rv32e");
+      benchutil::Timer t;
+      summary = session->explore();
+      const double runMs = t.millis();
+      if (runMs < totalMs) {
+        totalMs = runMs;
+        solveMs = session->solver().stats().totalMicros / 1e3;
+      }
+    }
     const auto& st = session->solver().stats();
-    const double solveMs = st.totalMicros / 1e3;
     table.addRow({benchutil::num(n), benchutil::num(summary.paths.size()),
                   benchutil::num(st.queries), benchutil::num(st.sat),
                   benchutil::num(st.unsat), benchutil::fmt("%.2f", solveMs),
@@ -65,16 +76,19 @@ void ablationTable() {
     for (const bool rewrite : {true, false}) {
       driver::SessionOptions opt;
       opt.rewriting = rewrite;
-      auto session = driver::Session::forPortable(c.prog, "rv32e", opt);
-      benchutil::Timer t;
-      const auto summary = session->explore();
-      (void)summary;
+      std::unique_ptr<driver::Session> session;
+      const double ms = benchutil::fastestRunMs([&] {
+        session = driver::Session::forPortable(c.prog, "rv32e", opt);
+        benchutil::Timer t;
+        (void)session->explore();
+        return t.millis();
+      });
       table.addRow({c.name, rewrite ? "on" : "off",
                     benchutil::num(session->termManager().numTerms()),
                     benchutil::num(session->termManager().rewriteHits()),
                     benchutil::num(session->solver().blastStats().gates),
                     benchutil::num(session->solver().satStats().conflicts),
-                    benchutil::fmt("%.2f", t.millis())});
+                    benchutil::fmt("%.2f", ms)});
     }
   }
   table.print();
@@ -93,27 +107,34 @@ void sharedCacheTable() {
                          "shared-cache");
   for (const unsigned jobs : {1u, 2u, 4u}) {
     for (const bool cache : {true, false}) {
-      auto session = driver::Session::forPortable(
-          workloads::progBitcount(6), "rv32e");
-      const adl::ArchModel& m = session->model();
-      smt::QueryCache qcache;
-      core::ParallelConfig pcfg;
-      pcfg.jobs = jobs;
-      pcfg.qcache = cache ? &qcache : nullptr;
-      pcfg.solverConflictBudget = session->options().solverConflictBudget;
-      core::ParallelExplorer pex(
-          session->image(), session->options().engine, pcfg,
-          [&m](core::EngineServices& svc) -> std::unique_ptr<core::Executor> {
-            return std::make_unique<core::AdlExecutor>(m, svc);
-          });
-      benchutil::Timer t;
-      (void)pex.run();
-      const auto qs = qcache.stats();
+      uint64_t queries = 0;
+      smt::QueryCache::Stats qs;
+      const double ms = benchutil::fastestRunMs([&] {
+        auto session = driver::Session::forPortable(
+            workloads::progBitcount(6), "rv32e");
+        const adl::ArchModel& m = session->model();
+        smt::QueryCache qcache;
+        core::ParallelConfig pcfg;
+        pcfg.jobs = jobs;
+        pcfg.qcache = cache ? &qcache : nullptr;
+        pcfg.solverConflictBudget = session->options().solverConflictBudget;
+        core::ParallelExplorer pex(
+            session->image(), session->options().engine, pcfg,
+            [&m](core::EngineServices& svc) -> std::unique_ptr<core::Executor> {
+              return std::make_unique<core::AdlExecutor>(m, svc);
+            });
+        benchutil::Timer t;
+        (void)pex.run();
+        const double runMs = t.millis();
+        queries = pex.solverTelemetry().queries;
+        qs = qcache.stats();
+        return runMs;
+      });
       table.addRow({benchutil::num(jobs), cache ? "on" : "off",
-                    benchutil::num(pex.solverTelemetry().queries),
-                    benchutil::num(qs.hits), benchutil::num(qs.misses),
+                    benchutil::num(queries), benchutil::num(qs.hits),
+                    benchutil::num(qs.misses),
                     benchutil::fmt("%.2f", qs.hitRate()),
-                    benchutil::fmt("%.2f", t.millis())});
+                    benchutil::fmt("%.2f", ms)});
     }
   }
   table.print();

@@ -1,5 +1,6 @@
 // Shared helpers for the experiment benches (E1..E8): simple aligned table
-// printing, wall-clock timing, and a JSON report in the adlsym stats
+// printing, wall-clock timing (rows as the fastest of several runs), and a
+// JSON report in the adlsym stats
 // schema (docs/observability.md). Every bench prints a paper-style table
 // to stdout; EXPERIMENTS.md records the measured rows. When the
 // ADLSYM_BENCH_JSON environment variable names a directory, every printed
@@ -8,6 +9,7 @@
 // tools/bench_to_json.sh drives this for the whole suite.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -93,7 +95,7 @@ inline void writeCell(adlsym::json::Writer& w, const std::string& cell) {
 }
 
 /// Mirror every printed table into $ADLSYM_BENCH_JSON/BENCH_<name>.json
-/// ({"schema":"adlsym-stats-v8","command":"bench",...}); no-op when the
+/// ({"schema":"adlsym-stats-v9","command":"bench",...}); no-op when the
 /// env var is unset. Call once at the end of each bench's main().
 /// tools/bench_diff ignores the schema tag when diffing against committed
 /// baselines, so older BENCH_*.json stay comparable across bumps.
@@ -108,7 +110,7 @@ inline void writeJsonReport(const std::string& benchName) {
   }
   adlsym::json::Writer w(out);
   w.beginObject();
-  w.kv("schema", "adlsym-stats-v8");
+  w.kv("schema", "adlsym-stats-v9");
   w.kv("command", "bench");
   w.kv("bench", std::string_view(benchName));
   w.key("tables").beginArray();
@@ -154,5 +156,22 @@ inline std::string fmt(const char* f, double v) {
 }
 
 inline std::string num(uint64_t v) { return std::to_string(v); }
+
+/// Runs per timed table row. A row's exploration takes well under a
+/// millisecond to a few milliseconds, so one run times the machine's noise
+/// as much as the code; on a shared machine noise only ever adds time, so
+/// the fastest run is the stable statistic (bench_retarget and perfbench
+/// take minima for the same reason).
+inline constexpr int kRowRuns = 7;
+
+/// The fastest of kRowRuns calls of `run`, each of which sets its row up,
+/// times its own region and returns that region's wall ms. The row's other
+/// columns come from the last call: they are deterministic.
+template <typename F>
+double fastestRunMs(F&& run) {
+  double best = 1e300;
+  for (int i = 0; i < kRowRuns; ++i) best = std::min(best, run());
+  return best;
+}
 
 }  // namespace benchutil

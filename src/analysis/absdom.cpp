@@ -77,10 +77,6 @@ AbsValue AbsValue::fromBits(unsigned width, uint64_t care, uint64_t value) {
   return absReduce(v);
 }
 
-bool AbsValue::isTop() const {
-  return !bot && bits.care == 0 && lo == 0 && hi == mask();
-}
-
 bool AbsValue::isConst(uint64_t* v) const {
   if (bot) return false;
   if (bits.care == mask()) {

@@ -47,7 +47,6 @@ struct AbsValue {
   /// Known-bits-only value (full arc).
   static AbsValue fromBits(unsigned width, uint64_t care, uint64_t value);
 
-  bool isTop() const;
   /// Singleton concretization {v}.
   bool isConst(uint64_t* v = nullptr) const;
   /// Membership test (bits AND arc). False on bottom.

@@ -1,9 +1,9 @@
-// adlsym-ckpt-v5 (docs/robustness.md): durable exploration checkpoints.
+// adlsym-ckpt-v6 (docs/robustness.md): durable exploration checkpoints.
 // A checkpoint is one compact JSON document (line 1) plus a self-hash
 // trailer (line 2):
 //
-//   {"schema":"adlsym-ckpt-v5", ...}\n
-//   #adlsym-ckpt-v5 sha256=<64 hex of everything before this line>\n
+//   {"schema":"adlsym-ckpt-v6", ...}\n
+//   #adlsym-ckpt-v6 sha256=<64 hex of everything before this line>\n
 //
 // Files are replaced atomically (support/atomicio), so the previous
 // checkpoint survives any crash during a write, and the trailer rejects
@@ -22,7 +22,7 @@
 
 namespace adlsym::core::ckpt {
 
-inline constexpr const char* kSchema = "adlsym-ckpt-v5";
+inline constexpr const char* kSchema = "adlsym-ckpt-v6";
 
 /// Append the trailer to `doc` and replace `path` crash-safely.
 /// Fault site: ckpt.write (fires before the temp file exists, so an

@@ -72,8 +72,9 @@ class EngineServices {
   /// The one feasibility decision (DESIGN.md §6.8): is pathCond(st) /\ c
   /// satisfiable? When st's carried witness satisfies `c`, yes: no query,
   /// and the side keeps the witness. Otherwise one check() decides, and
-  /// its model becomes the side's witness. Unknown counts as infeasible
-  /// (documented limitation; counted in solver stats).
+  /// its model, the one nearest st's witness, becomes the side's witness.
+  /// Unknown counts as infeasible (documented limitation; counted in
+  /// solver stats).
   Side side(const MachineState& st, smt::TermRef c);
 
   /// Both arms of a branch on the width-1 `cond`: {cond, not cond}. The
@@ -94,7 +95,7 @@ class EngineServices {
   /// remain beyond the bound, `st` itself ends as a Budget path.
   /// The first value is the carried witness's; each later one comes from
   /// the query that excluded the values before it, and its successor
-  /// carries that query's model.
+  /// carries that query's model, the one nearest st's witness.
   void forkJumpTargets(MachineState&& st, smt::TermRef target, StepOut& out);
 
  private:

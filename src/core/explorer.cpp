@@ -158,7 +158,6 @@ void setStepSolverDeltas(ExploreObserver::StepInfo& si,
   si.stepSolverMicros = after.totalMicros - before.totalMicros;
   si.stepCanonTerms = after.canon.terms - before.canon.terms;
   si.stepCanonGates = after.canon.gates - before.canon.gates;
-  si.stepCanonConflicts = after.canon.conflicts - before.canon.conflicts;
 }
 
 ExploreSummary Explorer::run() {

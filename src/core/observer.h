@@ -99,11 +99,10 @@ class ExploreObserver {
     /// engines without RTL semantics.
     uint64_t stepRtlTicks = 0;
     /// Canonical solver cost charged to this step (deltas of
-    /// SmtSolver::Stats::canon — replayed on cache hits, so identical
-    /// across -jN; docs/observability.md).
+    /// SmtSolver::Stats::canon — structural, so identical across -jN;
+    /// docs/observability.md).
     uint64_t stepCanonTerms = 0;
     uint64_t stepCanonGates = 0;
-    uint64_t stepCanonConflicts = 0;
     /// Structural path key of the stepped state (see wantsPathKeys);
     /// empty unless an attached observer opted in.
     std::string pathKey;

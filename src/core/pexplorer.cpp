@@ -70,8 +70,10 @@ struct Entry {
   size_t bytes = 0;         // approxBytes at enqueue (governor tally)
 };
 
-/// Checkpoint form of the across-worker solver aggregate: every field a
-/// resumed run must treat as already-consumed baseline.
+/// Checkpoint form of the across-worker solver aggregate: every field of
+/// the stats document a resumed run must treat as already-consumed
+/// baseline. The work counters are not among them: they count what this
+/// process's cores did (SolverTelemetry).
 void writeSolverCkpt(json::Writer& w, const smt::SolverTelemetry& t) {
   w.beginObject();
   w.kv("queries", t.queries);
@@ -81,26 +83,9 @@ void writeSolverCkpt(json::Writer& w, const smt::SolverTelemetry& t) {
   w.kv("total_us", t.totalMicros);
   w.kv("max_us", t.maxMicros);
   w.kv("cache_hits", t.cacheHits);
-  w.key("sat_core").beginObject();
-  w.kv("conflicts", t.satCore.conflicts);
-  w.kv("decisions", t.satCore.decisions);
-  w.kv("propagations", t.satCore.propagations);
-  w.kv("restarts", t.satCore.restarts);
-  w.kv("learned", t.satCore.learned);
-  w.kv("deleted", t.satCore.deletedClauses);
-  w.kv("deadline_aborts", t.satCore.deadlineAborts);
-  w.endObject();
-  w.key("blast").beginObject();
-  w.kv("gates", t.blast.gates);
-  w.kv("cache_hits", t.blast.cacheHits);
-  w.kv("terms", t.blast.termsBlasted);
-  w.endObject();
-  w.kv("sat_vars", t.satVars);
-  w.kv("sat_clauses", t.satClauses);
   w.key("canon").beginObject();
   w.kv("terms", t.canon.terms);
   w.kv("gates", t.canon.gates);
-  w.kv("conflicts", t.canon.conflicts);
   w.endObject();
   w.kv("pre_enabled", t.preEnabled);
   w.kv("pre_consulted", t.preConsulted);
@@ -122,24 +107,9 @@ smt::SolverTelemetry readSolverCkpt(const json::Value& v) {
   t.totalMicros = ckpt::fieldU64(v, "total_us");
   t.maxMicros = ckpt::fieldU64(v, "max_us");
   t.cacheHits = ckpt::fieldU64(v, "cache_hits");
-  const json::Value& core = ckpt::field(v, "sat_core");
-  t.satCore.conflicts = ckpt::fieldU64(core, "conflicts");
-  t.satCore.decisions = ckpt::fieldU64(core, "decisions");
-  t.satCore.propagations = ckpt::fieldU64(core, "propagations");
-  t.satCore.restarts = ckpt::fieldU64(core, "restarts");
-  t.satCore.learned = ckpt::fieldU64(core, "learned");
-  t.satCore.deletedClauses = ckpt::fieldU64(core, "deleted");
-  t.satCore.deadlineAborts = ckpt::fieldU64(core, "deadline_aborts");
-  const json::Value& blast = ckpt::field(v, "blast");
-  t.blast.gates = ckpt::fieldU64(blast, "gates");
-  t.blast.cacheHits = ckpt::fieldU64(blast, "cache_hits");
-  t.blast.termsBlasted = ckpt::fieldU64(blast, "terms");
-  t.satVars = ckpt::fieldU64(v, "sat_vars");
-  t.satClauses = ckpt::fieldU64(v, "sat_clauses");
   const json::Value& canon = ckpt::field(v, "canon");
   t.canon.terms = ckpt::fieldU64(canon, "terms");
   t.canon.gates = ckpt::fieldU64(canon, "gates");
-  t.canon.conflicts = ckpt::fieldU64(canon, "conflicts");
   t.preEnabled = ckpt::fieldBool(v, "pre_enabled");
   t.preConsulted = ckpt::fieldU64(v, "pre_consulted");
   t.preSat = ckpt::fieldU64(v, "pre_sat");
@@ -429,7 +399,7 @@ struct Engine {
   }
 
   /// Serialize the full exploration state into cfg.checkpointPath
-  /// (adlsym-ckpt-v5, atomic replace). Every other worker must be
+  /// (adlsym-ckpt-v6, atomic replace). Every other worker must be
   /// quiescent — parked under mu, signal-parked, or joined — so worker
   /// frontiers, term pools and counters are safe to read.
   void writeCheckpointQuiesced(bool complete, const std::string& stopR,
@@ -969,9 +939,6 @@ ParallelResult ParallelExplorer::run() {
     }
     w->svc = std::make_unique<EngineServices>(w->tm, w->solver, image_,
                                               engineCfg_, w->tel.get());
-    // Fresh mode: verdicts from this worker's warm incremental core, Sat
-    // models and canonical costs from a reset fresh core per query.
-    w->solver.setFreshMode(true);
     w->solver.setSharedCache(cfg_.qcache);
     if (cfg_.solverShapeProfile) w->solver.setShapeProfiling(true);
     if (cfg_.solverConflictBudget != 0) {
@@ -1226,11 +1193,6 @@ ParallelResult ParallelExplorer::run() {
     poolStats_.minWorkerSteps = std::min(poolStats_.minWorkerSteps, w->steps);
     poolStats_.maxWorkerSteps = std::max(poolStats_.maxWorkerSteps, w->steps);
     poolStats_.totalSteps += w->steps;
-    const smt::SmtSolver::Stats& st = w->solver.stats();
-    poolStats_.warmSolves += st.warmSolves;
-    poolStats_.warmUnsat += st.warmUnsat;
-    poolStats_.warmCoreHits += st.coreHits;
-    poolStats_.warmConflicts += w->solver.satStats().conflicts;
   }
   if (poolStats_.minWorkerSteps == UINT64_MAX) poolStats_.minWorkerSteps = 0;
 

@@ -1,7 +1,8 @@
 // Deterministic multi-threaded exploration engine (docs/parallelism.md).
 // `explore --jobs=N` routes here instead of the sequential Explorer: a
-// pool of N workers, each with a private TermManager + SmtSolver in fresh
-// per-query mode, cooperates over the frontier through work stealing.
+// pool of N workers, each with a private TermManager + SmtSolver
+// configured as the sequential engine's, cooperates over the frontier
+// through work stealing.
 // An API caller may also attach a shared single-flight query cache
 // (src/smt/qcache.h); the CLI attaches none.
 //
@@ -11,18 +12,17 @@
 //   * every state is addressed by a structural path key (the sequence of
 //     fork-successor indices from the root), independent of which worker
 //     executes it or in what order;
-//   * every Sat model is solved from scratch (canonical CNF -> one
-//     canonical model), an Unsat verdict (decided on the worker's warm
-//     incremental core) does not depend on what that core solved before,
-//     and the shared cache is single-flight, so a cached hit replays
-//     exactly the model the sole solve produced;
+//   * every Sat model is the one nearest the deciding state's witness
+//     (SmtSolver::check), which does not depend on what the worker's
+//     incremental core solved before, nor does a verdict, and canonical
+//     costs are structural;
 //   * the barrier merge walks the global record map in path-key order,
 //     which is DFS preorder, and assigns dense node ids from that walk.
 // Parallel node ids therefore differ from the sequential engine's
 // completion-order ids, but are identical across all --jobs values.
 // Remaining caveats (timing-dependent by nature): per-query wall
-// deadlines on the system clock, --max-wall-ms stops, a *binding* cache
-// capacity and a *binding* conflict budget all break cross-N identity;
+// deadlines, --max-wall-ms stops, a shared cache and a *binding*
+// conflict budget all break cross-N identity;
 // docs/parallelism.md lists them.
 #pragma once
 
@@ -87,7 +87,7 @@ struct ParallelConfig {
   /// is canonical across --jobs). 0 = no periodic checkpoints (the file,
   /// if configured, is still written on graceful stop and at run end).
   uint64_t checkpointEverySteps = 0;
-  std::string checkpointPath;  // adlsym-ckpt-v5 file; empty = off
+  std::string checkpointPath;  // adlsym-ckpt-v6 file; empty = off
   /// Run identity echoed into every checkpoint so --resume can verify the
   /// resumed command matches the checkpointed one.
   std::string ckptIsa;
@@ -159,13 +159,6 @@ class ParallelExplorer {
     uint64_t minWorkerSteps = 0;   // utilization spread across workers
     uint64_t maxWorkerSteps = 0;
     uint64_t totalSteps = 0;
-    // Warm verdicts, summed over the workers' solvers (SmtSolver::Stats):
-    // solves on the warm cores, the Unsat answers they gave, the kept-
-    // core hits among those, and the warm cores' SAT conflicts.
-    uint64_t warmSolves = 0;
-    uint64_t warmUnsat = 0;
-    uint64_t warmCoreHits = 0;
-    uint64_t warmConflicts = 0;
   };
   const PoolStats& poolStats() const { return poolStats_; }
 

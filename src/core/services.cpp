@@ -23,6 +23,17 @@ std::vector<smt::TermRef> withCond(const MachineState& st, smt::TermRef c) {
   return assumptions;
 }
 
+/// `assumptions` checked for a model nearest st's carried witness
+/// (SmtSolver::check): one model for the query whichever engine, worker
+/// or schedule asks.
+smt::CheckResult checkNearest(smt::SmtSolver& solver, const MachineState& st,
+                              const std::vector<smt::TermRef>& assumptions) {
+  std::vector<smt::TermRef> inputs;
+  inputs.reserve(st.inputs.size());
+  for (const InputRecord& in : st.inputs) inputs.push_back(in.term);
+  return solver.check(assumptions, inputs, st.witness);
+}
+
 }  // namespace
 
 Side EngineServices::side(const MachineState& st, smt::TermRef c) {
@@ -47,8 +58,8 @@ bool EngineServices::feasible(const MachineState& st, smt::TermRef c) {
 
 Side EngineServices::decide(const MachineState& st, smt::TermRef c) {
   Side s(c);
-  s.feasible = !witnessOnly &&
-               solver.check(withCond(st, c)) == smt::CheckResult::Sat;
+  s.feasible = !witnessOnly && checkNearest(solver, st, withCond(st, c)) ==
+                                   smt::CheckResult::Sat;
   if (s.feasible) s.model = modelWitness(st);
   return s;
 }
@@ -68,7 +79,7 @@ void EngineServices::forkJumpTargets(MachineState&& st, smt::TermRef target,
       bindInputs(tm, st.inputs, st.witness);
       value = tm.evalTerm(target);
     } else {
-      if (solver.check(blocking) != smt::CheckResult::Sat) return;
+      if (checkNearest(solver, st, blocking) != smt::CheckResult::Sat) return;
       value = solver.modelValue(target);
     }
     MachineState succ = st;

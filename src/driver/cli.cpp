@@ -95,7 +95,7 @@ class CommandTelemetry {
     }
     json::Writer w(out);
     w.beginObject();
-    w.kv("schema", "adlsym-stats-v8");
+    w.kv("schema", "adlsym-stats-v9");
     w.kv("command", std::string_view(command));
     w.kv("isa", std::string_view(isa));
     writeBody(w);
@@ -371,7 +371,7 @@ std::string usage() {
       "                         stats documents)\n"
       "\n"
       "crash-safe checkpointing (explore; docs/robustness.md):\n"
-      "  --checkpoint=<file>    write an adlsym-ckpt-v5 checkpoint\n"
+      "  --checkpoint=<file>    write an adlsym-ckpt-v6 checkpoint\n"
       "                         (atomically replaced, self-hashed) at\n"
       "                         every level barrier, on SIGINT/SIGTERM,\n"
       "                         and at run end. Requires --clock=manual\n"
@@ -399,14 +399,14 @@ std::string usage() {
       "  --progress[=N]        heartbeat to stderr every N seconds\n"
       "                        (default 1); includes the solver's share\n"
       "                        of wall time and current frontier depth\n"
-      "  --profile=<file>      adlsym-profile-v4 cost attribution: per-\n"
+      "  --profile=<file>      adlsym-profile-v5 cost attribution: per-\n"
       "                        opcode / per-RTL-statement tick counts and\n"
       "                        per-branch-site canonical solver cost;\n"
       "                        byte-identical across --jobs under\n"
       "                        --clock=manual\n"
       "  --profile-folded=<f>  collapsed-stack lines for flamegraph\n"
       "                        tooling\n"
-      "  --events=<file|->     adlsym-events-v2 flight recorder: one JSONL\n"
+      "  --events=<file|->     adlsym-events-v3 flight recorder: one JSONL\n"
       "                        event per step/fork/path/query plus periodic\n"
       "                        snapshots; the deterministic event set is\n"
       "                        identical across --jobs under --clock=manual\n"
@@ -869,11 +869,7 @@ CommandResult cmdExplore(const std::string& isaName,
                " steal_wait_us=" + std::to_string(ps.stealWaitMicros) +
                " steps_min=" + std::to_string(ps.minWorkerSteps) +
                " steps_max=" + std::to_string(ps.maxWorkerSteps) +
-               " steps_total=" + std::to_string(ps.totalSteps) +
-               " warm_solves=" + std::to_string(ps.warmSolves) +
-               " warm_unsat=" + std::to_string(ps.warmUnsat) +
-               " warm_core_hits=" + std::to_string(ps.warmCoreHits) +
-               " warm_conflicts=" + std::to_string(ps.warmConflicts) + "\n";
+               " steps_total=" + std::to_string(ps.totalSteps) + "\n";
   } else {
     smt::TermManager tm;
     smt::SmtSolver solver(tm);
@@ -983,7 +979,9 @@ CommandResult cmdExplore(const std::string& isaName,
   });
 
   if (profiling) {
-    std::cerr << poolLine;
+    // The solver's work counters depend on what each core solved before,
+    // under --jobs on the schedule: stderr only, as the pool's.
+    std::cerr << poolLine << solverTel.workLine();
     const std::string err = writeProfileArtifacts(rep, opt);
     if (!err.empty()) return fail(err);
   }

@@ -109,7 +109,7 @@ struct ExploreOptions {
   std::string engine = "bytecode";
 
   // ---- profiler (docs/observability.md) ------------------------------
-  /// Write the adlsym-profile-v4 cost-attribution document here ("" =
+  /// Write the adlsym-profile-v5 cost-attribution document here ("" =
   /// off). Byte-identical across --jobs values under --clock=manual.
   std::string profilePath;
   /// Write collapsed-stack lines for flamegraph tooling here ("" = off).
@@ -122,7 +122,7 @@ struct ExploreOptions {
   std::string programLabel;
 
   // ---- flight recorder (docs/observability.md) -----------------------
-  /// Stream the adlsym-events-v2 JSONL event stream here ("" = off;
+  /// Stream the adlsym-events-v3 JSONL event stream here ("" = off;
   /// "-" = stdout). The deterministic event *set* is identical across
   /// --jobs values under --clock=manual (tools/events_canon).
   std::string eventsPath;
@@ -137,7 +137,7 @@ struct ExploreOptions {
   std::vector<std::string> argvEcho;
 
   // ---- crash-safe checkpointing (docs/robustness.md) -----------------
-  /// Write an adlsym-ckpt-v5 checkpoint here ("" = off): at every level
+  /// Write an adlsym-ckpt-v6 checkpoint here ("" = off): at every level
   /// barrier (--checkpoint-every), on graceful SIGINT/SIGTERM stop, and
   /// at run end. Requires --clock=manual (the kill/resume byte-identity
   /// contract is defined on the deterministic clock) and routes to the
@@ -179,7 +179,7 @@ struct TailOptions {
 };
 
 /// `adlsym tail <events-file>` — live terminal inspector over an
-/// adlsym-events-v2 stream (file or fifo): renders the run dashboard,
+/// adlsym-events-v3 stream (file or fifo): renders the run dashboard,
 /// redrawing as events arrive, until run_end. Exit 2 on a malformed
 /// stream.
 CommandResult cmdTail(const std::string& eventsPath, const TailOptions& opt);
@@ -187,7 +187,7 @@ CommandResult cmdTail(const std::string& eventsPath, const TailOptions& opt);
 /// `adlsym events summarize <events-file> [--stats=<stats.json>]` —
 /// recompute the run's counters from the stream, check every
 /// reconciliation identity, and (with --stats) cross-check against the
-/// adlsym-stats-v8 document. Exit 1 when any identity fails.
+/// adlsym-stats-v9 document. Exit 1 when any identity fails.
 CommandResult cmdEventsSummarize(const std::string& eventsPath,
                                  const std::string& statsJsonPath);
 

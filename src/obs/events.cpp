@@ -6,6 +6,7 @@
 #include <initializer_list>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <string_view>
 
 #include "core/testgen.h"
@@ -90,7 +91,7 @@ void EventBus::runBegin(const RunMeta& meta) {
   std::lock_guard<std::mutex> lk(mu_);
   meta_ = meta;
   lineBegin("run_begin");
-  kvS("schema", "adlsym-events-v2");
+  kvS("schema", "adlsym-events-v3");
   kvS("command", meta_.command);
   kvS("isa", meta_.isa);
   kvS("strategy", meta_.strategy);
@@ -126,7 +127,6 @@ void EventBus::runEnd(const core::ExploreSummary& summary,
   kvU("direct_solves", solver.directSolves);
   kvU("canon_terms", solver.canon.terms);
   kvU("canon_gates", solver.canon.gates);
-  kvU("canon_conflicts", solver.canon.conflicts);
   if (engineRtlTicks != 0) kvU("rtl_ticks", engineRtlTicks);
   commit(counts_.runEnd, /*flushNow=*/true);
 }
@@ -156,7 +156,6 @@ void EventBus::onStepEnd(const StepInfo& info) {
   kvU("queries", info.stepSolverQueries);
   kvU("canon_terms", info.stepCanonTerms);
   kvU("canon_gates", info.stepCanonGates);
-  kvU("canon_conflicts", info.stepCanonConflicts);
   commit(counts_.step);
 
   ++stepEvents_;
@@ -276,7 +275,7 @@ void EventBus::writeStatsJson(json::Writer& w) const {
   std::lock_guard<std::mutex> lk(mu_);
   w.beginObject();
   w.kv("enabled", true);
-  w.kv("schema", "adlsym-events-v2");
+  w.kv("schema", "adlsym-events-v3");
   w.kv("snapshot_every_steps", opts_.snapshotEverySteps);
   w.key("emitted");
   w.beginObject();
@@ -517,9 +516,9 @@ EventsSummary summarizeEvents(std::istream& in) {
       es.isa = strField(ev, "isa");
       es.strategy = strField(ev, "strategy");
       const std::string schema = strField(ev, "schema");
-      if (schema != "adlsym-events-v2") {
+      if (schema != "adlsym-events-v3") {
         es.problems.push_back("run_begin schema is '" + schema +
-                              "', want adlsym-events-v2");
+                              "', want adlsym-events-v3");
       }
     } else if (type == "step") {
       ++es.steps;
@@ -533,7 +532,6 @@ EventsSummary summarizeEvents(std::istream& in) {
       es.rtlTicks += u64Field(ev, "rtl_ticks");
       es.canonTerms += u64Field(ev, "canon_terms");
       es.canonGates += u64Field(ev, "canon_gates");
-      es.canonConflicts += u64Field(ev, "canon_conflicts");
     } else if (type == "merge") {
       ++es.merges;
     } else if (type == "path_done") {
@@ -560,7 +558,6 @@ EventsSummary summarizeEvents(std::istream& in) {
       es.endDirectSolves = u64Field(ev, "direct_solves");
       es.endCanonTerms = u64Field(ev, "canon_terms");
       es.endCanonGates = u64Field(ev, "canon_gates");
-      es.endCanonConflicts = u64Field(ev, "canon_conflicts");
       es.endHasRtlTicks = ev.find("rtl_ticks") != nullptr;
       es.endRtlTicks = u64Field(ev, "rtl_ticks");
     } else if (type == "query") {
@@ -593,7 +590,6 @@ EventsSummary summarizeEvents(std::istream& in) {
     expect(es.truncated, es.endTruncated, "truncated paths");
     expect(es.canonTerms, es.endCanonTerms, "canonical terms");
     expect(es.canonGates, es.endCanonGates, "canonical gates");
-    expect(es.canonConflicts, es.endCanonConflicts, "canonical conflicts");
     if (1 + es.forks != es.pathsDone + es.dropped + es.merges) {
       es.problems.push_back(
           "paths identity violated: 1 + " + std::to_string(es.forks) +
@@ -650,8 +646,7 @@ std::string EventsSummary::formatText() const {
   os << "queries: step=" << stepQueries;
   if (sawRunEnd) os << " (run_end: " << endQueries << ")";
   os << '\n';
-  os << "canon: terms=" << canonTerms << " gates=" << canonGates
-     << " conflicts=" << canonConflicts << '\n';
+  os << "canon: terms=" << canonTerms << " gates=" << canonGates << '\n';
   if (rtlTicks != 0 || endHasRtlTicks) {
     os << "rtl ticks: " << rtlTicks;
     if (endHasRtlTicks) os << " (run_end: " << endRtlTicks << ")";
@@ -706,8 +701,8 @@ std::vector<std::string> reconcileWithStats(const EventsSummary& es,
 
   const json::Value* schema = stats.find("schema");
   if (schema == nullptr || !schema->isString() ||
-      schema->str != "adlsym-stats-v8") {
-    out.push_back("stats schema is not adlsym-stats-v8");
+      schema->str != "adlsym-stats-v9") {
+    out.push_back("stats schema is not adlsym-stats-v9");
   }
   check({"summary", "total_steps"}, es.steps, "event steps");
   check({"summary", "total_forks"}, es.forks, "event forks");
@@ -730,8 +725,6 @@ std::vector<std::string> reconcileWithStats(const EventsSummary& es,
   check({"solver", "cache_hits"}, es.endCacheHits, "run_end cache_hits");
   check({"solver", "canon", "terms"}, es.canonTerms, "event canon terms");
   check({"solver", "canon", "gates"}, es.canonGates, "event canon gates");
-  check({"solver", "canon", "conflicts"}, es.canonConflicts,
-        "event canon conflicts");
   check({"prefilter", "shortcircuit"}, es.endPreShortcircuit,
         "run_end pre_shortcircuit");
   check({"prefilter", "consulted"}, es.endPreConsulted,

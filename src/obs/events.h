@@ -1,4 +1,4 @@
-// Flight recorder (docs/observability.md): the adlsym-events-v2 JSONL
+// Flight recorder (docs/observability.md): the adlsym-events-v3 JSONL
 // event stream. EventBus unifies the ExploreObserver and QueryListener
 // hook surfaces into one versioned, seekable stream of events with
 // monotone sequence numbers and periodic self-describing Snapshot events,
@@ -115,7 +115,7 @@ class EventBus final : public core::ExploreObserver, public smt::QueryListener {
 
   void flush();
 
-  // ---- checkpoint support (adlsym-ckpt-v5, docs/robustness.md) ---------
+  // ---- checkpoint support (adlsym-ckpt-v6, docs/robustness.md) ---------
 
   /// Canonical replacement values for the live snapshot gauges, computed
   /// by the quiesced engine at a checkpoint barrier. The bus's own
@@ -244,7 +244,7 @@ class EventBus final : public core::ExploreObserver, public smt::QueryListener {
 
 // ---- stream tools -----------------------------------------------------
 
-/// Canonicalize an adlsym-events-v2 stream: drop the live event types
+/// Canonicalize an adlsym-events-v3 stream: drop the live event types
 /// (snapshot, heartbeat, query) and the schedule-dependent seq/t fields,
 /// then sort the remaining events into canonical order — type rank, then
 /// numeric structural path key, then per-path step index. The output is
@@ -270,7 +270,6 @@ struct EventsSummary {
   uint64_t rtlTicks = 0;
   uint64_t canonTerms = 0;
   uint64_t canonGates = 0;
-  uint64_t canonConflicts = 0;
   std::map<std::string, uint64_t> pathStatuses;
   // Raw per-type event counts (for the stats "events.emitted" cross-check).
   uint64_t queryEvents = 0;
@@ -298,7 +297,6 @@ struct EventsSummary {
   uint64_t endDirectSolves = 0;
   uint64_t endCanonTerms = 0;
   uint64_t endCanonGates = 0;
-  uint64_t endCanonConflicts = 0;
   bool endHasRtlTicks = false;
   uint64_t endRtlTicks = 0;
 
@@ -312,7 +310,7 @@ struct EventsSummary {
 /// adlsym::InputError on unreadable/malformed JSONL.
 EventsSummary summarizeEvents(std::istream& in);
 
-/// Cross-check a summarized stream against a parsed adlsym-stats-v8
+/// Cross-check a summarized stream against a parsed adlsym-stats-v9
 /// document (the run's --stats-json). Returns mismatch descriptions
 /// (empty = the stream reconciles exactly with the stats counters).
 std::vector<std::string> reconcileWithStats(const EventsSummary& es,

@@ -26,8 +26,8 @@ class RunManifest {
   std::string strategy;
   std::string program;   // image path as given (cosmetic)
   std::vector<std::string> argv;  // full invocation, argv[0] excluded
-  std::string statsSchema = "adlsym-stats-v8";
-  std::string eventsSchema = "adlsym-events-v2";
+  std::string statsSchema = "adlsym-stats-v9";
+  std::string eventsSchema = "adlsym-events-v3";
 
   /// Register an artifact the run wrote; hashed when the manifest itself
   /// is written (after the run, so the hash covers the final bytes).

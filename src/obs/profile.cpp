@@ -31,7 +31,6 @@ void ProfileCollector::onStepEnd(const StepInfo& info) {
   site.queries += info.stepSolverQueries;
   site.canon.terms += info.stepCanonTerms;
   site.canon.gates += info.stepCanonGates;
-  site.canon.conflicts += info.stepCanonConflicts;
   ++totalSteps_;
   totalTicks_ += info.stepRtlTicks;
   totalQueries_ += info.stepSolverQueries;
@@ -112,7 +111,6 @@ void writeCanon(json::Writer& w, const smt::QueryCost& c) {
   w.key("canon").beginObject();
   w.kv("terms", c.terms);
   w.kv("gates", c.gates);
-  w.kv("conflicts", c.conflicts);
   w.endObject();
 }
 
@@ -160,7 +158,7 @@ ProfileReport::Reconcile ProfileReport::reconcile() const {
 void ProfileReport::writeJson(std::ostream& os) const {
   json::Writer w(os);
   w.beginObject();
-  w.kv("schema", "adlsym-profile-v4");
+  w.kv("schema", "adlsym-profile-v5");
   w.kv("isa", isa);
   w.kv("program", program);
 
@@ -292,7 +290,7 @@ void ProfileReport::writeFolded(std::ostream& os) const {
 void ProfileReport::writeSummary(json::Writer& w) const {
   const Reconcile r = reconcile();
   w.key("profile").beginObject();
-  w.kv("schema", "adlsym-profile-v4");
+  w.kv("schema", "adlsym-profile-v5");
   w.kv("rtl_ticks", engineRtlTicks);
   w.kv("sites", static_cast<uint64_t>(prof != nullptr ? prof->sites().size()
                                                       : 0));
@@ -311,8 +309,7 @@ std::string ProfileReport::formatText() const {
   os << "solver: queries=" << solver.queries << " sat=" << solver.sat
      << " unsat=" << solver.unsat << " unknown=" << solver.unknown
      << " cache_hits=" << solver.cacheHits << " canon(terms=" << solver.canon.terms
-     << " gates=" << solver.canon.gates
-     << " conflicts=" << solver.canon.conflicts << ")\n";
+     << " gates=" << solver.canon.gates << ")\n";
   os << "prefilter: " << (solver.preEnabled ? "on" : "off")
      << " consulted=" << solver.preConsulted << " sat=" << solver.preSat
      << " unsat=" << solver.preUnsat << " fallbacks=" << solver.preFallback
@@ -341,13 +338,12 @@ std::string ProfileReport::formatText() const {
     std::stable_sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
       return a.second.canon.gates > b.second.canon.gates;
     });
-    os << "hot solver sites (gates | queries | conflicts):\n";
+    os << "hot solver sites (gates | queries | terms):\n";
     shown = 0;
     for (const auto& [pc, s] : hot) {
       if (shown++ == 10) break;
       os << "  " << hexPc(pc) << " " << s.opcode << "  " << s.canon.gates
-         << " | " << s.queries << " | "
-         << s.canon.conflicts << "\n";
+         << " | " << s.queries << " | " << s.canon.terms << "\n";
     }
   }
 

@@ -1,23 +1,23 @@
 // Deterministic cost-attribution profiler (docs/observability.md): the
 // one per-site collector, an ExploreObserver that charges execution cost
 // (steps, RTL ticks, forks, infeasible drops) and solver cost (queries +
-// canonical terms/gates/conflicts) to the ADL semantic site that incurred
+// canonical terms/gates) to the ADL semantic site that incurred
 // it — the pc, and through the decoder the mnemonic. It feeds both the
 // stats document's "opcodes"/"branch_sites" tables and the profile
 // artifacts. Alongside it sits a report type that joins those sites with the
 // per-RTL-statement tables (core::RtlProfile), the solver aggregate and
-// the query-shape rows into the adlsym-profile-v4 JSON document, a
+// the query-shape rows into the adlsym-profile-v5 JSON document, a
 // collapsed-stack file for flamegraph tooling, and the top-level
 // "profile" summary block of the stats schema (schema changelog:
 // docs/observability.md).
 //
-// Every number here is canonical: per-step solver deltas replay cached
+// Every number here is canonical: per-step solver deltas are structural
 // costs (smt::QueryCost), RTL tick counts depend only on what executed,
 // and all tables are std::maps — so the emitted artifacts are
 // byte-identical across --jobs values under --clock=manual. Schedule-
-// dependent signals (wall micros, steal counts, worker utilization) are
-// deliberately excluded; they live in ParallelExplorer::PoolStats and go
-// to stderr only.
+// dependent signals (wall micros, steal counts, worker utilization, SAT
+// and blast work) are deliberately excluded; they live in
+// ParallelExplorer::PoolStats and SolverTelemetry and go to stderr only.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +60,7 @@ class ProfileCollector final : public core::ExploreObserver {
     uint64_t forks = 0;          // steps yielding >1 successor
     uint64_t infeasible = 0;     // steps yielding 0 successors (drops)
     uint64_t queries = 0;        // issued inside this site's step windows
-    smt::QueryCost canon;        // canonical solver cost (replayed on hits)
+    smt::QueryCost canon;        // canonical (structural) solver cost
   };
 
   const std::map<uint64_t, SiteCost>& sites() const { return sites_; }
@@ -77,7 +77,7 @@ class ProfileCollector final : public core::ExploreObserver {
   /// object.
   void writeJson(json::Writer& w) const;
 
-  /// The checkpoint "sites" section (adlsym-ckpt-v5): the opcode table
+  /// The checkpoint "sites" section (adlsym-ckpt-v6): the opcode table
   /// plus every executed or dropped site's [pc, steps, forks, infeasible],
   /// so a resumed run's final stats document is byte-identical to the
   /// uninterrupted run's.
@@ -132,13 +132,13 @@ struct ProfileReport {
   };
   Reconcile reconcile() const;
 
-  /// The full adlsym-profile-v4 document (compact JSON + '\n').
+  /// The full adlsym-profile-v5 document (compact JSON + '\n').
   void writeJson(std::ostream& os) const;
   /// Collapsed-stack lines ("frame;frame value") for flamegraph tooling.
   /// Roots name their unit: exec_ticks (RTL statements), solver_gates
   /// (canonical AIG gates).
   void writeFolded(std::ostream& os) const;
-  /// The top-level "profile" summary block of adlsym-stats-v8 (appended
+  /// The top-level "profile" summary block of adlsym-stats-v9 (appended
   /// to an open object; emitted only on profiling runs).
   void writeSummary(json::Writer& w) const;
   /// Human-readable tables for `adlsym profile` stdout.

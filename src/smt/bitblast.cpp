@@ -6,29 +6,13 @@
 
 namespace adlsym::smt {
 
-BitBlaster::BitBlaster(TermManager& tm, SatSolver& sat) : tm_(tm), sat_(sat) {
-  reset();
-}
-
-void BitBlaster::reset() {
-  blasted_.clear();
-  varTerms_.clear();
-  andCache_.clear();
-  xorCache_.clear();
-  stats_ = Stats{};
-  setTelemetry(nullptr);
-  trueLit_ = Lit(sat_.newVar(), false);
+BitBlaster::BitBlaster(TermManager& tm, SatSolver& sat)
+    : tm_(tm), sat_(sat), trueLit_(sat.newVar(), false) {
   sat_.addUnit(trueLit_);
-}
-
-void BitBlaster::setTelemetry(telemetry::Telemetry* t) {
-  gatesCtr_ = t ? &t->metrics().counter("blast.gates") : nullptr;
-  termsCtr_ = t ? &t->metrics().counter("blast.terms_blasted") : nullptr;
 }
 
 Lit BitBlaster::freshLit() {
   ++stats_.gates;
-  if (gatesCtr_) gatesCtr_->add();
   return Lit(sat_.newVar(), false);
 }
 
@@ -39,6 +23,7 @@ Lit BitBlaster::mkAnd2(Lit a, Lit b) {
   if (isTrueLit(b)) return a;
   if (a == b) return a;
   if (a == ~b) return falseLit();
+  ++gateRequests_;
   if (a.x > b.x) std::swap(a, b);
   const auto key = std::make_pair(a.x, b.x);
   if (auto it = andCache_.find(key); it != andCache_.end()) {
@@ -60,6 +45,7 @@ Lit BitBlaster::mkXor2(Lit a, Lit b) {
   if (isTrueLit(b)) return ~a;
   if (a == b) return falseLit();
   if (a == ~b) return trueLit();
+  ++gateRequests_;
   // Normalize: cache on positive-var pair; output phase absorbs signs.
   bool flip = false;
   if (a.sign()) { a = ~a; flip = !flip; }
@@ -92,12 +78,6 @@ Lit BitBlaster::mkMux(Lit c, Lit t, Lit e) {
 Lit BitBlaster::andAll(const std::vector<Lit>& ls) {
   Lit acc = trueLit();
   for (const Lit l : ls) acc = mkAnd2(acc, l);
-  return acc;
-}
-
-Lit BitBlaster::orAll(const std::vector<Lit>& ls) {
-  Lit acc = falseLit();
-  for (const Lit l : ls) acc = mkOr2(acc, l);
   return acc;
 }
 
@@ -230,7 +210,7 @@ const BitBlaster::Bits& BitBlaster::blast(TermId id) {
       continue;
     }
     ++stats_.termsBlasted;
-    if (termsCtr_) termsCtr_->add();
+    const uint64_t requests0 = gateRequests_;
     const unsigned w = n.width;
     Bits out;
     auto A = [&]() -> const Bits& { return blasted_.at(n.a); };
@@ -336,6 +316,8 @@ const BitBlaster::Bits& BitBlaster::blast(TermId id) {
     }
     check(out.size() == w, "bitblast produced wrong width");
     blasted_.emplace(cur, std::move(out));
+    if (termGates_.size() <= cur) termGates_.resize(size_t{cur} + 1, 0);
+    termGates_[cur] = static_cast<uint32_t>(gateRequests_ - requests0);
   }
   return blasted_.at(id);
 }

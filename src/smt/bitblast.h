@@ -9,19 +9,12 @@
 
 #include "smt/sat.h"
 #include "smt/term.h"
-#include "support/telemetry.h"
 
 namespace adlsym::smt {
 
 class BitBlaster {
  public:
   BitBlaster(TermManager& tm, SatSolver& sat);
-
-  /// Forget every blasted term, zero the stats, detach telemetry and
-  /// allocate a new constant-true literal, keeping allocated capacity.
-  /// After a SatSolver::reset() of the core this is the just-constructed
-  /// state.
-  void reset();
 
   /// SAT literal representing a width-1 term; encodes the term's cone into
   /// the solver on first use.
@@ -33,6 +26,15 @@ class BitBlaster {
   /// Concrete value of a term under the solver's current model (call only
   /// after SatResult::Sat; the term must have been blasted).
   uint64_t modelValueOf(TermRef t);
+
+  /// The gates a blasted term requested when it was built: two-input AND
+  /// and XOR gates left after constant folding, whether the structural
+  /// cache already held them or not. Its own operator only, not its
+  /// operands'. So it depends on the term's structure alone, never on what
+  /// was blasted before it (0 for a term not blasted).
+  uint64_t gatesOf(TermId id) const {
+    return id < termGates_.size() ? termGates_[id] : 0;
+  }
 
   /// Every Var term that has been blasted so far, with its SAT bits. Used to
   /// snapshot a full model right after a Sat answer, before any further
@@ -46,7 +48,8 @@ class BitBlaster {
     uint64_t cacheHits = 0;  // structural gate-cache hits
     uint64_t termsBlasted = 0;
 
-    /// Aggregate (fresh-solve mode sums one throwaway blaster per query).
+    /// Aggregate another blaster's stats (a parallel run sums its
+    /// workers').
     Stats& operator+=(const Stats& o) {
       gates += o.gates;
       cacheHits += o.cacheHits;
@@ -55,10 +58,6 @@ class BitBlaster {
     }
   };
   const Stats& stats() const { return stats_; }
-
-  /// Attach telemetry (null to detach): mirrors gate/term counts into the
-  /// blast.gates / blast.terms_blasted registry counters.
-  void setTelemetry(telemetry::Telemetry* t);
 
  private:
   Lit trueLit() const { return trueLit_; }
@@ -73,7 +72,6 @@ class BitBlaster {
   Lit mkXnor2(Lit a, Lit b) { return ~mkXor2(a, b); }
   Lit mkMux(Lit c, Lit t, Lit e);
   Lit andAll(const std::vector<Lit>& ls);
-  Lit orAll(const std::vector<Lit>& ls);
 
   using Bits = std::vector<Lit>;
   Bits addCirc(const Bits& a, const Bits& b, Lit carryIn);
@@ -103,9 +101,9 @@ class BitBlaster {
   std::unordered_map<std::pair<uint32_t, uint32_t>, Lit, PairHash> andCache_;
   std::unordered_map<std::pair<uint32_t, uint32_t>, Lit, PairHash> xorCache_;
   Stats stats_;
-
-  telemetry::Counter* gatesCtr_ = nullptr;
-  telemetry::Counter* termsCtr_ = nullptr;
+  /// Gate requests so far (see gatesOf), and each blasted term's share.
+  uint64_t gateRequests_ = 0;
+  std::vector<uint32_t> termGates_;
 };
 
 }  // namespace adlsym::smt

@@ -12,9 +12,9 @@
 // impossible because the key encodes the full structure. Sat models are
 // stored slot-indexed and each client maps slots back to its own
 // variables (canonicalKey's slotVars). Every distinct key is solved
-// exactly once (single-flight) on a fresh core whose CNF depends only on
-// term structure, so the model a worker observes is independent of
-// scheduling — the cornerstone of the -j1 == -jN determinism guarantee.
+// exactly once (single-flight), and every later caller replays the model
+// its owner found: the one nearest the owner's witness, which need not be
+// the one nearest its own (SmtSolver::check).
 //
 // Concurrency: one mutex + condvar. acquire() is single-flight — the
 // first caller of a key becomes its *owner* and must publish() (verdict +
@@ -37,22 +37,22 @@ namespace adlsym::smt {
 
 enum class CheckResult;  // smt/solver.h
 
-/// Canonical cost of solving one query's canonical CNF on a fresh core:
-/// terms blasted, AIG gates built, SAT conflicts. Captured once at the
-/// key's single-flight solve and *replayed* on every later hit, so the
-/// cost a caller observes depends only on the query — never on which
-/// worker or step happened to take the miss. This is what lets the
-/// profiler attribute solver cost per branch site byte-identically
-/// across -j1/-jN (docs/observability.md).
+/// Canonical cost of one query: the structural size of its cone, so it
+/// depends only on the query, never on which worker or step solved it or
+/// what that solver had blasted before. A Sat query costs the distinct
+/// terms of its cone (the permanent assertions and the assumptions) and
+/// the gates those terms request (BitBlaster::gatesOf); Unsat, Unknown
+/// and short-circuited queries cost 0. A shared-cache hit replays the
+/// cost its key published. This is what lets the profiler attribute
+/// solver cost per branch site byte-identically across -j1/-jN
+/// (docs/observability.md).
 struct QueryCost {
   uint64_t terms = 0;
   uint64_t gates = 0;
-  uint64_t conflicts = 0;
 
   QueryCost& operator+=(const QueryCost& o) {
     terms += o.terms;
     gates += o.gates;
-    conflicts += o.conflicts;
     return *this;
   }
   bool operator==(const QueryCost&) const = default;

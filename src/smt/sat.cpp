@@ -21,33 +21,6 @@ uint64_t luby(uint64_t i) {
 
 SatSolver::SatSolver() = default;
 
-void SatSolver::reset() {
-  clauses_.clear();
-  arena_.clear();
-  for (std::vector<Watcher>& ws : watches_) ws.clear();  // newVar reuses them
-  assigns_.clear();
-  savedPhase_.clear();
-  reason_.clear();
-  level_.clear();
-  trail_.clear();
-  trailLims_.clear();
-  qhead_ = 0;
-  activity_.clear();
-  varInc_ = 1.0;
-  clauseInc_ = 1.0;
-  heap_.clear();
-  heapPos_.clear();
-  seen_.clear();
-  failed_.clear();
-  unsatisfiable_ = false;
-  stats_ = Stats{};
-  conflictBudget_ = 0;
-  deadlineClock_ = nullptr;
-  deadlineMicros_ = 0;
-  learnedLimit_ = kInitialLearnedLimit;
-  setTelemetry(nullptr);
-}
-
 uint32_t SatSolver::newVar() {
   const uint32_t v = static_cast<uint32_t>(assigns_.size());
   assigns_.push_back(kUndef);
@@ -402,24 +375,8 @@ void SatSolver::reduceDB() {
   learnedLimit_ = learnedLimit_ + learnedLimit_ / 2;
 }
 
-void SatSolver::setTelemetry(telemetry::Telemetry* t) {
-  solvesCtr_ = t ? &t->metrics().counter("sat.solves") : nullptr;
-  conflictsHist_ = t ? &t->metrics().histogram("sat.conflicts_per_solve") : nullptr;
-  decisionsHist_ = t ? &t->metrics().histogram("sat.decisions_per_solve") : nullptr;
-}
-
-SatResult SatSolver::solve(const std::vector<Lit>& assumptions) {
-  if (!solvesCtr_) return solveImpl(assumptions);
-  solvesCtr_->add();
-  const uint64_t conflicts0 = stats_.conflicts;
-  const uint64_t decisions0 = stats_.decisions;
-  const SatResult r = solveImpl(assumptions);
-  conflictsHist_->record(stats_.conflicts - conflicts0);
-  decisionsHist_->record(stats_.decisions - decisions0);
-  return r;
-}
-
-SatResult SatSolver::solveImpl(const std::vector<Lit>& assumptions) {
+SatResult SatSolver::solve(const std::vector<Lit>& assumptions,
+                           const std::vector<Lit>& preferred) {
   failed_.clear();
   if (unsatisfiable_) return SatResult::Unsat;
   if (deadlineClock_ != nullptr &&
@@ -437,10 +394,14 @@ SatResult SatSolver::solveImpl(const std::vector<Lit>& assumptions) {
   uint64_t restartBase = 64;
   uint64_t restartCeiling = restartBase * luby(stats_.restarts);
   uint64_t conflictsSinceRestart = 0;
+  // preferred[0, nextPreferred) are all assigned. Only a conflict's
+  // backtrack unassigns literals, so each conflict rewinds the cursor.
+  size_t nextPreferred = 0;
 
   while (true) {
     const int32_t confl = propagate();
     if (confl != -1) {
+      nextPreferred = 0;
       ++stats_.conflicts;
       ++conflictsThisSolve;
       ++conflictsSinceRestart;
@@ -506,10 +467,18 @@ SatResult SatSolver::solveImpl(const std::vector<Lit>& assumptions) {
     }
 
     if (trail_.size() == numVars()) return SatResult::Sat;  // all assigned
-    const uint32_t v = pickBranchVar();
+    while (nextPreferred < preferred.size() &&
+           litValue(preferred[nextPreferred]) != kUndef) {
+      ++nextPreferred;
+    }
     ++stats_.decisions;
     trailLims_.push_back(static_cast<uint32_t>(trail_.size()));
-    enqueue(Lit(v, savedPhase_[v] == kFalse), -1);
+    if (nextPreferred < preferred.size()) {
+      enqueue(preferred[nextPreferred], -1);
+    } else {
+      const uint32_t v = pickBranchVar();
+      enqueue(Lit(v, savedPhase_[v] == kFalse), -1);
+    }
   }
 }
 

@@ -35,11 +35,6 @@ class SatSolver {
  public:
   SatSolver();
 
-  /// Return to the just-constructed state — no variables, no clauses, zero
-  /// stats, no budget, no deadline, no telemetry — while keeping allocated
-  /// capacity, so one core can serve a stream of independent solves.
-  void reset();
-
   /// Allocate a fresh variable; returns its index.
   uint32_t newVar();
   uint32_t numVars() const { return static_cast<uint32_t>(assigns_.size()); }
@@ -58,7 +53,17 @@ class SatSolver {
 
   /// Solve under the given assumption literals. The solver state persists:
   /// learned clauses carry over to later calls.
-  SatResult solve(const std::vector<Lit>& assumptions = {});
+  ///
+  /// `preferred` literals are decided first, in list order and each at its
+  /// own phase, before VSIDS picks: after the assumptions, every decision
+  /// is the first unassigned preferred literal until none is left. So a
+  /// preferred literal ends false only when the clauses, the assumptions
+  /// and the preferred literals before it force that, and a Sat model is
+  /// the unique one whose disagreements with `preferred`, read as a bit
+  /// string in list order, are least — whatever learned clauses, restarts
+  /// or earlier solves the core carries.
+  SatResult solve(const std::vector<Lit>& assumptions = {},
+                  const std::vector<Lit>& preferred = {});
 
   /// After an Unsat answer of solve(assumptions): the assumptions the
   /// refutation used, a subset of them such that the clauses plus that
@@ -80,8 +85,8 @@ class SatSolver {
     uint64_t deletedClauses = 0;
     uint64_t deadlineAborts = 0;  // solves abandoned by setDeadline()
 
-    /// Aggregate another core's stats into this one (the fresh-solve mode
-    /// of SmtSolver sums one throwaway SatSolver per query).
+    /// Aggregate another core's stats into this one (a parallel run sums
+    /// its workers' cores).
     Stats& operator+=(const Stats& o) {
       conflicts += o.conflicts;
       decisions += o.decisions;
@@ -109,10 +114,6 @@ class SatSolver {
     deadlineClock_ = clk;
     deadlineMicros_ = deadlineMicros;
   }
-
-  /// Attach telemetry (null to detach): per-solve conflict/decision deltas
-  /// go into sat.conflicts_per_solve / sat.decisions_per_solve histograms.
-  void setTelemetry(telemetry::Telemetry* t);
 
  private:
   enum LBool : int8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
@@ -143,7 +144,6 @@ class SatSolver {
 
   bool addClause(const Lit* lits, size_t n);
 
-  SatResult solveImpl(const std::vector<Lit>& assumptions);
   void enqueue(Lit l, int32_t reasonClause);
   /// Returns conflicting clause index or -1.
   int32_t propagate();
@@ -204,10 +204,6 @@ class SatSolver {
   telemetry::Clock* deadlineClock_ = nullptr;
   uint64_t deadlineMicros_ = 0;
   uint64_t learnedLimit_ = kInitialLearnedLimit;
-
-  telemetry::Counter* solvesCtr_ = nullptr;
-  telemetry::Histogram* conflictsHist_ = nullptr;
-  telemetry::Histogram* decisionsHist_ = nullptr;
 };
 
 }  // namespace adlsym::smt

@@ -31,28 +31,11 @@ void SolverTelemetry::writeJson(json::Writer& w) const {
   w.kv("max_micros", maxMicros);
   w.kv("cache_hits", cacheHits);
   w.kv("cache_hit_rate", cacheHitRate());
-  w.key("sat_core").beginObject();
-  w.kv("conflicts", satCore.conflicts);
-  w.kv("decisions", satCore.decisions);
-  w.kv("propagations", satCore.propagations);
-  w.kv("restarts", satCore.restarts);
-  w.kv("learned", satCore.learned);
-  w.kv("deleted_clauses", satCore.deletedClauses);
-  w.kv("deadline_aborts", satCore.deadlineAborts);
-  w.kv("vars", satVars);
-  w.kv("clauses", satClauses);
-  w.endObject();
-  w.key("bitblast").beginObject();
-  w.kv("gates", blast.gates);
-  w.kv("gate_cache_hits", blast.cacheHits);
-  w.kv("terms_blasted", blast.termsBlasted);
-  w.endObject();
-  // Canonical (cache-replayed) cost totals — schedule-independent, unlike
-  // sat_core/bitblast which only count work actually performed. v5.
+  // Canonical (structural) cost totals — schedule-independent, unlike the
+  // work counters, which stay out of the document (workLine). v9.
   w.key("canon").beginObject();
   w.kv("terms", canon.terms);
   w.kv("gates", canon.gates);
-  w.kv("conflicts", canon.conflicts);
   w.endObject();
   w.endObject();
 }
@@ -73,7 +56,7 @@ void SolverTelemetry::writePrefilterJson(json::Writer& w) const {
 }
 
 std::string SolverTelemetry::format() const {
-  std::string out = formatStr(
+  return formatStr(
       "solver: %llu queries (%llu sat, %llu unsat, %llu unknown), %.1f ms, "
       "%llu cache hits (%.0f%%)\n",
       static_cast<unsigned long long>(queries),
@@ -81,15 +64,19 @@ std::string SolverTelemetry::format() const {
       static_cast<unsigned long long>(unsat),
       static_cast<unsigned long long>(unknown), totalMicros / 1e3,
       static_cast<unsigned long long>(cacheHits), 100.0 * cacheHitRate());
-  out += formatStr(
-      "sat: %llu conflicts, %llu decisions, %llu propagations | blast: "
-      "%llu gates, %llu terms\n",
-      static_cast<unsigned long long>(satCore.conflicts),
-      static_cast<unsigned long long>(satCore.decisions),
-      static_cast<unsigned long long>(satCore.propagations),
-      static_cast<unsigned long long>(blast.gates),
-      static_cast<unsigned long long>(blast.termsBlasted));
-  return out;
+}
+
+std::string SolverTelemetry::workLine() const {
+  auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
+  return formatStr(
+      "[solver] conflicts=%llu decisions=%llu propagations=%llu "
+      "restarts=%llu learned=%llu deleted_clauses=%llu deadline_aborts=%llu "
+      "vars=%llu clauses=%llu gates=%llu gate_cache_hits=%llu "
+      "terms_blasted=%llu cores_kept=%llu core_hits=%llu\n",
+      u(satCore.conflicts), u(satCore.decisions), u(satCore.propagations),
+      u(satCore.restarts), u(satCore.learned), u(satCore.deletedClauses),
+      u(satCore.deadlineAborts), u(satVars), u(satClauses), u(blast.gates),
+      u(blast.cacheHits), u(blast.termsBlasted), u(coresKept), u(coreHits));
 }
 
 SolverTelemetry& SolverTelemetry::operator+=(const SolverTelemetry& o) {
@@ -104,6 +91,8 @@ SolverTelemetry& SolverTelemetry::operator+=(const SolverTelemetry& o) {
   blast += o.blast;
   satVars += o.satVars;
   satClauses += o.satClauses;
+  coresKept += o.coresKept;
+  coreHits += o.coreHits;
   canon += o.canon;
   preEnabled = preEnabled || o.preEnabled;
   preConsulted += o.preConsulted;
@@ -128,17 +117,12 @@ SolverTelemetry SmtSolver::telemetrySnapshot() const {
   t.canon = stats_.canon;
   t.preShortcircuit = stats_.preShortcircuit;
   t.directSolves = stats_.directSolves;
-  if (freshMode_) {
-    t.satCore = freshSat_;
-    t.blast = freshBlast_;
-    t.satVars = freshVars_;
-    t.satClauses = freshClauses_;
-  } else {
-    t.satCore = sat_.stats();
-    t.blast = bb_.stats();
-    t.satVars = sat_.numVars();
-    t.satClauses = sat_.numClauses();
-  }
+  t.satCore = sat_.stats();
+  t.blast = bb_.stats();
+  t.satVars = sat_.numVars();
+  t.satClauses = sat_.numClauses();
+  t.coresKept = stats_.coresKept;
+  t.coreHits = stats_.coreHits;
   return t;
 }
 
@@ -146,26 +130,6 @@ void SmtSolver::setTelemetry(telemetry::Telemetry* t) {
   tel_ = t;
   queryHist_ = t ? &t->metrics().histogram("solver.query_us") : nullptr;
   queryCtr_ = t ? &t->metrics().counter("solver.queries") : nullptr;
-  coreHitCtr_ = nullptr;  // resolved by the next incremental query
-  coresKeptCtr_ = nullptr;
-  attachIncrementalTelemetry();
-}
-
-void SmtSolver::setFreshMode(bool on) {
-  freshMode_ = on;
-  attachIncrementalTelemetry();
-}
-
-void SmtSolver::attachIncrementalTelemetry() {
-  // Attaching registers the SAT and blast metric names, so a registry
-  // lists them whether or not a fresh solve ever runs. In fresh mode the
-  // pair is the warm core, whose work stays off the books: detach again.
-  sat_.setTelemetry(tel_);
-  bb_.setTelemetry(tel_);
-  if (freshMode_) {
-    sat_.setTelemetry(nullptr);
-    bb_.setTelemetry(nullptr);
-  }
 }
 
 void SmtSolver::assertAlways(TermRef t) {
@@ -195,41 +159,12 @@ void tally(CheckResult r, uint64_t& sat, uint64_t& unsat, uint64_t& unknown) {
 }
 }  // namespace
 
-CheckResult SmtSolver::solveFresh(const std::vector<TermRef>& assumptions,
-                                  telemetry::Clock* clk, uint64_t deadlineUs) {
-  if (fresh_ == nullptr) {
-    fresh_ = std::make_unique<FreshCore>(tm_);
-  } else {
-    fresh_->sat.reset();
-    fresh_->bb.reset();
-  }
-  FreshCore& fc = *fresh_;
-  if (clk != nullptr) {
-    fc.sat.setTelemetry(tel_);
-    fc.bb.setTelemetry(tel_);
-    fc.sat.setConflictBudget(conflictBudget_);
-    if (deadlineUs != 0) fc.sat.setDeadline(clk, deadlineUs);
-  }
-  bool ok = true;
-  for (const TermRef t : permanentAsserts_) {
-    if (t.isFalse() || !fc.sat.addUnit(fc.bb.litFor(t))) ok = false;
-  }
-  std::vector<Lit> lits;
-  lits.reserve(assumptions.size());
-  for (const TermRef t : assumptions) {
-    if (t.isTrue()) continue;
-    if (t.isFalse()) return CheckResult::Unsat;
-    lits.push_back(fc.bb.litFor(t));
-  }
-  return ok ? fromSat(fc.sat.solve(lits)) : CheckResult::Unsat;
-}
-
-void SmtSolver::snapshotModel(BitBlaster& bb, const SatSolver& sat) {
+void SmtSolver::snapshotModel() {
   model_.clear();
-  for (const auto& [termId, bits] : bb.varTerms()) {
+  for (const auto& [termId, bits] : bb_.varTerms()) {
     uint64_t v = 0;
     for (size_t i = 0; i < bits.size(); ++i) {
-      if (sat.modelValue(bits[i])) v |= uint64_t{1} << i;
+      if (sat_.modelValue(bits[i])) v |= uint64_t{1} << i;
     }
     const uint32_t idx = tm_.varIndex(termId);
     if (idx >= model_.size()) model_.resize(idx + 1, 0);
@@ -260,34 +195,58 @@ void SmtSolver::loadCachedModel(const std::vector<uint64_t>& values,
 }
 
 CheckResult SmtSolver::checkFresh(const std::vector<TermRef>& assumptions) {
-  return solveFresh(assumptions, nullptr, 0);
+  SatSolver sat;
+  BitBlaster bb(tm_, sat);
+  for (const TermRef t : permanentAsserts_) {
+    if (t.isFalse() || !sat.addUnit(bb.litFor(t))) return CheckResult::Unsat;
+  }
+  std::vector<Lit> lits;
+  lits.reserve(assumptions.size());
+  for (const TermRef t : assumptions) {
+    if (t.isTrue()) continue;
+    if (t.isFalse()) return CheckResult::Unsat;
+    lits.push_back(bb.litFor(t));
+  }
+  return fromSat(sat.solve(lits));
 }
 
-std::string SmtSolver::verdictMismatch(
-    const std::vector<TermRef>& assumptions, const char* source,
-    CheckResult r, CheckResult fresh) const {
+std::string SmtSolver::querySmtLib(
+    const std::vector<TermRef>& assumptions) const {
   std::vector<TermRef> all = permanentAsserts_;
   all.insert(all.end(), assumptions.begin(), assumptions.end());
-  return std::string(source) + "=" + checkResultName(r) +
-         " fresh=" + checkResultName(fresh) + "\n" + toSmtLib(all);
+  return toSmtLib(all);
 }
 
 void SmtSolver::crossCheck(const std::vector<TermRef>& assumptions,
                            CheckResult r, const char* source) {
   const CheckResult fresh = checkFresh(assumptions);
   if (fresh != CheckResult::Unknown && fresh != r) {
-    throw Error("paranoid check: " +
-                verdictMismatch(assumptions, source, r, fresh));
+    throw Error(std::string("paranoid check: ") + source + "=" +
+                checkResultName(r) + " fresh=" + checkResultName(fresh) +
+                "\n" + querySmtLib(assumptions));
   }
+}
+
+void SmtSolver::verifyModel(const std::vector<TermRef>& assumptions) {
+  const std::function<uint64_t(uint32_t)> value = [this](uint32_t idx) {
+    return idx < model_.size() ? model_[idx] : uint64_t{0};
+  };
+  auto holds = [&](TermRef t) { return tm_.evalTerm(t, value) != 0; };
+  tm_.evalBegin();
+  if (std::all_of(permanentAsserts_.begin(), permanentAsserts_.end(),
+                  holds) &&
+      std::all_of(assumptions.begin(), assumptions.end(), holds)) {
+    return;
+  }
+  throw Error("internal error: a Sat model falsifies the query it answers\n" +
+              querySmtLib(assumptions));
 }
 
 void SmtSolver::keepCore(const std::vector<TermRef>& assumptions,
                          const std::vector<Lit>& lits) {
   const std::vector<Lit>& failed = sat_.failedAssumptions();
   if (failed.empty()) {  // the permanent assertions alone are Unsat
-    // Fresh mode keeps each query in its bucket; the warm core refutes
-    // every later query at once anyway.
-    if (!freshMode_) permanentlyUnsat_ = true;
+    permanentlyUnsat_ = true;
     return;
   }
   std::vector<TermId> core;
@@ -304,7 +263,6 @@ void SmtSolver::keepCore(const std::vector<TermRef>& assumptions,
   coreWatch_[core.back()].push_back(static_cast<uint32_t>(cores_.size()));
   cores_.push_back(std::move(core));
   ++stats_.coresKept;
-  if (coresKeptCtr_) coresKeptCtr_->add();
 }
 
 bool SmtSolver::refutedByCore(const std::vector<TermRef>& assumptions) const {
@@ -327,86 +285,92 @@ bool SmtSolver::refutedByCore(const std::vector<TermRef>& assumptions) const {
   return false;
 }
 
-CheckResult SmtSolver::solveIncremental(const std::vector<TermRef>& assumptions,
-                                        telemetry::Clock* clk,
-                                        uint64_t deadlineUs, QueryCost& cost) {
-  sat_.setDeadline(clk, deadlineUs);
-  const uint64_t terms0 = bb_.stats().termsBlasted;
-  const uint64_t gates0 = bb_.stats().gates;
-  const uint64_t conflicts0 = sat_.stats().conflicts;
+std::vector<Lit> SmtSolver::preferredLits(
+    const std::vector<TermRef>& inputs, const std::vector<uint64_t>& witness) {
+  std::vector<Lit> lits;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const uint64_t w = i < witness.size() ? witness[i] : 0;
+    const std::vector<Lit>& bits = bb_.bitsFor(inputs[i]);
+    for (size_t b = bits.size(); b-- > 0;) {
+      lits.push_back(((w >> b) & 1) != 0 ? bits[b] : ~bits[b]);
+    }
+  }
+  return lits;
+}
+
+QueryCost SmtSolver::coneCost(const std::vector<TermRef>& assumptions) {
+  if (++coneEpoch_ == 0) {
+    std::fill(coneStamps_.begin(), coneStamps_.end(), 0);
+    coneEpoch_ = 1;
+  }
+  if (coneStamps_.size() < tm_.numTerms()) {
+    coneStamps_.resize(tm_.numTerms(), 0);
+  }
+  QueryCost cost;
+  std::vector<TermId> stack;
+  auto visit = [&](TermId id) {
+    if (id == kInvalidTerm || coneStamps_[id] == coneEpoch_) return;
+    coneStamps_[id] = coneEpoch_;
+    stack.push_back(id);
+  };
+  for (const TermRef t : permanentAsserts_) visit(t.id());
+  for (const TermRef t : assumptions) {
+    if (!t.isTrue()) visit(t.id());
+  }
+  while (!stack.empty()) {
+    const TermId id = stack.back();
+    stack.pop_back();
+    ++cost.terms;
+    cost.gates += bb_.gatesOf(id);
+    const TermNode& n = tm_.node(id);
+    visit(n.a);
+    visit(n.b);
+    visit(n.c);
+  }
+  return cost;
+}
+
+CheckResult SmtSolver::solve(const std::vector<TermRef>& assumptions,
+                             const std::vector<TermRef>& inputs,
+                             const std::vector<uint64_t>& witness,
+                             telemetry::Clock& clk, uint64_t deadlineUs,
+                             bool expired, QueryCost& cost) {
+  // A query containing a core an earlier Unsat refuted is Unsat at zero
+  // cost, even past an expired deadline.
+  if (refutedByCore(assumptions)) {
+    ++stats_.coreHits;
+    if (paranoid_) crossCheck(assumptions, CheckResult::Unsat, "kept core");
+    return CheckResult::Unsat;
+  }
+  if (expired) return CheckResult::Unknown;  // the budget is spent
+  sat_.setDeadline(deadlineUs != 0 ? &clk : nullptr, deadlineUs);
+  const std::vector<Lit> preferred = preferredLits(inputs, witness);
   std::vector<Lit> lits;
   lits.reserve(assumptions.size());
   for (const TermRef t : assumptions) {
     if (!t.isTrue()) lits.push_back(bb_.litFor(t));
   }
-  const CheckResult r = fromSat(sat_.solve(lits));
+  const CheckResult r = fromSat(sat_.solve(lits, preferred));
   if (paranoid_ && r != CheckResult::Unknown) {
-    crossCheck(assumptions, r, freshMode_ ? "warm" : "incremental");
+    crossCheck(assumptions, r, "incremental");
   }
   if (r == CheckResult::Unsat) keepCore(assumptions, lits);
-  // Snapshot variable values immediately: any later incremental blast
-  // (even for model reads) unwinds the assignment trail. Fresh mode takes
-  // its models from the fresh core instead.
-  if (r == CheckResult::Sat && !freshMode_) snapshotModel(bb_, sat_);
-  cost = {bb_.stats().termsBlasted - terms0, bb_.stats().gates - gates0,
-          sat_.stats().conflicts - conflicts0};
-  return r;
-}
-
-CheckResult SmtSolver::solve(const std::vector<TermRef>& assumptions,
-                             telemetry::Clock& clk, uint64_t deadlineUs,
-                             bool expired, QueryCost& cost) {
-  // The incremental pair decides first: in incremental mode always, in
-  // fresh mode (where it is the warm core) for a query without a deadline,
-  // as the warm core reads no clock. A query containing a core an earlier
-  // Unsat refuted is Unsat at zero cost, even past an expired deadline.
-  const bool warm = !freshMode_ || deadlineUs == 0;
-  if (!freshMode_ && tel_ != nullptr && coreHitCtr_ == nullptr) {
-    coreHitCtr_ = &tel_->metrics().counter("solver.core_hits");
-    coresKeptCtr_ = &tel_->metrics().counter("solver.cores_kept");
+  if (r == CheckResult::Sat) {
+    // Snapshot variable values immediately: any later incremental blast
+    // (even for model reads) unwinds the assignment trail.
+    snapshotModel();
+    cost = coneCost(assumptions);
   }
-  if (warm && refutedByCore(assumptions)) {
-    ++stats_.coreHits;
-    if (coreHitCtr_) coreHitCtr_->add();
-    if (freshMode_) ++stats_.warmUnsat;
-    if (paranoid_) crossCheck(assumptions, CheckResult::Unsat, "kept core");
-    return CheckResult::Unsat;
-  }
-  if (expired) return CheckResult::Unknown;  // the budget is spent
-  if (!freshMode_) {
-    return solveIncremental(assumptions, deadlineUs != 0 ? &clk : nullptr,
-                            deadlineUs, cost);
-  }
-  // Fresh mode: a warm Unsat is final at canonical cost 0, and only a Sat
-  // or Unknown pays for the canonical fresh solve.
-  CheckResult w = CheckResult::Unknown;
-  if (warm) {
-    ++stats_.warmSolves;
-    QueryCost work;  // the warm core's work stays off the canonical books
-    w = solveIncremental(assumptions, nullptr, 0, work);
-    if (w == CheckResult::Unsat) {
-      ++stats_.warmUnsat;
-      return w;
-    }
-  }
-  const CheckResult r = solveFresh(assumptions, &clk, deadlineUs);
-  if (w == CheckResult::Sat && r == CheckResult::Unsat) {
-    throw Error("internal error: " +
-                verdictMismatch(assumptions, "warm", w, r));
-  }
-  FreshCore& fc = *fresh_;
-  if (r == CheckResult::Sat) snapshotModel(fc.bb, fc.sat);
-  // The core was reset, so its stats are this query's cost.
-  cost = {fc.bb.stats().termsBlasted, fc.bb.stats().gates,
-          fc.sat.stats().conflicts};
-  freshSat_ += fc.sat.stats();
-  freshBlast_ += fc.bb.stats();
-  freshVars_ += fc.sat.numVars();
-  freshClauses_ += fc.sat.numClauses();
   return r;
 }
 
 CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions) {
+  return check(assumptions, {}, {});
+}
+
+CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions,
+                             const std::vector<TermRef>& inputs,
+                             const std::vector<uint64_t>& witness) {
   fault::hit("solver.check");
   ++stats_.queries;
   if (queryCtr_) queryCtr_->add();
@@ -417,9 +381,8 @@ CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions) {
       tel_ ? tel_->clock() : telemetry::Clock::system();
   const uint64_t startUs = clk.nowMicros();
   bool cached = false;
-  // Canonical cost of this query (QueryCost): measured on a miss, replayed
-  // from the cache on a hit, zero on short-circuited and core-refuted
-  // checks.
+  // Canonical cost of this query (QueryCost): the cone of a Sat, replayed
+  // from the cache on a hit, zero otherwise.
   QueryCost cost;
   auto finish = [&](CheckResult r) {
     const uint64_t us = clk.nowMicros() - startUs;
@@ -469,7 +432,10 @@ CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions) {
       ++cacheHits_;
       cached = true;
       cost = o.cost;
-      if (o.result == CheckResult::Sat) loadCachedModel(o.model, slotVars);
+      if (o.result == CheckResult::Sat) {
+        loadCachedModel(o.model, slotVars);
+        verifyModel(assumptions);
+      }
       return finish(o.result);
     }
   }
@@ -487,11 +453,12 @@ CheckResult SmtSolver::check(const std::vector<TermRef>& assumptions) {
       deadlineUs = wallDeadlineMicros_;
     }
     const bool expired = deadlineUs != 0 && startUs >= deadlineUs;
-    // 4. Solve: kept cores, then the incremental or the fresh core. Past
-    // an expired deadline only a kept core answers; the rest short-circuit.
-    r = solve(assumptions, clk, deadlineUs, expired, cost);
+    // 4. Solve: kept cores, then the incremental core. Past an expired
+    // deadline only a kept core answers; the rest short-circuit.
+    r = solve(assumptions, inputs, witness, clk, deadlineUs, expired, cost);
     ++(expired && r == CheckResult::Unknown ? stats_.preShortcircuit
                                             : stats_.directSolves);
+    if (r == CheckResult::Sat) verifyModel(assumptions);
   } catch (...) {
     if (cache != nullptr) cache->abandon(key);
     throw;

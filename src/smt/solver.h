@@ -5,10 +5,8 @@
 // (DESIGN.md, substitutions).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,7 +29,12 @@ class PreSolver;  // smt/presolver.h; see setPreSolver
 /// the SAT core, the bit-blaster and the shared cache, aggregated so
 /// consumers read a single object instead of stitching stats()/satStats()/
 /// blastStats() together (the CLI stats printout and the JSON stats
-/// document are both rendered from this).
+/// document are both rendered from this). The work counters (satCore,
+/// blast, satVars, satClauses, coresKept, coreHits) count what one
+/// incremental core did, which depends on what it solved before, and so
+/// under --jobs on the schedule: they stay out of the stats document and
+/// stdout and go to the [solver] stderr line of profiling runs
+/// (workLine).
 struct SolverTelemetry {
   uint64_t queries = 0;
   uint64_t sat = 0;
@@ -44,8 +47,11 @@ struct SolverTelemetry {
   BitBlaster::Stats blast;
   uint64_t satVars = 0;
   uint64_t satClauses = 0;
-  /// Canonical (cache-replayed, schedule-independent) query cost totals;
-  /// the profiler's reconciliation targets (docs/observability.md).
+  /// Kept Unsat cores: cores stored, and queries answered by one.
+  uint64_t coresKept = 0;
+  uint64_t coreHits = 0;
+  /// Canonical (structural, schedule-independent) query cost totals; the
+  /// profiler's reconciliation targets (docs/observability.md).
   QueryCost canon;
 
   /// Query buckets (the stats "prefilter" object, docs/observability.md).
@@ -89,8 +95,10 @@ struct SolverTelemetry {
   void writeJson(json::Writer& w) const;
   /// The top-level "prefilter" object of the stats schema (v6).
   void writePrefilterJson(json::Writer& w) const;
-  /// Human-readable two-line form used by `adlsym explore`.
+  /// Human-readable one-line form used by `adlsym explore`.
   std::string format() const;
+  /// The work counters as the "[solver] ..." stderr line of profiling runs.
+  std::string workLine() const;
 };
 
 /// Capture hook for every SmtSolver::check: receives the full query (the
@@ -115,22 +123,39 @@ class SmtSolver {
   void assertAlways(TermRef t);
 
   /// Check satisfiability of the permanent assertions plus the given
-  /// width-1 assumption terms. The one query pipeline, in both modes:
-  /// short-circuits, shared-cache lookup, deadline, solve (kept cores
-  /// first), publish.
+  /// width-1 assumption terms. The one query pipeline: short-circuits,
+  /// shared-cache lookup, deadline, solve (kept cores first), publish. A
+  /// Sat model is whatever the incremental core found, so it depends on
+  /// what this solver solved before: for probes whose model nobody reads.
   CheckResult check(const std::vector<TermRef>& assumptions);
+
+  /// check() whose Sat model is the one nearest `witness`, a value per
+  /// term of `inputs` (Var terms): the SAT core decides the inputs' bits
+  /// first — inputs in order, each from its top bit, each at the
+  /// witness's bit (an input past the witness's end at 0). So the model's
+  /// inputs are the unique assignment whose XOR with the witness is least
+  /// in that bit order, and an input outside the query keeps its witness
+  /// value. That model depends only on the query, the inputs and the
+  /// witness, never on this solver's history, so every engine and worker
+  /// finds the same one (DESIGN.md decision 8).
+  CheckResult check(const std::vector<TermRef>& assumptions,
+                    const std::vector<TermRef>& inputs,
+                    const std::vector<uint64_t>& witness);
 
   /// Model value of a term after a Sat result. The model is snapshotted at
   /// Sat time, so this works for any term (unconstrained variables read 0)
   /// and survives later incremental blasting.
   uint64_t modelValue(TermRef t);
 
+  /// Throw an internal error (with the query as SMT-LIB) unless the last
+  /// Sat model satisfies every permanent assertion and every one of
+  /// `assumptions`, evaluated in one memoized pass. check() runs this on
+  /// every Sat model it hands out, in every build.
+  void verifyModel(const std::vector<TermRef>& assumptions);
+
   /// Abandon a query after this many SAT conflicts (0 = unlimited);
   /// exploration treats Unknown paths as not-taken and reports them.
-  void setConflictBudget(uint64_t budget) {
-    conflictBudget_ = budget;
-    sat_.setConflictBudget(budget);
-  }
+  void setConflictBudget(uint64_t budget) { sat_.setConflictBudget(budget); }
 
   /// Per-query wall deadline, layered on the conflict budget: abandon a
   /// query (Unknown) once it has run this long on the query clock — the
@@ -144,10 +169,10 @@ class SmtSolver {
   /// returns Unknown without touching the SAT core.
   void setWallDeadlineMicros(uint64_t us) { wallDeadlineMicros_ = us; }
 
-  /// Debug cross-check: re-solve every incremental or warm solve and
-  /// every kept-core answer on a fresh single-shot solver and throw (with
-  /// an SMT-LIB dump) if the verdicts diverge. Extremely slow; for tests
-  /// and bug reports only.
+  /// Debug cross-check: re-solve every incremental solve and every
+  /// kept-core answer on a fresh single-shot solver (checkFresh) and throw
+  /// (with an SMT-LIB dump) if the verdicts diverge. Extremely slow; for
+  /// tests and bug reports only.
   void setParanoid(bool on) { paranoid_ = on; }
 
   /// No-op, kept for API callers that still call it. The solver keeps no
@@ -165,24 +190,18 @@ class SmtSolver {
     uint64_t unknown = 0;
     uint64_t totalMicros = 0;
     uint64_t maxMicros = 0;
-    /// Canonical per-query cost totals (see QueryCost): a cache miss adds
-    /// the fresh-solve cost, a hit *replays* the stored cost, so these
-    /// accumulate identically whichever caller took the miss. Observers
+    /// Canonical per-query cost totals (see QueryCost): a Sat adds its
+    /// cone's size, a cache hit *replays* the stored cost, so these
+    /// accumulate identically whichever caller solved what. Observers
     /// read deltas of these to attribute solver cost per branch site.
     QueryCost canon;
     /// Query buckets besides cache hits; see SolverTelemetry.
     uint64_t preShortcircuit = 0;
     uint64_t directSolves = 0;
     /// Kept Unsat cores: cores stored, and queries answered by one (a
-    /// part of directSolves, in both modes).
+    /// part of directSolves).
     uint64_t coresKept = 0;
     uint64_t coreHits = 0;
-    /// Warm verdicts (fresh mode): solves on the warm core, and the Unsat
-    /// answers it gave, by a solve or by a kept core. Which cores exist
-    /// depends on the worker's history, so these never reach the stats
-    /// JSON.
-    uint64_t warmSolves = 0;
-    uint64_t warmUnsat = 0;
   };
   const Stats& stats() const { return stats_; }
   const SatSolver::Stats& satStats() const { return sat_.stats(); }
@@ -191,10 +210,9 @@ class SmtSolver {
   /// Aggregate every layer's stats into one snapshot (see SolverTelemetry).
   SolverTelemetry telemetrySnapshot() const;
 
-  /// Attach a telemetry bundle (may be null to detach): records the
-  /// solver.query_us latency histogram and the query and core counters;
-  /// forwarded to the SAT core and the bit-blaster for their own
-  /// counters.
+  /// Attach a telemetry bundle (may be null to detach): its clock times
+  /// queries, and its registry gets the solver.query_us latency histogram
+  /// and the solver.queries counter.
   void setTelemetry(telemetry::Telemetry* t);
 
   /// Attach a query-capture listener (null to detach). Every check() —
@@ -208,30 +226,18 @@ class SmtSolver {
     if (l != nullptr) extraListeners_.push_back(l);
   }
 
-  /// Solve assumptions /\ permanent asserts on the fresh core (reset
-  /// first, so no state is shared with earlier queries). Used by paranoid
-  /// mode and tests.
+  /// Solve assumptions /\ permanent asserts once on a SAT core and
+  /// bit-blaster built for this call alone, unbounded and off the books,
+  /// so no state is shared with earlier queries. The reference verdict of
+  /// paranoid mode and tests.
   CheckResult checkFresh(const std::vector<TermRef>& assumptions);
-
-  /// Fresh-solve mode (parallel exploration, docs/parallelism.md): the
-  /// pipeline is the same, and only where a Sat model comes from differs.
-  /// Every model comes from a SAT core reset to its just-constructed
-  /// state, so the CNF — and hence any Sat model — depends only on term
-  /// structure, never on what this instance solved before. That is what
-  /// makes -j1 and -jN byte-identical. Verdicts come first from the
-  /// incremental pair, here called the warm core: a sound solver's Unsat
-  /// does not depend on its history, so a warm Unsat (solved, or by a
-  /// kept core) is final at canonical cost 0, and only a Sat or Unknown is
-  /// solved again fresh. The warm step reads no clock and reports to no
-  /// telemetry; satStats()/blastStats() are the warm core's,
-  /// telemetrySnapshot() counts fresh solves only. A query with a
-  /// deadline solves fresh only.
-  void setFreshMode(bool on);
 
   /// Attach the run-wide shared query cache (not owned; null detaches).
   /// While attached, queries are keyed canonically
-  /// (QueryCache::canonicalKey), hits replay the canonical verdict and
-  /// model, misses are solved and published single-flight.
+  /// (QueryCache::canonicalKey), hits replay the verdict, model and cost
+  /// the key's first solve published, misses are solved and published
+  /// single-flight. A replayed model is the one nearest the publishing
+  /// caller's witness, not this caller's.
   void setSharedCache(QueryCache* c) { sharedCache_ = c; }
 
   /// No-op, kept for API callers that still call it. The solver consults
@@ -240,7 +246,7 @@ class SmtSolver {
   void setPreSolver(PreSolver*) {}
 
   /// One row of the profiler's query-shape table: queries grouped by the
-  /// bit-width bucket of their canonical terms-blasted count. Sums are
+  /// bit-width bucket of their canonical cone size. Sums are
   /// schedule-independent when aggregated over all workers: every
   /// issuance of a key carries the same replayed canonical cost, and a
   /// key with n issuances contributes exactly n-1 hits in total (under an
@@ -272,61 +278,45 @@ class SmtSolver {
 
  private:
   /// The solve step: a kept core, else (unless `expired`: Unknown) the
-  /// incremental core, or in fresh mode the warm core and then, unless it
-  /// is Unsat, the fresh core reset first. Fills model_ on Sat and `cost`
-  /// with the query's canonical blasting and search work. Throws if a
-  /// warm Sat is a fresh Unsat.
+  /// incremental core, deciding the witness's bits first (preferredLits),
+  /// with the deadline on `clk` when `deadlineUs` is set. An Unsat keeps
+  /// its failed assumptions as a core; a Sat fills model_ and `cost`.
   CheckResult solve(const std::vector<TermRef>& assumptions,
+                    const std::vector<TermRef>& inputs,
+                    const std::vector<uint64_t>& witness,
                     telemetry::Clock& clk, uint64_t deadlineUs, bool expired,
                     QueryCost& cost);
-  /// Bit-blast into the incremental pair and solve under assumptions
-  /// (deadline on `clk` when non-null). An Unsat keeps its failed
-  /// assumptions as a core; outside fresh mode a Sat fills model_.
-  CheckResult solveIncremental(const std::vector<TermRef>& assumptions,
-                               telemetry::Clock* clk, uint64_t deadlineUs,
-                               QueryCost& cost);
-  /// Re-apply tel_ to the incremental pair: attached outside fresh mode,
-  /// names registered but detached in it.
-  void attachIncrementalTelemetry();
+  /// The witness's bits as SAT literals to decide first, in check()'s
+  /// order.
+  std::vector<Lit> preferredLits(const std::vector<TermRef>& inputs,
+                                 const std::vector<uint64_t>& witness);
+  /// The canonical cost of a Sat query (QueryCost): the distinct terms of
+  /// the cone of the permanent assertions and `assumptions`, all blasted,
+  /// and the gates they requested.
+  QueryCost coneCost(const std::vector<TermRef>& assumptions);
 
-  /// Kept Unsat cores. After an Unsat of the incremental (or warm) core,
-  /// the assumption terms whose literals refuted it are stored as a
-  /// sorted TermId set, watched under its largest (the newest) id.
-  /// Permanent assertions only ever add constraints, so a core stays
-  /// Unsat for the solver's lifetime and a query containing one is Unsat
-  /// with no solve. Cores are not minimized:
-  /// deletion re-solves cost more than the few extra hits they buy
-  /// (ROADMAP). `lits` are the non-true assumptions' literals, in order.
+  /// Kept Unsat cores. After an Unsat of the incremental core, the
+  /// assumption terms whose literals refuted it are stored as a sorted
+  /// TermId set, watched under its largest (the newest) id. Permanent
+  /// assertions only ever add constraints, so a core stays Unsat for the
+  /// solver's lifetime and a query containing one is Unsat with no solve.
+  /// Cores are not minimized: deletion re-solves cost more than the few
+  /// extra hits they buy (ROADMAP). `lits` are the non-true assumptions'
+  /// literals, in order.
   void keepCore(const std::vector<TermRef>& assumptions,
                 const std::vector<Lit>& lits);
   /// Does a kept core lie inside the query's assumption set?
   bool refutedByCore(const std::vector<TermRef>& assumptions) const;
-  /// Paranoid mode: re-solve on the fresh core and throw if it disagrees
+  /// Paranoid mode: re-solve with checkFresh and throw if it disagrees
   /// with `r`, the verdict `source` gave.
   void crossCheck(const std::vector<TermRef>& assumptions, CheckResult r,
                   const char* source);
-  /// "<source>=<r> fresh=<fresh>" and the query as SMT-LIB.
-  std::string verdictMismatch(const std::vector<TermRef>& assumptions,
-                              const char* source, CheckResult r,
-                              CheckResult fresh) const;
+  /// The query (permanent assertions and `assumptions`) as SMT-LIB.
+  std::string querySmtLib(const std::vector<TermRef>& assumptions) const;
 
-  /// The SAT core and bit-blaster behind every fresh solve. One pair is
-  /// created on first use and reset before each query, so a query sees a
-  /// just-constructed core without paying to build one; solvers that
-  /// never solve fresh never allocate it.
-  struct FreshCore {
-    explicit FreshCore(TermManager& tm) : bb(tm, sat) {}
-    SatSolver sat;
-    BitBlaster bb;
-  };
-  /// Solve assumptions /\ permanent asserts on the fresh core, reset
-  /// first. With a clock the solve is on the books: telemetry, conflict
-  /// budget and deadline apply. Without one it runs unbounded and unseen.
-  CheckResult solveFresh(const std::vector<TermRef>& assumptions,
-                         telemetry::Clock* clk, uint64_t deadlineUs);
   /// Snapshot every blasted variable's value after a Sat answer into
   /// model_.
-  void snapshotModel(BitBlaster& bb, const SatSolver& sat);
+  void snapshotModel();
   /// model_ as the shared cache stores it: by α-slot (slotVars[i] is the
   /// Var behind slot i).
   std::vector<uint64_t> modelForCache(
@@ -346,21 +336,16 @@ class SmtSolver {
   uint64_t cacheHits_ = 0;
   uint64_t queryTimeoutMicros_ = 0;
   uint64_t wallDeadlineMicros_ = 0;
-  uint64_t conflictBudget_ = 0;
 
-  bool freshMode_ = false;
   QueryCache* sharedCache_ = nullptr;
-  std::unique_ptr<FreshCore> fresh_;
-  // Aggregates over the fresh solves of fresh mode (the members sat_/bb_
-  // are the warm core there); telemetrySnapshot() reads these instead.
-  SatSolver::Stats freshSat_;
-  BitBlaster::Stats freshBlast_;
-  uint64_t freshVars_ = 0;
-  uint64_t freshClauses_ = 0;
 
   // Kept Unsat cores (keepCore), and the cores watched under each id.
   std::vector<std::vector<TermId>> cores_;
   std::unordered_map<TermId, std::vector<uint32_t>> coreWatch_;
+
+  // coneCost's visited marks: term id -> the walk that last saw it.
+  std::vector<uint32_t> coneStamps_;
+  uint32_t coneEpoch_ = 0;
 
   Stats stats_;
 
@@ -374,10 +359,6 @@ class SmtSolver {
   telemetry::Telemetry* tel_ = nullptr;
   telemetry::Histogram* queryHist_ = nullptr;
   telemetry::Counter* queryCtr_ = nullptr;
-  // Resolved by the first incremental query that reaches the solve step,
-  // so fresh-mode (--jobs) registries do not list them.
-  telemetry::Counter* coreHitCtr_ = nullptr;
-  telemetry::Counter* coresKeptCtr_ = nullptr;
 };
 
 }  // namespace adlsym::smt

@@ -181,6 +181,13 @@ class TermManager {
   void evalBegin();
   void evalBind(TermRef var, uint64_t value);
   uint64_t evalTerm(TermRef t) { return evalMemo(t, nullptr); }
+  /// evalTerm() reading a variable that is neither bound nor memoized from
+  /// `varValue` (by Var index), so several terms evaluated under one
+  /// assignment share one memo.
+  uint64_t evalTerm(TermRef t,
+                    const std::function<uint64_t(uint32_t)>& varValue) {
+    return evalMemo(t, &varValue);
+  }
 
   /// Evaluate a term under a variable assignment (by Var index) as one
   /// fresh assignment. Missing variables evaluate to 0.

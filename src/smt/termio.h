@@ -1,5 +1,5 @@
 // The one term descriptor grammar of the SMT layer, and the canonical
-// order-preserving term-DAG serialization built on it (adlsym-ckpt-v5,
+// order-preserving term-DAG serialization built on it (adlsym-ckpt-v6,
 // docs/robustness.md). appendDescriptor() renders one node:
 //
 //   C<width>:<value>;          constant (value already truncated to width)

@@ -87,7 +87,7 @@ class Histogram {
   /// Inclusive upper bound of bucket i (UINT64_MAX for the overflow bucket).
   static uint64_t bucketUpperBound(size_t i);
 
-  /// Overwrite with recorded totals — checkpoint restore (adlsym-ckpt-v5).
+  /// Overwrite with recorded totals — checkpoint restore (adlsym-ckpt-v6).
   void restore(uint64_t count, uint64_t sum, uint64_t max,
                const std::array<uint64_t, kBuckets>& buckets) {
     count_ = count;

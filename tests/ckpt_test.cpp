@@ -1,4 +1,4 @@
-// Crash-safe checkpoint/resume (adlsym-ckpt-v5, docs/robustness.md):
+// Crash-safe checkpoint/resume (adlsym-ckpt-v6, docs/robustness.md):
 // term-table round-trips, file framing + corruption rejection, state and
 // path-result serializers, and the end-to-end kill/resume byte-identity
 // contract driven through the CLI — crash via --inject=ckpt.write, resume,
@@ -46,7 +46,7 @@ void spit(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-/// Canonicalized view of an adlsym-events-v2 stream — the cross-schedule
+/// Canonicalized view of an adlsym-events-v3 stream — the cross-schedule
 /// identity the kill/resume contract is defined on (raw line order is
 /// schedule-dependent).
 std::string canonEvents(const std::string& path) {
@@ -155,19 +155,19 @@ TEST(TermTable, MalformedTablesRejected) {
 TEST(CkptFile, RoundTripAndTrailer) {
   const std::string path = testing::TempDir() + "ckpt_frame.ckpt";
   core::ckpt::writeCheckpointFile(
-      path, "{\"schema\":\"adlsym-ckpt-v5\",\"n\":7}");
+      path, "{\"schema\":\"adlsym-ckpt-v6\",\"n\":7}");
   const std::string blob = slurp(path);
-  EXPECT_NE(blob.find("#adlsym-ckpt-v5 sha256="), std::string::npos);
+  EXPECT_NE(blob.find("#adlsym-ckpt-v6 sha256="), std::string::npos);
   EXPECT_EQ(blob.back(), '\n');
   const json::Value v = core::ckpt::loadCheckpointFile(path);
   EXPECT_EQ(core::ckpt::fieldU64(v, "n"), 7u);
-  EXPECT_EQ(core::ckpt::fieldStr(v, "schema"), "adlsym-ckpt-v5");
+  EXPECT_EQ(core::ckpt::fieldStr(v, "schema"), "adlsym-ckpt-v6");
 }
 
 TEST(CkptFile, CorruptionRejectedWithContext) {
   const std::string good = testing::TempDir() + "ckpt_good.ckpt";
   core::ckpt::writeCheckpointFile(
-      good, "{\"schema\":\"adlsym-ckpt-v5\",\"n\":7}");
+      good, "{\"schema\":\"adlsym-ckpt-v6\",\"n\":7}");
   const std::string blob = slurp(good);
 
   const auto expectRejected = [](const std::string& path,
@@ -554,14 +554,17 @@ TEST_F(CkptResume, IllTypedFieldsRejected) {
 // a document no uninterrupted run writes. A v4 file was written with the
 // abstract prefilter on: its solver baseline counts prefilter
 // consultations and its events section per-issuance prefilter counts and
-// cache hits, none of which a run of this build makes.
+// cache hits, none of which a run of this build makes. A v5 file's solver
+// baseline counts SAT and blast work and canonical conflicts, and its
+// frontier witnesses came from a reset fresh core, not the nearest
+// models this build's states carry.
 TEST_F(CkptResume, OlderSchemaRejected) {
   const std::string img = imageFor("rv32e");
   CliRun ref = makeRun("schema_ref", "rv32e", img, 1);
   exec(ref);
   ASSERT_EQ(ref.exitCode, 0) << ref.stdoutText;
   const std::string blob = slurp(ref.ckpt);
-  for (const std::string version : {"v1", "v3", "v4"}) {
+  for (const std::string version : {"v1", "v3", "v4", "v5"}) {
     const std::string tag = "adlsym-ckpt-" + version;
     const std::string doc = std::regex_replace(
         blob.substr(0, blob.find('\n')),

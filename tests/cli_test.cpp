@@ -125,7 +125,7 @@ TEST(Cli, ExploreStatsJson) {
   EXPECT_NE(r.output.find("paths=2"), std::string::npos);
 
   const std::string stats = slurp(opt.statsJsonPath);
-  EXPECT_NE(stats.find("\"schema\":\"adlsym-stats-v8\""), std::string::npos);
+  EXPECT_NE(stats.find("\"schema\":\"adlsym-stats-v9\""), std::string::npos);
   EXPECT_NE(stats.find("\"command\":\"explore\""), std::string::npos);
   EXPECT_NE(stats.find("\"isa\":\"rv32e\""), std::string::npos);
   EXPECT_NE(stats.find("\"paths\":2"), std::string::npos);
@@ -180,7 +180,7 @@ TEST(Cli, DispatchParsesObservabilityFlags) {
   const auto r = dispatch(
       {"explore", "rv32e", imgPath, "--stats-json=" + statsPath});
   EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(slurp(statsPath).find("\"adlsym-stats-v8\""), std::string::npos);
+  EXPECT_NE(slurp(statsPath).find("\"adlsym-stats-v9\""), std::string::npos);
 }
 
 TEST(Cli, PathForestFlagsAreDeterministic) {
@@ -379,7 +379,7 @@ TEST(CliEvents, ExploreEventsAndManifestFlagsEndToEnd) {
   ASSERT_EQ(r.exitCode, 0) << r.output;
   const std::string stream = slurp(ev);
   EXPECT_NE(stream.find("\"type\":\"run_begin\""), std::string::npos);
-  EXPECT_NE(stream.find("\"schema\":\"adlsym-events-v2\""),
+  EXPECT_NE(stream.find("\"schema\":\"adlsym-events-v3\""),
             std::string::npos);
   EXPECT_NE(stream.find("\"snapshot_every_steps\":2"), std::string::npos);
   EXPECT_NE(stream.find("\"type\":\"snapshot\""), std::string::npos);
@@ -478,7 +478,7 @@ TEST(CliLint, StatsJsonHasPassTimings) {
   const auto r = dispatch({"lint", "rv32e", "--stats-json=" + statsPath});
   EXPECT_EQ(r.exitCode, 0) << r.output;
   const std::string stats = slurp(statsPath);
-  EXPECT_NE(stats.find("\"schema\":\"adlsym-stats-v8\""), std::string::npos)
+  EXPECT_NE(stats.find("\"schema\":\"adlsym-stats-v9\""), std::string::npos)
       << stats;
   EXPECT_NE(stats.find("\"command\":\"lint\""), std::string::npos);
   EXPECT_NE(stats.find("\"lint\":{\"findings\":"), std::string::npos) << stats;

@@ -1,5 +1,5 @@
 // Flight recorder (src/obs/events.h, src/obs/manifest.h,
-// docs/observability.md): the adlsym-events-v2 stream, its canonicalizer
+// docs/observability.md): the adlsym-events-v3 stream, its canonicalizer
 // and summarizer, the adlsym-run-v1 manifest + verify-run, the tail
 // dashboard state machine, and the SHA-256 underneath it all.
 #include <gtest/gtest.h>
@@ -311,11 +311,11 @@ TEST(StatsV7, EventsBlockMatchesEmittedCounts) {
   const RunFiles rf = exploreWithRecorder("statsblock");
   ASSERT_EQ(rf.result.exitCode, 0) << rf.result.output;
   const json::Value stats = json::parse(slurp(rf.stats));
-  ASSERT_EQ(stats.find("schema")->str, "adlsym-stats-v8");
+  ASSERT_EQ(stats.find("schema")->str, "adlsym-stats-v9");
   const json::Value* events = stats.find("events");
   ASSERT_NE(events, nullptr);
   EXPECT_TRUE(events->find("enabled")->boolean);
-  EXPECT_EQ(events->find("schema")->str, "adlsym-events-v2");
+  EXPECT_EQ(events->find("schema")->str, "adlsym-events-v3");
   EXPECT_EQ(events->find("dropped")->asU64(), 0u);
   const json::Value* emitted = events->find("emitted");
   ASSERT_NE(emitted, nullptr);
@@ -398,8 +398,8 @@ TEST(Manifest, RecordsArtifactsWithHashes) {
   const json::Value man = json::parse(slurp(rf.manifest));
   EXPECT_EQ(man.find("schema")->str, "adlsym-run-v1");
   EXPECT_EQ(man.find("isa")->str, "rv32e");
-  EXPECT_EQ(man.find("stats_schema")->str, "adlsym-stats-v8");
-  EXPECT_EQ(man.find("events_schema")->str, "adlsym-events-v2");
+  EXPECT_EQ(man.find("stats_schema")->str, "adlsym-stats-v9");
+  EXPECT_EQ(man.find("events_schema")->str, "adlsym-events-v3");
   const json::Value* arts = man.find("artifacts");
   ASSERT_NE(arts, nullptr);
   ASSERT_EQ(arts->array.size(), 3u);  // stats, forest, events

@@ -4,6 +4,7 @@
 // (smt/qcache.h) and cross-pool term import that make it possible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <future>
@@ -326,7 +327,7 @@ class ParallelDeterminism : public ::testing::Test {
     const RunArtifacts base = explore(isa, img, strategy, 1);
     ASSERT_FALSE(base.statsJson.empty()) << isa << "/" << strategy;
     ASSERT_FALSE(base.forestJson.empty()) << isa << "/" << strategy;
-    EXPECT_NE(base.statsJson.find("\"schema\":\"adlsym-stats-v8\""),
+    EXPECT_NE(base.statsJson.find("\"schema\":\"adlsym-stats-v9\""),
               std::string::npos);
     EXPECT_NE(base.statsJson.find("\"qcache\":{\"enabled\":false}"),
               std::string::npos);
@@ -371,7 +372,7 @@ TEST_F(ParallelDeterminism, Stk16AllStrategies) {
 TEST_F(ParallelDeterminism, Sort4AllIsasRepeated) {
   // sort4's branches compare inputs with each other and need the SAT
   // core, so a steal makes the thief build constraints over variables its
-  // pool created in another order, and its warm core holds what it
+  // pool created in another order, and its incremental core holds what it
   // solved before. Repeated runs give different steals.
   for (const char* isa : {"acc8", "m16", "rv32e", "stk16"}) {
     const std::string img = imageOf(workloads::progSort(4), "sort4", isa);
@@ -484,11 +485,9 @@ TEST_F(ParallelDeterminism, NoRunConsultsThePrefilter) {
   }
 }
 
-// PoolStats' warm counters, summed over the workers' solvers, against
-// the schedule-independent solver telemetry of the same run. With no
-// deadline or shared cache, every query that is not short-circuited
-// reaches a worker's warm core once, as a kept-core hit or a warm solve,
-// and every Unsat is a warm answer.
+// The solver work counters, summed over the workers' solvers. With no
+// deadline or shared cache, every Unsat is either a kept-core hit or a
+// SAT solve that keeps a core, however the schedule splits them.
 TEST(WarmPoolStats, SumOverWorkersMatchesTheSolverTelemetry) {
   for (const char* isa : {"m16", "rv32e"}) {
     auto s = Session::forPortable(workloads::progSort(4), isa);
@@ -508,20 +507,18 @@ TEST(WarmPoolStats, SumOverWorkersMatchesTheSolverTelemetry) {
       const smt::SolverTelemetry& tel = pex.solverTelemetry();
       const std::string where = std::string(isa) + " -j" + std::to_string(jobs);
       ASSERT_EQ(tel.unknown, 0u) << where;
-      EXPECT_EQ(ps.warmSolves + ps.warmCoreHits, tel.directSolves) << where;
-      EXPECT_EQ(ps.warmUnsat, tel.unsat) << where;
-      EXPECT_GT(ps.warmUnsat, 0u) << where;
-      EXPECT_GT(ps.warmCoreHits, 0u) << where;
-      EXPECT_LT(ps.warmCoreHits, ps.warmUnsat) << where;
-      EXPECT_GT(ps.warmConflicts, 0u) << where;
+      EXPECT_EQ(ps.jobs, jobs) << where;
+      EXPECT_EQ(tel.coresKept + tel.coreHits, tel.unsat) << where;
+      EXPECT_GT(tel.coresKept, 0u) << where;
+      EXPECT_GT(tel.coreHits, 0u) << where;
+      EXPECT_GT(tel.satCore.conflicts, 0u) << where;
     }
   }
 }
 
 TEST_F(ParallelDeterminism, ParallelAgreesWithSequentialOnPathCounts) {
-  // Witness models may differ between the incremental sequential solver
-  // and the fresh-mode parallel one, but the path census is engine-
-  // independent: same paths, steps, forks, statuses, and query buckets.
+  // The path census is engine-independent: same paths, steps, forks,
+  // statuses, and query buckets (OneSetOfTestInputs checks the witnesses).
   const std::string img = imageFor("rv32e");
   const std::string seqStats = testing::TempDir() + "seq_rv32e.stats.json";
   const auto seq = dispatch({"explore", "rv32e", img, "--clock=manual",
@@ -542,7 +539,7 @@ TEST_F(ParallelDeterminism, ParallelAgreesWithSequentialOnPathCounts) {
 
   // The two engines also put every query in the same bucket. sort4's
   // Unsat sides are mostly kept-core answers, which count as direct
-  // solves, never as cache hits, in both solving modes.
+  // solves, never as cache hits, in both engines.
   for (const char* isa : {"acc8", "m16", "rv32e", "stk16"}) {
     const std::string sort4 = imageOf(workloads::progSort(4), "sort4", isa);
     const std::string stats =
@@ -568,6 +565,61 @@ TEST_F(ParallelDeterminism, ParallelAgreesWithSequentialOnPathCounts) {
             << where << ": solver." << key;
       }
       EXPECT_EQ(prefilter(seqDoc), prefilter(par.statsJson)) << where;
+    }
+  }
+}
+
+// Every Sat side's model is the one nearest its parent's witness, which
+// depends only on the query: so the sequential engine under every
+// strategy and the parallel one at every jobs count give each path the
+// same test inputs, on every ISA. A path line without its ISA-dependent
+// step count (status, forks, exit code, outputs, test inputs) is the
+// same everywhere; sorted, the path table takes one value per program.
+TEST_F(ParallelDeterminism, OneSetOfTestInputsPerProgram) {
+  auto pathLines = [](const std::string& out) {
+    std::vector<std::string> lines;
+    std::istringstream in(out);
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("  ", 0) != 0) continue;
+      const size_t at = line.find(" steps=");
+      if (at != std::string::npos) {
+        line.erase(at, line.find(' ', at + 1) - at);
+      }
+      lines.push_back(line);
+    }
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+  const struct {
+    const char* name;
+    workloads::PProgram prog;
+  } programs[] = {{"sort4", workloads::progSort(4)},
+                  {"max3", workloads::progMax(3)},
+                  {"checksum2", workloads::progChecksum(2)},
+                  {"parse2", workloads::progParse(2)}};
+  for (const auto& p : programs) {
+    std::vector<std::string> base;
+    for (const char* isa : {"acc8", "m16", "rv32e", "stk16"}) {
+      const std::string img = imageOf(p.prog, p.name, isa);
+      std::vector<std::vector<std::string>> runs;
+      for (const char* strategy : {"dfs", "bfs", "random", "coverage"}) {
+        runs.push_back({"explore", isa, img, "--strategy", strategy});
+      }
+      for (const char* jobs : {"1", "2", "4"}) {
+        runs.push_back({"explore", isa, img, "--jobs", jobs});
+      }
+      for (const std::vector<std::string>& args : runs) {
+        const auto r = dispatch(args);
+        std::string where = p.name;
+        for (size_t i = 1; i < args.size(); ++i) {
+          if (i != 2) where += " " + args[i];
+        }
+        ASSERT_EQ(r.exitCode, 0) << where << ": " << r.output;
+        const std::vector<std::string> lines = pathLines(r.output);
+        ASSERT_FALSE(lines.empty()) << where;
+        if (base.empty()) base = lines;
+        EXPECT_EQ(lines, base) << where;
+      }
     }
   }
 }

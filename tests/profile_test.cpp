@@ -1,5 +1,5 @@
 // Deterministic profiler + bench comparator (docs/observability.md):
-// the adlsym-profile-v4 artifacts (obs/profile.h) must be byte-identical
+// the adlsym-profile-v5 artifacts (obs/profile.h) must be byte-identical
 // across --jobs values and reconcile per-site sums against the engine and
 // solver aggregates; support/benchcmp.h must catch injected regressions
 // (the bench_diff acceptance fixture); the JSON reader must reject
@@ -48,7 +48,7 @@ TEST(JsonReader, WriterOutputRoundTrips) {
   std::ostringstream os;
   json::Writer w(os);
   w.beginObject();
-  w.kv("schema", "adlsym-stats-v8");
+  w.kv("schema", "adlsym-stats-v9");
   w.kv("count", uint64_t{42});
   w.kv("rate", 0.5);
   w.kv("ok", true);
@@ -60,7 +60,7 @@ TEST(JsonReader, WriterOutputRoundTrips) {
   const json::Value doc = json::parse(os.str());
   ASSERT_TRUE(doc.isObject());
   ASSERT_NE(doc.find("schema"), nullptr);
-  EXPECT_EQ(doc.find("schema")->str, "adlsym-stats-v8");
+  EXPECT_EQ(doc.find("schema")->str, "adlsym-stats-v9");
   EXPECT_DOUBLE_EQ(doc.find("count")->number, 42.0);
   EXPECT_DOUBLE_EQ(doc.find("rate")->number, 0.5);
   EXPECT_TRUE(doc.find("ok")->boolean);
@@ -102,7 +102,7 @@ TEST(JsonReader, EscapesAndFind) {
 // ---------------------------------------------------------------------
 
 json::Value benchDoc(const std::string& tablesJson) {
-  return json::parse("{\"schema\":\"adlsym-stats-v8\",\"command\":\"bench\","
+  return json::parse("{\"schema\":\"adlsym-stats-v9\",\"command\":\"bench\","
                      "\"bench\":\"fixture\",\"tables\":" +
                      tablesJson + "}");
 }
@@ -509,7 +509,7 @@ class ProfileDeterminism : public ::testing::Test {
     ASSERT_FALSE(a.profileJson.empty()) << where;
     const json::Value doc = json::parse(a.profileJson);
     ASSERT_NE(doc.find("schema"), nullptr) << where;
-    EXPECT_EQ(doc.find("schema")->str, "adlsym-profile-v4") << where;
+    EXPECT_EQ(doc.find("schema")->str, "adlsym-profile-v5") << where;
 
     const json::Value* engine = doc.find("engine");
     const json::Value* solver = doc.find("solver");
@@ -545,10 +545,10 @@ class ProfileDeterminism : public ::testing::Test {
     EXPECT_EQ(rtlTicks, engine->find("rtl_ticks")->number) << where;
 
     // The stats document carries the v5 profile summary block.
-    EXPECT_NE(a.statsJson.find("\"schema\":\"adlsym-stats-v8\""),
+    EXPECT_NE(a.statsJson.find("\"schema\":\"adlsym-stats-v9\""),
               std::string::npos)
         << where;
-    EXPECT_NE(a.statsJson.find("\"profile\":{\"schema\":\"adlsym-profile-v4\""),
+    EXPECT_NE(a.statsJson.find("\"profile\":{\"schema\":\"adlsym-profile-v5\""),
               std::string::npos)
         << where;
     EXPECT_NE(a.statsJson.find("\"reconciled\":true"), std::string::npos)

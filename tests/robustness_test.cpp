@@ -225,15 +225,17 @@ TEST(Governor, EvictionIsDeterministic) {
 
 // ---- Unknown-verdict degradation -----------------------------------------
 
-// Two symbolic inputs feeding a multiply, then a branch on the product:
-// the feasibility queries are hard enough that a one-conflict budget
-// abandons them.
+// A symbolic input squared, then a branch on the square: the feasibility
+// query is hard enough that a one-conflict budget abandons it. Its model
+// nearest the witness x = 0 is x = 15, which the SAT core reaches only
+// through conflicts, as each smaller x squares to too little. (A product
+// of two inputs would not do: x = 1 gives y = the product with no
+// conflict at all.)
 workloads::PProgram progFactorGate() {
   workloads::PProgram p;
   p.in(0);
-  p.in(1);
-  p.mul(2, 0, 1);
-  p.li(3, 91);
+  p.mul(2, 0, 0);
+  p.li(3, 225);
   p.beq(2, 3, "hit");
   p.out(2);
   p.halt(0);
@@ -347,7 +349,7 @@ TEST_F(CliRobustness, ExhaustedBudgetExitsThreeWithTruncationStats) {
        "--stats-json=" + stats});
   EXPECT_EQ(r.exitCode, 3) << r.output;
   const std::string doc = slurpFile(stats);
-  EXPECT_NE(doc.find("\"schema\":\"adlsym-stats-v8\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\":\"adlsym-stats-v9\""), std::string::npos);
   EXPECT_NE(doc.find("\"stop_reason\":\"max-steps\""), std::string::npos)
       << doc;
   EXPECT_NE(doc.find("\"truncated_by_reason\":{\"steps\":"), std::string::npos)
@@ -435,7 +437,7 @@ TEST_F(CliRobustness, ParallelBudgetExhaustionMatchesContract) {
        "--clock=manual", "--stats-json=" + stats});
   EXPECT_EQ(r.exitCode, 3) << r.output;
   const std::string doc = slurpFile(stats);
-  EXPECT_NE(doc.find("\"schema\":\"adlsym-stats-v8\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\":\"adlsym-stats-v9\""), std::string::npos);
   EXPECT_NE(doc.find("\"stop_reason\":\"max-steps\""), std::string::npos)
       << doc;
   EXPECT_NE(doc.find("\"truncated_by_reason\":{\"steps\":"), std::string::npos)

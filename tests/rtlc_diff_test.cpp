@@ -414,7 +414,7 @@ TEST(SuperblockCache, CheckpointBarrierMidSuperblock) {
 TEST(RtlcProfile, StatementCountsIdenticalAcrossEngines) {
   // With an RtlProfile attached the bytecode engine never fuses and every
   // tick is attributed to a statement id; the per-site counts — and so
-  // the emitted adlsym-profile-v4 rows — must match the walker's exactly.
+  // the emitted adlsym-profile-v5 rows — must match the walker's exactly.
   for (const std::string& isa : isa::allIsaNames()) {
     const workloads::PProgram prog = workloads::progParse(2);
     auto si =

@@ -340,7 +340,7 @@ INSTANTIATE_TEST_SUITE_P(Random3Sat, SatFailedRandomTest,
 // ---- golden trajectories -------------------------------------------------
 //
 // The decision order is part of the core's contract: models become test
-// inputs, and conflicts/decisions/propagations reach the stats document.
+// inputs, and conflicts/decisions/propagations reach the [solver] line.
 // A change that alters which variable is picked, which clause is learned
 // or which learned clause is deleted changes those artifacts, so these
 // instances pin the exact search through restarts, learned-clause
@@ -349,7 +349,7 @@ INSTANTIATE_TEST_SUITE_P(Random3Sat, SatFailedRandomTest,
 // search changed, so fix the core rather than the value.
 
 // Everything a search shows the rest of the system: verdicts, models and
-// the stats behind the stats document's sat_core object.
+// the stats behind the [solver] work line.
 struct Trajectory {
   std::vector<SatResult> verdicts;
   uint64_t modelHash = 0xcbf29ce484222325ull;  // FNV-1a over Sat models
@@ -413,19 +413,6 @@ std::string verdictString(const Trajectory& t) {
   return out;
 }
 
-void expectSameTrajectory(const Trajectory& a, const Trajectory& b) {
-  EXPECT_EQ(verdictString(a), verdictString(b));
-  EXPECT_EQ(a.modelHash, b.modelHash);
-  EXPECT_EQ(a.stats.conflicts, b.stats.conflicts);
-  EXPECT_EQ(a.stats.decisions, b.stats.decisions);
-  EXPECT_EQ(a.stats.propagations, b.stats.propagations);
-  EXPECT_EQ(a.stats.restarts, b.stats.restarts);
-  EXPECT_EQ(a.stats.learned, b.stats.learned);
-  EXPECT_EQ(a.stats.deletedClauses, b.stats.deletedClauses);
-  EXPECT_EQ(a.stats.deadlineAborts, b.stats.deadlineAborts);
-  EXPECT_EQ(a.clauses, b.clauses);
-}
-
 TEST(SatGolden, PigeonholeEightSeven) {
   SatSolver s;
   const Trajectory t = runPigeonhole(s);
@@ -451,34 +438,6 @@ TEST(SatGolden, IncrementalRandom3SatUnderAssumptions) {
   EXPECT_EQ(t.stats.learned, 6060u);
   EXPECT_EQ(t.stats.deletedClauses, 2193u);
   EXPECT_EQ(t.clauses, 6802u);
-}
-
-TEST(SatReset, ReproducesANewSolver) {
-  SatSolver reused;
-  // Leave every kind of state behind: learned and deleted clauses, bumped
-  // activities, a grown learned-clause limit, restarts in the stats...
-  (void)runIncremental3Sat(reused);
-  // ...and a budget, an expired deadline and telemetry, none of which a
-  // new solver has.
-  telemetry::ManualClock clock;
-  clock.advance(1000);
-  telemetry::Telemetry tel(clock);
-  reused.setTelemetry(&tel);
-  reused.setConflictBudget(3);
-  reused.setDeadline(&clock, 1);
-
-  reused.reset();
-  EXPECT_EQ(reused.numVars(), 0u);
-  EXPECT_EQ(reused.numClauses(), 0u);
-  SatSolver fresh;
-  expectSameTrajectory(runIncremental3Sat(reused), runIncremental3Sat(fresh));
-  EXPECT_EQ(tel.metrics().counter("sat.solves").value, 0u);
-
-  // Again from a solver that has itself been reset: the restart schedule
-  // and reduceDB restart from the constructor's defaults.
-  reused.reset();
-  SatSolver fresh2;
-  expectSameTrajectory(runPigeonhole(reused), runPigeonhole(fresh2));
 }
 
 }  // namespace

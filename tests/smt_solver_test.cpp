@@ -206,7 +206,6 @@ TEST_F(KeptCores, SupersetIsUnsatWithoutSolving) {
   EXPECT_EQ(s.satStats().conflicts, sat0.conflicts);
   EXPECT_EQ(s.satStats().propagations, sat0.propagations);
   EXPECT_EQ(s.stats().canon.terms, canon0.terms);
-  EXPECT_EQ(s.stats().canon.conflicts, canon0.conflicts);
   EXPECT_EQ(s.cacheHits(), 0u);
   EXPECT_TRUE(s.telemetrySnapshot().prefilterReconciled());
   // The core is {noSquare}: y < 200 took no part, so dropping it still
@@ -250,51 +249,28 @@ TEST_F(KeptCores, UnknownKeepsNone) {
   EXPECT_EQ(s.stats().coreHits, 0u);
 }
 
-TEST_F(KeptCores, FreshModeKeepsThemOffTheBooks) {
-  // Fresh mode keeps cores in its warm core. A warm answer keeps its
-  // bucket and costs nothing canonical, so the snapshot shows no work.
-  for (const bool shared : {false, true}) {
-    QueryCache cache;
-    SmtSolver f(tm);
-    f.setFreshMode(true);
-    if (shared) f.setSharedCache(&cache);
-    ASSERT_EQ(f.check({small, noSquare}), CheckResult::Unsat);
-    ASSERT_EQ(f.check({noSquare, tm.mkUgt(y, c(8, 7))}), CheckResult::Unsat);
-    EXPECT_EQ(f.stats().coresKept, 1u) << shared;
-    EXPECT_EQ(f.stats().coreHits, 1u) << shared;
-    EXPECT_EQ(f.stats().directSolves, 2u) << shared;
-    const SolverTelemetry t = f.telemetrySnapshot();
-    EXPECT_EQ(t.preShortcircuit, 0u) << shared;
-    EXPECT_EQ(t.satCore.conflicts + t.satCore.decisions +
-                  t.satCore.propagations,
-              0u)
-        << shared;
-    EXPECT_EQ(t.blast.termsBlasted + t.blast.gates, 0u) << shared;
-    EXPECT_EQ(t.satVars + t.satClauses, 0u) << shared;
-    EXPECT_EQ(t.canon.terms + t.canon.gates + t.canon.conflicts, 0u)
-        << shared;
-    EXPECT_GT(f.blastStats().termsBlasted, 0u) << shared;  // the warm core's
-  }
-}
-
-TEST_F(KeptCores, CountersInTheRegistry) {
+TEST_F(KeptCores, CountedInTheSnapshotNotTheRegistry) {
+  // Which cores exist depends on what the solver refuted before, so the
+  // counts are work counters: in the snapshot (the [solver] line), never
+  // in the registry, which lists the same names whatever was solved.
   telemetry::Telemetry tel;
   s.setTelemetry(&tel);
   ASSERT_EQ(s.check({noSquare}), CheckResult::Unsat);
   ASSERT_EQ(s.check({noSquare, small}), CheckResult::Unsat);
-  const auto& counters = tel.metrics().counters();
-  EXPECT_EQ(counters.at("solver.cores_kept").value, 1u);
-  EXPECT_EQ(counters.at("solver.core_hits").value, 1u);
-  // Fresh mode's warm core keeps cores off the books and does not list
-  // their counters, so a --jobs run's metrics block has the same names as
-  // before cores.
-  telemetry::Telemetry freshTel;
-  SmtSolver f(tm);
-  f.setTelemetry(&freshTel);
-  f.setFreshMode(true);
-  ASSERT_EQ(f.check({noSquare}), CheckResult::Unsat);
-  EXPECT_EQ(freshTel.metrics().counters().count("solver.core_hits"), 0u);
-  EXPECT_EQ(freshTel.metrics().counters().count("solver.cores_kept"), 0u);
+  ASSERT_EQ(s.check({small}), CheckResult::Sat);
+  const SolverTelemetry t = s.telemetrySnapshot();
+  EXPECT_EQ(t.coresKept, 1u);
+  EXPECT_EQ(t.coreHits, 1u);
+  EXPECT_NE(t.workLine().find(" cores_kept=1 core_hits=1\n"),
+            std::string::npos)
+      << t.workLine();
+  auto names = [](const auto& metrics) {
+    std::string out;
+    for (const auto& entry : metrics) out += entry.first + " ";
+    return out;
+  };
+  EXPECT_EQ(names(tel.metrics().counters()), "solver.queries ");
+  EXPECT_EQ(names(tel.metrics().histograms()), "solver.query_us ");
 }
 
 TEST_F(KeptCores, ParanoidModeResolvesCoreHits) {
@@ -327,24 +303,110 @@ TEST_F(KeptCores, ParanoidModeResolvesCoreHits) {
   EXPECT_EQ(s.stats().coreHits, 2u);
 }
 
-// Warm verdicts (fresh mode): a query without a deadline is first decided
-// on the solver's warm incremental core. A warm Unsat is final; a Sat or
-// Unknown is solved again on the reset fresh core, which gives the model
-// and the canonical cost.
-class WarmVerdicts : public SolverTest {
+// Nearest witnesses: check(assumptions, inputs, witness) decides the
+// inputs' bits first, each at the witness's bit, so its Sat model is the
+// one whose XOR with the witness is least, inputs in order and each from
+// its top bit.
+class NearestWitness : public SolverTest {
  protected:
-  TermRef x = tm.mkVar(8, "x");
-  TermRef y = tm.mkVar(8, "y");
-  TermRef noSquare = tm.mkEq(tm.mkMul(x, x), c(8, 2));  // Unsat alone
-  // Sat with many models: x * y == 91 has solutions besides 7 * 13.
-  std::vector<TermRef> product = {tm.mkEq(tm.mkMul(x, y), c(8, 91)),
-                                  tm.mkUgt(x, c(8, 1)), tm.mkUgt(y, c(8, 1))};
+  TermRef x = tm.mkVar(4, "x");
+  TermRef y = tm.mkVar(4, "y");
+  TermRef noSquare = tm.mkEq(tm.mkMul(x, x), c(4, 2));  // Unsat alone
 
-  SmtSolver& fresh() {
-    s.setFreshMode(true);
-    return s;
+  /// Brute force: the (x, y) satisfying `q` nearest `w`, where an input
+  /// past w's end prefers 0.
+  std::pair<uint64_t, uint64_t> nearest(const std::vector<TermRef>& q,
+                                        const std::vector<uint64_t>& w) {
+    const uint64_t wx = w.size() > 0 ? w[0] : 0;
+    const uint64_t wy = w.size() > 1 ? w[1] : 0;
+    std::pair<uint64_t, uint64_t> best;
+    uint64_t bestKey = UINT64_MAX;
+    for (uint64_t vx = 0; vx < 16; ++vx) {
+      for (uint64_t vy = 0; vy < 16; ++vy) {
+        const bool sat = std::all_of(q.begin(), q.end(), [&](TermRef t) {
+          return tm.evalWith(t, [&](uint32_t idx) {
+                   return idx == tm.varIndex(x.id()) ? vx : vy;
+                 }) != 0;
+        });
+        const uint64_t key = (vx ^ wx) << 4 | (vy ^ wy);
+        if (sat && key < bestKey) {
+          bestKey = key;
+          best = {vx, vy};
+        }
+      }
+    }
+    EXPECT_NE(bestKey, UINT64_MAX) << "query has no model";
+    return best;
   }
 };
+
+TEST_F(NearestWitness, ModelIsTheLeastXorWithTheWitness) {
+  const std::vector<std::vector<TermRef>> queries = {
+      {tm.mkEq(tm.mkAdd(x, y), c(4, 9))},
+      {tm.mkEq(tm.mkMul(x, y), c(4, 6)), tm.mkUgt(x, c(4, 1))},
+      {tm.mkUlt(x, y), tm.mkEq(tm.mkAnd(tm.mkXor(x, y), c(4, 5)), c(4, 5))},
+      {tm.mkSlt(tm.mkSub(x, y), c(4, 0)), tm.mkNe(y, c(4, 15))},
+  };
+  const std::vector<std::vector<uint64_t>> witnesses = {
+      {0xf, 0xf}, {0xa, 0x5}, {0x6}, {0x9, 0x3}};
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    for (size_t wi = 0; wi < witnesses.size(); ++wi) {
+      const auto want = nearest(queries[qi], witnesses[wi]);
+      // A new core per case, and the same core throughout: the model is
+      // the nearest either way.
+      SmtSolver one(tm);
+      for (SmtSolver* solver : {&one, &s}) {
+        ASSERT_EQ(solver->check(queries[qi], {x, y}, witnesses[wi]),
+                  CheckResult::Sat);
+        EXPECT_EQ(solver->modelValue(x), want.first) << qi << "/" << wi;
+        EXPECT_EQ(solver->modelValue(y), want.second) << qi << "/" << wi;
+      }
+      // Without preferences the core's model is another one, so the case
+      // shows the preferences at work.
+      SmtSolver plain(tm);
+      ASSERT_EQ(plain.check(queries[qi]), CheckResult::Sat);
+      EXPECT_NE(std::make_pair(plain.modelValue(x), plain.modelValue(y)), want)
+          << qi << "/" << wi;
+    }
+  }
+}
+
+TEST_F(NearestWitness, HistoryLeavesTheModelAndTheCostUnchanged) {
+  TermRef a = tm.mkVar(8, "a");
+  TermRef b = tm.mkVar(8, "b");
+  // Sat with many models: a * b == 91 has solutions besides 7 * 13.
+  const std::vector<TermRef> product = {tm.mkEq(tm.mkMul(a, b), c(8, 91)),
+                                        tm.mkUgt(a, c(8, 1)),
+                                        tm.mkUgt(b, c(8, 1))};
+  const std::vector<uint64_t> witness = {200, 3};
+  SmtSolver pure(tm);
+  ASSERT_EQ(pure.check(product, {a, b}, witness), CheckResult::Sat);
+  const uint64_t wantA = pure.modelValue(a);
+  const uint64_t wantB = pure.modelValue(b);
+  EXPECT_EQ((wantA * wantB) & 0xff, 91u);
+  const QueryCost wantCost = pure.stats().canon;
+  EXPECT_GT(wantCost.terms, 0u);
+  EXPECT_GT(wantCost.gates, 0u);
+
+  // Histories that leave the core with other learned clauses, kept cores,
+  // phases and already-blasted terms (the product's among them).
+  const std::vector<std::vector<std::vector<TermRef>>> histories = {
+      {{tm.mkEq(a, c(8, 13))}, {noSquare}, {tm.mkUgt(b, c(8, 100))}},
+      {{tm.mkEq(tm.mkMul(a, b), c(8, 91)), tm.mkEq(b, c(8, 7))},
+       {tm.mkUlt(a, c(8, 3)), tm.mkUgt(a, c(8, 5))}},
+      {product, {tm.mkEq(tm.mkMul(a, a), c(8, 2))}},
+  };
+  for (size_t h = 0; h < histories.size(); ++h) {
+    SmtSolver f(tm);
+    for (const auto& q : histories[h]) f.check(q, {a, b, x}, {h, 7 * h, 1});
+    const QueryCost before = f.stats().canon;
+    ASSERT_EQ(f.check(product, {a, b}, witness), CheckResult::Sat) << h;
+    EXPECT_EQ(f.modelValue(a), wantA) << h;
+    EXPECT_EQ(f.modelValue(b), wantB) << h;
+    EXPECT_EQ(f.stats().canon.terms - before.terms, wantCost.terms) << h;
+    EXPECT_EQ(f.stats().canon.gates - before.gates, wantCost.gates) << h;
+  }
+}
 
 struct CachedFlags : QueryListener {
   std::vector<bool> cached;
@@ -354,236 +416,50 @@ struct CachedFlags : QueryListener {
   }
 };
 
-TEST_F(WarmVerdicts, UnsatCostsNothingAndSolvesNothingFresh) {
+TEST_F(NearestWitness, UnsatAndUnknownCostNothing) {
   CachedFlags flags;
-  fresh().setQueryListener(&flags);
-  ASSERT_EQ(s.check({tm.mkUlt(y, c(8, 9)), noSquare}), CheckResult::Unsat);
-  const SolverTelemetry t = s.telemetrySnapshot();
-  EXPECT_EQ(t.canon.terms + t.canon.gates + t.canon.conflicts, 0u);
-  EXPECT_EQ(t.blast.termsBlasted, 0u);  // no fresh solve ran
-  EXPECT_EQ(t.satVars, 0u);
-  EXPECT_EQ(t.directSolves, 1u);
-  EXPECT_EQ(t.preShortcircuit, 0u);
-  EXPECT_TRUE(t.prefilterReconciled());
-  EXPECT_EQ(s.stats().warmSolves, 1u);
-  EXPECT_EQ(s.stats().warmUnsat, 1u);
-  EXPECT_EQ(flags.cached, std::vector<bool>{false});
-}
-
-TEST_F(WarmVerdicts, SatModelIsThePureFreshModelWhateverTheHistory) {
-  // The reference solves fresh only: a query timeout skips the warm step.
-  SmtSolver pure(tm);
-  pure.setFreshMode(true);
-  pure.setQueryTimeoutMicros(uint64_t{1} << 50);
-  ASSERT_EQ(pure.check(product), CheckResult::Sat);
-  ASSERT_EQ(pure.stats().warmSolves, 0u);
-  const uint64_t wantX = pure.modelValue(x);
-  const uint64_t wantY = pure.modelValue(y);
-  const QueryCost wantCost = pure.stats().canon;
-
-  // Two histories that leave the warm cores in different states.
-  const std::vector<std::vector<std::vector<TermRef>>> histories = {
-      {},
-      {{tm.mkEq(x, c(8, 13))}, {noSquare}, {tm.mkUgt(y, c(8, 100))}},
-      {{tm.mkEq(tm.mkMul(x, y), c(8, 91)), tm.mkEq(y, c(8, 7))},
-       {tm.mkUlt(x, c(8, 3)), tm.mkUgt(x, c(8, 5))}},
-  };
-  for (size_t h = 0; h < histories.size(); ++h) {
-    SmtSolver f(tm);
-    f.setFreshMode(true);
-    for (const auto& q : histories[h]) f.check(q);
-    const QueryCost before = f.stats().canon;
-    ASSERT_EQ(f.check(product), CheckResult::Sat) << h;
-    EXPECT_EQ(f.modelValue(x), wantX) << h;
-    EXPECT_EQ(f.modelValue(y), wantY) << h;
-    EXPECT_EQ(f.stats().canon.terms - before.terms, wantCost.terms) << h;
-    EXPECT_EQ(f.stats().canon.gates - before.gates, wantCost.gates) << h;
-    EXPECT_EQ(f.stats().canon.conflicts - before.conflicts,
-              wantCost.conflicts)
-        << h;
-  }
-}
-
-TEST_F(WarmVerdicts, QueryTimeoutSolvesFreshOnly) {
-  fresh().setQueryTimeoutMicros(uint64_t{1} << 50);
-  ASSERT_EQ(s.check({noSquare}), CheckResult::Unsat);
-  ASSERT_EQ(s.check({noSquare, tm.mkUlt(y, c(8, 9))}), CheckResult::Unsat);
-  EXPECT_EQ(s.stats().warmSolves, 0u);
-  EXPECT_EQ(s.stats().coreHits, 0u);
-  EXPECT_EQ(s.blastStats().termsBlasted, 0u);  // the warm core is unused
-  EXPECT_GT(s.stats().canon.terms, 0u);       // both solved fresh
-  EXPECT_EQ(s.telemetrySnapshot().directSolves, 2u);
-}
-
-TEST_F(WarmVerdicts, UnknownFallsThroughToTheFreshSolve) {
+  s.setQueryListener(&flags);
+  ASSERT_EQ(s.check({tm.mkUlt(y, c(4, 9)), noSquare}, {x, y}, {3, 3}),
+            CheckResult::Unsat);
   const TermRef a = tm.mkVar(16, "a");
   const TermRef b = tm.mkVar(16, "b");
   const std::vector<TermRef> factor = {
       tm.mkEq(tm.mkMul(a, b), c(16, 211 * 223)), tm.mkUgt(a, c(16, 1)),
       tm.mkUgt(b, c(16, 1)), tm.mkUlt(a, c(16, 256)), tm.mkUlt(b, c(16, 256))};
-  fresh().setConflictBudget(1);
-  ASSERT_EQ(s.check(factor), CheckResult::Unknown);
-  EXPECT_EQ(s.stats().warmSolves, 1u);
-  EXPECT_EQ(s.stats().warmUnsat, 0u);
-  EXPECT_GT(s.satStats().conflicts, 0u);  // the warm core hit the budget
+  s.setConflictBudget(1);
+  ASSERT_EQ(s.check(factor, {a, b}, {}), CheckResult::Unknown);
   const SolverTelemetry t = s.telemetrySnapshot();
-  EXPECT_GT(t.satCore.conflicts, 0u);  // and so did the fresh solve
-  EXPECT_EQ(t.canon.conflicts, t.satCore.conflicts);
-  EXPECT_GT(t.canon.terms, 0u);
-  EXPECT_EQ(t.unknown, 1u);
+  EXPECT_EQ(t.canon.terms + t.canon.gates, 0u);
+  EXPECT_GT(t.satCore.conflicts, 0u);  // work, but no canonical cost
+  EXPECT_EQ(t.directSolves, 2u);
+  EXPECT_TRUE(t.prefilterReconciled());
+  EXPECT_EQ(flags.cached, (std::vector<bool>{false, false}));
 }
 
-TEST_F(WarmVerdicts, ParanoidModeResolvesWarmAnswers) {
-  // Every warm Unsat and every warm core hit is re-solved on a reset
-  // fresh core, which throws if it disagrees. Steps 1 and 2 keep the
-  // cores {lo, hi} and {odd, even}, proper subsets of their queries, and
-  // steps 5 and 6 hit them; a store that kept other assumptions would
-  // answer a Sat step Unsat.
-  fresh().setParanoid(true);
-  const TermRef small = tm.mkUlt(y, c(8, 200));
-  const TermRef lo = tm.mkUlt(x, c(8, 10));
-  const TermRef hi = tm.mkUgt(x, c(8, 20));
-  const TermRef odd = tm.mkEq(tm.mkAnd(y, c(8, 1)), c(8, 1));
-  const TermRef even = tm.mkEq(tm.mkAnd(y, c(8, 1)), c(8, 0));
-  const struct {
-    std::vector<TermRef> q;
-    CheckResult want;
-  } steps[] = {
-      {{small, lo, odd, hi}, CheckResult::Unsat},
-      {{odd, small, even}, CheckResult::Unsat},
-      {{lo, odd, small}, CheckResult::Sat},
-      {{hi, even, small}, CheckResult::Sat},
-      {{hi, lo, even}, CheckResult::Unsat},
-      {{small, even, odd, lo}, CheckResult::Unsat},
-      {{small, lo}, CheckResult::Sat},
-      {{odd, hi}, CheckResult::Sat},
-  };
-  for (const auto& st : steps) {
-    EXPECT_EQ(s.check(st.q), st.want);
+TEST_F(NearestWitness, ModelCheckRejectsAModelThatFalsifiesTheQuery) {
+  ASSERT_EQ(s.check({tm.mkEq(x, c(4, 5))}, {x}, {9}), CheckResult::Sat);
+  ASSERT_EQ(s.modelValue(x), 5u);
+  EXPECT_NO_THROW(s.verifyModel({tm.mkEq(x, c(4, 5)), tm.mkUlt(y, c(4, 1))}));
+  // x = 5 falsifies the assumption x == 6: an internal error.
+  try {
+    s.verifyModel({tm.mkUlt(y, c(4, 1)), tm.mkEq(x, c(4, 6))});
+    FAIL() << "a falsified assumption passed the model check";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("internal error"), std::string::npos)
+        << e.what();
   }
-  EXPECT_EQ(s.stats().coresKept, 2u);
-  EXPECT_EQ(s.stats().coreHits, 2u);
-  EXPECT_EQ(s.stats().warmUnsat, 4u);
-  EXPECT_EQ(s.telemetrySnapshot().directSolves, 8u);
-}
-
-TEST_F(WarmVerdicts, RegistryListsTheSameNames) {
-  // The warm core reports to no registry, yet a fresh-mode registry lists
-  // the SAT and blast names whether or not a fresh solve ran, and never
-  // the incremental mode's core counters.
-  auto names = [](const auto& metrics) {
-    std::string out;
-    for (const auto& entry : metrics) out += entry.first + " ";
-    return out;
-  };
-  for (const bool telFirst : {false, true}) {
-    telemetry::Telemetry tel;
-    SmtSolver f(tm);
-    if (telFirst) f.setTelemetry(&tel);
-    f.setFreshMode(true);
-    if (!telFirst) f.setTelemetry(&tel);
-    ASSERT_EQ(f.check({noSquare}), CheckResult::Unsat);
-    EXPECT_EQ(names(tel.metrics().counters()),
-              "blast.gates blast.terms_blasted sat.solves solver.queries ")
-        << telFirst;
-    EXPECT_EQ(names(tel.metrics().histograms()),
-              "sat.conflicts_per_solve sat.decisions_per_solve "
-              "solver.query_us ")
-        << telFirst;
-    EXPECT_EQ(tel.metrics().counters().at("sat.solves").value, 0u);
-    EXPECT_EQ(tel.metrics().counters().at("blast.gates").value, 0u);
-    // A Sat is solved fresh, on the books.
-    ASSERT_EQ(f.check(product), CheckResult::Sat);
-    EXPECT_EQ(tel.metrics().counters().at("sat.solves").value, 1u);
-  }
-}
-
-// Fresh mode solves every query the warm core does not refute on one SAT
-// core and bit-blaster, reset to the just-constructed state before each
-// query. The reuse must not show: one solver answering a sequence gives
-// the verdicts, models and stats totals of a new solver per query.
-TEST(FreshCoreReuse, MatchesANewSolverPerQuery) {
-  TermManager tm;
-  auto c = [&](unsigned w, uint64_t v) { return tm.mkConst(w, v); };
-  const TermRef x = tm.mkVar(8, "x");
-  const TermRef y = tm.mkVar(8, "y");
-  const TermRef a = tm.mkVar(16, "a");
-  const TermRef b = tm.mkVar(16, "b");
-  struct Query {
-    std::vector<TermRef> assumptions;
-    uint64_t conflictBudget;
-    CheckResult expected;
-  };
-  const std::vector<Query> queries = {
-      // Bit-blasted Sat.
-      {{tm.mkEq(tm.mkMul(x, y), c(8, 91)), tm.mkUgt(x, c(8, 1)),
-        tm.mkUgt(y, c(8, 1))},
-       0,
-       CheckResult::Sat},
-      // A second Sat, on the reset core.
-      {{tm.mkUlt(x, c(8, 10))}, 0, CheckResult::Sat},
-      // Bit-blasted Unsat: 2 is no square modulo 256.
-      {{tm.mkEq(tm.mkMul(x, x), c(8, 2))}, 0, CheckResult::Unsat},
-      // Factoring 211 * 223, cut by a one-conflict budget...
-      {{tm.mkEq(tm.mkMul(a, b), c(16, 211 * 223)), tm.mkUgt(a, c(16, 1)),
-        tm.mkUgt(b, c(16, 1)), tm.mkUlt(a, c(16, 256)),
-        tm.mkUlt(b, c(16, 256))},
-       1,
-       CheckResult::Unknown},
-      // ...and an ordinary query after it.
-      {{tm.mkEq(tm.mkAdd(tm.mkMul(x, c(8, 3)), c(8, 7)), c(8, 52))},
-       0,
-       CheckResult::Sat},
-  };
-
-  SmtSolver reused(tm);
-  reused.setFreshMode(true);
-
-  SolverTelemetry sum;
-  for (const Query& q : queries) {
-    reused.setConflictBudget(q.conflictBudget);
-    ASSERT_EQ(reused.check(q.assumptions), q.expected);
-
-    SmtSolver one(tm);
-    one.setFreshMode(true);
-    one.setConflictBudget(q.conflictBudget);
-    ASSERT_EQ(one.check(q.assumptions), q.expected);
-    if (q.expected == CheckResult::Sat) {
-      for (const TermRef v : {x, y, a, b}) {
-        EXPECT_EQ(reused.modelValue(v), one.modelValue(v));
-      }
-    }
-    sum += one.telemetrySnapshot();
-  }
-
-  const SolverTelemetry t = reused.telemetrySnapshot();
-  EXPECT_GT(t.satCore.conflicts, 0u);
-  EXPECT_EQ(t.satCore.conflicts, sum.satCore.conflicts);
-  EXPECT_EQ(t.satCore.decisions, sum.satCore.decisions);
-  EXPECT_EQ(t.satCore.propagations, sum.satCore.propagations);
-  EXPECT_EQ(t.satCore.restarts, sum.satCore.restarts);
-  EXPECT_EQ(t.satCore.learned, sum.satCore.learned);
-  EXPECT_EQ(t.satCore.deletedClauses, sum.satCore.deletedClauses);
-  EXPECT_EQ(t.satCore.deadlineAborts, sum.satCore.deadlineAborts);
-  EXPECT_EQ(t.blast.gates, sum.blast.gates);
-  EXPECT_EQ(t.blast.cacheHits, sum.blast.cacheHits);
-  EXPECT_EQ(t.blast.termsBlasted, sum.blast.termsBlasted);
-  EXPECT_EQ(t.canon.terms, sum.canon.terms);
-  EXPECT_EQ(t.canon.gates, sum.canon.gates);
-  EXPECT_EQ(t.canon.conflicts, sum.canon.conflicts);
-  EXPECT_EQ(t.satVars, sum.satVars);
-  EXPECT_EQ(t.satClauses, sum.satClauses);
+  // So does a permanent assertion the model falsifies.
+  s.assertAlways(tm.mkNe(x, c(4, 5)));
+  EXPECT_THROW(s.verifyModel({}), Error);
 }
 
 // Every check() runs one pipeline: short-circuits, shared-cache lookup,
 // deadline, solve (kept cores first), publish. The configurations differ
-// only in the solve step (incremental core, or warm core then reset
-// fresh core) and in whether the shared cache sits in front of it. One
-// query sequence, run through all three, pins what each configuration
+// only in whether the shared cache sits in front of the solve step. One
+// query sequence, run through both, pins what each configuration
 // observes.
 struct PipelineConfig {
   const char* name;
-  bool fresh;  // fresh mode (else incremental)
   bool cache;  // shared cache attached
 };
 
@@ -603,7 +479,7 @@ std::ostream& operator<<(std::ostream& os, const PipelineOutcome& o) {
   }
   return os << "}, " << o.cacheHits << ", " << o.shortcircuit << ", "
             << o.direct << ", {" << o.canon.terms << ", " << o.canon.gates
-            << ", " << o.canon.conflicts << "}}";
+            << "}}";
 }
 
 PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
@@ -614,10 +490,9 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
   const TermRef b = tm.mkVar(16, "b");
   QueryCache shared;
   SmtSolver s(tm);
-  s.setFreshMode(cfg.fresh);
   if (cfg.cache) s.setSharedCache(&shared);
-  // Re-solves every incremental solve on the fresh core, off the books:
-  // it must agree, and it leaves every count below alone.
+  // Re-solves every incremental solve with checkFresh, off the books: it
+  // must agree, and it leaves every count below alone.
   s.setParanoid(true);
 
   PipelineOutcome o{};
@@ -657,8 +532,8 @@ PipelineOutcome runPipelineSequence(const PipelineConfig& cfg) {
   // 6. A permanent assertion that contradicts the query of step 1.
   s.assertAlways(tm.mkNe(x, c(8, 15)));
   check(linear);
-  // 7. A superset of step 3's query: both modes answer it by the core
-  // step 3 kept, which step 6's assertion left standing.
+  // 7. A superset of step 3's query: answered by the core step 3 kept,
+  // which step 6's assertion left standing.
   check({tm.mkUlt(x, c(8, 200)), tm.mkEq(tm.mkMul(x, x), c(8, 2))});
 
   const SolverTelemetry t = s.telemetrySnapshot();
@@ -675,23 +550,17 @@ TEST(QueryPipeline, SameSequenceThroughEveryConfiguration) {
   // Verdicts and models agree everywhere. With the shared cache, step 1's
   // repeat and step 2's last two checks hit and replay the model the first
   // one published; uncached, each check re-solves. Both constant-false
-  // checks short-circuit (uncached) in every mode; step 7 is a kept-core
-  // answer inside the solve step, a direct solve at zero cost in both
-  // modes. Canonical costs depend only on the solve step: incremental
-  // blasting reuses earlier queries' terms, and fresh mode pays only for
-  // Sat and Unknown verdicts (steps 1, 2 and 4), as every Unsat is a warm
-  // answer.
+  // checks short-circuit (uncached); step 7 is a kept-core answer inside
+  // the solve step, a direct solve. Only Sat verdicts cost anything
+  // canonical, each its cone, so a hit's replayed cost sums to what the
+  // uncached re-solve costs.
   const std::vector<uint64_t> m = {15, 15, 9, 9, 9};
   const struct {
     PipelineConfig cfg;
     PipelineOutcome want;
   } rows[] = {
-      {{"incremental, no cache", false, false},
-       {"SSSSSU??UUUU", m, 0, 2, 10, {25, 980, 5}}},
-      {{"fresh, shared cache", true, true},
-       {"SSSSSU??UUUU", m, 3, 2, 7, {51, 1722, 4}}},
-      {{"fresh, no cache", true, false},
-       {"SSSSSU??UUUU", m, 0, 2, 10, {51, 1722, 4}}},
+      {{"no cache", false}, {"SSSSSU??UUUU", m, 0, 2, 10, {29, 170}}},
+      {{"shared cache", true}, {"SSSSSU??UUUU", m, 3, 2, 7, {29, 170}}},
   };
   for (const auto& row : rows) {
     EXPECT_EQ(runPipelineSequence(row.cfg), row.want) << row.cfg.name;

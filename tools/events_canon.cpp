@@ -1,4 +1,4 @@
-// events_canon — canonicalize an adlsym-events-v2 stream for the
+// events_canon — canonicalize an adlsym-events-v3 stream for the
 // cross-jobs byte-identity smoke (CI, docs/observability.md). The
 // determinism contract says the *set* of deterministic events (run_begin,
 // step, merge, path_done, run_end) is identical across --jobs

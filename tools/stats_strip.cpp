@@ -3,16 +3,16 @@
 // contract says the stats documents of --engine=bytecode and
 // --engine=interp differ only in the "engine" block that names the
 // engine. This tool parses a stats document, drops that block together
-// with the metrics registry and the solver's sat/bit-blast/
-// canonicalization work counters, and re-emits the rest deterministically
-// so `cmp` can assert the remainder is byte-identical across engines.
+// with the metrics registry and the solver's canonical costs, and
+// re-emits the rest deterministically so `cmp` can assert the remainder
+// is byte-identical across engines.
 //
 //   stats_strip <stats.json>               # stripped document on stdout
 //   stats_strip --check-keys <stats.json>  # schema gate: exit 1 when the
 //                                          # document declares an unknown
 //                                          # schema version or contains a
 //                                          # top-level key outside the
-//                                          # adlsym-stats-v8 allowlist
+//                                          # adlsym-stats-v9 allowlist
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -47,9 +47,7 @@ bool dropTopLevel(const std::string& key) {
   return key == "metrics" || key == "engine";
 }
 
-bool dropInSolver(const std::string& key) {
-  return key == "sat_core" || key == "bitblast" || key == "canon";
-}
+bool dropInSolver(const std::string& key) { return key == "canon"; }
 
 void emitObject(const Value& v, std::string* out, bool topLevel) {
   *out += '{';
@@ -109,7 +107,7 @@ void emitValue(const Value& v, std::string* out, bool inSolver) {
 }
 
 // Every top-level key any adlsym command may write into an
-// adlsym-stats-v8 document. The --check-keys gate fails CI when a new
+// adlsym-stats-v9 document. The --check-keys gate fails CI when a new
 // block lands without being registered here (and documented in
 // docs/observability.md).
 int checkKeys(const Value& doc, const char* path) {
@@ -132,7 +130,7 @@ int checkKeys(const Value& doc, const char* path) {
   if (schema == nullptr || schema->kind != Value::Kind::String) {
     std::fprintf(stderr, "stats_strip: %s: missing schema key\n", path);
     rc = 1;
-  } else if (schema->str != "adlsym-stats-v8") {
+  } else if (schema->str != "adlsym-stats-v9") {
     std::fprintf(stderr, "stats_strip: %s: unexpected schema '%s'\n", path,
                  schema->str.c_str());
     rc = 1;
