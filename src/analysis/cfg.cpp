@@ -1,11 +1,11 @@
 #include "analysis/cfg.h"
 
-#include <algorithm>
 #include <optional>
 #include <set>
 #include <unordered_set>
 
 #include "decode/decoder.h"
+#include "smt/term.h"
 #include "support/bits.h"
 #include "support/strings.h"
 
@@ -96,42 +96,49 @@ class StaticEval {
       }
       default: break;
     }
-    // Remaining ops are binary over same-width operands.
+    // The remaining ops are binary; TermManager::evalOp does their
+    // arithmetic, as it does the engines'.
     auto a = arg(0), b = arg(1);
     if (!a || !b) return std::nullopt;
+    using smt::Kind;
     const unsigned ow = e.args[0]->width;
-    const int64_t sa = asSigned(*a, ow), sb = asSigned(*b, ow);
+    auto eval = [](Kind k, unsigned width, uint64_t x, uint64_t y) {
+      return smt::TermManager::evalOp(k, width, x, y);
+    };
+    // A zero divisor makes the target unknown.
+    auto div = [&](Kind k) -> std::optional<uint64_t> {
+      if (truncTo(*b, ow) == 0) return std::nullopt;
+      return eval(k, w, *a, *b);
+    };
     switch (e.op) {
-      case ExprOp::Add: return truncTo(*a + *b, w);
-      case ExprOp::Sub: return truncTo(*a - *b, w);
-      case ExprOp::Mul: return truncTo(*a * *b, w);
-      case ExprOp::UDiv: return *b == 0 ? std::nullopt : std::optional(truncTo(*a / *b, w));
-      case ExprOp::URem: return *b == 0 ? std::nullopt : std::optional(truncTo(*a % *b, w));
-      case ExprOp::SDiv:
-        return sb == 0 ? std::nullopt
-                       : std::optional(truncTo(static_cast<uint64_t>(sa / sb), w));
-      case ExprOp::SRem:
-        return sb == 0 ? std::nullopt
-                       : std::optional(truncTo(static_cast<uint64_t>(sa % sb), w));
-      case ExprOp::And: return *a & *b;
-      case ExprOp::Or: return *a | *b;
-      case ExprOp::Xor: return *a ^ *b;
-      case ExprOp::Shl: return *b >= w ? 0 : truncTo(*a << *b, w);
-      case ExprOp::LShr: return *b >= w ? 0 : (*a >> *b);
-      case ExprOp::AShr:
-        return truncTo(static_cast<uint64_t>(sa >> std::min<uint64_t>(*b, ow - 1)), w);
-      case ExprOp::Eq: return *a == *b;
-      case ExprOp::Ne: return *a != *b;
-      case ExprOp::Ult: return *a < *b;
-      case ExprOp::Ule: return *a <= *b;
-      case ExprOp::Ugt: return *a > *b;
-      case ExprOp::Uge: return *a >= *b;
-      case ExprOp::Slt: return sa < sb;
-      case ExprOp::Sle: return sa <= sb;
-      case ExprOp::Sgt: return sa > sb;
-      case ExprOp::Sge: return sa >= sb;
-      case ExprOp::LogicalAnd: return (*a != 0 && *b != 0) ? 1 : 0;
-      case ExprOp::LogicalOr: return (*a != 0 || *b != 0) ? 1 : 0;
+      case ExprOp::Add: return eval(Kind::Add, w, *a, *b);
+      case ExprOp::Sub: return eval(Kind::Sub, w, *a, *b);
+      case ExprOp::Mul: return eval(Kind::Mul, w, *a, *b);
+      case ExprOp::UDiv: return div(Kind::UDiv);
+      case ExprOp::URem: return div(Kind::URem);
+      case ExprOp::SDiv: return div(Kind::SDiv);
+      case ExprOp::SRem: return div(Kind::SRem);
+      case ExprOp::And:
+      case ExprOp::LogicalAnd: return eval(Kind::And, w, *a, *b);
+      case ExprOp::Or:
+      case ExprOp::LogicalOr: return eval(Kind::Or, w, *a, *b);
+      case ExprOp::Xor: return eval(Kind::Xor, w, *a, *b);
+      case ExprOp::Shl: return eval(Kind::Shl, w, *a, *b);
+      case ExprOp::LShr: return eval(Kind::LShr, w, *a, *b);
+      case ExprOp::AShr: return eval(Kind::AShr, w, *a, *b);
+      // Comparisons take the operand width. Those evalOp lacks are its
+      // own with the operands swapped or the result negated, as the term
+      // builders define them.
+      case ExprOp::Eq: return eval(Kind::Eq, ow, *a, *b);
+      case ExprOp::Ne: return 1 - eval(Kind::Eq, ow, *a, *b);
+      case ExprOp::Ult: return eval(Kind::Ult, ow, *a, *b);
+      case ExprOp::Ule: return eval(Kind::Ule, ow, *a, *b);
+      case ExprOp::Ugt: return eval(Kind::Ult, ow, *b, *a);
+      case ExprOp::Uge: return eval(Kind::Ule, ow, *b, *a);
+      case ExprOp::Slt: return eval(Kind::Slt, ow, *a, *b);
+      case ExprOp::Sle: return eval(Kind::Sle, ow, *a, *b);
+      case ExprOp::Sgt: return eval(Kind::Slt, ow, *b, *a);
+      case ExprOp::Sge: return eval(Kind::Sle, ow, *b, *a);
       default: return std::nullopt;
     }
   }

@@ -2,7 +2,6 @@
 
 #include "core/checkers.h"
 #include "support/bits.h"
-#include "support/strings.h"
 
 namespace adlsym::baseline {
 
@@ -311,11 +310,7 @@ void Rv32Engine::step(const MachineState& in, StepOut& out) {
         case 0: case 1: {  // in8 / in32
           if (!regsOk({rd})) return illegal("register index >= 16");
           const unsigned w = fFunct3(word) == 0 ? 8 : 32;
-          const std::string name =
-              formatStr("in%u_w%u", st.inputCounter++, w);
-          const TermRef v = tm.mkVar(w, name);
-          st.inputs.push_back(core::InputRecord{name, w, v});
-          W(rd, tm.mkZExt(v, 32));
+          W(rd, tm.mkZExt(svc_.newInput(st, w), 32));
           finish(std::move(st), next, out);
           return;
         }

@@ -1,7 +1,5 @@
 #include "core/evaluator.h"
 
-#include <algorithm>
-
 #include "core/checkers.h"
 #include "support/bits.h"
 #include "support/strings.h"
@@ -12,43 +10,6 @@ using adl::rtl::Expr;
 using adl::rtl::ExprOp;
 using adl::rtl::Stmt;
 using adl::rtl::StmtOp;
-
-AdlExecutor::AdlExecutor(const adl::ArchModel& model, EngineServices& services)
-    : model_(model), svc_(services), decoder_(model) {
-  if (telemetry::Telemetry* t = svc_.telemetry) {
-    stepsCtr_ = &t->metrics().counter("engine.steps");
-    ticksCtr_ = &t->metrics().counter("engine.rtl_ticks");
-    decodeHist_ = &t->metrics().histogram("engine.decode_us");
-    evalHist_ = &t->metrics().histogram("engine.eval_us");
-  }
-}
-
-void AdlExecutor::setRtlProfile(RtlProfile* p) {
-  flushRtlProfile();
-  rtlProf_ = p;
-  rtlLocal_.assign(p != nullptr ? p->size() + 1 : 0, 0);
-}
-
-void AdlExecutor::flushRtlProfile() {
-  if (rtlProf_ == nullptr) return;
-  rtlProf_->addCounts(rtlLocal_);
-  std::fill(rtlLocal_.begin(), rtlLocal_.end(), 0);
-}
-
-MachineState AdlExecutor::initialState() {
-  MachineState st;
-  st.memory = SymMemory(&svc_.image);
-  st.pc = svc_.image.entry();
-  st.regs.reserve(model_.regs.size());
-  for (const adl::RegInfo& r : model_.regs) {
-    st.regs.push_back(svc_.tm.mkConst(r.width, 0));
-  }
-  if (model_.regfile) {
-    st.regfile.assign(model_.regfile->count,
-                      svc_.tm.mkConst(model_.regfile->width, 0));
-  }
-  return st;
-}
 
 smt::TermRef AdlExecutor::readRegFile(MachineState& st, uint64_t index) {
   check(index < st.regfile.size(), "register file index out of range");
@@ -63,52 +24,6 @@ void AdlExecutor::writeRegFile(MachineState& st, uint64_t index, smt::TermRef v)
   if (rf.zeroReg && index == *rf.zeroReg) return;  // hardwired zero
   st.regfile[index] = v;
 }
-
-namespace {
-/// Evaluate a decode-concrete RTL expression (sema-verified) to a value.
-uint64_t evalConcrete(const Expr& e, const decode::DecodedInsn& d) {
-  using smt::Kind;
-  auto bin = [&](Kind k) {
-    return smt::TermManager::evalOp(k, e.width, evalConcrete(*e.args[0], d),
-                                    evalConcrete(*e.args[1], d));
-  };
-  switch (e.op) {
-    case ExprOp::Const: return e.aux;
-    case ExprOp::Field: return d.operandValues[e.aux];
-    case ExprOp::Not: return truncTo(~evalConcrete(*e.args[0], d), e.width);
-    case ExprOp::Neg: return truncTo(0 - evalConcrete(*e.args[0], d), e.width);
-    case ExprOp::LogicalNot: return evalConcrete(*e.args[0], d) ? 0 : 1;
-    case ExprOp::Add: return bin(Kind::Add);
-    case ExprOp::Sub: return bin(Kind::Sub);
-    case ExprOp::Mul: return bin(Kind::Mul);
-    case ExprOp::UDiv: return bin(Kind::UDiv);
-    case ExprOp::URem: return bin(Kind::URem);
-    case ExprOp::SDiv: return bin(Kind::SDiv);
-    case ExprOp::SRem: return bin(Kind::SRem);
-    case ExprOp::And: return bin(Kind::And);
-    case ExprOp::Or: return bin(Kind::Or);
-    case ExprOp::Xor: return bin(Kind::Xor);
-    case ExprOp::Shl: return bin(Kind::Shl);
-    case ExprOp::LShr: return bin(Kind::LShr);
-    case ExprOp::AShr: return bin(Kind::AShr);
-    case ExprOp::ZExt: return evalConcrete(*e.args[0], d);
-    case ExprOp::SExt:
-      return truncTo(signExtend(evalConcrete(*e.args[0], d), e.args[0]->width),
-                     e.width);
-    case ExprOp::Trunc: return truncTo(evalConcrete(*e.args[0], d), e.width);
-    case ExprOp::Concat:
-      return truncTo((evalConcrete(*e.args[0], d) << e.args[1]->width) |
-                         evalConcrete(*e.args[1], d),
-                     e.width);
-    case ExprOp::Extract:
-      return bitSlice(evalConcrete(*e.args[0], d),
-                      static_cast<unsigned>(e.aux >> 8),
-                      static_cast<unsigned>(e.aux & 0xff));
-    default:
-      throw Error("evalConcrete: expression is not decode-concrete");
-  }
-}
-}  // namespace
 
 smt::TermRef AdlExecutor::evalExpr(const Expr& e, MachineState& st, Frame& f,
                                    StepOut& out, bool& dead) {
@@ -160,13 +75,7 @@ smt::TermRef AdlExecutor::evalExpr(const Expr& e, MachineState& st, Frame& f,
       if (!v.valid()) dead = true;
       return v;
     }
-    case ExprOp::Input: {
-      const std::string name =
-          formatStr("in%u_w%u", st.inputCounter++, e.width);
-      const smt::TermRef v = tm.mkVar(e.width, name);
-      st.inputs.push_back(InputRecord{name, e.width, v});
-      return v;
-    }
+    case ExprOp::Input: return svc_.newInput(st, e.width);
     case ExprOp::Not: {
       const smt::TermRef a = sub(0);
       return dead ? smt::TermRef() : tm.mkNot(a);
@@ -248,8 +157,7 @@ void AdlExecutor::execStmts(MachineState st, Frame frame,
     const Stmt* s = work.front();
     work.erase(work.begin());
     bool dead = false;
-    ++out.rtlTicks;
-    if (rtlProf_ != nullptr) ++rtlLocal_[rtlProf_->indexOf(s)];
+    tick(s, out);
 
     switch (s->op) {
       case StmtOp::AssignReg: {
@@ -370,55 +278,15 @@ void AdlExecutor::execStmts(MachineState st, Frame frame,
   finishInsn(std::move(st), frame, out);
 }
 
-void AdlExecutor::finishInsn(MachineState st, Frame& frame, StepOut& out) {
-  ++st.steps;
-  const unsigned addrW = model_.regs[model_.pcIndex].width;
-  if (!frame.newPc.valid()) {
-    st.pc = truncTo(frame.insnAddr + frame.d->lengthBytes, addrW);
-    out.successors.push_back(std::move(st));
-    return;
-  }
-  if (frame.newPc.isConst()) {
-    st.pc = frame.newPc.constValue();
-    out.successors.push_back(std::move(st));
-    return;
-  }
-  svc_.forkJumpTargets(std::move(st), frame.newPc, out);
-}
-
-void AdlExecutor::step(const MachineState& in, StepOut& out) {
-  if (stepsCtr_) stepsCtr_->add();
-  const decode::DecodedInsn* d;
-  {
-    telemetry::ScopedTimer t(svc_.telemetry, decodeHist_);
-    d = decoder_.decodeAt(svc_.image, in.pc);
-  }
-  if (d == nullptr) {
-    MachineState bad = in;
-    bad.status = PathStatus::Illegal;
-    Defect def;
-    def.kind = DefectKind::IllegalInsn;
-    def.pc = in.pc;
-    def.message = "undecodable or unmapped instruction";
-    bad.defect = std::move(def);
-    out.successors.push_back(std::move(bad));
-    return;
-  }
-  Frame frame;
-  frame.d = d;
-  frame.insnAddr = in.pc;
-  frame.lets.assign(d->insn->numLetSlots, smt::TermRef());
-  frame.site = CheckSite{in.pc, d->insn->name};
-
+void AdlExecutor::execInsn(const MachineState& in, InsnFrame f,
+                           StepOut& out) {
+  const adl::InsnInfo& insn = *f.d->insn;
   std::vector<const Stmt*> work;
-  work.reserve(d->insn->semantics.size());
-  for (const auto& s : d->insn->semantics) work.push_back(s.get());
-  const uint64_t ticksBefore = out.rtlTicks;
-  {
-    telemetry::ScopedTimer t(svc_.telemetry, evalHist_);
-    execStmts(in, frame, std::move(work), out);
-  }
-  if (ticksCtr_) ticksCtr_->add(out.rtlTicks - ticksBefore);
+  work.reserve(insn.semantics.size());
+  for (const auto& s : insn.semantics) work.push_back(s.get());
+  execStmts(in,
+            Frame{std::move(f), std::vector<smt::TermRef>(insn.numLetSlots)},
+            std::move(work), out);
 }
 
 }  // namespace adlsym::core

@@ -4,42 +4,27 @@
 // ISA-specific. This is the paper's primary contribution.
 #pragma once
 
-#include "adl/model.h"
-#include "core/checkers.h"
-#include "core/executor.h"
-#include "core/rtlprofile.h"
-#include "decode/decoder.h"
+#include "core/adlexec.h"
 
 namespace adlsym::core {
 
-class AdlExecutor : public Executor {
+/// The tree-walking reference interpreter (`--engine=interp`): the
+/// executable specification the rtlc bytecode VM (core/rtlc.h) is checked
+/// against. Decoding, the next-pc rule and the hookups are the shared
+/// harness's (core/adlexec.h); this class walks the RTL.
+class AdlExecutor : public AdlExecutorBase {
  public:
-  AdlExecutor(const adl::ArchModel& model, EngineServices& services);
-  ~AdlExecutor() override { flushRtlProfile(); }
+  AdlExecutor(const adl::ArchModel& model, EngineServices& services)
+      : AdlExecutorBase(model, services) {}
 
   std::string name() const override { return "adl:" + model_.name; }
-  MachineState initialState() override;
-  void step(const MachineState& in, StepOut& out) override;
-
-  const adl::ArchModel& model() const { return model_; }
-  decode::Decoder& decoder() { return decoder_; }
-
-  /// Enable per-RTL-statement counting into `p` (profiler runs only).
-  /// Counts accumulate executor-locally and reach `p` on flush — which the
-  /// destructor guarantees, so parallel workers flush before
-  /// ParallelExplorer::run() returns.
-  void setRtlProfile(RtlProfile* p) override;
-  void flushRtlProfile() override;
 
  private:
-  /// Per-instruction evaluation context.
-  struct Frame {
-    const decode::DecodedInsn* d = nullptr;
-    uint64_t insnAddr = 0;
+  struct Frame : InsnFrame {
     std::vector<smt::TermRef> lets;
-    smt::TermRef newPc;  // set by `pc = ...`; invalid => fall-through
-    CheckSite site;
   };
+
+  void execInsn(const MachineState& in, InsnFrame f, StepOut& out) override;
 
   /// Execute the remaining statement worklist on `st`; may fork (recursing
   /// for each arm of a symbolic if) and appends finished successors to out.
@@ -52,27 +37,8 @@ class AdlExecutor : public Executor {
   smt::TermRef evalExpr(const adl::rtl::Expr& e, MachineState& st, Frame& f,
                         StepOut& out, bool& dead);
 
-  /// Finish an instruction: resolve the next pc (enumerating symbolic
-  /// targets) and emit the successor(s).
-  void finishInsn(MachineState st, Frame& frame, StepOut& out);
-
   smt::TermRef readRegFile(MachineState& st, uint64_t index);
   void writeRegFile(MachineState& st, uint64_t index, smt::TermRef v);
-
-  const adl::ArchModel& model_;
-  EngineServices& svc_;
-  decode::Decoder decoder_;
-
-  // Telemetry handles, resolved once at construction (null when disabled).
-  telemetry::Counter* stepsCtr_ = nullptr;
-  telemetry::Counter* ticksCtr_ = nullptr;
-  telemetry::Histogram* decodeHist_ = nullptr;
-  telemetry::Histogram* evalHist_ = nullptr;
-
-  // Profiler hookup (null when not profiling): shared site table +
-  // executor-local counts, folded in by flushRtlProfile().
-  RtlProfile* rtlProf_ = nullptr;
-  std::vector<uint64_t> rtlLocal_;
 };
 
 }  // namespace adlsym::core

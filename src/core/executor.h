@@ -1,7 +1,8 @@
 // Executor interface + shared engine services. The explorer drives any
-// Executor; two implementations exist: the ADL-driven evaluator
-// (core/evaluator.h, the paper's contribution) and the hand-written rv32e
-// baseline (baseline/rv32_engine.h, the E2 comparison).
+// Executor: the two ADL-driven executors (core/adlexec.h, the paper's
+// contribution: the tree-walking evaluator and the rtlc bytecode VM) and
+// the hand-written rv32e baseline (baseline/rv32_engine.h, the E2
+// comparison).
 #pragma once
 
 #include <cstdint>
@@ -98,6 +99,11 @@ class EngineServices {
   /// carries that query's model, the one nearest st's witness.
   void forkJumpTargets(MachineState&& st, smt::TermRef target, StepOut& out);
 
+  /// The next symbolic input of `width` bits on st's input stream: a fresh
+  /// variable named in<n>_w<width> by its stream position, recorded in
+  /// st.inputs. Every executor's input operations mint it here.
+  smt::TermRef newInput(MachineState& st, unsigned width);
+
  private:
   /// side() for a `c` the carried witness does not satisfy: one check(),
   /// or none under witnessOnly.
@@ -150,7 +156,7 @@ class Executor {
     step(in, out);
   }
   /// Per-RTL-statement profiling hookup (no-op for engines without RTL
-  /// semantics). See AdlExecutor::setRtlProfile for the flush contract.
+  /// semantics). See AdlExecutorBase::setRtlProfile for the flush contract.
   virtual void setRtlProfile(RtlProfile* p) { (void)p; }
   virtual void flushRtlProfile() {}
 };

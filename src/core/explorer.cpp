@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/testgen.h"
+#include "smt/printer.h"
 #include "support/bits.h"
 #include "support/fault.h"
 #include "support/stop.h"
@@ -11,16 +12,12 @@ namespace adlsym::core {
 
 Explorer::Explorer(Executor& exec, EngineServices& services,
                    ExplorerConfig config)
-    : exec_(exec), svc_(services), config_(config) {
-  if (telemetry::Telemetry* t = svc_.telemetry) {
-    tel_ = t;
-    stepsCtr_ = &t->metrics().counter("explore.steps");
-    forksCtr_ = &t->metrics().counter("explore.forks");
-    dropsCtr_ = &t->metrics().counter("explore.drops");
-    mergesCtr_ = &t->metrics().counter("explore.merges");
-    pathsCtr_ = &t->metrics().counter("explore.paths");
-    frontierPeak_ = &t->metrics().gauge("explore.frontier_peak");
-  }
+    : exec_(exec),
+      svc_(services),
+      config_(config),
+      tel_(services.telemetry),
+      ctr_(tel_) {
+  if (tel_) frontierPeak_ = &tel_->metrics().gauge("explore.frontier_peak");
 }
 
 const char* strategyName(SearchStrategy s) {
@@ -151,13 +148,81 @@ PathResult finishPath(EngineServices& svc, MachineState&& st,
   return r;
 }
 
-void setStepSolverDeltas(ExploreObserver::StepInfo& si,
-                         const smt::SmtSolver::Stats& before,
-                         const smt::SmtSolver::Stats& after) {
+ExploreObserver::StepInfo stepInfo(const MachineState& cur, const StepOut& out,
+                                   const smt::SmtSolver::Stats& before,
+                                   const smt::SmtSolver::Stats& after) {
+  ExploreObserver::StepInfo si;
+  si.pc = cur.pc;
+  si.numSuccessors = out.successors.size();
   si.stepSolverQueries = after.queries - before.queries;
   si.stepSolverMicros = after.totalMicros - before.totalMicros;
   si.stepCanonTerms = after.canon.terms - before.canon.terms;
   si.stepCanonGates = after.canon.gates - before.canon.gates;
+  si.depth = cur.forks;
+  si.stepRtlTicks = out.rtlTicks;
+  si.pathSteps = cur.steps;
+  return si;
+}
+
+std::string forkCond(const MachineState& st, size_t condBefore) {
+  std::string cond;
+  for (size_t i = condBefore; i < st.pathCond.size(); ++i) {
+    if (!cond.empty()) cond += " & ";
+    cond += smt::toString(st.pathCond[i]);
+  }
+  return cond;
+}
+
+void PathTreeNode::setResult(const PathResult& r) {
+  status = pathStatusName(r.status);
+  if (r.status == PathStatus::Truncated) {
+    truncReason = truncReasonName(r.truncReason);
+  }
+  finalPc = r.finalPc;
+  steps = r.steps;
+  forks = r.forks;
+  exitCode = r.exitCode;
+  if (r.defect) {
+    defectKind = defectKindName(r.defect->kind);
+    defectPc = r.defect->pc;
+  }
+  testInputs = r.test.inputs;
+}
+
+ExploreCounters::ExploreCounters(telemetry::Telemetry* t) {
+  if (t == nullptr) return;
+  telemetry::MetricsRegistry& m = t->metrics();
+  steps = &m.counter("explore.steps");
+  forks = &m.counter("explore.forks");
+  drops = &m.counter("explore.drops");
+  merges = &m.counter("explore.merges");
+  paths = &m.counter("explore.paths");
+}
+
+bool fusionOffered(const ExplorerConfig& cfg, const telemetry::Telemetry* tel) {
+  return cfg.observer == nullptr && tel == nullptr && !cfg.mergeStates &&
+         cfg.strategy == SearchStrategy::DFS && cfg.maxFrontier == 0 &&
+         cfg.memBudgetBytes == 0 && !fault::armed();
+}
+
+uint64_t fusionFuel(const ExplorerConfig& cfg, uint64_t pathSteps,
+                    uint64_t totalSteps) {
+  uint64_t fuel = cfg.maxStepsPerPath - pathSteps;
+  fuel = std::min(fuel, cfg.maxTotalSteps > totalSteps
+                            ? cfg.maxTotalSteps - totalSteps
+                            : uint64_t{1});
+  fuel = std::min<uint64_t>(fuel, 4096);
+  if (cfg.maxWallSeconds > 0.0) fuel = std::min<uint64_t>(fuel, 128);
+  return fuel;
+}
+
+void tallyTruncated(ExploreSummary& s) {
+  for (const PathResult& p : s.paths) {
+    if (p.status == PathStatus::Truncated) {
+      ++s.statesTruncated;
+      ++s.truncatedByReason[static_cast<size_t>(p.truncReason)];
+    }
+  }
 }
 
 ExploreSummary Explorer::run() {
@@ -202,7 +267,7 @@ ExploreSummary Explorer::run() {
   // Record one finished path.
   auto finish = [&](MachineState&& st, uint64_t node, std::string key) {
     summary.paths.push_back(
-        finishPath(svc_, std::move(st), std::move(key), node, ob, pathsCtr_));
+        finishPath(svc_, std::move(st), std::move(key), node, ob, ctr_.paths));
   };
   // Close one frontier state as Truncated{why} (governor eviction).
   auto evict = [&](TruncReason why) {
@@ -215,17 +280,7 @@ ExploreSummary Explorer::run() {
     finish(std::move(ev.state), ev.node, std::move(ev.key));
   };
 
-  // Superblock fusing (Executor::stepMany with fuel > 1) is offered only
-  // when no machinery can observe intermediate instructions: no observer,
-  // no telemetry, no state merging (needs per-pc frontier hits),
-  // no governor budgets (their eviction points are step-granular), no
-  // fault injection (fault sites must fire at their exact step), and DFS
-  // order (the fused stretch is exactly the sequence DFS would pop).
-  const bool fuseOk = ob == nullptr && tel_ == nullptr &&
-                      !config_.mergeStates &&
-                      config_.strategy == SearchStrategy::DFS &&
-                      config_.maxFrontier == 0 &&
-                      config_.memBudgetBytes == 0 && !fault::armed();
+  const bool fuseOk = fusionOffered(config_, tel_);
 
   frontier.push_back(Frontier{exec_.initialState(), orderCounter++, 0,
                               nodeCounter++, 0, {}});
@@ -276,30 +331,24 @@ ExploreSummary Explorer::run() {
     }
     StepOut out;
     if (fuseOk) {
-      // Fuel caps reproduce every stop boundary a per-instruction loop
-      // would hit: per-path budget, total-step budget, and (bounded slab
-      // size) the wall-clock check cadence.
-      uint64_t fuel = config_.maxStepsPerPath - cur.state.steps;
-      fuel = std::min(fuel, config_.maxTotalSteps - summary.totalSteps);
-      fuel = std::min<uint64_t>(fuel, 4096);
-      if (config_.maxWallSeconds > 0.0) fuel = std::min<uint64_t>(fuel, 128);
-      exec_.stepMany(cur.state, out, fuel);
+      exec_.stepMany(cur.state, out,
+                     fusionFuel(config_, cur.state.steps, summary.totalSteps));
     } else {
       exec_.step(cur.state, out);
     }
     summary.totalSteps += out.retired;
-    if (stepsCtr_) stepsCtr_->add(out.retired);
+    if (ctr_.steps) ctr_.steps->add(out.retired);
     const bool newPcHere = covered_.insert(cur.state.pc).second;
     for (const uint64_t fpc : out.fusedPcs) covered_.insert(fpc);
 
     if (out.successors.size() > 1) {
       const uint64_t forks = out.successors.size() - 1;
       summary.totalForks += forks;
-      if (forksCtr_) forksCtr_->add(forks);
+      if (ctr_.forks) ctr_.forks->add(forks);
     }
     if (out.successors.empty()) {
       ++summary.statesDropped;
-      if (dropsCtr_) dropsCtr_->add();
+      if (ctr_.drops) ctr_.drops->add();
       if (ob) ob->onDrop(cur.node, cur.state.pc);
     }
 
@@ -326,7 +375,7 @@ ExploreSummary Explorer::run() {
             if (f.state.pc == succ.pc && tryMerge(f.state, succ)) {
               merged = true;
               ++summary.statesMerged;
-              if (mergesCtr_) mergesCtr_->add();
+              if (ctr_.merges) ctr_.merges->add();
               if (ob) ob->onMerge(f.node, childNode, succ.pc);
               break;
             }
@@ -372,21 +421,16 @@ ExploreSummary Explorer::run() {
     }
     if (ob) {
       const smt::SmtSolver::Stats after = svc_.solver.stats();
-      ExploreObserver::StepInfo si;
+      ExploreObserver::StepInfo si =
+          stepInfo(cur.state, out, solverBefore, after);
       si.node = cur.node;
-      si.pc = cur.state.pc;
-      si.numSuccessors = out.successors.size();
       si.frontierSize = frontier.size();
       si.totalSteps = summary.totalSteps;
       si.pathsDone = summary.paths.size();
       si.coveredPcs = covered_.size();
-      setStepSolverDeltas(si, solverBefore, after);
       si.runSolverQueries = after.queries - solverBase.queries;
       si.runSolverMicros = after.totalMicros - solverBase.totalMicros;
-      si.depth = cur.state.forks;
-      si.stepRtlTicks = out.rtlTicks;
       if (wantKeys) si.pathKey = cur.key;
-      si.pathSteps = cur.state.steps;  // pre-step count (cur is unstepped)
       si.frontierBytes = frontierBytes;
       ob->onStepEnd(si);
     }
@@ -410,12 +454,7 @@ ExploreSummary Explorer::run() {
     }
     frontier.clear();
   }
-  for (const PathResult& p : summary.paths) {
-    if (p.status == PathStatus::Truncated) {
-      ++summary.statesTruncated;
-      ++summary.truncatedByReason[static_cast<size_t>(p.truncReason)];
-    }
-  }
+  tallyTruncated(summary);
   summary.solverUnknowns = svc_.solver.stats().unknown - solverBase.unknown;
 
   summary.coveredPcs = covered_.size();

@@ -86,12 +86,14 @@ PathResult finishPath(EngineServices& svc, MachineState&& st,
                       std::string pathKey, uint64_t node, ExploreObserver* ob,
                       telemetry::Counter* pathsCtr);
 
-/// Fill the step-scoped solver fields of `si` (queries, latency,
-/// canonical cost): the deltas between the solver's stats before and
-/// after one step.
-void setStepSolverDeltas(ExploreObserver::StepInfo& si,
-                         const smt::SmtSolver::Stats& before,
-                         const smt::SmtSolver::Stats& after);
+/// The StepInfo fields both engines fill alike for one step of the
+/// (unstepped) state `cur` that produced `out`: its pc, depth and
+/// pre-step count, the successor and tick counts, and the step-scoped
+/// solver fields (queries, latency, canonical cost), the deltas between
+/// the solver's stats `before` and `after` the step.
+ExploreObserver::StepInfo stepInfo(const MachineState& cur, const StepOut& out,
+                                   const smt::SmtSolver::Stats& before,
+                                   const smt::SmtSolver::Stats& after);
 
 struct ExplorerConfig {
   SearchStrategy strategy = SearchStrategy::DFS;
@@ -169,6 +171,39 @@ struct ExploreSummary {
   }
 };
 
+/// The five explore.* counters both engines tick, resolved once per
+/// telemetry registry (all null when `t` is).
+struct ExploreCounters {
+  ExploreCounters() = default;
+  explicit ExploreCounters(telemetry::Telemetry* t);
+  telemetry::Counter* steps = nullptr;
+  telemetry::Counter* forks = nullptr;
+  telemetry::Counter* drops = nullptr;
+  telemetry::Counter* merges = nullptr;
+  telemetry::Counter* paths = nullptr;
+};
+
+/// Whether an engine offers superblock fusion (Executor::stepMany with
+/// fuel > 1): only when nothing can observe intermediate instructions —
+/// no observer, no telemetry `tel`, no state merging (it needs per-pc
+/// frontier hits), no governor budgets (their eviction points are
+/// step-granular), no fault injection (fault sites must fire at their
+/// exact step) — and in DFS order (the fused stretch is exactly the
+/// sequence DFS would pop).
+bool fusionOffered(const ExplorerConfig& cfg, const telemetry::Telemetry* tel);
+
+/// The fuel of one fused step on a path that has run `pathSteps`
+/// instructions, when the run has retired `totalSteps`. The caps
+/// reproduce every stop boundary a per-instruction loop would hit: the
+/// per-path and total step budgets (at least 1 when concurrent workers
+/// overshot the total) and, through a bounded slab size, the wall-clock
+/// check cadence. The parallel engine caps it at its level barrier too.
+uint64_t fusionFuel(const ExplorerConfig& cfg, uint64_t pathSteps,
+                    uint64_t totalSteps);
+
+/// Count the truncated paths of `s.paths`, in total and by reason.
+void tallyTruncated(ExploreSummary& s);
+
 class Explorer {
  public:
   Explorer(Executor& exec, EngineServices& services, ExplorerConfig config);
@@ -202,11 +237,7 @@ class Explorer {
 
   // Telemetry handles, resolved once at construction (null when disabled).
   telemetry::Telemetry* tel_ = nullptr;
-  telemetry::Counter* stepsCtr_ = nullptr;
-  telemetry::Counter* forksCtr_ = nullptr;
-  telemetry::Counter* dropsCtr_ = nullptr;
-  telemetry::Counter* mergesCtr_ = nullptr;
-  telemetry::Counter* pathsCtr_ = nullptr;
+  ExploreCounters ctr_;
   telemetry::Gauge* frontierPeak_ = nullptr;
 };
 

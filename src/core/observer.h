@@ -53,7 +53,16 @@ struct PathTreeNode {
   std::vector<TestCase::Value> testInputs;
   std::optional<uint64_t> mergedInto;  // host node, when status == "merged"
   std::vector<uint64_t> children;
+
+  /// Record how the node's path ended: the fields from `status` to
+  /// `testInputs`.
+  void setResult(const PathResult& r);
 };
+
+/// PathTreeNode::cond of a fork successor `st`: the conjuncts past the
+/// first `condBefore` of its path condition, rendered with smt::toString
+/// and joined with " & ".
+std::string forkCond(const MachineState& st, size_t condBefore);
 
 class ExploreObserver {
  public:

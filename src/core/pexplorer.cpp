@@ -13,8 +13,6 @@
 #include <unordered_map>
 
 #include "core/checkpoint.h"
-#include "core/testgen.h"
-#include "smt/printer.h"
 #include "support/bits.h"
 #include "support/error.h"
 #include "support/fault.h"
@@ -170,11 +168,7 @@ struct Worker {
   // pool size for --mem-budget-mb without touching a foreign TermManager.
   std::atomic<uint64_t> poolTerms{0};
 
-  telemetry::Counter* stepsCtr = nullptr;
-  telemetry::Counter* forksCtr = nullptr;
-  telemetry::Counter* dropsCtr = nullptr;
-  telemetry::Counter* mergesCtr = nullptr;
-  telemetry::Counter* pathsCtr = nullptr;
+  ExploreCounters ctr;
 
   std::thread thread;
 };
@@ -195,10 +189,8 @@ struct Engine {
   // Serialize structural keys into StepInfo/PathResult for the event
   // stream (resolved once, before workers start).
   const bool wantKeys;
-  // Offer superblock fusing (stepMany, fuel > 1) to the executors. Set
-  // once before workers start; requires that nothing can observe
-  // intermediate instructions (no observer, no per-worker telemetry, no
-  // governor budgets, no fault injection, DFS order). Checkpoint level
+  // Offer superblock fusing (stepMany, fuel > 1) to the executors
+  // (core::fusionOffered). Set once before workers start. Checkpoint level
   // barriers stay exact via the per-call fuel cap.
   bool fuseOk = false;
 
@@ -269,7 +261,7 @@ struct Engine {
   void finishPath(Worker& w, MachineState&& st, const PathKey& key) {
     PathResult r = core::finishPath(*w.svc, std::move(st),
                                     wantKeys ? keyToString(key) : "", 0, ob,
-                                    w.pathsCtr);
+                                    w.ctr.paths);
     gPathsDone.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lk(recMu);
     recs[key].result = std::move(r);
@@ -664,26 +656,19 @@ struct Engine {
     if (ob) ob->onStepBegin(0, cur.state);
     StepOut out;
     if (fuseOk) {
-      // Fuel caps reproduce every per-instruction stop boundary: the
-      // per-path budget, the checkpoint level barrier, the global step
-      // budget (approximate under concurrency, same as unfused), and a
-      // bounded slab size for wall-clock check cadence.
-      uint64_t fuel = base.maxStepsPerPath - cur.state.steps;
+      // The shared caps (the global step budget is approximate under
+      // concurrency, same as unfused), plus the checkpoint level barrier.
+      uint64_t fuel = fusionFuel(base, cur.state.steps,
+                                 gSteps.load(std::memory_order_relaxed));
       const uint64_t lvl = levelLimit.load(std::memory_order_relaxed);
       if (lvl != UINT64_MAX) fuel = std::min(fuel, lvl - cur.state.steps);
-      const uint64_t g = gSteps.load(std::memory_order_relaxed);
-      fuel = std::min(fuel, base.maxTotalSteps > g
-                                ? base.maxTotalSteps - g
-                                : uint64_t{1});
-      fuel = std::min<uint64_t>(fuel, 4096);
-      if (wallDeadlineSteadyUs != 0) fuel = std::min<uint64_t>(fuel, 128);
       w.exec->stepMany(cur.state, out, fuel);
     } else {
       w.exec->step(cur.state, out);
     }
     w.steps += out.retired;
     gSteps.fetch_add(out.retired, std::memory_order_relaxed);
-    if (w.stepsCtr) w.stepsCtr->add(out.retired);
+    if (w.ctr.steps) w.ctr.steps->add(out.retired);
     // Where this scheduling slot's last instruction ran: forks, drops and
     // defects of a fused run happen at its final (bailed) instruction.
     const uint64_t stepPc =
@@ -701,7 +686,7 @@ struct Engine {
     if (forked) {
       const uint64_t nf = out.successors.size() - 1;
       w.forksN += nf;
-      if (w.forksCtr) w.forksCtr->add(nf);
+      if (w.ctr.forks) w.ctr.forks->add(nf);
       // Mint the children records up front (entry pc + fork condition);
       // the solver verdict lands after the successors are processed, once
       // this step's query delta is known.
@@ -714,17 +699,12 @@ struct Engine {
         NodeRec& child = recs[ck];
         child.forkPc = stepPc;
         child.entryPc = succ.pc;
-        std::string cond;
-        for (size_t j = condBefore; j < succ.pathCond.size(); ++j) {
-          if (!cond.empty()) cond += " & ";
-          cond += smt::toString(succ.pathCond[j]);
-        }
-        child.cond = std::move(cond);
+        child.cond = forkCond(succ, condBefore);
       }
     }
     if (out.successors.empty()) {
       ++w.drops;
-      if (w.dropsCtr) w.dropsCtr->add();
+      if (w.ctr.drops) w.ctr.drops->add();
       {
         std::lock_guard<std::mutex> rk(recMu);
         NodeRec& n = recs[cur.key];
@@ -813,21 +793,14 @@ struct Engine {
       }
     }
     if (ob) {
-      ExploreObserver::StepInfo si;
-      si.node = 0;
-      si.pc = cur.state.pc;
-      si.numSuccessors = out.successors.size();
+      ExploreObserver::StepInfo si = stepInfo(cur.state, out, before, after);
       si.frontierSize = gFrontier.load(std::memory_order_relaxed);
       si.totalSteps = gSteps.load(std::memory_order_relaxed);
       si.pathsDone = gPathsDone.load(std::memory_order_relaxed);
       si.coveredPcs = covSize;
-      setStepSolverDeltas(si, before, after);
       si.runSolverQueries = after.queries;
       si.runSolverMicros = after.totalMicros;
-      si.depth = cur.state.forks;
-      si.stepRtlTicks = out.rtlTicks;
       if (wantKeys) si.pathKey = keyToString(cur.key);
-      si.pathSteps = cur.state.steps;  // pre-step count (cur is unstepped)
       si.frontierBytes = gFrontierBytes.load(std::memory_order_relaxed);
       ob->onStepEnd(si);
     }
@@ -951,16 +924,9 @@ ParallelResult ParallelExplorer::run() {
     // and serializes internally.
     w->solver.addQueryListener(cfg_.queryListener);
     w->exec = factory_(*w->svc);
-    if (w->tel != nullptr) {
-      // Resolve every explorer metric eagerly so the registry name union
-      // (and thus the merged "metrics" JSON) is identical across --jobs.
-      telemetry::MetricsRegistry& m = w->tel->metrics();
-      w->stepsCtr = &m.counter("explore.steps");
-      w->forksCtr = &m.counter("explore.forks");
-      w->dropsCtr = &m.counter("explore.drops");
-      w->mergesCtr = &m.counter("explore.merges");
-      w->pathsCtr = &m.counter("explore.paths");
-    }
+    // Resolve every explorer metric eagerly so the registry name union
+    // (and thus the merged "metrics" JSON) is identical across --jobs.
+    w->ctr = ExploreCounters(w->tel.get());
     workers.push_back(std::move(w));
   }
 
@@ -968,13 +934,7 @@ ParallelResult ParallelExplorer::run() {
   eng.mainClk = &mainClk;
   eng.mainTel = mainTel_;
   eng.wallStartUs = startUs;
-  // Per-worker telemetry exists when a manual clock is configured or the
-  // coordinator carries a Telemetry (mirrors worker construction above).
-  eng.fuseOk = eng.ob == nullptr && cfg_.manualClockStepUs == 0 &&
-               mainTel_ == nullptr &&
-               cfg_.base.strategy == SearchStrategy::DFS &&
-               cfg_.base.maxFrontier == 0 && cfg_.base.memBudgetBytes == 0 &&
-               !fault::armed();
+  eng.fuseOk = fusionOffered(cfg_.base, workers[0]->tel.get());
   if (cfg_.checkpointEverySteps != 0) {
     eng.levelLimit.store(cfg_.checkpointEverySteps, std::memory_order_relaxed);
   }
@@ -1134,21 +1094,8 @@ ParallelResult ParallelExplorer::run() {
       n.children.push_back(ids.at(ck));
     }
     if (rec.result) {
-      PathResult& r = *rec.result;
-      n.status = pathStatusName(r.status);
-      if (r.status == PathStatus::Truncated) {
-        n.truncReason = truncReasonName(r.truncReason);
-      }
-      n.finalPc = r.finalPc;
-      n.steps = r.steps;
-      n.forks = r.forks;
-      n.exitCode = r.exitCode;
-      if (r.defect) {
-        n.defectKind = defectKindName(r.defect->kind);
-        n.defectPc = r.defect->pc;
-      }
-      n.testInputs = r.test.inputs;
-      s.paths.push_back(std::move(r));
+      n.setResult(*rec.result);
+      s.paths.push_back(std::move(*rec.result));
     } else if (rec.dropped) {
       n.status = "dropped";
       n.finalPc = rec.dropPc;
@@ -1167,12 +1114,7 @@ ParallelResult ParallelExplorer::run() {
     s.statesDropped += w->drops;
   }
   s.statesMerged = 0;  // --merge is rejected with --jobs
-  for (const PathResult& p : s.paths) {
-    if (p.status == PathStatus::Truncated) {
-      ++s.statesTruncated;
-      ++s.truncatedByReason[static_cast<size_t>(p.truncReason)];
-    }
-  }
+  tallyTruncated(s);
   s.stopReason = eng.stopReason;
   s.coveredPcs = eng.covered.size();
   s.coveredSet = std::move(eng.covered);

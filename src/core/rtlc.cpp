@@ -28,58 +28,6 @@ using rtlc::Program;
 
 namespace {
 
-/// Evaluate a decode-concrete RTL expression (sema-verified) to a value.
-/// Mirror of the walker's evalConcrete — LogicalNot here is the boolean
-/// 0/1 flavor, distinct from the bitwise Not used by term folding.
-uint64_t evalDecodeConcrete(const Expr& e, const decode::DecodedInsn& d) {
-  using smt::Kind;
-  auto bin = [&](Kind k) {
-    return smt::TermManager::evalOp(k, e.width,
-                                    evalDecodeConcrete(*e.args[0], d),
-                                    evalDecodeConcrete(*e.args[1], d));
-  };
-  switch (e.op) {
-    case ExprOp::Const: return e.aux;
-    case ExprOp::Field: return d.operandValues[e.aux];
-    case ExprOp::Not:
-      return truncTo(~evalDecodeConcrete(*e.args[0], d), e.width);
-    case ExprOp::Neg:
-      return truncTo(0 - evalDecodeConcrete(*e.args[0], d), e.width);
-    case ExprOp::LogicalNot:
-      return evalDecodeConcrete(*e.args[0], d) ? 0 : 1;
-    case ExprOp::Add: return bin(Kind::Add);
-    case ExprOp::Sub: return bin(Kind::Sub);
-    case ExprOp::Mul: return bin(Kind::Mul);
-    case ExprOp::UDiv: return bin(Kind::UDiv);
-    case ExprOp::URem: return bin(Kind::URem);
-    case ExprOp::SDiv: return bin(Kind::SDiv);
-    case ExprOp::SRem: return bin(Kind::SRem);
-    case ExprOp::And: return bin(Kind::And);
-    case ExprOp::Or: return bin(Kind::Or);
-    case ExprOp::Xor: return bin(Kind::Xor);
-    case ExprOp::Shl: return bin(Kind::Shl);
-    case ExprOp::LShr: return bin(Kind::LShr);
-    case ExprOp::AShr: return bin(Kind::AShr);
-    case ExprOp::ZExt: return evalDecodeConcrete(*e.args[0], d);
-    case ExprOp::SExt:
-      return truncTo(
-          signExtend(evalDecodeConcrete(*e.args[0], d), e.args[0]->width),
-          e.width);
-    case ExprOp::Trunc:
-      return truncTo(evalDecodeConcrete(*e.args[0], d), e.width);
-    case ExprOp::Concat:
-      return truncTo((evalDecodeConcrete(*e.args[0], d) << e.args[1]->width) |
-                         evalDecodeConcrete(*e.args[1], d),
-                     e.width);
-    case ExprOp::Extract:
-      return bitSlice(evalDecodeConcrete(*e.args[0], d),
-                      static_cast<unsigned>(e.aux >> 8),
-                      static_cast<unsigned>(e.aux & 0xff));
-    default:
-      throw Error("rtlc: expression is not decode-concrete");
-  }
-}
-
 // ------------------------------------------------------------ lowering --
 
 class Compiler {
@@ -484,7 +432,7 @@ Program specialize(const Program& generic, const decode::DecodedInsn& d,
         op.imm = truncTo(insnAddr, op.width);
         break;
       case OpCode::RegFileRead: {
-        const uint64_t idx = evalDecodeConcrete(*op.idx, d);
+        const uint64_t idx = evalConcrete(*op.idx, d);
         op.idx = nullptr;
         if (idx >= rfCount) {
           op.code = OpCode::RegIndexDefect;
@@ -498,7 +446,7 @@ Program specialize(const Program& generic, const decode::DecodedInsn& d,
         break;
       }
       case OpCode::AssignRegFile: {
-        const uint64_t idx = evalDecodeConcrete(*op.idx, d);
+        const uint64_t idx = evalConcrete(*op.idx, d);
         op.idx = nullptr;
         if (idx >= rfCount) {
           op.code = OpCode::RegIndexDefect;
@@ -607,44 +555,11 @@ Program specialize(const Program& generic, const decode::DecodedInsn& d,
 
 BytecodeExecutor::BytecodeExecutor(const adl::ArchModel& model,
                                    EngineServices& services)
-    : model_(model), svc_(services), decoder_(model) {
-  if (telemetry::Telemetry* t = svc_.telemetry) {
-    stepsCtr_ = &t->metrics().counter("engine.steps");
-    ticksCtr_ = &t->metrics().counter("engine.rtl_ticks");
-    decodeHist_ = &t->metrics().histogram("engine.decode_us");
-    evalHist_ = &t->metrics().histogram("engine.eval_us");
-  }
+    : AdlExecutorBase(model, services) {
   generic_.reserve(model_.insns.size());
   for (const adl::InsnInfo& insn : model_.insns) {
     generic_.push_back(rtlc::compile(insn, model_));
   }
-}
-
-void BytecodeExecutor::setRtlProfile(RtlProfile* p) {
-  flushRtlProfile();
-  rtlProf_ = p;
-  rtlLocal_.assign(p != nullptr ? p->size() + 1 : 0, 0);
-}
-
-void BytecodeExecutor::flushRtlProfile() {
-  if (rtlProf_ == nullptr) return;
-  rtlProf_->addCounts(rtlLocal_);
-  std::fill(rtlLocal_.begin(), rtlLocal_.end(), 0);
-}
-
-MachineState BytecodeExecutor::initialState() {
-  MachineState st;
-  st.memory = SymMemory(&svc_.image);
-  st.pc = svc_.image.entry();
-  st.regs.reserve(model_.regs.size());
-  for (const adl::RegInfo& r : model_.regs) {
-    st.regs.push_back(svc_.tm.mkConst(r.width, 0));
-  }
-  if (model_.regfile) {
-    st.regfile.assign(model_.regfile->count,
-                      svc_.tm.mkConst(model_.regfile->width, 0));
-  }
-  return st;
 }
 
 const rtlc::Program& BytecodeExecutor::programFor(
@@ -662,10 +577,7 @@ void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
   const std::vector<Op>& ops = fr.prog->ops;
   while (ip < ops.size()) {
     const Op& op = ops[ip];
-    if (op.stmt != nullptr) {
-      ++out.rtlTicks;
-      if (rtlProf_ != nullptr) ++rtlLocal_[rtlProf_->indexOf(op.stmt)];
-    }
+    if (op.stmt != nullptr) tick(op.stmt, out);
     switch (op.code) {
       case OpCode::Const:
         fr.slots[op.dst] = tm.mkConst(op.width, op.imm);
@@ -696,14 +608,9 @@ void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
         fr.slots[op.dst] = v;
         break;
       }
-      case OpCode::Input: {
-        const std::string name =
-            formatStr("in%u_w%u", st.inputCounter++, unsigned{op.width});
-        const smt::TermRef v = tm.mkVar(op.width, name);
-        st.inputs.push_back(InputRecord{name, op.width, v});
-        fr.slots[op.dst] = v;
+      case OpCode::Input:
+        fr.slots[op.dst] = svc_.newInput(st, op.width);
         break;
-      }
       case OpCode::Not:
         fr.slots[op.dst] = tm.mkNot(fr.slots[op.a]);
         break;
@@ -880,53 +787,12 @@ void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
   finishInsn(std::move(st), fr, out);
 }
 
-void BytecodeExecutor::finishInsn(MachineState st, SymFrame& fr,
-                                  StepOut& out) {
-  ++st.steps;
-  const unsigned addrW = model_.regs[model_.pcIndex].width;
-  if (!fr.newPc.valid()) {
-    st.pc = truncTo(fr.insnAddr + fr.d->lengthBytes, addrW);
-    out.successors.push_back(std::move(st));
-    return;
-  }
-  if (fr.newPc.isConst()) {
-    st.pc = fr.newPc.constValue();
-    out.successors.push_back(std::move(st));
-    return;
-  }
-  svc_.forkJumpTargets(std::move(st), fr.newPc, out);
-}
-
-void BytecodeExecutor::step(const MachineState& in, StepOut& out) {
-  if (stepsCtr_) stepsCtr_->add();
-  const decode::DecodedInsn* d;
-  {
-    telemetry::ScopedTimer t(svc_.telemetry, decodeHist_);
-    d = decoder_.decodeAt(svc_.image, in.pc);
-  }
-  if (d == nullptr) {
-    MachineState bad = in;
-    bad.status = PathStatus::Illegal;
-    Defect def;
-    def.kind = DefectKind::IllegalInsn;
-    def.pc = in.pc;
-    def.message = "undecodable or unmapped instruction";
-    bad.defect = std::move(def);
-    out.successors.push_back(std::move(bad));
-    return;
-  }
-  SymFrame fr;
-  fr.d = d;
-  fr.insnAddr = in.pc;
-  fr.site = CheckSite{in.pc, d->insn->name};
-  const uint64_t ticksBefore = out.rtlTicks;
-  {
-    telemetry::ScopedTimer t(svc_.telemetry, evalHist_);
-    fr.prog = &programFor(in.pc, d);
-    fr.slots.assign(fr.prog->numSlots, smt::TermRef());
-    exec(in, fr, 0, out);
-  }
-  if (ticksCtr_) ticksCtr_->add(out.rtlTicks - ticksBefore);
+void BytecodeExecutor::execInsn(const MachineState& in, InsnFrame f,
+                                StepOut& out) {
+  const rtlc::Program& prog = programFor(in.pc, f.d);
+  exec(in,
+       SymFrame{std::move(f), &prog, std::vector<smt::TermRef>(prog.numSlots)},
+       0, out);
 }
 
 void BytecodeExecutor::stepMany(const MachineState& in, StepOut& out,
@@ -934,22 +800,16 @@ void BytecodeExecutor::stepMany(const MachineState& in, StepOut& out,
   // Self-gate: fuse only when nothing can observe intermediate steps.
   // Telemetry counts per-step metrics and profiling attributes per-
   // statement hits; the explorers additionally gate on observers, fault
-  // arming and governor budgets before offering fuel > 1.
-  if (fuel <= 1 || svc_.telemetry != nullptr || rtlProf_ != nullptr) {
+  // arming and governor budgets before offering fuel > 1. A superblock
+  // needs every register concrete.
+  auto concrete = [](const std::vector<smt::TermRef>& rs) {
+    return std::all_of(rs.begin(), rs.end(),
+                       [](smt::TermRef r) { return r.isConst(); });
+  };
+  if (fuel <= 1 || svc_.telemetry != nullptr || rtlProf_ != nullptr ||
+      !concrete(in.regs) || !concrete(in.regfile)) {
     step(in, out);
     return;
-  }
-  for (const smt::TermRef& r : in.regs) {
-    if (!r.isConst()) {
-      step(in, out);
-      return;
-    }
-  }
-  for (const smt::TermRef& r : in.regfile) {
-    if (!r.isConst()) {
-      step(in, out);
-      return;
-    }
   }
   runSuperblock(in, out, fuel);
 }
@@ -957,7 +817,6 @@ void BytecodeExecutor::stepMany(const MachineState& in, StepOut& out,
 void BytecodeExecutor::runSuperblock(const MachineState& in, StepOut& out,
                                      uint64_t fuel) {
   smt::TermManager& tm = svc_.tm;
-  const unsigned addrW = model_.regs[model_.pcIndex].width;
   const bool little = model_.endianLittle;
 
   // Concrete machine image.
@@ -1188,7 +1047,7 @@ void BytecodeExecutor::runSuperblock(const MachineState& in, StepOut& out,
       halted = true;
       break;
     }
-    pc = haveNewPc ? newPc : truncTo(pc + d->lengthBytes, addrW);
+    pc = haveNewPc ? newPc : fallThrough(pc, *d);
   }
 
   if (retired == 0) {

@@ -35,9 +35,7 @@
 #include <vector>
 
 #include "adl/model.h"
-#include "core/checkers.h"
-#include "core/executor.h"
-#include "core/rtlprofile.h"
+#include "core/adlexec.h"
 #include "decode/decoder.h"
 
 namespace adlsym::core {
@@ -118,24 +116,17 @@ Program specialize(const Program& generic, const decode::DecodedInsn& d,
 
 }  // namespace rtlc
 
-/// Drop-in replacement for AdlExecutor executing compiled bytecode. Selected
-/// by `--engine=bytecode` (the default); the tree-walker stays available as
-/// the reference engine behind `--engine=interp`.
-class BytecodeExecutor final : public Executor {
+/// The ADL engine executing compiled bytecode. Selected by
+/// `--engine=bytecode` (the default); the tree-walker (core/evaluator.h)
+/// stays available as the reference engine behind `--engine=interp`.
+/// Decoding, the next-pc rule and the hookups are the shared harness's
+/// (core/adlexec.h).
+class BytecodeExecutor final : public AdlExecutorBase {
  public:
   BytecodeExecutor(const adl::ArchModel& model, EngineServices& services);
-  ~BytecodeExecutor() override { flushRtlProfile(); }
 
   std::string name() const override { return "rtlc:" + model_.name; }
-  MachineState initialState() override;
-  void step(const MachineState& in, StepOut& out) override;
   void stepMany(const MachineState& in, StepOut& out, uint64_t fuel) override;
-
-  void setRtlProfile(RtlProfile* p) override;
-  void flushRtlProfile() override;
-
-  const adl::ArchModel& model() const { return model_; }
-  decode::Decoder& decoder() { return decoder_; }
 
   /// Superblock-cache introspection (tests/bench; not part of the stats
   /// byte-identity surface — fusing never runs under observers/telemetry).
@@ -147,41 +138,22 @@ class BytecodeExecutor final : public Executor {
   const FusionStats& fusionStats() const { return fstats_; }
 
  private:
-  /// Per-instruction evaluation context (mirror of AdlExecutor::Frame).
-  struct SymFrame {
-    const decode::DecodedInsn* d = nullptr;
+  struct SymFrame : InsnFrame {
     const rtlc::Program* prog = nullptr;
-    uint64_t insnAddr = 0;
     std::vector<smt::TermRef> slots;  // lets first, then temps
-    smt::TermRef newPc;  // set by AssignPc; invalid => fall-through
-    CheckSite site;
   };
 
+  void execInsn(const MachineState& in, InsnFrame f, StepOut& out) override;
   const rtlc::Program& programFor(uint64_t pc, const decode::DecodedInsn* d);
   /// Symbolic dispatch loop from op index `ip`; forks recurse on the else
   /// target first, exactly like the walker's If handling.
   void exec(MachineState st, SymFrame fr, size_t ip, StepOut& out);
-  void finishInsn(MachineState st, SymFrame& fr, StepOut& out);
   /// Concrete superblock run; only called when every register is concrete.
   void runSuperblock(const MachineState& in, StepOut& out, uint64_t fuel);
 
-  const adl::ArchModel& model_;
-  EngineServices& svc_;
-  decode::Decoder decoder_;
   std::vector<rtlc::Program> generic_;        // per InsnInfo, model order
   std::unordered_map<uint64_t, rtlc::Program> spec_;  // per pc
   FusionStats fstats_;
-
-  // Telemetry handles, resolved once at construction (null when disabled).
-  telemetry::Counter* stepsCtr_ = nullptr;
-  telemetry::Counter* ticksCtr_ = nullptr;
-  telemetry::Histogram* decodeHist_ = nullptr;
-  telemetry::Histogram* evalHist_ = nullptr;
-
-  // Profiler hookup (null when not profiling); same two-level discipline
-  // as AdlExecutor.
-  RtlProfile* rtlProf_ = nullptr;
-  std::vector<uint64_t> rtlLocal_;
 };
 
 }  // namespace adlsym::core

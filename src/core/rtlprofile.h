@@ -6,7 +6,7 @@
 // across --jobs counts.
 //
 // Counting is two-level to stay cheap and race-free under the parallel
-// engine: each AdlExecutor increments a private counts vector and flushes
+// engine: each ADL executor increments a private counts vector and flushes
 // it into the shared accumulator under a mutex (explicitly, or from its
 // destructor — parallel workers die before ParallelExplorer::run()
 // returns, so the accumulator is complete by the time anyone reads it).
@@ -42,7 +42,7 @@ class RtlProfile {
   const std::vector<StmtSite>& sites() const { return sites_; }
 
   /// Dense id of a statement, or size() when the pointer is not part of
-  /// the indexed model (defensive; never expected for AdlExecutor).
+  /// the indexed model (defensive; never expected for an ADL executor).
   uint32_t indexOf(const adl::rtl::Stmt* s) const {
     auto it = index_.find(s);
     return it == index_.end() ? static_cast<uint32_t>(sites_.size())

@@ -1,6 +1,9 @@
 // EngineServices: the one feasibility decision every executor routes its
-// branches, checker guards and symbolic jumps through (DESIGN.md §6.8).
+// branches, checker guards and symbolic jumps through (DESIGN.md §6.8),
+// and the symbolic input stream.
 #include "core/executor.h"
+
+#include "support/strings.h"
 
 namespace adlsym::core {
 
@@ -97,6 +100,13 @@ void EngineServices::forkJumpTargets(MachineState&& st, smt::TermRef target,
     st.status = PathStatus::Budget;
     out.successors.push_back(std::move(st));
   }
+}
+
+smt::TermRef EngineServices::newInput(MachineState& st, unsigned width) {
+  std::string name = formatStr("in%u_w%u", st.inputCounter++, width);
+  const smt::TermRef v = tm.mkVar(width, name);
+  st.inputs.push_back(InputRecord{std::move(name), width, v});
+  return v;
 }
 
 std::vector<uint64_t> EngineServices::modelWitness(const MachineState& st) {

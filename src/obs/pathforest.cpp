@@ -4,8 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "core/testgen.h"
-#include "smt/printer.h"
 #include "support/json.h"
 
 namespace adlsym::obs {
@@ -37,12 +35,7 @@ void PathForestRecorder::onChild(uint64_t parent, uint64_t child,
   n.parent = parent;
   n.forkPc = stepPc_;
   n.entryPc = st.pc;
-  std::string cond;
-  for (size_t i = condSizeBefore; i < st.pathCond.size(); ++i) {
-    if (!cond.empty()) cond += " & ";
-    cond += smt::toString(st.pathCond[i], opt_.maxCondDepth);
-  }
-  n.cond = std::move(cond);
+  n.cond = core::forkCond(st, condSizeBefore);
   core::PathTreeNode& p = at(parent);
   p.children.push_back(child);
   // A fork retires the parent id (every successor got a fresh one), so
@@ -80,20 +73,7 @@ void PathForestRecorder::onMerge(uint64_t host, uint64_t incoming,
 
 void PathForestRecorder::onPathDone(uint64_t node,
                                     const core::PathResult& r) {
-  core::PathTreeNode& n = at(node);
-  n.status = core::pathStatusName(r.status);
-  if (r.status == core::PathStatus::Truncated) {
-    n.truncReason = core::truncReasonName(r.truncReason);
-  }
-  n.finalPc = r.finalPc;
-  n.steps = r.steps;
-  n.forks = r.forks;
-  n.exitCode = r.exitCode;
-  if (r.defect) {
-    n.defectKind = core::defectKindName(r.defect->kind);
-    n.defectPc = r.defect->pc;
-  }
-  n.testInputs = r.test.inputs;
+  at(node).setResult(r);
 }
 
 void PathForestRecorder::writeJson(std::ostream& os) const {

@@ -24,8 +24,6 @@ class PathForestRecorder final : public core::ExploreObserver {
     /// of the same seed/config, and latency depends on the clock. Tests
     /// turn it on under a ManualClock.
     bool includeTiming = false;
-    /// Depth cap for rendered branch conditions (smt::toString).
-    unsigned maxCondDepth = 32;
   };
 
   PathForestRecorder() = default;

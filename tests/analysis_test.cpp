@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 
 #include "analysis/cfg.h"
 #include "analysis/lint.h"
 #include "analysis/ternary.h"
 #include "asmgen/assembler.h"
+#include "driver/cli.h"
 #include "isa/registry.h"
 
 namespace adlsym::analysis {
@@ -443,6 +445,36 @@ TEST(CfgRecovery, Rv32eBranchTargetsEvaluate) {
   ASSERT_EQ(beq.targets.size(), 1u);
   EXPECT_EQ(beq.targets[0], 0xcu);
   EXPECT_TRUE(beq.mayFallThrough);
+}
+
+// sdiv(INT64_MIN, -1) at width 64 is INT64_MIN (TermManager::evalOp's
+// modular rule), not a host division trap: the jump's static target is
+// 0x8000000000000000, outside the image's code.
+TEST(CfgRecovery, SignedDivisionOverflowTargetIsOutsideCode) {
+  const std::string adl = R"q(arch sdiv64 {
+  endian little;
+  wordsize 64;
+  reg pc : 64;
+  mem M : byte[64];
+  enc E = [imm8:8][opcode:8];
+  insn jx "jx %i(imm8)" : E(opcode=1) {
+    pc = sdiv(0x8000000000000000, zext(imm8, 64) - 2);
+  }
+  insn hlt "hlt %i(imm8)" : E(opcode=2) { halt(imm8); }
+})q";
+  const std::string img =
+      "image v1\nentry 0x0\nsection text 0x0 ro 4\n01 01 02 00\n";
+  const std::string adlPath = testing::TempDir() + "cfg_sdiv64.adl";
+  const std::string imgPath = testing::TempDir() + "cfg_sdiv64.img";
+  std::ofstream(adlPath, std::ios::binary) << adl;
+  std::ofstream(imgPath, std::ios::binary) << img;
+
+  const driver::cli::CommandResult r =
+      driver::cli::dispatch({"lint", adlPath, imgPath});
+  EXPECT_EQ(r.exitCode, 1) << r.output;
+  EXPECT_NE(r.output.find("[IMG003] 'jx' at 0x0 jumps to 0x8000000000000000"),
+            std::string::npos)
+      << r.output;
 }
 
 // ------------------------------------------------------------- reporting --

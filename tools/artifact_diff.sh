@@ -18,9 +18,11 @@
 #    corpus file compared);
 #  - parse2 under --strategy coverage and --strategy random;
 #  - the front end's output: `adlsym model` and `adlsym lint
-#    --format=json`.
-# Each tests/lint fixture is linted with --format=json too. 109 cases in
-# all: 24 per ISA, 12 fixtures and the budget run below.
+#    --format=json`;
+#  - `adlsym lint --format=json` of the sort4 image, for the CFG and
+#    image passes.
+# Each tests/lint fixture is linted with --format=json too. 113 cases in
+# all: 25 per ISA, 12 fixtures and the budget run below.
 # One more rv32e sort4 run has a --max-wall-ms budget on a 7 us manual
 # clock: it exits 3, and one query finds its deadline already spent. The
 # budget is tuned to the number of clock reads, so a change in the number
@@ -171,6 +173,8 @@ for isa in acc8 m16 rv32e stk16; do
     both "$isa-sort4-j$j" explore "$isa" "$img" "${observe[@]}" --jobs "$j"
     same "$isa-sort4-j$j" "${common[@]}" events.canon
   done
+  both "$isa-lint-sort4" lint "$isa" "$img" --format=json
+  same "$isa-lint-sort4" stdout.txt exit.txt
 
   img="$scratch/img/$isa-bitcount3.img"
   both "$isa-merge-bfs" explore "$isa" "$img" "${observe[@]}" \
