@@ -81,15 +81,17 @@ void Rv32Engine::branch(MachineState&& st, TermRef cond, uint64_t target,
   }
 }
 
-void Rv32Engine::step(const MachineState& in, StepOut& out) {
+void Rv32Engine::stepMany(MachineState&& st, StepOut& out, uint64_t fuel) {
+  (void)fuel;
   smt::TermManager& tm = svc_.tm;
   const loader::Image& image = svc_.image;
+  const uint64_t pc = st.pc;
 
   // Fetch (little endian).
   uint32_t word = 0;
   bool mapped = true;
   for (unsigned i = 0; i < 4; ++i) {
-    const auto b = image.byteAt(in.pc + i);
+    const auto b = image.byteAt(pc + i);
     if (!b) {
       mapped = false;
       break;
@@ -97,27 +99,27 @@ void Rv32Engine::step(const MachineState& in, StepOut& out) {
     word |= static_cast<uint32_t>(*b) << (8 * i);
   }
 
+  // Ends the path on the state as it entered: every caller precedes any
+  // update of `st`.
   auto illegal = [&](const char* why) {
-    MachineState bad = in;
-    bad.status = core::PathStatus::Illegal;
+    st.status = core::PathStatus::Illegal;
     core::Defect def;
     def.kind = DefectKind::IllegalInsn;
-    def.pc = in.pc;
+    def.pc = pc;
     def.message = why;
-    bad.defect = std::move(def);
-    out.successors.push_back(std::move(bad));
+    st.defect = std::move(def);
+    out.successors.push_back(std::move(st));
   };
   if (!mapped) {
     illegal("unmapped instruction fetch");
     return;
   }
 
-  MachineState st = in;
-  const uint64_t next = in.pc + 4;
+  const uint64_t next = pc + 4;
   const unsigned rd = fRd(word);
   const unsigned rs1 = fRs1(word);
   const unsigned rs2 = fRs2(word);
-  CheckSite site{in.pc, "rv32"};
+  CheckSite site{pc, "rv32"};
 
   // x0 is hardwired to zero.
   auto R = [&](unsigned idx) -> TermRef {
@@ -179,7 +181,7 @@ void Rv32Engine::step(const MachineState& in, StepOut& out) {
             tm.mkAnd(tm.mkAnd(tm.mkSlt(a, zero), tm.mkSlt(b, zero)),
                      tm.mkSge(s, zero)));
         if (ovf.isTrue()) {
-          core::emitDefect(st, out, DefectKind::Trap, site,
+          core::emitDefect(std::move(st), out, DefectKind::Trap, site,
                            "trap(1) reached", {}, 1);
           return;
         }
@@ -278,7 +280,7 @@ void Rv32Engine::step(const MachineState& in, StepOut& out) {
         default: return illegal("unknown branch condition");
       }
       // B-type reuses the S-type layout: imm12 is in the top 12 bits.
-      const uint64_t target = truncTo(in.pc + static_cast<uint64_t>(sImm12(word)), 32);
+      const uint64_t target = truncTo(pc + static_cast<uint64_t>(sImm12(word)), 32);
       branch(std::move(st), cond, target, next, out);
       return;
     }
@@ -293,7 +295,7 @@ void Rv32Engine::step(const MachineState& in, StepOut& out) {
     case 0b1101111: {  // jal
       if (!regsOk({rd})) return illegal("register index >= 16");
       W(rd, tm.mkConst(32, truncTo(next, 32)));
-      finish(std::move(st), truncTo(in.pc + static_cast<uint64_t>(sImm20(word)), 32), out);
+      finish(std::move(st), truncTo(pc + static_cast<uint64_t>(sImm20(word)), 32), out);
       return;
     }
 
@@ -316,7 +318,7 @@ void Rv32Engine::step(const MachineState& in, StepOut& out) {
         }
         case 2: {  // out
           if (!regsOk({rs1})) return illegal("register index >= 16");
-          st.outputs.push_back(core::OutputRecord{R(rs1), in.pc});
+          st.outputs.push_back(core::OutputRecord{R(rs1), pc});
           finish(std::move(st), next, out);
           return;
         }

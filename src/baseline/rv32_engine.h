@@ -20,7 +20,10 @@ class Rv32Engine : public core::Executor {
 
   std::string name() const override { return "baseline:rv32e"; }
   core::MachineState initialState() override;
-  void step(const core::MachineState& in, core::StepOut& out) override;
+  using core::Executor::stepMany;
+  /// One step on `st`, in place, whatever the fuel (no fused fast path).
+  void stepMany(core::MachineState&& st, core::StepOut& out,
+                uint64_t fuel) override;
 
  private:
   /// Fork on a symbolic branch condition: taken -> target, not-taken ->

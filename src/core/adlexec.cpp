@@ -88,34 +88,39 @@ MachineState AdlExecutorBase::initialState() {
   return st;
 }
 
-void AdlExecutorBase::step(const MachineState& in, StepOut& out) {
+void AdlExecutorBase::stepMany(MachineState&& in, StepOut& out,
+                               uint64_t fuel) {
+  (void)fuel;
+  stepOne(std::move(in), out);
+}
+
+void AdlExecutorBase::stepOne(MachineState&& st, StepOut& out) {
   if (stepsCtr_) stepsCtr_->add();
   const decode::DecodedInsn* d = nullptr;
   {
     telemetry::ScopedTimer t(svc_.telemetry, decodeHist_);
-    d = decoder_.decodeAt(svc_.image, in.pc);
+    d = decoder_.decodeAt(svc_.image, st.pc);
   }
   if (d == nullptr) {
-    MachineState bad = in;
-    bad.status = PathStatus::Illegal;
+    st.status = PathStatus::Illegal;
     Defect def;
     def.kind = DefectKind::IllegalInsn;
-    def.pc = in.pc;
+    def.pc = st.pc;
     def.message = "undecodable or unmapped instruction";
-    bad.defect = std::move(def);
-    out.successors.push_back(std::move(bad));
+    st.defect = std::move(def);
+    out.successors.push_back(std::move(st));
     return;
   }
   const uint64_t ticksBefore = out.rtlTicks;
   {
     telemetry::ScopedTimer t(svc_.telemetry, evalHist_);
-    execInsn(in, InsnFrame{d, in.pc, {}, CheckSite{in.pc, d->insn->name}},
-             out);
+    InsnFrame f{d, st.pc, {}, CheckSite{st.pc, d->insn->name}};
+    execInsn(std::move(st), std::move(f), out);
   }
   if (ticksCtr_) ticksCtr_->add(out.rtlTicks - ticksBefore);
 }
 
-void AdlExecutorBase::finishInsn(MachineState st, const InsnFrame& f,
+void AdlExecutorBase::finishInsn(MachineState&& st, const InsnFrame& f,
                                  StepOut& out) {
   ++st.steps;
   if (!f.newPc.valid()) {

@@ -34,9 +34,10 @@ class AdlExecutorBase : public Executor {
   ~AdlExecutorBase() override { flushRtlProfile(); }
 
   MachineState initialState() override;
-  /// Decode the instruction at in.pc and run it (execInsn); a pc that does
-  /// not decode ends the path as Illegal.
-  void step(const MachineState& in, StepOut& out) final;
+  using Executor::stepMany;
+  /// One plain step (stepOne) whatever the fuel; the bytecode engine
+  /// overrides it to fuse.
+  void stepMany(MachineState&& in, StepOut& out, uint64_t fuel) override;
 
   /// Enable per-RTL-statement counting into `p` (profiler runs only).
   /// Counts accumulate executor-locally and reach `p` on flush — which the
@@ -59,10 +60,13 @@ class AdlExecutorBase : public Executor {
     CheckSite site;
   };
 
-  /// Run the semantics of the instruction decoded in `f` on `in` and
-  /// append its successors to `out`.
-  virtual void execInsn(const MachineState& in, InsnFrame f,
-                        StepOut& out) = 0;
+  /// Decode the instruction at st.pc and run it (execInsn) on `st` in
+  /// place; a pc that does not decode ends the path as Illegal.
+  void stepOne(MachineState&& st, StepOut& out);
+
+  /// Run the semantics of the instruction decoded in `f` on `st`, in place,
+  /// and append its successors to `out`.
+  virtual void execInsn(MachineState&& st, InsnFrame f, StepOut& out) = 0;
 
   /// Count one evaluated RTL statement: a tick, and a profile hit when
   /// profiling.
@@ -77,9 +81,9 @@ class AdlExecutorBase : public Executor {
   }
 
   /// Finish an instruction: resolve the next pc (fall through, take a
-  /// constant target, or enumerate a symbolic one) and emit the
+  /// constant target, or enumerate a symbolic one) and emit `st` as the
   /// successor(s).
-  void finishInsn(MachineState st, const InsnFrame& f, StepOut& out);
+  void finishInsn(MachineState&& st, const InsnFrame& f, StepOut& out);
 
   const adl::ArchModel& model_;
   EngineServices& svc_;

@@ -17,20 +17,19 @@ const char* defectKindName(DefectKind k) {
   return "?";
 }
 
-void emitDefect(const MachineState& st, StepOut& out, DefectKind kind,
+void emitDefect(MachineState st, StepOut& out, DefectKind kind,
                 const CheckSite& site, std::string message, Side side,
                 uint64_t trapClass) {
-  MachineState bad = st;
-  EngineServices::enter(bad, std::move(side));
-  bad.status = PathStatus::Defect;
+  EngineServices::enter(st, std::move(side));
+  st.status = PathStatus::Defect;
   Defect d;
   d.kind = kind;
   d.pc = site.pc;
   d.mnemonic = site.mnemonic;
   d.message = std::move(message);
   d.trapClass = trapClass;
-  bad.defect = std::move(d);
-  out.successors.push_back(std::move(bad));
+  st.defect = std::move(d);
+  out.successors.push_back(std::move(st));
 }
 
 bool guardDivisor(EngineServices& svc, MachineState& st, StepOut& out,
@@ -41,7 +40,7 @@ bool guardDivisor(EngineServices& svc, MachineState& st, StepOut& out,
   const smt::TermRef isZero = tm.mkEq(divisor, zero);
   if (isZero.isFalse()) return true;  // provably nonzero
   if (isZero.isTrue()) {
-    emitDefect(st, out, DefectKind::DivByZero, site,
+    emitDefect(std::move(st), out, DefectKind::DivByZero, site,
                "divisor is always zero here");
     return false;
   }
@@ -127,7 +126,8 @@ bool boundsCheckSymbolic(EngineServices& svc, MachineState& st, StepOut& out,
   }
   const DefectKind kind = forWrite ? DefectKind::OobWrite : DefectKind::OobRead;
   if (ok.isFalse()) {
-    emitDefect(st, out, kind, site, "access is always out of bounds");
+    emitDefect(std::move(st), out, kind, site,
+               "access is always out of bounds");
     return false;
   }
   // Without a feasible OOB side, every model of the path is in bounds: the
@@ -158,7 +158,7 @@ smt::TermRef checkedLoad(EngineServices& svc, MachineState& st, StepOut& out,
     const uint64_t a = addr.constValue();
     if (!concreteInBounds(svc, a, size, /*forWrite=*/false)) {
       if (svc.config.checkOob) {
-        emitDefect(st, out, DefectKind::OobRead, site,
+        emitDefect(std::move(st), out, DefectKind::OobRead, site,
                    formatStr("read of %u bytes at unmapped address 0x%llx",
                              size, static_cast<unsigned long long>(a)));
       }
@@ -202,7 +202,7 @@ bool checkedStore(EngineServices& svc, MachineState& st, StepOut& out,
     const uint64_t a = addr.constValue();
     if (!concreteInBounds(svc, a, size, /*forWrite=*/true)) {
       if (svc.config.checkOob) {
-        emitDefect(st, out, DefectKind::OobWrite, site,
+        emitDefect(std::move(st), out, DefectKind::OobWrite, site,
                    formatStr("write of %u bytes at invalid address 0x%llx",
                              size, static_cast<unsigned long long>(a)));
       }
@@ -243,7 +243,7 @@ bool guardAssertEq(EngineServices& svc, MachineState& st, StepOut& out,
   if (eq.isTrue()) return true;
   const smt::TermRef ne = tm.mkNot(eq);
   if (eq.isFalse()) {
-    emitDefect(st, out, DefectKind::AssertFail, site,
+    emitDefect(std::move(st), out, DefectKind::AssertFail, site,
                "assertion always fails here");
     return false;
   }

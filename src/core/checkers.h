@@ -22,10 +22,16 @@ struct CheckSite {
   std::string mnemonic;
 };
 
-/// Report a defect on a copy of `st` that enters `side` (its condition
-/// and witness; the default adds neither) and append it to `out`. The
-/// defect's test inputs are read off that witness when the path ends.
-void emitDefect(const MachineState& st, StepOut& out, DefectKind kind,
+/// Report a defect on `st`, entering `side` (its condition and witness;
+/// the default adds neither), and append it to `out`. The defect's test
+/// inputs are read off that witness when the path ends. Callers pass a
+/// copy when the path goes on beside the defect and move the state in
+/// when the defect ends it.
+///
+/// The checkers below update `st` in place. When one returns false (or an
+/// invalid term) the path is over, and `st` may have been moved into its
+/// defect successor.
+void emitDefect(MachineState st, StepOut& out, DefectKind kind,
                 const CheckSite& site, std::string message, Side side = {},
                 uint64_t trapClass = 0);
 

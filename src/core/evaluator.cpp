@@ -58,7 +58,7 @@ smt::TermRef AdlExecutor::evalExpr(const Expr& e, MachineState& st, Frame& f,
       if (idx >= st.regfile.size()) {
         // Encodable-but-invalid register number (e.g. a 5-bit field on a
         // 16-register file): an illegal instruction, not an engine bug.
-        emitDefect(st, out, DefectKind::IllegalInsn, f.site,
+        emitDefect(std::move(st), out, DefectKind::IllegalInsn, f.site,
                    formatStr("register index %llu out of range",
                              static_cast<unsigned long long>(idx)));
         dead = true;
@@ -151,7 +151,7 @@ smt::TermRef AdlExecutor::evalExpr(const Expr& e, MachineState& st, Frame& f,
   throw Error("unreachable rtl expr op");
 }
 
-void AdlExecutor::execStmts(MachineState st, Frame frame,
+void AdlExecutor::execStmts(MachineState&& st, Frame frame,
                             std::vector<const Stmt*> work, StepOut& out) {
   while (!work.empty()) {
     const Stmt* s = work.front();
@@ -178,7 +178,7 @@ void AdlExecutor::execStmts(MachineState st, Frame frame,
         const smt::TermRef v = evalExpr(*s->args[1], st, frame, out, dead);
         if (dead) return;
         if (idx >= st.regfile.size()) {
-          emitDefect(st, out, DefectKind::IllegalInsn, frame.site,
+          emitDefect(std::move(st), out, DefectKind::IllegalInsn, frame.site,
                      formatStr("register index %llu out of range",
                                static_cast<unsigned long long>(idx)));
           return;
@@ -227,7 +227,7 @@ void AdlExecutor::execStmts(MachineState st, Frame frame,
         break;
       }
       case StmtOp::Trap: {
-        emitDefect(st, out, DefectKind::Trap, frame.site,
+        emitDefect(std::move(st), out, DefectKind::Trap, frame.site,
                    formatStr("trap(%llu) reached",
                              static_cast<unsigned long long>(s->aux)),
                    {}, s->aux);
@@ -278,13 +278,12 @@ void AdlExecutor::execStmts(MachineState st, Frame frame,
   finishInsn(std::move(st), frame, out);
 }
 
-void AdlExecutor::execInsn(const MachineState& in, InsnFrame f,
-                           StepOut& out) {
+void AdlExecutor::execInsn(MachineState&& st, InsnFrame f, StepOut& out) {
   const adl::InsnInfo& insn = *f.d->insn;
   std::vector<const Stmt*> work;
   work.reserve(insn.semantics.size());
   for (const auto& s : insn.semantics) work.push_back(s.get());
-  execStmts(in,
+  execStmts(std::move(st),
             Frame{std::move(f), std::vector<smt::TermRef>(insn.numLetSlots)},
             std::move(work), out);
 }

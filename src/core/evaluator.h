@@ -24,11 +24,12 @@ class AdlExecutor : public AdlExecutorBase {
     std::vector<smt::TermRef> lets;
   };
 
-  void execInsn(const MachineState& in, InsnFrame f, StepOut& out) override;
+  void execInsn(MachineState&& st, InsnFrame f, StepOut& out) override;
 
-  /// Execute the remaining statement worklist on `st`; may fork (recursing
-  /// for each arm of a symbolic if) and appends finished successors to out.
-  void execStmts(MachineState st, Frame frame,
+  /// Execute the remaining statement worklist on `st`, in place; may fork
+  /// (copying the state for the else arm of a symbolic if and recursing on
+  /// it first) and appends finished successors to out.
+  void execStmts(MachineState&& st, Frame frame,
                  std::vector<const adl::rtl::Stmt*> work, StepOut& out);
 
   /// Evaluate an RTL expression. Sets `dead` (and possibly appends defect

@@ -128,6 +128,15 @@ struct StepOut {
   /// steps). The explorer folds these into its covered set so coverage
   /// accounting is identical whether or not a stretch was fused.
   std::vector<uint64_t> fusedPcs;
+
+  /// Reset for the next step, keeping the vectors' capacity: the explorers
+  /// reuse one StepOut for every step of a run.
+  void clear() {
+    successors.clear();
+    rtlTicks = 0;
+    retired = 1;
+    fusedPcs.clear();
+  }
 };
 
 class RtlProfile;  // core/rtlprofile.h
@@ -145,15 +154,35 @@ class Executor {
   /// Fresh state at the image entry point: registers zeroed, memory backed
   /// by the image.
   virtual MachineState initialState() = 0;
-  /// Execute the instruction at in.pc.
-  virtual void step(const MachineState& in, StepOut& out) = 0;
-  /// Execute up to `fuel` instructions starting at in.pc, stopping early at
-  /// anything that needs per-instruction handling (symbolic data, forks,
-  /// checker activity). Engines without a fused fast path fall back to one
-  /// step. out.retired reports how many instructions actually retired.
+  /// The consuming entry: execute up to `fuel` instructions starting at
+  /// in.pc and append the successors to `out`; fuel 1 is one plain step.
+  /// A fused run (fuel > 1) stops early at anything that needs
+  /// per-instruction handling (symbolic data, forks, checker activity);
+  /// engines without a fused fast path run one step. out.retired reports
+  /// how many instructions actually retired.
+  ///
+  /// The executor takes `in` over: it updates that state in place and
+  /// moves it into its last successor, and copies it only where the step
+  /// has several successors (a fork, a checker's defect side, a symbolic
+  /// jump's targets). `in` is left moved-from, so a caller reads what it
+  /// needs of it before the call. Every engine overrides this entry; the
+  /// default forwards to the copying entries below, which is all an
+  /// executor decorator needs to override to see every step.
+  virtual void stepMany(MachineState&& in, StepOut& out, uint64_t fuel) {
+    if (fuel <= 1) {
+      step(in, out);
+    } else {
+      stepMany(static_cast<const MachineState&>(in), out, fuel);
+    }
+  }
+  /// Copying adapters of the consuming entry, for callers that read their
+  /// state after the step (the concolic driver, the differential tests):
+  /// `in` is left unchanged.
+  virtual void step(const MachineState& in, StepOut& out) {
+    stepMany(MachineState(in), out, 1);
+  }
   virtual void stepMany(const MachineState& in, StepOut& out, uint64_t fuel) {
-    (void)fuel;
-    step(in, out);
+    stepMany(MachineState(in), out, fuel);
   }
   /// Per-RTL-statement profiling hookup (no-op for engines without RTL
   /// semantics). See AdlExecutorBase::setRtlProfile for the flush contract.

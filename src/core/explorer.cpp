@@ -148,19 +148,19 @@ PathResult finishPath(EngineServices& svc, MachineState&& st,
   return r;
 }
 
-ExploreObserver::StepInfo stepInfo(const MachineState& cur, const StepOut& out,
+ExploreObserver::StepInfo stepInfo(const StepOrigin& from, const StepOut& out,
                                    const smt::SmtSolver::Stats& before,
                                    const smt::SmtSolver::Stats& after) {
   ExploreObserver::StepInfo si;
-  si.pc = cur.pc;
+  si.pc = from.pc;
   si.numSuccessors = out.successors.size();
   si.stepSolverQueries = after.queries - before.queries;
   si.stepSolverMicros = after.totalMicros - before.totalMicros;
   si.stepCanonTerms = after.canon.terms - before.canon.terms;
   si.stepCanonGates = after.canon.gates - before.canon.gates;
-  si.depth = cur.forks;
+  si.depth = from.forks;
   si.stepRtlTicks = out.rtlTicks;
-  si.pathSteps = cur.steps;
+  si.pathSteps = from.steps;
   return si;
 }
 
@@ -281,6 +281,7 @@ ExploreSummary Explorer::run() {
   };
 
   const bool fuseOk = fusionOffered(config_, tel_);
+  StepOut out;  // reused by every step
 
   frontier.push_back(Frontier{exec_.initialState(), orderCounter++, 0,
                               nodeCounter++, 0, {}});
@@ -323,22 +324,19 @@ ExploreSummary Explorer::run() {
       continue;
     }
 
-    const size_t condBefore = cur.state.pathCond.size();
+    const StepOrigin from(cur.state);
     smt::SmtSolver::Stats solverBefore;
     if (ob) {
       solverBefore = svc_.solver.stats();
       ob->onStepBegin(cur.node, cur.state);
     }
-    StepOut out;
-    if (fuseOk) {
-      exec_.stepMany(cur.state, out,
-                     fusionFuel(config_, cur.state.steps, summary.totalSteps));
-    } else {
-      exec_.step(cur.state, out);
-    }
+    const uint64_t fuel =
+        fuseOk ? fusionFuel(config_, from.steps, summary.totalSteps) : 1;
+    out.clear();
+    exec_.stepMany(std::move(cur.state), out, fuel);
     summary.totalSteps += out.retired;
     if (ctr_.steps) ctr_.steps->add(out.retired);
-    const bool newPcHere = covered_.insert(cur.state.pc).second;
+    const bool newPcHere = covered_.insert(from.pc).second;
     for (const uint64_t fpc : out.fusedPcs) covered_.insert(fpc);
 
     if (out.successors.size() > 1) {
@@ -349,7 +347,7 @@ ExploreSummary Explorer::run() {
     if (out.successors.empty()) {
       ++summary.statesDropped;
       if (ctr_.drops) ctr_.drops->add();
-      if (ob) ob->onDrop(cur.node, cur.state.pc);
+      if (ob) ob->onDrop(cur.node, from.pc);
     }
 
     const bool forked = out.successors.size() > 1;
@@ -367,7 +365,7 @@ ExploreSummary Explorer::run() {
           childKey += std::to_string(si);
         }
       }
-      if (ob && forked) ob->onChild(cur.node, childNode, succ, condBefore);
+      if (ob && forked) ob->onChild(cur.node, childNode, succ, from.condSize);
       if (succ.status == PathStatus::Running) {
         if (config_.mergeStates) {
           bool merged = false;
@@ -421,8 +419,7 @@ ExploreSummary Explorer::run() {
     }
     if (ob) {
       const smt::SmtSolver::Stats after = svc_.solver.stats();
-      ExploreObserver::StepInfo si =
-          stepInfo(cur.state, out, solverBefore, after);
+      ExploreObserver::StepInfo si = stepInfo(from, out, solverBefore, after);
       si.node = cur.node;
       si.frontierSize = frontier.size();
       si.totalSteps = summary.totalSteps;
@@ -458,7 +455,7 @@ ExploreSummary Explorer::run() {
   summary.solverUnknowns = svc_.solver.stats().unknown - solverBase.unknown;
 
   summary.coveredPcs = covered_.size();
-  summary.coveredSet = covered_;
+  summary.coveredSet.insert(covered_.begin(), covered_.end());
   summary.wallSeconds = double(clk.nowMicros() - startUs) / 1e6;
   svc_.solver.setWallDeadlineMicros(0);
   return summary;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -86,12 +87,27 @@ PathResult finishPath(EngineServices& svc, MachineState&& st,
                       std::string pathKey, uint64_t node, ExploreObserver* ob,
                       telemetry::Counter* pathsCtr);
 
-/// The StepInfo fields both engines fill alike for one step of the
-/// (unstepped) state `cur` that produced `out`: its pc, depth and
-/// pre-step count, the successor and tick counts, and the step-scoped
-/// solver fields (queries, latency, canonical cost), the deltas between
-/// the solver's stats `before` and `after` the step.
-ExploreObserver::StepInfo stepInfo(const MachineState& cur, const StepOut& out,
+/// What an explorer reads of a state it steps once the step is done: the
+/// executor consumes the state (Executor::stepMany), so these are taken
+/// before the call.
+struct StepOrigin {
+  explicit StepOrigin(const MachineState& st)
+      : pc(st.pc),
+        steps(st.steps),
+        forks(st.forks),
+        condSize(st.pathCond.size()) {}
+  uint64_t pc;
+  uint64_t steps;
+  unsigned forks;
+  size_t condSize;  // where a fork child's own constraints start
+};
+
+/// The StepInfo fields both engines fill alike for one step from `from`
+/// that produced `out`: its pc, depth and pre-step count, the successor
+/// and tick counts, and the step-scoped solver fields (queries, latency,
+/// canonical cost), the deltas between the solver's stats `before` and
+/// `after` the step.
+ExploreObserver::StepInfo stepInfo(const StepOrigin& from, const StepOut& out,
                                    const smt::SmtSolver::Stats& before,
                                    const smt::SmtSolver::Stats& after);
 
@@ -233,7 +249,7 @@ class Explorer {
   Executor& exec_;
   EngineServices& svc_;
   ExplorerConfig config_;
-  std::set<uint64_t> covered_;
+  std::unordered_set<uint64_t> covered_;  // sorted into the summary once
 
   // Telemetry handles, resolved once at construction (null when disabled).
   telemetry::Telemetry* tel_ = nullptr;

@@ -21,7 +21,15 @@ void SymMemory::writeByte(uint64_t addr, smt::TermRef value) {
     head_ = std::move(node);
     flattenIfDeep();
   }
-  head_->writes[addr] = value;
+  auto [it, fresh] = head_->writes.try_emplace(addr, value);
+  if (!fresh) {
+    it->second = value;
+    return;
+  }
+  for (const Node* n = head_->parent.get(); n != nullptr; n = n->parent.get()) {
+    if (n->writes.count(addr) != 0) return;  // shadows an older write
+  }
+  ++written_;
 }
 
 size_t SymMemory::chainDepth() const {
@@ -38,13 +46,6 @@ std::vector<uint64_t> SymMemory::overlayAddresses() const {
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-size_t SymMemory::overlayBytes() const {
-  size_t n = 0;
-  for (const Node* p = head_.get(); p != nullptr; p = p->parent.get())
-    n += p->writes.size();
-  return n;
 }
 
 void SymMemory::flattenIfDeep() {

@@ -31,8 +31,11 @@ class SymMemory {
 
   /// Number of overlay nodes in the chain (test/bench introspection).
   size_t chainDepth() const;
-  /// Total overlay entries across the chain.
-  size_t overlayBytes() const;
+  /// Distinct addresses written on this state: the overlay's contents,
+  /// whatever its node layout. Kept as a count on write, so two states
+  /// holding the same writes read the same value however they were forked,
+  /// moved or rebuilt.
+  size_t overlayBytes() const { return written_; }
   /// Distinct addresses written on this state (union over the chain).
   /// Used by state merging to diff two memories.
   std::vector<uint64_t> overlayAddresses() const;
@@ -48,6 +51,7 @@ class SymMemory {
 
   const loader::Image* image_ = nullptr;
   std::shared_ptr<Node> head_;  // uniquely owned by this state once written
+  size_t written_ = 0;          // overlayBytes()
 };
 
 }  // namespace adlsym::core

@@ -7,10 +7,10 @@
 #include <exception>
 #include <map>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/checkpoint.h"
 #include "support/bits.h"
@@ -146,6 +146,7 @@ struct Worker {
   Rng rng;
   std::unique_ptr<EngineServices> svc;
   std::unique_ptr<Executor> exec;
+  StepOut out;  // reused by every step
 
   std::vector<Entry> frontier;
   // Successors that reached the checkpoint level (Engine::levelLimit):
@@ -239,7 +240,7 @@ struct Engine {
 
   // ---- shared coverage + records --------------------------------------
   std::mutex covMu;
-  std::set<uint64_t> covered;
+  std::unordered_set<uint64_t> covered;  // sorted where it is written out
 
   std::mutex recMu;
   std::map<PathKey, NodeRec> recs;
@@ -436,13 +437,14 @@ struct Engine {
     w.kv("paths_done", gPathsDone.load(std::memory_order_relaxed));
     w.endObject();
 
-    uint64_t coveredPcs = 0;
-    w.key("covered").beginArray();
+    std::vector<uint64_t> coveredPcs;
     {
       std::lock_guard<std::mutex> ck(covMu);
-      coveredPcs = covered.size();
-      for (const uint64_t pc : covered) w.value(pc);
+      coveredPcs.assign(covered.begin(), covered.end());
     }
+    std::sort(coveredPcs.begin(), coveredPcs.end());
+    w.key("covered").beginArray();
+    for (const uint64_t pc : coveredPcs) w.value(pc);
     w.endArray();
 
     // Frontier: every live state (frontier + paused + inbox, all workers),
@@ -520,7 +522,7 @@ struct Engine {
       info.frontier = gFrontier.load(std::memory_order_relaxed);
       info.frontierBytes = gFrontierBytes.load(std::memory_order_relaxed);
       info.pathsDone = gPathsDone.load(std::memory_order_relaxed);
-      info.coveredPcs = coveredPcs;
+      info.coveredPcs = coveredPcs.size();
       info.solverQueries = solver.queries;
       info.solverMicros = solver.totalMicros;
       cfg.ckptExtras(w, info);
@@ -636,6 +638,41 @@ struct Engine {
     return false;
   }
 
+  // Queue a successor of w's step under `key`, or close it when its path
+  // ended. Returns whether it ended in a defect.
+  bool admit(Worker& w, MachineState&& succ, PathKey&& key,
+             uint64_t newCovered) {
+    if (succ.status != PathStatus::Running) {
+      const bool defect = succ.defect.has_value();
+      finishPath(w, std::move(succ), key);
+      gCompleted.fetch_add(1, std::memory_order_relaxed);
+      return defect;
+    }
+    Entry f;
+    f.newCovered = newCovered;
+    f.order = w.orderCounter++;
+    f.key = std::move(key);
+    f.state = std::move(succ);
+    f.bytes = f.state.approxBytes();
+    fault::hit("alloc");  // frontier growth: the engine's alloc site
+    gFrontierBytes.fetch_add(f.bytes, std::memory_order_relaxed);
+    gFrontier.fetch_add(1, std::memory_order_relaxed);
+    if (f.state.steps >= levelLimit.load(std::memory_order_relaxed)) {
+      // Reached the checkpoint level (steps == limit exactly: the parent
+      // was below it). Hold until the level barrier.
+      pausedTotal.fetch_add(1, std::memory_order_relaxed);
+      w.paused.push_back(std::move(f));
+      return false;
+    }
+    w.frontier.push_back(std::move(f));
+    if (base.maxFrontier != 0) {
+      while (gFrontier.load(std::memory_order_relaxed) > base.maxFrontier &&
+             evictLocal(w, TruncReason::Frontier)) {
+      }
+    }
+    return false;
+  }
+
   // One scheduling slot: mirror of the sequential loop body.
   void step(Worker& w) {
     const size_t idx = pickNext(base.strategy, w.frontier, w.rng);
@@ -651,33 +688,36 @@ struct Engine {
       return;
     }
 
-    const size_t condBefore = cur.state.pathCond.size();
+    const StepOrigin from(cur.state);
     const smt::SmtSolver::Stats before = w.solver.stats();
     if (ob) ob->onStepBegin(0, cur.state);
-    StepOut out;
+    uint64_t fuel = 1;
     if (fuseOk) {
       // The shared caps (the global step budget is approximate under
       // concurrency, same as unfused), plus the checkpoint level barrier.
-      uint64_t fuel = fusionFuel(base, cur.state.steps,
-                                 gSteps.load(std::memory_order_relaxed));
+      fuel = fusionFuel(base, from.steps,
+                        gSteps.load(std::memory_order_relaxed));
       const uint64_t lvl = levelLimit.load(std::memory_order_relaxed);
-      if (lvl != UINT64_MAX) fuel = std::min(fuel, lvl - cur.state.steps);
-      w.exec->stepMany(cur.state, out, fuel);
-    } else {
-      w.exec->step(cur.state, out);
+      if (lvl != UINT64_MAX) fuel = std::min(fuel, lvl - from.steps);
     }
+    StepOut& out = w.out;
+    out.clear();
+    w.exec->stepMany(std::move(cur.state), out, fuel);
+    // Only the executor queries the worker's solver, so this is also the
+    // solver's state when the step's successors have been queued.
+    const smt::SmtSolver::Stats after = w.solver.stats();
     w.steps += out.retired;
     gSteps.fetch_add(out.retired, std::memory_order_relaxed);
     if (w.ctr.steps) w.ctr.steps->add(out.retired);
     // Where this scheduling slot's last instruction ran: forks, drops and
     // defects of a fused run happen at its final (bailed) instruction.
     const uint64_t stepPc =
-        out.fusedPcs.empty() ? cur.state.pc : out.fusedPcs.back();
+        out.fusedPcs.empty() ? from.pc : out.fusedPcs.back();
     bool newPcHere;
     size_t covSize;
     {
       std::lock_guard<std::mutex> ck(covMu);
-      newPcHere = covered.insert(cur.state.pc).second;
+      newPcHere = covered.insert(from.pc).second;
       for (const uint64_t fpc : out.fusedPcs) covered.insert(fpc);
       covSize = covered.size();
     }
@@ -687,19 +727,29 @@ struct Engine {
       const uint64_t nf = out.successors.size() - 1;
       w.forksN += nf;
       if (w.ctr.forks) w.ctr.forks->add(nf);
-      // Mint the children records up front (entry pc + fork condition);
-      // the solver verdict lands after the successors are processed, once
-      // this step's query delta is known.
+      // Mint the children records: entry pc, fork condition (rendered only
+      // for a forest or checkpoint to read) and the fork verdict, exactly
+      // as the sequential recorder computes it: the step issued queries
+      // => "sat", none => "assumed". Query counts per state are
+      // schedule-independent (cache hits count as queries too), so the
+      // verdicts are canonical.
+      const uint64_t q = after.queries - before.queries;
+      const uint64_t us = after.totalMicros - before.totalMicros;
+      const char* verdict = q > 0 ? "sat" : "assumed";
       std::lock_guard<std::mutex> rk(recMu);
       recs[cur.key].numChildren = out.successors.size();
+      PathKey ck = cur.key;
+      ck.push_back(0);
       for (size_t i = 0; i < out.successors.size(); ++i) {
         const MachineState& succ = out.successors[i];
-        PathKey ck = cur.key;
-        ck.push_back(static_cast<char32_t>(i));
+        ck.back() = static_cast<char32_t>(i);
         NodeRec& child = recs[ck];
         child.forkPc = stepPc;
         child.entryPc = succ.pc;
-        child.cond = forkCond(succ, condBefore);
+        if (cfg.renderForkConds) child.cond = forkCond(succ, from.condSize);
+        child.verdict = verdict;
+        child.solverQueries = q;
+        child.solverMicros = us;
       }
     }
     if (out.successors.empty()) {
@@ -714,40 +764,21 @@ struct Engine {
       if (ob) ob->onDrop(0, stepPc);
     }
 
+    std::string stepKey;
+    if (ob && wantKeys) stepKey = keyToString(cur.key);
+    const uint64_t newCovered = cur.newCovered / 2 + (newPcHere ? 1 : 0);
     bool sawDefect = false;
-    for (size_t i = 0; i < out.successors.size(); ++i) {
-      MachineState& succ = out.successors[i];
-      PathKey ck = cur.key;
-      if (forked) ck.push_back(static_cast<char32_t>(i));
-      if (succ.status == PathStatus::Running) {
-        Entry f;
-        f.newCovered = cur.newCovered / 2 + (newPcHere ? 1 : 0);
-        f.order = w.orderCounter++;
-        f.key = std::move(ck);
-        f.state = std::move(succ);
-        f.bytes = f.state.approxBytes();
-        fault::hit("alloc");  // frontier growth: the engine's alloc site
-        gFrontierBytes.fetch_add(f.bytes, std::memory_order_relaxed);
-        gFrontier.fetch_add(1, std::memory_order_relaxed);
-        if (f.state.steps >= levelLimit.load(std::memory_order_relaxed)) {
-          // Reached the checkpoint level (steps == limit exactly: the
-          // parent was below it). Hold until the level barrier.
-          pausedTotal.fetch_add(1, std::memory_order_relaxed);
-          w.paused.push_back(std::move(f));
-        } else {
-          w.frontier.push_back(std::move(f));
-          if (base.maxFrontier != 0) {
-            while (gFrontier.load(std::memory_order_relaxed) >
-                       base.maxFrontier &&
-                   evictLocal(w, TruncReason::Frontier)) {
-            }
-          }
-        }
-      } else {
-        sawDefect = sawDefect || succ.defect.has_value();
-        finishPath(w, std::move(succ), ck);
-        gCompleted.fetch_add(1, std::memory_order_relaxed);
+    if (forked) {
+      for (size_t i = 0; i < out.successors.size(); ++i) {
+        PathKey ck = cur.key;
+        ck.push_back(static_cast<char32_t>(i));
+        sawDefect |= admit(w, std::move(out.successors[i]), std::move(ck),
+                           newCovered);
       }
+    } else if (!out.successors.empty()) {
+      // A straight-line step: its successor takes over the key.
+      sawDefect = admit(w, std::move(out.successors[0]), std::move(cur.key),
+                        newCovered);
     }
 
     // Byte budget: all frontier states plus every worker's term pool.
@@ -773,34 +804,15 @@ struct Engine {
       }
     }
 
-    const smt::SmtSolver::Stats after = w.solver.stats();
-    if (forked) {
-      // Fork verdict, exactly as the sequential recorder computes it: the
-      // step issued queries => "sat", none => "assumed". Query counts per state
-      // are schedule-independent (cache hits count as queries too), so
-      // the verdicts are canonical.
-      const uint64_t q = after.queries - before.queries;
-      const uint64_t us = after.totalMicros - before.totalMicros;
-      const char* verdict = q > 0 ? "sat" : "assumed";
-      std::lock_guard<std::mutex> rk(recMu);
-      for (size_t i = 0; i < out.successors.size(); ++i) {
-        PathKey ck = cur.key;
-        ck.push_back(static_cast<char32_t>(i));
-        NodeRec& child = recs[ck];
-        child.verdict = verdict;
-        child.solverQueries = q;
-        child.solverMicros = us;
-      }
-    }
     if (ob) {
-      ExploreObserver::StepInfo si = stepInfo(cur.state, out, before, after);
+      ExploreObserver::StepInfo si = stepInfo(from, out, before, after);
       si.frontierSize = gFrontier.load(std::memory_order_relaxed);
       si.totalSteps = gSteps.load(std::memory_order_relaxed);
       si.pathsDone = gPathsDone.load(std::memory_order_relaxed);
       si.coveredPcs = covSize;
       si.runSolverQueries = after.queries;
       si.runSolverMicros = after.totalMicros;
-      if (wantKeys) si.pathKey = keyToString(cur.key);
+      si.pathKey = std::move(stepKey);
       si.frontierBytes = gFrontierBytes.load(std::memory_order_relaxed);
       ob->onStepEnd(si);
     }
@@ -1117,7 +1129,7 @@ ParallelResult ParallelExplorer::run() {
   tallyTruncated(s);
   s.stopReason = eng.stopReason;
   s.coveredPcs = eng.covered.size();
-  s.coveredSet = std::move(eng.covered);
+  s.coveredSet.insert(eng.covered.begin(), eng.covered.end());
 
   solverTel_ = eng.solverSum();
   s.solverUnknowns = solverTel_.unknown;

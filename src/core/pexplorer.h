@@ -59,6 +59,11 @@ struct ParallelConfig {
   /// Accumulate per-shape query rows in every worker solver (profiler
   /// runs; merged via queryShapes()).
   bool solverShapeProfile = false;
+  /// Render each fork child's branch condition (core::forkCond) into its
+  /// ParallelResult::tree node and checkpoint record. Only the path
+  /// forest, its dot form and checkpoints read it, so a caller writing
+  /// none of them can skip the rendering; otherwise `cond` stays empty.
+  bool renderForkConds = true;
   /// Read by nothing: no worker solver consults the abstract pre-solver
   /// (docs/absdomain.md). Kept for API callers that still set it.
   bool prefilter = false;

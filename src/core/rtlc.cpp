@@ -571,7 +571,7 @@ const rtlc::Program& BytecodeExecutor::programFor(
   return spec_.emplace(pc, std::move(p)).first->second;
 }
 
-void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
+void BytecodeExecutor::exec(MachineState&& st, SymFrame& fr, size_t ip,
                             StepOut& out) {
   smt::TermManager& tm = svc_.tm;
   const std::vector<Op>& ops = fr.prog->ops;
@@ -589,7 +589,7 @@ void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
         fr.slots[op.dst] = st.regfile[op.imm];
         break;
       case OpCode::RegIndexDefect:
-        emitDefect(st, out, DefectKind::IllegalInsn, fr.site,
+        emitDefect(std::move(st), out, DefectKind::IllegalInsn, fr.site,
                    formatStr("register index %llu out of range",
                              static_cast<unsigned long long>(op.imm)));
         return;
@@ -738,7 +738,7 @@ void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
         }
         break;
       case OpCode::Trap:
-        emitDefect(st, out, DefectKind::Trap, fr.site,
+        emitDefect(std::move(st), out, DefectKind::Trap, fr.site,
                    formatStr("trap(%llu) reached",
                              static_cast<unsigned long long>(op.imm)),
                    {}, op.imm);
@@ -762,7 +762,8 @@ void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
           MachineState other = st;
           EngineServices::enter(other, std::move(elseSide));
           ++other.forks;
-          exec(std::move(other), fr, op.t, out);  // else arm first
+          SymFrame otherFr = fr;
+          exec(std::move(other), otherFr, op.t, out);  // else arm first
           EngineServices::enter(st, std::move(thenSide));
           ++st.forks;
           break;  // fall through into the then arm
@@ -787,15 +788,16 @@ void BytecodeExecutor::exec(MachineState st, SymFrame fr, size_t ip,
   finishInsn(std::move(st), fr, out);
 }
 
-void BytecodeExecutor::execInsn(const MachineState& in, InsnFrame f,
+void BytecodeExecutor::execInsn(MachineState&& st, InsnFrame f,
                                 StepOut& out) {
-  const rtlc::Program& prog = programFor(in.pc, f.d);
-  exec(in,
-       SymFrame{std::move(f), &prog, std::vector<smt::TermRef>(prog.numSlots)},
-       0, out);
+  const rtlc::Program& prog = programFor(f.insnAddr, f.d);
+  slots_.assign(prog.numSlots, smt::TermRef());
+  SymFrame fr{std::move(f), &prog, std::move(slots_)};
+  exec(std::move(st), fr, 0, out);
+  slots_ = std::move(fr.slots);
 }
 
-void BytecodeExecutor::stepMany(const MachineState& in, StepOut& out,
+void BytecodeExecutor::stepMany(MachineState&& in, StepOut& out,
                                 uint64_t fuel) {
   // Self-gate: fuse only when nothing can observe intermediate steps.
   // Telemetry counts per-step metrics and profiling attributes per-
@@ -808,54 +810,49 @@ void BytecodeExecutor::stepMany(const MachineState& in, StepOut& out,
   };
   if (fuel <= 1 || svc_.telemetry != nullptr || rtlProf_ != nullptr ||
       !concrete(in.regs) || !concrete(in.regfile)) {
-    step(in, out);
+    stepOne(std::move(in), out);
     return;
   }
-  runSuperblock(in, out, fuel);
+  runSuperblock(std::move(in), out, fuel);
 }
 
-void BytecodeExecutor::runSuperblock(const MachineState& in, StepOut& out,
+void BytecodeExecutor::runSuperblock(MachineState&& in, StepOut& out,
                                      uint64_t fuel) {
   smt::TermManager& tm = svc_.tm;
   const bool little = model_.endianLittle;
+  FuseScratch& fs = fuse_;
+  using COut = FuseScratch::COut;
+  using RegUndo = FuseScratch::RegUndo;
 
   // Concrete machine image.
-  std::vector<uint64_t> regs;
-  regs.reserve(in.regs.size());
+  std::vector<uint64_t>& regs = fs.regs;
+  regs.clear();
   for (const smt::TermRef& r : in.regs) regs.push_back(r.constValue());
-  std::vector<uint64_t> regfile;
-  regfile.reserve(in.regfile.size());
+  std::vector<uint64_t>& regfile = fs.regfile;
+  regfile.clear();
   for (const smt::TermRef& r : in.regfile) regfile.push_back(r.constValue());
   uint64_t pc = in.pc;
 
   // Committed effects of retired instructions.
-  std::vector<std::pair<uint64_t, uint8_t>> writeLog;  // in write order
-  std::unordered_map<uint64_t, uint8_t> memView;       // coalesced view
-  struct COut {
-    uint64_t v;
-    uint8_t w;
-    uint64_t pc;
-  };
-  std::vector<COut> outputs;
+  std::vector<std::pair<uint64_t, uint8_t>>& writeLog = fs.writeLog;
+  std::unordered_map<uint64_t, uint8_t>& memView = fs.memView;
+  std::vector<COut>& outputs = fs.outputs;
+  writeLog.clear();
+  memView.clear();
+  outputs.clear();
   uint64_t ticks = 0;
   uint64_t retired = 0;
-  std::vector<uint64_t> fusedPcs;
+  std::vector<uint64_t>& fusedPcs = out.fusedPcs;
 
-  // Per-instruction scratch (reused).
-  std::vector<uint64_t> slots;
-  std::vector<uint8_t> letOk;
-  std::vector<std::pair<uint64_t, uint8_t>> pend;
-  std::vector<COut> pendOut;
-  // Undo log for the current instruction's register writes: a bail must
-  // discard ALL of its effects (e.g. a stack machine bumps sp before its
-  // faulting store), since the symbolic re-execution replays the whole
-  // instruction from its entry state.
-  struct RegUndo {
-    bool file;
-    uint16_t idx;
-    uint64_t old;
-  };
-  std::vector<RegUndo> regUndo;
+  // Per-instruction scratch. The undo log holds the current instruction's
+  // register writes: a bail must discard ALL of its effects (e.g. a stack
+  // machine bumps sp before its faulting store), since the symbolic
+  // re-execution replays the whole instruction from its entry state.
+  std::vector<uint64_t>& slots = fs.slots;
+  std::vector<uint8_t>& letOk = fs.letOk;
+  std::vector<std::pair<uint64_t, uint8_t>>& pend = fs.pend;
+  std::vector<COut>& pendOut = fs.pendOut;
+  std::vector<RegUndo>& regUndo = fs.regUndo;
 
   // Concrete byte read: pending writes shadow committed writes shadow the
   // incoming state's memory. A symbolic or unmapped byte bails.
@@ -1052,18 +1049,18 @@ void BytecodeExecutor::runSuperblock(const MachineState& in, StepOut& out,
 
   if (retired == 0) {
     // Bailed on the very first instruction: plain symbolic step.
-    step(in, out);
+    stepOne(std::move(in), out);
     return;
   }
 
   ++fstats_.superblocks;
   fstats_.fusedSteps += retired;
 
-  // Materialize the committed effects onto a copy of the incoming state.
+  // Materialize the committed effects onto the incoming state, in place.
   // mkConst interning makes unwritten registers identical refs; the write
   // log replays in program order so the overlay contents match a
   // per-instruction run byte for byte.
-  MachineState st = in;
+  MachineState& st = in;
   for (size_t i = 0; i < regs.size(); ++i) {
     st.regs[i] = tm.mkConst(model_.regs[i].width, regs[i]);
   }
@@ -1091,14 +1088,13 @@ void BytecodeExecutor::runSuperblock(const MachineState& in, StepOut& out,
     // the materialized state: checkers, forks and defects happen exactly
     // as a per-instruction run would have them.
     ++fstats_.bails;
-    step(st, out);
+    stepOne(std::move(st), out);
     fusedPcs.push_back(pc);
     ++retired;
   } else {
     out.successors.push_back(std::move(st));  // fuel exhausted: still running
   }
   out.retired = retired;
-  out.fusedPcs = std::move(fusedPcs);
 }
 
 }  // namespace adlsym::core

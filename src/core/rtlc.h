@@ -126,7 +126,8 @@ class BytecodeExecutor final : public AdlExecutorBase {
   BytecodeExecutor(const adl::ArchModel& model, EngineServices& services);
 
   std::string name() const override { return "rtlc:" + model_.name; }
-  void stepMany(const MachineState& in, StepOut& out, uint64_t fuel) override;
+  using AdlExecutorBase::stepMany;
+  void stepMany(MachineState&& in, StepOut& out, uint64_t fuel) override;
 
   /// Superblock-cache introspection (tests/bench; not part of the stats
   /// byte-identity surface — fusing never runs under observers/telemetry).
@@ -143,17 +144,49 @@ class BytecodeExecutor final : public AdlExecutorBase {
     std::vector<smt::TermRef> slots;  // lets first, then temps
   };
 
-  void execInsn(const MachineState& in, InsnFrame f, StepOut& out) override;
+  /// The superblock runner's per-call scratch, owned by the executor so a
+  /// warm fused run allocates nothing.
+  struct FuseScratch {
+    struct COut {
+      uint64_t v;
+      uint8_t w;
+      uint64_t pc;
+    };
+    struct RegUndo {
+      bool file;
+      uint16_t idx;
+      uint64_t old;
+    };
+    // Concrete register images.
+    std::vector<uint64_t> regs, regfile;
+    // Committed effects of retired instructions: the writes in write
+    // order, their coalesced view, and the outputs.
+    std::vector<std::pair<uint64_t, uint8_t>> writeLog;
+    std::unordered_map<uint64_t, uint8_t> memView;
+    std::vector<COut> outputs;
+    // The current instruction's pending stores and outputs, value slots,
+    // let-assigned flags and register undo log.
+    std::vector<std::pair<uint64_t, uint8_t>> pend;
+    std::vector<COut> pendOut;
+    std::vector<uint64_t> slots;
+    std::vector<uint8_t> letOk;
+    std::vector<RegUndo> regUndo;
+  };
+
+  void execInsn(MachineState&& st, InsnFrame f, StepOut& out) override;
   const rtlc::Program& programFor(uint64_t pc, const decode::DecodedInsn* d);
-  /// Symbolic dispatch loop from op index `ip`; forks recurse on the else
-  /// target first, exactly like the walker's If handling.
-  void exec(MachineState st, SymFrame fr, size_t ip, StepOut& out);
+  /// Symbolic dispatch loop from op index `ip` on `st`, in place; forks
+  /// copy the state and frame for the else target and recurse on it first,
+  /// exactly like the walker's If handling.
+  void exec(MachineState&& st, SymFrame& fr, size_t ip, StepOut& out);
   /// Concrete superblock run; only called when every register is concrete.
-  void runSuperblock(const MachineState& in, StepOut& out, uint64_t fuel);
+  void runSuperblock(MachineState&& in, StepOut& out, uint64_t fuel);
 
   std::vector<rtlc::Program> generic_;        // per InsnInfo, model order
   std::unordered_map<uint64_t, rtlc::Program> spec_;  // per pc
   FusionStats fstats_;
+  std::vector<smt::TermRef> slots_;  // execInsn's frame slots, reused
+  FuseScratch fuse_;
 };
 
 }  // namespace adlsym::core

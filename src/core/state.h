@@ -124,16 +124,18 @@ class MachineState {
   }
 
   /// Rough resident size of this state: the governor's accounting unit
-  /// for --mem-budget-mb. Counts the vectors and the memory overlay (the
-  /// per-state storage); hash-consed terms live in the shared TermManager
-  /// and are charged there.
+  /// for --mem-budget-mb. Counts the contents of the vectors and the
+  /// distinct bytes written to memory (the per-state storage), never
+  /// capacities or overlay nodes, so it is a function of what the state
+  /// holds, not of how it was forked, moved or rebuilt; hash-consed terms
+  /// live in the shared TermManager and are charged there.
   size_t approxBytes() const {
     return sizeof(MachineState) +
-           (regs.capacity() + regfile.capacity() + pathCond.capacity()) *
+           (regs.size() + regfile.size() + pathCond.size()) *
                sizeof(smt::TermRef) +
-           inputs.capacity() * sizeof(InputRecord) +
-           outputs.capacity() * sizeof(OutputRecord) +
-           witness.capacity() * sizeof(uint64_t) +
+           inputs.size() * sizeof(InputRecord) +
+           outputs.size() * sizeof(OutputRecord) +
+           witness.size() * sizeof(uint64_t) +
            memory.overlayBytes() * 16;  // map node + key + TermRef, approx
   }
 };

@@ -778,6 +778,7 @@ CommandResult cmdExplore(const std::string& isaName,
     pcfg.solverConflictBudget = sopt.solverConflictBudget;
     pcfg.solverTimeoutMicros = saturatingMul(opt.solverTimeoutMs, 1000);
     pcfg.solverShapeProfile = profiling;
+    pcfg.renderForkConds = wantForest || !opt.checkpointPath.empty();
     pcfg.queryListener = fr.bus.get();
     pcfg.checkpointEverySteps = opt.checkpointEverySteps;
     pcfg.checkpointPath = opt.checkpointPath;

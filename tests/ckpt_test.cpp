@@ -434,6 +434,39 @@ TEST_F(CkptResume, CrashResumeByteIdentity) {
   }
 }
 
+TEST_F(CkptResume, MidRunCheckpointsAgreeAcrossJobs) {
+  // sort4's deep frontier is stolen (and so rebuilt in the thief's pool)
+  // at -j2/-j8. The checkpoint of the third level barrier, events gauges
+  // included, must not depend on which states moved; only the raw event
+  // stream's byte offset may differ.
+  const std::regex offset(R"("offset":[0-9]+)");
+  for (const std::string isa : {"acc8", "m16", "rv32e", "stk16"}) {
+    auto s = Session::forPortable(workloads::progSort(4), isa);
+    const std::string img = testing::TempDir() + "ckpt_sort4_" + isa + ".img";
+    std::ofstream(img) << s->image().serialize();
+    std::string first;
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+      const std::string base = testing::TempDir() + "ckpt_mid_" + isa +
+                               "_j" + std::to_string(jobs);
+      const auto res = dispatch(
+          {"explore", isa, img, "--clock=manual", "--jobs",
+           std::to_string(jobs), "--checkpoint=" + base + ".ckpt",
+           "--checkpoint-every=40", "--events=" + base + ".events.jsonl",
+           "--inject=ckpt.write:3"});
+      EXPECT_EQ(res.exitCode, 4) << isa << " -j" << jobs << ": " << res.output;
+      const std::string blob = slurp(base + ".ckpt");
+      const std::string doc =
+          std::regex_replace(blob.substr(0, blob.find('\n')), offset, "");
+      ASSERT_NE(doc.find("\"frontier_bytes\":"), std::string::npos) << doc;
+      if (first.empty()) {
+        first = doc;
+      } else {
+        EXPECT_EQ(doc, first) << isa << " checkpoint differs at -j" << jobs;
+      }
+    }
+  }
+}
+
 TEST_F(CkptResume, ResumeFromCompleteCheckpointReplaysNothing) {
   const std::string img = imageFor("m16");
   CliRun ref = makeRun("m16_ref", "m16", img, 2);
